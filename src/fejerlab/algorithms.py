@@ -5,7 +5,9 @@ path_index): each step consumes exactly one uniform draw from the path's
 counter-based stream to select an atom/operator index, so trajectories are
 bit-reproducible and independent paths never share randomness.
 
-Certificate builders assemble, per algorithm, the printed rate function
+Every algorithm is described once, by its entry in ``_SPECS``; run
+validation, the rate certificates and the gap windows are all built from
+that entry.  The printed rate functions are
 
 * proximal (sppa):    rho(eps) = theta(chi(eps / 24 Lbar), (b + 4 L^2 T) / tau(eps/6))
 * Krasnoselskii-Mann (skm):  rho(eps) = theta(0, b / tau(eps/6))
@@ -65,70 +67,96 @@ from .spaces import (
     project_convex,
     ray_point,
     space_of,
-    sqdist,
 )
 
 _IDENTITY = "identity"
 _MEAN = "mean_lambda_one_minus_lambda"
 
 
-@dataclass
-class Trajectory:
-    """One realized sample path: points (length horizon+1), the drawn
-    indices and the schedule values used (length horizon each)."""
-
-    points: list
-    indices: list[int]
-    steps: list[float]
-    seed: int
-    path_index: int = 0
+# ---------------------------------------------------------------------------
+# Per-algorithm specs
+# ---------------------------------------------------------------------------
 
 
-def _init_state(seed: int, path_index: int) -> rng.RngState:
-    return rng.make_state(seed, path_index)
+def _sppa_lipschitz(problem: MeanMinProblem) -> tuple[float, float]:
+    """(L, Lbar) of the proximal costs.  Half-squared costs are Lipschitz on
+    the ball of radius B around the anchor, |grad| = d(., a_e) <= B +
+    d(a_e, anchor); distance costs are 1-Lipschitz."""
+    if problem.cost_kind != HALF_SQUARED:
+        return 1.0, 1.0
+    anchor = problem.solution_anchor
+    per_atom = [problem.region_bound + distance(a, anchor) for a, _ in problem.atoms]
+    L_bar = math.fsum(w * le * le for (_, w), le in zip(problem.atoms, per_atom))
+    return max(per_atom), L_bar
 
 
-def _check_run_args(problem: Problem, x0: Point, horizon: int) -> None:
-    if space_of(x0) != problem.space:
-        raise ValueError(
-            f"start point lies in {space_of(x0)!r}, problem in {problem.space!r}"
-        )
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+def _sb_lipschitz(problem: BusemannProblem) -> tuple[float, float]:
+    L = problem.lipschitz_cap
+    return L, L * L
 
 
-def run_sppa(
-    problem: MeanMinProblem,
-    sched: StepSchedule,
-    x0: Point,
-    horizon: int,
-    seed: int,
-    path_index: int = 0,
-) -> Trajectory:
-    """Stochastic proximal point: x_{n+1} = prox of the drawn cost at x_n.
+@dataclass(frozen=True)
+class _Spec:
+    """What distinguishes one algorithm from another in validation, the rate
+    certificate and the gap window.
 
-    The schedule must be divergent with summable squares; only harmonic
-    schedules are accepted (a constant schedule in particular is rejected).
+    ``lipschitz`` gives (L, Lbar) of the instance, or is None when the
+    analysis has no noise term (then L = Lbar = T = 0); ``noise`` is the f
+    of budget_scale = b + f L^2 T; ``chi_scale`` maps (L, Lbar) to the
+    divisor of eps in the tail witness, or is None when chi is identically
+    zero.
     """
-    if not isinstance(problem, MeanMinProblem):
-        raise TypeError("the proximal iteration needs a mean-minimization problem")
-    if not isinstance(sched, Harmonic):
-        raise ValueError(
-            "proximal steps need a divergent, square-summable schedule; "
-            "use a harmonic schedule"
-        )
-    _check_run_args(problem, x0, horizon)
-    state = _init_state(seed, path_index)
-    x = x0
-    points, indices, steps = [x0], [], []
-    for n in range(horizon):
-        e, state = sample_index(problem, state)
-        lam = schedule_value(sched, n)
-        x = prox_step(problem, e, lam, x)
-        points.append(x)
-        indices.append(e)
-        steps.append(lam)
-    return Trajectory(points, indices, steps, seed, path_index)
+
+    iteration: str
+    problem_type: type
+    problem_kind: str
+    harmonic_only: bool
+    x0_in_constraint: bool
+    transform: str
+    cushion: float
+    lipschitz: Callable[[Problem], tuple[float, float]] | None
+    noise: float
+    chi_scale: Callable[[float, float], float] | None
+
+
+_SPECS = {
+    "sppa": _Spec(
+        iteration="proximal",
+        problem_type=MeanMinProblem,
+        problem_kind="a mean-minimization problem",
+        harmonic_only=True,
+        x0_in_constraint=False,
+        transform=_IDENTITY,
+        cushion=0.1,
+        lipschitz=_sppa_lipschitz,
+        noise=4.0,
+        chi_scale=lambda L, L_bar: 24.0 * L_bar,
+    ),
+    "skm": _Spec(
+        iteration="Krasnoselskii-Mann",
+        problem_type=FixedPointProblem,
+        problem_kind="a fixed-point problem",
+        harmonic_only=False,
+        x0_in_constraint=False,
+        transform=_MEAN,
+        cushion=0.5,
+        lipschitz=None,
+        noise=0.0,
+        chi_scale=None,
+    ),
+    "sb": _Spec(
+        iteration="subgradient",
+        problem_type=BusemannProblem,
+        problem_kind="a Busemann problem",
+        harmonic_only=True,
+        x0_in_constraint=True,
+        transform=_IDENTITY,
+        cushion=0.1,
+        lipschitz=_sb_lipschitz,
+        noise=1.0,
+        chi_scale=lambda L, L_bar: 6.0 * L * L,
+    ),
+}
 
 
 def _check_unit_steps(sched: StepSchedule) -> None:
@@ -151,6 +179,98 @@ def _check_unit_steps(sched: StepSchedule) -> None:
     raise TypeError(f"not a schedule: {sched!r}")
 
 
+def validate_run(problem: Problem, algorithm: str, sched: StepSchedule, x0: Point) -> None:
+    """Raise unless `algorithm` may run on `problem` with `sched` from `x0`.
+
+    TypeError for a problem of the wrong family, ValueError for an unknown
+    algorithm, a start point in another space or outside the constraint
+    set, or a schedule the analysis does not cover.
+    """
+    spec = _SPECS.get(algorithm)
+    if spec is None:
+        raise ValueError(f"unknown algorithm: {algorithm!r}")
+    if not isinstance(problem, spec.problem_type):
+        raise TypeError(f"the {spec.iteration} iteration needs {spec.problem_kind}")
+    if space_of(x0) != problem.space:
+        raise ValueError(
+            f"start point lies in {space_of(x0)!r}, problem in {problem.space!r}"
+        )
+    if not spec.harmonic_only:
+        _check_unit_steps(sched)
+    elif not isinstance(sched, Harmonic):
+        raise ValueError(
+            f"{spec.iteration} steps need a divergent, square-summable schedule; "
+            "use a harmonic schedule"
+        )
+    if spec.x0_in_constraint and not contains(problem.constraint, x0):
+        raise ValueError("start point must lie in the constraint set")
+
+
+# ---------------------------------------------------------------------------
+# Runners
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Trajectory:
+    """One realized sample path: points (length horizon+1), the drawn
+    indices and the schedule values used (length horizon each)."""
+
+    points: list
+    indices: list[int]
+    steps: list[float]
+    seed: int
+    path_index: int = 0
+
+
+def _run(
+    algorithm: str,
+    step: Callable[[Problem, int, float, Point], Point],
+    problem: Problem,
+    sched: StepSchedule,
+    x0: Point,
+    horizon: int,
+    seed: int,
+    path_index: int,
+) -> Trajectory:
+    """x_{n+1} = step(problem, e_n, lambda_n, x_n) with e_n drawn from the
+    path's stream."""
+    validate_run(problem, algorithm, sched, x0)
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    state = rng.make_state(seed, path_index)
+    x = x0
+    points, indices, steps = [x0], [], []
+    for n in range(horizon):
+        e, state = sample_index(problem, state)
+        lam = schedule_value(sched, n)
+        x = step(problem, e, lam, x)
+        points.append(x)
+        indices.append(e)
+        steps.append(lam)
+    return Trajectory(points, indices, steps, seed, path_index)
+
+
+def run_sppa(
+    problem: MeanMinProblem,
+    sched: StepSchedule,
+    x0: Point,
+    horizon: int,
+    seed: int,
+    path_index: int = 0,
+) -> Trajectory:
+    """Stochastic proximal point: x_{n+1} = prox of the drawn cost at x_n.
+
+    The schedule must be divergent with summable squares; only harmonic
+    schedules are accepted (a constant schedule in particular is rejected).
+    """
+    return _run("sppa", prox_step, problem, sched, x0, horizon, seed, path_index)
+
+
+def _skm_step(problem: FixedPointProblem, k: int, lam: float, x: Point) -> Point:
+    return geodesic_point(x, operator_apply(problem, k, x), lam)
+
+
 def run_skm(
     problem: FixedPointProblem,
     sched: StepSchedule,
@@ -161,21 +281,13 @@ def run_skm(
 ) -> Trajectory:
     """Randomized Krasnoselskii-Mann: move the fraction lambda_n along the
     geodesic from x_n to T x_n for a randomly drawn projection T."""
-    if not isinstance(problem, FixedPointProblem):
-        raise TypeError("the Krasnoselskii-Mann iteration needs a fixed-point problem")
-    _check_unit_steps(sched)
-    _check_run_args(problem, x0, horizon)
-    state = _init_state(seed, path_index)
-    x = x0
-    points, indices, steps = [x0], [], []
-    for n in range(horizon):
-        k, state = sample_index(problem, state)
-        lam = schedule_value(sched, n)
-        x = geodesic_point(x, operator_apply(problem, k, x), lam)
-        points.append(x)
-        indices.append(k)
-        steps.append(lam)
-    return Trajectory(points, indices, steps, seed, path_index)
+    return _run("skm", _skm_step, problem, sched, x0, horizon, seed, path_index)
+
+
+def _sb_step(problem: BusemannProblem, e: int, t: float, x: Point) -> Point:
+    xi, s = busemann_subgradient(problem, e, x)
+    y = x if s == 0.0 else ray_point(x, xi, s * t)
+    return project_convex(problem.constraint, y)
 
 
 def run_sb(
@@ -189,29 +301,7 @@ def run_sb(
     """Projected Busemann subgradient: move s_n * t_n along the subgradient
     ray of the drawn cost, then project back onto the constraint set.  A
     zero subgradient (x at the drawn atom) leaves the point in place."""
-    if not isinstance(problem, BusemannProblem):
-        raise TypeError("the subgradient iteration needs a Busemann problem")
-    if not isinstance(sched, Harmonic):
-        raise ValueError(
-            "subgradient steps need a divergent, square-summable schedule; "
-            "use a harmonic schedule"
-        )
-    _check_run_args(problem, x0, horizon)
-    if not contains(problem.constraint, x0):
-        raise ValueError("start point must lie in the constraint set")
-    state = _init_state(seed, path_index)
-    x = x0
-    points, indices, steps = [x0], [], []
-    for n in range(horizon):
-        e, state = sample_index(problem, state)
-        t = schedule_value(sched, n)
-        xi, s = busemann_subgradient(problem, e, x)
-        y = x if s == 0.0 else ray_point(x, xi, s * t)
-        x = project_convex(problem.constraint, y)
-        points.append(x)
-        indices.append(e)
-        steps.append(t)
-    return Trajectory(points, indices, steps, seed, path_index)
+    return _run("sb", _sb_step, problem, sched, x0, horizon, seed, path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +316,17 @@ def fejer_budget(x0: Point, z: Point, cushion: float) -> float:
         raise ValueError(f"budget cushion must be > 0, got {cushion}")
     d = distance(x0, z)
     return max(d, d * d) + cushion
+
+
+def _ingredients(
+    spec: _Spec, problem: Problem, sched: StepSchedule, x0: Point, z: Point
+) -> tuple[float, float, float, float]:
+    """(b, L, Lbar, T) of the instance under the algorithm's spec."""
+    b = fejer_budget(x0, z, spec.cushion)
+    if spec.lipschitz is None:
+        return b, 0.0, 0.0, 0.0
+    L, L_bar = spec.lipschitz(problem)
+    return b, L, L_bar, schedule_square_sum_bound(sched)
 
 
 def _budget_witness(sched: StepSchedule, transform: str) -> Callable[[int, float], int]:
@@ -272,25 +373,43 @@ def _liminf_window(theta: Callable[[int, float], int], budget_scale: float):
     return phi
 
 
+def _budget_scale(spec: _Spec, b: float, L: float, T: float) -> float:
+    return b + spec.noise * L * L * T
+
+
+def _liminf_bound(algorithm: str, sched: StepSchedule, b: float, L: float, T: float):
+    spec = _SPECS[algorithm]
+    theta = _budget_witness(sched, spec.transform)
+    return _liminf_window(theta, _budget_scale(spec, b, L, T))
+
+
 def liminf_bound_sppa(sched: StepSchedule, b: float, L: float, T: float):
     """Window bound for the proximal iteration: theta(N, (b + 4 L^2 T)/eps)
     with the identity step transform."""
-    theta = _budget_witness(sched, _IDENTITY)
-    return _liminf_window(theta, b + 4.0 * L * L * T)
+    return _liminf_bound("sppa", sched, b, L, T)
 
 
 def liminf_bound_skm(sched: StepSchedule, b: float):
     """Window bound for the Krasnoselskii-Mann iteration: theta(N, b/eps)
     with the lambda(1-lambda) step transform."""
-    theta = _budget_witness(sched, _MEAN)
-    return _liminf_window(theta, b)
+    return _liminf_bound("skm", sched, b, 0.0, 0.0)
 
 
 def liminf_bound_sb(sched: StepSchedule, b: float, L: float, T: float):
     """Window bound for the subgradient iteration: theta(N, (b + L^2 T)/eps)
     with the identity step transform."""
-    theta = _budget_witness(sched, _IDENTITY)
-    return _liminf_window(theta, b + L * L * T)
+    return _liminf_bound("sb", sched, b, L, T)
+
+
+def gap_window(problem: Problem, algorithm: str, sched: StepSchedule, x0: Point):
+    """The liminf window phi(eps, N) of a run, with b measured to the
+    solution anchor and L, T from the algorithm's spec."""
+    validate_run(problem, algorithm, sched, x0)
+    spec = _SPECS[algorithm]
+    b, L, _, T = _ingredients(spec, problem, sched, x0, problem.solution_anchor)
+    args = (b,) if spec.lipschitz is None else (b, L, T)
+    # Looked up by name, so a wrapper bound to the module attribute sees it.
+    return globals()[f"liminf_bound_{algorithm}"](sched, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -298,48 +417,43 @@ def liminf_bound_sb(sched: StepSchedule, b: float, L: float, T: float):
 # ---------------------------------------------------------------------------
 
 
-def certificate_sppa(
-    problem: MeanMinProblem,
-    sched: StepSchedule,
-    x0: Point,
-    z: Point | None = None,
-    lam_cushion: float = 0.1,
+def _certificate(
+    algorithm: str, problem: Problem, sched: StepSchedule, x0: Point, z: Point | None
 ) -> RateCertificate:
-    """Rate certificate for the proximal iteration on this instance."""
-    if not isinstance(problem, MeanMinProblem):
-        raise TypeError("the proximal certificate needs a mean-minimization problem")
-    if not isinstance(sched, Harmonic):
-        raise ValueError(
-            "proximal certificates need a divergent, square-summable schedule"
-        )
+    validate_run(problem, algorithm, sched, x0)
+    spec = _SPECS[algorithm]
     z = problem.solution_anchor if z is None else z
     if not contains(problem.solution_set, z):
         raise ValueError("reference point z must lie in the solution set")
     tau = regularity_modulus_for(problem, 2).modulus
-    anchor = problem.solution_anchor
-    if problem.cost_kind == HALF_SQUARED:
-        # Local Lipschitz data of the half-squared costs on the ball of
-        # radius B around the anchor: |grad| = d(., a_e) <= B + d(a_e, anchor).
-        per_atom = [problem.region_bound + distance(a, anchor) for a, _ in problem.atoms]
-        L = max(per_atom)
-        L_bar = math.fsum(w * le * le for (_, w), le in zip(problem.atoms, per_atom))
-    else:
-        L = L_bar = 1.0
-    T = schedule_square_sum_bound(sched)
-    b = fejer_budget(x0, z, lam_cushion)
-    budget_scale = b + 4.0 * L * L * T
-    theta = _budget_witness(sched, _IDENTITY)
+    b, L, L_bar, T = _ingredients(spec, problem, sched, x0, z)
+    budget_scale = _budget_scale(spec, b, L, T)
+    theta = _budget_witness(sched, spec.transform)
 
-    def chi(eps: float) -> int:
-        return tail_rate_chi(sched, "square", eps)
+    if spec.chi_scale is None:
+        chi_div = None
+        chi_spec = {"kind": "zero"}
+
+        def chi(eps: float) -> int:
+            if not eps > 0.0:
+                raise ValueError(f"tail budget must be > 0, got {eps}")
+            return 0
+
+    else:
+        chi_div = spec.chi_scale(L, L_bar)
+        chi_spec = {"kind": "squared_step_tail", "schedule": schedule_to_spec(sched)}
+
+        def chi(eps: float) -> int:
+            return tail_rate_chi(sched, "square", eps)
 
     def rho(eps: float) -> int:
         if not eps > 0.0:
             raise ValueError(f"rate argument must be > 0, got {eps}")
-        return theta(chi(eps / (24.0 * L_bar)), budget_scale / eval_modulus(tau, eps / 6.0))
+        start = 0 if chi_div is None else chi(eps / chi_div)
+        return theta(start, budget_scale / eval_modulus(tau, eps / 6.0))
 
     return RateCertificate(
-        algorithm="sppa",
+        algorithm=algorithm,
         tau=tau,
         consistency=Power(1.0, 2.0),
         chi=chi,
@@ -351,120 +465,35 @@ def certificate_sppa(
         T=T,
         rho=rho,
         liminf_bound=_liminf_window(theta, budget_scale),
-        chi_spec={"kind": "squared_step_tail", "schedule": schedule_to_spec(sched)},
+        chi_spec=chi_spec,
         divergence_spec={
             "kind": "windowed_step_sum",
-            "transform": _IDENTITY,
+            "transform": spec.transform,
             "budget_scale": budget_scale,
             "schedule": schedule_to_spec(sched),
         },
     )
+
+
+def certificate_sppa(
+    problem: MeanMinProblem, sched: StepSchedule, x0: Point, z: Point | None = None
+) -> RateCertificate:
+    """Rate certificate for the proximal iteration on this instance."""
+    return _certificate("sppa", problem, sched, x0, z)
 
 
 def certificate_skm(
-    problem: FixedPointProblem,
-    sched: StepSchedule,
-    x0: Point,
-    z: Point | None = None,
-    cushion: float = 0.5,
+    problem: FixedPointProblem, sched: StepSchedule, x0: Point, z: Point | None = None
 ) -> RateCertificate:
     """Rate certificate for the Krasnoselskii-Mann iteration."""
-    if not isinstance(problem, FixedPointProblem):
-        raise TypeError("the Krasnoselskii-Mann certificate needs a fixed-point problem")
-    _check_unit_steps(sched)
-    z = problem.solution_anchor if z is None else z
-    if not contains(problem.solution_set, z):
-        raise ValueError("reference point z must lie in the solution set")
-    tau = regularity_modulus_for(problem, 2).modulus
-    b = fejer_budget(x0, z, cushion)
-    theta = _budget_witness(sched, _MEAN)
-
-    def chi(eps: float) -> int:
-        if not eps > 0.0:
-            raise ValueError(f"tail budget must be > 0, got {eps}")
-        return 0
-
-    def rho(eps: float) -> int:
-        if not eps > 0.0:
-            raise ValueError(f"rate argument must be > 0, got {eps}")
-        return theta(0, b / eval_modulus(tau, eps / 6.0))
-
-    return RateCertificate(
-        algorithm="skm",
-        tau=tau,
-        consistency=Power(1.0, 2.0),
-        chi=chi,
-        divergence=theta,
-        K=1.0,
-        b=b,
-        L=0.0,
-        L_bar=0.0,
-        T=0.0,
-        rho=rho,
-        liminf_bound=_liminf_window(theta, b),
-        chi_spec={"kind": "zero"},
-        divergence_spec={
-            "kind": "windowed_step_sum",
-            "transform": _MEAN,
-            "budget_scale": b,
-            "schedule": schedule_to_spec(sched),
-        },
-    )
+    return _certificate("skm", problem, sched, x0, z)
 
 
 def certificate_sb(
-    problem: BusemannProblem,
-    sched: StepSchedule,
-    x0: Point,
-    z: Point | None = None,
-    cushion: float = 0.1,
+    problem: BusemannProblem, sched: StepSchedule, x0: Point, z: Point | None = None
 ) -> RateCertificate:
     """Rate certificate for the Busemann subgradient iteration."""
-    if not isinstance(problem, BusemannProblem):
-        raise TypeError("the subgradient certificate needs a Busemann problem")
-    if not isinstance(sched, Harmonic):
-        raise ValueError(
-            "subgradient certificates need a divergent, square-summable schedule"
-        )
-    z = problem.solution_anchor if z is None else z
-    if not contains(problem.solution_set, z):
-        raise ValueError("reference point z must lie in the solution set")
-    tau = regularity_modulus_for(problem, 2).modulus
-    L = problem.lipschitz_cap
-    T = schedule_square_sum_bound(sched)
-    b = fejer_budget(x0, z, cushion)
-    budget_scale = b + L * L * T
-    theta = _budget_witness(sched, _IDENTITY)
-
-    def chi(eps: float) -> int:
-        return tail_rate_chi(sched, "square", eps)
-
-    def rho(eps: float) -> int:
-        if not eps > 0.0:
-            raise ValueError(f"rate argument must be > 0, got {eps}")
-        return theta(chi(eps / (6.0 * L * L)), budget_scale / eval_modulus(tau, eps / 6.0))
-
-    return RateCertificate(
-        algorithm="sb",
-        tau=tau,
-        consistency=Power(1.0, 2.0),
-        chi=chi,
-        divergence=theta,
-        K=1.0,
-        b=b,
-        L=L,
-        L_bar=L * L,
-        T=T,
-        rho=rho,
-        liminf_bound=_liminf_window(theta, budget_scale),
-        chi_spec={"kind": "squared_step_tail", "schedule": schedule_to_spec(sched)},
-        divergence_spec={
-            "kind": "windowed_step_sum",
-            "transform": _IDENTITY,
-            "budget_scale": budget_scale,
-            "schedule": schedule_to_spec(sched),
-        },
-    )
+    return _certificate("sb", problem, sched, x0, z)
 
 
 def fast_certificate_skm(

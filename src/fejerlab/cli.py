@@ -29,16 +29,13 @@ from .algorithms import (
     certificate_skm,
     certificate_sppa,
     fast_certificate_skm,
-    fejer_budget,
-    liminf_bound_sb,
-    liminf_bound_skm,
-    liminf_bound_sppa,
+    gap_window,
+    validate_run,
 )
 from .harness import (
     AuditRecord,
     AuditReport,
     EnsembleStats,
-    _validate_run,
     certificate_audit,
     export_results,
     fast_audit,
@@ -47,19 +44,9 @@ from .harness import (
     run_ensemble,
     stats_from_curves,
 )
-from .moduli import (
-    StepSchedule,
-    schedule_from_spec,
-    schedule_square_sum_bound,
-)
-from .problems import (
-    HALF_SQUARED,
-    MeanMinProblem,
-    NoModulusKnownError,
-    Problem,
-    problem_from_spec,
-)
-from .spaces import Point, distance, geometry_suite, point_from_spec, space_of
+from .moduli import StepSchedule, schedule_from_spec
+from .problems import NoModulusKnownError, Problem, problem_from_spec
+from .spaces import Point, geometry_suite, point_from_spec, space_of
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -78,9 +65,6 @@ _CHECK_NAMES = {
     "fast_tail": "fast-rate tail check",
     "gap_window": "gap-window (liminf) check",
 }
-
-# Default budget cushions, matching the certificate builders.
-_CUSHIONS = {"sppa": 0.1, "skm": 0.5, "sb": 0.1}
 
 
 class ConfigError(ValueError):
@@ -271,7 +255,7 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
 
     # Cross-field validity (algorithm/problem/schedule/start point).
     try:
-        _validate_run(problem, algorithm, sched, x0)
+        validate_run(problem, algorithm, sched, x0)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
 
@@ -333,15 +317,6 @@ def _run_stats(exp: Experiment) -> EnsembleStats:
     )
 
 
-def _sppa_lipschitz(problem: MeanMinProblem) -> float:
-    if problem.cost_kind == HALF_SQUARED:
-        anchor = problem.solution_anchor
-        return max(
-            problem.region_bound + distance(a, anchor) for a, _ in problem.atoms
-        )
-    return 1.0
-
-
 def _index_label(idx: int) -> str:
     """Astronomically large witness indices are printed as magnitudes."""
     if idx >= 10**12:
@@ -354,15 +329,7 @@ def _liminf_report(exp: Experiment, stats: EnsembleStats) -> AuditReport:
     an iterate whose mean optimality gap is below eps."""
     eps = exp.liminf["epsilon"]
     start = exp.liminf["start"]
-    b = fejer_budget(exp.x0, exp.problem.solution_anchor, _CUSHIONS[exp.algorithm])
-    if exp.algorithm == "sppa":
-        L = _sppa_lipschitz(exp.problem)
-        phi = liminf_bound_sppa(exp.sched, b, L, schedule_square_sum_bound(exp.sched))
-    elif exp.algorithm == "skm":
-        phi = liminf_bound_skm(exp.sched, b)
-    else:
-        L = exp.problem.lipschitz_cap
-        phi = liminf_bound_sb(exp.sched, b, L, schedule_square_sum_bound(exp.sched))
+    phi = gap_window(exp.problem, exp.algorithm, exp.sched, exp.x0)
     bound_idx = phi(eps, start)
     witness = liminf_witness_check(stats, eps, start, bound_idx)
     window = f"window [{start}, {_index_label(bound_idx)}]"

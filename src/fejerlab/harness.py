@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algorithms import _check_unit_steps, run_sb, run_skm, run_sppa
+from .algorithms import run_sb, run_skm, run_sppa, validate_run
 from .moduli import (
     FastCertificate,
-    Harmonic,
     RateCertificate,
     StepSchedule,
     fast_bounds,
@@ -61,7 +60,6 @@ from .spaces import (
     geodesic_point,
     project_convex,
     ray_point,
-    space_of,
     sqdist,
 )
 
@@ -319,31 +317,6 @@ def _scalar_chunk(
     return _reduce_chunk(dist, gap, epsilons)
 
 
-def _validate_run(problem: Problem, algorithm: str, sched, x0: Point) -> None:
-    if algorithm not in _RUNNERS:
-        raise ValueError(f"unknown algorithm: {algorithm!r}")
-    if space_of(x0) != problem.space:
-        raise ValueError(
-            f"start point lies in {space_of(x0)!r}, problem in {problem.space!r}"
-        )
-    if algorithm == "sppa":
-        if not isinstance(problem, MeanMinProblem):
-            raise TypeError("the proximal iteration needs a mean-minimization problem")
-        if not isinstance(sched, Harmonic):
-            raise ValueError("proximal steps need a harmonic schedule")
-    elif algorithm == "skm":
-        if not isinstance(problem, FixedPointProblem):
-            raise TypeError("the Krasnoselskii-Mann iteration needs a fixed-point problem")
-        _check_unit_steps(sched)
-    else:
-        if not isinstance(problem, BusemannProblem):
-            raise TypeError("the subgradient iteration needs a Busemann problem")
-        if not isinstance(sched, Harmonic):
-            raise ValueError("subgradient steps need a harmonic schedule")
-        if not contains(problem.constraint, x0):
-            raise ValueError("start point must lie in the constraint set")
-
-
 def run_ensemble(
     problem: Problem,
     algorithm: str,
@@ -362,7 +335,7 @@ def run_ensemble(
     Euclidean kernel when available, "scalar" forces per-path runs (useful
     to cross-check the vectorized kernel), "vector" demands it.
     """
-    _validate_run(problem, algorithm, sched, x0)
+    validate_run(problem, algorithm, sched, x0)
     if paths < 1:
         raise ValueError(f"need at least one path, got {paths}")
     if horizon < 0:
@@ -875,6 +848,8 @@ def load_curves(path: str) -> dict[str, np.ndarray]:
         if len(parts) != len(header):
             raise ValueError(f"malformed curves row (got {len(parts)} fields): {ln[:60]}")
         rows.append([float(p) for p in parts])
+    if not rows:
+        raise ValueError(f"curves file {path} has a header but no rows")
     data = np.array(rows)
     cols = {name: data[:, i] for i, name in enumerate(header)}
     n = cols["n"]

@@ -1,15 +1,12 @@
 """The modulus calculus behind the convergence-rate certificates.
 
-This module represents moduli — monotone functions (0, inf) -> (0, inf) used
-for regularity (tau), consistency (theta), and probability weights (sigma) —
-as symbolic values, so that convexity and monotonicity can be machine-checked
-and certificates serialized.  On top of the moduli it provides the
-step-schedule witnesses (the tail-rate chi and the divergence witness theta)
-and the assembly of explicit iteration-index certificates for the stochastic
-algorithms: the generic rho(eps) = liminf_bound(tau(eps/3K), chi(eps/3K))
-assembly, the metric-rate quadruple, the Nemirovski-type recursion constant,
-and the fast-rate mean/tail envelopes.
-"""
+This module represents moduli — the linear and power functions
+(0, inf) -> (0, inf) used for regularity (tau) and consistency (theta) —
+as symbolic values, so that certificates can be evaluated exactly and
+serialized.  On top of the moduli it provides the step-schedule witnesses
+(the tail-rate chi and the divergence witness theta), the metric-rate
+quadruple, the Nemirovski-type recursion constant, and the fast-rate
+mean/tail envelopes."""
 
 from __future__ import annotations
 
@@ -19,9 +16,6 @@ from typing import Callable, Union
 
 import mpmath
 from scipy.special import digamma, polygamma
-
-#: Tolerance for the second-difference convexity check on table moduli.
-CONVEXITY_TOL = 1e-12
 
 #: Relative shave applied before taking integer ceilings of analytically
 #: computed indices, guarding against a 1-ulp float overshoot turning an
@@ -70,59 +64,7 @@ class Power:
             raise ValueError(f"power modulus needs p >= 1, got {self.p}")
 
 
-@dataclass(frozen=True)
-class Table:
-    """Piecewise-linear modulus through sorted breakpoints (eps_i, v_i).
-
-    Below the first breakpoint the value is held constant at v_0 (keeping
-    the function positive and, for nondecreasing tables, convexity intact);
-    beyond the last breakpoint the last chord slope is extended.
-    """
-
-    points: tuple[tuple[float, float], ...]
-    mean_valid: bool = False
-
-    def __post_init__(self) -> None:
-        pts = tuple((float(e), float(v)) for e, v in self.points)
-        if not pts:
-            raise ValueError("table modulus needs at least one breakpoint")
-        for (e1, v1), (e2, v2) in zip(pts, pts[1:]):
-            if not e2 > e1:
-                raise ValueError("table breakpoints must be strictly increasing")
-            if v2 < v1:
-                raise ValueError("table values must be nondecreasing")
-        if any(v <= 0.0 for _, v in pts):
-            raise ValueError("table values must be positive")
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
-class Scaled:
-    """eps -> factor * inner(eps)."""
-
-    inner: "Modulus"
-    factor: float
-    mean_valid: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.factor > 0.0:
-            raise ValueError(f"scale factor must be > 0, got {self.factor}")
-
-
-@dataclass(frozen=True)
-class Min:
-    """Pointwise minimum of several moduli."""
-
-    members: tuple["Modulus", ...]
-    mean_valid: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("min modulus needs at least one member")
-        object.__setattr__(self, "members", tuple(self.members))
-
-
-Modulus = Union[Linear, Power, Table, Scaled, Min]
+Modulus = Union[Linear, Power]
 
 
 def eval_modulus(m: Modulus, eps: float) -> float:
@@ -133,148 +75,14 @@ def eval_modulus(m: Modulus, eps: float) -> float:
         return m.c * eps
     if isinstance(m, Power):
         return m.c * eps ** m.p
-    if isinstance(m, Table):
-        pts = m.points
-        if eps <= pts[0][0]:
-            return pts[0][1]
-        for (e1, v1), (e2, v2) in zip(pts, pts[1:]):
-            if eps <= e2:
-                t = (eps - e1) / (e2 - e1)
-                return v1 + t * (v2 - v1)
-        if len(pts) == 1:
-            return pts[0][1]
-        (e1, v1), (e2, v2) = pts[-2], pts[-1]
-        slope = (v2 - v1) / (e2 - e1)
-        return v2 + slope * (eps - e2)
-    if isinstance(m, Scaled):
-        return m.factor * eval_modulus(m.inner, eps)
-    if isinstance(m, Min):
-        return min(eval_modulus(mm, eps) for mm in m.members)
     raise TypeError(f"not a modulus: {m!r}")
-
-
-def _table_slopes(pts: tuple[tuple[float, float], ...]) -> list[float]:
-    return [(v2 - v1) / (e2 - e1) for (e1, v1), (e2, v2) in zip(pts, pts[1:])]
-
-
-def is_convex(m: Modulus) -> bool:
-    """Whether the represented function is known to be convex on (0, inf).
-
-    Linear and Power (p >= 1) are convex by construction; a Table is convex
-    iff its chord slopes are nondecreasing (within CONVEXITY_TOL, the
-    second-difference test); a Min is conservatively reported non-convex
-    unless it has a single member.
-    """
-    if isinstance(m, (Linear, Power)):
-        return True
-    if isinstance(m, Table):
-        slopes = _table_slopes(m.points)
-        return all(s2 >= s1 - CONVEXITY_TOL for s1, s2 in zip(slopes, slopes[1:]))
-    if isinstance(m, Scaled):
-        return is_convex(m.inner)
-    if isinstance(m, Min):
-        return len(m.members) == 1 and is_convex(m.members[0])
-    raise TypeError(f"not a modulus: {m!r}")
-
-
-def convex_envelope(m: Table) -> Table:
-    """Greatest convex minorant of a table modulus on its breakpoint grid
-    (the lower convex hull of the breakpoints, re-sampled at the original
-    abscissae)."""
-    if not isinstance(m, Table):
-        raise ValueError("convex_envelope expects a table modulus")
-    pts = m.points
-    for (_, v1), (_, v2) in zip(pts, pts[1:]):
-        if not v2 > v1:
-            raise ValueError("convex_envelope needs strictly increasing values")
-    if len(pts) <= 2:
-        return m
-    hull: list[tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            cross = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    hull_mod = Table(tuple(hull))
-    new_pts = tuple((e, eval_modulus(hull_mod, e)) for e, _ in pts)
-    return Table(new_pts, mean_valid=m.mean_valid)
 
 
 def pointwise_to_mean(tau: Modulus) -> Modulus:
     """Jensen lifting: a convex nondecreasing pointwise modulus is also a
-    modulus in mean; returns tau unchanged but tagged mean-valid."""
-    if not is_convex(tau):
-        raise ValueError(
-            "modulus is not convex, so the Jensen lifting to a modulus in "
-            "mean does not apply; take its convex_envelope first"
-        )
+    modulus in mean.  Linear and power (p >= 1) moduli are convex, so tau is
+    returned unchanged but tagged mean-valid."""
     return replace(tau, mean_valid=True)
-
-
-def _constant_value(m: Modulus) -> float | None:
-    """The constant c if m represents eps -> c, else None."""
-    if isinstance(m, Table):
-        vals = {v for _, v in m.points}
-        if len(vals) == 1 and len(m.points) >= 1:
-            # A single breakpoint, or equal values throughout, extends
-            # constant below and (slope 0) above.
-            if len(m.points) == 1 or _table_slopes(m.points)[-1] == 0.0:
-                return m.points[0][1]
-        return None
-    if isinstance(m, Scaled):
-        inner = _constant_value(m.inner)
-        return None if inner is None else m.factor * inner
-    if isinstance(m, Min):
-        consts = [_constant_value(mm) for mm in m.members]
-        if all(c is not None for c in consts):
-            return min(consts)  # type: ignore[type-var]
-        return None
-    return None
-
-
-def probabilistic_combine(sigma: Modulus, tau: Modulus) -> Modulus:
-    """Pointwise product modulus (sigma * tau)(eps) = sigma(eps) * tau(eps),
-    used to weight a regularity modulus by a probability modulus.
-
-    The product is returned in closed form for the representable
-    combinations (constant factors, products of linear/power shapes,
-    distribution over scaling and pointwise minima); other combinations
-    have no exact representative among the modulus variants and raise.
-    """
-    c_sigma = _constant_value(sigma)
-    if c_sigma is not None:
-        if c_sigma == 1.0:
-            return tau
-        return Scaled(tau, c_sigma, mean_valid=tau.mean_valid)
-    c_tau = _constant_value(tau)
-    if c_tau is not None:
-        return Scaled(sigma, c_tau, mean_valid=tau.mean_valid)
-    if isinstance(sigma, Scaled):
-        inner = probabilistic_combine(sigma.inner, tau)
-        return Scaled(inner, sigma.factor, mean_valid=tau.mean_valid)
-    if isinstance(tau, Scaled):
-        inner = probabilistic_combine(sigma, tau.inner)
-        return Scaled(inner, tau.factor, mean_valid=tau.mean_valid)
-    if isinstance(tau, Min):
-        members = tuple(probabilistic_combine(sigma, mm) for mm in tau.members)
-        return Min(members, mean_valid=tau.mean_valid)
-    shapes = {}
-    for name, m in (("sigma", sigma), ("tau", tau)):
-        if isinstance(m, Linear):
-            shapes[name] = (m.c, 1.0)
-        elif isinstance(m, Power):
-            shapes[name] = (m.c, m.p)
-    if len(shapes) == 2:
-        (c1, p1), (c2, p2) = shapes["sigma"], shapes["tau"]
-        return Power(c1 * c2, p1 + p2, mean_valid=tau.mean_valid)
-    raise ValueError(
-        "pointwise product of these modulus shapes has no exact "
-        "representation among the supported variants"
-    )
 
 
 def modulus_to_spec(m: Modulus) -> dict:
@@ -283,42 +91,7 @@ def modulus_to_spec(m: Modulus) -> dict:
         return {"kind": "linear", "c": m.c, "mean_valid": m.mean_valid}
     if isinstance(m, Power):
         return {"kind": "power", "c": m.c, "p": m.p, "mean_valid": m.mean_valid}
-    if isinstance(m, Table):
-        return {
-            "kind": "table",
-            "points": [[e, v] for e, v in m.points],
-            "mean_valid": m.mean_valid,
-        }
-    if isinstance(m, Scaled):
-        return {
-            "kind": "scaled",
-            "factor": m.factor,
-            "inner": modulus_to_spec(m.inner),
-            "mean_valid": m.mean_valid,
-        }
-    if isinstance(m, Min):
-        return {
-            "kind": "min",
-            "members": [modulus_to_spec(mm) for mm in m.members],
-            "mean_valid": m.mean_valid,
-        }
     raise TypeError(f"not a modulus: {m!r}")
-
-
-def modulus_from_spec(spec: dict) -> Modulus:
-    kind = spec.get("kind")
-    mv = bool(spec.get("mean_valid", False))
-    if kind == "linear":
-        return Linear(float(spec["c"]), mean_valid=mv)
-    if kind == "power":
-        return Power(float(spec["c"]), float(spec["p"]), mean_valid=mv)
-    if kind == "table":
-        return Table(tuple((float(e), float(v)) for e, v in spec["points"]), mean_valid=mv)
-    if kind == "scaled":
-        return Scaled(modulus_from_spec(spec["inner"]), float(spec["factor"]), mean_valid=mv)
-    if kind == "min":
-        return Min(tuple(modulus_from_spec(s) for s in spec["members"]), mean_valid=mv)
-    raise ValueError(f"unknown modulus kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +341,14 @@ def _harmonic_partial(a: float, s: float, k: int, m: int, mean: bool) -> float:
 
 
 def _harmonic_partial_mp(a: float, s: float, k: int, m: int, mean: bool):
+    """_harmonic_partial at the working precision.  The indices enter as
+    mpf, so arguments beyond 2**53 are not rounded to a float first."""
     if m < k:
         return mpmath.mpf(0)
-    val = a * (mpmath.digamma(m + s + 1) - mpmath.digamma(k + s))
+    lo, hi = mpmath.mpf(k) + s, mpmath.mpf(m) + s + 1
+    val = a * (mpmath.digamma(hi) - mpmath.digamma(lo))
     if mean:
-        val -= a * a * (
-            mpmath.polygamma(1, k + s) - mpmath.polygamma(1, m + s + 1)
-        )
+        val -= a * a * (mpmath.polygamma(1, lo) - mpmath.polygamma(1, hi))
     return val
 
 
@@ -657,43 +431,9 @@ def _harmonic_theta(sched: Harmonic, mean: bool, k: int, b: float) -> int:
         return hi
 
 
-def divergence_witness_magnitude(
-    sched: StepSchedule, transform: str, k: int, b: float
-) -> float:
-    """log10 estimate of divergence_witness_theta, cheap for any budget."""
-    _check_divergent(sched, transform)
-    mean = transform == _MEAN
-    if isinstance(sched, Constant):
-        w = sched.c * (1.0 - sched.c) if mean else sched.c
-        return math.log10(max(k + b / w, 1.0))
-    tail = sched.tail if isinstance(sched, TableSchedule) else sched
-    a, s = tail.a, tail.s
-    budget = b
-    if mean:
-        budget = b + a * a * float(polygamma(1, k + s))
-    return (budget / a) * math.log10(math.e) + math.log10(k + s)
-
-
 # ---------------------------------------------------------------------------
 # Rate assembly
 # ---------------------------------------------------------------------------
-
-
-def assemble_rho(
-    liminf_bound: Callable[[float, int], int],
-    tau: Modulus,
-    chi: Callable[[float], int],
-    K: float,
-    eps: float,
-) -> int:
-    """Generic certificate assembly rho(eps) = liminf_bound(tau(eps/3K),
-    chi(eps/3K))."""
-    if not K >= 1.0:
-        raise ValueError(f"uniform bound K must be >= 1, got {K}")
-    if not eps > 0.0:
-        raise ValueError(f"certificate argument must be > 0, got {eps}")
-    e3 = eps / (3.0 * K)
-    return liminf_bound(eval_modulus(tau, e3), chi(e3))
 
 
 def metric_rates(

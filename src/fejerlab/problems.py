@@ -36,7 +36,6 @@ from .spaces import (
     EuclideanDir,
     Halfspace,
     HalfPlane,
-    HalfPlaneIdealPoint,
     Point,
     Segment,
     TRIPOD_ORIGIN,
@@ -496,43 +495,6 @@ def busemann_subgradient(
     return TripodEnd(min(j for j in range(3) if j != x.ray)), 1.0
 
 
-def busemann_pairing(
-    space: str, x: Point, direction: Direction | None, s: float, basepoint: Point
-) -> float:
-    """The cone pairing <x, [xi, s]> = s * b_xi(x), with the Busemann
-    function b_xi normalized to vanish at the basepoint.  s = 0 denotes the
-    zero cone element and pairs to 0 with everything."""
-    if s < 0.0:
-        raise ValueError(f"cone weight must be >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
-    if space == "euclidean":
-        if not isinstance(direction, EuclideanDir):
-            raise ValueError("euclidean pairing needs a EuclideanDir")
-        b = sum((bc - xc) * u for bc, xc, u in zip(basepoint.coords, x.coords, direction.vector))
-        return s * b
-    if space == "tripod":
-        if not isinstance(direction, TripodEnd):
-            raise ValueError("tripod pairing needs a TripodEnd")
-
-        def raw(y: Tripod) -> float:
-            return -y.coord if y.ray == direction.ray else y.coord
-
-        return s * (raw(x) - raw(basepoint))
-    if space == "halfplane":
-        if not isinstance(direction, HalfPlaneIdealPoint):
-            raise ValueError("half-plane pairing needs a HalfPlaneIdealPoint")
-
-        def busemann(y: HalfPlane) -> float:
-            if direction.boundary_x is None:
-                return -math.log(y.y)
-            dxb = y.x - direction.boundary_x
-            return math.log((dxb * dxb + y.y * y.y) / y.y)
-
-        return s * (busemann(x) - busemann(basepoint))
-    raise ValueError(f"unknown space kind: {space!r}")
-
-
 # ---------------------------------------------------------------------------
 # Regularity moduli
 # ---------------------------------------------------------------------------
@@ -609,15 +571,6 @@ def regularity_modulus_for(problem: Problem, q: int) -> TaggedModulus:
         f"({type(problem).__name__}, space={problem.space!r}, "
         f"{len(getattr(problem, 'atoms', getattr(problem, 'sets', ())))} terms, q={q})"
     )
-
-
-def linear_regularity_margin(problem: FixedPointProblem, points) -> float:
-    """min over the points of v * F(x) - dist^2(x): nonnegative exactly when
-    the declared linear-regularity constant v is valid on the sample."""
-    margin = math.inf
-    for x in points:
-        margin = min(margin, problem.v * gap_F(problem, x) - dist_to_solutions(problem, x, 2))
-    return margin
 
 
 # ---------------------------------------------------------------------------

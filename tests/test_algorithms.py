@@ -12,6 +12,7 @@ from fejerlab.algorithms import (
     certificate_sppa,
     fast_certificate_skm,
     fejer_budget,
+    gap_window,
     liminf_bound_sb,
     liminf_bound_skm,
     liminf_bound_sppa,
@@ -191,6 +192,15 @@ def test_certificate_windows_match_standalone_builders():
     assert cert.liminf_bound(2.0, 0) == 1425
 
 
+def test_gap_windows_match_standalone_builders():
+    assert gap_window(tripod_median(4.0), "sppa", H11, Tripod(0, 3.0))(2.0, 0) == 1425
+    assert gap_window(segment_argmin(), "sb", H11, Euclidean((0.0, 2.0)))(1.0, 0) == 175
+    phi = gap_window(two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0)))
+    assert phi(1.0, 7) == 17
+    with pytest.raises(ValueError):  # validated like a run
+        gap_window(tripod_median(4.0), "sppa", Constant(0.5), Tripod(0, 3.0))
+
+
 # ---------------------------------------------------------------------------
 # Rate certificates
 # ---------------------------------------------------------------------------
@@ -281,6 +291,11 @@ def test_certificate_sb_single_atom_works():
     cert = certificate_sb(r1_single_atom_busemann(), H11, Euclidean((0.0,)))
     assert cert.b == pytest.approx(1.1, abs=1e-12)
     assert cert.rho(60.0) >= 0
+
+
+def test_certificate_sb_rejects_start_outside_constraint():
+    with pytest.raises(ValueError, match="constraint set"):
+        certificate_sb(r1_single_atom_busemann(), H11, Euclidean((3.0,)))
 
 
 def test_certificate_sb_equal_weights_has_no_modulus():

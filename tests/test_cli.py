@@ -233,6 +233,17 @@ def test_audit_corrupted_curves_file_is_an_input_error(tmp_path, capsys):
     assert "--curves" in capsys.readouterr().err
 
 
+def test_audit_header_only_curves_file_is_an_input_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, rate_config())
+    bad = tmp_path / "bad.csv"
+    bad.write_text("n,mean_dist,mean_sq_dist,mean_gap,std_dist,std_sq_dist,std_gap\n")
+    rc = run_cli(
+        "audit", "--config", cfg, "--out", str(tmp_path / "x_"), "--curves", str(bad)
+    )
+    assert rc == 1
+    assert "no rows" in capsys.readouterr().err
+
+
 def test_audit_curves_missing_tail_threshold_is_an_input_error(tmp_path, capsys):
     cfg_run = write_config(tmp_path, rate_config(epsilons=(1.0,)), name="run.json")
     out = str(tmp_path / "r_")
@@ -365,6 +376,20 @@ def test_report_missing_outputs_is_an_input_error(tmp_path, capsys):
     rc = run_cli("report", "--config", cfg, "--out", str(tmp_path / "nope_"))
     assert rc == 1
     assert "report input error" in capsys.readouterr().err
+
+
+def test_report_header_only_curves_file_is_an_input_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, rate_config(paths=2, horizon=2))
+    out = str(tmp_path / "r_")
+    run_cli("audit", "--config", cfg, "--out", out)
+    with open(out + "curves.csv") as fh:
+        header = fh.readline()
+    with open(out + "curves.csv", "w") as fh:
+        fh.write(header)
+    capsys.readouterr()
+    rc = run_cli("report", "--config", cfg, "--out", out)
+    assert rc == 1
+    assert "no rows" in capsys.readouterr().err
 
 
 def test_report_rejects_unknown_audit_schema(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Modulus calculus, step schedules, witnesses, and rate assembly."""
+"""Moduli, step schedules, witnesses, and rate indices."""
 
 from __future__ import annotations
 
@@ -14,24 +14,14 @@ from fejerlab.moduli import (
     FastCertificate,
     Harmonic,
     Linear,
-    Min,
     Power,
     RootSchedule,
-    Scaled,
-    Table,
     TableSchedule,
-    assemble_rho,
-    convex_envelope,
-    divergence_witness_magnitude,
     divergence_witness_theta,
     eval_modulus,
     fast_bounds,
-    is_convex,
     metric_rates,
-    modulus_from_spec,
-    modulus_to_spec,
     pointwise_to_mean,
-    probabilistic_combine,
     recursion_bound_u,
     schedule_from_spec,
     schedule_square_sum_bound,
@@ -57,36 +47,13 @@ def test_eval_power_strong_convexity_shape():
     assert eval_modulus(Power(1.0 / 8.0, 2.0), 4.0) == 2.0
 
 
-def test_eval_min():
-    assert eval_modulus(Min((Linear(1.0), Linear(2.0))), 3.0) == 3.0
-
-
-def test_eval_table_interpolation_and_extension():
-    t = Table(((1.0, 1.0), (2.0, 1.1), (3.0, 3.0)))
-    assert eval_modulus(t, 0.5) == 1.0  # held constant below the grid
-    assert abs(eval_modulus(t, 1.5) - 1.05) < 1e-12
-    assert abs(eval_modulus(t, 4.0) - 4.9) < 1e-12  # last chord slope 1.9
-
-
-def test_eval_scaled():
-    assert eval_modulus(Scaled(Linear(0.5), 3.0), 2.0) == 3.0
-
-
 def test_eval_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         eval_modulus(Linear(1.0), 0.0)
 
 
 @given(
-    st.sampled_from(
-        [
-            Linear(0.5),
-            Power(0.125, 2.0),
-            Table(((1.0, 1.0), (2.0, 1.1), (3.0, 3.0))),
-            Scaled(Power(1.0, 2.0), 0.3),
-            Min((Linear(1.0), Power(0.5, 2.0))),
-        ]
-    ),
+    st.sampled_from([Linear(0.5), Power(0.125, 2.0), Power(3.0, 1.5)]),
     st.floats(min_value=1e-3, max_value=50.0),
     st.floats(min_value=1e-3, max_value=50.0),
 )
@@ -96,58 +63,7 @@ def test_eval_monotone_in_eps(m, e1, e2):
 
 
 # ---------------------------------------------------------------------------
-# Convexity and the envelope
-# ---------------------------------------------------------------------------
-
-
-def test_is_convex_basic_shapes():
-    assert is_convex(Linear(2.0))
-    assert is_convex(Power(0.5, 2.0))
-    assert is_convex(Table(((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))))
-    assert not is_convex(Table(((1.0, 1.0), (2.0, 1.9), (3.0, 2.0))))
-    assert not is_convex(Min((Linear(1.0), Linear(2.0))))
-
-
-def test_convex_envelope_leaves_convex_table_unchanged():
-    t = Table(((1.0, 1.0), (2.0, 1.1), (3.0, 3.0)))  # slopes 0.1 then 1.9
-    assert convex_envelope(t).points == t.points
-    straight = Table(((1.0, 1.0), (2.0, 2.0), (3.0, 3.0)))
-    assert convex_envelope(straight).points == straight.points
-
-
-def test_convex_envelope_two_point_table_unchanged():
-    t = Table(((1.0, 2.0), (2.0, 4.0)))
-    assert convex_envelope(t).points == t.points
-
-
-def test_convex_envelope_lowers_to_chord():
-    t = Table(((1.0, 1.0), (2.0, 1.9), (3.0, 2.0)))
-    env = convex_envelope(t)
-    assert abs(eval_modulus(env, 2.0) - 1.5) < 1e-12
-    assert is_convex(env)
-
-
-def test_convex_envelope_below_input_and_convex_on_grid():
-    t = Table(((0.5, 0.2), (1.0, 1.0), (1.5, 1.05), (2.0, 1.9), (3.0, 2.0)))
-    env = convex_envelope(t)
-    for i in range(1000):
-        e = 0.5 + 2.5 * i / 999.0
-        assert eval_modulus(env, e) <= eval_modulus(t, e) + 1e-12
-    slopes = [
-        (v2 - v1) / (e2 - e1)
-        for (e1, v1), (e2, v2) in zip(env.points, env.points[1:])
-    ]
-    assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
-    assert all(v2 > v1 for (_, v1), (_, v2) in zip(env.points, env.points[1:]))
-
-
-def test_convex_envelope_rejects_non_increasing_values():
-    with pytest.raises(ValueError):
-        convex_envelope(Table(((1.0, 1.0), (2.0, 1.0))))
-
-
-# ---------------------------------------------------------------------------
-# Mean lifting and probabilistic combination
+# Mean lifting
 # ---------------------------------------------------------------------------
 
 
@@ -157,28 +73,6 @@ def test_pointwise_to_mean_tags_convex_shapes():
         assert lifted.mean_valid
         for e in (0.1, 1.0, 7.0):
             assert eval_modulus(lifted, e) == eval_modulus(m, e)
-
-
-def test_pointwise_to_mean_rejects_non_convex():
-    with pytest.raises(ValueError, match="convex"):
-        pointwise_to_mean(Table(((1.0, 1.0), (2.0, 1.9), (3.0, 2.0))))
-
-
-def test_probabilistic_combine_constant_weight():
-    half = Table(((1.0, 0.5),))
-    combined = probabilistic_combine(half, Power(1.0, 2.0))
-    assert eval_modulus(combined, 1.0) == 0.5
-
-
-def test_probabilistic_combine_linear_linear():
-    combined = probabilistic_combine(Linear(1.0), Linear(1.0))
-    assert eval_modulus(combined, 2.0) == 4.0
-
-
-def test_probabilistic_combine_unit_weight_is_identity():
-    tau = Linear(0.7)
-    combined = probabilistic_combine(Table(((1.0, 1.0),)), tau)
-    assert combined is tau
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +130,6 @@ def test_schedule_spec_round_trip():
         RootSchedule(4.0, 16),
     ):
         assert schedule_from_spec(schedule_to_spec(sched)) == sched
-
-
-def test_modulus_spec_round_trip():
-    for m in (
-        Linear(0.5),
-        Power(0.125, 2.0),
-        Table(((1.0, 1.0), (2.0, 1.1)), mean_valid=True),
-        Scaled(Linear(2.0), 0.5),
-        Min((Linear(1.0), Power(1.0, 2.0))),
-    ):
-        assert modulus_from_spec(modulus_to_spec(m)) == m
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +200,16 @@ def test_divergence_witness_mean_transform_minimality():
 
 
 def test_divergence_witness_large_budget_uses_exact_bisection():
-    m = divergence_witness_theta(Harmonic(1.0, 1.0), IDENTITY, 0, 30.0)
-    with mpmath.workdps(60):
-        # harmonic partial sum H_{m+1} = psi(m+2) - psi(1)
-        at_m = mpmath.digamma(m + 2) - mpmath.digamma(1)
-        at_prev = mpmath.digamma(m + 1) - mpmath.digamma(1)
-        assert at_m >= 30.0
-        assert at_prev < 30.0
+    # From budget 60 on the witness passes 2**53, where a float index
+    # argument would round.
+    for budget in (30.0, 60.0, 100.0, 200.0):
+        m = divergence_witness_theta(Harmonic(1.0, 1.0), IDENTITY, 0, budget)
+        with mpmath.workdps(80 + int(0.45 * budget)):
+            # harmonic partial sum H_{m+1} = psi(m+2) - psi(1), exact integer args
+            at_m = mpmath.digamma(m + 2) - mpmath.digamma(1)
+            at_prev = mpmath.digamma(m + 1) - mpmath.digamma(1)
+            assert at_m >= budget, budget
+            assert at_prev < budget, budget
 
 
 def test_divergence_witness_rejects_non_divergent():
@@ -331,35 +217,9 @@ def test_divergence_witness_rejects_non_divergent():
         divergence_witness_theta(Constant(1.0), MEAN, 0, 1.0)
 
 
-def test_divergence_witness_magnitude():
-    mag = divergence_witness_magnitude(Harmonic(1.0, 1.0), IDENTITY, 0, 5.0 * math.log(10.0))
-    assert abs(mag - 5.0) < 1e-9
-    mag_const = divergence_witness_magnitude(Constant(0.5), IDENTITY, 0, 50.0)
-    assert abs(mag_const - 2.0) < 1e-12
-
-
 # ---------------------------------------------------------------------------
-# Rate assembly
+# Metric rates
 # ---------------------------------------------------------------------------
-
-
-def _phi_example(eps: float, n: int) -> int:
-    return n + math.ceil(1.0 / eps)
-
-
-def _chi_example(eps: float) -> int:
-    return math.ceil(1.0 / eps)
-
-
-def test_assemble_rho_examples():
-    assert assemble_rho(_phi_example, Linear(0.5), _chi_example, 1.0, 0.3) == 30
-    assert assemble_rho(_phi_example, Linear(0.5), _chi_example, 2.0, 0.3) == 60
-    assert assemble_rho(lambda e, n: n, Linear(1.0), lambda e: 0, 1.0, 0.3) == 0
-
-
-def test_assemble_rho_monotone_in_eps():
-    vals = [assemble_rho(_phi_example, Linear(0.5), _chi_example, 1.0, e) for e in (0.1, 0.2, 0.4, 0.8)]
-    assert vals == sorted(vals, reverse=True)
 
 
 def test_metric_rates_orders_and_collapse():
