@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""End-to-end timing of `fejerlab audit` on the four shipped configs.
+
+Each config runs through `fejerlab audit` in a fresh child interpreter with
+``PYTHONPATH`` set to the chosen source tree.  The configs come from the
+``scripts/`` directory beside that tree, so a parent checkout runs with its
+own configs.  Per config the script records the wall time, the child's peak
+RSS (from the rusage the kernel keeps for the waited-for child, as
+``resource.getrusage(RUSAGE_CHILDREN)`` reports it, but for that child
+alone), the highest number of threads the child ran at once (sampled from
+/proc every 20 ms), the exit code and the SHA-256 of the written
+``curves.csv`` and ``audit.json``.
+
+Results go under ``runs.<label>`` of the output JSON; other labels already
+in the file are kept, so before and after numbers can share one file:
+
+    python3 scripts/bench.py --src /path/to/parent/src --label before --out BENCH_3.json
+    python3 scripts/bench.py --label after --out BENCH_3.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+
+HERE = pathlib.Path(__file__).resolve().parent
+CONFIGS = (
+    "flagship_skm.json",
+    "fast_skm.json",
+    "tripod_sppa_liminf.json",
+    "segment_sb_liminf.json",
+)
+
+
+def _sha256(path: pathlib.Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def _tree_digest(src: pathlib.Path) -> str:
+    """SHA-256 over the tree's Python files (names and bytes), to tell
+    measured trees apart without recording where they lay."""
+    h = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _thread_sampler(pid: int, peak: list[int], done: threading.Event) -> None:
+    status = pathlib.Path(f"/proc/{pid}/status")
+    while not done.is_set():
+        try:
+            for line in status.read_text().splitlines():
+                if line.startswith("Threads:"):
+                    peak[0] = max(peak[0], int(line.split()[1]))
+        except OSError:
+            return
+        done.wait(0.02)
+
+
+def run_audit(src: pathlib.Path, config: pathlib.Path, outdir: pathlib.Path) -> dict:
+    """One `fejerlab audit` in a child process; its time, memory and outputs."""
+    prefix = outdir / (config.stem + "_")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "fejerlab.cli", "audit", "--config", str(config), "--out", str(prefix)]
+    # stderr goes to a file, not a pipe: the parent reads it only after the
+    # child exits, and a full pipe would block the child.
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        peak_threads, done = [0], threading.Event()
+        sampler = threading.Thread(target=_thread_sampler, args=(proc.pid, peak_threads, done))
+        sampler.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        done.set()
+        sampler.join()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(max(0, err.seek(0, os.SEEK_END) - 500))
+        stderr_tail = err.read().decode(errors="replace")
+    return {
+        "exit_code": proc.returncode,
+        "wall_s": wall,
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,  # ru_maxrss is in KiB on Linux
+        "peak_os_threads": peak_threads[0],
+        "curves_sha256": _sha256(pathlib.Path(f"{prefix}curves.csv")),
+        "audit_sha256": _sha256(pathlib.Path(f"{prefix}audit.json")),
+        "stderr_tail": stderr_tail,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src", default=str(HERE.parent / "src"), help="source tree to run; its ../scripts holds the configs"
+    )
+    parser.add_argument("--label", required=True, help="name of this run in the output")
+    parser.add_argument("--out", required=True, help="output JSON, e.g. BENCH_<n>.json (merged)")
+    args = parser.parse_args(argv)
+
+    src = pathlib.Path(args.src).resolve()
+    results = {}
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CONFIGS:
+            config = src.parent / "scripts" / name
+            res = results[name] = run_audit(src, config, pathlib.Path(tmp))
+            failed |= res["exit_code"] != 0
+            print(
+                f"{name}: wall {res['wall_s']:.2f} s, peak RSS {res['peak_rss_mb']:.0f} MB, "
+                f"exit {res['exit_code']}"
+            )
+
+    out = pathlib.Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
+    doc["runs"][args.label] = {
+        "src_sha256": _tree_digest(src),
+        "machine": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+        "configs": results,
+    }
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,30 +3,31 @@
 The ensemble runner evaluates many independent trajectories of one
 algorithm and aggregates, per iteration index, the distance to the solution
 set, its square, the optimality gap, and exceedance tails.  Determinism is
-absolute: path p always draws from counter-based stream p, paths are
-processed in fixed chunks of ``CHUNK``, per-chunk reductions are fixed
-numpy operations, and chunk results are folded in ascending chunk order
-after all workers finish — so the aggregate is bit-identical no matter how
-many threads run, and bit-identical across runs.
+absolute: path p always draws from counter-based stream p, so no draw
+depends on how paths are batched, and every sum over paths is taken per
+slice of ``CHUNK`` paths in path order, the slice sums added in ascending
+slice order.  ``CHUNK`` thus fixes the summation order, and the aggregate
+is bit-identical across runs.  Everything runs on the calling thread.
 
-For Euclidean instances a vectorized kernel advances a whole chunk at once;
-it mirrors the scalar runners operation for operation (same per-coordinate
-accumulation order, same branch shortcuts), so a chunk computed vectorized
-equals the same chunk computed from scalar trajectories bit for bit.  The
-tree and half-plane spaces use the scalar runners directly.
+For Euclidean instances one vectorized kernel advances all paths at once,
+one vector update per step.  It mirrors the scalar runners operation for
+operation (same per-coordinate accumulation order, same branch shortcuts)
+and every operation is row-wise, so it equals the scalar runners bit for
+bit.  The tree and half-plane spaces use the scalar runners, path by path.
+Both kernels stream into one reducer, so memory grows with paths plus the
+horizon, not with their product.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .algorithms import run_sb, run_skm, run_sppa, validate_run
+from .algorithms import _SPECS, run_sb, run_skm, run_sppa, validate_run
 from .moduli import (
     FastCertificate,
     RateCertificate,
@@ -36,9 +37,7 @@ from .moduli import (
 )
 from .problems import (
     HALF_SQUARED,
-    BusemannProblem,
     FixedPointProblem,
-    MeanMinProblem,
     Problem,
     busemann_subgradient,
     dist_to_solutions,
@@ -63,7 +62,10 @@ from .spaces import (
     sqdist,
 )
 
+# Paths per reduction slice: fixes the summation order of every sum.
 CHUNK = 512
+# Steps per block of the vector kernel's distance and gap buffers.
+BLOCK = 64
 
 _RUNNERS = {"sppa": run_sppa, "skm": run_skm, "sb": run_sb}
 
@@ -191,11 +193,13 @@ def _rows_dist_to_solutions(problem: Problem, X: np.ndarray) -> np.ndarray:
     return np.sqrt(_rows_sqdist(X, P))
 
 
-def _rows_gap(problem: Problem, X: np.ndarray) -> np.ndarray:
+def _rows_gap(problem: Problem, X: np.ndarray, projections) -> np.ndarray:
+    """Row-wise gap; a fixed-point problem takes the rows' projections onto
+    its sets, in set order."""
     if isinstance(problem, FixedPointProblem):
         total = np.zeros(len(X))
-        for cset, p in zip(problem.sets, problem.weights):
-            total += p * _rows_sqdist(_vproject(cset, X), X)
+        for P, p in zip(projections, problem.weights):
+            total += p * _rows_sqdist(P, X)
         return total
     total = np.zeros(len(X))
     for a, w in problem.atoms:
@@ -208,113 +212,161 @@ def _rows_gap(problem: Problem, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Chunk kernels
+# Streaming reduction and kernels
 # ---------------------------------------------------------------------------
 
 
-def _reduce_chunk(dist: np.ndarray, gap: np.ndarray, epsilons) -> dict:
-    sq = dist * dist
-    sup = np.maximum.accumulate(dist[:, ::-1], axis=1)[:, ::-1]
-    return {
-        "sd": dist.sum(axis=0),
-        "sd2": sq.sum(axis=0),
-        "sd4": (sq * sq).sum(axis=0),
-        "sg": gap.sum(axis=0),
-        "sg2": (gap * gap).sum(axis=0),
-        "tail": (
-            np.stack([(sup >= e).sum(axis=0) for e in epsilons])
-            if epsilons
-            else np.zeros((0, dist.shape[1]))
-        ),
-        "point": (
-            np.stack([(dist >= e).sum(axis=0) for e in epsilons])
-            if epsilons
-            else np.zeros((0, dist.shape[1]))
-        ),
-    }
+class _Reducer:
+    """Folds per-path distances and gaps into the ensemble sums, a block of
+    paths x steps at a time, without keeping (paths x horizon) matrices.
+
+    Sums over paths run per ``CHUNK``-row slice, in path order, and the
+    slice sums are added in ascending slice order; a slice fed path by path
+    gives the same bits as one fed whole, because NumPy's ``sum(axis=0)`` of
+    a contiguous multi-column array adds the rows one after another.
+    Threshold counts are exact integers: the running-sup tail at n counts
+    the paths whose last index with dist >= eps is at least n.
+    """
+
+    def __init__(self, paths: int, horizon: int, epsilons) -> None:
+        self.paths = paths
+        self.epsilons = epsilons
+        # Rows: sums of dist, dist^2, dist^4, gap, gap^2.
+        self.sums = np.zeros((5, horizon + 1))
+        self.partial = np.zeros((5, horizon + 1))
+        self.point = np.zeros((len(epsilons), horizon + 1), dtype=np.int64)
+        self.last = np.full((len(epsilons), paths), -1, dtype=np.int64)
+
+    def add(self, start: int, n0: int, dist: np.ndarray, gap: np.ndarray) -> None:
+        """Take dist and gap, both (paths, steps), of the paths start,
+        start+1, ... at the steps n0, n0+1, ....  For each step the paths
+        must arrive in order, and a one-step block must hold whole chunks
+        (NumPy sums a single column pairwise, not row by row)."""
+        stop = start + len(dist)
+        cols = slice(n0, n0 + dist.shape[1])
+        sq = dist * dist
+        moments = (dist, sq, sq * sq, gap, gap * gap)
+        for chunk in range(start // CHUNK, (stop - 1) // CHUNK + 1):
+            lo, hi = chunk * CHUNK, min(self.paths, (chunk + 1) * CHUNK)
+            a, z = max(start, lo), min(stop, hi)
+            s = np.stack([m[a - start : z - start].sum(axis=0) for m in moments])
+            if a == lo:
+                self.partial[:, cols] = s
+            else:
+                self.partial[:, cols] += s
+            if z == hi:
+                if chunk == 0:
+                    self.sums[:, cols] = self.partial[:, cols]
+                else:
+                    self.sums[:, cols] += self.partial[:, cols]
+        for i, e in enumerate(self.epsilons):
+            hit = dist >= e
+            self.point[i, cols] += hit.sum(axis=0)
+            seen = hit.any(axis=1)
+            last = n0 + hit.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)
+            self.last[i, start:stop][seen] = last[seen]
+
+    def tail_counts(self) -> np.ndarray:
+        """Per threshold and n, the number of paths with sup_{m >= n}
+        dist_m >= eps."""
+        length = self.sums.shape[1]
+        out = np.zeros((len(self.epsilons), length), dtype=np.int64)
+        for i, last in enumerate(self.last):
+            counts = np.bincount(last[last >= 0], minlength=length)
+            out[i] = np.cumsum(counts[::-1])[::-1]
+        return out
 
 
-def _euclid_chunk(
+def _block_width(n0: int, total: int) -> int:
+    """Steps in the vector kernel's block starting at n0: ``BLOCK``, or one
+    more rather than leave a one-step block behind (see ``_Reducer.add``)."""
+    width = min(BLOCK, total - n0)
+    return width + 1 if total - n0 - width == 1 else width
+
+
+def _euclid_kernel(
     problem: Problem,
     algorithm: str,
     sched: StepSchedule,
     x0: Euclidean,
     horizon: int,
     seed: int,
-    start: int,
-    stop: int,
-    epsilons,
-) -> dict:
-    m = stop - start
-    keys = rng.stream_keys(seed, np.arange(start, stop))
-    X = np.tile(np.array(x0.coords, dtype=np.float64), (m, 1))
-    dist = np.empty((m, horizon + 1))
-    gap = np.empty((m, horizon + 1))
-    dist[:, 0] = _rows_dist_to_solutions(problem, X)
-    gap[:, 0] = _rows_gap(problem, X)
-
+    red: _Reducer,
+) -> None:
+    paths = red.paths
+    rows = np.arange(paths)
+    # Draws are taken per CHUNK slice of streams (the call pattern the
+    # benchmark's tracer counts); each draw is row-wise, so no bit depends
+    # on the slicing.
+    key_slices = [rng.stream_keys(seed, rows[s : s + CHUNK]) for s in range(0, paths, CHUNK)]
+    X = np.tile(np.array(x0.coords, dtype=np.float64), (paths, 1))
     if algorithm in ("sppa", "sb"):
         atom_coords = np.array([a.coords for a, _ in problem.atoms], dtype=np.float64)
+    projections = None
+    n0, width = 0, _block_width(0, horizon + 1)
+    dist, gap = np.empty((paths, width)), np.empty((paths, width))
 
-    for n in range(horizon):
-        u = rng.uniforms(keys, n)
-        idx = rng.categorical(problem.cum_weights, u)
-        lam = schedule_value(sched, n)
-        if algorithm == "sppa":
-            A = atom_coords[idx]
-            if problem.cost_kind == HALF_SQUARED:
-                t = lam / (1.0 + lam)
-                X = X + t * (A - X)
-            else:
-                d = np.sqrt(_rows_sqdist(X, A))
+    for n in range(horizon + 1):
+        if n:
+            idx = np.concatenate(
+                [rng.categorical(problem.cum_weights, rng.uniforms(k, n - 1)) for k in key_slices]
+            )
+            lam = schedule_value(sched, n - 1)
+            if algorithm == "sppa":
+                A = atom_coords[idx]
+                if problem.cost_kind == HALF_SQUARED:
+                    t = lam / (1.0 + lam)
+                    X = X + t * (A - X)
+                else:
+                    d = np.sqrt(_rows_sqdist(X, A))
+                    at_atom = d == 0.0
+                    t = np.minimum(lam, d) / np.where(at_atom, 1.0, d)
+                    Xn = X + t[:, None] * (A - X)
+                    Xn = np.where((t == 1.0)[:, None], A, Xn)
+                    X = np.where(at_atom[:, None], X, Xn)
+            elif algorithm == "skm":
+                # The gap at x_{n-1} projected every row onto every set.
+                P = np.stack(projections)[idx, rows]
+                X = P if lam == 1.0 else X + lam * (P - X)
+            else:  # sb
+                A = atom_coords[idx]
+                diff = A - X
+                d = np.sqrt(_rows_sqdist(A, X))
                 at_atom = d == 0.0
-                t = np.minimum(lam, d) / np.where(at_atom, 1.0, d)
-                Xn = X + t[:, None] * (A - X)
-                Xn = np.where((t == 1.0)[:, None], A, Xn)
-                X = np.where(at_atom[:, None], X, Xn)
-        elif algorithm == "skm":
-            P = np.empty_like(X)
-            for j, cset in enumerate(problem.sets):
-                rows = idx == j
-                if np.any(rows):
-                    P[rows] = _vproject(cset, X[rows])
-            X = P if lam == 1.0 else X + lam * (P - X)
-        else:  # sb
-            A = atom_coords[idx]
-            diff = A - X
-            d = np.sqrt(_rows_sqdist(A, X))
-            at_atom = d == 0.0
-            U = diff / np.where(at_atom, 1.0, d)[:, None]
-            Y = X + (1.0 * lam) * U
-            Y = np.where(at_atom[:, None], X, Y)
-            X = _vproject(problem.constraint, Y)
-        dist[:, n + 1] = _rows_dist_to_solutions(problem, X)
-        gap[:, n + 1] = _rows_gap(problem, X)
-
-    return _reduce_chunk(dist, gap, epsilons)
+                U = diff / np.where(at_atom, 1.0, d)[:, None]
+                Y = X + (1.0 * lam) * U
+                Y = np.where(at_atom[:, None], X, Y)
+                X = _vproject(problem.constraint, Y)
+        if algorithm == "skm":
+            projections = [_vproject(cset, X) for cset in problem.sets]
+        dist[:, n - n0] = _rows_dist_to_solutions(problem, X)
+        gap[:, n - n0] = _rows_gap(problem, X, projections)
+        if n - n0 == width - 1:
+            red.add(0, n0, dist, gap)
+            n0, width = n0 + width, _block_width(n0 + width, horizon + 1)
+            dist, gap = np.empty((paths, width)), np.empty((paths, width))
 
 
-def _scalar_chunk(
+def _scalar_kernel(
     problem: Problem,
     algorithm: str,
     sched: StepSchedule,
     x0: Point,
     horizon: int,
     seed: int,
-    start: int,
-    stop: int,
-    epsilons,
-) -> dict:
+    red: _Reducer,
+) -> None:
     run = _RUNNERS[algorithm]
-    m = stop - start
-    dist = np.empty((m, horizon + 1))
-    gap = np.empty((m, horizon + 1))
-    for i in range(m):
-        traj = run(problem, sched, x0, horizon, seed, path_index=start + i)
-        for n, pt in enumerate(traj.points):
-            dist[i, n] = dist_to_solutions(problem, pt, 1)
-            gap[i, n] = gap_F(problem, pt)
-    return _reduce_chunk(dist, gap, epsilons)
+    # Path by path; a one-step ensemble goes a chunk at a time (_Reducer.add).
+    batch = CHUNK if horizon == 0 else 1
+    for start in range(0, red.paths, batch):
+        trajs = [
+            run(problem, sched, x0, horizon, seed, path_index=p)
+            for p in range(start, min(start + batch, red.paths))
+        ]
+        dist = np.array([[dist_to_solutions(problem, pt, 1) for pt in t.points] for t in trajs])
+        gap = np.array([[gap_F(problem, pt) for pt in t.points] for t in trajs])
+        red.add(start, 0, dist, gap)
 
 
 def run_ensemble(
@@ -331,9 +383,11 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run `paths` independent trajectories and aggregate their statistics.
 
-    ``kernel`` selects the chunk evaluator: "auto" uses the vectorized
+    ``kernel`` selects the path evaluator: "auto" uses the vectorized
     Euclidean kernel when available, "scalar" forces per-path runs (useful
     to cross-check the vectorized kernel), "vector" demands it.
+    ``threads`` is validated (>= 1) and kept for compatibility; all work
+    runs on the calling thread.
     """
     validate_run(problem, algorithm, sched, x0)
     if paths < 1:
@@ -359,24 +413,13 @@ def run_ensemble(
         use_vector = False
     else:
         raise ValueError(f"unknown kernel: {kernel!r}")
-    chunk_fn = _euclid_chunk if use_vector else _scalar_chunk
 
-    bounds = [(s, min(s + CHUNK, paths)) for s in range(0, paths, CHUNK)]
-
-    def job(se):
-        return chunk_fn(problem, algorithm, sched, x0, horizon, seed, se[0], se[1], epsilons)
-
-    if threads == 1 or len(bounds) == 1:
-        results = [job(se) for se in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(job, bounds))
-
-    # Fold in ascending chunk order (fixed regardless of thread scheduling).
-    tot = results[0]
-    for res in results[1:]:
-        for k in tot:
-            tot[k] = tot[k] + res[k]
+    red = _Reducer(paths, horizon, epsilons)
+    (_euclid_kernel if use_vector else _scalar_kernel)(
+        problem, algorithm, sched, x0, horizon, seed, red
+    )
+    sd, sd2, sd4, sg, sg2 = red.sums
+    tail = red.tail_counts()
 
     def finalize_std(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
         if paths < 2:
@@ -391,14 +434,14 @@ def run_ensemble(
         horizon=horizon,
         seed=seed,
         epsilons=epsilons,
-        mean_dist=tot["sd"] / paths,
-        mean_sq_dist=tot["sd2"] / paths,
-        mean_gap=tot["sg"] / paths,
-        std_dist=finalize_std(tot["sd"], tot["sd2"]),
-        std_sq_dist=finalize_std(tot["sd2"], tot["sd4"]),
-        std_gap=finalize_std(tot["sg"], tot["sg2"]),
-        tail={e: tot["tail"][i] / paths for i, e in enumerate(epsilons)},
-        point_tail={e: tot["point"][i] / paths for i, e in enumerate(epsilons)},
+        mean_dist=sd / paths,
+        mean_sq_dist=sd2 / paths,
+        mean_gap=sg / paths,
+        std_dist=finalize_std(sd, sd2),
+        std_sq_dist=finalize_std(sd2, sd4),
+        std_gap=finalize_std(sg, sg2),
+        tail={e: tail[i] / paths for i, e in enumerate(epsilons)},
+        point_tail={e: red.point[i] / paths for i, e in enumerate(epsilons)},
     )
 
 
@@ -442,50 +485,44 @@ def fejer_margin(
         raise ValueError("reference point z must lie in the solution set")
     d2 = sqdist(x, z)
 
+    spec = _SPECS.get(algorithm)
+    if spec is None:
+        raise ValueError(f"unknown algorithm: {algorithm!r}")
+    if not isinstance(problem, spec.problem_type):
+        raise TypeError(f"one-step audit: {algorithm} needs {spec.problem_kind}")
+    weights = problem.weights
     if algorithm == "skm":
-        if not isinstance(problem, FixedPointProblem):
-            raise TypeError("one-step audit: skm needs a fixed-point problem")
         if step > 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
-        weights = problem.weights
         vals = [
             sqdist(geodesic_point(x, operator_apply(problem, k, x), step), z)
             for k in range(len(problem.sets))
         ]
         rhs = d2 - step * (1.0 - step) * gap_F(problem, x)
-    elif algorithm == "sppa":
-        if not isinstance(problem, MeanMinProblem):
-            raise TypeError("one-step audit: sppa needs a mean-minimization problem")
-        weights = problem.weights
-        vals = [
-            sqdist(prox_step(problem, e, step, x), z)
-            for e in range(len(problem.atoms))
-        ]
-        if problem.cost_kind == HALF_SQUARED:
-            # Local Lipschitz constants along the prox segments at x.
-            lips = [distance(x, a) for a, _ in problem.atoms]
-        else:
-            lips = [1.0] * len(problem.atoms)
-        l_bar = math.fsum(w * l * l for w, l in zip(weights, lips))
-        drop = mean_cost_exact(problem, x) - mean_cost_exact(problem, z)
-        rhs = d2 - 2.0 * step * drop + 4.0 * step * step * l_bar
-    elif algorithm == "sb":
-        if not isinstance(problem, BusemannProblem):
-            raise TypeError("one-step audit: sb needs a Busemann problem")
-        if not contains(problem.constraint, x):
-            raise ValueError("state x must lie in the constraint set")
-        weights = problem.weights
-        vals = []
-        s_sq = 0.0
-        for e, (_, w) in enumerate(problem.atoms):
-            xi, s = busemann_subgradient(problem, e, x)
-            y = x if s == 0.0 else project_convex(problem.constraint, ray_point(x, xi, s * step))
-            vals.append(sqdist(y, z))
-            s_sq += w * s * s
-        drop = mean_cost_exact(problem, x) - mean_cost_exact(problem, z)
-        rhs = d2 - 2.0 * step * drop + step * step * s_sq
     else:
-        raise ValueError(f"unknown algorithm: {algorithm!r}")
+        if algorithm == "sppa":
+            vals = [
+                sqdist(prox_step(problem, e, step, x), z)
+                for e in range(len(problem.atoms))
+            ]
+            if problem.cost_kind == HALF_SQUARED:
+                # Local Lipschitz constants along the prox segments at x.
+                lips = [distance(x, a) for a, _ in problem.atoms]
+            else:
+                lips = [1.0] * len(problem.atoms)
+            l_sq = math.fsum(w * l * l for w, l in zip(weights, lips))
+        else:  # sb
+            if not contains(problem.constraint, x):
+                raise ValueError("state x must lie in the constraint set")
+            vals = []
+            l_sq = 0.0
+            for e, (_, w) in enumerate(problem.atoms):
+                xi, s = busemann_subgradient(problem, e, x)
+                y = x if s == 0.0 else project_convex(problem.constraint, ray_point(x, xi, s * step))
+                vals.append(sqdist(y, z))
+                l_sq += w * s * s
+        drop = mean_cost_exact(problem, x) - mean_cost_exact(problem, z)
+        rhs = d2 - 2.0 * step * drop + spec.noise * step * step * l_sq
 
     if mc_samples is None:
         lhs = math.fsum(w * v for w, v in zip(weights, vals))

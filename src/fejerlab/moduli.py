@@ -340,15 +340,18 @@ def _harmonic_partial(a: float, s: float, k: int, m: int, mean: bool) -> float:
     return val
 
 
-def _harmonic_partial_mp(a: float, s: float, k: int, m: int, mean: bool):
-    """_harmonic_partial at the working precision.  The indices enter as
-    mpf, so arguments beyond 2**53 are not rounded to a float first."""
+def _harmonic_partial_mp(a: float, s: float, k: int, m: int, mean: bool, at_k):
+    """_harmonic_partial at the working precision, given ``at_k`` =
+    (digamma(k+s), trigamma(k+s) or None) at that precision.  The indices
+    enter as mpf, so arguments beyond 2**53 are not rounded to a float
+    first."""
     if m < k:
         return mpmath.mpf(0)
-    lo, hi = mpmath.mpf(k) + s, mpmath.mpf(m) + s + 1
-    val = a * (mpmath.digamma(hi) - mpmath.digamma(lo))
+    psi_k, tri_k = at_k
+    hi = mpmath.mpf(m) + s + 1
+    val = a * (mpmath.digamma(hi) - psi_k)
     if mean:
-        val -= a * a * (mpmath.polygamma(1, lo) - mpmath.polygamma(1, hi))
+        val -= a * a * (tri_k - mpmath.polygamma(1, hi))
     return val
 
 
@@ -418,13 +421,16 @@ def _harmonic_theta(sched: Harmonic, mean: bool, k: int, b: float) -> int:
             )
             return max(hi, k)
     with mpmath.workdps(dps):
+        # The fixed end of every partial sum, evaluated once.
+        ks = mpmath.mpf(k) + s
+        at_k = (mpmath.digamma(ks), mpmath.polygamma(1, ks) if mean else None)
         hi = int(mpmath.ceil((k + s) * mpmath.e ** (mpmath.mpf(budget_id) / a))) + 2
-        while _harmonic_partial_mp(a, s, k, hi, mean) < b:
+        while _harmonic_partial_mp(a, s, k, hi, mean, at_k) < b:
             hi *= 2
         lo = k - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _harmonic_partial_mp(a, s, k, mid, mean) >= b:
+            if _harmonic_partial_mp(a, s, k, mid, mean, at_k) >= b:
                 hi = mid
             else:
                 lo = mid

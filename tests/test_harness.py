@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from fejerlab.algorithms import (
     run_sppa,
 )
 from fejerlab.harness import (
+    CHUNK,
     AuditReport,
     EnsembleStats,
+    _block_width,
+    _Reducer,
     certificate_audit,
     curves_csv_text,
     export_results,
@@ -108,6 +112,140 @@ def test_thread_count_does_not_change_results():
 
 def test_identical_seed_identical_stats():
     assert_stats_equal(small_flagship(seed=42), small_flagship(seed=42))
+
+
+@pytest.mark.parametrize("paths", [513, 1100])
+def test_vector_scalar_parity_ragged_last_chunk(paths):
+    atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
+    cases = (
+        (two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0)), (0.5, 1.0)),
+        (frechet_r1(), "sppa", H11, Euclidean((2.0,)), (0.3,)),
+        (build_mean_min("euclidean", atoms, DISTANCE, 4.0), "sppa", H11, Euclidean((0.0, 0.0)), (0.5,)),
+        (segment_argmin(), "sb", H11, Euclidean((2.0, 2.0)), (0.8,)),
+    )
+    for problem, algorithm, sched, x0, eps in cases:
+        kw = dict(paths=paths, horizon=20, seed=11, epsilons=eps)
+        v = run_ensemble(problem, algorithm, sched, x0, kernel="vector", **kw)
+        s = run_ensemble(problem, algorithm, sched, x0, kernel="scalar", **kw)
+        assert_stats_equal(v, s)
+
+
+# ---------------------------------------------------------------------------
+# Streaming reduction against full-matrix references
+# ---------------------------------------------------------------------------
+
+
+def _chunked_sums(M: np.ndarray) -> np.ndarray:
+    """Column sums of an ensemble matrix: per CHUNK-row slice, folded in
+    ascending slice order."""
+    parts = [M[a : a + CHUNK].sum(axis=0) for a in range(0, len(M), CHUNK)]
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
+def _full_matrix_reference(dist: np.ndarray, gap: np.ndarray, epsilons) -> dict:
+    sq = dist * dist
+    sup = np.maximum.accumulate(dist[:, ::-1], axis=1)[:, ::-1]
+    return {
+        "sums": [_chunked_sums(m) for m in (dist, sq, sq * sq, gap, gap * gap)],
+        "tail": [(sup >= e).sum(axis=0) for e in epsilons],
+        "point": [(dist >= e).sum(axis=0) for e in epsilons],
+    }
+
+
+def _reference_ensemble(problem, algorithm, sched, x0, paths, horizon, seed, epsilons):
+    run = {"sppa": run_sppa, "skm": run_skm, "sb": run_sb}[algorithm]
+    trajs = [run(problem, sched, x0, horizon, seed, path_index=p) for p in range(paths)]
+    dist = np.array([[dist_to_solutions(problem, pt, 1) for pt in t.points] for t in trajs])
+    gap = np.array([[gap_F(problem, pt) for pt in t.points] for t in trajs])
+    return _full_matrix_reference(dist, gap, epsilons)
+
+
+def _assert_matches_reference(stats: EnsembleStats, ref: dict):
+    paths = stats.paths
+    sd, sd2, _, sg, _ = ref["sums"]
+    assert np.array_equal(stats.mean_dist, sd / paths)
+    assert np.array_equal(stats.mean_sq_dist, sd2 / paths)
+    assert np.array_equal(stats.mean_gap, sg / paths)
+    for i, e in enumerate(stats.epsilons):
+        assert np.array_equal(stats.tail[e], ref["tail"][i] / paths), e
+        assert np.array_equal(stats.point_tail[e], ref["point"][i] / paths), e
+
+
+def _crafted_distances(paths: int, horizon: int) -> np.ndarray:
+    """Random distances below 1, with path 0 never reaching the threshold 2,
+    path 1 reaching it only at n = 0, path 2 only at n = horizon, and every
+    fourth path from path 3 on at a few spread-out steps."""
+    r = np.random.default_rng(paths * 1000 + horizon)
+    dist = r.random((paths, horizon + 1)) * 2.0 ** r.integers(-30, 1, (paths, horizon + 1))
+    dist[3::4, :: max(1, horizon // 3)] = 2.5
+    if paths > 1:
+        dist[1, 0] = 2.0
+    if paths > 2:
+        dist[2, horizon] = 3.0
+    return dist
+
+
+@pytest.mark.parametrize(
+    "paths,horizon",
+    [(1, 0), (1, 70), (3, 0), (600, 0), (3, 1), (513, 65), (1100, 130), (1025, 128)],
+)
+def test_reducer_matches_full_matrix_reference(paths, horizon):
+    dist = _crafted_distances(paths, horizon)
+    gap = np.sqrt(dist) * 0.3
+    epsilons = (2.0, 1e-3, 10.0)
+    ref = _full_matrix_reference(dist, gap, epsilons)
+
+    by_block = _Reducer(paths, horizon, epsilons)
+    n0 = 0
+    while n0 <= horizon:
+        width = _block_width(n0, horizon + 1)
+        by_block.add(0, n0, np.array(dist[:, n0 : n0 + width]), np.array(gap[:, n0 : n0 + width]))
+        n0 += width
+    by_path = _Reducer(paths, horizon, epsilons)
+    batch = CHUNK if horizon == 0 else 1
+    for start in range(0, paths, batch):
+        by_path.add(start, 0, dist[start : start + batch], gap[start : start + batch])
+
+    for red in (by_block, by_path):
+        for got, want in zip(red.sums, ref["sums"]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(red.tail_counts(), np.array(ref["tail"]))
+        assert np.array_equal(red.point, np.array(ref["point"]))
+    assert np.all(by_block.tail_counts()[2] == 0)  # no path reaches 10
+    last = by_block.last[0]  # the last index at which each path reaches 2
+    assert last[0] == -1
+    if paths > 2:
+        assert last[1] == 0 and last[2] == horizon
+
+
+@pytest.mark.parametrize("paths,horizon", [(1, 0), (1, 30), (513, 0), (513, 30)])
+def test_ensemble_matches_scalar_trajectory_reference(paths, horizon):
+    # Distances never increase from (1, 1), so eps = sqrt(2) is reached only
+    # at n = 0 and eps = 2 never.
+    args = (two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0)), paths, horizon, 3)
+    epsilons = (math.sqrt(2.0), 2.0, 0.3)
+    ref = _reference_ensemble(*args, epsilons)
+    for kernel in ("vector", "scalar"):
+        stats = run_ensemble(*args, epsilons, kernel=kernel)
+        _assert_matches_reference(stats, ref)
+        assert stats.tail[math.sqrt(2.0)][0] == 1.0
+        assert np.all(stats.tail[math.sqrt(2.0)][1:] == 0.0)
+        assert np.all(stats.tail[2.0] == 0.0)
+
+
+def test_ensemble_memory_is_bounded_in_the_horizon():
+    # The (paths x horizon+1) distance and gap matrices of one 512-path
+    # chunk alone would take 32 MB here.
+    tracemalloc.start()
+    try:
+        small_flagship(paths=1024, horizon=4000, eps=(1.0, 0.3, 0.2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_vector_kernel_requires_euclidean_space():

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import polygamma
 
 from fejerlab.moduli import (
     Constant,
@@ -210,6 +211,46 @@ def test_divergence_witness_large_budget_uses_exact_bisection():
             at_prev = mpmath.digamma(m + 1) - mpmath.digamma(1)
             assert at_m >= budget, budget
             assert at_prev < budget, budget
+
+
+def _witness_reference(a: float, s: float, k: int, b: float, mean: bool) -> int:
+    """The arbitrary-precision bisection of the harmonic witness with every
+    partial sum evaluated from scratch, digamma(k+s) and trigamma(k+s)
+    included."""
+    budget_id = b + a * a * float(polygamma(1, k + s)) if mean else b
+
+    def partial(m):
+        if m < k:
+            return mpmath.mpf(0)
+        lo, hi = mpmath.mpf(k) + s, mpmath.mpf(m) + s + 1
+        val = a * (mpmath.digamma(hi) - mpmath.digamma(lo))
+        if mean:
+            val -= a * a * (mpmath.polygamma(1, lo) - mpmath.polygamma(1, hi))
+        return val
+
+    with mpmath.workdps(40 + int(0.44 * budget_id / a)):
+        hi = int(mpmath.ceil((k + s) * mpmath.e ** (mpmath.mpf(budget_id) / a))) + 2
+        while partial(hi) < b:
+            hi *= 2
+        lo = k - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if partial(mid) >= b:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+
+def test_divergence_witness_matches_unhoisted_bisection():
+    sched = Harmonic(1.0, 1.0)
+    for transform, mean in ((IDENTITY, False), (MEAN, True)):
+        for budget in (30.0, 60.0, 100.0, 200.0, 400.0):
+            expected = _witness_reference(1.0, 1.0, 0, budget, mean)
+            assert divergence_witness_theta(sched, transform, 0, budget) == expected, (
+                transform,
+                budget,
+            )
 
 
 def test_divergence_witness_rejects_non_divergent():
