@@ -9,13 +9,16 @@ RSS (from the rusage the kernel keeps for the waited-for child, as
 ``resource.getrusage(RUSAGE_CHILDREN)`` reports it, but for that child
 alone), the highest number of threads the child ran at once (sampled from
 /proc every 20 ms), the exit code and the SHA-256 of the written
-``curves.csv`` and ``audit.json``.
+``curves.csv`` and ``audit.json``.  Each config also runs once through
+`fejerlab validate`, whose exit code, wall time and SHA-256 of standard
+output (the geometry suite's residuals) are recorded, so a geometry change
+that moves a residual shows up.
 
 Results go under ``runs.<label>`` of the output JSON; other labels already
 in the file are kept, so before and after numbers can share one file:
 
-    python3 scripts/bench.py --src /path/to/parent/src --label before --out BENCH_3.json
-    python3 scripts/bench.py --label after --out BENCH_3.json
+    python3 scripts/bench.py --src /path/to/parent/src --label before --out BENCH_<n>.json
+    python3 scripts/bench.py --label after --out BENCH_<n>.json
 """
 
 from __future__ import annotations
@@ -97,6 +100,19 @@ def run_audit(src: pathlib.Path, config: pathlib.Path, outdir: pathlib.Path) -> 
     }
 
 
+def run_validate(src: pathlib.Path, config: pathlib.Path) -> dict:
+    """One `fejerlab validate` in a child process; its exit code and output digest."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "fejerlab.cli", "validate", "--config", str(config)]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, env=env, capture_output=True, check=False)
+    return {
+        "exit_code": proc.returncode,
+        "wall_s": time.perf_counter() - t0,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -113,10 +129,11 @@ def main(argv=None) -> int:
         for name in CONFIGS:
             config = src.parent / "scripts" / name
             res = results[name] = run_audit(src, config, pathlib.Path(tmp))
-            failed |= res["exit_code"] != 0
+            res["validate"] = run_validate(src, config)
+            failed |= res["exit_code"] != 0 or res["validate"]["exit_code"] != 0
             print(
                 f"{name}: wall {res['wall_s']:.2f} s, peak RSS {res['peak_rss_mb']:.0f} MB, "
-                f"exit {res['exit_code']}"
+                f"exit {res['exit_code']}; validate exit {res['validate']['exit_code']}"
             )
 
     out = pathlib.Path(args.out)

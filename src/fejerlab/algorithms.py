@@ -60,9 +60,11 @@ from .problems import (
     sample_index,
 )
 from .spaces import (
+    Euclidean,
     Point,
     contains,
     distance,
+    euclid_dim,
     geodesic_point,
     project_convex,
     ray_point,
@@ -183,8 +185,8 @@ def validate_run(problem: Problem, algorithm: str, sched: StepSchedule, x0: Poin
     """Raise unless `algorithm` may run on `problem` with `sched` from `x0`.
 
     TypeError for a problem of the wrong family, ValueError for an unknown
-    algorithm, a start point in another space or outside the constraint
-    set, or a schedule the analysis does not cover.
+    algorithm, a start point in another space or of another dimension or
+    outside the constraint set, or a schedule the analysis does not cover.
     """
     spec = _SPECS.get(algorithm)
     if spec is None:
@@ -195,6 +197,10 @@ def validate_run(problem: Problem, algorithm: str, sched: StepSchedule, x0: Poin
         raise ValueError(
             f"start point lies in {space_of(x0)!r}, problem in {problem.space!r}"
         )
+    # The solution set has the data's dimension, unless it is the whole space.
+    dim = euclid_dim(problem.solution_set)
+    if isinstance(x0, Euclidean) and dim not in (None, len(x0.coords)):
+        raise ValueError(f"start point has dimension {len(x0.coords)}, the problem {dim}")
     if not spec.harmonic_only:
         _check_unit_steps(sched)
     elif not isinstance(sched, Harmonic):

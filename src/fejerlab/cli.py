@@ -43,6 +43,7 @@ from .harness import (
     load_curves,
     run_ensemble,
     stats_from_curves,
+    write_audit,
 )
 from .moduli import StepSchedule, schedule_from_spec
 from .problems import NoModulusKnownError, Problem, problem_from_spec
@@ -390,17 +391,23 @@ def _liminf_report(exp: Experiment, stats: EnsembleStats) -> AuditReport:
     )
 
 
-def _print_records(report: AuditReport) -> None:
+def _print_records(report: AuditReport, details) -> dict[str, int]:
+    """One PASS/FAIL/UNCHECKED line per record, ``details(record)`` after
+    the threshold, then the record's note; returns the count per status."""
+    counts = {"PASS": 0, "FAIL": 0, "UNCHECKED": 0}
     for r in report.records:
         status = {True: "PASS", False: "FAIL", None: "UNCHECKED"}[r.bound_satisfied]
+        counts[status] += 1
         name = _CHECK_NAMES.get(r.criterion, r.criterion)
-        obs = "n/a" if r.observed_value_at_index is None else f"{r.observed_value_at_index:.6g}"
-        margin = "n/a" if r.mc_margin is None else f"{r.mc_margin:.6g}"
-        print(
-            f"[{status}] {name}: eps={r.epsilon:g} "
-            f"index={_index_label(r.predicted_index)} observed={obs} margin={margin}"
-        )
+        print(f"[{status}] {name}: eps={r.epsilon:g}{details(r)}")
         print(f"    {r.note}")
+    return counts
+
+
+def _audit_details(r: AuditRecord) -> str:
+    obs = "n/a" if r.observed_value_at_index is None else f"{r.observed_value_at_index:.6g}"
+    margin = "n/a" if r.mc_margin is None else f"{r.mc_margin:.6g}"
+    return f" index={_index_label(r.predicted_index)} observed={obs} margin={margin}"
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +480,9 @@ def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) 
     if curves_path is None:
         written = export_results(stats, report, out_prefix)
     else:
-        audit_path = f"{out_prefix}audit.json"
-        with open(audit_path, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written = [audit_path]
+        written = [write_audit(report, out_prefix)]
 
-    _print_records(report)
+    _print_records(report, _audit_details)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK if report.all_pass else EXIT_AUDIT
@@ -504,15 +507,8 @@ def cmd_report(out_prefix: str) -> int:
     if not report.records:
         return EXIT_OK
 
-    counts = {"PASS": 0, "FAIL": 0, "UNCHECKED": 0}
-    for r in report.records:
-        status = {True: "PASS", False: "FAIL", None: "UNCHECKED"}[r.bound_satisfied]
-        counts[status] += 1
-        name = _CHECK_NAMES.get(r.criterion, r.criterion)
-        line = (
-            f"[{status}] {name}: eps={r.epsilon:g} "
-            f"predicted index {_index_label(r.predicted_index)}"
-        )
+    def details(r: AuditRecord) -> str:
+        line = f" predicted index {_index_label(r.predicted_index)}"
         if r.predicted_index <= horizon:
             idx = r.predicted_index
             if r.criterion in ("mean", "fast_mean_envelope"):
@@ -524,8 +520,9 @@ def cmd_report(out_prefix: str) -> int:
             line += f" | audited value {r.observed_value_at_index:.6g}"
         if r.mc_margin is not None:
             line += f" | margin {r.mc_margin:.6g}"
-        print(line)
-        print(f"    {r.note}")
+        return line
+
+    counts = _print_records(report, details)
     print(
         f"checks: {counts['PASS']} passed, {counts['FAIL']} failed, "
         f"{counts['UNCHECKED']} unchecked"

@@ -10,9 +10,10 @@ slice order.  ``CHUNK`` thus fixes the summation order, and the aggregate
 is bit-identical across runs.  Everything runs on the calling thread.
 
 For Euclidean instances one vectorized kernel advances all paths at once,
-one vector update per step.  It mirrors the scalar runners operation for
-operation (same per-coordinate accumulation order, same branch shortcuts)
-and every operation is row-wise, so it equals the scalar runners bit for
+one update per step.  It holds the paths' points as coordinate columns and
+builds each step, distance and gap from the Euclidean geometry functions
+of ``spaces`` that the point API wraps, so it runs the scalar runners'
+arithmetic, path by path in each array entry, and equals them bit for
 bit.  The tree and half-plane spaces use the scalar runners, path by path.
 Both kernels stream into one reducer, so memory grows with paths plus the
 horizon, not with their product.
@@ -47,13 +48,15 @@ from .problems import (
     prox_step,
 )
 from .spaces import (
-    Ball,
-    Box,
     Euclidean,
-    Halfspace,
     Point,
-    Segment,
-    WholeSpace,
+    _direction_cols,
+    _dist_cols,
+    _geodesic_cols,
+    _project_cols,
+    _ray_cols,
+    _select,
+    _sqdist_cols,
     contains,
     distance,
     geodesic_point,
@@ -121,94 +124,6 @@ def tail_probability(stats: EnsembleStats, n: int, eps: float) -> float:
             f"ensemble was not run with threshold {eps!r}; have {sorted(stats.tail)}"
         )
     return float(stats.tail[eps][n])
-
-
-# ---------------------------------------------------------------------------
-# Vectorized Euclidean geometry (mirrors the scalar kernels bit for bit)
-# ---------------------------------------------------------------------------
-
-
-def _rows_sqdist_to(X: np.ndarray, coords) -> np.ndarray:
-    """Row-wise squared distance to a fixed point, accumulated coordinate by
-    coordinate in the same order as the scalar loop."""
-    acc = np.zeros(len(X))
-    for i, c in enumerate(coords):
-        diff = X[:, i] - c
-        acc += diff * diff
-    return acc
-
-
-def _rows_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    acc = np.zeros(len(A))
-    for i in range(A.shape[1]):
-        diff = A[:, i] - B[:, i]
-        acc += diff * diff
-    return acc
-
-
-def _vproject(cset, X: np.ndarray) -> np.ndarray:
-    """Vectorized metric projection for Euclidean convex sets."""
-    if isinstance(cset, WholeSpace):
-        return X
-    if isinstance(cset, Ball):
-        c = cset.center.coords
-        d = np.sqrt(_rows_sqdist_to(X, c))
-        inside = d <= cset.radius
-        t = cset.radius / np.where(inside, 1.0, d)
-        C = np.array(c)
-        P = C + t[:, None] * (X - C)
-        # Rounding can push radius/d to exactly 1 for d barely outside; the
-        # scalar geodesic shortcut then returns x itself, so mirror that.
-        P = np.where((t == 1.0)[:, None], X, P)
-        return np.where(inside[:, None], X, P)
-    if isinstance(cset, Halfspace):
-        v = np.zeros(len(X))
-        for i, nc in enumerate(cset.normal):
-            v += nc * X[:, i]
-        v -= cset.offset
-        inside = v <= 0.0
-        P = X - v[:, None] * np.array(cset.normal)
-        return np.where(inside[:, None], X, P)
-    if isinstance(cset, Box):
-        return np.minimum(np.maximum(X, np.array(cset.lo)), np.array(cset.hi))
-    if isinstance(cset, Segment):
-        a, b = cset.a.coords, cset.b.coords
-        num = np.zeros(len(X))
-        den = 0.0
-        for i in range(len(a)):
-            ab = b[i] - a[i]
-            num += (X[:, i] - a[i]) * ab
-            den += ab * ab
-        if den == 0.0:
-            return np.tile(np.array(a), (len(X), 1))
-        t = num / den
-        t = np.minimum(np.maximum(t, 0.0), 1.0)
-        cols = [a[i] + t * (b[i] - a[i]) for i in range(len(a))]
-        return np.stack(cols, axis=1)
-    raise ValueError(f"no vectorized projection for {type(cset).__name__}")
-
-
-def _rows_dist_to_solutions(problem: Problem, X: np.ndarray) -> np.ndarray:
-    P = _vproject(problem.solution_set, X)
-    return np.sqrt(_rows_sqdist(X, P))
-
-
-def _rows_gap(problem: Problem, X: np.ndarray, projections) -> np.ndarray:
-    """Row-wise gap; a fixed-point problem takes the rows' projections onto
-    its sets, in set order."""
-    if isinstance(problem, FixedPointProblem):
-        total = np.zeros(len(X))
-        for P, p in zip(projections, problem.weights):
-            total += p * _rows_sqdist(P, X)
-        return total
-    total = np.zeros(len(X))
-    for a, w in problem.atoms:
-        acc = _rows_sqdist_to(X, a.coords)
-        if problem.cost_kind == HALF_SQUARED:
-            total += w * (0.5 * acc)
-        else:
-            total += w * np.sqrt(acc)
-    return np.maximum(0.0, total - problem.min_value)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +214,10 @@ def _euclid_kernel(
     # benchmark's tracer counts); each draw is row-wise, so no bit depends
     # on the slicing.
     key_slices = [rng.stream_keys(seed, rows[s : s + CHUNK]) for s in range(0, paths, CHUNK)]
-    X = np.tile(np.array(x0.coords, dtype=np.float64), (paths, 1))
+    # All paths' points as coordinate columns (see spaces._select).
+    X = tuple(np.full(paths, c) for c in x0.coords)
     if algorithm in ("sppa", "sb"):
-        atom_coords = np.array([a.coords for a, _ in problem.atoms], dtype=np.float64)
+        atom_cols = [np.array(col) for col in zip(*(a.coords for a, _ in problem.atoms))]
     projections = None
     n0, width = 0, _block_width(0, horizon + 1)
     dist, gap = np.empty((paths, width)), np.empty((paths, width))
@@ -312,39 +228,53 @@ def _euclid_kernel(
                 [rng.categorical(problem.cum_weights, rng.uniforms(k, n - 1)) for k in key_slices]
             )
             lam = schedule_value(sched, n - 1)
-            if algorithm == "sppa":
-                A = atom_coords[idx]
-                if problem.cost_kind == HALF_SQUARED:
-                    t = lam / (1.0 + lam)
-                    X = X + t * (A - X)
-                else:
-                    d = np.sqrt(_rows_sqdist(X, A))
-                    at_atom = d == 0.0
-                    t = np.minimum(lam, d) / np.where(at_atom, 1.0, d)
-                    Xn = X + t[:, None] * (A - X)
-                    Xn = np.where((t == 1.0)[:, None], A, Xn)
-                    X = np.where(at_atom[:, None], X, Xn)
-            elif algorithm == "skm":
-                # The gap at x_{n-1} projected every row onto every set.
-                P = np.stack(projections)[idx, rows]
-                X = P if lam == 1.0 else X + lam * (P - X)
-            else:  # sb
-                A = atom_coords[idx]
-                diff = A - X
-                d = np.sqrt(_rows_sqdist(A, X))
+            if algorithm == "skm":
+                # The gap at x_{n-1} projected every path onto every set.
+                P = projections[0]
+                for k in range(1, len(projections)):
+                    P = _select(idx == k, projections[k], P)
+                X = _geodesic_cols(X, P, lam)
+            elif algorithm == "sppa" and problem.cost_kind == HALF_SQUARED:
+                X = _geodesic_cols(X, tuple(c[idx] for c in atom_cols), lam / (1.0 + lam))
+            else:
+                # prox_step (distance cost) and _sb_step: a path at its drawn
+                # atom does not move (the sb step still projects it).
+                A = tuple(c[idx] for c in atom_cols)
+                d = _dist_cols(X, A)
                 at_atom = d == 0.0
-                U = diff / np.where(at_atom, 1.0, d)[:, None]
-                Y = X + (1.0 * lam) * U
-                Y = np.where(at_atom[:, None], X, Y)
-                X = _vproject(problem.constraint, Y)
+                d_safe = _select(at_atom, 1.0, d)
+                if algorithm == "sppa":
+                    t = _select(d < lam, d, lam) / d_safe  # min(lam, d) / d
+                    X = _select(at_atom, X, _geodesic_cols(X, A, t))
+                else:
+                    # Arclength s * lam along the subgradient ray, s = 1.
+                    Y = _ray_cols(X, _direction_cols(X, A, d_safe), 1.0 * lam)
+                    X = _project_cols(problem.constraint, _select(at_atom, X, Y))
         if algorithm == "skm":
-            projections = [_vproject(cset, X) for cset in problem.sets]
-        dist[:, n - n0] = _rows_dist_to_solutions(problem, X)
-        gap[:, n - n0] = _rows_gap(problem, X, projections)
+            projections = [_project_cols(cset, X) for cset in problem.sets]
+        dist[:, n - n0] = _dist_cols(X, _project_cols(problem.solution_set, X))
+        gap[:, n - n0] = _gap_cols(problem, X, projections)
         if n - n0 == width - 1:
             red.add(0, n0, dist, gap)
             n0, width = n0 + width, _block_width(n0 + width, horizon + 1)
             dist, gap = np.empty((paths, width)), np.empty((paths, width))
+
+
+def _gap_cols(problem: Problem, X, projections):
+    """gap_F of every path; a fixed-point problem takes the paths'
+    projections onto its sets, in set order."""
+    total = 0.0
+    if isinstance(problem, FixedPointProblem):
+        for P, p in zip(projections, problem.weights):
+            total += p * _sqdist_cols(P, X)
+        return total
+    for a, w in problem.atoms:
+        if problem.cost_kind == HALF_SQUARED:
+            total += w * (0.5 * _sqdist_cols(X, a.coords))
+        else:
+            total += w * _dist_cols(X, a.coords)
+    total = total - problem.min_value
+    return _select(total > 0.0, total, 0.0)
 
 
 def _scalar_kernel(
@@ -857,15 +787,20 @@ def export_results(
         raise OSError(f"cannot write curves to {curves_path}: {exc}") from exc
     written.append(curves_path)
     if report is not None:
-        audit_path = f"{path_prefix}audit.json"
-        try:
-            with open(audit_path, "w") as fh:
-                json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(f"cannot write audit to {audit_path}: {exc}") from exc
-        written.append(audit_path)
+        written.append(write_audit(report, path_prefix))
     return written
+
+
+def write_audit(report: AuditReport, path_prefix: str) -> str:
+    """Write {prefix}audit.json; returns its path."""
+    audit_path = f"{path_prefix}audit.json"
+    try:
+        with open(audit_path, "w") as fh:
+            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise OSError(f"cannot write audit to {audit_path}: {exc}") from exc
+    return audit_path
 
 
 def load_curves(path: str) -> dict[str, np.ndarray]:

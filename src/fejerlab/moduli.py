@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import mpmath
-from scipy.special import digamma, polygamma
 
 #: Relative shave applied before taking integer ceilings of analytically
 #: computed indices, guarding against a 1-ulp float overshoot turning an
@@ -218,10 +217,10 @@ def schedule_square_sum_bound(sched: StepSchedule) -> float:
     strictly above it.
     """
     if isinstance(sched, Harmonic):
-        exact = sched.a * sched.a * float(polygamma(1, sched.s))
+        exact = sched.a * sched.a * float(mpmath.polygamma(1, sched.s))
     elif isinstance(sched, TableSchedule):
         m = len(sched.values)
-        tail = sched.tail.a ** 2 * float(polygamma(1, m + sched.tail.s))
+        tail = sched.tail.a ** 2 * float(mpmath.polygamma(1, m + sched.tail.s))
         exact = math.fsum(v * v for v in sched.values) + tail
     else:
         raise ValueError("square sum diverges for this schedule")
@@ -270,14 +269,14 @@ def tail_rate_chi(sched: StepSchedule, transform, eps: float) -> int:
     if isinstance(sched, Harmonic):
 
         def tail(n: int) -> float:
-            return scale * sched.a ** 2 * float(polygamma(1, n + sched.s))
+            return scale * sched.a ** 2 * float(mpmath.polygamma(1, n + sched.s))
 
     else:
         m = len(sched.values)
         a, s = sched.tail.a, sched.tail.s
 
         def tail(n: int) -> float:
-            harm = scale * a * a * float(polygamma(1, max(n, m) + s))
+            harm = scale * a * a * float(mpmath.polygamma(1, max(n, m) + s))
             if n >= m:
                 return harm
             return harm + math.fsum(scale * v * v for v in sched.values[n:m])
@@ -334,9 +333,9 @@ def _harmonic_partial(a: float, s: float, k: int, m: int, mean: bool) -> float:
     lambda(1-lambda) transform), via digamma/trigamma closed forms."""
     if m < k:
         return 0.0
-    val = a * (float(digamma(m + s + 1)) - float(digamma(k + s)))
+    val = a * (float(mpmath.digamma(m + s + 1)) - float(mpmath.digamma(k + s)))
     if mean:
-        val -= a * a * (float(polygamma(1, k + s)) - float(polygamma(1, m + s + 1)))
+        val -= a * a * (float(mpmath.polygamma(1, k + s)) - float(mpmath.polygamma(1, m + s + 1)))
     return val
 
 
@@ -395,7 +394,7 @@ def _harmonic_theta(sched: Harmonic, mean: bool, k: int, b: float) -> int:
     a, s = sched.a, sched.s
     budget_id = b
     if mean:
-        budget_id = b + a * a * float(polygamma(1, k + s))
+        budget_id = b + a * a * float(mpmath.polygamma(1, k + s))
     log_hi = budget_id / a + math.log(k + s)
     if log_hi < 27.0:  # witness below ~5e11: float digamma resolves it
         hi = int(math.ceil((k + s) * math.exp(budget_id / a))) + 2

@@ -42,8 +42,10 @@ from .spaces import (
     Tripod,
     TripodEnd,
     TripodSegment,
+    _direction_cols,
     contains,
     distance,
+    euclid_dim,
     geodesic_point,
     project_convex,
     space_of,
@@ -130,6 +132,8 @@ class FixedPointProblem:
             raise ValueError("need one weight per operator")
         if not self.v >= 1.0:
             raise ValueError(f"linear-regularity constant must be >= 1, got {self.v}")
+        if space_of(self.solution_anchor) != self.space:
+            raise ValueError("operator sets lie outside the declared space")
         if not contains(self.solution_set, self.solution_anchor):
             raise ValueError("anchor does not lie in the solution set")
         object.__setattr__(self, "cum_weights", _cum_weights(self.weights))
@@ -185,6 +189,8 @@ Problem = MeanMinProblem | FixedPointProblem | BusemannProblem
 
 def _euclid_mean_point(atoms: tuple[tuple[Point, float], ...]) -> Euclidean:
     dim = len(atoms[0][0].coords)
+    if any(len(a.coords) != dim for a, _ in atoms):
+        raise ValueError("atoms have mismatched dimensions")
     coords = []
     for i in range(dim):
         coords.append(math.fsum(w * a.coords[i] for a, w in atoms))
@@ -268,20 +274,21 @@ def _axis_normal_index(normal: tuple[float, ...]) -> tuple[int, float] | None:
     return idx, sign
 
 
-def _representative_point(cset: ConvexSet, space: str, dim: int) -> Point:
+def _representative_point(cset: ConvexSet, space: str) -> Point:
     if isinstance(cset, Ball):
         return cset.center
     if isinstance(cset, Box):
-        return Euclidean(tuple(min(max(0.0, l), h) for l, h in zip(cset.lo, cset.hi)))
+        return project_convex(cset, Euclidean((0.0,) * len(cset.lo)))
     if isinstance(cset, Halfspace):
         return Euclidean(tuple(cset.offset * n for n in cset.normal))
     if isinstance(cset, Segment):
         return geodesic_point(cset.a, cset.b, 0.5)
     if isinstance(cset, TripodSegment):
         return TRIPOD_ORIGIN
-    # WholeSpace
+    # WholeSpace, which fixes no dimension: in R^d the anchor is the origin of
+    # the plane (so it only suits starts in R^2).
     if space == "euclidean":
-        return Euclidean((0.0,) * dim)
+        return Euclidean((0.0, 0.0))
     if space == "tripod":
         return TRIPOD_ORIGIN
     return HalfPlane(0.0, 1.0)
@@ -291,28 +298,20 @@ def _derive_intersection(space: str, sets: tuple[ConvexSet, ...]):
     """Closed-form intersection for the supported operator families:
     a single set, or Euclidean axis-aligned halfspaces and boxes."""
     if len(sets) == 1:
-        cset = sets[0]
-        dim = len(cset.normal) if isinstance(cset, Halfspace) else 2
-        return cset, _representative_point(cset, space, dim)
+        return sets[0], _representative_point(sets[0], space)
     if space != "euclidean":
         raise ValueError(
             "no closed-form intersection for several non-Euclidean operator sets"
         )
-    dim = None
-    for cset in sets:
-        if isinstance(cset, Halfspace):
-            d = len(cset.normal)
-        elif isinstance(cset, Box):
-            d = len(cset.lo)
-        else:
-            raise ValueError(
-                "operator intersections are derived only for axis-aligned "
-                "halfspaces and boxes"
-            )
-        if dim is None:
-            dim = d
-        elif dim != d:
-            raise ValueError("operator sets have mismatched dimensions")
+    if not all(isinstance(cset, (Halfspace, Box)) for cset in sets):
+        raise ValueError(
+            "operator intersections are derived only for axis-aligned "
+            "halfspaces and boxes"
+        )
+    dims = {euclid_dim(cset) for cset in sets}
+    if len(dims) > 1:
+        raise ValueError("operator sets have mismatched dimensions")
+    dim = dims.pop()
     lo = [-math.inf] * dim
     hi = [math.inf] * dim
     for cset in sets:
@@ -335,10 +334,7 @@ def _derive_intersection(space: str, sets: tuple[ConvexSet, ...]):
     if any(l > h for l, h in zip(lo, hi)):
         raise ValueError("operator sets have empty intersection")
     box = Box(tuple(lo), tuple(hi))
-    anchor = Euclidean(
-        tuple(min(max(0.0, l), h) for l, h in zip(lo, hi))
-    )
-    return box, anchor
+    return box, project_convex(box, Euclidean((0.0,) * dim))
 
 
 def build_fixed_point(
@@ -480,8 +476,7 @@ def busemann_subgradient(
     if d == 0.0:
         return None, 0.0
     if isinstance(x, Euclidean):
-        u = tuple((ac - xc) / d for ac, xc in zip(a.coords, x.coords))
-        return EuclideanDir(u), 1.0
+        return EuclideanDir(_direction_cols(x.coords, a.coords, d)), 1.0
     # Tripod: classify how the geodesic from x arrives at a and extend it.
     if a.coord == 0.0:
         # The ray descends x's ray through the origin; continue along the

@@ -13,6 +13,9 @@ and the two residuals used to certify the geometry numerically: the CN
 (quadratic convexity) inequality along geodesics and the weak quasi-triangle
 inequality for the d^q family.
 
+Euclidean geometry is written once, on coordinate columns: the point API
+wraps it for one point, the ensemble harness runs it on all paths at once.
+
 All geometric tolerances are the single constant :data:`GEOM_TOL`.
 """
 
@@ -21,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from . import rng
 
@@ -238,6 +243,108 @@ class HalfPlaneIdealPoint:
 Direction = Union[EuclideanDir, TripodEnd, HalfPlaneIdealPoint]
 
 
+def euclid_dim(cset: ConvexSet) -> int | None:
+    """The dimension of a Euclidean convex set's points; None for the whole
+    space and for tripod and half-plane sets."""
+    if isinstance(cset, (Ball, Segment)):
+        p = cset.center if isinstance(cset, Ball) else cset.a
+        return len(p.coords) if isinstance(p, Euclidean) else None
+    if isinstance(cset, (Halfspace, Box)):
+        return len(cset.normal if isinstance(cset, Halfspace) else cset.lo)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Euclidean geometry on coordinate columns
+# ---------------------------------------------------------------------------
+# A point is a tuple of coordinate columns: floats for one point, 1-D float64
+# arrays with one entry per path for a batch (a column all paths share may
+# stay a float; NumPy broadcasts it).  Branches go through _select, so a
+# batch equals its points bit for bit.
+
+
+def _select(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: a bool picks one side whole (a
+    point keeps its identity), a boolean array picks per path, column by
+    column for points."""
+    if not isinstance(cond, np.ndarray):
+        return a if cond else b
+    if isinstance(a, tuple):
+        return tuple(np.where(cond, ai, bi) for ai, bi in zip(a, b))
+    return np.where(cond, a, b)
+
+
+def _sqdist_cols(x, y):
+    """Squared distance, summed coordinate by coordinate."""
+    acc = 0.0
+    for xi, yi in zip(x, y):
+        d = xi - yi
+        acc += d * d
+    return acc
+
+
+def _dist_cols(x, y):
+    acc = _sqdist_cols(x, y)
+    return np.sqrt(acc) if isinstance(acc, np.ndarray) else math.sqrt(acc)
+
+
+def _lerp_cols(x, y, t):
+    """x + t (y - x)."""
+    return tuple(xi + t * (yi - xi) for xi, yi in zip(x, y))
+
+
+def _geodesic_cols(x, y, t):
+    """(1-t)x (+) t y; x itself where t = 0 and y itself where t = 1."""
+    return _select(t == 0.0, x, _select(t == 1.0, y, _lerp_cols(x, y, t)))
+
+
+def _ray_cols(x, u, s):
+    """The point at arclength s from x along the unit direction u."""
+    return tuple(xi + s * ui for xi, ui in zip(x, u))
+
+
+def _direction_cols(x, y, d):
+    """(y - x) / d: the unit direction from x toward y, d = d(x, y)."""
+    return tuple((yi - xi) / d for xi, yi in zip(x, y))
+
+
+def _project_cols(cset, x):
+    """Metric projection onto a convex set of Euclidean points of the same
+    dimension (the point API checks both)."""
+    if isinstance(cset, WholeSpace):
+        return x
+    if isinstance(cset, Ball):
+        c = cset.center.coords
+        d = _dist_cols(x, c)
+        inside = d <= cset.radius
+        # Inside, d may be 0: the divisor is guarded and the result is x.
+        t = cset.radius / _select(inside, 1.0, d)
+        return _select(inside, x, _geodesic_cols(c, x, t))
+    if isinstance(cset, Halfspace):
+        v = 0.0
+        for ni, xi in zip(cset.normal, x):
+            v += ni * xi
+        v = v - cset.offset
+        return _select(v <= 0.0, x, tuple(xi - v * ni for ni, xi in zip(cset.normal, x)))
+    if isinstance(cset, Box):
+        # min(max(x, lo), hi) with Python's tie rules, as selects.
+        m = (_select(xi < lo, lo, xi) for xi, lo in zip(x, cset.lo))
+        return tuple(_select(hi < mi, hi, mi) for mi, hi in zip(m, cset.hi))
+    if isinstance(cset, Segment):
+        a, b = cset.a.coords, cset.b.coords
+        num = 0.0
+        den = 0.0
+        for ai, bi, xi in zip(a, b, x):
+            ab = bi - ai
+            num += (xi - ai) * ab
+            den += ab * ab
+        if den == 0.0:
+            return a
+        t = num / den
+        return _lerp_cols(a, b, _select(t < 0.0, 0.0, _select(t > 1.0, 1.0, t)))
+    raise TypeError(f"not a Euclidean convex set: {cset!r}")
+
+
 # ---------------------------------------------------------------------------
 # Distance
 # ---------------------------------------------------------------------------
@@ -248,12 +355,7 @@ def sqdist(x: Point, y: Point) -> float:
     root (exact sum of squared coordinate differences)."""
     _require_same_space(x, y)
     if isinstance(x, Euclidean):
-        acc = 0.0
-        xc, yc = x.coords, y.coords
-        for i in range(len(xc)):
-            d = xc[i] - yc[i]
-            acc += d * d
-        return acc
+        return _sqdist_cols(x.coords, y.coords)
     d = distance(x, y)
     return d * d
 
@@ -262,12 +364,7 @@ def distance(x: Point, y: Point) -> float:
     """The metric of the space both points live in."""
     _require_same_space(x, y)
     if isinstance(x, Euclidean):
-        acc = 0.0
-        xc, yc = x.coords, y.coords
-        for i in range(len(xc)):
-            d = xc[i] - yc[i]
-            acc += d * d
-        return math.sqrt(acc)
+        return _dist_cols(x.coords, y.coords)
     if isinstance(x, Tripod):
         if x.ray == y.ray or x.coord == 0.0 or y.coord == 0.0:
             return abs(x.coord - y.coord)
@@ -317,9 +414,7 @@ def geodesic_point(x: Point, y: Point, t: float) -> Point:
     if t == 1.0:
         return y
     if isinstance(x, Euclidean):
-        return Euclidean(
-            tuple(xc + t * (yc - xc) for xc, yc in zip(x.coords, y.coords))
-        )
+        return Euclidean(_geodesic_cols(x.coords, y.coords, t))
     if isinstance(x, Tripod):
         if x.coord == 0.0:
             return Tripod(y.ray, t * y.coord)
@@ -350,9 +445,7 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
             raise ValueError("Euclidean point needs a EuclideanDir direction")
         if len(direction.vector) != len(x.coords):
             raise ValueError("direction dimension mismatch")
-        return Euclidean(
-            tuple(xc + s * u for xc, u in zip(x.coords, direction.vector))
-        )
+        return Euclidean(_ray_cols(x.coords, direction.vector, s))
     if isinstance(x, Tripod):
         if not isinstance(direction, TripodEnd):
             raise ValueError("tripod point needs a TripodEnd direction")
@@ -408,60 +501,38 @@ def _project_segment_golden(seg: Segment, x: Point) -> Point:
     return geodesic_point(seg.a, seg.b, 0.5 * (lo + hi))
 
 
-def _project_segment_euclid(seg: Segment, x: Euclidean) -> Euclidean:
-    a, b = seg.a.coords, seg.b.coords
-    num = 0.0
-    den = 0.0
-    for i in range(len(a)):
-        ab = b[i] - a[i]
-        num += (x.coords[i] - a[i]) * ab
-        den += ab * ab
-    if den == 0.0:
-        return Euclidean(a)
-    t = num / den
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return Euclidean(tuple(ac + t * (bc - ac) for ac, bc in zip(a, b)))
-
-
 def project_convex(cset: ConvexSet, x: Point) -> Point:
     """Metric projection onto a closed convex set (unique in CAT(0))."""
     if isinstance(cset, WholeSpace):
         return x
-    if isinstance(cset, Ball):
-        d = distance(x, cset.center)
-        if d <= cset.radius:
-            return x
-        return geodesic_point(cset.center, x, cset.radius / d)
-    if isinstance(cset, Halfspace):
+    if isinstance(cset, (Halfspace, Box)):
+        kind = "halfspace" if isinstance(cset, Halfspace) else "box"
         if not isinstance(x, Euclidean):
-            raise ValueError("halfspace projection is Euclidean-only")
-        v = sum(n * c for n, c in zip(cset.normal, x.coords)) - cset.offset
-        if v <= 0.0:
-            return x
-        return Euclidean(
-            tuple(c - v * n for n, c in zip(cset.normal, x.coords))
-        )
-    if isinstance(cset, Box):
+            raise ValueError(f"{kind} projection is Euclidean-only")
+        if euclid_dim(cset) != len(x.coords):
+            raise ValueError(f"{kind} dimension mismatch")
+    elif isinstance(cset, Ball):
         if not isinstance(x, Euclidean):
-            raise ValueError("box projection is Euclidean-only")
-        if len(cset.lo) != len(x.coords):
-            raise ValueError("box dimension mismatch")
-        return Euclidean(
-            tuple(min(max(c, l), h) for c, l, h in zip(x.coords, cset.lo, cset.hi))
-        )
-    if isinstance(cset, TripodSegment):
+            d = distance(x, cset.center)
+            if d <= cset.radius:
+                return x
+            return geodesic_point(cset.center, x, cset.radius / d)
+        _require_same_space(x, cset.center)
+    elif isinstance(cset, Segment):
+        _require_same_space(cset.a, x)
+        if not isinstance(x, Euclidean):
+            return _project_segment_golden(cset, x)
+    elif isinstance(cset, TripodSegment):
         if not isinstance(x, Tripod):
             raise ValueError("tripod-segment projection needs a tripod point")
         m = cset.max_coords[x.ray]
         if x.coord <= m:
             return x
         return Tripod(x.ray, m)
-    if isinstance(cset, Segment):
-        _require_same_space(cset.a, x)
-        if isinstance(x, Euclidean):
-            return _project_segment_euclid(cset, x)
-        return _project_segment_golden(cset, x)
-    raise TypeError(f"not a convex set: {cset!r}")
+    else:
+        raise TypeError(f"not a convex set: {cset!r}")
+    p = _project_cols(cset, x.coords)
+    return x if p is x.coords else Euclidean(p)
 
 
 def contains(cset: ConvexSet, x: Point, tol: float = GEOM_TOL) -> bool:
@@ -500,24 +571,20 @@ def quasi_triangle_residual(q: float, x: Point, y: Point, o: Point) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw(state: rng.RngState) -> tuple[float, rng.RngState]:
-    return rng.next_uniform(state)
-
-
 def _sample_point(space: str, dim: int, state: rng.RngState):
     if space == "euclidean":
         coords = []
         for _ in range(dim):
-            u, state = _draw(state)
+            u, state = rng.next_uniform(state)
             coords.append(10.0 * u - 5.0)
         return Euclidean(tuple(coords)), state
     if space == "tripod":
-        u, state = _draw(state)
-        v, state = _draw(state)
+        u, state = rng.next_uniform(state)
+        v, state = rng.next_uniform(state)
         return Tripod(int(u * 3.0) % 3, 5.0 * v), state
     if space == "halfplane":
-        u, state = _draw(state)
-        v, state = _draw(state)
+        u, state = rng.next_uniform(state)
+        v, state = rng.next_uniform(state)
         return HalfPlane(6.0 * u - 3.0, math.exp(3.2 * v - 1.6)), state
     raise ValueError(f"unknown space kind: {space!r}")
 
@@ -581,8 +648,8 @@ def _sample_direction(space: str, dim: int, state: rng.RngState):
         # Spherically symmetric direction from a Box-Muller pair per 2 dims.
         comps: list[float] = []
         while len(comps) < dim:
-            u1, state = _draw(state)
-            u2, state = _draw(state)
+            u1, state = rng.next_uniform(state)
+            u2, state = rng.next_uniform(state)
             r = math.sqrt(-2.0 * math.log(1.0 - u1))
             comps.append(r * math.cos(2.0 * math.pi * u2))
             comps.append(r * math.sin(2.0 * math.pi * u2))
@@ -592,12 +659,12 @@ def _sample_direction(space: str, dim: int, state: rng.RngState):
             v, nrm = [1.0] + [0.0] * (dim - 1), 1.0
         return EuclideanDir(tuple(c / nrm for c in v)), state
     if space == "tripod":
-        u, state = _draw(state)
+        u, state = rng.next_uniform(state)
         return TripodEnd(int(u * 3.0) % 3), state
-    u, state = _draw(state)
+    u, state = rng.next_uniform(state)
     if u < 0.25:
         return HalfPlaneIdealPoint(None), state
-    v, state = _draw(state)
+    v, state = rng.next_uniform(state)
     return HalfPlaneIdealPoint(8.0 * v - 4.0), state
 
 
@@ -628,7 +695,7 @@ def geometry_suite(
         x, state = _sample_point(space, dim, state)
         y, state = _sample_point(space, dim, state)
         o, state = _sample_point(space, dim, state)
-        t, state = _draw(state)
+        t, state = rng.next_uniform(state)
         dxy = distance(x, y)
         dxo = distance(x, o)
         dyo = distance(y, o)
@@ -670,8 +737,8 @@ def geometry_suite(
     for _ in range(projection_samples):
         x, state = _sample_point(space, dim, state)
         direction, state = _sample_direction(space, dim, state)
-        u1, state = _draw(state)
-        u2, state = _draw(state)
+        u1, state = rng.next_uniform(state)
+        u2, state = rng.next_uniform(state)
         s1, s2 = 3.0 * u1, 3.0 * u2
         p1 = ray_point(x, direction, s1)
         p2 = ray_point(p1, direction, s2)

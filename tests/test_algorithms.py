@@ -34,6 +34,7 @@ from fejerlab.moduli import (
 from fejerlab.problems import (
     HALF_SQUARED,
     NoModulusKnownError,
+    build_fixed_point,
     build_mean_min,
     euclid_two_atom_busemann,
     operator_apply,
@@ -42,7 +43,7 @@ from fejerlab.problems import (
     tripod_median,
     two_halfspace,
 )
-from fejerlab.spaces import Euclidean, Tripod, distance
+from fejerlab.spaces import Box, Euclidean, Tripod, WholeSpace, distance
 
 H11 = Harmonic(1.0, 1.0)
 
@@ -63,6 +64,22 @@ def test_sppa_rejects_constant_schedule_and_wrong_problem():
         run_sppa(frechet, H11, Tripod(0, 1.0), 5, 0)
     with pytest.raises(ValueError):  # negative horizon
         run_sppa(frechet, H11, Euclidean((0.0,)), -1, 0)
+
+
+def test_start_point_dimension_must_match_the_data():
+    for x0 in (Euclidean((1.0,)), Euclidean((1.0, 1.0, 1.0))):
+        with pytest.raises(ValueError, match="dimension"):
+            run_skm(two_halfspace(), Constant(0.5), x0, 5, 0)
+    atoms = ((Euclidean((-1.0, 0.0)), 0.5), (Euclidean((1.0,)), 0.5))
+    with pytest.raises(ValueError, match="dimension"):
+        build_mean_min("euclidean", atoms, HALF_SQUARED, 4.0)
+    boxes = (Box((0.0,), (1.0,)), Box((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="dimension"):
+        build_fixed_point("euclidean", boxes, (0.5, 0.5), 1.0)
+    # The whole space fixes no dimension (its anchor's two coordinates do not count).
+    whole = build_fixed_point("euclidean", (WholeSpace(),), (1.0,), 1.0)
+    traj = run_skm(whole, Constant(0.5), Euclidean((1.0, 2.0, 3.0)), 3, 0)
+    assert traj.points[-1] == Euclidean((1.0, 2.0, 3.0))
 
 
 def test_sppa_single_atom_contracts_each_step():

@@ -13,6 +13,8 @@ import pytest
 from fejerlab.cli import main
 from fejerlab.moduli import Constant, Harmonic, schedule_to_spec
 from fejerlab.problems import (
+    HALF_SQUARED,
+    build_mean_min,
     problem_to_spec,
     segment_argmin,
     tripod_median,
@@ -196,6 +198,17 @@ def test_audit_reaudit_from_curves_matches_the_original(tmp_path):
     original = (tmp_path / "r_audit.json").read_bytes()
     reaudited = (tmp_path / "re_audit.json").read_bytes()
     assert original == reaudited
+
+
+def test_reaudit_to_unwritable_prefix_names_the_audit_path(tmp_path, capsys):
+    cfg = write_config(tmp_path, rate_config(paths=4, horizon=10))
+    out = str(tmp_path / "r_")
+    assert run_cli("audit", "--config", cfg, "--out", out) in (0, 4)
+    capsys.readouterr()
+    bad = str(tmp_path / "missing" / "dir_")
+    rc = run_cli("audit", "--config", cfg, "--out", bad, "--curves", out + "curves.csv")
+    assert rc == 3
+    assert f"cannot write audit to {bad}audit.json" in capsys.readouterr().err
 
 
 def test_audit_doctored_curves_fail_with_exit_4(tmp_path, capsys):
@@ -471,3 +484,54 @@ def test_duplicate_audit_thresholds_are_rejected(tmp_path, capsys):
     rc = run_cli("validate", "--config", write_config(tmp_path, cfg))
     assert rc == 1
     assert "distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coords", [[1.0, 1.0, 1.0], [1.0]])
+def test_start_point_of_another_dimension_is_an_input_error(tmp_path, capsys, coords):
+    cfg = rate_config(paths=2, horizon=2)  # two half-planes of R^2
+    cfg["x0"] = {"space": "euclidean", "coords": coords}
+    rc = run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x_"))
+    assert rc == 1
+    assert "dimension" in capsys.readouterr().err
+
+
+def test_liminf_audit_from_a_start_of_another_dimension_is_an_input_error(tmp_path, capsys):
+    atoms = ((Euclidean((1.0, 0.0)), 0.5), (Euclidean((-1.0, 2.0)), 0.5))
+    cfg = sb_liminf_config(paths=2, horizon=2)
+    cfg["problem"] = problem_to_spec(build_mean_min("euclidean", atoms, HALF_SQUARED, 4.0))
+    cfg["algorithm"] = "sppa"
+    cfg["x0"] = {"space": "euclidean", "coords": [0.0, 0.0, 0.0]}
+    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x_"))
+    assert rc == 1
+    assert "dimension" in capsys.readouterr().err
+
+
+def test_atoms_of_different_dimensions_are_an_input_error(tmp_path, capsys):
+    cfg = sb_liminf_config(paths=2, horizon=2)
+    cfg["algorithm"] = "sppa"
+    cfg["problem"] = {
+        "kind": "mean_min",
+        "space": "euclidean",
+        "cost": HALF_SQUARED,
+        "atoms": [
+            {"point": {"space": "euclidean", "coords": [-1.0, 0.0]}, "weight": 0.5},
+            {"point": {"space": "euclidean", "coords": [1.0]}, "weight": 0.5},
+        ],
+    }
+    rc = run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x_"))
+    assert rc == 1
+    assert "config.problem" in capsys.readouterr().err
+
+
+def test_operator_set_of_another_space_is_an_input_error(tmp_path, capsys):
+    cfg = tripod_liminf_config(paths=2, horizon=2)
+    cfg["algorithm"] = "skm"
+    cfg["schedule"] = schedule_to_spec(Constant(0.5))
+    cfg["problem"] = {
+        "kind": "fixed_point",
+        "space": "tripod",
+        "operators": [{"set": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "weight": 1.0}],
+    }
+    rc = run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x_"))
+    assert rc == 1
+    assert "outside the declared space" in capsys.readouterr().err

@@ -39,8 +39,10 @@ from fejerlab.problems import (
     DISTANCE,
     build_mean_min,
     dist_to_solutions,
+    euclid_two_atom_busemann,
     frechet_r1,
     gap_F,
+    r1_single_atom_busemann,
     segment_argmin,
     tripod_median,
     two_halfspace,
@@ -117,11 +119,16 @@ def test_identical_seed_identical_stats():
 @pytest.mark.parametrize("paths", [513, 1100])
 def test_vector_scalar_parity_ragged_last_chunk(paths):
     atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
+    median = build_mean_min("euclidean", atoms, DISTANCE, 4.0)
     cases = (
         (two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0)), (0.5, 1.0)),
         (frechet_r1(), "sppa", H11, Euclidean((2.0,)), (0.3,)),
-        (build_mean_min("euclidean", atoms, DISTANCE, 4.0), "sppa", H11, Euclidean((0.0, 0.0)), (0.5,)),
+        (median, "sppa", H11, Euclidean((0.0, 0.0)), (0.5,)),
         (segment_argmin(), "sb", H11, Euclidean((2.0, 2.0)), (0.8,)),
+        # Prox and subgradient steps taken at an atom (d == 0) leave the point.
+        (median, "sppa", H11, Euclidean((2.0, 0.0)), (0.5,)),
+        (euclid_two_atom_busemann(), "sb", H11, Euclidean((-1.0, 0.0)), (0.5,)),
+        (r1_single_atom_busemann(), "sb", H11, Euclidean((1.0,)), (0.5,)),
     )
     for problem, algorithm, sched, x0, eps in cases:
         kw = dict(paths=paths, horizon=20, seed=11, epsilons=eps)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,6 +23,12 @@ from fejerlab.spaces import (
     TripodEnd,
     TripodSegment,
     WholeSpace,
+    _direction_cols,
+    _dist_cols,
+    _geodesic_cols,
+    _project_cols,
+    _ray_cols,
+    _sqdist_cols,
     cn_residual,
     contains,
     convex_set_from_spec,
@@ -322,3 +330,95 @@ def test_mixed_space_distance_rejected():
 
     with pytest.raises(ValueError):
         distance(Euclidean((0.0,)), Tripod(0, 1.0))
+
+
+def test_halfspace_projection_rejects_another_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        project_convex(Halfspace((1.0, 0.0), 0.0), Euclidean((1.0, 1.0, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# One Euclidean geometry: a batch of columns equals its points bit for bit
+# ---------------------------------------------------------------------------
+
+# Edge cases: a point exactly on the ball's boundary, (3, 4) at radius 5; the
+# float just outside it, where radius/d is the float below 1 (a correctly
+# rounded quotient of floats d > r never rounds up to 1); the centre of the
+# radius-0 ball; a point with a -0.0 coordinate; the degenerate segment's
+# point; points beyond each infinite side of the box.
+_NEAR = math.nextafter(5.0, math.inf)
+EDGE_POINTS = [
+    (3.0, 4.0), (_NEAR, 0.0), (0.0, 0.0), (0.5, -1.0), (-0.0, 2.5), (1.0, 1.0),
+    (10.0, -7.0), (-3.0, 3.0), (-1e6, 1e6), (2.0, 1.0),
+]
+EDGE_SETS = [
+    WholeSpace(),
+    Ball(Euclidean((0.0, 0.0)), 5.0),
+    Ball(Euclidean((0.5, -1.0)), 0.0),
+    Halfspace((0.6, 0.8), 1.0),
+    Halfspace((1.0, 0.0), -0.0),
+    Box((-1.0, -math.inf), (math.inf, 2.0)),
+    Box((-math.inf, -math.inf), (math.inf, math.inf)),
+    Segment(Euclidean((1.0, 1.0)), Euclidean((1.0, 1.0))),
+    Segment(Euclidean((-1.0, 0.0)), Euclidean((2.0, 1.0))),
+]
+
+
+def _columns(points):
+    return tuple(np.array(col) for col in zip(*points))
+
+
+def _bits(value, rows=len(EDGE_POINTS)):
+    """IEEE bits per path; a column shared by every path is broadcast."""
+    return np.broadcast_to(np.asarray(value, dtype=np.float64), (rows,)).view(np.uint64)
+
+
+def _assert_rows_equal(batch, per_point):
+    """A batch result (a column or a tuple of columns) against the float
+    results of its points, compared as bits (so -0.0 != 0.0)."""
+    if isinstance(batch, tuple):
+        for i, col in enumerate(batch):
+            assert np.array_equal(_bits(col), _bits([p[i] for p in per_point])), i
+    else:
+        assert np.array_equal(_bits(batch), _bits(per_point))
+
+
+def test_batch_geometry_matches_float_geometry():
+    X = _columns(EDGE_POINTS)
+    Y = _columns(EDGE_POINTS[::-1])
+    pairs = list(zip(EDGE_POINTS, EDGE_POINTS[::-1]))
+    _assert_rows_equal(_sqdist_cols(X, Y), [_sqdist_cols(x, y) for x, y in pairs])
+    _assert_rows_equal(_dist_cols(X, Y), [_dist_cols(x, y) for x, y in pairs])
+    d = _dist_cols(X, Y)
+    safe = np.where(d == 0.0, 1.0, d)
+    _assert_rows_equal(
+        _direction_cols(X, Y, safe),
+        [_direction_cols(x, y, s) for (x, y), s in zip(pairs, safe.tolist())],
+    )
+    u = (0.6, -0.8)
+    _assert_rows_equal(_ray_cols(X, u, 2.5), [_ray_cols(x, u, 2.5) for x in EDGE_POINTS])
+    # Per-path parameters including both shortcuts, and float parameters.
+    t = np.array([0.0, 1.0, 0.5, 0.25, 1.0, 0.0, 0.1, 0.9, 1e-17, 1.0 - 1e-16])
+    per_point = [_geodesic_cols(x, y, ti) for (x, y), ti in zip(pairs, t.tolist())]
+    _assert_rows_equal(_geodesic_cols(X, Y, t), per_point)
+    for ti in (0.0, 1.0, 0.3):
+        _assert_rows_equal(_geodesic_cols(X, Y, ti), [_geodesic_cols(x, y, ti) for x, y in pairs])
+
+
+@pytest.mark.parametrize("cset", EDGE_SETS, ids=lambda c: type(c).__name__)
+def test_batch_projection_matches_point_projection(cset):
+    batch = _project_cols(cset, _columns(EDGE_POINTS))
+    _assert_rows_equal(batch, [project_convex(cset, Euclidean(p)).coords for p in EDGE_POINTS])
+    _assert_rows_equal(batch, [_project_cols(cset, p) for p in EDGE_POINTS])
+
+
+def test_float_geometry_keeps_the_point_api_shortcuts():
+    x = Euclidean((3.0, 4.0))
+    assert project_convex(Ball(Euclidean((0.0, 0.0)), 5.0), x) is x  # on the boundary
+    assert project_convex(Halfspace((1.0, 0.0), 3.0), x) is x
+    outside = Euclidean((_NEAR, 0.0))
+    p = project_convex(Ball(Euclidean((0.0, 0.0)), 5.0), outside)
+    assert p is not outside and p.coords[0] < _NEAR
+    c = Euclidean((0.5, -1.0))
+    assert project_convex(Ball(c, 0.0), x) == c
+    assert project_convex(Segment(x, x), Euclidean((9.0, 9.0))) == x
