@@ -14,6 +14,9 @@ alone), the highest number of threads the child ran at once (sampled from
 output (the geometry suite's residuals) are recorded, so a geometry change
 that moves a residual shows up.
 
+Each run also records ``src_lines``, the line count of the tree's
+``fejerlab/*.py`` (what ``wc -l src/fejerlab/*.py`` totals).
+
 Results go under ``runs.<label>`` of the output JSON; other labels already
 in the file are kept, so before and after numbers can share one file:
 
@@ -55,6 +58,11 @@ def _tree_digest(src: pathlib.Path) -> str:
     for path in sorted(src.rglob("*.py")):
         h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def _src_lines(src: pathlib.Path) -> int:
+    """Newlines in the package's modules, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "fejerlab").glob("*.py"))
 
 
 def _thread_sampler(pid: int, peak: list[int], done: threading.Event) -> None:
@@ -140,6 +148,7 @@ def main(argv=None) -> int:
     doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
     doc["runs"][args.label] = {
         "src_sha256": _tree_digest(src),
+        "src_lines": _src_lines(src),
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

@@ -5,9 +5,10 @@ path_index): each step consumes exactly one uniform draw from the path's
 counter-based stream to select an atom/operator index, so trajectories are
 bit-reproducible and independent paths never share randomness.
 
-Every algorithm is described once, by its entry in ``_SPECS``; run
-validation, the rate certificates and the gap windows are all built from
-that entry.  The printed rate functions are
+Every algorithm is described once, by its entry in ``_SPECS``: its one
+step (the runners take it on one point, the ensemble harness on a batch of
+all paths, the one-step audit once per index), run validation, the rate
+certificates and the gap windows.  The printed rate functions are
 
 * proximal (sppa):    rho(eps) = theta(chi(eps / 24 Lbar), (b + 4 L^2 T) / tau(eps/6))
 * Krasnoselskii-Mann (skm):  rho(eps) = theta(0, b / tau(eps/6))
@@ -62,6 +63,8 @@ from .problems import (
 from .spaces import (
     Euclidean,
     Point,
+    WholeSpace,
+    _select,
     contains,
     distance,
     euclid_dim,
@@ -97,19 +100,44 @@ def _sb_lipschitz(problem: BusemannProblem) -> tuple[float, float]:
     return L, L * L
 
 
+# The steps x_{n+1} = step(problem, e_n, lambda_n, x_n).  Each calls the
+# problems/spaces functions by their module names, so a wrapper bound to
+# one of those names sees every call.
+
+
+def _sppa_step(problem: MeanMinProblem, e: int, lam: float, x: Point, images=None) -> Point:
+    return prox_step(problem, e, lam, x)
+
+
+def _skm_step(problem: FixedPointProblem, k: int, lam: float, x: Point, images=None) -> Point:
+    return geodesic_point(x, operator_apply(problem, k, x, images), lam)
+
+
+def _sb_step(problem: BusemannProblem, e: int, t: float, x: Point, images=None) -> Point:
+    xi, s = busemann_subgradient(problem, e, x)
+    # A zero subgradient (x at the drawn atom) leaves x in place.
+    y = x if xi is None else _select(s == 0.0, x, ray_point(x, xi, s * t))
+    return project_convex(problem.constraint, y)
+
+
 @dataclass(frozen=True)
 class _Spec:
-    """What distinguishes one algorithm from another in validation, the rate
-    certificate and the gap window.
+    """What distinguishes one algorithm from another: its step, validation,
+    the rate certificate and the gap window.
 
-    ``lipschitz`` gives (L, Lbar) of the instance, or is None when the
-    analysis has no noise term (then L = Lbar = T = 0); ``noise`` is the f
-    of budget_scale = b + f L^2 T; ``chi_scale`` maps (L, Lbar) to the
-    divisor of eps in the tail witness, or is None when chi is identically
-    zero.
+    ``step(problem, e, lam, x, images=None)`` is the next iterate from x
+    with drawn index e and step lam; e and x may be an index array and a
+    Euclidean batch.  ``images`` = ``operator_images(problem, x)`` spares
+    the Krasnoselskii-Mann step its projections when the caller took them
+    for the gap at x; the other steps ignore it.  ``lipschitz`` gives (L,
+    Lbar) of the instance, or is None when the analysis has no noise term
+    (then L = Lbar = T = 0); ``noise`` is the f of budget_scale = b + f L^2
+    T; ``chi_scale`` maps (L, Lbar) to the divisor of eps in the tail
+    witness, or is None when chi is identically zero.
     """
 
     iteration: str
+    step: Callable[..., Point]
     problem_type: type
     problem_kind: str
     harmonic_only: bool
@@ -124,6 +152,7 @@ class _Spec:
 _SPECS = {
     "sppa": _Spec(
         iteration="proximal",
+        step=_sppa_step,
         problem_type=MeanMinProblem,
         problem_kind="a mean-minimization problem",
         harmonic_only=True,
@@ -136,6 +165,7 @@ _SPECS = {
     ),
     "skm": _Spec(
         iteration="Krasnoselskii-Mann",
+        step=_skm_step,
         problem_type=FixedPointProblem,
         problem_kind="a fixed-point problem",
         harmonic_only=False,
@@ -148,6 +178,7 @@ _SPECS = {
     ),
     "sb": _Spec(
         iteration="subgradient",
+        step=_sb_step,
         problem_type=BusemannProblem,
         problem_kind="a Busemann problem",
         harmonic_only=True,
@@ -231,7 +262,6 @@ class Trajectory:
 
 def _run(
     algorithm: str,
-    step: Callable[[Problem, int, float, Point], Point],
     problem: Problem,
     sched: StepSchedule,
     x0: Point,
@@ -239,9 +269,10 @@ def _run(
     seed: int,
     path_index: int,
 ) -> Trajectory:
-    """x_{n+1} = step(problem, e_n, lambda_n, x_n) with e_n drawn from the
-    path's stream."""
+    """x_{n+1} = step(problem, e_n, lambda_n, x_n) with the algorithm's step
+    and e_n drawn from the path's stream."""
     validate_run(problem, algorithm, sched, x0)
+    step = _SPECS[algorithm].step
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     state = rng.make_state(seed, path_index)
@@ -270,11 +301,7 @@ def run_sppa(
     The schedule must be divergent with summable squares; only harmonic
     schedules are accepted (a constant schedule in particular is rejected).
     """
-    return _run("sppa", prox_step, problem, sched, x0, horizon, seed, path_index)
-
-
-def _skm_step(problem: FixedPointProblem, k: int, lam: float, x: Point) -> Point:
-    return geodesic_point(x, operator_apply(problem, k, x), lam)
+    return _run("sppa", problem, sched, x0, horizon, seed, path_index)
 
 
 def run_skm(
@@ -287,13 +314,7 @@ def run_skm(
 ) -> Trajectory:
     """Randomized Krasnoselskii-Mann: move the fraction lambda_n along the
     geodesic from x_n to T x_n for a randomly drawn projection T."""
-    return _run("skm", _skm_step, problem, sched, x0, horizon, seed, path_index)
-
-
-def _sb_step(problem: BusemannProblem, e: int, t: float, x: Point) -> Point:
-    xi, s = busemann_subgradient(problem, e, x)
-    y = x if s == 0.0 else ray_point(x, xi, s * t)
-    return project_convex(problem.constraint, y)
+    return _run("skm", problem, sched, x0, horizon, seed, path_index)
 
 
 def run_sb(
@@ -307,7 +328,7 @@ def run_sb(
     """Projected Busemann subgradient: move s_n * t_n along the subgradient
     ray of the drawn cost, then project back onto the constraint set.  A
     zero subgradient (x at the drawn atom) leaves the point in place."""
-    return _run("sb", _sb_step, problem, sched, x0, horizon, seed, path_index)
+    return _run("sb", problem, sched, x0, horizon, seed, path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +343,13 @@ def fejer_budget(x0: Point, z: Point, cushion: float) -> float:
         raise ValueError(f"budget cushion must be > 0, got {cushion}")
     d = distance(x0, z)
     return max(d, d * d) + cushion
+
+
+def _reference(problem: Problem, x: Point) -> Point:
+    """The default reference solution z for a start or state x: the solution
+    anchor, or x itself when every point is a solution (then d(x, z) = 0 in
+    any dimension, while the whole space's anchor is a point of the plane)."""
+    return x if isinstance(problem.solution_set, WholeSpace) else problem.solution_anchor
 
 
 def _ingredients(
@@ -409,10 +437,11 @@ def liminf_bound_sb(sched: StepSchedule, b: float, L: float, T: float):
 
 def gap_window(problem: Problem, algorithm: str, sched: StepSchedule, x0: Point):
     """The liminf window phi(eps, N) of a run, with b measured to the
-    solution anchor and L, T from the algorithm's spec."""
+    reference solution (see ``_reference``) and L, T from the algorithm's
+    spec."""
     validate_run(problem, algorithm, sched, x0)
     spec = _SPECS[algorithm]
-    b, L, _, T = _ingredients(spec, problem, sched, x0, problem.solution_anchor)
+    b, L, _, T = _ingredients(spec, problem, sched, x0, _reference(problem, x0))
     args = (b,) if spec.lipschitz is None else (b, L, T)
     # Looked up by name, so a wrapper bound to the module attribute sees it.
     return globals()[f"liminf_bound_{algorithm}"](sched, *args)
@@ -428,7 +457,7 @@ def _certificate(
 ) -> RateCertificate:
     validate_run(problem, algorithm, sched, x0)
     spec = _SPECS[algorithm]
-    z = problem.solution_anchor if z is None else z
+    z = _reference(problem, x0) if z is None else z
     if not contains(problem.solution_set, z):
         raise ValueError("reference point z must lie in the solution set")
     tau = regularity_modulus_for(problem, 2).modulus

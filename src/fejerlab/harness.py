@@ -10,13 +10,15 @@ slice order.  ``CHUNK`` thus fixes the summation order, and the aggregate
 is bit-identical across runs.  Everything runs on the calling thread.
 
 For Euclidean instances one vectorized kernel advances all paths at once,
-one update per step.  It holds the paths' points as coordinate columns and
-builds each step, distance and gap from the Euclidean geometry functions
-of ``spaces`` that the point API wraps, so it runs the scalar runners'
-arithmetic, path by path in each array entry, and equals them bit for
-bit.  The tree and half-plane spaces use the scalar runners, path by path.
-Both kernels stream into one reducer, so memory grows with paths plus the
-horizon, not with their product.
+one update per step.  It holds the paths as one Euclidean batch (a point
+whose coordinates are columns, one entry per path; see ``spaces``) and
+calls the algorithm's own step from ``algorithms._SPECS``, then
+``dist_to_solutions`` and ``gap_F``, on that batch, so it runs the scalar
+runners' arithmetic, path by path in each array entry, and equals them bit
+for bit.  The kernel itself only draws the indices, cuts the horizon into
+blocks and feeds the reducer.  The tree and half-plane spaces use the
+scalar runners, path by path.  Both kernels stream into one reducer, so
+memory grows with paths plus the horizon, not with their product.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algorithms import _SPECS, run_sb, run_skm, run_sppa, validate_run
+from .algorithms import _SPECS, _reference, _run, validate_run
 from .moduli import (
     FastCertificate,
     RateCertificate,
@@ -38,39 +40,19 @@ from .moduli import (
 )
 from .problems import (
     HALF_SQUARED,
-    FixedPointProblem,
     Problem,
     busemann_subgradient,
     dist_to_solutions,
     gap_F,
     mean_cost_exact,
-    operator_apply,
-    prox_step,
+    operator_images,
 )
-from .spaces import (
-    Euclidean,
-    Point,
-    _direction_cols,
-    _dist_cols,
-    _geodesic_cols,
-    _project_cols,
-    _ray_cols,
-    _select,
-    _sqdist_cols,
-    contains,
-    distance,
-    geodesic_point,
-    project_convex,
-    ray_point,
-    sqdist,
-)
+from .spaces import Euclidean, Point, contains, distance, sqdist
 
 # Paths per reduction slice: fixes the summation order of every sum.
 CHUNK = 512
 # Steps per block of the vector kernel's distance and gap buffers.
 BLOCK = 64
-
-_RUNNERS = {"sppa": run_sppa, "skm": run_skm, "sb": run_sb}
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +196,8 @@ def _euclid_kernel(
     # benchmark's tracer counts); each draw is row-wise, so no bit depends
     # on the slicing.
     key_slices = [rng.stream_keys(seed, rows[s : s + CHUNK]) for s in range(0, paths, CHUNK)]
-    # All paths' points as coordinate columns (see spaces._select).
-    X = tuple(np.full(paths, c) for c in x0.coords)
-    if algorithm in ("sppa", "sb"):
-        atom_cols = [np.array(col) for col in zip(*(a.coords for a, _ in problem.atoms))]
-    projections = None
+    step = _SPECS[algorithm].step
+    X = Euclidean(tuple(np.full(paths, c) for c in x0.coords))
     n0, width = 0, _block_width(0, horizon + 1)
     dist, gap = np.empty((paths, width)), np.empty((paths, width))
 
@@ -227,54 +206,15 @@ def _euclid_kernel(
             idx = np.concatenate(
                 [rng.categorical(problem.cum_weights, rng.uniforms(k, n - 1)) for k in key_slices]
             )
-            lam = schedule_value(sched, n - 1)
-            if algorithm == "skm":
-                # The gap at x_{n-1} projected every path onto every set.
-                P = projections[0]
-                for k in range(1, len(projections)):
-                    P = _select(idx == k, projections[k], P)
-                X = _geodesic_cols(X, P, lam)
-            elif algorithm == "sppa" and problem.cost_kind == HALF_SQUARED:
-                X = _geodesic_cols(X, tuple(c[idx] for c in atom_cols), lam / (1.0 + lam))
-            else:
-                # prox_step (distance cost) and _sb_step: a path at its drawn
-                # atom does not move (the sb step still projects it).
-                A = tuple(c[idx] for c in atom_cols)
-                d = _dist_cols(X, A)
-                at_atom = d == 0.0
-                d_safe = _select(at_atom, 1.0, d)
-                if algorithm == "sppa":
-                    t = _select(d < lam, d, lam) / d_safe  # min(lam, d) / d
-                    X = _select(at_atom, X, _geodesic_cols(X, A, t))
-                else:
-                    # Arclength s * lam along the subgradient ray, s = 1.
-                    Y = _ray_cols(X, _direction_cols(X, A, d_safe), 1.0 * lam)
-                    X = _project_cols(problem.constraint, _select(at_atom, X, Y))
-        if algorithm == "skm":
-            projections = [_project_cols(cset, X) for cset in problem.sets]
-        dist[:, n - n0] = _dist_cols(X, _project_cols(problem.solution_set, X))
-        gap[:, n - n0] = _gap_cols(problem, X, projections)
+            # The images the gap took at x_{n-1} serve the step from it.
+            X = step(problem, idx, schedule_value(sched, n - 1), X, images)
+        images = operator_images(problem, X)
+        dist[:, n - n0] = dist_to_solutions(problem, X)
+        gap[:, n - n0] = gap_F(problem, X, images)
         if n - n0 == width - 1:
             red.add(0, n0, dist, gap)
             n0, width = n0 + width, _block_width(n0 + width, horizon + 1)
             dist, gap = np.empty((paths, width)), np.empty((paths, width))
-
-
-def _gap_cols(problem: Problem, X, projections):
-    """gap_F of every path; a fixed-point problem takes the paths'
-    projections onto its sets, in set order."""
-    total = 0.0
-    if isinstance(problem, FixedPointProblem):
-        for P, p in zip(projections, problem.weights):
-            total += p * _sqdist_cols(P, X)
-        return total
-    for a, w in problem.atoms:
-        if problem.cost_kind == HALF_SQUARED:
-            total += w * (0.5 * _sqdist_cols(X, a.coords))
-        else:
-            total += w * _dist_cols(X, a.coords)
-    total = total - problem.min_value
-    return _select(total > 0.0, total, 0.0)
 
 
 def _scalar_kernel(
@@ -286,12 +226,11 @@ def _scalar_kernel(
     seed: int,
     red: _Reducer,
 ) -> None:
-    run = _RUNNERS[algorithm]
     # Path by path; a one-step ensemble goes a chunk at a time (_Reducer.add).
     batch = CHUNK if horizon == 0 else 1
     for start in range(0, red.paths, batch):
         trajs = [
-            run(problem, sched, x0, horizon, seed, path_index=p)
+            _run(algorithm, problem, sched, x0, horizon, seed, p)
             for p in range(start, min(start + batch, red.paths))
         ]
         dist = np.array([[dist_to_solutions(problem, pt, 1) for pt in t.points] for t in trajs])
@@ -332,22 +271,14 @@ def run_ensemble(
     if len(set(epsilons)) != len(epsilons):
         raise ValueError("tail thresholds must be distinct")
 
-    vector_ok = problem.space == "euclidean"
-    if kernel == "auto":
-        use_vector = vector_ok
-    elif kernel == "vector":
-        if not vector_ok:
-            raise ValueError("vectorized kernel is only available in Euclidean spaces")
-        use_vector = True
-    elif kernel == "scalar":
-        use_vector = False
-    else:
+    if kernel not in ("auto", "vector", "scalar"):
         raise ValueError(f"unknown kernel: {kernel!r}")
+    if kernel == "vector" and problem.space != "euclidean":
+        raise ValueError("vectorized kernel is only available in Euclidean spaces")
 
     red = _Reducer(paths, horizon, epsilons)
-    (_euclid_kernel if use_vector else _scalar_kernel)(
-        problem, algorithm, sched, x0, horizon, seed, red
-    )
+    vector = kernel != "scalar" and problem.space == "euclidean"
+    (_euclid_kernel if vector else _scalar_kernel)(problem, algorithm, sched, x0, horizon, seed, red)
     sd, sd2, sd4, sg, sg2 = red.sums
     tail = red.tail_counts()
 
@@ -410,7 +341,7 @@ def fejer_margin(
     """
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
-    z = problem.solution_anchor if z is None else z
+    z = _reference(problem, x) if z is None else z
     if not contains(problem.solution_set, z):
         raise ValueError("reference point z must lie in the solution set")
     d2 = sqdist(x, z)
@@ -421,36 +352,24 @@ def fejer_margin(
     if not isinstance(problem, spec.problem_type):
         raise TypeError(f"one-step audit: {algorithm} needs {spec.problem_kind}")
     weights = problem.weights
+    if algorithm == "skm" and step > 1.0:
+        raise ValueError("relaxation must lie in (0, 1]")
+    if algorithm == "sb" and not contains(problem.constraint, x):
+        raise ValueError("state x must lie in the constraint set")
+    images = operator_images(problem, x)
+    vals = [sqdist(spec.step(problem, e, step, x, images), z) for e in range(len(weights))]
     if algorithm == "skm":
-        if step > 1.0:
-            raise ValueError("relaxation must lie in (0, 1]")
-        vals = [
-            sqdist(geodesic_point(x, operator_apply(problem, k, x), step), z)
-            for k in range(len(problem.sets))
-        ]
-        rhs = d2 - step * (1.0 - step) * gap_F(problem, x)
+        rhs = d2 - step * (1.0 - step) * gap_F(problem, x, images)
     else:
-        if algorithm == "sppa":
-            vals = [
-                sqdist(prox_step(problem, e, step, x), z)
-                for e in range(len(problem.atoms))
-            ]
-            if problem.cost_kind == HALF_SQUARED:
-                # Local Lipschitz constants along the prox segments at x.
-                lips = [distance(x, a) for a, _ in problem.atoms]
-            else:
-                lips = [1.0] * len(problem.atoms)
-            l_sq = math.fsum(w * l * l for w, l in zip(weights, lips))
-        else:  # sb
-            if not contains(problem.constraint, x):
-                raise ValueError("state x must lie in the constraint set")
-            vals = []
-            l_sq = 0.0
-            for e, (_, w) in enumerate(problem.atoms):
-                xi, s = busemann_subgradient(problem, e, x)
-                y = x if s == 0.0 else project_convex(problem.constraint, ray_point(x, xi, s * step))
-                vals.append(sqdist(y, z))
-                l_sq += w * s * s
+        if algorithm == "sb":
+            # The subgradient weights s: 1, or 0 at the atom.
+            lips = [busemann_subgradient(problem, e, x)[1] for e in range(len(weights))]
+        elif problem.cost_kind == HALF_SQUARED:
+            # Local Lipschitz constants along the prox segments at x.
+            lips = [distance(x, a) for a, _ in problem.atoms]
+        else:
+            lips = [1.0] * len(weights)
+        l_sq = math.fsum(w * l * l for w, l in zip(weights, lips))
         drop = mean_cost_exact(problem, x) - mean_cost_exact(problem, z)
         rhs = d2 - 2.0 * step * drop + spec.noise * step * step * l_sq
 

@@ -230,6 +230,21 @@ def schedule_square_sum_bound(sched: StepSchedule) -> float:
     return t
 
 
+def _least_index(holds: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least n > lo with holds(n), for a predicate that is false at lo
+    and monotone (false, then true) above it: double hi until it holds,
+    then bisect."""
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 # ---------------------------------------------------------------------------
 # Tail-rate witness chi
 # ---------------------------------------------------------------------------
@@ -283,17 +298,7 @@ def tail_rate_chi(sched: StepSchedule, transform, eps: float) -> int:
 
     if tail(0) < eps:
         return 0
-    hi = 1
-    while tail(hi) >= eps:
-        hi *= 2
-    lo = hi // 2  # tail(lo) >= eps
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail(mid) < eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _least_index(lambda n: tail(n) < eps, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +401,10 @@ def _harmonic_theta(sched: Harmonic, mean: bool, k: int, b: float) -> int:
     if mean:
         budget_id = b + a * a * float(mpmath.polygamma(1, k + s))
     log_hi = budget_id / a + math.log(k + s)
+    # Both searches start from the integral bound and from partial(k-1) = 0 < b.
     if log_hi < 27.0:  # witness below ~5e11: float digamma resolves it
         hi = int(math.ceil((k + s) * math.exp(budget_id / a))) + 2
-        while _harmonic_partial(a, s, k, hi, mean) < b:
-            hi *= 2
-        lo = k - 1  # partial(k-1) = 0 < b
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _harmonic_partial(a, s, k, mid, mean) >= b:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return _least_index(lambda m: _harmonic_partial(a, s, k, m, mean) >= b, k - 1, hi)
     dps = 40 + int(0.44 * budget_id / a)
     if dps > _MAX_DPS:
         # Integral bound: sum_{n=k}^{m} a/(n+s) >= a ln((m+s+1)/(k+s)), so
@@ -424,16 +421,9 @@ def _harmonic_theta(sched: Harmonic, mean: bool, k: int, b: float) -> int:
         ks = mpmath.mpf(k) + s
         at_k = (mpmath.digamma(ks), mpmath.polygamma(1, ks) if mean else None)
         hi = int(mpmath.ceil((k + s) * mpmath.e ** (mpmath.mpf(budget_id) / a))) + 2
-        while _harmonic_partial_mp(a, s, k, hi, mean, at_k) < b:
-            hi *= 2
-        lo = k - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _harmonic_partial_mp(a, s, k, mid, mean, at_k) >= b:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return _least_index(
+            lambda m: _harmonic_partial_mp(a, s, k, m, mean, at_k) >= b, k - 1, hi
+        )
 
 
 # ---------------------------------------------------------------------------

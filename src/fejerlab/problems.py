@@ -16,6 +16,12 @@ All integrals are exact finite sums, so regularity validation carries no
 Monte-Carlo error.  Solution sets are derived in closed form at
 construction; instance shapes without a known closed form are rejected
 rather than approximated.
+
+The per-sample maps, ``gap_F`` and ``dist_to_solutions`` also take a
+Euclidean batch (see :mod:`fejerlab.spaces`), with an index array of each
+path's drawn atom or operator.  Their branches (x at the drawn atom, the
+drawn set, max(0, .)) go through ``spaces._select``, so a batch equals its
+points bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .spaces import (
     TripodEnd,
     TripodSegment,
     _direction_cols,
+    _select,
     contains,
     distance,
     euclid_dim,
@@ -398,6 +405,14 @@ def sample_index(problem: Problem, state: rng.RngState) -> tuple[int, rng.RngSta
     return int(rng.categorical(problem.cum_weights, u)), state
 
 
+def _atom(problem, e) -> Point:
+    """The e-th atom; for an index array, the batch of each path's atom."""
+    if not isinstance(e, np.ndarray):
+        return problem.atoms[e][0]
+    table = np.array([a.coords for a, _ in problem.atoms])
+    return Euclidean(tuple(table[e, i] for i in range(table.shape[1])))
+
+
 def cost(problem, e: int, x: Point) -> float:
     """Per-sample cost f(e, x)."""
     a = problem.atoms[e][0]
@@ -417,16 +432,21 @@ def mean_cost_exact(problem, x: Point) -> float:
     return total
 
 
-def gap_F(problem: Problem, x: Point) -> float:
+def gap_F(problem: Problem, x: Point, images=None) -> float:
     """The optimality gap F(x): f_bar(x) - min f_bar for minimization
     instances, the mean squared displacement sum_i p_i d^2(T_i x, x) for
-    fixed-point instances.  Zero exactly on the solution set."""
+    fixed-point instances.  Zero exactly on the solution set.
+
+    ``images`` may pass ``operator_images(problem, x)`` when the caller
+    already has them (the ensemble shares them with the step from x)."""
     if isinstance(problem, FixedPointProblem):
+        images = operator_images(problem, x) if images is None else images
         total = 0.0
-        for cset, p in zip(problem.sets, problem.weights):
-            total += p * sqdist(project_convex(cset, x), x)
+        for y, p in zip(images, problem.weights):
+            total += p * sqdist(y, x)
         return total
-    return max(0.0, mean_cost_exact(problem, x) - problem.min_value)
+    gap = mean_cost_exact(problem, x) - problem.min_value
+    return _select(gap > 0.0, gap, 0.0)  # max(0.0, gap)
 
 
 def dist_to_solutions(problem: Problem, x: Point, q: int = 1) -> float:
@@ -441,19 +461,33 @@ def prox_step(problem: MeanMinProblem, e: int, lam: float, x: Point) -> Point:
     """Closed-form proximal point of f(e, .) with step lam at x."""
     if not lam > 0.0:
         raise ValueError(f"prox step must be > 0, got {lam}")
-    a = problem.atoms[e][0]
+    a = _atom(problem, e)
     if problem.cost_kind == HALF_SQUARED:
         return geodesic_point(x, a, lam / (1.0 + lam))
+    # Move min(lam, d) toward the atom; at the atom (d = 0) t = 0 keeps x.
     d = distance(x, a)
-    if d == 0.0:
-        return x
-    t = min(lam, d) / d
+    t = _select(d < lam, d, lam) / _select(d == 0.0, 1.0, d)
     return geodesic_point(x, a, t)
 
 
-def operator_apply(problem: FixedPointProblem, k: int, x: Point) -> Point:
-    """T_k x, the metric projection onto the k-th set."""
-    return project_convex(problem.sets[k], x)
+def operator_images(problem: Problem, x: Point) -> tuple[Point, ...] | None:
+    """(T_1 x, ..., T_m x): x projected onto every operator set of a
+    fixed-point problem, in set order; None for the other problems."""
+    if not isinstance(problem, FixedPointProblem):
+        return None
+    return tuple(project_convex(cset, x) for cset in problem.sets)
+
+
+def operator_apply(problem: FixedPointProblem, k: int, x: Point, images=None) -> Point:
+    """T_k x, the metric projection onto the k-th set.  For a batch, k holds
+    each path's index and T_k x is picked from ``images`` =
+    ``operator_images(problem, x)`` (computed here when not passed)."""
+    if images is None and not isinstance(k, np.ndarray):
+        return project_convex(problem.sets[k], x)
+    y, *rest = operator_images(problem, x) if images is None else images
+    for j, image in enumerate(rest, 1):
+        y = _select(k == j, image, y)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +503,19 @@ def busemann_subgradient(
     For x != a_e the subgradient is the ideal point of the geodesic ray that
     starts at x, passes through a_e, and continues to infinity (the descent
     direction of the distance cost), with weight s = 1; at x = a_e the zero
-    element (s = 0) is returned.
+    element (s = 0) is returned.  A batch gets a batch of directions and
+    one s per path; a path at its atom has s = 0 and the placeholder
+    direction e_1, which its zero step ignores.
     """
-    a = problem.atoms[e][0]
+    a = _atom(problem, e)
     d = distance(x, a)
-    if d == 0.0:
+    if not isinstance(d, np.ndarray) and d == 0.0:
         return None, 0.0
     if isinstance(x, Euclidean):
-        return EuclideanDir(_direction_cols(x.coords, a.coords, d)), 1.0
+        at_atom = d == 0.0
+        u = _direction_cols(x.coords, a.coords, _select(at_atom, 1.0, d))
+        e1 = (1.0,) + (0.0,) * (len(u) - 1)
+        return EuclideanDir(_select(at_atom, e1, u)), _select(at_atom, 0.0, 1.0)
     # Tripod: classify how the geodesic from x arrives at a and extend it.
     if a.coord == 0.0:
         # The ray descends x's ray through the origin; continue along the

@@ -13,8 +13,12 @@ and the two residuals used to certify the geometry numerically: the CN
 (quadratic convexity) inequality along geodesics and the weak quasi-triangle
 inequality for the d^q family.
 
-Euclidean geometry is written once, on coordinate columns: the point API
-wraps it for one point, the ensemble harness runs it on all paths at once.
+Euclidean geometry is written once, on coordinate columns.  A Euclidean
+point's coordinates are floats, or 1-D float64 arrays with one entry per
+path: such a point is a *batch*, and the point API runs on it unchanged,
+path by path in each array entry.  Every branch a batch can take per path
+goes through one select, so a batch equals its points bit for bit; the
+ensemble harness advances all its paths as one batch.
 
 All geometric tolerances are the single constant :data:`GEOM_TOL`.
 """
@@ -45,16 +49,30 @@ _VERTICAL_EPS = 1e-13
 # ---------------------------------------------------------------------------
 
 
+def _float_cols(cols) -> tuple:
+    """Coordinates as floats; a batch's columns as float64 arrays."""
+    return tuple(np.asarray(c, np.float64) if isinstance(c, np.ndarray) else float(c) for c in cols)
+
+
+# Whether a condition holds: for a batch, on some path or on every path.
+def _any(cond) -> bool:
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _all(cond) -> bool:
+    return cond.all() if isinstance(cond, np.ndarray) else cond
+
+
 @dataclass(frozen=True)
 class Euclidean:
-    """A point of R^d, d >= 1."""
+    """A point of R^d, d >= 1, or a batch of them (see the module notes)."""
 
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
             raise ValueError("Euclidean point needs dimension >= 1")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        object.__setattr__(self, "coords", _float_cols(self.coords))
 
 
 @dataclass(frozen=True)
@@ -209,14 +227,15 @@ ConvexSet = Union[WholeSpace, Ball, Halfspace, Box, TripodSegment, Segment]
 
 @dataclass(frozen=True)
 class EuclideanDir:
-    """Unit vector of R^d (equivalence class of parallel rays)."""
+    """Unit vector of R^d (equivalence class of parallel rays), or a batch
+    of them with one entry per path in each column."""
 
     vector: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        v = tuple(float(c) for c in self.vector)
-        nrm = math.sqrt(sum(c * c for c in v))
-        if abs(nrm - 1.0) > 1e-12:
+        v = _float_cols(self.vector)
+        nrm = sum(c * c for c in v) ** 0.5
+        if _any(abs(nrm - 1.0) > 1e-12):
             raise ValueError(f"direction must be a unit vector, |v|={nrm}")
         object.__setattr__(self, "vector", v)
 
@@ -266,9 +285,11 @@ def euclid_dim(cset: ConvexSet) -> int | None:
 def _select(cond, a, b):
     """``a`` where ``cond`` holds, else ``b``: a bool picks one side whole (a
     point keeps its identity), a boolean array picks per path, column by
-    column for points."""
+    column for coordinate tuples and Euclidean points."""
     if not isinstance(cond, np.ndarray):
         return a if cond else b
+    if isinstance(a, Euclidean):
+        return Euclidean(_select(cond, a.coords, b.coords))
     if isinstance(a, tuple):
         return tuple(np.where(cond, ai, bi) for ai, bi in zip(a, b))
     return np.where(cond, a, b)
@@ -405,16 +426,21 @@ def _halfplane_point_at(c: float, r: float, u: float) -> HalfPlane:
 
 
 def geodesic_point(x: Point, y: Point, t: float) -> Point:
-    """The point (1-t)x (+) t y on the unique geodesic from x to y."""
+    """The point (1-t)x (+) t y on the unique geodesic from x to y: x itself
+    at t = 0, y itself at t = 1.  For a Euclidean batch t may hold one
+    parameter per path."""
     _require_same_space(x, y)
+    if isinstance(x, Euclidean):
+        if not _all((0.0 <= t) & (t <= 1.0)):
+            raise ValueError(f"geodesic parameter must be in [0,1], got {t}")
+        p = _geodesic_cols(x.coords, y.coords, t)
+        return x if p is x.coords else y if p is y.coords else Euclidean(p)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geodesic parameter must be in [0,1], got {t}")
     if t == 0.0:
         return x
     if t == 1.0:
         return y
-    if isinstance(x, Euclidean):
-        return Euclidean(_geodesic_cols(x.coords, y.coords, t))
     if isinstance(x, Tripod):
         if x.coord == 0.0:
             return Tripod(y.ray, t * y.coord)
@@ -437,8 +463,8 @@ def geodesic_point(x: Point, y: Point, t: float) -> Point:
 
 def ray_point(x: Point, direction: Direction, s: float) -> Point:
     """The point at arclength s >= 0 on the geodesic ray from x toward
-    the ideal direction."""
-    if s < 0.0:
+    the ideal direction (per path for a Euclidean batch)."""
+    if _any(s < 0.0):
         raise ValueError(f"ray arclength must be >= 0, got {s}")
     if isinstance(x, Euclidean):
         if not isinstance(direction, EuclideanDir):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from fejerlab.algorithms import (
+    _SPECS,
     certificate_sb,
     certificate_skm,
     certificate_sppa,
@@ -32,18 +34,22 @@ from fejerlab.moduli import (
     tail_rate_chi,
 )
 from fejerlab.problems import (
+    DISTANCE,
     HALF_SQUARED,
     NoModulusKnownError,
     build_fixed_point,
     build_mean_min,
+    dist_to_solutions,
     euclid_two_atom_busemann,
+    gap_F,
     operator_apply,
+    operator_images,
     r1_single_atom_busemann,
     segment_argmin,
     tripod_median,
     two_halfspace,
 )
-from fejerlab.spaces import Box, Euclidean, Tripod, WholeSpace, distance
+from fejerlab.spaces import Box, Euclidean, Halfspace, Tripod, WholeSpace, distance
 
 H11 = Harmonic(1.0, 1.0)
 
@@ -358,3 +364,92 @@ def test_fast_certificate_preconditions():
 def test_fast_certificate_zero_start():
     cert, _ = fast_certificate_skm(two_halfspace(), 2.0, 16, Euclidean((-1.0, -1.0)))
     assert cert.u == 0.0
+
+
+# ---------------------------------------------------------------------------
+# One step per algorithm: a batch of paths equals its points bit for bit
+# ---------------------------------------------------------------------------
+
+# Starts for the batch: the atoms (-1, 0) and (1, 0) of the Busemann
+# problems and (2, 0) of the median, also with a -0.0 coordinate (a path at
+# its atom must keep it), points inside and outside the skm sets, and
+# points closer to an atom than a step.
+BATCH_POINTS = [
+    (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0), (-0.0, 2.5), (0.5, -0.0), (3.0, -4.0),
+    (-2.0, 0.25), (2.0, 1e-9), (-1.0, 1.0), (0.0, 0.0), (-1.0, 1e-12), (2.5, 2.5),
+    (-1.0, -0.0), (2.0, -0.0),
+]
+_MEDIAN = build_mean_min(
+    "euclidean", ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3)), DISTANCE, 4.0
+)
+_FRECHET_2D = build_mean_min(
+    "euclidean",
+    ((Euclidean((0.0, 1.0)), 0.3), (Euclidean((2.0, -1.0)), 0.5), (Euclidean((-1.0, -0.5)), 0.2)),
+    HALF_SQUARED,
+    4.0,
+)
+_BOX_HALFSPACE = build_fixed_point(
+    "euclidean",
+    (Box((-math.inf, -1.0), (1.0, math.inf)), Halfspace((0.0, 1.0), 0.5)),
+    (0.4, 0.6),
+    2.0,
+)
+BATCH_CASES = [
+    # Distance costs: paths at an atom stay; then a step longer than every distance.
+    pytest.param("sppa", _MEDIAN, 0.5, id="sppa-distance"),
+    pytest.param("sppa", _MEDIAN, 3.0, id="sppa-distance-long-step"),
+    pytest.param("sppa", _FRECHET_2D, 0.7, id="sppa-half-squared"),
+    pytest.param("skm", _BOX_HALFSPACE, 0.6, id="skm-box-halfspace"),
+    pytest.param("skm", _BOX_HALFSPACE, 1.0, id="skm-box-halfspace-unit"),
+    # Paths at an atom stay (and are projected).
+    pytest.param("sb", euclid_two_atom_busemann(), 0.4, id="sb-two-atoms"),
+    pytest.param("sb", segment_argmin(), 2.0, id="sb-segment"),
+]
+
+
+def _bits(values):
+    """IEEE bits per path (so -0.0 != 0.0); a float every path shares is
+    broadcast."""
+    arr = np.broadcast_to(np.asarray(values, dtype=np.float64), (len(BATCH_POINTS),))
+    return arr.view(np.uint64)
+
+
+def _assert_batch_is_its_points(batch, points):
+    if isinstance(batch, Euclidean):
+        for i, col in enumerate(batch.coords):
+            assert np.array_equal(_bits(col), _bits([p.coords[i] for p in points])), i
+    else:
+        assert np.array_equal(_bits(batch), _bits(points))
+
+
+@pytest.mark.parametrize("algorithm,problem,lam", BATCH_CASES)
+def test_batch_step_gap_and_distance_match_the_points(algorithm, problem, lam):
+    step = _SPECS[algorithm].step
+    points = [Euclidean(p) for p in BATCH_POINTS]
+    batch = Euclidean(tuple(np.array(col) for col in zip(*BATCH_POINTS)))
+    terms = len(problem.weights)
+    for shift in range(terms):
+        idx = (np.arange(len(points)) + shift) % terms
+        moved = [step(problem, int(e), lam, x) for e, x in zip(idx, points)]
+        _assert_batch_is_its_points(step(problem, idx, lam, batch), moved)
+        # The skm step reads the images the gap took, with the same bits.
+        shared = step(problem, idx, lam, batch, operator_images(problem, batch))
+        _assert_batch_is_its_points(shared, moved)
+    _assert_batch_is_its_points(gap_F(problem, batch), [gap_F(problem, x) for x in points])
+    _assert_batch_is_its_points(
+        gap_F(problem, batch, operator_images(problem, batch)), [gap_F(problem, x) for x in points]
+    )
+    _assert_batch_is_its_points(
+        dist_to_solutions(problem, batch), [dist_to_solutions(problem, x) for x in points]
+    )
+
+
+def test_one_point_steps_keep_their_shortcuts():
+    # A point at its drawn atom is returned itself by both steps that can
+    # stand still, and a unit relaxation lands on the projection itself.
+    x = Euclidean((2.0, 0.0))
+    assert _SPECS["sppa"].step(_MEDIAN, 0, 0.5, x) is x
+    p = euclid_two_atom_busemann()
+    assert _SPECS["sb"].step(p, 0, 0.4, Euclidean((-1.0, 0.0))) == Euclidean((-1.0, 0.0))
+    y = Euclidean((3.0, 3.0))
+    assert _SPECS["skm"].step(_BOX_HALFSPACE, 1, 1.0, y) == operator_apply(_BOX_HALFSPACE, 1, y)

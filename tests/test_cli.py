@@ -535,3 +535,23 @@ def test_operator_set_of_another_space_is_an_input_error(tmp_path, capsys):
     rc = run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x_"))
     assert rc == 1
     assert "outside the declared space" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("audit", [
+    {"epsilons": [1.0], "liminf": {"epsilon": 1.0, "start": 0}},
+    {"epsilons": [1.0], "lambda": 0.1},
+], ids=["gap_window", "rate"])
+def test_whole_space_audit_from_a_three_dimensional_start(tmp_path, capsys, audit):
+    # Every point solves a single whole-space operator, so b measures d(x0, x0)
+    # = 0, in the start's own dimension.
+    cfg = rate_config(paths=4, horizon=20)
+    cfg["problem"] = {
+        "kind": "fixed_point",
+        "space": "euclidean",
+        "operators": [{"set": {"kind": "whole_space"}, "weight": 1.0}],
+    }
+    cfg["x0"] = {"space": "euclidean", "coords": [1.0, 1.0, 1.0]}
+    cfg["audit"] = audit
+    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "w_"))
+    assert rc == 0, capsys.readouterr().err
+    assert "FAIL" not in capsys.readouterr().out

@@ -37,6 +37,7 @@ from fejerlab.harness import (
 from fejerlab.moduli import Constant, Harmonic
 from fejerlab.problems import (
     DISTANCE,
+    build_fixed_point,
     build_mean_min,
     dist_to_solutions,
     euclid_two_atom_busemann,
@@ -47,7 +48,7 @@ from fejerlab.problems import (
     tripod_median,
     two_halfspace,
 )
-from fejerlab.spaces import Euclidean, Tripod
+from fejerlab.spaces import Euclidean, Tripod, WholeSpace
 
 H11 = Harmonic(1.0, 1.0)
 EPS = (0.5, 1.0)
@@ -135,6 +136,19 @@ def test_vector_scalar_parity_ragged_last_chunk(paths):
         v = run_ensemble(problem, algorithm, sched, x0, kernel="vector", **kw)
         s = run_ensemble(problem, algorithm, sched, x0, kernel="scalar", **kw)
         assert_stats_equal(v, s)
+
+
+def test_vector_skm_projects_once_per_set_and_step(monkeypatch):
+    # Per step: one projection onto each of the two half-spaces, shared by
+    # the gap and the step, and one onto the solution set for the distance.
+    from fejerlab import spaces
+
+    problem, x0, horizon = two_halfspace(), Euclidean((1.0, 1.0)), 9
+    calls = []
+    project = spaces._project_cols
+    monkeypatch.setattr(spaces, "_project_cols", lambda cset, x: calls.append(cset) or project(cset, x))
+    run_ensemble(problem, "skm", Constant(0.5), x0, 7, horizon, 1, EPS, kernel="vector")
+    assert len(calls) == 3 * (horizon + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +389,13 @@ def test_fejer_margin_exact_sb():
 def test_fejer_margin_exact_sppa():
     m = fejer_margin(tripod_median(), "sppa", Tripod(1, 1.5), 0.7)
     assert m.stderr == 0.0 and m.slack >= -1e-10
+
+
+def test_fejer_margin_on_the_whole_space_in_three_dimensions():
+    # Every point is a solution, so z defaults to the state itself.
+    whole = build_fixed_point("euclidean", (WholeSpace(),), (1.0,), 1.0)
+    m = fejer_margin(whole, "skm", Euclidean((1.0, 2.0, 3.0)), 0.5)
+    assert (m.lhs, m.rhs, m.slack) == (0.0, 0.0, 0.0)
 
 
 def test_fejer_margin_monte_carlo_reproducible():
