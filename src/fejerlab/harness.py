@@ -9,16 +9,18 @@ slice of ``CHUNK`` paths in path order, the slice sums added in ascending
 slice order.  ``CHUNK`` thus fixes the summation order, and the aggregate
 is bit-identical across runs.  Everything runs on the calling thread.
 
-For Euclidean instances one vectorized kernel advances all paths at once,
-one update per step.  It holds the paths as one Euclidean batch (a point
-whose coordinates are columns, one entry per path; see ``spaces``) and
-calls the algorithm's own step from ``algorithms._SPECS``, then
-``dist_to_solutions`` and ``gap_F``, on that batch, so it runs the scalar
-runners' arithmetic, path by path in each array entry, and equals them bit
-for bit.  The kernel itself only draws the indices, cuts the horizon into
-blocks and feeds the reducer.  The tree and half-plane spaces use the
-scalar runners, path by path.  Both kernels stream into one reducer, so
-memory grows with paths plus the horizon, not with their product.
+One kernel runs every ensemble, step-major: each step advances every
+batch of paths by the algorithm's own step from ``algorithms._SPECS``, then
+takes ``dist_to_solutions`` and ``gap_F`` at the new points, so it runs the
+scalar runners' arithmetic and equals them bit for bit.  A Euclidean
+ensemble is one batch of all paths (a point whose coordinates are columns,
+one entry per path; see ``spaces``); the tree and half-plane spaces, and
+``kernel="scalar"``, take one batch per path.  Only the draws differ
+between the widths: the wide batch draws a column of indices per slice of
+streams, a batch of one draws its index from its own stream state.  The
+kernel streams the distances and gaps into one reducer a block of steps at
+a time, so memory grows with paths plus the horizon, not with their
+product.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algorithms import _SPECS, _reference, _run, validate_run
+from .algorithms import _SPECS, _reference, validate_run
 from .moduli import (
     FastCertificate,
     RateCertificate,
@@ -46,12 +48,13 @@ from .problems import (
     gap_F,
     mean_cost_exact,
     operator_images,
+    sample_index,
 )
 from .spaces import Euclidean, Point, contains, distance, sqdist
 
 # Paths per reduction slice: fixes the summation order of every sum.
 CHUNK = 512
-# Steps per block of the vector kernel's distance and gap buffers.
+# Steps per block of the kernel's distance and gap buffers.
 BLOCK = 64
 
 
@@ -115,14 +118,12 @@ def tail_probability(stats: EnsembleStats, n: int, eps: float) -> float:
 
 class _Reducer:
     """Folds per-path distances and gaps into the ensemble sums, a block of
-    paths x steps at a time, without keeping (paths x horizon) matrices.
+    steps at a time, without keeping (paths x horizon) matrices.
 
     Sums over paths run per ``CHUNK``-row slice, in path order, and the
-    slice sums are added in ascending slice order; a slice fed path by path
-    gives the same bits as one fed whole, because NumPy's ``sum(axis=0)`` of
-    a contiguous multi-column array adds the rows one after another.
-    Threshold counts are exact integers: the running-sup tail at n counts
-    the paths whose last index with dist >= eps is at least n.
+    slice sums are added in ascending slice order.  Threshold counts are
+    exact integers: the running-sup tail at n counts the paths whose last
+    index with dist >= eps is at least n.
     """
 
     def __init__(self, paths: int, horizon: int, epsilons) -> None:
@@ -130,38 +131,28 @@ class _Reducer:
         self.epsilons = epsilons
         # Rows: sums of dist, dist^2, dist^4, gap, gap^2.
         self.sums = np.zeros((5, horizon + 1))
-        self.partial = np.zeros((5, horizon + 1))
         self.point = np.zeros((len(epsilons), horizon + 1), dtype=np.int64)
         self.last = np.full((len(epsilons), paths), -1, dtype=np.int64)
 
-    def add(self, start: int, n0: int, dist: np.ndarray, gap: np.ndarray) -> None:
-        """Take dist and gap, both (paths, steps), of the paths start,
-        start+1, ... at the steps n0, n0+1, ....  For each step the paths
-        must arrive in order, and a one-step block must hold whole chunks
-        (NumPy sums a single column pairwise, not row by row)."""
-        stop = start + len(dist)
+    def add(self, n0: int, dist: np.ndarray, gap: np.ndarray) -> None:
+        """Take dist and gap, both (paths, steps), of every path at the steps
+        n0, n0+1, ....  A block of one step is summed pairwise down its
+        column, a wider one row after row (see ``_block_width``)."""
         cols = slice(n0, n0 + dist.shape[1])
         sq = dist * dist
         moments = (dist, sq, sq * sq, gap, gap * gap)
-        for chunk in range(start // CHUNK, (stop - 1) // CHUNK + 1):
-            lo, hi = chunk * CHUNK, min(self.paths, (chunk + 1) * CHUNK)
-            a, z = max(start, lo), min(stop, hi)
-            s = np.stack([m[a - start : z - start].sum(axis=0) for m in moments])
-            if a == lo:
-                self.partial[:, cols] = s
+        for lo in range(0, self.paths, CHUNK):
+            s = np.stack([m[lo : lo + CHUNK].sum(axis=0) for m in moments])
+            if lo == 0:
+                self.sums[:, cols] = s
             else:
-                self.partial[:, cols] += s
-            if z == hi:
-                if chunk == 0:
-                    self.sums[:, cols] = self.partial[:, cols]
-                else:
-                    self.sums[:, cols] += self.partial[:, cols]
+                self.sums[:, cols] += s
         for i, e in enumerate(self.epsilons):
             hit = dist >= e
-            self.point[i, cols] += hit.sum(axis=0)
+            self.point[i, cols] = hit.sum(axis=0)
             seen = hit.any(axis=1)
             last = n0 + hit.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)
-            self.last[i, start:stop][seen] = last[seen]
+            self.last[i][seen] = last[seen]
 
     def tail_counts(self) -> np.ndarray:
         """Per threshold and n, the number of paths with sup_{m >= n}
@@ -175,49 +166,26 @@ class _Reducer:
 
 
 def _block_width(n0: int, total: int) -> int:
-    """Steps in the vector kernel's block starting at n0: ``BLOCK``, or one
-    more rather than leave a one-step block behind (see ``_Reducer.add``)."""
+    """Steps in the kernel's block starting at n0: ``BLOCK``, or one more
+    rather than leave a one-step block behind.  NumPy sums the rows of a
+    wider block one after another but a single column pairwise, so only a
+    one-step ensemble has a one-step block."""
     width = min(BLOCK, total - n0)
     return width + 1 if total - n0 - width == 1 else width
 
 
-def _euclid_kernel(
-    problem: Problem,
-    algorithm: str,
-    sched: StepSchedule,
-    x0: Euclidean,
-    horizon: int,
-    seed: int,
-    red: _Reducer,
-) -> None:
-    paths = red.paths
-    rows = np.arange(paths)
-    # Draws are taken per CHUNK slice of streams (the call pattern the
-    # benchmark's tracer counts); each draw is row-wise, so no bit depends
-    # on the slicing.
-    key_slices = [rng.stream_keys(seed, rows[s : s + CHUNK]) for s in range(0, paths, CHUNK)]
-    step = _SPECS[algorithm].step
-    X = Euclidean(tuple(np.full(paths, c) for c in x0.coords))
-    n0, width = 0, _block_width(0, horizon + 1)
-    dist, gap = np.empty((paths, width)), np.empty((paths, width))
-
-    for n in range(horizon + 1):
-        if n:
-            idx = np.concatenate(
-                [rng.categorical(problem.cum_weights, rng.uniforms(k, n - 1)) for k in key_slices]
-            )
-            # The images the gap took at x_{n-1} serve the step from it.
-            X = step(problem, idx, schedule_value(sched, n - 1), X, images)
-        images = operator_images(problem, X)
-        dist[:, n - n0] = dist_to_solutions(problem, X)
-        gap[:, n - n0] = gap_F(problem, X, images)
-        if n - n0 == width - 1:
-            red.add(0, n0, dist, gap)
-            n0, width = n0 + width, _block_width(n0 + width, horizon + 1)
-            dist, gap = np.empty((paths, width)), np.empty((paths, width))
+def _draw(problem: Problem, state, counter: int):
+    """A batch's drawn indices and its next draw state.  A batch of one
+    draws from its stream state; the wide batch's state is its keys, and it
+    draws once per ``CHUNK`` slice of them (the call pattern the benchmark's
+    tracer counts; each draw is row-wise, so no bit depends on the slicing)."""
+    if isinstance(state, rng.RngState):
+        return sample_index(problem, state)
+    idx = [rng.categorical(problem.cum_weights, rng.uniforms(k, counter)) for k in state]
+    return np.concatenate(idx), state
 
 
-def _scalar_kernel(
+def _kernel(
     problem: Problem,
     algorithm: str,
     sched: StepSchedule,
@@ -225,17 +193,40 @@ def _scalar_kernel(
     horizon: int,
     seed: int,
     red: _Reducer,
+    wide: bool,
 ) -> None:
-    # Path by path; a one-step ensemble goes a chunk at a time (_Reducer.add).
-    batch = CHUNK if horizon == 0 else 1
-    for start in range(0, red.paths, batch):
-        trajs = [
-            _run(algorithm, problem, sched, x0, horizon, seed, p)
-            for p in range(start, min(start + batch, red.paths))
-        ]
-        dist = np.array([[dist_to_solutions(problem, pt, 1) for pt in t.points] for t in trajs])
-        gap = np.array([[gap_F(problem, pt) for pt in t.points] for t in trajs])
-        red.add(start, 0, dist, gap)
+    """Each step advances every batch, then records the distances and gaps
+    at its new points; a block of steps at a time goes to the reducer.  A
+    batch is [rows, point, draw state, operator images at the point]: all
+    rows and a Euclidean batch when wide, else one path's row and point."""
+    paths = red.paths
+    if wide:
+        starts = range(0, paths, CHUNK)
+        keys = [rng.stream_keys(seed, np.arange(s, min(s + CHUNK, paths))) for s in starts]
+        X = Euclidean(tuple(np.full(paths, c) for c in x0.coords))
+        batches = [[slice(None), X, keys, None]]
+    else:
+        batches = [[p, x0, rng.make_state(seed, p), None] for p in range(paths)]
+    step = _SPECS[algorithm].step
+    n0, width = 0, _block_width(0, horizon + 1)
+    dist, gap = np.empty((paths, width)), np.empty((paths, width))
+
+    for n in range(horizon + 1):
+        lam = schedule_value(sched, n - 1) if n else None
+        for b in batches:
+            rows, x, state, images = b
+            if n:
+                e, state = _draw(problem, state, n - 1)
+                # The images the gap took at x_{n-1} serve the step from it.
+                x = step(problem, e, lam, x, images)
+            images = operator_images(problem, x)
+            dist[rows, n - n0] = dist_to_solutions(problem, x)
+            gap[rows, n - n0] = gap_F(problem, x, images)
+            b[1:] = x, state, images
+        if n - n0 == width - 1:
+            red.add(n0, dist, gap)
+            n0, width = n0 + width, _block_width(n0 + width, horizon + 1)
+            dist, gap = np.empty((paths, width)), np.empty((paths, width))
 
 
 def run_ensemble(
@@ -252,11 +243,13 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run `paths` independent trajectories and aggregate their statistics.
 
-    ``kernel`` selects the path evaluator: "auto" uses the vectorized
-    Euclidean kernel when available, "scalar" forces per-path runs (useful
-    to cross-check the vectorized kernel), "vector" demands it.
-    ``threads`` is validated (>= 1) and kept for compatibility; all work
-    runs on the calling thread.
+    ``kernel`` selects the batches: "auto" runs a Euclidean ensemble as one
+    batch of all paths and other spaces as one batch per path, "scalar"
+    takes one batch per path in every space (each path-step then calls the
+    point API once, as the runners do, to cross-check that m batches of one
+    equal one batch of m), and "vector" demands the wide batch.  ``threads``
+    is validated (>= 1) and kept for compatibility; all work runs on the
+    calling thread.
     """
     validate_run(problem, algorithm, sched, x0)
     if paths < 1:
@@ -277,8 +270,8 @@ def run_ensemble(
         raise ValueError("vectorized kernel is only available in Euclidean spaces")
 
     red = _Reducer(paths, horizon, epsilons)
-    vector = kernel != "scalar" and problem.space == "euclidean"
-    (_euclid_kernel if vector else _scalar_kernel)(problem, algorithm, sched, x0, horizon, seed, red)
+    wide = kernel != "scalar" and problem.space == "euclidean"
+    _kernel(problem, algorithm, sched, x0, horizon, seed, red, wide)
     sd, sd2, sd4, sg, sg2 = red.sums
     tail = red.tail_counts()
 

@@ -486,19 +486,23 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
     if not isinstance(direction, HalfPlaneIdealPoint):
         raise ValueError("half-plane point needs a HalfPlaneIdealPoint direction")
     b = direction.boundary_x
-    if b is None:
-        return HalfPlane(x.x, x.y * math.exp(s))
-    if _halfplane_is_vertical(x.x, b):
-        return HalfPlane(x.x, x.y * math.exp(-s))
-    # Semicircle through x with ideal endpoint (b, 0): its center c solves
-    # (x.x - c)^2 + x.y^2 = (b - c)^2.
-    c = (x.x * x.x + x.y * x.y - b * b) / (2.0 * (x.x - b))
-    r = abs(b - c)
-    u0 = _halfplane_angle_param(math.atan2(x.y, x.x - c))
-    # theta -> 0 approaches the boundary point c + r, theta -> pi the point
-    # c - r; u = log tan(theta/2) is increasing in theta.
-    u = u0 - s if b > c else u0 + s
-    return _halfplane_point_at(c, r, u)
+    try:  # exp may overflow, or y fall to 0 (then HalfPlane raises)
+        if b is None or _halfplane_is_vertical(x.x, b):
+            p = HalfPlane(x.x, x.y * math.exp(s if b is None else -s))
+        else:
+            # Semicircle through x with ideal endpoint (b, 0): its center c
+            # solves (x.x - c)^2 + x.y^2 = (b - c)^2.
+            c = (x.x * x.x + x.y * x.y - b * b) / (2.0 * (x.x - b))
+            r = abs(b - c)
+            u0 = _halfplane_angle_param(math.atan2(x.y, x.x - c))
+            # theta -> 0 approaches the boundary point c + r, theta -> pi the
+            # point c - r; u = log tan(theta/2) is increasing in theta.
+            p = _halfplane_point_at(c, r, u0 - s if b > c else u0 + s)
+    except (OverflowError, ValueError):
+        p = None
+    if p is None or p.y == math.inf:
+        raise ValueError(f"ray point at arclength {s!r} from {x} is out of float range")
+    return p
 
 
 # ---------------------------------------------------------------------------

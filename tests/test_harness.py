@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -43,12 +44,23 @@ from fejerlab.problems import (
     euclid_two_atom_busemann,
     frechet_r1,
     gap_F,
+    halfplane_single_atom,
     r1_single_atom_busemann,
     segment_argmin,
     tripod_median,
+    tripod_median_busemann,
     two_halfspace,
 )
-from fejerlab.spaces import Euclidean, Tripod, WholeSpace
+from fejerlab.spaces import (
+    Ball,
+    Box,
+    Euclidean,
+    HalfPlane,
+    Halfspace,
+    Segment,
+    Tripod,
+    WholeSpace,
+)
 
 H11 = Harmonic(1.0, 1.0)
 EPS = (0.5, 1.0)
@@ -59,6 +71,19 @@ def small_flagship(paths=300, horizon=60, seed=7, threads=1, kernel="auto", eps=
         two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0)),
         paths, horizon, seed, eps, threads=threads, kernel=kernel,
     )
+
+
+def halfplane_majority():
+    """Mean distance to three hyperbolic atoms, the heaviest (weight 0.6)
+    its median."""
+    atoms = ((HalfPlane(0.0, 1.0), 0.6), (HalfPlane(1.5, 0.5), 0.2), (HalfPlane(-1.0, 2.0), 0.2))
+    return build_mean_min("halfplane", atoms, DISTANCE, 4.0)
+
+
+def euclid_median():
+    """Mean distance to two unequally weighted atoms of the plane."""
+    atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
+    return build_mean_min("euclidean", atoms, DISTANCE, 4.0)
 
 
 def assert_stats_equal(a: EnsembleStats, b: EnsembleStats):
@@ -89,8 +114,7 @@ def test_vector_scalar_parity_sppa_half_squared():
 
 
 def test_vector_scalar_parity_sppa_distance_cost():
-    atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
-    p = build_mean_min("euclidean", atoms, DISTANCE, 4.0)
+    p = euclid_median()
     kw = dict(paths=550, horizon=40, seed=9, epsilons=(0.5,))
     v = run_ensemble(p, "sppa", H11, Euclidean((0.0, 0.0)), kernel="vector", **kw)
     s = run_ensemble(p, "sppa", H11, Euclidean((0.0, 0.0)), kernel="scalar", **kw)
@@ -119,8 +143,7 @@ def test_identical_seed_identical_stats():
 
 @pytest.mark.parametrize("paths", [513, 1100])
 def test_vector_scalar_parity_ragged_last_chunk(paths):
-    atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
-    median = build_mean_min("euclidean", atoms, DISTANCE, 4.0)
+    median = euclid_median()
     cases = (
         (two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0)), (0.5, 1.0)),
         (frechet_r1(), "sppa", H11, Euclidean((2.0,)), (0.3,)),
@@ -219,24 +242,19 @@ def test_reducer_matches_full_matrix_reference(paths, horizon):
     epsilons = (2.0, 1e-3, 10.0)
     ref = _full_matrix_reference(dist, gap, epsilons)
 
-    by_block = _Reducer(paths, horizon, epsilons)
+    red = _Reducer(paths, horizon, epsilons)
     n0 = 0
     while n0 <= horizon:
         width = _block_width(n0, horizon + 1)
-        by_block.add(0, n0, np.array(dist[:, n0 : n0 + width]), np.array(gap[:, n0 : n0 + width]))
+        red.add(n0, np.array(dist[:, n0 : n0 + width]), np.array(gap[:, n0 : n0 + width]))
         n0 += width
-    by_path = _Reducer(paths, horizon, epsilons)
-    batch = CHUNK if horizon == 0 else 1
-    for start in range(0, paths, batch):
-        by_path.add(start, 0, dist[start : start + batch], gap[start : start + batch])
 
-    for red in (by_block, by_path):
-        for got, want in zip(red.sums, ref["sums"]):
-            assert np.array_equal(got, want)
-        assert np.array_equal(red.tail_counts(), np.array(ref["tail"]))
-        assert np.array_equal(red.point, np.array(ref["point"]))
-    assert np.all(by_block.tail_counts()[2] == 0)  # no path reaches 10
-    last = by_block.last[0]  # the last index at which each path reaches 2
+    for got, want in zip(red.sums, ref["sums"]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(red.tail_counts(), np.array(ref["tail"]))
+    assert np.array_equal(red.point, np.array(ref["point"]))
+    assert np.all(red.tail_counts()[2] == 0)  # no path reaches 10
+    last = red.last[0]  # the last index at which each path reaches 2
     assert last[0] == -1
     if paths > 2:
         assert last[1] == 0 and last[2] == horizon
@@ -255,6 +273,91 @@ def test_ensemble_matches_scalar_trajectory_reference(paths, horizon):
         assert stats.tail[math.sqrt(2.0)][0] == 1.0
         assert np.all(stats.tail[math.sqrt(2.0)][1:] == 0.0)
         assert np.all(stats.tail[2.0] == 0.0)
+    # The spaces that only take batches of one.
+    for problem, algorithm, x0 in (
+        (tripod_median(), "sppa", Tripod(0, 1.5)),
+        (tripod_median_busemann(), "sb", Tripod(1, 1.5)),
+        (halfplane_single_atom(), "sppa", HalfPlane(1.0, 2.0)),
+        (halfplane_majority(), "sppa", HalfPlane(0.0, math.exp(1.15))),
+    ):
+        args = (problem, algorithm, H11, x0, paths, horizon, 3)
+        epsilons = (0.5, 0.05)
+        ref = _reference_ensemble(*args, epsilons)
+        _assert_matches_reference(run_ensemble(*args, epsilons), ref)
+
+
+def _box_and_halfspace():
+    # x1 >= -1, x2 <= 0.5 and x2 >= -0.5.
+    box = Box((-1.0, -math.inf), (math.inf, 0.5))
+    return build_fixed_point("euclidean", (box, Halfspace((0.0, -1.0), 0.5)), (0.6, 0.4), 2.0)
+
+
+# name -> (problem, algorithm, schedule, start) of the bit-for-bit grid.
+_GRID_CASES = {
+    "skm-two-halfspaces": lambda: (two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0))),
+    "skm-box-halfspace": lambda: (
+        _box_and_halfspace(), "skm", Constant(0.5), Euclidean((3.0, 2.0))
+    ),
+    "skm-ball": lambda: (
+        build_fixed_point("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,), 1.0),
+        "skm", Constant(0.7), Euclidean((2.0, 1.0)),
+    ),
+    "skm-segment": lambda: (
+        build_fixed_point(
+            "euclidean", (Segment(Euclidean((-1.0, 0.0)), Euclidean((1.0, 1.0))),), (1.0,), 1.0
+        ),
+        "skm", Constant(1.0), Euclidean((0.0, 2.0)),
+    ),
+    "sppa-half-squared": lambda: (frechet_r1(), "sppa", H11, Euclidean((2.0,))),
+    "sppa-distance": lambda: (euclid_median(), "sppa", H11, Euclidean((0.0, 0.0))),
+    "sb-segment-argmin": lambda: (segment_argmin(), "sb", H11, Euclidean((2.0, 2.0))),
+    "sb-two-atoms": lambda: (euclid_two_atom_busemann(), "sb", H11, Euclidean((-1.0, 0.0))),
+    "tripod-sppa": lambda: (tripod_median(), "sppa", H11, Tripod(0, 1.5)),
+    "tripod-sb": lambda: (tripod_median_busemann(), "sb", H11, Tripod(1, 1.5)),
+}
+
+# SHA-256 of every statistic of the grid's ensembles, recorded before the
+# harness had one kernel (a path-major scalar kernel and a step-major
+# Euclidean one).
+_GRID_DIGESTS = {
+    "sb-segment-argmin": "c9d1141013e32c3abde3331b25599c9154bd3cc6e405d5a06fe48445e185e2db",
+    "sb-two-atoms": "bd354f594b20f604c0a6c65d02df2288b435ca8194bca330282197b224682f9a",
+    "skm-ball": "097629ed71d0c92f32839f4ef6e59724a02bd0db08f2bc8858b1fa9ae07404dc",
+    "skm-box-halfspace": "8a0dbbd00894c816e08977d023a172df61fb110dcaa6edf41c1556581838833f",
+    "skm-segment": "4d6a7bf9c498b2f7649c64bf53a74e62c96d82ded63520a86f860884d60ef570",
+    "skm-two-halfspaces": "8e75b78a474c56a1c3e1717fc62fd89b4903430517c8d512fa6efc0a9bf24c16",
+    "sppa-distance": "b412e7694dc26e43bfcec753d458596b6a44ddf6da39d22ac740c16c657df408",
+    "sppa-half-squared": "371e5eb843cd5b4c18f9a52c9cbfd14ccb90b2dd96156c35d8f632d19b11163f",
+    "tripod-sb": "73500788a0cf9a3f631755e90ad694c283756d1357d017bf982cf080af57cc2b",
+    "tripod-sppa": "fd51a3eb04abf64d87ec752559db057074cb294222fd59858e46c7417b4c655a",
+}
+
+
+def _grid_digest(name: str) -> str:
+    """SHA-256 over the dtype and bytes of every statistic, for paths {1, 7,
+    513} x horizons {0, 1, 2, 65}; Euclidean cases run the default kernel
+    and, at 7 paths or fewer, also kernel="scalar"."""
+    problem, algorithm, sched, x0 = _GRID_CASES[name]()
+    h = hashlib.sha256()
+    for paths in (1, 7, 513):
+        for horizon in (0, 1, 2, 65):
+            scalar = paths <= 7 and problem.space == "euclidean"
+            for kernel in ("auto", "scalar") if scalar else ("auto",):
+                stats = run_ensemble(
+                    problem, algorithm, sched, x0, paths, horizon, 11, (0.5, 0.1), kernel=kernel
+                )
+                arrays = [getattr(stats, f) for f in ("mean_dist", "mean_sq_dist", "mean_gap")]
+                arrays += [getattr(stats, f) for f in ("std_dist", "std_sq_dist", "std_gap")]
+                arrays += [stats.tail[e] for e in stats.epsilons]
+                arrays += [stats.point_tail[e] for e in stats.epsilons]
+                for a in arrays:
+                    h.update(a.dtype.str.encode() + a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_CASES))
+def test_ensemble_grid_is_bit_for_bit_recorded(name):
+    assert _grid_digest(name) == _GRID_DIGESTS[name]
 
 
 def test_ensemble_memory_is_bounded_in_the_horizon():

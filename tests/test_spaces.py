@@ -132,6 +132,16 @@ def test_ray_point_halfplane_vertical():
     assert abs(p.x) < 1e-12 and abs(p.y - math.exp(2.0)) < 1e-12
 
 
+@pytest.mark.parametrize("boundary_x", [None, 0.5])
+def test_ray_point_halfplane_out_of_range_names_the_ray(boundary_x):
+    # exp(800) overflows a float; toward 0.5 the height underflows to 0.
+    with pytest.raises(ValueError, match=r"arclength 800 from HalfPlane\(x=0.0, y=1.0\)"):
+        ray_point(HalfPlane(0.0, 1.0), HalfPlaneIdealPoint(boundary_x), 800)
+    # Inside the range the point is returned as before.
+    p = ray_point(HalfPlane(0.0, 1.0), HalfPlaneIdealPoint(boundary_x), 700.0)
+    assert 0.0 < p.y < math.inf
+
+
 def test_ray_additivity_all_spaces():
     cases = [
         (Euclidean((1.0, -2.0)), EuclideanDir((0.6, 0.8))),
