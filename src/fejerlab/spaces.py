@@ -13,6 +13,15 @@ and the two residuals used to certify the geometry numerically: the CN
 (quadratic convexity) inequality along geodesics and the weak quasi-triangle
 inequality for the d^q family.
 
+Half-plane geometry is in closed form.  The metric is 2 asinh(|x - y| /
+(2 sqrt(y1 y2))); a geodesic point is the hyperboloid's (sinh((1-t)d) x +
+sinh(td) y) / sinh d in half-plane coordinates, one formula for every
+geodesic, and a ray toward a boundary point is its limit.  A segment
+projection (half-plane and tripod) takes the foot's distance from a out of
+d(x, a), d(x, b) and d(a, b), by hyperbolic Pythagoras or the Gromov
+product, and clamps it to the segment; the suite checks its angle condition
+(Bridson-Haefliger, *Metric Spaces of Non-Positive Curvature*, II.2.4).
+
 Euclidean geometry is written once, on coordinate columns.  A Euclidean
 point's coordinates are floats, or 1-D float64 arrays with one entry per
 path: such a point is a *batch*, and the point API runs on it unchanged,
@@ -35,13 +44,6 @@ from . import rng
 
 #: Absolute tolerance for every geometric identity check in the package.
 GEOM_TOL = 1e-10
-
-#: Parameter tolerance of the golden-section segment projection.
-GOLDEN_TOL = 1e-12
-
-#: Relative threshold under which two half-plane abscissae are treated as
-#: equal (vertical geodesic) instead of solving for a semicircle center.
-_VERTICAL_EPS = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +392,14 @@ def distance(x: Point, y: Point) -> float:
         if x.ray == y.ray or x.coord == 0.0 or y.coord == 0.0:
             return abs(x.coord - y.coord)
         return x.coord + y.coord
-    # Hyperbolic metric in the numerically stable asinh form, algebraically
-    # identical to arcosh(1 + ((dx)^2+(dy)^2)/(2 y1 y2)) but without the
-    # catastrophic cancellation of arcosh near coincident points.
-    dx = x.x - y.x
-    dy = x.y - y.y
-    arg = (dx * dx + dy * dy) / (4.0 * x.y * y.y)
-    return 2.0 * math.asinh(math.sqrt(arg))
+    return _halfplane_distance(x, y)
+
+
+def _halfplane_distance(x: HalfPlane, y: HalfPlane) -> float:
+    # arcosh(1 + |x - y|^2 / (2 y1 y2)) without its cancellation near x = y,
+    # and with no square that overflows when the heights are far apart.
+    h = math.hypot(x.x - y.x, x.y - y.y)
+    return 2.0 * math.asinh(h / (2.0 * math.sqrt(x.y) * math.sqrt(y.y)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +407,20 @@ def distance(x: Point, y: Point) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _halfplane_is_vertical(x1: float, x2: float) -> bool:
-    return abs(x2 - x1) <= _VERTICAL_EPS * max(1.0, abs(x1), abs(x2))
-
-
-def _halfplane_circle(x: HalfPlane, y: HalfPlane) -> tuple[float, float]:
-    """Center abscissa and radius of the semicircle geodesic through x, y."""
-    c = ((y.x * y.x + y.y * y.y) - (x.x * x.x + x.y * x.y)) / (2.0 * (y.x - x.x))
-    r = math.hypot(x.x - c, x.y)
-    return c, r
-
-
-def _halfplane_angle_param(theta: float) -> float:
-    """Arclength parameter u = log tan(theta/2) along a semicircle."""
-    return math.log(math.tan(0.5 * theta))
-
-
-def _halfplane_point_at(c: float, r: float, u: float) -> HalfPlane:
-    theta = 2.0 * math.atan(math.exp(u))
-    return HalfPlane(c + r * math.cos(theta), r * math.sin(theta))
+def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t: float) -> HalfPlane:
+    """(1-t)x (+) t y, 0 < t < 1: with D = y1 sinh(td) + y2 sinh((1-t)d),
+    (x1 + (x2 - x1) y1 sinh(td) / D, y1 y2 sinh(d) / D).  Each term is
+    scaled by -2 e^-d / sqrt(y1 y2), so for d below ~1400 none overflows
+    and D does not underflow."""
+    d = _halfplane_distance(x, y)
+    if d == 0.0:
+        return x
+    lh = 0.5 * (math.log(y.y) - math.log(x.y))  # log sqrt(y2 / y1)
+    a, b = t * d, (1.0 - t) * d
+    wx = math.exp(a - d - lh) * math.expm1(-2.0 * a)
+    den = wx + math.exp(b - d + lh) * math.expm1(-2.0 * b)
+    y_t = math.sqrt(x.y) * math.sqrt(y.y) * (math.expm1(-2.0 * d) / den)
+    return HalfPlane(x.x + (y.x - x.x) * (wx / den), y_t)
 
 
 def geodesic_point(x: Point, y: Point, t: float) -> Point:
@@ -452,13 +450,7 @@ def geodesic_point(x: Point, y: Point, t: float) -> Point:
         if traveled <= x.coord:
             return Tripod(x.ray, x.coord - traveled)
         return Tripod(y.ray, traveled - x.coord)
-    if _halfplane_is_vertical(x.x, y.x):
-        ylog = (1.0 - t) * math.log(x.y) + t * math.log(y.y)
-        return HalfPlane(x.x + t * (y.x - x.x), math.exp(ylog))
-    c, r = _halfplane_circle(x, y)
-    u1 = _halfplane_angle_param(math.atan2(x.y, x.x - c))
-    u2 = _halfplane_angle_param(math.atan2(y.y, y.x - c))
-    return _halfplane_point_at(c, r, (1.0 - t) * u1 + t * u2)
+    return _halfplane_geodesic(x, y, t)
 
 
 def ray_point(x: Point, direction: Direction, s: float) -> Point:
@@ -487,17 +479,18 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
         raise ValueError("half-plane point needs a HalfPlaneIdealPoint direction")
     b = direction.boundary_x
     try:  # exp may overflow, or y fall to 0 (then HalfPlane raises)
-        if b is None or _halfplane_is_vertical(x.x, b):
-            p = HalfPlane(x.x, x.y * math.exp(s if b is None else -s))
+        if b is None:
+            p = HalfPlane(x.x, x.y * math.exp(s))
         else:
-            # Semicircle through x with ideal endpoint (b, 0): its center c
-            # solves (x.x - c)^2 + x.y^2 = (b - c)^2.
-            c = (x.x * x.x + x.y * x.y - b * b) / (2.0 * (x.x - b))
-            r = abs(b - c)
-            u0 = _halfplane_angle_param(math.atan2(x.y, x.x - c))
-            # theta -> 0 approaches the boundary point c + r, theta -> pi the
-            # point c - r; u = log tan(theta/2) is increasing in theta.
-            p = _halfplane_point_at(c, r, u0 - s if b > c else u0 + s)
+            # The geodesic's limit as its end tends to b: with rho = |x - b|
+            # and D = 2 y^2 sinh s + rho^2 e^-s, (x + 2 (b - x) y^2 sinh(s) / D,
+            # y rho^2 / D), scaled by 1 / (y rho e^s); k = y / rho.
+            rho = math.hypot(x.x - b, x.y)
+            k = x.y / rho
+            w = -math.expm1(-2.0 * s)
+            e = math.exp(-s)
+            den = k * w + e * (e / k)
+            p = HalfPlane(x.x + (b - x.x) * (k * w / den), rho * e / den)
     except (OverflowError, ValueError):
         p = None
     if p is None or p.y == math.inf:
@@ -510,25 +503,23 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
 # ---------------------------------------------------------------------------
 
 
-def _project_segment_golden(seg: Segment, x: Point) -> Point:
-    """Golden-section search on the geodesic parameter: t -> d(gamma(t), x)
-    is convex in CAT(0) spaces, so unimodal on [0,1]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, 1.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    gc = distance(geodesic_point(seg.a, seg.b, c), x)
-    gd = distance(geodesic_point(seg.a, seg.b, d), x)
-    while hi - lo > GOLDEN_TOL:
-        if gc < gd:
-            hi, d, gd = d, c, gc
-            c = hi - invphi * (hi - lo)
-            gc = distance(geodesic_point(seg.a, seg.b, c), x)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + invphi * (hi - lo)
-            gd = distance(geodesic_point(seg.a, seg.b, d), x)
-    return geodesic_point(seg.a, seg.b, 0.5 * (lo + hi))
+def _project_segment(seg: Segment, x: Point) -> Point:
+    """Projection onto a tripod or half-plane segment [a, b]: the distance
+    tau from a to the foot of x, clamped to [0, L], L = d(a, b)."""
+    a, b = seg.a, seg.b
+    L = distance(a, b)
+    if L == 0.0:
+        return a
+    da, db = distance(x, a), distance(x, b)
+    if isinstance(x, Tripod):
+        tau = 0.5 * (da + L - db)  # the Gromov product (b|x)_a
+    else:
+        # Pythagoras: cosh d_b / cosh d_a = cosh(L - tau) / cosh tau, solved
+        # as e^(2 tau) = (1 - m) / (m - e^-2L), m = e^-L cosh d_b / cosh d_a.
+        m = math.exp(db - da - L) * (1.0 + math.exp(-2.0 * db)) / (1.0 + math.exp(-2.0 * da))
+        num, den = 1.0 - m, m - math.exp(-2.0 * L)
+        tau = -math.inf if num <= 0.0 else math.inf if den <= 0.0 else 0.5 * math.log(num / den)
+    return geodesic_point(a, b, min(max(tau / L, 0.0), 1.0))
 
 
 def project_convex(cset: ConvexSet, x: Point) -> Point:
@@ -551,7 +542,7 @@ def project_convex(cset: ConvexSet, x: Point) -> Point:
     elif isinstance(cset, Segment):
         _require_same_space(cset.a, x)
         if not isinstance(x, Euclidean):
-            return _project_segment_golden(cset, x)
+            return _project_segment(cset, x)
     elif isinstance(cset, TripodSegment):
         if not isinstance(x, Tripod):
             raise ValueError("tripod-segment projection needs a tripod point")
@@ -615,7 +606,7 @@ def _sample_point(space: str, dim: int, state: rng.RngState):
     if space == "halfplane":
         u, state = rng.next_uniform(state)
         v, state = rng.next_uniform(state)
-        return HalfPlane(6.0 * u - 3.0, math.exp(3.2 * v - 1.6)), state
+        return HalfPlane(6.0 * u - 3.0, 1e3 ** (2.0 * v - 1.0)), state
     raise ValueError(f"unknown space kind: {space!r}")
 
 
@@ -709,10 +700,10 @@ def geometry_suite(
 
     Checks metric axioms (symmetry, identity, triangle inequality), the
     geodesic parameter identity, the CN inequality, the weak quasi-triangle
-    inequality for q in {1,2,3}, projection nonexpansiveness (plus the
-    firmly-nonexpansive inner-product test in the Euclidean case) and ray
-    additivity.  Returns a dict of maximal residuals and a ``pass`` flag
-    (every residual <= GEOM_TOL).
+    inequality for q in {1,2,3}, projection nonexpansiveness, the projection's
+    angle condition at sample points of each set, and ray additivity.
+    Returns a dict of maximal residuals and a ``pass`` flag (every residual
+    <= GEOM_TOL).
     """
     state = rng.make_state(seed, 0)
     max_sym = 0.0
@@ -755,13 +746,21 @@ def geometry_suite(
             px = project_convex(cset, x)
             py = project_convex(cset, y)
             max_proj = max(max_proj, distance(px, py) - distance(x, y))
-            if space == "euclidean":
-                for c in _set_samples(cset):
-                    ip = sum(
+            # The angle at p = P_C(x) between x and each c in C is >= pi/2
+            # (Bridson-Haefliger II.2.4): <x - p, c - p> <= 0 in R^d, d(x,c) =
+            # d(x,p) + d(p,c) on a tree, cosh d(x,c) >= cosh d(x,p) cosh d(p,c).
+            for c in _set_samples(cset):
+                if space == "euclidean":
+                    r = sum(
                         (xc - pc) * (cc - pc)
                         for xc, pc, cc in zip(x.coords, px.coords, c.coords)
                     )
-                    max_firm = max(max_firm, ip)
+                elif space == "tripod":
+                    r = distance(x, px) + distance(px, c) - distance(x, c)
+                else:
+                    ch = math.cosh(distance(x, px)) * math.cosh(distance(px, c))
+                    r = ch / math.cosh(distance(x, c)) - 1.0
+                max_firm = max(max_firm, r)
 
     max_ray = 0.0
     for _ in range(projection_samples):

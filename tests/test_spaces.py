@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fejerlab.spaces import (
     GEOM_TOL,
+    TRIPOD_ORIGIN,
     Ball,
     Box,
     Euclidean,
@@ -47,6 +50,7 @@ from fejerlab.spaces import (
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 positive = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
+height = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +78,13 @@ def test_halfplane_vertical_distance_is_log_ratio():
     assert abs(distance(HalfPlane(0.0, 1.0), HalfPlane(0.0, math.e)) - 1.0) < 1e-12
     d = distance(HalfPlane(0.0, 1.0), HalfPlane(1.0, 1.0))
     assert abs(d - math.acosh(1.5)) < 1e-12
+
+
+def test_halfplane_distance_between_heights_far_apart():
+    assert distance(HalfPlane(0.0, 1.0), HalfPlane(0.0, 1e160)) == pytest.approx(160 * math.log(10.0))
+    assert math.isfinite(distance(HalfPlane(0.0, 1.0), HalfPlane(0.0, 8.2e307)))
+    x = HalfPlane(0.0, 1.0)
+    assert distance(x, ray_point(x, HalfPlaneIdealPoint(None), 400.0)) == pytest.approx(400.0)
 
 
 def test_space_of():
@@ -183,7 +194,8 @@ def test_cn_inequality_tripod(rx, cx, ra, ca, rb, cb, t):
     assert r <= 1e-9
 
 
-@given(finite, positive, finite, positive, finite, positive, st.floats(min_value=0.0, max_value=1.0))
+@given(finite, height, finite, height, finite, height, st.floats(min_value=0.0, max_value=1.0))
+@example(0.0, 1.0, 0.0, 2.0, 1e-10, 7.0, 0.5)  # a near-vertical geodesic
 def test_cn_inequality_halfplane(x1, y1, a1, b1, a2, b2, t):
     r = cn_residual(HalfPlane(x1, y1), HalfPlane(a1, b1), HalfPlane(a2, b2), t)
     assert r <= 1e-9
@@ -259,7 +271,99 @@ def test_segment_projection_is_nearest_point_halfplane():
         distance(x, geodesic_point(seg.a, seg.b, t / 2000.0)) for t in range(2001)
     )
     assert distance(x, p) <= best + 1e-6
-    assert contains(seg, p, tol=1e-8)
+    assert contains(seg, p)
+    # The segment lies on the circle |z| = sqrt(2), and x straight above its
+    # apex, which is therefore the foot.
+    assert distance(p, HalfPlane(0.0, math.sqrt(2.0))) <= GEOM_TOL
+
+
+def test_segment_projection_tripod_is_the_branch_point():
+    seg = Segment(Tripod(1, 2.0), Tripod(2, 1.0))
+    cases = [
+        (Tripod(0, 3.0), TRIPOD_ORIGIN),
+        (Tripod(1, 0.5), Tripod(1, 0.5)),
+        (Tripod(1, 5.0), Tripod(1, 2.0)),
+        (Tripod(2, 4.0), Tripod(2, 1.0)),
+    ]
+    for x, foot in cases:
+        assert distance(project_convex(seg, x), foot) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Half-plane accuracy against a 60-digit reference
+# ---------------------------------------------------------------------------
+
+# x in [-3, 3]; heights log-uniform in a box, or near-vertical pairs whose
+# abscissae differ by a relative 1e-13 to 1e-12.
+HALFPLANE_ROWS = {"y-0.2-5": (0.2, 5.0), "y-1e-2-1e2": (1e-2, 1e2), "y-1e-3-1e3": (1e-3, 1e3),
+                  "near-vertical": None}
+
+
+def _halfplane_pairs(row, n, seed=2026):
+    rnd = random.Random(seed)
+    lo, hi = HALFPLANE_ROWS[row] or (1e-3, 1e3)
+
+    def point():
+        return HalfPlane(rnd.uniform(-3.0, 3.0), math.exp(rnd.uniform(math.log(lo), math.log(hi))))
+
+    for _ in range(n):
+        x, y = point(), point()
+        if HALFPLANE_ROWS[row] is None:
+            rel = rnd.choice((-1.0, 1.0)) * rnd.uniform(1e-13, 1e-12)
+            y = HalfPlane(x.x + rel * max(1.0, abs(x.x)), y.y)
+        yield x, y, point(), rnd.random()
+
+
+def _mp_z(p):
+    return mpmath.mpc(p.x, p.y)
+
+
+def _mp_distance(z, w):
+    return 2 * mpmath.asinh(abs(z - w) / (2 * mpmath.sqrt(z.imag * w.imag)))
+
+
+def _mp_foot(a, b, x):
+    """The foot of x on the segment [a, b]: z -> -(z - p) / (z - q) maps the
+    geodesic through a and b, with ideal ends p < q, onto the imaginary axis
+    (z -> z - a.x for a vertical one), where the foot of w is i |w|."""
+    za, zb, zx = _mp_z(a), _mp_z(b), _mp_z(x)
+    if a.x == b.x:
+        p, q = None, None
+        to_axis, back = (lambda z: z - za.real), (lambda w: w + za.real)
+    else:
+        c = (abs(zb) ** 2 - abs(za) ** 2) / (2 * (zb.real - za.real))
+        r = abs(za - c)
+        p, q = c - r, c + r
+        to_axis, back = (lambda z: -(z - p) / (z - q)), (lambda w: (p + q * w) / (w + 1))
+    ha, hb, hx = (abs(to_axis(z)) for z in (za, zb, zx))
+    return back(mpmath.mpc(0, min(max(hx, min(ha, hb)), max(ha, hb))))
+
+
+@pytest.mark.parametrize("row", list(HALFPLANE_ROWS))
+def test_halfplane_geometry_matches_a_60_digit_reference(row):
+    worst_geo = worst_foot = 0.0
+    with mpmath.workdps(60):
+        for x, y, z, t in _halfplane_pairs(row, 1000):
+            zx, zy, g = _mp_z(x), _mp_z(y), _mp_z(geodesic_point(x, y, t))
+            d = _mp_distance(zx, zy)
+            geo = max(abs(_mp_distance(zx, g) - t * d), abs(_mp_distance(g, zy) - (1 - t) * d))
+            foot = _mp_distance(_mp_z(project_convex(Segment(x, y), z)), _mp_foot(x, y, z))
+            worst_geo, worst_foot = max(worst_geo, float(geo)), max(worst_foot, float(foot))
+    assert worst_geo <= 1e-10 and worst_foot <= 1e-10, (worst_geo, worst_foot)
+
+
+def test_halfplane_extreme_heights_stay_finite():
+    points = [HalfPlane(0.0, 1e-300), HalfPlane(2.5, 1e-300), HalfPlane(-3.0, 1e300), HalfPlane(1.0, 1.0)]
+    for x in points:
+        for y in points:
+            d = distance(x, y)
+            assert math.isfinite(d)
+            for t in (1e-9, 0.3, 0.9):
+                g = geodesic_point(x, y, t)
+                assert abs(distance(x, g) - t * d) <= 1e-10 * max(1.0, d)
+            for z in points:
+                p = project_convex(Segment(x, y), z)
+                assert math.isfinite(p.x) and 0.0 < p.y < math.inf
 
 
 def test_tripod_segment_projection():
