@@ -6,110 +6,4 @@ explicit convergence-rate certificates assembled from moduli of regularity,
 and audits those certificates against deterministic Monte-Carlo ensembles.
 """
 
-from .algorithms import (
-    Trajectory,
-    certificate_sb,
-    certificate_skm,
-    certificate_sppa,
-    fast_certificate_skm,
-    fejer_budget,
-    gap_window,
-    liminf_bound_sb,
-    liminf_bound_skm,
-    liminf_bound_sppa,
-    run_sb,
-    run_skm,
-    run_sppa,
-    validate_run,
-)
-from .harness import (
-    AuditRecord,
-    AuditReport,
-    EnsembleStats,
-    FejerMargin,
-    certificate_audit,
-    export_results,
-    fast_audit,
-    fejer_margin,
-    liminf_witness_check,
-    load_curves,
-    run_ensemble,
-    stats_from_curves,
-    tail_probability,
-)
-from .moduli import (
-    Constant,
-    FastCertificate,
-    Harmonic,
-    Linear,
-    Power,
-    RateCertificate,
-    RootSchedule,
-    TableSchedule,
-    divergence_witness_theta,
-    eval_modulus,
-    fast_bounds,
-    metric_rates,
-    pointwise_to_mean,
-    recursion_bound_u,
-    schedule_square_sum_bound,
-    schedule_value,
-    tail_rate_chi,
-)
-from .problems import (
-    BusemannProblem,
-    FixedPointProblem,
-    MeanMinProblem,
-    NoModulusKnownError,
-    build_busemann,
-    build_fixed_point,
-    build_mean_min,
-    busemann_subgradient,
-    cost,
-    dist_to_solutions,
-    euclid_two_atom_busemann,
-    frechet_r1,
-    gap_F,
-    halfplane_single_atom,
-    mean_cost_exact,
-    operator_apply,
-    problem_from_spec,
-    problem_to_spec,
-    prox_step,
-    r1_single_atom_busemann,
-    regularity_modulus_for,
-    sample_index,
-    segment_argmin,
-    tripod_frechet,
-    tripod_median,
-    tripod_median_busemann,
-    two_halfspace,
-)
-from .spaces import (
-    Ball,
-    Box,
-    Euclidean,
-    EuclideanDir,
-    HalfPlane,
-    HalfPlaneIdealPoint,
-    Halfspace,
-    Segment,
-    Tripod,
-    TripodEnd,
-    TripodSegment,
-    WholeSpace,
-    cn_residual,
-    contains,
-    distance,
-    geodesic_point,
-    geometry_suite,
-    point_from_spec,
-    point_to_spec,
-    project_convex,
-    quasi_triangle_residual,
-    ray_point,
-    space_of,
-    sqdist,
-)
-
 __version__ = "0.1.0"

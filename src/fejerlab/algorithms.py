@@ -43,7 +43,6 @@ from .moduli import (
     eval_modulus,
     recursion_bound_u,
     schedule_square_sum_bound,
-    schedule_to_spec,
     schedule_value,
     tail_rate_chi,
 )
@@ -467,7 +466,6 @@ def _certificate(
 
     if spec.chi_scale is None:
         chi_div = None
-        chi_spec = {"kind": "zero"}
 
         def chi(eps: float) -> int:
             if not eps > 0.0:
@@ -476,10 +474,9 @@ def _certificate(
 
     else:
         chi_div = spec.chi_scale(L, L_bar)
-        chi_spec = {"kind": "squared_step_tail", "schedule": schedule_to_spec(sched)}
 
         def chi(eps: float) -> int:
-            return tail_rate_chi(sched, "square", eps)
+            return tail_rate_chi(sched, eps)
 
     def rho(eps: float) -> int:
         if not eps > 0.0:
@@ -500,13 +497,6 @@ def _certificate(
         T=T,
         rho=rho,
         liminf_bound=_liminf_window(theta, budget_scale),
-        chi_spec=chi_spec,
-        divergence_spec={
-            "kind": "windowed_step_sum",
-            "transform": spec.transform,
-            "budget_scale": budget_scale,
-            "schedule": schedule_to_spec(sched),
-        },
     )
 
 

@@ -93,9 +93,6 @@ class EnsembleStats:
     def stderr_sq_dist(self) -> np.ndarray:
         return self.std_sq_dist / math.sqrt(self.paths)
 
-    def stderr_gap(self) -> np.ndarray:
-        return self.std_gap / math.sqrt(self.paths)
-
 
 def tail_probability(stats: EnsembleStats, n: int, eps: float) -> float:
     """P(sup_{m >= n} dist_m >= eps), estimated over the ensemble (tail

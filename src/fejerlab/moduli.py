@@ -2,8 +2,7 @@
 
 This module represents moduli — the linear and power functions
 (0, inf) -> (0, inf) used for regularity (tau) and consistency (theta) —
-as symbolic values, so that certificates can be evaluated exactly and
-serialized.  On top of the moduli it provides the step-schedule witnesses
+as symbolic values, so that certificates can be evaluated exactly.  On top of the moduli it provides the step-schedule witnesses
 (the tail-rate chi and the divergence witness theta), the metric-rate
 quadruple, the Nemirovski-type recursion constant, and the fast-rate
 mean/tail envelopes."""
@@ -11,7 +10,7 @@ mean/tail envelopes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import mpmath
@@ -41,7 +40,6 @@ class Linear:
     """eps -> c * eps."""
 
     c: float
-    mean_valid: bool = False
 
     def __post_init__(self) -> None:
         if not self.c > 0.0:
@@ -54,7 +52,6 @@ class Power:
 
     c: float
     p: float
-    mean_valid: bool = False
 
     def __post_init__(self) -> None:
         if not self.c > 0.0:
@@ -74,22 +71,6 @@ def eval_modulus(m: Modulus, eps: float) -> float:
         return m.c * eps
     if isinstance(m, Power):
         return m.c * eps ** m.p
-    raise TypeError(f"not a modulus: {m!r}")
-
-
-def pointwise_to_mean(tau: Modulus) -> Modulus:
-    """Jensen lifting: a convex nondecreasing pointwise modulus is also a
-    modulus in mean.  Linear and power (p >= 1) moduli are convex, so tau is
-    returned unchanged but tagged mean-valid."""
-    return replace(tau, mean_valid=True)
-
-
-def modulus_to_spec(m: Modulus) -> dict:
-    """JSON-serializable description of a modulus."""
-    if isinstance(m, Linear):
-        return {"kind": "linear", "c": m.c, "mean_valid": m.mean_valid}
-    if isinstance(m, Power):
-        return {"kind": "power", "c": m.c, "p": m.p, "mean_valid": m.mean_valid}
     raise TypeError(f"not a modulus: {m!r}")
 
 
@@ -176,22 +157,6 @@ def schedule_value(sched: StepSchedule, n: int) -> float:
     raise TypeError(f"not a schedule: {sched!r}")
 
 
-def schedule_to_spec(sched: StepSchedule) -> dict:
-    if isinstance(sched, Harmonic):
-        return {"kind": "harmonic", "a": sched.a, "s": sched.s}
-    if isinstance(sched, Constant):
-        return {"kind": "constant", "c": sched.c}
-    if isinstance(sched, TableSchedule):
-        return {
-            "kind": "table",
-            "values": list(sched.values),
-            "tail": {"a": sched.tail.a, "s": sched.tail.s},
-        }
-    if isinstance(sched, RootSchedule):
-        return {"kind": "root", "q": sched.q, "r": sched.r}
-    raise TypeError(f"not a schedule: {sched!r}")
-
-
 def schedule_from_spec(spec: dict) -> StepSchedule:
     kind = spec.get("kind")
     if kind == "harmonic":
@@ -250,32 +215,15 @@ def _least_index(holds: Callable[[int], bool], lo: int, hi: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _transform_scale(transform) -> float:
-    """Scale c of the square transform: 'square' -> 1, ('square_times', c)."""
-    if transform == "square":
-        return 1.0
-    if (
-        isinstance(transform, (tuple, list))
-        and len(transform) == 2
-        and transform[0] == "square_times"
-    ):
-        scale = float(transform[1])
-        if not scale > 0.0:
-            raise ValueError(f"square_times scale must be > 0, got {scale}")
-        return scale
-    raise ValueError(f"unknown tail transform: {transform!r}")
+def tail_rate_chi(sched: StepSchedule, eps: float) -> int:
+    """Smallest N with sum_{n>=N} lambda_n^2 < eps.
 
-
-def tail_rate_chi(sched: StepSchedule, transform, eps: float) -> int:
-    """Smallest N with sum_{n>=N} scale * lambda_n^2 < eps.
-
-    The harmonic tail is the trigamma value scale * a^2 * psi_1(N+s); the
+    The harmonic tail is the trigamma value a^2 * psi_1(N+s); the
     minimal N is located by monotone bisection against that closed form.
     Constant schedules have a divergent square series and are rejected.
     """
     if not eps > 0.0:
         raise ValueError(f"tail budget must be > 0, got {eps}")
-    scale = _transform_scale(transform)
     if isinstance(sched, (Constant, RootSchedule)):
         raise ValueError(
             "squared-step series is not summable for this schedule; "
@@ -284,17 +232,17 @@ def tail_rate_chi(sched: StepSchedule, transform, eps: float) -> int:
     if isinstance(sched, Harmonic):
 
         def tail(n: int) -> float:
-            return scale * sched.a ** 2 * float(mpmath.polygamma(1, n + sched.s))
+            return sched.a ** 2 * float(mpmath.polygamma(1, n + sched.s))
 
     else:
         m = len(sched.values)
         a, s = sched.tail.a, sched.tail.s
 
         def tail(n: int) -> float:
-            harm = scale * a * a * float(mpmath.polygamma(1, max(n, m) + s))
+            harm = a * a * float(mpmath.polygamma(1, max(n, m) + s))
             if n >= m:
                 return harm
-            return harm + math.fsum(scale * v * v for v in sched.values[n:m])
+            return harm + math.fsum(v * v for v in sched.values[n:m])
 
     if tail(0) < eps:
         return 0
@@ -529,22 +477,6 @@ class RateCertificate:
     T: float
     rho: Callable[[float], int]
     liminf_bound: Callable[[float, int], int]
-    chi_spec: dict = field(default_factory=dict)
-    divergence_spec: dict = field(default_factory=dict)
 
     def metric_rates(self, eps: float, lam: float) -> tuple[int, int, int, int]:
         return metric_rates(self.rho, self.consistency, eps, lam)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "tau": modulus_to_spec(self.tau),
-            "consistency": modulus_to_spec(self.consistency),
-            "chi": self.chi_spec,
-            "divergence": self.divergence_spec,
-            "K": self.K,
-            "b": self.b,
-            "L": self.L,
-            "L_bar": self.L_bar,
-            "T": self.T,
-        }

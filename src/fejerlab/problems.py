@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .moduli import Linear, Modulus, Power, pointwise_to_mean
+from .moduli import Linear, Modulus, Power
 from .spaces import (
     Ball,
     Box,
@@ -536,21 +536,19 @@ def busemann_subgradient(
 
 @dataclass(frozen=True)
 class TaggedModulus:
-    """A mean-valid regularity modulus together with the radius of the ball
-    around the solution anchor on which it is valid (inf when global)."""
+    """A regularity modulus together with the radius of the ball around the
+    solution anchor on which it is valid (inf when global)."""
 
     modulus: Modulus
     region: float
 
 
-def _tag(modulus: Modulus, region: float) -> TaggedModulus:
-    return TaggedModulus(pointwise_to_mean(modulus), region)
-
-
 def regularity_modulus_for(problem: Problem, q: int) -> TaggedModulus:
     """The exact regularity modulus tau of the instance for dist^q, q in
     {1,2}: a convex nondecreasing function with tau(dist^q(x)) <= F(x) on
-    the tagged region, hence (by the Jensen lifting) a modulus in mean.
+    the tagged region.  It is also a modulus in mean, by the Jensen lifting:
+    tau(E dist^q) <= E tau(dist^q) <= E F for convex tau, and linear and
+    power (p >= 1) moduli are convex.
 
     Only catalogued instance shapes are supported; anything else raises
     NoModulusKnownError rather than guessing.
@@ -561,33 +559,33 @@ def regularity_modulus_for(problem: Problem, q: int) -> TaggedModulus:
     if isinstance(problem, FixedPointProblem):
         # Linear regularity: dist^2 <= v * E[d^2(T_k x, x)] = v * F(x).
         if q == 2:
-            return _tag(Linear(1.0 / problem.v), math.inf)
-        return _tag(Power(1.0 / problem.v, 2.0), math.inf)
+            return TaggedModulus(Linear(1.0 / problem.v), math.inf)
+        return TaggedModulus(Power(1.0 / problem.v, 2.0), math.inf)
     if isinstance(problem, MeanMinProblem) and problem.cost_kind == HALF_SQUARED:
         if problem.space == "euclidean" or len(problem.atoms) == 1:
             # F(x) = dist^2 / 2 identically.
             if q == 2:
-                return _tag(Linear(0.5), math.inf)
-            return _tag(Power(0.5, 2.0), math.inf)
+                return TaggedModulus(Linear(0.5), math.inf)
+            return TaggedModulus(Power(0.5, 2.0), math.inf)
         # Strong convexity of the mean half-squared cost (parameter 1).
         if q == 2:
-            return _tag(Linear(1.0 / 8.0), math.inf)
-        return _tag(Power(1.0 / 8.0, 2.0), math.inf)
+            return TaggedModulus(Linear(1.0 / 8.0), math.inf)
+        return TaggedModulus(Power(1.0 / 8.0, 2.0), math.inf)
     # Distance costs (mean-min or Busemann).
     atoms = problem.atoms
     if len(atoms) == 1:
         # F(x) = dist(x, a) exactly.
         if q == 1:
-            return _tag(Linear(1.0), math.inf)
-        return _tag(Linear(1.0 / B), B)
+            return TaggedModulus(Linear(1.0), math.inf)
+        return TaggedModulus(Linear(1.0 / B), B)
     if problem.space == "tripod":
         rays = sorted(a.ray for a, _ in atoms if a.coord > 0.0)
         wmax = max(w for _, w in atoms)
         if len(atoms) == 3 and rays == [0, 1, 2] and wmax < 0.5:
             slope = 1.0 - 2.0 * wmax
             if q == 1:
-                return _tag(Linear(slope), math.inf)
-            return _tag(Linear(slope / B), B)
+                return TaggedModulus(Linear(slope), math.inf)
+            return TaggedModulus(Linear(slope / B), B)
     if (
         isinstance(problem, BusemannProblem)
         and problem.space == "euclidean"
@@ -598,8 +596,8 @@ def regularity_modulus_for(problem: Problem, q: int) -> TaggedModulus:
             # Weak sharp minimum at the heavier atom with slope |w1 - w2|.
             slope = abs(w1 - w2)
             if q == 1:
-                return _tag(Linear(slope), math.inf)
-            return _tag(Linear(slope / B), B)
+                return TaggedModulus(Linear(slope), math.inf)
+            return TaggedModulus(Linear(slope / B), B)
     raise NoModulusKnownError(
         f"no regularity modulus is known for this instance shape "
         f"({type(problem).__name__}, space={problem.space!r}, "
@@ -680,41 +678,8 @@ def tripod_median_busemann(region_bound: float = 2.0) -> BusemannProblem:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# Config parsing
 # ---------------------------------------------------------------------------
-
-
-def problem_to_spec(problem: Problem) -> dict:
-    from .spaces import convex_set_to_spec, point_to_spec
-
-    if isinstance(problem, MeanMinProblem):
-        return {
-            "kind": "mean_min",
-            "space": problem.space,
-            "cost": problem.cost_kind,
-            "atoms": [
-                {"point": point_to_spec(a), "weight": w} for a, w in problem.atoms
-            ],
-            "region_bound": problem.region_bound,
-        }
-    if isinstance(problem, FixedPointProblem):
-        return {
-            "kind": "fixed_point",
-            "space": problem.space,
-            "operators": [
-                {"set": convex_set_to_spec(c), "weight": w}
-                for c, w in zip(problem.sets, problem.weights)
-            ],
-            "v": problem.v,
-        }
-    return {
-        "kind": "busemann",
-        "space": problem.space,
-        "atoms": [{"point": point_to_spec(a), "weight": w} for a, w in problem.atoms],
-        "constraint": convex_set_to_spec(problem.constraint),
-        "lipschitz_cap": problem.lipschitz_cap,
-        "region_bound": problem.region_bound,
-    }
 
 
 def problem_from_spec(spec: dict) -> Problem:

@@ -399,7 +399,10 @@ def _halfplane_distance(x: HalfPlane, y: HalfPlane) -> float:
     # arcosh(1 + |x - y|^2 / (2 y1 y2)) without its cancellation near x = y,
     # and with no square that overflows when the heights are far apart.
     h = math.hypot(x.x - y.x, x.y - y.y)
-    return 2.0 * math.asinh(h / (2.0 * math.sqrt(x.y) * math.sqrt(y.y)))
+    q = h / (2.0 * math.sqrt(x.y) * math.sqrt(y.y))
+    if q == math.inf:  # d beyond ~1419: asinh q = log 2q, taken in logs
+        return 2.0 * (math.log(h) - 0.5 * math.log(x.y) - 0.5 * math.log(y.y))
+    return 2.0 * math.asinh(q)
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +413,30 @@ def _halfplane_distance(x: HalfPlane, y: HalfPlane) -> float:
 def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t: float) -> HalfPlane:
     """(1-t)x (+) t y, 0 < t < 1: with D = y1 sinh(td) + y2 sinh((1-t)d),
     (x1 + (x2 - x1) y1 sinh(td) / D, y1 y2 sinh(d) / D).  Each term is
-    scaled by -2 e^-d / sqrt(y1 y2), so for d below ~1400 none overflows
-    and D does not underflow."""
+    scaled by -2 e^-d / sqrt(y1 y2), so for d below 1400 none overflows
+    and D does not underflow.  Beyond, both terms are scaled by a further
+    e^-s that takes the larger to 1, and sqrt(y1 y2) e^-s is taken in logs.
+    A point whose height leaves the float range raises ValueError."""
     d = _halfplane_distance(x, y)
     if d == 0.0:
         return x
     lh = 0.5 * (math.log(y.y) - math.log(x.y))  # log sqrt(y2 / y1)
     a, b = t * d, (1.0 - t) * d
-    wx = math.exp(a - d - lh) * math.expm1(-2.0 * a)
-    den = wx + math.exp(b - d + lh) * math.expm1(-2.0 * b)
-    y_t = math.sqrt(x.y) * math.sqrt(y.y) * (math.expm1(-2.0 * d) / den)
-    return HalfPlane(x.x + (y.x - x.x) * (wx / den), y_t)
+    ea, eb = a - d - lh, b - d + lh
+    try:
+        if d < 1400.0:
+            s, root = 0.0, math.sqrt(x.y) * math.sqrt(y.y)
+        else:
+            s = max(ea, eb)
+            root = math.exp(0.5 * (math.log(x.y) + math.log(y.y)) - s)
+        wx = math.exp(ea - s) * math.expm1(-2.0 * a)
+        den = wx + math.exp(eb - s) * math.expm1(-2.0 * b)
+        p = HalfPlane(x.x + (y.x - x.x) * (wx / den), root * (math.expm1(-2.0 * d) / den))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        p = None
+    if p is None or p.y == math.inf:
+        raise ValueError(f"geodesic point at t={t!r} from {x} to {y} is out of float range")
+    return p
 
 
 def geodesic_point(x: Point, y: Point, t: float) -> Point:
@@ -795,26 +811,14 @@ def geometry_suite(
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (experiment configs and reports)
+# Config parsing
 # ---------------------------------------------------------------------------
-
-
-def _finite_or_none(v: float) -> float | None:
-    return None if math.isinf(v) else v
 
 
 def _none_to_inf(v, sign: float) -> float:
     if v is None:
         return sign * math.inf
     return float(v)
-
-
-def point_to_spec(p: Point) -> dict:
-    if isinstance(p, Euclidean):
-        return {"space": "euclidean", "coords": list(p.coords)}
-    if isinstance(p, Tripod):
-        return {"space": "tripod", "ray": p.ray, "coord": p.coord}
-    return {"space": "halfplane", "x": p.x, "y": p.y}
 
 
 def point_from_spec(spec: dict) -> Point:
@@ -826,24 +830,6 @@ def point_from_spec(spec: dict) -> Point:
     if kind == "halfplane":
         return HalfPlane(float(spec["x"]), float(spec["y"]))
     raise ValueError(f"unknown point space: {kind!r}")
-
-
-def convex_set_to_spec(cset: ConvexSet) -> dict:
-    if isinstance(cset, WholeSpace):
-        return {"kind": "whole_space"}
-    if isinstance(cset, Ball):
-        return {"kind": "ball", "center": point_to_spec(cset.center), "radius": cset.radius}
-    if isinstance(cset, Halfspace):
-        return {"kind": "halfspace", "normal": list(cset.normal), "offset": cset.offset}
-    if isinstance(cset, Box):
-        return {
-            "kind": "box",
-            "lo": [_finite_or_none(v) for v in cset.lo],
-            "hi": [_finite_or_none(v) for v in cset.hi],
-        }
-    if isinstance(cset, TripodSegment):
-        return {"kind": "tripod_segment", "max_coords": list(cset.max_coords)}
-    return {"kind": "segment", "a": point_to_spec(cset.a), "b": point_to_spec(cset.b)}
 
 
 def convex_set_from_spec(spec: dict) -> ConvexSet:

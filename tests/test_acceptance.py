@@ -77,7 +77,8 @@ def _flagship():
 
 
 def test_criterion_1_geometry_suites():
-    t0 = time.monotonic()
+    # CPU time of this process, so busy neighbours on the machine do not count.
+    t0 = time.process_time()
     for space in ("euclidean", "tripod", "halfplane"):
         summary = geometry_suite(space, samples=10_000, seed=0)
         res = summary["residuals"]
@@ -88,8 +89,8 @@ def test_criterion_1_geometry_suites():
         # curvature inequalities: CN and the quasi-triangle family q in {1,2,3}
         assert res["cn"] <= 1e-10, f"{space}.cn = {res['cn']}"
         assert res["quasi_triangle"] <= 1e-10, f"{space}.qt = {res['quasi_triangle']}"
-    elapsed = time.monotonic() - t0
-    assert elapsed < 5.0, f"geometry suites took {elapsed:.2f}s"
+    elapsed = time.process_time() - t0
+    assert elapsed < 4.5, f"geometry suites took {elapsed:.2f}s of CPU time"
 
 
 def test_criterion_2_recursion_bound_lemma():

@@ -280,7 +280,7 @@ def test_certificate_sppa_rho_assembles_printed_formula():
     budget_scale = cert.b + 4.0 * cert.L * cert.L * cert.T
     for eps in (30.0, 90.0):
         expected = cert.divergence(
-            tail_rate_chi(H11, "square", eps / (24.0 * cert.L_bar)),
+            tail_rate_chi(H11, eps / (24.0 * cert.L_bar)),
             budget_scale / eval_modulus(cert.tau, eps / 6.0),
         )
         assert cert.rho(eps) == expected
@@ -304,7 +304,7 @@ def test_certificate_sb_constants_and_rho_shape():
     budget_scale = cert.b + cert.L * cert.L * cert.T
     for eps in (40.0, 120.0):
         expected = cert.divergence(
-            tail_rate_chi(H11, "square", eps / (6.0 * cert.L * cert.L)),
+            tail_rate_chi(H11, eps / (6.0 * cert.L * cert.L)),
             budget_scale / eval_modulus(cert.tau, eps / 6.0),
         )
         assert cert.rho(eps) == expected

@@ -11,30 +11,41 @@ import json
 import pytest
 
 from fejerlab.cli import main
-from fejerlab.moduli import Constant, Harmonic, schedule_to_spec
-from fejerlab.problems import (
-    HALF_SQUARED,
-    build_mean_min,
-    problem_to_spec,
-    segment_argmin,
-    tripod_median,
-    two_halfspace,
-)
-from fejerlab.spaces import Euclidean, Tripod, point_to_spec
+from fejerlab.problems import HALF_SQUARED
 
 # ---------------------------------------------------------------------------
 # Config builders
 # ---------------------------------------------------------------------------
+
+CONSTANT_HALF = {"kind": "constant", "c": 0.5}
+HARMONIC_11 = {"kind": "harmonic", "a": 1.0, "s": 1.0}
+
+
+def _euclid(*coords):
+    return {"space": "euclidean", "coords": list(coords)}
+
+
+def _tripod(ray, coord):
+    return {"space": "tripod", "ray": ray, "coord": coord}
+
 
 
 def rate_config(paths=400, horizon=1500, seed=7, threads=1, epsilons=(1.0,), lam=0.1):
     """Small projection-splitting experiment with a rate-certificate audit."""
     return {
         "space": "euclidean",
-        "problem": problem_to_spec(two_halfspace()),
+        "problem": {  # catalogue two_halfspace()
+            "kind": "fixed_point",
+            "space": "euclidean",
+            "operators": [
+                {"set": {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0}, "weight": 0.5},
+                {"set": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0}, "weight": 0.5},
+            ],
+            "v": 2.0,
+        },
         "algorithm": "skm",
-        "x0": point_to_spec(Euclidean((1.0, 1.0))),
-        "schedule": schedule_to_spec(Constant(0.5)),
+        "x0": _euclid(1.0, 1.0),
+        "schedule": CONSTANT_HALF,
         "ensemble": {"paths": paths, "horizon": horizon, "seed": seed, "threads": threads},
         "audit": {"epsilons": list(epsilons), "lambda": lam},
     }
@@ -49,10 +60,20 @@ def fast_config(paths=200, horizon=400, seed=11):
 def sb_liminf_config(paths=128, horizon=400, seed=5):
     return {
         "space": "euclidean",
-        "problem": problem_to_spec(segment_argmin()),
+        "problem": {  # catalogue segment_argmin()
+            "kind": "busemann",
+            "space": "euclidean",
+            "atoms": [
+                {"point": _euclid(-1.0, 0.0), "weight": 0.5},
+                {"point": _euclid(1.0, 0.0), "weight": 0.5},
+            ],
+            "constraint": {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
+            "lipschitz_cap": 1.0,
+            "region_bound": 4.0,
+        },
         "algorithm": "sb",
-        "x0": point_to_spec(Euclidean((0.0, 2.0))),
-        "schedule": schedule_to_spec(Harmonic(1.0, 1.0)),
+        "x0": _euclid(0.0, 2.0),
+        "schedule": HARMONIC_11,
         "ensemble": {"paths": paths, "horizon": horizon, "seed": seed, "threads": 1},
         "audit": {"epsilons": [1.0], "liminf": {"epsilon": 1.0, "start": 0}},
     }
@@ -61,10 +82,16 @@ def sb_liminf_config(paths=128, horizon=400, seed=5):
 def tripod_liminf_config(paths=64, horizon=120, seed=3):
     return {
         "space": "tripod",
-        "problem": problem_to_spec(tripod_median(4.0)),
+        "problem": {  # catalogue tripod_median(4.0)
+            "kind": "mean_min",
+            "space": "tripod",
+            "cost": "distance",
+            "atoms": [{"point": _tripod(j, 1.0), "weight": 1.0 / 3.0} for j in range(3)],
+            "region_bound": 4.0,
+        },
         "algorithm": "sppa",
-        "x0": point_to_spec(Tripod(0, 3.0)),
-        "schedule": schedule_to_spec(Harmonic(1.0, 1.0)),
+        "x0": _tripod(0, 3.0),
+        "schedule": HARMONIC_11,
         "ensemble": {"paths": paths, "horizon": horizon, "seed": seed, "threads": 1},
         "audit": {"epsilons": [2.0], "liminf": {"epsilon": 2.0, "start": 0}},
     }
@@ -457,7 +484,7 @@ def test_invalid_start_point_is_rejected_with_field_path(tmp_path, capsys):
 
 def test_space_point_mismatch_is_rejected(tmp_path, capsys):
     cfg = rate_config(paths=2, horizon=2)
-    cfg["x0"] = point_to_spec(Tripod(0, 1.0))
+    cfg["x0"] = _tripod(0, 1.0)
     rc = run_cli("validate", "--config", write_config(tmp_path, cfg))
     assert rc == 1
     assert "config.x0" in capsys.readouterr().err
@@ -465,7 +492,7 @@ def test_space_point_mismatch_is_rejected(tmp_path, capsys):
 
 def test_cross_field_schedule_check_is_rejected(tmp_path, capsys):
     cfg = tripod_liminf_config(paths=2, horizon=2)
-    cfg["schedule"] = schedule_to_spec(Constant(0.5))  # not summable: invalid for sppa
+    cfg["schedule"] = CONSTANT_HALF  # not summable: invalid for sppa
     rc = run_cli("validate", "--config", write_config(tmp_path, cfg))
     assert rc == 1
     assert "config:" in capsys.readouterr().err
@@ -496,9 +523,17 @@ def test_start_point_of_another_dimension_is_an_input_error(tmp_path, capsys, co
 
 
 def test_liminf_audit_from_a_start_of_another_dimension_is_an_input_error(tmp_path, capsys):
-    atoms = ((Euclidean((1.0, 0.0)), 0.5), (Euclidean((-1.0, 2.0)), 0.5))
     cfg = sb_liminf_config(paths=2, horizon=2)
-    cfg["problem"] = problem_to_spec(build_mean_min("euclidean", atoms, HALF_SQUARED, 4.0))
+    cfg["problem"] = {
+        "kind": "mean_min",
+        "space": "euclidean",
+        "cost": HALF_SQUARED,
+        "atoms": [
+            {"point": _euclid(1.0, 0.0), "weight": 0.5},
+            {"point": _euclid(-1.0, 2.0), "weight": 0.5},
+        ],
+        "region_bound": 4.0,
+    }
     cfg["algorithm"] = "sppa"
     cfg["x0"] = {"space": "euclidean", "coords": [0.0, 0.0, 0.0]}
     rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x_"))
@@ -526,7 +561,7 @@ def test_atoms_of_different_dimensions_are_an_input_error(tmp_path, capsys):
 def test_operator_set_of_another_space_is_an_input_error(tmp_path, capsys):
     cfg = tripod_liminf_config(paths=2, horizon=2)
     cfg["algorithm"] = "skm"
-    cfg["schedule"] = schedule_to_spec(Constant(0.5))
+    cfg["schedule"] = CONSTANT_HALF
     cfg["problem"] = {
         "kind": "fixed_point",
         "space": "tripod",

@@ -22,11 +22,9 @@ from fejerlab.moduli import (
     eval_modulus,
     fast_bounds,
     metric_rates,
-    pointwise_to_mean,
     recursion_bound_u,
     schedule_from_spec,
     schedule_square_sum_bound,
-    schedule_to_spec,
     schedule_value,
     tail_rate_chi,
 )
@@ -61,19 +59,6 @@ def test_eval_rejects_nonpositive_eps():
 def test_eval_monotone_in_eps(m, e1, e2):
     lo, hi = min(e1, e2), max(e1, e2)
     assert eval_modulus(m, lo) <= eval_modulus(m, hi) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Mean lifting
-# ---------------------------------------------------------------------------
-
-
-def test_pointwise_to_mean_tags_convex_shapes():
-    for m in (Power(0.125, 2.0), Linear(0.7)):
-        lifted = pointwise_to_mean(m)
-        assert lifted.mean_valid
-        for e in (0.1, 1.0, 7.0):
-            assert eval_modulus(lifted, e) == eval_modulus(m, e)
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +109,20 @@ def test_schedule_square_sum_bound_rejects_divergent():
 
 
 def test_schedule_spec_round_trip():
-    for sched in (
-        Harmonic(0.5, 2.0),
-        Constant(0.25),
-        TableSchedule((0.9, 0.8), Harmonic(1.0, 3.0)),
-        RootSchedule(4.0, 16),
+    """A config's schedule of every kind reads as the schedule it describes."""
+    for spec, sched in (
+        ({"kind": "harmonic", "a": 0.5, "s": 2.0}, Harmonic(0.5, 2.0)),
+        ({"kind": "harmonic", "a": 0.5}, Harmonic(0.5, 1.0)),
+        ({"kind": "constant", "c": 0.25}, Constant(0.25)),
+        (
+            {"kind": "table", "values": [0.9, 0.8], "tail": {"a": 1.0, "s": 3.0}},
+            TableSchedule((0.9, 0.8), Harmonic(1.0, 3.0)),
+        ),
+        ({"kind": "root", "q": 4.0, "r": 16}, RootSchedule(4.0, 16)),
     ):
-        assert schedule_from_spec(schedule_to_spec(sched)) == sched
+        assert schedule_from_spec(spec) == sched
+    with pytest.raises(ValueError, match="unknown schedule kind"):
+        schedule_from_spec({"kind": "geometric"})
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +132,14 @@ def test_schedule_spec_round_trip():
 
 def test_tail_rate_chi_harmonic():
     sched = Harmonic(1.0, 1.0)
-    assert tail_rate_chi(sched, "square", 0.1) == 10
-    assert tail_rate_chi(sched, "square", 0.5) == 2
-    assert tail_rate_chi(sched, ("square_times", 4.0), 0.4) == 10
+    assert tail_rate_chi(sched, 0.1) == 10
+    assert tail_rate_chi(sched, 0.5) == 2
 
 
 def test_tail_rate_chi_soundness_brute_force():
     sched = Harmonic(1.0, 1.0)
     for eps in (0.1, 0.5, 0.037):
-        n0 = tail_rate_chi(sched, "square", eps)
+        n0 = tail_rate_chi(sched, eps)
         # closed-form remainder of the partial sum over 10^7 terms
         big = 10_000_000
         partial = math.fsum(
@@ -163,7 +154,7 @@ def test_tail_rate_chi_soundness_brute_force():
 
 def test_tail_rate_chi_rejects_constant():
     with pytest.raises(ValueError):
-        tail_rate_chi(Constant(0.5), "square", 0.1)
+        tail_rate_chi(Constant(0.5), 0.1)
 
 
 # ---------------------------------------------------------------------------

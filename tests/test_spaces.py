@@ -35,12 +35,10 @@ from fejerlab.spaces import (
     cn_residual,
     contains,
     convex_set_from_spec,
-    convex_set_to_spec,
     distance,
     geodesic_point,
     geometry_suite,
     point_from_spec,
-    point_to_spec,
     project_convex,
     quasi_triangle_residual,
     ray_point,
@@ -352,6 +350,31 @@ def test_halfplane_geometry_matches_a_60_digit_reference(row):
     assert worst_geo <= 1e-10 and worst_foot <= 1e-10, (worst_geo, worst_foot)
 
 
+def test_halfplane_far_pairs_match_a_60_digit_reference():
+    """Pairs farther apart than about 1,419, where |x - y| / (2 sqrt(y1 y2))
+    overflows: the distance is taken in logs and the geodesic rescaled."""
+    rnd = random.Random(1419)
+    pairs = [(HalfPlane(0.0, 1e-300), HalfPlane(1e10, 1e-300))]
+    while len(pairs) < 200:
+        x = HalfPlane(rnd.uniform(-3.0, 3.0), 10.0 ** rnd.uniform(-300.0, 300.0))
+        y = HalfPlane(rnd.choice((-1.0, 1.0)) * 10.0 ** rnd.uniform(0.0, 300.0), 10.0 ** rnd.uniform(-300.0, 300.0))
+        if math.hypot(x.x - y.x, x.y - y.y) / (2.0 * math.sqrt(x.y) * math.sqrt(y.y)) == math.inf:
+            pairs.append((x, y))
+    with mpmath.workdps(60):
+        for x, y in pairs:
+            zx, zy = _mp_z(x), _mp_z(y)
+            d = _mp_distance(zx, zy)
+            assert abs(distance(x, y) - d) <= GEOM_TOL, (x, y)
+            for t in (1e-9, rnd.random(), 0.5, 1.0 - 1e-9):
+                g = _mp_z(geodesic_point(x, y, t))
+                geo = max(abs(_mp_distance(zx, g) - t * d), abs(_mp_distance(g, zy) - (1 - t) * d))
+                assert geo <= GEOM_TOL * d, (x, y, t)
+    assert distance(*pairs[0]) == pytest.approx(1427.6027576563083, abs=1e-10)
+    x, y = HalfPlane(-1.7e308, 1.0), HalfPlane(1.7e308, 1.0)
+    with pytest.raises(ValueError, match=r"from HalfPlane\(x=-1.7e\+308.*to HalfPlane\(x=1.7e\+308"):
+        geodesic_point(x, y, 0.5)
+
+
 def test_halfplane_extreme_heights_stay_finite():
     points = [HalfPlane(0.0, 1e-300), HalfPlane(2.5, 1e-300), HalfPlane(-3.0, 1e300), HalfPlane(1.0, 1.0)]
     for x in points:
@@ -395,7 +418,7 @@ def test_projection_nonexpansive_samples():
 
 
 # ---------------------------------------------------------------------------
-# Randomized suite and serialization
+# Randomized suite and config parsing
 # ---------------------------------------------------------------------------
 
 
@@ -406,24 +429,42 @@ def test_geometry_suite_passes_each_space_smoke():
 
 
 def test_point_spec_round_trip():
-    pts = [Euclidean((1.0, -2.5)), Tripod(2, 0.75), HalfPlane(-0.5, 2.0)]
-    for p in pts:
-        spec = point_to_spec(p)
+    """A config's point of every space reads as the point it describes."""
+    for spec, p in (
+        ({"space": "euclidean", "coords": [1.0, -2.5]}, Euclidean((1.0, -2.5))),
+        ({"space": "tripod", "ray": 2, "coord": 0.75}, Tripod(2, 0.75)),
+        ({"space": "halfplane", "x": -0.5, "y": 2.0}, HalfPlane(-0.5, 2.0)),
+    ):
         assert point_from_spec(spec) == p
+    with pytest.raises(ValueError, match="unknown point space"):
+        point_from_spec({"space": "sphere"})
 
 
 def test_convex_set_spec_round_trip():
-    sets = [
-        WholeSpace(),
-        Ball(Euclidean((0.0, 1.0)), 2.0),
-        Halfspace((0.0, 1.0), 0.5),
-        Box((0.0, -math.inf), (math.inf, 1.0)),
-        TripodSegment((1.0, 2.0, 3.0)),
-        Segment(Euclidean((-1.0, 0.0)), Euclidean((1.0, 0.0))),
-    ]
-    for cset in sets:
-        spec = convex_set_to_spec(cset)
+    """A config's set of every kind reads as the set it describes; a null
+    box bound is unbounded."""
+    e = {"space": "euclidean", "coords": [0.0, 1.0]}
+    for spec, cset in (
+        ({"kind": "whole_space"}, WholeSpace()),
+        ({"kind": "ball", "center": e, "radius": 2.0}, Ball(Euclidean((0.0, 1.0)), 2.0)),
+        ({"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.5}, Halfspace((0.0, 1.0), 0.5)),
+        (
+            {"kind": "box", "lo": [0.0, None], "hi": [None, 1.0]},
+            Box((0.0, -math.inf), (math.inf, 1.0)),
+        ),
+        ({"kind": "tripod_segment", "max_coords": [1.0, 2.0, 3.0]}, TripodSegment((1.0, 2.0, 3.0))),
+        (
+            {
+                "kind": "segment",
+                "a": {"space": "halfplane", "x": -1.0, "y": 1.0},
+                "b": {"space": "halfplane", "x": 1.0, "y": 1.0},
+            },
+            Segment(HalfPlane(-1.0, 1.0), HalfPlane(1.0, 1.0)),
+        ),
+    ):
         assert convex_set_from_spec(spec) == cset
+    with pytest.raises(ValueError, match="unknown convex set kind"):
+        convex_set_from_spec({"kind": "cone"})
 
 
 def test_invalid_points_rejected():
