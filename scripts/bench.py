@@ -12,7 +12,10 @@ alone), the highest number of threads the child ran at once (sampled from
 ``curves.csv`` and ``audit.json``.  Each config also runs once through
 `fejerlab validate`, whose exit code, wall time and SHA-256 of standard
 output (the geometry suite's residuals) are recorded, so a geometry change
-that moves a residual shows up.
+that moves a residual shows up.  The written curves are then re-audited
+(`fejerlab audit --curves`), recording the exit code, wall time and the
+SHA-256 of the re-audit's ``audit.json``, and summarized by `fejerlab
+report`, recording its exit code, wall time and SHA-256 of standard output.
 
 Each run also records ``src_lines``, the line count of the tree's
 ``fejerlab/*.py`` (what ``wc -l src/fejerlab/*.py`` totals).
@@ -108,10 +111,10 @@ def run_audit(src: pathlib.Path, config: pathlib.Path, outdir: pathlib.Path) -> 
     }
 
 
-def run_validate(src: pathlib.Path, config: pathlib.Path) -> dict:
-    """One `fejerlab validate` in a child process; its exit code and output digest."""
+def run_cli(src: pathlib.Path, *args: str) -> dict:
+    """One `fejerlab <args>` in a child process; its exit code and output digest."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, "-m", "fejerlab.cli", "validate", "--config", str(config)]
+    cmd = [sys.executable, "-m", "fejerlab.cli", *args]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, env=env, capture_output=True, check=False)
     return {
@@ -137,11 +140,21 @@ def main(argv=None) -> int:
         for name in CONFIGS:
             config = src.parent / "scripts" / name
             res = results[name] = run_audit(src, config, pathlib.Path(tmp))
-            res["validate"] = run_validate(src, config)
-            failed |= res["exit_code"] != 0 or res["validate"]["exit_code"] != 0
+            res["validate"] = run_cli(src, "validate", "--config", str(config))
+            prefix = f"{pathlib.Path(tmp) / config.stem}_"
+            reaudit = res["reaudit"] = run_cli(
+                src, "audit", "--config", str(config), "--out", f"{prefix}re_",
+                "--curves", f"{prefix}curves.csv",
+            )
+            # Its stdout names the temporary directory; the file digest does not.
+            del reaudit["stdout_sha256"]
+            reaudit["audit_sha256"] = _sha256(pathlib.Path(f"{prefix}re_audit.json"))
+            res["report"] = run_cli(src, "report", "--config", str(config), "--out", prefix)
+            codes = [res["exit_code"]] + [res[k]["exit_code"] for k in ("validate", "reaudit", "report")]
+            failed |= any(codes)
             print(
                 f"{name}: wall {res['wall_s']:.2f} s, peak RSS {res['peak_rss_mb']:.0f} MB, "
-                f"exit {res['exit_code']}; validate exit {res['validate']['exit_code']}"
+                f"exit codes (audit, validate, re-audit, report) {codes}"
             )
 
     out = pathlib.Path(args.out)

@@ -394,9 +394,16 @@ def _budget_witness(sched: StepSchedule, transform: str) -> Callable[[int, float
     return theta
 
 
-def _liminf_window(theta: Callable[[int, float], int], budget_scale: float):
+def _budget_scale(spec: _Spec, b: float, L: float, T: float) -> float:
+    return b + spec.noise * L * L * T
+
+
+def _liminf_bound(algorithm: str, sched: StepSchedule, b: float, L: float, T: float):
     """phi(eps, N) = theta(N, budget_scale / eps): the right end of a window
     starting at N that must contain an iterate with mean gap below eps."""
+    spec = _SPECS[algorithm]
+    theta = _budget_witness(sched, spec.transform)
+    budget_scale = _budget_scale(spec, b, L, T)
 
     def phi(eps: float, N: int) -> int:
         if not eps > 0.0:
@@ -404,16 +411,6 @@ def _liminf_window(theta: Callable[[int, float], int], budget_scale: float):
         return theta(N, budget_scale / eps)
 
     return phi
-
-
-def _budget_scale(spec: _Spec, b: float, L: float, T: float) -> float:
-    return b + spec.noise * L * L * T
-
-
-def _liminf_bound(algorithm: str, sched: StepSchedule, b: float, L: float, T: float):
-    spec = _SPECS[algorithm]
-    theta = _budget_witness(sched, spec.transform)
-    return _liminf_window(theta, _budget_scale(spec, b, L, T))
 
 
 def liminf_bound_sppa(sched: StepSchedule, b: float, L: float, T: float):
@@ -496,7 +493,6 @@ def _certificate(
         L_bar=L_bar,
         T=T,
         rho=rho,
-        liminf_bound=_liminf_window(theta, budget_scale),
     )
 
 

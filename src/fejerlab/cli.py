@@ -22,24 +22,24 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import algorithms
 from .algorithms import fast_certificate_skm, gap_window, validate_run
 from .harness import (
     AuditRecord,
     AuditReport,
     EnsembleStats,
+    _index_label,
     certificate_audit,
     export_results,
     fast_audit,
-    liminf_witness_check,
+    liminf_audit,
     load_curves,
+    read_audit,
     run_ensemble,
     stats_from_curves,
     write_audit,
 )
-from .moduli import StepSchedule, schedule_from_spec
+from .moduli import FastCertificate, StepSchedule, schedule_from_spec
 from .problems import NoModulusKnownError, Problem, problem_from_spec
 from .spaces import Point, geometry_suite, point_from_spec, space_of
 
@@ -107,6 +107,11 @@ def _no_extras(doc: dict, allowed, path: str) -> None:
 
 @dataclass
 class Experiment:
+    """A parsed config.  ``sched`` and ``thresholds`` are what the ensemble
+    runs and tracks: under ``audit.fast`` the certificate's root schedule
+    and sqrt(eps) per audited eps (the fast tail bound controls dist^2 >=
+    eps), otherwise the configured schedule and the audited epsilons."""
+
     space: str
     problem: Problem
     algorithm: str
@@ -117,8 +122,9 @@ class Experiment:
     seed: int
     threads: int
     epsilons: tuple[float, ...]
+    thresholds: tuple[float, ...]
     lam: float | None
-    fast: dict | None
+    fast: FastCertificate | None
     liminf: dict | None
 
 
@@ -188,7 +194,7 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
 
     epsilons: tuple[float, ...] = ()
     lam = None
-    fast = None
+    fast_params = fast = None
     liminf = None
     if "audit" in top:
         aud = _as_dict(top["audit"], "config.audit")
@@ -212,12 +218,12 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
         if "fast" in aud:
             fd = _as_dict(aud["fast"], "config.audit.fast")
             _no_extras(fd, ("c", "r"), "config.audit.fast")
-            fast = {
-                "c": _as_float(_need(fd, "c", "config.audit.fast"), "config.audit.fast.c"),
-                "r": _as_int(_need(fd, "r", "config.audit.fast"), "config.audit.fast.r", lo=1),
-            }
-            if not fast["c"] > 1.0:
-                raise ConfigError(f"config.audit.fast.c: must be > 1, got {fast['c']}")
+            fast_params = (
+                _as_float(_need(fd, "c", "config.audit.fast"), "config.audit.fast.c"),
+                _as_int(_need(fd, "r", "config.audit.fast"), "config.audit.fast.r", lo=1),
+            )
+            if not fast_params[0] > 1.0:
+                raise ConfigError(f"config.audit.fast.c: must be > 1, got {fast_params[0]}")
             if algorithm != "skm":
                 raise ConfigError(
                     "config.audit.fast: fast-rate audits are defined for algorithm 'skm'"
@@ -238,7 +244,7 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
                 lo=0,
             )
             liminf = {"epsilon": eps_l, "start": start}
-        if fast is not None and liminf is not None:
+        if fast_params is not None and liminf is not None:
             raise ConfigError("config.audit: choose at most one of 'fast' and 'liminf'")
 
     if seed_override is not None:
@@ -254,6 +260,14 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
 
+    thresholds = epsilons
+    if fast_params is not None:
+        try:
+            fast, sched = fast_certificate_skm(problem, *fast_params, x0)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"config.audit.fast: {exc}") from exc
+        thresholds = tuple(math.sqrt(e) for e in epsilons)
+
     return Experiment(
         space=space,
         problem=problem,
@@ -265,6 +279,7 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
         seed=seed,
         threads=threads,
         epsilons=epsilons,
+        thresholds=thresholds,
         lam=lam,
         fast=fast,
         liminf=liminf,
@@ -276,113 +291,44 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
 # ---------------------------------------------------------------------------
 
 
-def _fast_parts(exp: Experiment):
-    """Fast-rate certificate and its tailored root schedule."""
-    try:
-        return fast_certificate_skm(exp.problem, exp.fast["c"], exp.fast["r"], exp.x0)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config.audit.fast: {exc}") from exc
-
-
-def _run_plan(exp: Experiment):
-    """The (schedule, tail thresholds) actually used for ensemble runs.
-
-    A fast-rate audit replaces the configured schedule with the tailored
-    root schedule and tracks tails at sqrt(eps) for each audited eps
-    (the fast tail bound controls dist^2 >= eps, i.e. dist >= sqrt(eps)).
-    """
-    if exp.fast is not None:
-        _, root = _fast_parts(exp)
-        return root, tuple(math.sqrt(e) for e in exp.epsilons)
-    return exp.sched, exp.epsilons
-
-
 def _run_stats(exp: Experiment) -> EnsembleStats:
-    sched, thresholds = _run_plan(exp)
     return run_ensemble(
         exp.problem,
         exp.algorithm,
-        sched,
+        exp.sched,
         exp.x0,
         exp.paths,
         exp.horizon,
         exp.seed,
-        thresholds,
+        exp.thresholds,
         threads=exp.threads,
     )
 
 
-def _index_label(idx: int) -> str:
-    """Astronomically large witness indices are printed as magnitudes."""
-    if idx >= 10**12:
-        return f"~1e{len(str(idx)) - 1}"
-    return str(idx)
-
-
-def _liminf_report(exp: Experiment, stats: EnsembleStats) -> AuditReport:
-    """Gap-window audit: the certified window [N, phi(eps, N)] must contain
-    an iterate whose mean optimality gap is below eps."""
-    eps = exp.liminf["epsilon"]
-    start = exp.liminf["start"]
-    phi = gap_window(exp.problem, exp.algorithm, exp.sched, exp.x0)
-    bound_idx = phi(eps, start)
-    witness = liminf_witness_check(stats, eps, start, bound_idx)
-    window = f"window [{start}, {_index_label(bound_idx)}]"
-    caveat = (
-        "full rate-certificate indices rho(eps) at small eps are astronomically "
-        "large under harmonic schedules (the divergence witness grows exponentially "
-        "in the budget); they are certified by the geometry, recursion, one-step "
-        "inequality, and modulus-soundness checks rather than by simulation"
-    )
-    if witness is not None:
-        observed = float(stats.mean_gap[witness])
-        record = AuditRecord(
-            epsilon=eps,
-            criterion="gap_window",
-            predicted_index=bound_idx,
-            observed_value_at_index=observed,
-            bound_satisfied=True,
-            mc_margin=eps - observed,
-            note=(
-                f"{window}: witness at n={witness} with mean gap "
-                f"{observed:.6g} < {eps:g}; {caveat}"
-            ),
+def _audit_check(exp: Experiment):
+    """The configured audit, as a function of the ensemble statistics.  It
+    builds the rate certificate or the gap window now, so a missing modulus
+    fails (exit 5) before any ensemble work."""
+    if exp.fast is not None:
+        return lambda stats: fast_audit(stats, exp.fast, exp.epsilons)
+    if exp.liminf is not None:
+        phi = gap_window(exp.problem, exp.algorithm, exp.sched, exp.x0)
+        return lambda stats: liminf_audit(
+            stats, phi, exp.liminf["epsilon"], exp.liminf["start"]
         )
-    elif bound_idx > stats.horizon:
-        record = AuditRecord(
-            epsilon=eps,
-            criterion="gap_window",
-            predicted_index=bound_idx,
-            observed_value_at_index=None,
-            bound_satisfied=None,
-            mc_margin=None,
-            note=(
-                f"unchecked: {window} extends beyond horizon {stats.horizon} "
-                f"and no witness was observed up to the horizon; {caveat}"
-            ),
-        )
-    else:
-        observed = float(np.min(stats.mean_gap[start : bound_idx + 1]))
-        record = AuditRecord(
-            epsilon=eps,
-            criterion="gap_window",
-            predicted_index=bound_idx,
-            observed_value_at_index=observed,
-            bound_satisfied=False,
-            mc_margin=eps - observed,
-            note=(
-                f"{window}: no iterate with mean gap below {eps:g} "
-                f"(minimum {observed:.6g}); {caveat}"
-            ),
-        )
-    return AuditReport(
-        kind="liminf",
-        algorithm=exp.algorithm,
-        paths=stats.paths,
-        horizon=stats.horizon,
-        lam=None,
-        records=[record],
-    )
+    if exp.lam is None:
+        raise ConfigError("config.audit.lambda: required for certificate audits")
+    if not exp.epsilons:
+        raise ConfigError("config.audit.epsilons: at least one threshold required")
+    # Looked up by module attribute, so a wrapper bound to it sees the call.
+    certificate = getattr(algorithms, f"certificate_{exp.algorithm}")
+    try:
+        cert = certificate(exp.problem, exp.sched, exp.x0)
+    except NoModulusKnownError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    return lambda stats: certificate_audit(stats, cert, exp.epsilons, exp.lam)
 
 
 def _print_records(report: AuditReport, details) -> dict[str, int]:
@@ -424,25 +370,7 @@ def cmd_run(exp: Experiment, out_prefix: str) -> int:
 
 
 def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) -> int:
-    # Build the certificate first: a missing modulus must fail fast (exit 5)
-    # before any expensive ensemble work.
-    cert = None
-    if exp.fast is not None:
-        cert, _ = _fast_parts(exp)
-    elif exp.liminf is None:
-        if exp.lam is None:
-            raise ConfigError("config.audit.lambda: required for certificate audits")
-        if not exp.epsilons:
-            raise ConfigError("config.audit.epsilons: at least one threshold required")
-        # Looked up by module attribute, so a wrapper bound to it sees the call.
-        certificate = getattr(algorithms, f"certificate_{exp.algorithm}")
-        try:
-            cert = certificate(exp.problem, exp.sched, exp.x0)
-        except NoModulusKnownError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config: {exc}") from exc
-
+    check = _audit_check(exp)
     if curves_path is not None:
         try:
             cols = load_curves(curves_path)
@@ -451,8 +379,7 @@ def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) 
         stats = stats_from_curves(
             cols, exp.algorithm, exp.space, exp.paths, exp.seed
         )
-        _, thresholds = _run_plan(exp)
-        missing = [t for t in thresholds if t not in stats.tail]
+        missing = [t for t in exp.thresholds if t not in stats.tail]
         if missing:
             raise ConfigError(
                 f"--curves {curves_path}: missing tail thresholds {missing}; "
@@ -461,13 +388,7 @@ def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) 
     else:
         stats = _run_stats(exp)
 
-    if exp.fast is not None:
-        report = fast_audit(stats, cert, exp.epsilons)
-    elif exp.liminf is not None:
-        report = _liminf_report(exp, stats)
-    else:
-        report = certificate_audit(stats, cert, exp.epsilons, exp.lam)
-
+    report = check(stats)
     if curves_path is None:
         written = export_results(stats, report, out_prefix)
     else:
@@ -481,11 +402,8 @@ def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) 
 
 def cmd_report(out_prefix: str) -> int:
     """Juxtapose the audit's predicted indices with the observed curves."""
-    audit_path = f"{out_prefix}audit.json"
-    curves_path = f"{out_prefix}curves.csv"
-    with open(audit_path) as fh:
-        report = AuditReport.from_json_dict(json.load(fh))
-    cols = load_curves(curves_path)
+    report = read_audit(out_prefix)
+    cols = load_curves(f"{out_prefix}curves.csv")
     horizon = len(cols["n"]) - 1
 
     header = (
@@ -600,7 +518,7 @@ def main(argv=None) -> int:
     # report
     try:
         return cmd_report(args.out)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"report input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

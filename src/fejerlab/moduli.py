@@ -460,9 +460,7 @@ class RateCertificate:
     """The ingredient tuple of an explicit convergence-rate certificate,
     plus the assembled index functions.
 
-    ``rho`` maps a gap tolerance to an iteration index; ``liminf_bound``
-    maps (gap tolerance, start index) to the right end of a window that
-    must contain an iterate with mean gap below the tolerance.
+    ``rho`` maps a gap tolerance to an iteration index.
     """
 
     algorithm: str
@@ -476,7 +474,6 @@ class RateCertificate:
     L_bar: float
     T: float
     rho: Callable[[float], int]
-    liminf_bound: Callable[[float, int], int]
 
     def metric_rates(self, eps: float, lam: float) -> tuple[int, int, int, int]:
         return metric_rates(self.rho, self.consistency, eps, lam)

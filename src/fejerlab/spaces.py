@@ -401,6 +401,9 @@ def _halfplane_distance(x: HalfPlane, y: HalfPlane) -> float:
     h = math.hypot(x.x - y.x, x.y - y.y)
     q = h / (2.0 * math.sqrt(x.y) * math.sqrt(y.y))
     if q == math.inf:  # d beyond ~1419: asinh q = log 2q, taken in logs
+        if h == math.inf:  # x.x - y.x overflows; its half does not
+            h = math.hypot(0.5 * x.x - 0.5 * y.x, 0.5 * x.y - 0.5 * y.y)
+            return 2.0 * (math.log(2.0) + math.log(h) - 0.5 * math.log(x.y) - 0.5 * math.log(y.y))
         return 2.0 * (math.log(h) - 0.5 * math.log(x.y) - 0.5 * math.log(y.y))
     return 2.0 * math.asinh(q)
 
@@ -434,7 +437,7 @@ def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t: float) -> HalfPlane:
         p = HalfPlane(x.x + (y.x - x.x) * (wx / den), root * (math.expm1(-2.0 * d) / den))
     except (OverflowError, ZeroDivisionError, ValueError):
         p = None
-    if p is None or p.y == math.inf:
+    if p is None or p.y == math.inf or not math.isfinite(p.x):
         raise ValueError(f"geodesic point at t={t!r} from {x} to {y} is out of float range")
     return p
 

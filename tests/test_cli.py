@@ -7,6 +7,7 @@ written under the --out prefix.
 
 import csv
 import json
+import sys
 
 import pytest
 
@@ -317,9 +318,13 @@ def test_audit_unknown_modulus_shape_exits_5(tmp_path, capsys):
     cfg = sb_liminf_config(paths=2, horizon=2)
     cfg["audit"] = {"epsilons": [1.0], "lambda": 0.5}
     path = write_config(tmp_path, cfg)
-    rc = run_cli("audit", "--config", path, "--out", str(tmp_path / "x_"))
+    # Only the certificate needs the modulus: the ensemble itself runs.
+    assert run_cli("run", "--config", path, "--out", str(tmp_path / "x_")) == 0
+    capsys.readouterr()
+    rc = run_cli("audit", "--config", path, "--out", str(tmp_path / "y_"))
     assert rc == 5
     assert "no modulus known" in capsys.readouterr().err
+    assert not (tmp_path / "y_curves.csv").exists()  # failed before the ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +351,31 @@ def test_audit_fast_rejects_infeasible_parameters(tmp_path, capsys):
     cfg = fast_config(paths=2, horizon=2)
     cfg["audit"]["fast"] = {"c": 2.0, "r": 15}  # root schedule infeasible: 4vc > r
     path = write_config(tmp_path, cfg)
-    rc = run_cli("audit", "--config", path, "--out", str(tmp_path / "x_"))
-    assert rc == 1
-    assert "config.audit.fast" in capsys.readouterr().err
+    # The parameters are part of the config, so every subcommand rejects them.
+    for command in ("validate", "run", "audit"):
+        rc = run_cli(command, "--config", path, "--out", str(tmp_path / "x_"))
+        assert rc == 1, command
+        assert "config.audit.fast" in capsys.readouterr().err, command
+
+
+def test_audit_and_reaudit_build_the_fast_certificate_once(tmp_path, monkeypatch):
+    import fejerlab.cli as cli
+
+    calls = []
+    build = cli.fast_certificate_skm
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "fast_certificate_skm", counted)
+    cfg = write_config(tmp_path, fast_config(paths=16, horizon=40))
+    out = str(tmp_path / "f_")
+    assert run_cli("audit", "--config", cfg, "--out", out) == 0
+    assert len(calls) == 1
+    rc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "re_"), "--curves", out + "curves.csv")
+    assert rc == 0
+    assert len(calls) == 2
 
 
 def test_audit_gap_window_passes_with_witness_and_caveat(tmp_path, capsys):
@@ -376,6 +403,90 @@ def test_audit_gap_window_witness_can_precede_a_long_window(tmp_path, capsys):
     assert rc == 0
     assert "window [0, 1425]" in printed
     assert "witness at n=" in printed
+
+
+_GAP_CAVEAT = (
+    "full rate-certificate indices rho(eps) at small eps are astronomically "
+    "large under harmonic schedules (the divergence witness grows exponentially "
+    "in the budget); they are certified by the geometry, recursion, one-step "
+    "inequality, and modulus-soundness checks rather than by simulation"
+)
+
+
+def _reaudit_with_mean_gap(tmp_path, cfg, value):
+    """Audit cfg, then re-audit its curves with every mean gap set to value;
+    returns the exit code and the re-audit's only record."""
+    path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "g_")
+    assert run_cli("audit", "--config", path, "--out", out) == 0
+    with open(out + "curves.csv") as fh:
+        rows = list(csv.reader(fh))
+    i_gap = rows[0].index("mean_gap")
+    for row in rows[1:]:
+        row[i_gap] = value
+    doctored = tmp_path / "doctored.csv"
+    with open(doctored, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    re_out = str(tmp_path / "d_")
+    rc = run_cli("audit", "--config", path, "--out", re_out, "--curves", str(doctored))
+    with open(re_out + "audit.json") as fh:
+        (record,) = json.load(fh)["records"]
+    return rc, record
+
+
+def test_audit_gap_window_without_a_witness_fails(tmp_path, capsys):
+    rc, record = _reaudit_with_mean_gap(tmp_path, sb_liminf_config(paths=16), "10")
+    assert rc == 4
+    assert "[FAIL] gap-window (liminf) check" in capsys.readouterr().out
+    assert record == {
+        "epsilon": 1.0,
+        "criterion": "gap_window",
+        "predicted_index": 175,
+        "observed_value_at_index": 10.0,
+        "bound_satisfied": False,
+        "mc_margin": -9.0,
+        "note": "window [0, 175]: no iterate with mean gap below 1 (minimum 10); " + _GAP_CAVEAT,
+    }
+
+
+def test_audit_gap_window_past_the_horizon_without_a_witness_is_unchecked(tmp_path, capsys):
+    rc, record = _reaudit_with_mean_gap(tmp_path, tripod_liminf_config(paths=8), "10")
+    assert rc == 0
+    assert "[UNCHECKED] gap-window (liminf) check" in capsys.readouterr().out
+    assert record == {
+        "epsilon": 2.0,
+        "criterion": "gap_window",
+        "predicted_index": 1425,
+        "observed_value_at_index": None,
+        "bound_satisfied": None,
+        "mc_margin": None,
+        "note": (
+            "unchecked: window [0, 1425] extends beyond horizon 120 and no witness "
+            "was observed up to the horizon; " + _GAP_CAVEAT
+        ),
+    }
+
+
+def test_audit_gap_window_end_of_thousands_of_digits(tmp_path, capsys):
+    # At eps = 3e-4 the certified window end has more than 8,000 digits, past
+    # CPython's default limit on int/str conversion.
+    cfg = sb_liminf_config(paths=64, horizon=100)
+    cfg["audit"]["liminf"]["epsilon"] = 3e-4
+    path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "g_")
+    limit = sys.get_int_max_str_digits()
+    rc = run_cli("audit", "--config", path, "--out", out)
+    printed = capsys.readouterr().out
+    assert rc == 0, printed
+    assert "[PASS] gap-window (liminf) check" in printed
+    assert "window [0, ~1e8" in printed
+    assert '"bound_satisfied": true' in (tmp_path / "g_audit.json").read_text()
+    assert run_cli("report", "--config", path, "--out", out) == 0
+    assert "predicted index ~1e8" in capsys.readouterr().out
+    re_out = str(tmp_path / "re_")
+    assert run_cli("audit", "--config", path, "--out", re_out, "--curves", out + "curves.csv") == 0
+    assert (tmp_path / "re_audit.json").read_bytes() == (tmp_path / "g_audit.json").read_bytes()
+    assert sys.get_int_max_str_digits() == limit  # lifted only around the audit file
 
 
 # ---------------------------------------------------------------------------

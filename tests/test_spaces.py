@@ -375,6 +375,25 @@ def test_halfplane_far_pairs_match_a_60_digit_reference():
         geodesic_point(x, y, 0.5)
 
 
+def test_halfplane_distance_when_the_abscissa_difference_overflows():
+    rnd = random.Random(308)
+    pairs = [(HalfPlane(-1.7e308, 1.0), HalfPlane(1.7e308, 1.0))]
+    while len(pairs) < 50:
+        x = HalfPlane(-(10.0 ** rnd.uniform(307.9, 308.25)), 10.0 ** rnd.uniform(-300.0, 300.0))
+        y = HalfPlane(10.0 ** rnd.uniform(307.9, 308.25), 10.0 ** rnd.uniform(-300.0, 300.0))
+        if y.x - x.x == math.inf:
+            pairs.append((x, y))
+    with mpmath.workdps(60):
+        for x, y in pairs:
+            d = _mp_distance(_mp_z(x), _mp_z(y))
+            assert abs(distance(x, y) - d) <= GEOM_TOL, (x, y)
+            assert abs(distance(y, x) - d) <= GEOM_TOL, (x, y)
+    assert distance(*pairs[0]) == pytest.approx(1420.84, abs=0.005)
+    for t in (0.1, 0.9):  # the abscissa difference still overflows there
+        with pytest.raises(ValueError, match="out of float range"):
+            geodesic_point(*pairs[0], t)
+
+
 def test_halfplane_extreme_heights_stay_finite():
     points = [HalfPlane(0.0, 1e-300), HalfPlane(2.5, 1e-300), HalfPlane(-3.0, 1e300), HalfPlane(1.0, 1.0)]
     for x in points:
