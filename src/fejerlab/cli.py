@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import algorithms
+from . import algorithms, moduli, problems, spaces
 from .algorithms import fast_certificate_skm, gap_window, validate_run
 from .harness import (
     AuditRecord,
@@ -39,9 +39,9 @@ from .harness import (
     stats_from_curves,
     write_audit,
 )
-from .moduli import FastCertificate, StepSchedule, schedule_from_spec
-from .problems import NoModulusKnownError, Problem, problem_from_spec
-from .spaces import Point, geometry_suite, point_from_spec, space_of
+from .moduli import FastCertificate, StepSchedule
+from .problems import NoModulusKnownError, Problem
+from .spaces import Point, geometry_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -52,6 +52,7 @@ EXIT_NO_MODULUS = 5
 
 _SPACES = ("euclidean", "tripod", "halfplane")
 _ALGORITHMS = ("sppa", "skm", "sb")
+_COSTS = (problems.HALF_SQUARED, problems.DISTANCE)
 
 _CHECK_NAMES = {
     "mean": "mean-rate certificate check",
@@ -67,7 +68,9 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config parsing.  The schema lives here alone: every object is read field by
+# field, unknown fields are errors, and a constructor's ValueError or
+# TypeError becomes a ConfigError at the path of the object it was building.
 # ---------------------------------------------------------------------------
 
 
@@ -83,7 +86,33 @@ def _as_dict(v, path: str) -> dict:
     return v
 
 
-def _as_int(v, path: str, lo: int | None = None, hi: int | None = None) -> int:
+def _fields(v, allowed, path: str) -> dict:
+    """An object whose fields are among ``allowed``."""
+    extras = set(_as_dict(v, path)) - set(allowed)
+    if extras:
+        raise ConfigError(f"{path}: unknown field(s) {sorted(extras)}")
+    return v
+
+
+def _object(v, key: str, kinds: dict, path: str) -> tuple[dict, str]:
+    """An object whose field ``key`` names its kind, a key of ``kinds``, and
+    whose other fields are among ``kinds[kind]``."""
+    kind = _choice(_need(_as_dict(v, path), key, path), kinds, f"{path}.{key}")
+    return _fields(v, (key, *kinds[kind]), path), kind
+
+
+def _choice(v, options, path: str) -> str:
+    if not isinstance(v, str) or v not in options:
+        raise ConfigError(f"{path}: expected one of {tuple(options)}, got {v!r}")
+    return v
+
+
+def _integer(doc: dict, key: str, path: str, lo=None, hi=None, default=None) -> int:
+    """doc[key] as an integer in [lo, hi]; ``default`` when given and the key
+    is absent."""
+    if default is not None and key not in doc:
+        return default
+    v, path = _need(doc, key, path), f"{path}.{key}"
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
     if lo is not None and v < lo:
@@ -96,13 +125,147 @@ def _as_int(v, path: str, lo: int | None = None, hi: int | None = None) -> int:
 def _as_float(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        f = float(v)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer out of float range") from None
+    if not math.isfinite(f):
+        raise ConfigError(f"{path}: expected a finite number, got {f}")
+    return f
 
 
-def _no_extras(doc: dict, allowed, path: str) -> None:
-    extras = set(doc) - set(allowed)
-    if extras:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(extras)}")
+def _number(doc: dict, key: str, path: str, default: float | None = None) -> float:
+    """doc[key] as a finite float; ``default`` when given and the key is absent."""
+    if default is not None and key not in doc:
+        return default
+    return _as_float(_need(doc, key, path), f"{path}.{key}")
+
+
+def _list(doc: dict, key: str, path: str) -> list:
+    v = _need(doc, key, path)
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}.{key}: expected a list, got {type(v).__name__}")
+    return v
+
+
+def _numbers(doc: dict, key: str, path: str, null=None) -> tuple[float, ...]:
+    """doc[key] as a list of finite floats; a JSON null entry reads as
+    ``null`` when one is given."""
+    return tuple(
+        null if v is None and null is not None else _as_float(v, f"{path}.{key}[{i}]")
+        for i, v in enumerate(_list(doc, key, path))
+    )
+
+
+def _build(path: str, make, *args):
+    """make(*args); its ValueError or TypeError is an input error at ``path``."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+_POINT_FIELDS = {"euclidean": ("coords",), "tripod": ("ray", "coord"), "halfplane": ("x", "y")}
+_SET_FIELDS = {
+    "whole_space": (),
+    "ball": ("center", "radius"),
+    "halfspace": ("normal", "offset"),
+    "box": ("lo", "hi"),
+    "tripod_segment": ("max_coords",),
+    "segment": ("a", "b"),
+}
+_PROBLEM_FIELDS = {
+    "mean_min": ("space", "atoms", "cost", "region_bound"),
+    "fixed_point": ("space", "operators", "v"),
+    "busemann": ("space", "atoms", "constraint", "lipschitz_cap", "region_bound"),
+}
+_SCHEDULE_FIELDS = {
+    "harmonic": ("a", "s"),
+    "constant": ("c",),
+    "table": ("values", "tail"),
+    "root": ("q", "r"),
+}
+
+
+def _read_point(v, path: str, space: str) -> Point:
+    """A point, which must lie in ``space``."""
+    doc, _ = _object(v, "space", {space: _POINT_FIELDS[space]}, path)
+    if space == "euclidean":
+        return _build(path, spaces.Euclidean, _numbers(doc, "coords", path))
+    if space == "tripod":
+        ray, coord = _integer(doc, "ray", path), _number(doc, "coord", path)
+        return _build(path, spaces.Tripod, ray, coord)
+    return _build(path, spaces.HalfPlane, _number(doc, "x", path), _number(doc, "y", path))
+
+
+def _read_set(v, path: str, space: str) -> spaces.ConvexSet:
+    """A convex set whose points lie in ``space``; a null box bound is
+    unbounded."""
+    doc, kind = _object(v, "kind", _SET_FIELDS, path)
+    if kind == "whole_space":
+        return spaces.WholeSpace()
+    if kind == "ball":
+        center = _read_point(_need(doc, "center", path), f"{path}.center", space)
+        return _build(path, spaces.Ball, center, _number(doc, "radius", path))
+    if kind == "halfspace":
+        normal = _numbers(doc, "normal", path)
+        return _build(path, spaces.Halfspace, normal, _number(doc, "offset", path))
+    if kind == "box":
+        lo, hi = _numbers(doc, "lo", path, -math.inf), _numbers(doc, "hi", path, math.inf)
+        return _build(path, spaces.Box, lo, hi)
+    if kind == "tripod_segment":
+        return _build(path, spaces.TripodSegment, _numbers(doc, "max_coords", path))
+    a, b = (_read_point(_need(doc, k, path), f"{path}.{k}", space) for k in ("a", "b"))
+    return _build(path, spaces.Segment, a, b)
+
+
+def _read_terms(doc: dict, key: str, item: str, read, path: str) -> tuple:
+    """The non-empty list doc[key] of {item, weight} objects, as
+    (read(item, its path), weight) pairs."""
+    terms = []
+    for i, v in enumerate(_list(doc, key, path)):
+        p = f"{path}.{key}[{i}]"
+        term = _fields(v, (item, "weight"), p)
+        terms.append((read(_need(term, item, p), f"{p}.{item}"), _number(term, "weight", p)))
+    if not terms:
+        raise ConfigError(f"{path}.{key}: expected at least one entry")
+    return tuple(terms)
+
+
+def _read_problem(v, path: str, space: str) -> Problem:
+    """A problem, which must lie in ``space``."""
+    doc, kind = _object(v, "kind", _PROBLEM_FIELDS, path)
+    _choice(_need(doc, "space", path), (space,), f"{path}.space")
+    if kind == "fixed_point":
+        ops = _read_terms(doc, "operators", "set", lambda s, p: _read_set(s, p, space), path)
+        sets, weights = tuple(s for s, _ in ops), tuple(w for _, w in ops)
+        const = _number(doc, "v", path, 1.0)
+        return _build(path, problems.build_fixed_point, space, sets, weights, const)
+    atoms = _read_terms(doc, "atoms", "point", lambda a, p: _read_point(a, p, space), path)
+    region_bound = _number(doc, "region_bound", path, 4.0)
+    if kind == "mean_min":
+        cost = _choice(_need(doc, "cost", path), _COSTS, f"{path}.cost")
+        return _build(path, problems.build_mean_min, space, atoms, cost, region_bound)
+    constraint = _read_set(_need(doc, "constraint", path), f"{path}.constraint", space)
+    cap = _number(doc, "lipschitz_cap", path, 1.0)
+    return _build(path, problems.build_busemann, space, atoms, constraint, cap, region_bound)
+
+
+def _read_harmonic(doc: dict, path: str) -> moduli.Harmonic:
+    return _build(path, moduli.Harmonic, _number(doc, "a", path), _number(doc, "s", path, 1.0))
+
+
+def _read_schedule(v, path: str) -> StepSchedule:
+    doc, kind = _object(v, "kind", _SCHEDULE_FIELDS, path)
+    if kind == "harmonic":
+        return _read_harmonic(doc, path)
+    if kind == "constant":
+        return _build(path, moduli.Constant, _number(doc, "c", path))
+    if kind == "table":
+        tail = _fields(_need(doc, "tail", path), ("a", "s"), f"{path}.tail")
+        values = _numbers(doc, "values", path)
+        return _build(path, moduli.TableSchedule, values, _read_harmonic(tail, f"{path}.tail"))
+    return _build(path, moduli.RootSchedule, _number(doc, "q", path), _integer(doc, "r", path))
 
 
 @dataclass
@@ -133,116 +296,49 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
 
     Every violation raises ConfigError naming the offending field path.
     """
-    top = _as_dict(doc, "config")
-    _no_extras(
-        top,
-        ("space", "problem", "algorithm", "x0", "schedule", "ensemble", "audit"),
-        "config",
+    top = _fields(
+        doc, ("space", "problem", "algorithm", "x0", "schedule", "ensemble", "audit"), "config"
     )
+    space = _choice(_need(top, "space", "config"), _SPACES, "config.space")
+    problem = _read_problem(_need(top, "problem", "config"), "config.problem", space)
+    algorithm = _choice(_need(top, "algorithm", "config"), _ALGORITHMS, "config.algorithm")
+    x0 = _read_point(_need(top, "x0", "config"), "config.x0", space)
+    sched = _read_schedule(_need(top, "schedule", "config"), "config.schedule")
 
-    space = _need(top, "space", "config")
-    if space not in _SPACES:
-        raise ConfigError(f"config.space: expected one of {_SPACES}, got {space!r}")
-
-    try:
-        problem = problem_from_spec(_as_dict(_need(top, "problem", "config"), "config.problem"))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"config.problem: {exc}") from exc
-    if problem.space != space:
-        raise ConfigError(
-            f"config.space: {space!r} does not match the problem's space {problem.space!r}"
-        )
-
-    algorithm = _need(top, "algorithm", "config")
-    if algorithm not in _ALGORITHMS:
-        raise ConfigError(
-            f"config.algorithm: expected one of {_ALGORITHMS}, got {algorithm!r}"
-        )
-
-    try:
-        x0 = point_from_spec(_as_dict(_need(top, "x0", "config"), "config.x0"))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"config.x0: {exc}") from exc
-    if space_of(x0) != space:
-        raise ConfigError(
-            f"config.x0: point lies in {space_of(x0)!r}, config.space is {space!r}"
-        )
-
-    try:
-        sched = schedule_from_spec(
-            _as_dict(_need(top, "schedule", "config"), "config.schedule")
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"config.schedule: {exc}") from exc
-
-    ens = _as_dict(_need(top, "ensemble", "config"), "config.ensemble")
-    _no_extras(ens, ("paths", "horizon", "seed", "threads"), "config.ensemble")
-    paths = _as_int(_need(ens, "paths", "config.ensemble"), "config.ensemble.paths", lo=1)
-    horizon = _as_int(
-        _need(ens, "horizon", "config.ensemble"), "config.ensemble.horizon", lo=0
-    )
-    seed = _as_int(
-        _need(ens, "seed", "config.ensemble"), "config.ensemble.seed", lo=0, hi=2**64 - 1
-    )
-    threads = _as_int(ens.get("threads", 1), "config.ensemble.threads", lo=1)
+    path = "config.ensemble"
+    ens = _fields(_need(top, "ensemble", "config"), ("paths", "horizon", "seed", "threads"), path)
+    paths = _integer(ens, "paths", path, lo=1)
+    horizon = _integer(ens, "horizon", path, lo=0)
+    seed = _integer(ens, "seed", path, lo=0, hi=2**64 - 1)
+    threads = _integer(ens, "threads", path, lo=1, default=1)
 
     epsilons: tuple[float, ...] = ()
     lam = None
     fast_params = fast = None
     liminf = None
     if "audit" in top:
-        aud = _as_dict(top["audit"], "config.audit")
-        _no_extras(aud, ("epsilons", "lambda", "fast", "liminf"), "config.audit")
-        raw_eps = _need(aud, "epsilons", "config.audit")
-        if not isinstance(raw_eps, list):
-            raise ConfigError("config.audit.epsilons: expected a list of numbers")
-        epsilons = tuple(
-            _as_float(e, f"config.audit.epsilons[{i}]") for i, e in enumerate(raw_eps)
-        )
+        aud = _fields(top["audit"], ("epsilons", "lambda", "fast", "liminf"), "config.audit")
+        epsilons = _numbers(aud, "epsilons", "config.audit")
         if any(not e > 0.0 for e in epsilons):
             raise ConfigError("config.audit.epsilons: thresholds must be > 0")
         if len(set(epsilons)) != len(epsilons):
             raise ConfigError("config.audit.epsilons: thresholds must be distinct")
         if "lambda" in aud:
-            lam = _as_float(aud["lambda"], "config.audit.lambda")
+            lam = _number(aud, "lambda", "config.audit")
             if not 0.0 < lam < 1.0:
-                raise ConfigError(
-                    f"config.audit.lambda: must lie in (0,1), got {lam}"
-                )
+                raise ConfigError(f"config.audit.lambda: must lie in (0,1), got {lam}")
         if "fast" in aud:
-            fd = _as_dict(aud["fast"], "config.audit.fast")
-            _no_extras(fd, ("c", "r"), "config.audit.fast")
-            fast_params = (
-                _as_float(_need(fd, "c", "config.audit.fast"), "config.audit.fast.c"),
-                _as_int(_need(fd, "r", "config.audit.fast"), "config.audit.fast.r", lo=1),
-            )
-            if not fast_params[0] > 1.0:
-                raise ConfigError(f"config.audit.fast.c: must be > 1, got {fast_params[0]}")
+            path = "config.audit.fast"
+            fd = _fields(aud["fast"], ("c", "r"), path)
+            fast_params = (_number(fd, "c", path), _integer(fd, "r", path, lo=1))
             if algorithm != "skm":
-                raise ConfigError(
-                    "config.audit.fast: fast-rate audits are defined for algorithm 'skm'"
-                )
+                raise ConfigError(f"{path}: fast-rate audits are defined for algorithm 'skm'")
         if "liminf" in aud:
-            ld = _as_dict(aud["liminf"], "config.audit.liminf")
-            _no_extras(ld, ("epsilon", "start"), "config.audit.liminf")
-            eps_l = _as_float(
-                _need(ld, "epsilon", "config.audit.liminf"), "config.audit.liminf.epsilon"
-            )
+            path = "config.audit.liminf"
+            ld = _fields(aud["liminf"], ("epsilon", "start"), path)
+            eps_l, start = _number(ld, "epsilon", path), _integer(ld, "start", path, lo=0)
             if not eps_l > 0.0:
-                raise ConfigError(
-                    f"config.audit.liminf.epsilon: must be > 0, got {eps_l}"
-                )
-            start = _as_int(
-                _need(ld, "start", "config.audit.liminf"),
-                "config.audit.liminf.start",
-                lo=0,
-            )
+                raise ConfigError(f"{path}.epsilon: must be > 0, got {eps_l}")
             liminf = {"epsilon": eps_l, "start": start}
         if fast_params is not None and liminf is not None:
             raise ConfigError("config.audit: choose at most one of 'fast' and 'liminf'")
@@ -255,17 +351,11 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
         seed = seed_override
 
     # Cross-field validity (algorithm/problem/schedule/start point).
-    try:
-        validate_run(problem, algorithm, sched, x0)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    _build("config", validate_run, problem, algorithm, sched, x0)
 
     thresholds = epsilons
     if fast_params is not None:
-        try:
-            fast, sched = fast_certificate_skm(problem, *fast_params, x0)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config.audit.fast: {exc}") from exc
+        fast, sched = _build("config.audit.fast", fast_certificate_skm, problem, *fast_params, x0)
         thresholds = tuple(math.sqrt(e) for e in epsilons)
 
     return Experiment(
@@ -487,6 +577,9 @@ def main(argv=None) -> int:
             f"(line {exc.lineno}, column {exc.colno}): {exc.msg}",
             file=sys.stderr,
         )
+        return EXIT_INPUT
+    except ValueError as exc:  # e.g. an integer beyond int's digit limit
+        print(f"config error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     try:

@@ -157,23 +157,6 @@ def schedule_value(sched: StepSchedule, n: int) -> float:
     raise TypeError(f"not a schedule: {sched!r}")
 
 
-def schedule_from_spec(spec: dict) -> StepSchedule:
-    kind = spec.get("kind")
-    if kind == "harmonic":
-        return Harmonic(float(spec["a"]), float(spec.get("s", 1.0)))
-    if kind == "constant":
-        return Constant(float(spec["c"]))
-    if kind == "table":
-        tail = spec["tail"]
-        return TableSchedule(
-            tuple(float(v) for v in spec["values"]),
-            Harmonic(float(tail["a"]), float(tail.get("s", 1.0))),
-        )
-    if kind == "root":
-        return RootSchedule(float(spec["q"]), int(spec["r"]))
-    raise ValueError(f"unknown schedule kind: {kind!r}")
-
-
 def schedule_square_sum_bound(sched: StepSchedule) -> float:
     """A strict upper bound T > sum_n lambda_n^2, rounded up to 3 decimals.
 

@@ -222,6 +222,17 @@ def _tripod_frechet_point(atoms) -> Tripod:
     return best
 
 
+def _is_tripod_median(space, atoms) -> bool:
+    """Three tripod atoms, one on each ray off the origin, every weight
+    below 1/2: the weighted median then sits at the branch point."""
+    return (
+        space == "tripod"
+        and len(atoms) == 3
+        and sorted(a.ray for a, _ in atoms if a.coord > 0.0) == [0, 1, 2]
+        and max(w for _, w in atoms) < 0.5
+    )
+
+
 def _derive_mean_min_solution(space, atoms, cost_kind):
     """Closed-form solution set (and designated anchor) for the supported
     mean-minimization shapes."""
@@ -246,10 +257,8 @@ def _derive_mean_min_solution(space, atoms, cost_kind):
     heaviest = max(atoms, key=lambda aw: aw[1])
     if heaviest[1] > 0.5:
         return Ball(heaviest[0], 0.0), heaviest[0]
-    if space == "tripod":
-        rays = sorted(a.ray for a, _ in atoms if a.coord > 0.0)
-        if len(atoms) == 3 and rays == [0, 1, 2] and max(w for _, w in atoms) < 0.5:
-            return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN
+    if _is_tripod_median(space, atoms):
+        return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN
     raise ValueError(
         "no closed-form median is available for this distance-cost instance"
     )
@@ -372,12 +381,10 @@ def _derive_busemann_solution(space, atoms, constraint):
         if not contains(constraint, heavy):
             raise ValueError("two-atom argmin requires the heavier atom inside C")
         return Ball(heavy, 0.0), heavy
-    if space == "tripod":
-        rays = sorted(a.ray for a, _ in atoms if a.coord > 0.0)
-        if len(atoms) == 3 and rays == [0, 1, 2] and max(w for _, w in atoms) < 0.5:
-            if not contains(constraint, TRIPOD_ORIGIN):
-                raise ValueError("median argmin requires the origin inside C")
-            return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN
+    if _is_tripod_median(space, atoms):
+        if not contains(constraint, TRIPOD_ORIGIN):
+            raise ValueError("median argmin requires the origin inside C")
+        return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN
     raise ValueError("no closed-form constrained argmin for this atom layout")
 
 
@@ -578,14 +585,11 @@ def regularity_modulus_for(problem: Problem, q: int) -> TaggedModulus:
         if q == 1:
             return TaggedModulus(Linear(1.0), math.inf)
         return TaggedModulus(Linear(1.0 / B), B)
-    if problem.space == "tripod":
-        rays = sorted(a.ray for a, _ in atoms if a.coord > 0.0)
-        wmax = max(w for _, w in atoms)
-        if len(atoms) == 3 and rays == [0, 1, 2] and wmax < 0.5:
-            slope = 1.0 - 2.0 * wmax
-            if q == 1:
-                return TaggedModulus(Linear(slope), math.inf)
-            return TaggedModulus(Linear(slope / B), B)
+    if _is_tripod_median(problem.space, atoms):
+        slope = 1.0 - 2.0 * max(w for _, w in atoms)
+        if q == 1:
+            return TaggedModulus(Linear(slope), math.inf)
+        return TaggedModulus(Linear(slope / B), B)
     if (
         isinstance(problem, BusemannProblem)
         and problem.space == "euclidean"
@@ -675,38 +679,3 @@ def tripod_median_busemann(region_bound: float = 2.0) -> BusemannProblem:
     atoms = ((Tripod(0, 1.0), w), (Tripod(1, 1.0), w), (Tripod(2, 1.0), w))
     cset = TripodSegment((2.0, 2.0, 2.0))
     return build_busemann("tripod", atoms, cset, 1.0, region_bound)
-
-
-# ---------------------------------------------------------------------------
-# Config parsing
-# ---------------------------------------------------------------------------
-
-
-def problem_from_spec(spec: dict) -> Problem:
-    from .spaces import convex_set_from_spec, point_from_spec
-
-    kind = spec.get("kind")
-    space = spec.get("space")
-    if kind == "mean_min":
-        atoms = tuple(
-            (point_from_spec(a["point"]), float(a["weight"])) for a in spec["atoms"]
-        )
-        return build_mean_min(
-            space, atoms, spec["cost"], float(spec.get("region_bound", 4.0))
-        )
-    if kind == "fixed_point":
-        sets = tuple(convex_set_from_spec(o["set"]) for o in spec["operators"])
-        weights = tuple(float(o["weight"]) for o in spec["operators"])
-        return build_fixed_point(space, sets, weights, float(spec.get("v", 1.0)))
-    if kind == "busemann":
-        atoms = tuple(
-            (point_from_spec(a["point"]), float(a["weight"])) for a in spec["atoms"]
-        )
-        return build_busemann(
-            space,
-            atoms,
-            convex_set_from_spec(spec["constraint"]),
-            float(spec.get("lipschitz_cap", 1.0)),
-            float(spec.get("region_bound", 4.0)),
-        )
-    raise ValueError(f"unknown problem kind: {kind!r}")

@@ -497,7 +497,9 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
     if not isinstance(direction, HalfPlaneIdealPoint):
         raise ValueError("half-plane point needs a HalfPlaneIdealPoint direction")
     b = direction.boundary_x
-    try:  # exp may overflow, or y fall to 0 (then HalfPlane raises)
+    # exp may overflow, y fall to 0 (then HalfPlane raises), or rho overflow
+    # (then k = 0 divides).
+    try:
         if b is None:
             p = HalfPlane(x.x, x.y * math.exp(s))
         else:
@@ -510,7 +512,7 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
             e = math.exp(-s)
             den = k * w + e * (e / k)
             p = HalfPlane(x.x + (b - x.x) * (k * w / den), rho * e / den)
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError, ZeroDivisionError):
         p = None
     if p is None or p.y == math.inf:
         raise ValueError(f"ray point at arclength {s!r} from {x} is out of float range")
@@ -811,44 +813,3 @@ def geometry_suite(
         "residuals": residuals,
         "pass": all(v <= GEOM_TOL for v in residuals.values()),
     }
-
-
-# ---------------------------------------------------------------------------
-# Config parsing
-# ---------------------------------------------------------------------------
-
-
-def _none_to_inf(v, sign: float) -> float:
-    if v is None:
-        return sign * math.inf
-    return float(v)
-
-
-def point_from_spec(spec: dict) -> Point:
-    kind = spec.get("space")
-    if kind == "euclidean":
-        return Euclidean(tuple(float(c) for c in spec["coords"]))
-    if kind == "tripod":
-        return Tripod(int(spec["ray"]), float(spec["coord"]))
-    if kind == "halfplane":
-        return HalfPlane(float(spec["x"]), float(spec["y"]))
-    raise ValueError(f"unknown point space: {kind!r}")
-
-
-def convex_set_from_spec(spec: dict) -> ConvexSet:
-    kind = spec.get("kind")
-    if kind == "whole_space":
-        return WholeSpace()
-    if kind == "ball":
-        return Ball(point_from_spec(spec["center"]), float(spec["radius"]))
-    if kind == "halfspace":
-        return Halfspace(tuple(float(c) for c in spec["normal"]), float(spec["offset"]))
-    if kind == "box":
-        lo = tuple(_none_to_inf(v, -1.0) for v in spec["lo"])
-        hi = tuple(_none_to_inf(v, 1.0) for v in spec["hi"])
-        return Box(lo, hi)
-    if kind == "tripod_segment":
-        return TripodSegment(tuple(float(v) for v in spec["max_coords"]))
-    if kind == "segment":
-        return Segment(point_from_spec(spec["a"]), point_from_spec(spec["b"]))
-    raise ValueError(f"unknown convex set kind: {kind!r}")

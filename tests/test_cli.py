@@ -6,17 +6,22 @@ written under the --out prefix.
 """
 
 import csv
+import importlib.util
 import json
+import math
 import sys
+from pathlib import Path
 
 import pytest
 
-from fejerlab.cli import main
+from fejerlab.cli import main, parse_experiment
 from fejerlab.problems import HALF_SQUARED
 
 # ---------------------------------------------------------------------------
 # Config builders
 # ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONSTANT_HALF = {"kind": "constant", "c": 0.5}
 HARMONIC_11 = {"kind": "harmonic", "a": 1.0, "s": 1.0}
@@ -569,6 +574,115 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "line 2" in err
+
+
+def test_integer_beyond_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    text = json.dumps(rate_config(paths=2, horizon=2, seed=0))
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"seed": 0', '"seed": ' + "9" * 5000))
+    rc = run_cli("validate", "--config", str(path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"config error: {path} is not valid JSON")
+
+
+def _shipped(name):
+    with open(ROOT / "scripts" / name) as fh:
+        return json.load(fh)
+
+
+def _benchmark_configs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.make_config(w, 1) for w in workloads.WORKLOADS]
+
+
+def test_shipped_and_benchmark_configs_parse():
+    docs = [_shipped(p.name) for p in sorted((ROOT / "scripts").glob("*.json"))]
+    docs += _benchmark_configs()
+    assert len(docs) == 6
+    for doc in docs:
+        exp = parse_experiment(doc)
+        assert exp.space == doc["space"] and exp.paths == doc["ensemble"]["paths"]
+
+
+def _set(doc, path, value):
+    """Set doc[path[0]][path[1]]... = value, inserting the last key if new."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+_OP1 = ("problem", "operators", 1)
+_ATOM2 = ("problem", "atoms", 2)
+
+FLAG, TRIPOD, SEGMENT = "flagship_skm.json", "tripod_sppa_liminf.json", "segment_sb_liminf.json"
+_OP1 = ("problem", "operators", 1)
+_ATOM2 = ("problem", "atoms", 2)
+
+# Row id, shipped config, the field to set, its new value, and how the
+# error must begin: with the path of the offending field.
+_REJECTED = [
+    ("v-misspelled", FLAG, ("problem", "vv"), 2.0,
+     "config.problem: unknown field(s) ['vv']"),
+    ("region-bound-misspelled", TRIPOD, ("problem", "region_bund"), 4.0,
+     "config.problem: unknown field(s) ['region_bund']"),
+    ("coords-string", FLAG, ("x0", "coords"), "11",
+     "config.x0.coords: expected a list"),
+    ("ray-float", TRIPOD, ("x0", "ray"), 1.7,
+     "config.x0.ray: expected an integer"),
+    ("ray-bool", TRIPOD, ("x0", "ray"), True,
+     "config.x0.ray: expected an integer"),
+    ("root-r-float", FLAG, ("schedule",), {"kind": "root", "q": 0.25, "r": 16.9},
+     "config.schedule.r: expected an integer"),
+    ("nan-coordinate", FLAG, ("x0", "coords"), [math.nan, 1.0],
+     "config.x0.coords[0]: expected a finite number"),
+    ("infinite-offset", FLAG, (*_OP1, "set", "offset"), math.inf,
+     "config.problem.operators[1].set.offset: expected a finite number"),
+    ("offset-string", FLAG, (*_OP1, "set", "offset"), "0",
+     "config.problem.operators[1].set.offset: expected a number"),
+    ("huge-v", FLAG, ("problem", "v"), 10**400,
+     "config.problem.v: integer out of float range"),
+    ("huge-epsilon", FLAG, ("audit", "epsilons"), [10**400],
+     "config.audit.epsilons[0]: integer out of float range"),
+    ("point-unknown-key", FLAG, ("x0", "z"), 0.0,
+     "config.x0: unknown field(s) ['z']"),
+    ("atom-point-unknown-key", TRIPOD, (*_ATOM2, "point", "x"), 0.0,
+     "config.problem.atoms[2].point: unknown field(s) ['x']"),
+    ("atom-of-another-space", TRIPOD, (*_ATOM2, "point"), {"space": "euclidean", "coords": [1.0]},
+     "config.problem.atoms[2].point.space: expected one of ('tripod',)"),
+    ("atom-unknown-key", TRIPOD, (*_ATOM2, "label"), "c",
+     "config.problem.atoms[2]: unknown field(s) ['label']"),
+    ("operator-unknown-key", FLAG, (*_OP1, "label"), "y",
+     "config.problem.operators[1]: unknown field(s) ['label']"),
+    ("set-unknown-key", FLAG, (*_OP1, "set", "radius"), 1.0,
+     "config.problem.operators[1].set: unknown field(s) ['radius']"),
+    ("box-unknown-key", SEGMENT, ("problem", "constraint", "center"), [0.0, 0.0],
+     "config.problem.constraint: unknown field(s) ['center']"),
+    ("schedule-unknown-key", FLAG, ("schedule", "a"), 1.0,
+     "config.schedule: unknown field(s) ['a']"),
+    ("schedule-tail-unknown-key", FLAG, ("schedule",),
+     {"kind": "table", "values": [0.5], "tail": {"a": 1.0, "s": 2.0, "c": 0.5}},
+     "config.schedule.tail: unknown field(s) ['c']"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, field, value, message", [r[1:] for r in _REJECTED], ids=[r[0] for r in _REJECTED]
+)
+def test_config_defects_are_input_errors_naming_the_field(
+    tmp_path, capsys, name, field, value, message
+):
+    cfg = _shipped(name)
+    _set(cfg, field, value)
+    rc = run_cli("validate", "--config", write_config(tmp_path, cfg))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_is_an_input_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import polygamma
 
+from fejerlab.cli import ConfigError, _read_schedule
 from fejerlab.moduli import (
     Constant,
     FastCertificate,
@@ -23,7 +24,6 @@ from fejerlab.moduli import (
     fast_bounds,
     metric_rates,
     recursion_bound_u,
-    schedule_from_spec,
     schedule_square_sum_bound,
     schedule_value,
     tail_rate_chi,
@@ -120,9 +120,9 @@ def test_schedule_spec_round_trip():
         ),
         ({"kind": "root", "q": 4.0, "r": 16}, RootSchedule(4.0, 16)),
     ):
-        assert schedule_from_spec(spec) == sched
-    with pytest.raises(ValueError, match="unknown schedule kind"):
-        schedule_from_spec({"kind": "geometric"})
+        assert _read_schedule(spec, "schedule") == sched
+    with pytest.raises(ConfigError, match=r"schedule\.kind: expected one of"):
+        _read_schedule({"kind": "geometric"}, "schedule")
 
 
 # ---------------------------------------------------------------------------

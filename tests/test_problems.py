@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fejerlab import rng
+from fejerlab.cli import ConfigError, _read_problem
 from fejerlab.problems import (
     DISTANCE,
     HALF_SQUARED,
@@ -26,7 +27,6 @@ from fejerlab.problems import (
     halfplane_single_atom,
     mean_cost_exact,
     operator_apply,
-    problem_from_spec,
     prox_step,
     r1_single_atom_busemann,
     regularity_modulus_for,
@@ -521,12 +521,12 @@ def test_problem_spec_round_trip():
         ),
     ]
     for spec, p in cases:
-        rebuilt = problem_from_spec(spec)
+        rebuilt = _read_problem(spec, "problem", spec["space"])
         assert type(rebuilt) is type(p)
         assert _fields(rebuilt) == _fields(p)
         assert np.array_equal(rebuilt.cum_weights, p.cum_weights)
-    with pytest.raises(ValueError, match="unknown problem kind"):
-        problem_from_spec({"kind": "saddle", "space": "euclidean"})
+    with pytest.raises(ConfigError, match=r"problem\.kind: expected one of"):
+        _read_problem({"kind": "saddle", "space": "euclidean"}, "problem", "euclidean")
 
 
 def test_one_step_subgradient_inequality_inside_constraint():

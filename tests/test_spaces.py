@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fejerlab.cli import ConfigError, _read_point, _read_set
 from fejerlab.spaces import (
     GEOM_TOL,
     TRIPOD_ORIGIN,
@@ -34,11 +35,9 @@ from fejerlab.spaces import (
     _sqdist_cols,
     cn_residual,
     contains,
-    convex_set_from_spec,
     distance,
     geodesic_point,
     geometry_suite,
-    point_from_spec,
     project_convex,
     quasi_triangle_residual,
     ray_point,
@@ -149,6 +148,13 @@ def test_ray_point_halfplane_out_of_range_names_the_ray(boundary_x):
     # Inside the range the point is returned as before.
     p = ray_point(HalfPlane(0.0, 1.0), HalfPlaneIdealPoint(boundary_x), 700.0)
     assert 0.0 < p.y < math.inf
+
+
+@pytest.mark.parametrize("s", [1.0, 10.0])
+def test_ray_point_toward_a_boundary_point_out_of_float_range(s):
+    # |x - b| overflows to inf, so the ray's scale y / |x - b| is 0.
+    with pytest.raises(ValueError, match=r"out of float range"):
+        ray_point(HalfPlane(-1.7e308, 1.0), HalfPlaneIdealPoint(1.7e308), s)
 
 
 def test_ray_additivity_all_spaces():
@@ -454,36 +460,50 @@ def test_point_spec_round_trip():
         ({"space": "tripod", "ray": 2, "coord": 0.75}, Tripod(2, 0.75)),
         ({"space": "halfplane", "x": -0.5, "y": 2.0}, HalfPlane(-0.5, 2.0)),
     ):
-        assert point_from_spec(spec) == p
-    with pytest.raises(ValueError, match="unknown point space"):
-        point_from_spec({"space": "sphere"})
+        assert _read_point(spec, "p", spec["space"]) == p
+    with pytest.raises(ConfigError, match=r"p\.space: expected one of \('euclidean',\)"):
+        _read_point({"space": "sphere"}, "p", "euclidean")
 
 
 def test_convex_set_spec_round_trip():
     """A config's set of every kind reads as the set it describes; a null
     box bound is unbounded."""
     e = {"space": "euclidean", "coords": [0.0, 1.0]}
-    for spec, cset in (
-        ({"kind": "whole_space"}, WholeSpace()),
-        ({"kind": "ball", "center": e, "radius": 2.0}, Ball(Euclidean((0.0, 1.0)), 2.0)),
-        ({"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.5}, Halfspace((0.0, 1.0), 0.5)),
+    for spec, space, cset in (
+        ({"kind": "whole_space"}, "euclidean", WholeSpace()),
+        (
+            {"kind": "ball", "center": e, "radius": 2.0},
+            "euclidean",
+            Ball(Euclidean((0.0, 1.0)), 2.0),
+        ),
+        (
+            {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.5},
+            "euclidean",
+            Halfspace((0.0, 1.0), 0.5),
+        ),
         (
             {"kind": "box", "lo": [0.0, None], "hi": [None, 1.0]},
+            "euclidean",
             Box((0.0, -math.inf), (math.inf, 1.0)),
         ),
-        ({"kind": "tripod_segment", "max_coords": [1.0, 2.0, 3.0]}, TripodSegment((1.0, 2.0, 3.0))),
+        (
+            {"kind": "tripod_segment", "max_coords": [1.0, 2.0, 3.0]},
+            "tripod",
+            TripodSegment((1.0, 2.0, 3.0)),
+        ),
         (
             {
                 "kind": "segment",
                 "a": {"space": "halfplane", "x": -1.0, "y": 1.0},
                 "b": {"space": "halfplane", "x": 1.0, "y": 1.0},
             },
+            "halfplane",
             Segment(HalfPlane(-1.0, 1.0), HalfPlane(1.0, 1.0)),
         ),
     ):
-        assert convex_set_from_spec(spec) == cset
-    with pytest.raises(ValueError, match="unknown convex set kind"):
-        convex_set_from_spec({"kind": "cone"})
+        assert _read_set(spec, "s", space) == cset
+    with pytest.raises(ConfigError, match=r"s\.kind: expected one of"):
+        _read_set({"kind": "cone"}, "s", "euclidean")
 
 
 def test_invalid_points_rejected():
