@@ -158,10 +158,11 @@ def _numbers(doc: dict, key: str, path: str, null=None) -> tuple[float, ...]:
 
 
 def _build(path: str, make, *args):
-    """make(*args); its ValueError or TypeError is an input error at ``path``."""
+    """make(*args); its ValueError, TypeError or OverflowError is an input
+    error at ``path``."""
     try:
         return make(*args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -397,15 +398,18 @@ def _run_stats(exp: Experiment) -> EnsembleStats:
 
 def _audit_check(exp: Experiment):
     """The configured audit, as a function of the ensemble statistics.  It
-    builds the rate certificate or the gap window now, so a missing modulus
-    fails (exit 5) before any ensemble work."""
+    builds the rate certificate and its indices, or the gap window and its
+    end, now, so a missing modulus (exit 5) or a threshold whose index
+    cannot be computed (exit 1) fails before any ensemble work."""
     if exp.fast is not None:
         return lambda stats: fast_audit(stats, exp.fast, exp.epsilons)
     if exp.liminf is not None:
+        eps, start = exp.liminf["epsilon"], exp.liminf["start"]
         phi = gap_window(exp.problem, exp.algorithm, exp.sched, exp.x0)
-        return lambda stats: liminf_audit(
-            stats, phi, exp.liminf["epsilon"], exp.liminf["start"]
-        )
+        # The end grows like e^(budget / (a eps)) for a harmonic schedule.
+        step = "config.schedule.a" if isinstance(exp.sched, moduli.Harmonic) else "config.schedule"
+        end = _build(f"{step} with config.audit.liminf.epsilon={eps!r}", phi, eps, start)
+        return lambda stats: liminf_audit(stats, end, eps, start)
     if exp.lam is None:
         raise ConfigError("config.audit.lambda: required for certificate audits")
     if not exp.epsilons:
@@ -418,7 +422,11 @@ def _audit_check(exp: Experiment):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
-    return lambda stats: certificate_audit(stats, cert, exp.epsilons, exp.lam)
+    rates = {
+        eps: _build(f"config.audit.epsilons[{i}]", cert.metric_rates, eps, exp.lam)
+        for i, eps in enumerate(exp.epsilons)
+    }
+    return lambda stats: certificate_audit(stats, rates, exp.lam)
 
 
 def _print_records(report: AuditReport, details) -> dict[str, int]:

@@ -17,7 +17,8 @@ ensemble is one batch of all paths (a point whose coordinates are columns,
 one entry per path; see ``spaces``); the tree and half-plane spaces, and
 ``kernel="scalar"``, take one batch per path.  Only the draws differ
 between the widths: the wide batch draws a column of indices per slice of
-streams, a batch of one draws its index from its own stream state.  The
+streams, a batch of one draws its index from its own stream state (a
+bisection of the cumulative weights, with no NumPy call).  The
 kernel streams the distances and gaps into one reducer a block of steps at
 a time, so memory grows with paths plus the horizon, not with their
 product.
@@ -38,7 +39,6 @@ from . import rng
 from .algorithms import _SPECS, _reference, validate_run
 from .moduli import (
     FastCertificate,
-    RateCertificate,
     StepSchedule,
     fast_bounds,
     schedule_value,
@@ -448,10 +448,11 @@ def liminf_witness_check(
 
 
 def certificate_audit(
-    stats: EnsembleStats, cert: RateCertificate, epsilons, lam: float
+    stats: EnsembleStats, rates: dict[float, tuple[int, int, int, int]], lam: float
 ) -> AuditReport:
-    """Check the certificate's mean and almost-sure rate indices against
-    the ensemble.
+    """Check a rate certificate's mean and almost-sure indices against the
+    ensemble.  ``rates`` maps each audited epsilon to its four indices,
+    ``RateCertificate.metric_rates(eps, lam)``, computed before the run.
 
     Per epsilon, all four assembled indices are reported; the mean check
     runs at rho(theta(eps/2)) (largest mean distance over n >= index must
@@ -464,15 +465,13 @@ def certificate_audit(
         raise ValueError(f"confidence level must lie in (0,1), got {lam}")
     records: list[AuditRecord] = []
     sqrt_paths = math.sqrt(stats.paths)
-    for eps in epsilons:
+    for eps, (idx, as_strict, mean_relaxed, as_relaxed) in rates.items():
         eps = float(eps)
-        rates = cert.metric_rates(eps, lam)
         idx_note = (
-            f"indices: mean={rates[0]}, as_strict={rates[1]}, "
-            f"mean_relaxed={rates[2]}, as_relaxed={rates[3]}"
+            f"indices: mean={idx}, as_strict={as_strict}, "
+            f"mean_relaxed={mean_relaxed}, as_relaxed={as_relaxed}"
         )
 
-        idx = rates[0]
         if idx > stats.horizon:
             records.append(
                 AuditRecord(
@@ -497,7 +496,7 @@ def certificate_audit(
                 )
             )
 
-        idx = rates[3]
+        idx = as_relaxed
         se = math.sqrt(lam * (1.0 - lam) / stats.paths)
         if idx > stats.horizon:
             records.append(
@@ -523,7 +522,7 @@ def certificate_audit(
                     note=(
                         f"exceedance fraction vs lambda={lam:g}, tolerance 3 binomial "
                         f"stderr = {3.0 * se:.3g}; audited at the relaxed index "
-                        f"rho(lam*theta(eps)), strict index {rates[1]}; {_TRUNCATED}; {idx_note}"
+                        f"rho(lam*theta(eps)), strict index {as_strict}; {_TRUNCATED}; {idx_note}"
                     ),
                 )
             )
@@ -636,11 +635,12 @@ _GAP_CAVEAT = (
 )
 
 
-def liminf_audit(stats: EnsembleStats, phi, eps: float, start: int) -> AuditReport:
-    """Gap-window audit: the certified window [start, phi(eps, start)] must
-    contain an iterate whose mean optimality gap is below eps.  A window
-    past the horizon with no witness before it is unchecked."""
-    bound_idx = phi(eps, start)
+def liminf_audit(stats: EnsembleStats, bound_idx: int, eps: float, start: int) -> AuditReport:
+    """Gap-window audit: the certified window [start, bound_idx], with
+    bound_idx = phi(eps, start) of ``algorithms.gap_window`` computed before
+    the run, must contain an iterate whose mean optimality gap is below
+    eps.  A window past the horizon with no witness before it is
+    unchecked."""
     witness = liminf_witness_check(stats, eps, start, bound_idx)
     window = f"window [{start}, {_index_label(bound_idx)}]"
     if witness is not None:

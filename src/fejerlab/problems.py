@@ -15,7 +15,8 @@ regularity-modulus provider:
 All integrals are exact finite sums, so regularity validation carries no
 Monte-Carlo error.  Solution sets are derived in closed form at
 construction; instance shapes without a known closed form are rejected
-rather than approximated.
+rather than approximated.  A point solution set (a ball of radius 0) is
+measured by the distance to its center, with no projection.
 
 The per-sample maps, ``gap_F`` and ``dist_to_solutions`` also take a
 Euclidean batch (see :mod:`fejerlab.spaces`), with an index array of each
@@ -409,7 +410,7 @@ def build_busemann(
 def sample_index(problem: Problem, state: rng.RngState) -> tuple[int, rng.RngState]:
     """Draw an atom/operator index with the problem's weights."""
     u, state = rng.next_uniform(state)
-    return int(rng.categorical(problem.cum_weights, u)), state
+    return rng.categorical(problem.cum_weights, u), state
 
 
 def _atom(problem, e) -> Point:
@@ -457,10 +458,13 @@ def gap_F(problem: Problem, x: Point, images=None) -> float:
 
 
 def dist_to_solutions(problem: Problem, x: Point, q: int = 1) -> float:
-    """d(x, solution set)^q for q in {1, 2}."""
+    """d(x, solution set)^q for q in {1, 2}.  On a point solution set (a
+    ball of radius 0) d is d(x, center), the projection's own distance."""
     if q not in (1, 2):
         raise ValueError(f"distance power must be 1 or 2, got {q}")
-    d = distance(x, project_convex(problem.solution_set, x))
+    sol = problem.solution_set
+    point = isinstance(sol, Ball) and sol.radius == 0.0
+    d = distance(x, sol.center if point else project_convex(sol, x))
     return d if q == 1 else d * d
 
 

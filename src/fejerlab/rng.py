@@ -13,6 +13,7 @@ vectorized kernel reproduces every draw bitwise.
 
 from __future__ import annotations
 
+import bisect
 from typing import NamedTuple
 
 import numpy as np
@@ -99,12 +100,17 @@ def next_uniform(state: RngState) -> tuple[float, RngState]:
 
 
 def categorical(cum_weights: np.ndarray, u) -> "int | np.ndarray":
-    """Index of the category whose cumulative-weight cell contains u.
+    """Index of the category whose cumulative-weight cell contains u: the
+    first i with u < cum_weights[i], clamped to the last category (the
+    cumulative sum may end a rounding below 1).
 
     Works for a scalar u (returns int) or an array of u's (returns an int
-    array); both paths use the same searchsorted call so scalar and
-    vectorized sampling agree bitwise.
+    array).  A float u takes ``bisect_right``, which makes the same float64
+    comparisons as the array's ``searchsorted(side="right")`` without a
+    NumPy call per draw, so scalar and vectorized sampling agree bitwise.
     """
+    if isinstance(u, float):
+        return min(bisect.bisect_right(cum_weights, u), len(cum_weights) - 1)
     idx = np.searchsorted(cum_weights, u, side="right")
     idx = np.minimum(idx, len(cum_weights) - 1)
     if np.ndim(u) == 0:

@@ -385,10 +385,13 @@ def sqdist(x: Point, y: Point) -> float:
 
 def distance(x: Point, y: Point) -> float:
     """The metric of the space both points live in."""
-    _require_same_space(x, y)
-    if isinstance(x, Euclidean):
+    kind = type(x)
+    if kind is Euclidean:
+        _require_same_space(x, y)
         return _dist_cols(x.coords, y.coords)
-    if isinstance(x, Tripod):
+    if kind is not type(y):
+        _require_same_space(x, y)  # raises: the points live in different spaces
+    if kind is Tripod:
         if x.ray == y.ray or x.coord == 0.0 or y.coord == 0.0:
             return abs(x.coord - y.coord)
         return x.coord + y.coord
@@ -418,8 +421,10 @@ def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t: float) -> HalfPlane:
     (x1 + (x2 - x1) y1 sinh(td) / D, y1 y2 sinh(d) / D).  Each term is
     scaled by -2 e^-d / sqrt(y1 y2), so for d below 1400 none overflows
     and D does not underflow.  Beyond, both terms are scaled by a further
-    e^-s that takes the larger to 1, and sqrt(y1 y2) e^-s is taken in logs.
-    A point whose height leaves the float range raises ValueError."""
+    e^-s that takes the larger to 1, or sqrt(y1 y2) e^-s down to e^709 if
+    that takes more, and sqrt(y1 y2) e^-s is taken in logs.  Where x2 - x1
+    overflows, the abscissa is taken from halved abscissae and doubled.  A
+    point whose height leaves the float range raises ValueError."""
     d = _halfplane_distance(x, y)
     if d == 0.0:
         return x
@@ -430,11 +435,18 @@ def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t: float) -> HalfPlane:
         if d < 1400.0:
             s, root = 0.0, math.sqrt(x.y) * math.sqrt(y.y)
         else:
-            s = max(ea, eb)
-            root = math.exp(0.5 * (math.log(x.y) + math.log(y.y)) - s)
+            lr = 0.5 * (math.log(x.y) + math.log(y.y))
+            s = max(ea, eb, lr - 709.0)
+            root = math.exp(lr - s)
         wx = math.exp(ea - s) * math.expm1(-2.0 * a)
-        den = wx + math.exp(eb - s) * math.expm1(-2.0 * b)
-        p = HalfPlane(x.x + (y.x - x.x) * (wx / den), root * (math.expm1(-2.0 * d) / den))
+        wy = math.exp(eb - s) * math.expm1(-2.0 * b)
+        den = wx + wy
+        if math.isinf(y.x - x.x):  # halved abscissae, from the nearer end (wx, wy <= 0)
+            hx, hy = 0.5 * x.x, 0.5 * y.x
+            px = 2.0 * (hx + (hy - hx) * (wx / den) if wx >= wy else hy - (hy - hx) * (wy / den))
+        else:
+            px = x.x + (y.x - x.x) * (wx / den)
+        p = HalfPlane(px, root * (math.expm1(-2.0 * d) / den))
     except (OverflowError, ZeroDivisionError, ValueError):
         p = None
     if p is None or p.y == math.inf or not math.isfinite(p.x):

@@ -192,7 +192,7 @@ def test_criterion_4_flagship_skm_rate_audit():
     sigma = math.sqrt(0.1 * 0.9 / stats.paths)
     assert observed <= 0.1 + 3.0 * sigma, f"tail {observed} at {as_index}"
 
-    report = certificate_audit(stats, cert, [0.3, 0.2], 0.1)
+    report = certificate_audit(stats, {e: cert.metric_rates(e, 0.1) for e in (0.3, 0.2)}, 0.1)
     assert report.all_pass
 
     elapsed = time.monotonic() - t0

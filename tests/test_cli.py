@@ -685,6 +685,39 @@ def test_config_defects_are_input_errors_naming_the_field(
     assert "Traceback" not in err
 
 
+# Row id, shipped config, the field to set, its new value, and the field
+# the error must name: thresholds the reader accepts but whose certified
+# index leaves the float or integer range.
+_NO_INDEX = [
+    ("epsilon-huge", FLAG, ("audit", "epsilons"), [0.3, 1e308], "config.audit.epsilons[1]"),
+    ("epsilon-subnormal", FLAG, ("audit", "epsilons"), [1e-320, 0.2], "config.audit.epsilons[0]"),
+    ("harmonic-a-subnormal", TRIPOD, ("schedule", "a"), 1e-320, "config.schedule.a"),
+    ("audit-unedited", FLAG, ("audit", "lambda"), 0.1, None),
+]
+
+
+@pytest.mark.parametrize(
+    "name, field, value, message", [r[1:] for r in _NO_INDEX], ids=[r[0] for r in _NO_INDEX]
+)
+def test_audit_index_out_of_range_fails_before_the_ensemble(
+    tmp_path, capsys, monkeypatch, name, field, value, message
+):
+    import fejerlab.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: ran.append(a) or 1 / 0)
+    cfg = _shipped(name)
+    cfg["ensemble"].update(paths=3, horizon=5)
+    _set(cfg, field, value)
+    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x_"))
+    err = capsys.readouterr().err
+    if message is None:  # the control: the stand-in is what the audit calls
+        assert rc == 3 and len(ran) == 1, err
+        return
+    assert rc == 1 and not ran, err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+
 def test_missing_config_file_is_an_input_error(tmp_path, capsys):
     rc = run_cli("validate", "--config", str(tmp_path / "absent.json"))
     assert rc == 1

@@ -314,12 +314,23 @@ _GRID_CASES = {
     "sb-two-atoms": lambda: (euclid_two_atom_busemann(), "sb", H11, Euclidean((-1.0, 0.0))),
     "tripod-sppa": lambda: (tripod_median(), "sppa", H11, Tripod(0, 1.5)),
     "tripod-sb": lambda: (tripod_median_busemann(), "sb", H11, Tripod(1, 1.5)),
+    "halfplane-sppa": lambda: (
+        halfplane_majority(), "sppa", H11, HalfPlane(0.0, math.exp(1.15))
+    ),
+    "halfplane-sppa-half-squared": lambda: (
+        halfplane_single_atom(), "sppa", H11, HalfPlane(1.0, 2.0)
+    ),
 }
 
 # SHA-256 of every statistic of the grid's ensembles, recorded before the
 # harness had one kernel (a path-major scalar kernel and a step-major
-# Euclidean one).
+# Euclidean one); the half-plane cases were recorded before the scalar
+# path-step lost its per-draw NumPy call and its projection onto a point.
 _GRID_DIGESTS = {
+    "halfplane-sppa": "92432c93b8f73f1b64da18d9f095ad41b259995b4f9ffba222823630b0d72fc8",
+    "halfplane-sppa-half-squared": (
+        "85ca5673e089d5f6fa534aad89e22c0200dce0ad0bbdd8ad5b0cf9a52705297d"
+    ),
     "sb-segment-argmin": "c9d1141013e32c3abde3331b25599c9154bd3cc6e405d5a06fe48445e185e2db",
     "sb-two-atoms": "bd354f594b20f604c0a6c65d02df2288b435ca8194bca330282197b224682f9a",
     "skm-ball": "097629ed71d0c92f32839f4ef6e59724a02bd0db08f2bc8858b1fa9ae07404dc",
@@ -545,7 +556,7 @@ def test_liminf_witness_respects_window_start():
 def test_certificate_audit_checked_and_unchecked_records():
     stats = small_flagship(paths=400, horizon=900, eps=(1.0,))
     cert = certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)))
-    report = certificate_audit(stats, cert, [1.0], 0.1)
+    report = certificate_audit(stats, {1.0: cert.metric_rates(1.0, 0.1)}, 0.1)
     assert report.kind == "rate" and report.lam == 0.1
     by_crit = {r.criterion: r for r in report.records}
     mean_rec = by_crit["mean"]
@@ -562,7 +573,7 @@ def test_certificate_audit_checked_and_unchecked_records():
 def test_certificate_audit_checks_tail_within_horizon():
     stats = small_flagship(paths=400, horizon=1500, eps=(1.0,))
     cert = certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)))
-    report = certificate_audit(stats, cert, [1.0], 0.1)
+    report = certificate_audit(stats, {1.0: cert.metric_rates(1.0, 0.1)}, 0.1)
     as_rec = {r.criterion: r for r in report.records}["almost_sure"]
     assert as_rec.predicted_index == 1200
     assert as_rec.bound_satisfied is True
@@ -575,14 +586,14 @@ def test_certificate_audit_requires_recorded_threshold():
     # the audited tail index for eps=6 lies inside the horizon, but the run
     # never recorded that threshold
     with pytest.raises(ValueError):
-        certificate_audit(stats, cert, [6.0], 0.1)
+        certificate_audit(stats, {6.0: cert.metric_rates(6.0, 0.1)}, 0.1)
 
 
 def test_certificate_audit_lambda_range():
     stats = small_flagship(paths=100, horizon=40)
     cert = certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)))
     with pytest.raises(ValueError):
-        certificate_audit(stats, cert, [0.5], 0.0)
+        certificate_audit(stats, {0.5: cert.metric_rates(0.5, 0.1)}, 0.0)
 
 
 def test_fast_audit_envelope_and_tail():
@@ -628,7 +639,7 @@ def test_csv_without_thresholds_has_no_tail_columns():
 def test_export_results_writes_curves_and_audit(tmp_path):
     stats = small_flagship(paths=64, horizon=30)
     cert = certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)))
-    report = certificate_audit(stats, cert, [1.0], 0.1)
+    report = certificate_audit(stats, {1.0: cert.metric_rates(1.0, 0.1)}, 0.1)
     prefix = str(tmp_path / "exp-")
     written = export_results(stats, report, prefix)
     assert written == [prefix + "curves.csv", prefix + "audit.json"]

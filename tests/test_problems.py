@@ -49,7 +49,9 @@ from fejerlab.spaces import (
     TripodEnd,
     TripodSegment,
     contains,
+    distance,
     geodesic_point,
+    project_convex,
     ray_point,
     sqdist,
 )
@@ -197,6 +199,44 @@ def test_dist_to_solutions_values():
     assert dist_to_solutions(frechet_r1(), Euclidean((0.0,)), 1) == 0.0
     with pytest.raises(ValueError):
         dist_to_solutions(frechet_r1(), Euclidean((0.0,)), 3)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        frechet_r1(),
+        tripod_median(),
+        tripod_frechet(),
+        halfplane_single_atom(),
+        build_fixed_point("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,), 1.0),
+        build_fixed_point("tripod", (Ball(Tripod(1, 0.5), 0.7),), (1.0,), 1.0),
+        build_fixed_point("halfplane", (Ball(HalfPlane(0.3, 2.0), 0.6),), (1.0,), 1.0),
+    ],
+    ids=["r1-point", "tripod-median-point", "tripod-frechet-point", "halfplane-point",
+         "euclidean-ball", "tripod-ball", "halfplane-ball"],
+)
+def test_dist_to_solutions_equals_the_projection_distance_bit_for_bit(problem):
+    """A point solution set skips the projection; the distance is the same
+    float, at the center itself, inside a ball and outside it."""
+    sol = problem.solution_set
+    state = rng.make_state(13, 0)
+    points = [sol.center]
+    for _ in range(100):
+        x, state = ball_point(sol.center, 3.0, state)
+        points.append(x)
+    for x in points:
+        d = distance(x, project_convex(sol, x))
+        assert _same_bits(dist_to_solutions(problem, x), d), x
+        assert _same_bits(dist_to_solutions(problem, x, 2), d * d), x
+    if problem.space == "euclidean":  # a batch of the same points
+        dim = len(sol.center.coords)
+        batch = Euclidean(tuple(np.array([x.coords[i] for x in points]) for i in range(dim)))
+        d = distance(batch, project_convex(sol, batch))
+        assert _same_bits(dist_to_solutions(problem, batch), d)
 
 
 def test_solution_points_have_zero_gap_and_distance():

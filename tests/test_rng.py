@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from fejerlab import rng
 
@@ -52,6 +53,37 @@ def test_categorical_scalar_and_vector():
     assert rng.categorical(cum, 0.999) == 2
     u = np.array([0.0, 0.19, 0.2, 0.49, 0.5, 0.999])
     assert rng.categorical(cum, u).tolist() == [0, 0, 1, 1, 2, 2]
+
+
+# The largest uniform the generator yields: (2^53 - 1) 2^-53.
+_TOP_UNIFORM = 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize(
+    "weights", [(1.0,), (0.6, 0.2, 0.2), (0.25, 0.5, 0.25), (0.2, 0.3, 0.5), (0.1,) * 10]
+)
+def test_scalar_categorical_matches_the_array_branch_bit_for_bit(weights):
+    """A float u bisects; an array of u's takes searchsorted.  They agree at
+    0, on every cumulative weight exactly (the cell boundary, where side
+    "right" matters), just below each, and at the largest uniform."""
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    us = [0.0, _TOP_UNIFORM]
+    for c in cum:
+        us += [float(c), float(np.nextafter(c, 0.0))]
+    expected = rng.categorical(cum, np.array(us))
+    for u, i in zip(us, expected.tolist()):
+        for scalar in (u, np.float64(u)):
+            j = rng.categorical(cum, scalar)
+            assert type(j) is int and j == i, (weights, u)
+
+
+def test_categorical_clamps_when_the_weights_sum_below_one():
+    cum = np.cumsum(np.full(10, 0.1))
+    assert cum[-1] < 1.0 and cum[-1] == _TOP_UNIFORM
+    # side "right" puts u = cum[-1] past the last cell; the clamp keeps it.
+    assert rng.categorical(cum, _TOP_UNIFORM) == 9
+    assert rng.categorical(cum, np.array([_TOP_UNIFORM])).tolist() == [9]
+    assert rng.categorical(cum, float(cum[4])) == 5
 
 
 def test_categorical_frequencies_roughly_match_weights():

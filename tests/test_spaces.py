@@ -376,12 +376,11 @@ def test_halfplane_far_pairs_match_a_60_digit_reference():
                 geo = max(abs(_mp_distance(zx, g) - t * d), abs(_mp_distance(g, zy) - (1 - t) * d))
                 assert geo <= GEOM_TOL * d, (x, y, t)
     assert distance(*pairs[0]) == pytest.approx(1427.6027576563083, abs=1e-10)
-    x, y = HalfPlane(-1.7e308, 1.0), HalfPlane(1.7e308, 1.0)
-    with pytest.raises(ValueError, match=r"from HalfPlane\(x=-1.7e\+308.*to HalfPlane\(x=1.7e\+308"):
-        geodesic_point(x, y, 0.5)
 
 
 def test_halfplane_distance_when_the_abscissa_difference_overflows():
+    """Pairs whose x2 - x1 overflows: the distance, and the geodesic both
+    ways, whose apex at t = 0.5 on the first pair is 1.7e308 high."""
     rnd = random.Random(308)
     pairs = [(HalfPlane(-1.7e308, 1.0), HalfPlane(1.7e308, 1.0))]
     while len(pairs) < 50:
@@ -391,13 +390,18 @@ def test_halfplane_distance_when_the_abscissa_difference_overflows():
             pairs.append((x, y))
     with mpmath.workdps(60):
         for x, y in pairs:
-            d = _mp_distance(_mp_z(x), _mp_z(y))
+            zx, zy = _mp_z(x), _mp_z(y)
+            d = _mp_distance(zx, zy)
             assert abs(distance(x, y) - d) <= GEOM_TOL, (x, y)
             assert abs(distance(y, x) - d) <= GEOM_TOL, (x, y)
+            for (p, zp), (q, zq) in (((x, zx), (y, zy)), ((y, zy), (x, zx))):
+                for t in (1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9):
+                    g = _mp_z(geodesic_point(p, q, t))
+                    geo = max(abs(_mp_distance(zp, g) - t * d), abs(_mp_distance(g, zq) - (1 - t) * d))
+                    assert geo <= GEOM_TOL * d, (p, q, t)
     assert distance(*pairs[0]) == pytest.approx(1420.84, abs=0.005)
-    for t in (0.1, 0.9):  # the abscissa difference still overflows there
-        with pytest.raises(ValueError, match="out of float range"):
-            geodesic_point(*pairs[0], t)
+    apex = geodesic_point(*pairs[0], 0.5)
+    assert apex.x == 0.0 and apex.y == pytest.approx(1.7e308, rel=1e-12)
 
 
 def test_halfplane_extreme_heights_stay_finite():
