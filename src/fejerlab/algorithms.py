@@ -37,7 +37,9 @@ from .moduli import (
     RateCertificate,
     RootSchedule,
     StepSchedule,
-    TableSchedule,
+    _IDENTITY,
+    _MEAN,
+    _check_relaxations,
     _guarded_ceil,
     divergence_witness_theta,
     eval_modulus,
@@ -72,10 +74,6 @@ from .spaces import (
     ray_point,
     space_of,
 )
-
-_IDENTITY = "identity"
-_MEAN = "mean_lambda_one_minus_lambda"
-
 
 # ---------------------------------------------------------------------------
 # Per-algorithm specs
@@ -191,26 +189,6 @@ _SPECS = {
 }
 
 
-def _check_unit_steps(sched: StepSchedule) -> None:
-    """Relaxation parameters must lie in (0, 1]."""
-    if isinstance(sched, (Constant, RootSchedule)):
-        return
-    if isinstance(sched, Harmonic):
-        if sched.a > sched.s:
-            raise ValueError(
-                f"harmonic schedule starts at {sched.a / sched.s} > 1; "
-                "relaxation parameters must lie in (0, 1]"
-            )
-        return
-    if isinstance(sched, TableSchedule):
-        if any(v > 1.0 for v in sched.values):
-            raise ValueError("table schedule exceeds 1; relaxations must lie in (0, 1]")
-        if sched.tail.a > len(sched.values) + sched.tail.s:
-            raise ValueError("table schedule tail exceeds 1 at its first index")
-        return
-    raise TypeError(f"not a schedule: {sched!r}")
-
-
 def validate_run(problem: Problem, algorithm: str, sched: StepSchedule, x0: Point) -> None:
     """Raise unless `algorithm` may run on `problem` with `sched` from `x0`.
 
@@ -232,7 +210,7 @@ def validate_run(problem: Problem, algorithm: str, sched: StepSchedule, x0: Poin
     if isinstance(x0, Euclidean) and dim not in (None, len(x0.coords)):
         raise ValueError(f"start point has dimension {len(x0.coords)}, the problem {dim}")
     if not spec.harmonic_only:
-        _check_unit_steps(sched)
+        _check_relaxations(sched)
     elif not isinstance(sched, Harmonic):
         raise ValueError(
             f"{spec.iteration} steps need a divergent, square-summable schedule; "
@@ -451,29 +429,32 @@ def gap_window(problem: Problem, algorithm: str, sched: StepSchedule, x0: Point)
 def _certificate(
     algorithm: str, problem: Problem, sched: StepSchedule, x0: Point, z: Point | None
 ) -> RateCertificate:
+    """The rate certificate (see the module docstring); a ValueError when x0
+    lies outside the region on which the regularity modulus tau holds."""
     validate_run(problem, algorithm, sched, x0)
     spec = _SPECS[algorithm]
     z = _reference(problem, x0) if z is None else z
     if not contains(problem.solution_set, z):
         raise ValueError("reference point z must lie in the solution set")
-    tau = regularity_modulus_for(problem, 2).modulus
+    tagged = regularity_modulus_for(problem, 2)
+    if (d0 := distance(x0, _reference(problem, x0))) > tagged.region:
+        raise ValueError(
+            f"start point lies {d0} from the solution anchor, outside the radius "
+            f"{tagged.region} on which the regularity modulus holds"
+        )
+    tau = tagged.modulus
     b, L, L_bar, T = _ingredients(spec, problem, sched, x0, z)
     budget_scale = _budget_scale(spec, b, L, T)
     theta = _budget_witness(sched, spec.transform)
 
-    if spec.chi_scale is None:
-        chi_div = None
+    chi_div = None if spec.chi_scale is None else spec.chi_scale(L, L_bar)
 
-        def chi(eps: float) -> int:
-            if not eps > 0.0:
-                raise ValueError(f"tail budget must be > 0, got {eps}")
-            return 0
-
-    else:
-        chi_div = spec.chi_scale(L, L_bar)
-
-        def chi(eps: float) -> int:
+    def chi(eps: float) -> int:
+        if chi_div is not None:
             return tail_rate_chi(sched, eps)
+        if not eps > 0.0:
+            raise ValueError(f"tail budget must be > 0, got {eps}")
+        return 0
 
     def rho(eps: float) -> int:
         if not eps > 0.0:

@@ -467,10 +467,11 @@ def certificate_audit(
     sqrt_paths = math.sqrt(stats.paths)
     for eps, (idx, as_strict, mean_relaxed, as_relaxed) in rates.items():
         eps = float(eps)
-        idx_note = (
-            f"indices: mean={idx}, as_strict={as_strict}, "
-            f"mean_relaxed={mean_relaxed}, as_relaxed={as_relaxed}"
-        )
+        with _exact_ints():  # an index can have thousands of digits
+            idx_note = (
+                f"indices: mean={idx}, as_strict={as_strict}, "
+                f"mean_relaxed={mean_relaxed}, as_relaxed={as_relaxed}"
+            )
 
         if idx > stats.horizon:
             records.append(

@@ -140,38 +140,42 @@ class RootSchedule:
 StepSchedule = Union[Harmonic, Constant, TableSchedule, RootSchedule]
 
 
+def _table(sched: StepSchedule) -> tuple[tuple[float, ...], Harmonic]:
+    """(leading values, harmonic tail): a harmonic schedule is a table with
+    no leading values.  Constant and root schedules have no such form."""
+    if isinstance(sched, Harmonic):
+        return (), sched
+    if isinstance(sched, TableSchedule):
+        return sched.values, sched.tail
+    if isinstance(sched, (Constant, RootSchedule)):
+        raise ValueError("squared-step series is not summable for this schedule")
+    raise TypeError(f"not a schedule: {sched!r}")
+
+
 def schedule_value(sched: StepSchedule, n: int) -> float:
     """lambda_n of the schedule."""
     if n < 0:
         raise ValueError(f"schedule index must be >= 0, got {n}")
-    if isinstance(sched, Harmonic):
-        return sched.a / (n + sched.s)
     if isinstance(sched, Constant):
         return sched.c
-    if isinstance(sched, TableSchedule):
-        if n < len(sched.values):
-            return sched.values[n]
-        return sched.tail.a / (n + sched.tail.s)
     if isinstance(sched, RootSchedule):
         return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * sched.q / (n + sched.r)))
-    raise TypeError(f"not a schedule: {sched!r}")
+    values, tail = _table(sched)
+    if n < len(values):
+        return values[n]
+    return tail.a / (n + tail.s)
 
 
 def schedule_square_sum_bound(sched: StepSchedule) -> float:
     """A strict upper bound T > sum_n lambda_n^2, rounded up to 3 decimals.
 
-    The harmonic square sum is the trigamma value a^2 * psi_1(s) (exact up
-    to float rounding); the returned T is the smallest 3-decimal number
-    strictly above it.
+    The sum is the leading values' squares plus the tail's trigamma value
+    a^2 * psi_1(m + s), m values in (exact up to float rounding); the
+    returned T is the smallest 3-decimal number strictly above it.
     """
-    if isinstance(sched, Harmonic):
-        exact = sched.a * sched.a * float(mpmath.polygamma(1, sched.s))
-    elif isinstance(sched, TableSchedule):
-        m = len(sched.values)
-        tail = sched.tail.a ** 2 * float(mpmath.polygamma(1, m + sched.tail.s))
-        exact = math.fsum(v * v for v in sched.values) + tail
-    else:
-        raise ValueError("square sum diverges for this schedule")
+    values, tail = _table(sched)
+    harm = tail.a * tail.a * float(mpmath.polygamma(1, len(values) + tail.s))
+    exact = math.fsum(v * v for v in values) + harm
     t = math.ceil(exact * 1000.0) / 1000.0
     if t <= exact:
         t += 0.001
@@ -201,31 +205,21 @@ def _least_index(holds: Callable[[int], bool], lo: int, hi: int) -> int:
 def tail_rate_chi(sched: StepSchedule, eps: float) -> int:
     """Smallest N with sum_{n>=N} lambda_n^2 < eps.
 
-    The harmonic tail is the trigamma value a^2 * psi_1(N+s); the
-    minimal N is located by monotone bisection against that closed form.
-    Constant schedules have a divergent square series and are rejected.
+    The sum is the squares of the leading values from N on plus the tail's
+    trigamma value a^2 * psi_1(max(N, m) + s), m values in; the minimal N
+    is located by monotone bisection against that closed form.  Constant
+    and root schedules have a divergent square series and are rejected.
     """
     if not eps > 0.0:
         raise ValueError(f"tail budget must be > 0, got {eps}")
-    if isinstance(sched, (Constant, RootSchedule)):
-        raise ValueError(
-            "squared-step series is not summable for this schedule; "
-            "no tail-rate witness exists"
-        )
-    if isinstance(sched, Harmonic):
+    values, h = _table(sched)
+    m = len(values)
 
-        def tail(n: int) -> float:
-            return sched.a ** 2 * float(mpmath.polygamma(1, n + sched.s))
-
-    else:
-        m = len(sched.values)
-        a, s = sched.tail.a, sched.tail.s
-
-        def tail(n: int) -> float:
-            harm = a * a * float(mpmath.polygamma(1, max(n, m) + s))
-            if n >= m:
-                return harm
-            return harm + math.fsum(v * v for v in sched.values[n:m])
+    def tail(n: int) -> float:
+        harm = h.a ** 2 * float(mpmath.polygamma(1, max(n, m) + h.s))
+        if n >= m:
+            return harm
+        return harm + math.fsum(v * v for v in values[n:m])
 
     if tail(0) < eps:
         return 0
@@ -240,7 +234,22 @@ _IDENTITY = "identity"
 _MEAN = "mean_lambda_one_minus_lambda"
 
 
+def _check_relaxations(sched: StepSchedule) -> None:
+    """Raise unless every lambda_n lies in (0, 1].  A harmonic tail
+    decreases, so only its first value a / (m + s), m values in, is checked."""
+    if isinstance(sched, (Constant, RootSchedule)):
+        return
+    values, tail = _table(sched)
+    if any(v > 1.0 for v in values):
+        raise ValueError("table schedule exceeds 1; relaxations must lie in (0, 1]")
+    if tail.a > (m := len(values)) + tail.s:
+        lam = tail.a / (m + tail.s)
+        raise ValueError(f"harmonic tail is {lam} > 1 at index {m}; relaxations must lie in (0, 1]")
+
+
 def _check_divergent(sched: StepSchedule, transform: str) -> None:
+    """Raise unless the transformed step series is certified divergent; the
+    mean transform needs relaxations other than the constant 1."""
     if transform not in (_IDENTITY, _MEAN):
         raise ValueError(f"unknown divergence transform: {transform!r}")
     if isinstance(sched, RootSchedule):
@@ -251,17 +260,7 @@ def _check_divergent(sched: StepSchedule, transform: str) -> None:
                 "lambda(1-lambda) vanishes for the constant-1 schedule; "
                 "the transformed series does not diverge"
             )
-        if isinstance(sched, TableSchedule) and any(v > 1.0 for v in sched.values):
-            raise ValueError(
-                "table schedule exceeds 1; lambda(1-lambda) terms would be "
-                "negative"
-            )
-        tail = sched if not isinstance(sched, TableSchedule) else sched.tail
-        if isinstance(tail, Harmonic) and tail.a > tail.s:
-            raise ValueError(
-                "harmonic schedule exceeds 1 at the start; the "
-                "lambda(1-lambda) series is not monotone-sum certified"
-            )
+        _check_relaxations(sched)
 
 
 def _harmonic_partial(a: float, s: float, k: int, m: int, mean: bool) -> float:
@@ -295,12 +294,13 @@ def divergence_witness_theta(
 ) -> int:
     """Smallest m >= k with sum_{n=k}^{m} transformed(lambda_n) >= b.
 
-    Constant schedules use the closed form; harmonic schedules locate the
-    minimal index by bisection against digamma partial sums, switching to
-    arbitrary-precision evaluation when the witness is too large for float
-    resolution.  For witnesses beyond ~10^520 the sound analytic upper
-    index ceil((k+s) e^{b/a} - s - 1) (from the integral lower bound on the
-    partial sum) is returned instead of the exact minimum.
+    Constant schedules use the closed form.  Otherwise the leading values
+    (none for a harmonic schedule) are summed in turn, then the harmonic
+    tail's minimal index is located by bisection against digamma partial
+    sums, switching to arbitrary-precision evaluation when the witness is
+    too large for float resolution.  For witnesses beyond ~10^520 the sound
+    analytic upper index ceil((k+s) e^{b/a} - s - 1) (from the integral
+    lower bound on the partial sum) is returned instead of the exact minimum.
     """
     if k < 0:
         raise ValueError(f"start index must be >= 0, got {k}")
@@ -313,17 +313,13 @@ def divergence_witness_theta(
         w = sched.c * (1.0 - sched.c) if mean else sched.c
         return k + math.ceil(b / w) - 1
 
-    if isinstance(sched, TableSchedule):
-        tbl = sched.values
-        acc = 0.0
-        for m in range(k, len(tbl)):
-            lam = tbl[m]
-            acc += lam * (1.0 - lam) if mean else lam
-            if acc >= b:
-                return m
-        return _harmonic_theta(sched.tail, mean, max(k, len(tbl)), b - acc)
-
-    return _harmonic_theta(sched, mean, k, b)
+    values, tail = _table(sched)
+    acc = 0.0
+    for m, lam in enumerate(values[k:], k):
+        acc += lam * (1.0 - lam) if mean else lam
+        if acc >= b:
+            return m
+    return _harmonic_theta(tail, mean, max(k, len(values)), b - acc)
 
 
 def _harmonic_theta(sched: Harmonic, mean: bool, k: int, b: float) -> int:

@@ -1,8 +1,9 @@
 """Concrete stochastic problem instances.
 
 Three families are supported, each bundling a sampler over a finite index
-set, per-sample data, an exact solution-set projector, Lipschitz data, and a
-regularity-modulus provider:
+set, per-sample data, an exact solution-set projector, Lipschitz data, and the
+growth of the gap that the solution-set derivation proves (the regularity
+modulus is read off it):
 
 * :class:`MeanMinProblem` — minimize the mean of per-atom costs (half squared
   distance, i.e. Frechet-mean / proximal instances, or plain distance, i.e.
@@ -64,6 +65,12 @@ HALF_SQUARED = "half_squared_distance"
 DISTANCE = "distance"
 
 
+#: What a solution-set derivation knows of the gap F: ("quadratic", c) for
+#: F(x) >= c d^2(x, S) and ("sharp", c) for F(x) >= c d(x, S) on the whole
+#: space, or None when no such bound is known.
+Growth = tuple[str, float] | None
+
+
 class NoModulusKnownError(ValueError):
     """Raised when no regularity modulus is known for an instance shape.
 
@@ -101,6 +108,7 @@ class MeanMinProblem:
     region_bound: float
     solution_set: ConvexSet
     solution_anchor: Point
+    growth: Growth
     min_value: float = field(init=False)
     cum_weights: np.ndarray = field(init=False, repr=False)
 
@@ -146,6 +154,11 @@ class FixedPointProblem:
             raise ValueError("anchor does not lie in the solution set")
         object.__setattr__(self, "cum_weights", _cum_weights(self.weights))
 
+    @property
+    def growth(self) -> Growth:
+        # Linear regularity: dist^2 <= v * E[d^2(T_k x, x)] = v * F(x).
+        return ("quadratic", 1.0 / self.v)
+
 
 @dataclass(frozen=True, eq=False)
 class BusemannProblem:
@@ -159,6 +172,7 @@ class BusemannProblem:
     region_bound: float
     solution_set: ConvexSet
     solution_anchor: Point
+    growth: Growth
     min_value: float = field(init=False)
     cum_weights: np.ndarray = field(init=False, repr=False)
 
@@ -223,30 +237,38 @@ def _tripod_frechet_point(atoms) -> Tripod:
     return best
 
 
-def _is_tripod_median(space, atoms) -> bool:
-    """Three tripod atoms, one on each ray off the origin, every weight
-    below 1/2: the weighted median then sits at the branch point."""
-    return (
+def _tripod_median_growth(space, atoms) -> Growth:
+    """Three tripod atoms, one on each ray off the origin, every weight w
+    below 1/2: the weighted median then sits at the branch point, a sharp
+    minimum with slope 1 - 2 max w.  None for any other layout."""
+    top = max(w for _, w in atoms)
+    if (
         space == "tripod"
         and len(atoms) == 3
         and sorted(a.ray for a, _ in atoms if a.coord > 0.0) == [0, 1, 2]
-        and max(w for _, w in atoms) < 0.5
-    )
+        and top < 0.5
+    ):
+        return ("sharp", 1.0 - 2.0 * top)
+    return None
 
 
 def _derive_mean_min_solution(space, atoms, cost_kind):
-    """Closed-form solution set (and designated anchor) for the supported
-    mean-minimization shapes."""
+    """(solution set, designated anchor, growth of F) in closed form for the
+    supported mean-minimization shapes."""
     if len(atoms) == 1:
+        # F(x) = d^2(x, a) / 2 or d(x, a) exactly.
         anchor = atoms[0][0]
-        return Ball(anchor, 0.0), anchor
+        growth = ("quadratic", 0.5) if cost_kind == HALF_SQUARED else ("sharp", 1.0)
+        return Ball(anchor, 0.0), anchor, growth
     if cost_kind == HALF_SQUARED:
         if space == "euclidean":
+            # F(x) = d^2(x, mean) / 2 identically.
             anchor = _euclid_mean_point(atoms)
-            return Ball(anchor, 0.0), anchor
+            return Ball(anchor, 0.0), anchor, ("quadratic", 0.5)
         if space == "tripod":
+            # Strong convexity of the mean half-squared cost (parameter 1).
             anchor = _tripod_frechet_point(atoms)
-            return Ball(anchor, 0.0), anchor
+            return Ball(anchor, 0.0), anchor, ("quadratic", 1.0 / 8.0)
         raise ValueError(
             "no closed-form Frechet mean is available for several half-plane atoms"
         )
@@ -254,12 +276,12 @@ def _derive_mean_min_solution(space, atoms, cost_kind):
     # in any metric space: moving distance t away raises its term by w*t and
     # lowers the rest by at most (1-w)*t < w*t.  Otherwise the geometry is
     # only derived for the tripod with one atom per ray and every weight
-    # below 1/2 (the median then sits at the branch point).
+    # below 1/2.  No growth is derived for a majority atom.
     heaviest = max(atoms, key=lambda aw: aw[1])
     if heaviest[1] > 0.5:
-        return Ball(heaviest[0], 0.0), heaviest[0]
-    if _is_tripod_median(space, atoms):
-        return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN
+        return Ball(heaviest[0], 0.0), heaviest[0], None
+    if growth := _tripod_median_growth(space, atoms):
+        return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN, growth
     raise ValueError(
         "no closed-form median is available for this distance-cost instance"
     )
@@ -271,8 +293,8 @@ def build_mean_min(
     cost_kind: str,
     region_bound: float,
 ) -> MeanMinProblem:
-    solution_set, anchor = _derive_mean_min_solution(space, tuple(atoms), cost_kind)
-    return MeanMinProblem(space, tuple(atoms), cost_kind, region_bound, solution_set, anchor)
+    derived = _derive_mean_min_solution(space, tuple(atoms), cost_kind)
+    return MeanMinProblem(space, tuple(atoms), cost_kind, region_bound, *derived)
 
 
 def _axis_normal_index(normal: tuple[float, ...]) -> tuple[int, float] | None:
@@ -365,27 +387,30 @@ def build_fixed_point(
 
 
 def _derive_busemann_solution(space, atoms, constraint):
-    """Closed-form constrained argmin for the supported Busemann shapes."""
+    """(constrained argmin, designated anchor, growth of F) in closed form
+    for the supported Busemann shapes."""
     if len(atoms) == 1:
+        # F(x) = d(x, a) exactly.
         anchor = atoms[0][0]
         if not contains(constraint, anchor):
             raise ValueError("single-atom argmin requires the atom inside C")
-        return Ball(anchor, 0.0), anchor
+        return Ball(anchor, 0.0), anchor, ("sharp", 1.0)
     if len(atoms) == 2 and space == "euclidean":
         (a1, w1), (a2, w2) = atoms
         if abs(w1 - w2) <= 1e-12:
             if not (contains(constraint, a1) and contains(constraint, a2)):
                 raise ValueError("segment argmin requires both atoms inside C")
             seg = Segment(a1, a2)
-            return seg, geodesic_point(a1, a2, 0.5)
+            return seg, geodesic_point(a1, a2, 0.5), None
         heavy = a1 if w1 > w2 else a2
         if not contains(constraint, heavy):
             raise ValueError("two-atom argmin requires the heavier atom inside C")
-        return Ball(heavy, 0.0), heavy
-    if _is_tripod_median(space, atoms):
+        # Weak sharp minimum at the heavier atom with slope |w1 - w2|.
+        return Ball(heavy, 0.0), heavy, ("sharp", abs(w1 - w2))
+    if growth := _tripod_median_growth(space, atoms):
         if not contains(constraint, TRIPOD_ORIGIN):
             raise ValueError("median argmin requires the origin inside C")
-        return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN
+        return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN, growth
     raise ValueError("no closed-form constrained argmin for this atom layout")
 
 
@@ -396,10 +421,8 @@ def build_busemann(
     lipschitz_cap: float,
     region_bound: float,
 ) -> BusemannProblem:
-    solution_set, anchor = _derive_busemann_solution(space, tuple(atoms), constraint)
-    return BusemannProblem(
-        space, tuple(atoms), constraint, lipschitz_cap, region_bound, solution_set, anchor
-    )
+    derived = _derive_busemann_solution(space, tuple(atoms), constraint)
+    return BusemannProblem(space, tuple(atoms), constraint, lipschitz_cap, region_bound, *derived)
 
 
 # ---------------------------------------------------------------------------
@@ -561,56 +584,26 @@ def regularity_modulus_for(problem: Problem, q: int) -> TaggedModulus:
     tau(E dist^q) <= E tau(dist^q) <= E F for convex tau, and linear and
     power (p >= 1) moduli are convex.
 
-    Only catalogued instance shapes are supported; anything else raises
-    NoModulusKnownError rather than guessing.
+    It is read off the growth the solution-set derivation recorded: F >= c
+    d^2 gives c d^2 everywhere, F >= c d gives c d everywhere and, for q = 2,
+    (c / B) d^2 on the ball of radius B = region_bound.  An instance without
+    a known growth raises NoModulusKnownError rather than guessing.
     """
     if q not in (1, 2):
         raise ValueError(f"distance power must be 1 or 2, got {q}")
+    if problem.growth is None:
+        raise NoModulusKnownError(
+            f"no regularity modulus is known for this instance shape "
+            f"({type(problem).__name__}, space={problem.space!r}, "
+            f"{len(getattr(problem, 'atoms', getattr(problem, 'sets', ())))} terms, q={q})"
+        )
+    shape, c = problem.growth
+    if shape == "quadratic":
+        return TaggedModulus(Linear(c) if q == 2 else Power(c, 2.0), math.inf)
+    if q == 1:
+        return TaggedModulus(Linear(c), math.inf)
     B = problem.region_bound
-    if isinstance(problem, FixedPointProblem):
-        # Linear regularity: dist^2 <= v * E[d^2(T_k x, x)] = v * F(x).
-        if q == 2:
-            return TaggedModulus(Linear(1.0 / problem.v), math.inf)
-        return TaggedModulus(Power(1.0 / problem.v, 2.0), math.inf)
-    if isinstance(problem, MeanMinProblem) and problem.cost_kind == HALF_SQUARED:
-        if problem.space == "euclidean" or len(problem.atoms) == 1:
-            # F(x) = dist^2 / 2 identically.
-            if q == 2:
-                return TaggedModulus(Linear(0.5), math.inf)
-            return TaggedModulus(Power(0.5, 2.0), math.inf)
-        # Strong convexity of the mean half-squared cost (parameter 1).
-        if q == 2:
-            return TaggedModulus(Linear(1.0 / 8.0), math.inf)
-        return TaggedModulus(Power(1.0 / 8.0, 2.0), math.inf)
-    # Distance costs (mean-min or Busemann).
-    atoms = problem.atoms
-    if len(atoms) == 1:
-        # F(x) = dist(x, a) exactly.
-        if q == 1:
-            return TaggedModulus(Linear(1.0), math.inf)
-        return TaggedModulus(Linear(1.0 / B), B)
-    if _is_tripod_median(problem.space, atoms):
-        slope = 1.0 - 2.0 * max(w for _, w in atoms)
-        if q == 1:
-            return TaggedModulus(Linear(slope), math.inf)
-        return TaggedModulus(Linear(slope / B), B)
-    if (
-        isinstance(problem, BusemannProblem)
-        and problem.space == "euclidean"
-        and len(atoms) == 2
-    ):
-        (a1, w1), (a2, w2) = atoms
-        if abs(w1 - w2) > 1e-12:
-            # Weak sharp minimum at the heavier atom with slope |w1 - w2|.
-            slope = abs(w1 - w2)
-            if q == 1:
-                return TaggedModulus(Linear(slope), math.inf)
-            return TaggedModulus(Linear(slope / B), B)
-    raise NoModulusKnownError(
-        f"no regularity modulus is known for this instance shape "
-        f"({type(problem).__name__}, space={problem.space!r}, "
-        f"{len(getattr(problem, 'atoms', getattr(problem, 'sets', ())))} terms, q={q})"
-    )
+    return TaggedModulus(Linear(c / B), B)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class Tripod:
         if self.ray not in (0, 1, 2):
             raise ValueError(f"tripod ray must be 0, 1 or 2, got {self.ray}")
         c = float(self.coord)
-        if c < 0.0:
+        if not c >= 0.0:
             raise ValueError(f"tripod coordinate must be >= 0, got {c}")
         if c == 0.0:
             object.__setattr__(self, "ray", 0)
@@ -112,6 +112,8 @@ class HalfPlane:
         object.__setattr__(self, "y", float(self.y))
         if not self.y > 0.0:
             raise ValueError(f"half-plane point needs y > 0, got y={self.y}")
+        if self.x != self.x:
+            raise ValueError("half-plane point needs a number x, got x=nan")
 
 
 Point = Union[Euclidean, Tripod, HalfPlane]

@@ -28,6 +28,7 @@ from fejerlab.moduli import (
     Linear,
     Power,
     RootSchedule,
+    TableSchedule,
     divergence_witness_theta,
     eval_modulus,
     schedule_value,
@@ -330,6 +331,32 @@ def test_certificate_rejects_bad_reference_point():
         certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)), Euclidean((1.0, 1.0)))
     with pytest.raises(ValueError):
         certificate_sppa(tripod_median(), Constant(0.5), Tripod(0, 1.0))
+
+
+def test_certificate_refuses_a_start_outside_the_modulus_region():
+    # tau(d^2) = d^2 / 6 holds for d <= 2 only: at d = 10 it reads 16.7,
+    # above F = 9.33 there.
+    problem = tripod_median(2.0)
+    with pytest.raises(ValueError, match="outside the radius 2.0 on which the regularity modulus holds"):
+        certificate_sppa(problem, H11, Tripod(0, 10.0))
+    with pytest.raises(ValueError, match="outside the radius"):
+        certificate_sppa(problem, H11, Tripod(1, 2.0 + 1e-9))
+    for x0 in (Tripod(0, 2.0), Tripod(2, 0.5), Tripod(0, 0.0)):  # on or inside the ball
+        assert certificate_sppa(problem, H11, x0).rho(1.0) > 0
+    assert certificate_sppa(tripod_median(10.0), H11, Tripod(0, 10.0)).rho(30.0) > 0
+
+
+def test_shifted_tail_table_is_a_valid_relaxation_schedule():
+    # lambda_n <= 1/2 throughout: the tail 2 / (n + 1) starts at index 3.
+    sched = TableSchedule((0.5, 0.5, 0.5), Harmonic(2.0, 1.0))
+    x0 = Euclidean((1.0, 1.0))
+    trajectory = run_skm(two_halfspace(), sched, x0, 10, seed=3)
+    assert max(trajectory.steps) == 0.5
+    cert = certificate_skm(two_halfspace(), sched, x0)
+    assert cert.metric_rates(0.3, 0.1)[0] > 0
+    assert gap_window(two_halfspace(), "skm", sched, x0)(1.0, 0) > 0
+    with pytest.raises(ValueError, match=r"relaxations must lie in \(0, 1\]"):
+        run_skm(two_halfspace(), TableSchedule((0.5,) * 3, Harmonic(4.5, 1.0)), x0, 1, seed=3)
 
 
 def test_certificate_rho_rejects_nonpositive_eps():

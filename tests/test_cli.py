@@ -718,6 +718,34 @@ def test_audit_index_out_of_range_fails_before_the_ensemble(
     assert err.startswith(f"config error: {message}") and "Traceback" not in err
 
 
+def test_audit_accepts_a_table_whose_tail_starts_below_one(tmp_path, capsys):
+    # Every step is at most 1/2: the tail 2 / (n + 1) starts at index 3.  At
+    # eps = 0.2 the almost-sure index has about 6,500 digits.
+    cfg = _shipped(FLAG)
+    cfg["ensemble"].update(paths=8, horizon=20)
+    cfg["schedule"] = {"kind": "table", "values": [0.5, 0.5, 0.5], "tail": {"a": 2.0, "s": 1.0}}
+    for command in ("run", "audit"):
+        rc = run_cli(command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "t_"))
+        assert rc == 0, capsys.readouterr().err
+
+
+def test_rate_audit_from_outside_the_modulus_region_is_an_input_error(tmp_path, capsys):
+    cfg = _shipped(TRIPOD)
+    cfg["ensemble"].update(paths=3, horizon=5)
+    cfg["problem"]["region_bound"] = 2.0
+    cfg["x0"]["coord"] = 10.0
+    cfg["audit"] = {"epsilons": [30.0], "lambda": 0.1}
+    path = write_config(tmp_path, cfg)
+    assert run_cli("run", "--config", path, "--out", str(tmp_path / "r_")) == 0
+    rc = run_cli("audit", "--config", path, "--out", str(tmp_path / "r_"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: config: start point lies 10.0 from the solution anchor")
+    cfg["problem"]["region_bound"] = 10.0  # the start on the region's edge
+    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r_"))
+    assert rc == 0, capsys.readouterr().err
+
+
 def test_missing_config_file_is_an_input_error(tmp_path, capsys):
     rc = run_cli("validate", "--config", str(tmp_path / "absent.json"))
     assert rc == 1

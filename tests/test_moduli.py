@@ -305,3 +305,103 @@ def test_fast_bounds_clamped_and_monotone():
         prev_mean, prev_tail = mean, tail
     far = fast_bounds(cert, 10_000_000, 0.1)
     assert far[0] < 1e-5 and far[1] < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# One schedule path: a harmonic schedule is a table with no leading values
+# ---------------------------------------------------------------------------
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def _four_functions(sched, mean_ok):
+    """Every value the four schedule functions give on a grid of inputs."""
+    out = [schedule_value(sched, n) for n in (0, 1, 2, 7, 100, 10**6, 2**60)]
+    out.append(schedule_square_sum_bound(sched))
+    out += [tail_rate_chi(sched, eps) for eps in (5.0, 0.3, 0.01, 1e-5)]
+    for transform in (IDENTITY, MEAN) if mean_ok else (IDENTITY,):
+        for k in (0, 1, 7, 100):
+            out += [divergence_witness_theta(sched, transform, k, b) for b in (0.05, 1.0, 9.5, 40.0)]
+    return [_bits(v) for v in out]
+
+
+@pytest.mark.parametrize("a, s", [(1.0, 1.0), (0.5, 2.0), (0.7, 1.3), (2.5, 7.25), (3.0, 1.0), (1e-3, 5.0)])
+def test_harmonic_equals_the_table_with_no_leading_values_bit_for_bit(a, s):
+    mean_ok = a <= s  # the mean transform needs lambda_0 = a / s <= 1
+    assert _four_functions(Harmonic(a, s), mean_ok) == _four_functions(
+        TableSchedule((), Harmonic(a, s)), mean_ok
+    )
+    if not mean_ok:
+        for sched in (Harmonic(a, s), TableSchedule((), Harmonic(a, s))):
+            with pytest.raises(ValueError, match=r"relaxations must lie in \(0, 1\]"):
+                divergence_witness_theta(sched, MEAN, 0, 1.0)
+
+
+# Leading values, then a tail 2 / (n + 1) that starts at index 3 (where it
+# is 1/2): every step is at most 1 although the tail's a exceeds its s.
+_SHIFTED = TableSchedule((0.5, 0.9, 0.25), Harmonic(2.0, 1.0))
+
+
+def _lam_mp(sched, n):
+    m = len(sched.values)
+    return mpmath.mpf(sched.values[n]) if n < m else sched.tail.a / (mpmath.mpf(n) + sched.tail.s)
+
+
+def _square_tail_mp(sched, n0):
+    """sum_{n >= n0} lambda_n^2 at 50 digits: the leading values term by
+    term, the harmonic tail by Euler-Maclaurin summation (nsum's default
+    extrapolation is off by 0.5 % on this slowly converging series)."""
+    m, a, s = len(sched.values), sched.tail.a, sched.tail.s
+    with mpmath.workdps(50):
+        head = mpmath.fsum(_lam_mp(sched, n) ** 2 for n in range(n0, m))
+        tail = mpmath.nsum(
+            lambda n: (a / (n + s)) ** 2, [max(n0, m), mpmath.inf], method="euler-maclaurin"
+        )
+        return head + tail
+
+
+def test_table_square_sum_bound_matches_brute_force():
+    with mpmath.workdps(50):
+        exact = _square_tail_mp(_SHIFTED, 0)
+        t = schedule_square_sum_bound(_SHIFTED)
+        assert t > exact and t - 0.001 <= exact  # the least 3-decimal bound above
+
+
+def test_table_tail_rate_chi_matches_brute_force():
+    # The witness falls before (0), inside (1, 2) and after (3+) the values.
+    seen = set()
+    for eps in (4.0, 3.0, 2.5, 2.2, 1.5, 0.3, 0.01):
+        n0 = tail_rate_chi(_SHIFTED, eps)
+        with mpmath.workdps(50):
+            assert _square_tail_mp(_SHIFTED, n0) < eps, eps
+            if n0 > 0:
+                assert _square_tail_mp(_SHIFTED, n0 - 1) >= eps, eps
+        seen.add(min(n0, 3))
+    assert seen == {0, 1, 2, 3}
+
+
+def test_table_divergence_witness_matches_brute_force():
+    for transform in (IDENTITY, MEAN):
+        for k in (0, 1, 2, 3, 10):  # before, inside and after the values
+            for b in (0.2, 0.6, 1.4, 3.0, 6.0):
+                m = divergence_witness_theta(_SHIFTED, transform, k, b)
+                with mpmath.workdps(50):
+                    lams = [_lam_mp(_SHIFTED, n) for n in range(k, m + 1)]
+                    w = lams if transform == IDENTITY else [x * (1 - x) for x in lams]
+                    assert mpmath.fsum(w) >= b, (transform, k, b)
+                    assert mpmath.fsum(w[:-1]) < b, (transform, k, b)
+
+
+def test_relaxation_rule_checks_the_tail_where_it_starts():
+    # At its first index 3 the tail 4 / (n + 1) is exactly 1: allowed.
+    assert divergence_witness_theta(TableSchedule((0.5,) * 3, Harmonic(4.0, 1.0)), MEAN, 0, 1.0) > 0
+    for bad in (
+        TableSchedule((0.5,) * 3, Harmonic(4.5, 1.0)),  # 4.5 / 4 > 1 at index 3
+        TableSchedule((0.5, 1.25), Harmonic(1.0, 1.0)),  # a value above 1
+        Harmonic(2.0, 1.0),  # 2 at index 0
+    ):
+        with pytest.raises(ValueError, match=r"relaxations must lie in \(0, 1\]"):
+            divergence_witness_theta(bad, MEAN, 0, 1.0)
+        divergence_witness_theta(bad, IDENTITY, 0, 1.0)  # step sizes, not relaxations

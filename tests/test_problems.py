@@ -15,6 +15,7 @@ from fejerlab.problems import (
     HALF_SQUARED,
     BusemannProblem,
     NoModulusKnownError,
+    TaggedModulus,
     build_busemann,
     build_fixed_point,
     build_mean_min,
@@ -420,6 +421,34 @@ def test_no_modulus_for_euclidean_majority_median():
     p = build_mean_min("euclidean", atoms, DISTANCE, 4.0)
     with pytest.raises(NoModulusKnownError):
         regularity_modulus_for(p, 2)
+
+
+def test_the_solution_set_derivation_records_the_growth():
+    majority = build_mean_min(
+        "euclidean", ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3)), DISTANCE, 4.0
+    )
+    for problem, expected in (
+        (frechet_r1(), ("quadratic", 0.5)),
+        (halfplane_single_atom(), ("quadratic", 0.5)),
+        (tripod_frechet(), ("quadratic", 0.125)),
+        (two_halfspace(), ("quadratic", 0.5)),
+        (tripod_median(), ("sharp", 1.0 / 3.0)),
+        (tripod_median_busemann(), ("sharp", 1.0 / 3.0)),
+        (r1_single_atom_busemann(), ("sharp", 1.0)),
+        (euclid_two_atom_busemann(), ("sharp", 0.4)),
+        (segment_argmin(), None),
+        (majority, None),
+    ):
+        if expected is None:
+            assert problem.growth is None
+            continue
+        shape, c = problem.growth
+        assert shape == expected[0] and c == pytest.approx(expected[1], rel=1e-14)
+        tagged = regularity_modulus_for(problem, 2)
+        if shape == "sharp":  # F >= c d >= (c / B) d^2 on the ball of radius B
+            assert tagged == TaggedModulus(Linear(c / problem.region_bound), problem.region_bound)
+        else:
+            assert tagged == TaggedModulus(Linear(c), math.inf)
 
 
 def test_modulus_soundness_on_random_in_region_points():

@@ -71,6 +71,15 @@ def test_tripod_origin_is_canonical():
     assert distance(Tripod(1, 0.0), Tripod(2, 0.0)) == 0.0
 
 
+def test_points_reject_nan_coordinates():
+    for make in (lambda: Tripod(1, math.nan), lambda: Tripod(0, -1.0)):
+        with pytest.raises(ValueError, match="tripod coordinate must be >= 0"):
+            make()
+    for x, y in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="half-plane point needs"):
+            HalfPlane(x, y)
+
+
 def test_halfplane_vertical_distance_is_log_ratio():
     assert abs(distance(HalfPlane(0.0, 1.0), HalfPlane(0.0, math.e)) - 1.0) < 1e-12
     d = distance(HalfPlane(0.0, 1.0), HalfPlane(1.0, 1.0))
