@@ -467,11 +467,11 @@ def certificate_audit(
     sqrt_paths = math.sqrt(stats.paths)
     for eps, (idx, as_strict, mean_relaxed, as_relaxed) in rates.items():
         eps = float(eps)
-        with _exact_ints():  # an index can have thousands of digits
-            idx_note = (
-                f"indices: mean={idx}, as_strict={as_strict}, "
-                f"mean_relaxed={mean_relaxed}, as_relaxed={as_relaxed}"
-            )
+        idx_note = (
+            f"indices: mean={_index_label(idx)}, as_strict={_index_label(as_strict)}, "
+            f"mean_relaxed={_index_label(mean_relaxed)}, "
+            f"as_relaxed={_index_label(as_relaxed)}"
+        )
 
         if idx > stats.horizon:
             records.append(
@@ -523,7 +523,8 @@ def certificate_audit(
                     note=(
                         f"exceedance fraction vs lambda={lam:g}, tolerance 3 binomial "
                         f"stderr = {3.0 * se:.3g}; audited at the relaxed index "
-                        f"rho(lam*theta(eps)), strict index {as_strict}; {_TRUNCATED}; {idx_note}"
+                        f"rho(lam*theta(eps)), strict index {_index_label(as_strict)}; "
+                        f"{_TRUNCATED}; {idx_note}"
                     ),
                 )
             )

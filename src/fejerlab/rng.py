@@ -83,6 +83,15 @@ def uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
     return (raw >> _U11).astype(np.float64) * _INV_2_53
 
 
+def uniform_run(key: int, counter: int, n: int) -> np.ndarray:
+    """The uniforms of one stream at counters counter, ..., counter + n - 1:
+    :func:`uniform` at each counter, by the same operations."""
+    counters = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        raw = mix64_vec(np.uint64(key) + counters * _U_GAMMA)
+    return (raw >> _U11).astype(np.float64) * _INV_2_53
+
+
 class RngState(NamedTuple):
     """Explicitly threaded generator state: (stream key, next counter)."""
 

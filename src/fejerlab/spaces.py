@@ -102,7 +102,7 @@ class Tripod:
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """A point of the hyperbolic upper half-plane (y > 0)."""
+    """A point of the hyperbolic upper half-plane (finite x, finite y > 0)."""
 
     x: float
     y: float
@@ -112,8 +112,10 @@ class HalfPlane:
         object.__setattr__(self, "y", float(self.y))
         if not self.y > 0.0:
             raise ValueError(f"half-plane point needs y > 0, got y={self.y}")
-        if self.x != self.x:
-            raise ValueError("half-plane point needs a number x, got x=nan")
+        if self.y == math.inf:
+            raise ValueError("half-plane point needs a finite y, got y=inf")
+        if self.x - self.x != 0.0:  # nan for a NaN or infinite x
+            raise ValueError(f"half-plane point needs a finite x, got x={self.x}")
 
 
 Point = Union[Euclidean, Tripod, HalfPlane]
@@ -448,12 +450,11 @@ def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t: float) -> HalfPlane:
             px = 2.0 * (hx + (hy - hx) * (wx / den) if wx >= wy else hy - (hy - hx) * (wy / den))
         else:
             px = x.x + (y.x - x.x) * (wx / den)
-        p = HalfPlane(px, root * (math.expm1(-2.0 * d) / den))
+        return HalfPlane(px, root * (math.expm1(-2.0 * d) / den))
     except (OverflowError, ZeroDivisionError, ValueError):
-        p = None
-    if p is None or p.y == math.inf or not math.isfinite(p.x):
-        raise ValueError(f"geodesic point at t={t!r} from {x} to {y} is out of float range")
-    return p
+        raise ValueError(
+            f"geodesic point at t={t!r} from {x} to {y} is out of float range"
+        ) from None
 
 
 def geodesic_point(x: Point, y: Point, t: float) -> Point:
@@ -511,26 +512,22 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
     if not isinstance(direction, HalfPlaneIdealPoint):
         raise ValueError("half-plane point needs a HalfPlaneIdealPoint direction")
     b = direction.boundary_x
-    # exp may overflow, y fall to 0 (then HalfPlane raises), or rho overflow
-    # (then k = 0 divides).
+    # exp may overflow, y leave the float range (then HalfPlane raises), or
+    # rho overflow (then k = 0 divides).
     try:
         if b is None:
-            p = HalfPlane(x.x, x.y * math.exp(s))
-        else:
-            # The geodesic's limit as its end tends to b: with rho = |x - b|
-            # and D = 2 y^2 sinh s + rho^2 e^-s, (x + 2 (b - x) y^2 sinh(s) / D,
-            # y rho^2 / D), scaled by 1 / (y rho e^s); k = y / rho.
-            rho = math.hypot(x.x - b, x.y)
-            k = x.y / rho
-            w = -math.expm1(-2.0 * s)
-            e = math.exp(-s)
-            den = k * w + e * (e / k)
-            p = HalfPlane(x.x + (b - x.x) * (k * w / den), rho * e / den)
+            return HalfPlane(x.x, x.y * math.exp(s))
+        # The geodesic's limit as its end tends to b: with rho = |x - b| and
+        # D = 2 y^2 sinh s + rho^2 e^-s, (x + 2 (b - x) y^2 sinh(s) / D,
+        # y rho^2 / D), scaled by 1 / (y rho e^s); k = y / rho.
+        rho = math.hypot(x.x - b, x.y)
+        k = x.y / rho
+        w = -math.expm1(-2.0 * s)
+        e = math.exp(-s)
+        den = k * w + e * (e / k)
+        return HalfPlane(x.x + (b - x.x) * (k * w / den), rho * e / den)
     except (OverflowError, ValueError, ZeroDivisionError):
-        p = None
-    if p is None or p.y == math.inf:
-        raise ValueError(f"ray point at arclength {s!r} from {x} is out of float range")
-    return p
+        raise ValueError(f"ray point at arclength {s!r} from {x} is out of float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +614,21 @@ def quasi_triangle_residual(q: float, x: Point, y: Point, o: Point) -> float:
     d^q(x,y) - 2^(q-1) (d^q(x,o) + d^q(y,o)).  Nonpositive for q >= 1."""
     if q < 1.0:
         raise ValueError(f"quasi-triangle exponent must be >= 1, got {q}")
-    return distance(x, y) ** q - 2.0 ** (q - 1.0) * (
-        distance(x, o) ** q + distance(y, o) ** q
-    )
+    return _quasi_triangle(q, distance(x, y), distance(x, o), distance(y, o))
+
+
+def _quasi_triangle(q: float, dxy, dxo, dyo):
+    """The quasi-triangle defect from the three distances (arrays for a batch)."""
+    p = _pow if isinstance(dxy, np.ndarray) else pow
+    return p(dxy, q) - 2.0 ** (q - 1.0) * (p(dxo, q) + p(dyo, q))
+
+
+def _pow(d: np.ndarray, q: float) -> np.ndarray:
+    """d ** q entry by entry through the C library's pow, as for a point:
+    NumPy's power rounds some entries differently.  d ** 1.0 is d."""
+    if q == 1.0:
+        return d
+    return np.array([v ** q for v in d.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -627,22 +636,64 @@ def quasi_triangle_residual(q: float, x: Point, y: Point, o: Point) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sample_point(space: str, dim: int, state: rng.RngState):
-    if space == "euclidean":
-        coords = []
-        for _ in range(dim):
-            u, state = rng.next_uniform(state)
-            coords.append(10.0 * u - 5.0)
-        return Euclidean(tuple(coords)), state
-    if space == "tripod":
-        u, state = rng.next_uniform(state)
-        v, state = rng.next_uniform(state)
-        return Tripod(int(u * 3.0) % 3, 5.0 * v), state
-    if space == "halfplane":
-        u, state = rng.next_uniform(state)
-        v, state = rng.next_uniform(state)
-        return HalfPlane(6.0 * u - 3.0, 1e3 ** (2.0 * v - 1.0)), state
-    raise ValueError(f"unknown space kind: {space!r}")
+# Every section evaluates one residual helper: once per sample for the tripod
+# and the half-plane, once on a batch of all the samples for the Euclidean
+# space.  Both draw the same uniforms at the same counters, and a batch
+# equals its points bit for bit, so the two report the same residuals.
+
+_MAIN = (
+    "symmetry", "identity", "triangle", "geodesic_parameter", "geodesic_parameter", "cn",
+    "quasi_triangle", "quasi_triangle", "quasi_triangle",
+)
+_RAY = ("ray_additivity", "ray_additivity")
+
+
+def _main_residuals(x: Point, y: Point, o: Point, t) -> tuple:
+    """The metric axioms, the geodesic parameter identity at t, CN and the
+    quasi-triangle inequality for q in {1, 2, 3}, in the order of _MAIN."""
+    dxy, dxo, dyo = distance(x, y), distance(x, o), distance(y, o)
+    g = geodesic_point(x, y, t)
+    return (
+        abs(dxy - distance(y, x)),
+        distance(x, x),
+        dxy - (dxo + dyo),
+        abs(distance(x, g) - t * dxy),
+        abs(distance(g, y) - (1.0 - t) * dxy),
+        cn_residual(o, x, y, t),
+        _quasi_triangle(1.0, dxy, dxo, dyo),
+        _quasi_triangle(2.0, dxy, dxo, dyo),
+        _quasi_triangle(3.0, dxy, dxo, dyo),
+    )
+
+
+def _projection_residuals(sets: list, x: Point, y: Point) -> tuple:
+    """Per (set, sample points) pair: nonexpansiveness at (x, y), then the
+    angle condition at P_C(x) toward each sample point."""
+    out = []
+    for cset, points in sets:
+        px, py = project_convex(cset, x), project_convex(cset, y)
+        out.append(distance(px, py) - distance(x, y))
+        out += [_angle_residual(x, px, c) for c in points]
+    return tuple(out)
+
+
+def _angle_residual(x: Point, p: Point, c: Point):
+    """The angle at p = P_C(x) between x and c in C is >= pi/2
+    (Bridson-Haefliger II.2.4): <x - p, c - p> <= 0 in R^d, d(x,c) =
+    d(x,p) + d(p,c) on a tree, cosh d(x,c) >= cosh d(x,p) cosh d(p,c)."""
+    if isinstance(x, Euclidean):
+        return sum((xc - pc) * (cc - pc) for xc, pc, cc in zip(x.coords, p.coords, c.coords))
+    if isinstance(x, Tripod):
+        return distance(x, p) + distance(p, c) - distance(x, c)
+    return math.cosh(distance(x, p)) * math.cosh(distance(p, c)) / math.cosh(distance(x, c)) - 1.0
+
+
+def _ray_residuals(x: Point, direction: Direction, s1, s2) -> tuple:
+    """Ray additivity over arclengths s1 then s2, and the arclength s1."""
+    p1 = ray_point(x, direction, s1)
+    p2 = ray_point(p1, direction, s2)
+    p12 = ray_point(x, direction, s1 + s2)
+    return distance(p2, p12), abs(distance(x, p1) - s1)
 
 
 def _suite_sets(space: str, dim: int) -> list[ConvexSet]:
@@ -699,29 +750,103 @@ def _set_samples(cset: ConvexSet) -> list[Point]:
     return []
 
 
-def _sample_direction(space: str, dim: int, state: rng.RngState):
-    if space == "euclidean":
-        # Spherically symmetric direction from a Box-Muller pair per 2 dims.
-        comps: list[float] = []
-        while len(comps) < dim:
-            u1, state = rng.next_uniform(state)
-            u2, state = rng.next_uniform(state)
-            r = math.sqrt(-2.0 * math.log(1.0 - u1))
-            comps.append(r * math.cos(2.0 * math.pi * u2))
-            comps.append(r * math.sin(2.0 * math.pi * u2))
-        v = comps[:dim]
-        nrm = math.sqrt(sum(c * c for c in v))
-        if nrm == 0.0:
-            v, nrm = [1.0] + [0.0] * (dim - 1), 1.0
-        return EuclideanDir(tuple(c / nrm for c in v)), state
-    if space == "tripod":
-        u, state = rng.next_uniform(state)
-        return TripodEnd(int(u * 3.0) % 3), state
+def _sample_point(space: str, state: rng.RngState):
+    """A tripod or half-plane sample point from two uniforms."""
     u, state = rng.next_uniform(state)
+    v, state = rng.next_uniform(state)
+    if space == "tripod":
+        return Tripod(int(u * 3.0) % 3, 5.0 * v), state
+    return HalfPlane(6.0 * u - 3.0, 1e3 ** (2.0 * v - 1.0)), state
+
+
+def _sample_direction(space: str, state: rng.RngState):
+    """A tripod end, or a half-plane ideal point (infinity with chance 1/4)."""
+    u, state = rng.next_uniform(state)
+    if space == "tripod":
+        return TripodEnd(int(u * 3.0) % 3), state
     if u < 0.25:
         return HalfPlaneIdealPoint(None), state
     v, state = rng.next_uniform(state)
     return HalfPlaneIdealPoint(8.0 * v - 4.0), state
+
+
+def _pointwise_sections(space, state, samples, projection_samples, sets):
+    """The three sections' residual rows for the tripod or the half-plane,
+    one row per sample."""
+    main = []
+    for _ in range(samples):
+        x, state = _sample_point(space, state)
+        y, state = _sample_point(space, state)
+        o, state = _sample_point(space, state)
+        t, state = rng.next_uniform(state)
+        main.append(_main_residuals(x, y, o, t))
+    proj = []
+    for _ in range(projection_samples):
+        x, state = _sample_point(space, state)
+        y, state = _sample_point(space, state)
+        proj.append(_projection_residuals(sets, x, y))
+    ray = []
+    for _ in range(projection_samples):
+        x, state = _sample_point(space, state)
+        direction, state = _sample_direction(space, state)
+        u1, state = rng.next_uniform(state)
+        u2, state = rng.next_uniform(state)
+        ray.append(_ray_residuals(x, direction, 3.0 * u1, 3.0 * u2))
+    return main, proj, ray
+
+
+def _uniform_columns(state: rng.RngState, n: int, k: int):
+    """The uniforms of n samples that draw k each, as k columns of n, and
+    the state after them."""
+    u = rng.uniform_run(state.key, state.counter, n * k).reshape(n, k)
+    return u.T, rng.RngState(state.key, state.counter + n * k)
+
+
+def _box_point(cols) -> Euclidean:
+    """The Euclidean sample point (batch) with coordinates 10u - 5 in [-5, 5)."""
+    return Euclidean(tuple(10.0 * u - 5.0 for u in cols))
+
+
+def _unit_vector(us: list[float], dim: int) -> tuple[float, ...]:
+    """A spherically symmetric unit vector of R^dim from a Box-Muller pair
+    per two dimensions.  It stays on libm's log, cos and sin, one sample at
+    a time: NumPy's may round differently."""
+    comps: list[float] = []
+    for u1, u2 in zip(us[::2], us[1::2]):
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        comps.append(r * math.cos(2.0 * math.pi * u2))
+        comps.append(r * math.sin(2.0 * math.pi * u2))
+    v = comps[:dim]
+    nrm = math.sqrt(sum(c * c for c in v))
+    if nrm == 0.0:
+        v, nrm = [1.0] + [0.0] * (dim - 1), 1.0
+    return tuple(c / nrm for c in v)
+
+
+def _euclidean_sections(state, samples, projection_samples, sets, dim):
+    """The three sections' residual rows for R^dim: one row of columns, each
+    section's samples drawn as one block of uniforms and run as one batch."""
+    u, state = _uniform_columns(state, samples, 3 * dim + 1)
+    x, y, o = (_box_point(u[k * dim : (k + 1) * dim]) for k in range(3))
+    main = [_main_residuals(x, y, o, u[3 * dim])]
+    u, state = _uniform_columns(state, projection_samples, 2 * dim)
+    proj = [_projection_residuals(sets, _box_point(u[:dim]), _box_point(u[dim:]))]
+    pairs = 2 * ((dim + 1) // 2)  # Box-Muller draws a pair per two dimensions
+    u, _ = _uniform_columns(state, projection_samples, dim + pairs + 2)
+    rows = u[dim : dim + pairs].T.tolist()
+    vectors = np.array([_unit_vector(us, dim) for us in rows]).reshape(len(rows), dim)
+    direction = EuclideanDir(tuple(vectors.T))
+    ray = [_ray_residuals(_box_point(u[:dim]), direction, 3.0 * u[-2], 3.0 * u[-1])]
+    return main, proj, ray
+
+
+def _worst(names: tuple, rows: list, residuals: dict) -> None:
+    """Fold a section's residual rows into the largest residual per name.  A
+    NaN residual is kept (``max`` would drop it), so it fails the suite."""
+    for name, col in zip(names, zip(*rows)):
+        m = residuals[name]
+        v = float(np.max(col, initial=m))  # NaN if any entry is
+        residuals[name] = v if v > m or v != v else m
 
 
 def geometry_suite(
@@ -735,91 +860,30 @@ def geometry_suite(
 
     Checks metric axioms (symmetry, identity, triangle inequality), the
     geodesic parameter identity, the CN inequality, the weak quasi-triangle
-    inequality for q in {1,2,3}, projection nonexpansiveness, the projection's
-    angle condition at sample points of each set, and ray additivity.
-    Returns a dict of maximal residuals and a ``pass`` flag (every residual
-    <= GEOM_TOL).
+    inequality for q in {1,2,3} (``samples`` draws), projection
+    nonexpansiveness and the projection's angle condition at sample points
+    of each set, and ray additivity (``projection_samples`` draws each).
+    The Euclidean space runs each section as one batch of all its samples;
+    the tripod and the half-plane run sample by sample.  Both draw the same
+    uniforms, and a batch equals its points bit for bit.  Returns a dict of
+    maximal residuals and a ``pass`` flag (every residual <= GEOM_TOL; a NaN
+    residual fails).
     """
+    if space not in ("euclidean", "tripod", "halfplane"):
+        raise ValueError(f"unknown space kind: {space!r}")
     state = rng.make_state(seed, 0)
-    max_sym = 0.0
-    max_self = 0.0
-    max_tri = 0.0
-    max_geo = 0.0
-    max_cn = 0.0
-    max_qt = 0.0
-    for _ in range(samples):
-        x, state = _sample_point(space, dim, state)
-        y, state = _sample_point(space, dim, state)
-        o, state = _sample_point(space, dim, state)
-        t, state = rng.next_uniform(state)
-        dxy = distance(x, y)
-        dxo = distance(x, o)
-        dyo = distance(y, o)
-        max_sym = max(max_sym, abs(dxy - distance(y, x)))
-        max_self = max(max_self, distance(x, x))
-        max_tri = max(max_tri, dxy - (dxo + dyo))
-        g = geodesic_point(x, y, t)
-        max_geo = max(
-            max_geo,
-            abs(distance(x, g) - t * dxy),
-            abs(distance(g, y) - (1.0 - t) * dxy),
-        )
-        max_cn = max(max_cn, cn_residual(o, x, y, t))
-        for q in (1.0, 2.0, 3.0):
-            max_qt = max(
-                max_qt,
-                dxy ** q - 2.0 ** (q - 1.0) * (dxo ** q + dyo ** q),
-            )
-
-    max_proj = 0.0
-    max_firm = 0.0
-    sets = _suite_sets(space, dim)
-    for _ in range(projection_samples):
-        x, state = _sample_point(space, dim, state)
-        y, state = _sample_point(space, dim, state)
-        for cset in sets:
-            px = project_convex(cset, x)
-            py = project_convex(cset, y)
-            max_proj = max(max_proj, distance(px, py) - distance(x, y))
-            # The angle at p = P_C(x) between x and each c in C is >= pi/2
-            # (Bridson-Haefliger II.2.4): <x - p, c - p> <= 0 in R^d, d(x,c) =
-            # d(x,p) + d(p,c) on a tree, cosh d(x,c) >= cosh d(x,p) cosh d(p,c).
-            for c in _set_samples(cset):
-                if space == "euclidean":
-                    r = sum(
-                        (xc - pc) * (cc - pc)
-                        for xc, pc, cc in zip(x.coords, px.coords, c.coords)
-                    )
-                elif space == "tripod":
-                    r = distance(x, px) + distance(px, c) - distance(x, c)
-                else:
-                    ch = math.cosh(distance(x, px)) * math.cosh(distance(px, c))
-                    r = ch / math.cosh(distance(x, c)) - 1.0
-                max_firm = max(max_firm, r)
-
-    max_ray = 0.0
-    for _ in range(projection_samples):
-        x, state = _sample_point(space, dim, state)
-        direction, state = _sample_direction(space, dim, state)
-        u1, state = rng.next_uniform(state)
-        u2, state = rng.next_uniform(state)
-        s1, s2 = 3.0 * u1, 3.0 * u2
-        p1 = ray_point(x, direction, s1)
-        p2 = ray_point(p1, direction, s2)
-        p12 = ray_point(x, direction, s1 + s2)
-        max_ray = max(max_ray, distance(p2, p12), abs(distance(x, p1) - s1))
-
-    residuals = {
-        "symmetry": max_sym,
-        "identity": max_self,
-        "triangle": max_tri,
-        "geodesic_parameter": max_geo,
-        "cn": max_cn,
-        "quasi_triangle": max_qt,
-        "projection_nonexpansive": max_proj,
-        "projection_firm": max_firm,
-        "ray_additivity": max_ray,
-    }
+    sets = [(cset, _set_samples(cset)) for cset in _suite_sets(space, dim)]
+    if space == "euclidean":
+        main, proj, ray = _euclidean_sections(state, samples, projection_samples, sets, dim)
+    else:
+        main, proj, ray = _pointwise_sections(space, state, samples, projection_samples, sets)
+    proj_names = ()
+    for _, points in sets:
+        proj_names += ("projection_nonexpansive",) + ("projection_firm",) * len(points)
+    residuals = dict.fromkeys(_MAIN + proj_names + _RAY, 0.0)
+    _worst(_MAIN, main, residuals)
+    _worst(proj_names, proj, residuals)
+    _worst(_RAY, ray, residuals)
     return {
         "space": space,
         "samples": samples,

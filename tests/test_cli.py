@@ -729,6 +729,47 @@ def test_audit_accepts_a_table_whose_tail_starts_below_one(tmp_path, capsys):
         assert rc == 0, capsys.readouterr().err
 
 
+def test_audit_prints_indices_of_thousands_of_digits_as_magnitudes(tmp_path, capsys):
+    # Under the harmonic schedule a = 0.5, s = 1 the almost-sure index at
+    # eps = 0.2 has about 6,500 digits; audit.json keeps it exact.
+    cfg = _shipped(FLAG)
+    cfg["ensemble"].update(paths=8, horizon=20)
+    cfg["schedule"] = {"kind": "harmonic", "a": 0.5, "s": 1.0}
+    prefix = tmp_path / "h_"
+    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(prefix))
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert max(len(line) for line in out.splitlines()) <= 1_000
+    assert "as_strict=~1e26058, mean_relaxed=~1e651, as_relaxed=~1e6514" in out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with open(f"{prefix}audit.json") as fh:
+            indices = [r["predicted_index"] for r in json.load(fh)["records"]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(indices) > 10**6000
+
+
+def test_validate_exits_2_on_a_nan_residual(tmp_path, capsys, monkeypatch):
+    import fejerlab.cli as cli
+    import fejerlab.spaces as spaces
+
+    # Every Euclidean distance reads NaN, but only inside the suite: the
+    # config reader measures distances too.
+    def nan_suite(*args, **kwargs):
+        with monkeypatch.context() as m:
+            real = spaces._sqdist_cols
+            m.setattr(spaces, "_dist_cols", lambda x, y: real(x, y) * math.nan)
+            return spaces.geometry_suite(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "geometry_suite", nan_suite)
+    rc = run_cli("validate", "--config", write_config(tmp_path, rate_config(paths=2, horizon=2)))
+    summary = json.loads(capsys.readouterr().out)
+    assert rc == 2 and summary["pass"] is False
+    assert math.isnan(summary["residuals"]["triangle"])
+
+
 def test_rate_audit_from_outside_the_modulus_region_is_an_input_error(tmp_path, capsys):
     cfg = _shipped(TRIPOD)
     cfg["ensemble"].update(paths=3, horizon=5)

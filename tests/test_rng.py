@@ -102,3 +102,15 @@ def test_mix64_is_a_bijection_sample():
     assert len(seen) == 4096
     vec = rng.mix64_vec(np.arange(4096, dtype=np.uint64))
     assert {int(v) for v in vec} == seen
+
+
+@pytest.mark.parametrize("key", [0, 2**64 - 1, 0x5DEECE66D2B7E151])
+def test_uniform_run_equals_repeated_next_uniform(key):
+    state = rng.RngState(key, 1_000_003)
+    expected = []
+    for _ in range(257):
+        u, state = rng.next_uniform(state)
+        expected.append(u)
+    run = rng.uniform_run(key, 1_000_003, 257)
+    assert run.dtype == np.float64 and run.tolist() == expected
+    assert rng.uniform_run(key, 5, 0).shape == (0,)

@@ -78,6 +78,23 @@ def test_points_reject_nan_coordinates():
     for x, y in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
         with pytest.raises(ValueError, match="half-plane point needs"):
             HalfPlane(x, y)
+    for x, y, coord in (
+        (math.inf, 1.0, "x=inf"), (-math.inf, 1.0, "x=-inf"), (0.0, math.inf, "y=inf"),
+        (0.0, -math.inf, "y=-inf"), (math.nan, 1.0, "x=nan"),
+    ):
+        with pytest.raises(ValueError, match=f"half-plane point needs .*{coord}"):
+            HalfPlane(x, y)
+
+
+def test_halfplane_geodesic_out_of_float_range_names_the_geodesic():
+    # The geodesic's top, at t = 1/2, lies above the largest float.
+    x, y = HalfPlane(-1.7e308, 8.5e307), HalfPlane(1.7e308, 8.5e307)
+    assert 0.0 < geodesic_point(x, y, 0.1).y < math.inf
+    with pytest.raises(ValueError, match=r"geodesic point at t=0.5 from HalfPlane\(x=-1.7e\+308"):
+        geodesic_point(x, y, 0.5)
+    # A ray whose height overflows to inf without an OverflowError.
+    with pytest.raises(ValueError, match=r"ray point at arclength 50.0 from .* out of float range"):
+        ray_point(HalfPlane(0.0, 1e300), HalfPlaneIdealPoint(None), 50.0)
 
 
 def test_halfplane_vertical_distance_is_log_ratio():
@@ -464,6 +481,152 @@ def test_geometry_suite_passes_each_space_smoke():
     for space in ("euclidean", "tripod", "halfplane"):
         summary = geometry_suite(space, samples=300, seed=5, projection_samples=100)
         assert summary["pass"], summary
+
+
+# float.hex of every residual of the default suite (10,000 + 1,000 + 1,000
+# samples), recorded when every space ran sample by sample, in the order
+# symmetry, identity, triangle, geodesic_parameter, cn, quasi_triangle,
+# projection_nonexpansive, projection_firm, ray_additivity.  The last seed is
+# the ensemble seed of the first benchmark run of euclid-skm.
+_SUITE_RESIDUALS = {
+    ("euclidean", 1, 0): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.0000000000000p-49",
+        "0x1.0000000000000p-44", "0x1.0000000000000p-49", "0x1.0000000000000p-51",
+        "0x1.7d8430acf6a53p-50", "0x1.0000000000000p-49",
+    ),
+    ("euclidean", 1, 20260814): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.0000000000000p-49",
+        "0x1.4000000000000p-45", "0x1.0000000000000p-49", "0x0.0p+0", "0x1.564868db65873p-50",
+        "0x1.0000000000000p-49",
+    ),
+    ("euclidean", 1, 12742532702349066664): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.0000000000000p-49",
+        "0x1.0000000000000p-45", "0x1.0000000000000p-49", "0x1.0000000000000p-51",
+        "0x1.c85d441463db0p-54", "0x1.0000000000000p-49",
+    ),
+    ("euclidean", 2, 0): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-48", "0x1.8000000000000p-45",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.07e0f66afed07p-49",
+    ),
+    ("euclidean", 2, 20260814): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-48", "0x1.0000000000000p-44",
+        "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p-49", "0x1.007fe00ff6070p-49",
+    ),
+    ("euclidean", 2, 12742532702349066664): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-48", "0x1.0000000000000p-44",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.1e3779b97f4a8p-49",
+    ),
+    ("euclidean", 3, 0): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-48", "0x1.8000000000000p-44",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-48", "0x1.09cfdcd8ed009p-49",
+    ),
+    ("euclidean", 3, 20260814): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-48", "0x1.0000000000000p-44",
+        "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p-49", "0x1.1e3779b97f4a8p-49",
+    ),
+    ("euclidean", 3, 12742532702349066664): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-48", "0x1.0000000000000p-44",
+        "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p-49", "0x1.1e3779b97f4a8p-49",
+    ),
+    ("halfplane", 2, 20260814): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0980000000000p-46", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.2000000000000p-49", "0x1.0fdd5f9e6b866p-45",
+    ),
+    ("tripod", 2, 7): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.0000000000000p-49",
+        "0x1.8000000000000p-45", "0x1.0000000000000p-49", "0x1.4000000000000p-51",
+        "0x1.4000000000000p-50", "0x1.0000000000000p-49",
+    ),
+}
+
+
+@pytest.mark.parametrize("space, dim, seed", sorted(_SUITE_RESIDUALS, key=str))
+def test_geometry_suite_residuals_are_bit_for_bit_recorded(space, dim, seed):
+    summary = geometry_suite(space, seed=seed, dim=dim)
+    got = tuple(v.hex() for v in summary["residuals"].values())
+    assert list(summary["residuals"]) == [
+        "symmetry", "identity", "triangle", "geodesic_parameter", "cn", "quasi_triangle",
+        "projection_nonexpansive", "projection_firm", "ray_additivity",
+    ]
+    assert got == _SUITE_RESIDUALS[space, dim, seed]
+    assert summary["pass"] is True
+
+
+def test_suite_residuals_of_a_batch_equal_its_points_entry_by_entry():
+    # The maxima above hide every residual below them; here each one counts.
+    # The quasi-triangle entries for q = 2, 3 are all far below 0, and NumPy's
+    # power would round some of them unlike a point's d ** q.
+    from fejerlab.spaces import (
+        _main_residuals, _projection_residuals, _ray_residuals, _set_samples, _suite_sets,
+    )
+
+    g = np.random.default_rng(3)
+    n = 400
+    for dim in (1, 2, 3):
+        cols = [g.uniform(-5.0, 5.0, n) for _ in range(3 * dim)]
+        t = g.uniform(0.0, 1.0, n)
+        t[:3] = (0.0, 1.0, 0.5)
+        v = g.normal(size=(dim, n))
+        v /= np.sqrt((v * v).sum(axis=0))
+        s1, s2 = g.uniform(0.0, 3.0, n), g.uniform(0.0, 3.0, n)
+        x, y, o = (Euclidean(tuple(cols[k * dim : (k + 1) * dim])) for k in range(3))
+        sets = [(c, _set_samples(c)) for c in _suite_sets("euclidean", dim)]
+        batch = (
+            _main_residuals(x, y, o, t)
+            + _projection_residuals(sets, x, y)
+            + _ray_residuals(x, EuclideanDir(tuple(v)), s1, s2)
+        )
+        for i in range(n):
+            xi, yi, oi = (Euclidean(tuple(float(c[i]) for c in p.coords)) for p in (x, y, o))
+            di = EuclideanDir(tuple(float(c[i]) for c in v))
+            point = (
+                _main_residuals(xi, yi, oi, float(t[i]))
+                + _projection_residuals(sets, xi, yi)
+                + _ray_residuals(xi, di, float(s1[i]), float(s2[i]))
+            )
+            assert [r[i].hex() for r in batch] == [r.hex() for r in point], (dim, i)
+
+
+def test_euclidean_suite_runs_as_one_batch(monkeypatch):
+    """The distance is called as often for 100 samples as for 10,000: the
+    suite does not fall back to a call per sample."""
+    import fejerlab.spaces as spaces
+
+    calls = []
+    real = spaces.distance
+    monkeypatch.setattr(spaces, "distance", lambda x, y: calls.append(1) or real(x, y))
+    counts = []
+    for samples in (100, 10_000):
+        calls.clear()
+        summary = geometry_suite("euclidean", samples=samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert summary["pass"] is True
+
+
+def test_nan_residual_fails_the_batch_suite(monkeypatch):
+    import fejerlab.spaces as spaces
+
+    real = spaces._sqdist_cols
+    monkeypatch.setattr(spaces, "_dist_cols", lambda x, y: real(x, y) * math.nan)
+    summary = geometry_suite("euclidean", 200, 1, 2, 50)
+    assert summary["pass"] is False
+    res = summary["residuals"]
+    for name in ("symmetry", "identity", "triangle", "geodesic_parameter", "ray_additivity"):
+        assert math.isnan(res[name]), (name, res)
+
+
+@pytest.mark.parametrize("space", ["tripod", "halfplane"])
+def test_nan_residual_fails_the_pointwise_suite(monkeypatch, space):
+    import fejerlab.spaces as spaces
+
+    # A point's distance to itself reads NaN; every other distance is exact.
+    real = spaces.distance
+    monkeypatch.setattr(spaces, "distance", lambda x, y: math.nan if x is y else real(x, y))
+    summary = geometry_suite(space, 200, 1, 2, 50)
+    assert summary["pass"] is False
+    assert math.isnan(summary["residuals"]["identity"])
+    assert summary["residuals"]["symmetry"] == 0.0
 
 
 def test_point_spec_round_trip():
