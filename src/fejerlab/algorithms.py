@@ -92,11 +92,6 @@ def _sppa_lipschitz(problem: MeanMinProblem) -> tuple[float, float]:
     return max(per_atom), L_bar
 
 
-def _sb_lipschitz(problem: BusemannProblem) -> tuple[float, float]:
-    L = problem.lipschitz_cap
-    return L, L * L
-
-
 # The steps x_{n+1} = step(problem, e_n, lambda_n, x_n).  Each calls the
 # problems/spaces functions by their module names, so a wrapper bound to
 # one of those names sees every call.
@@ -182,7 +177,8 @@ _SPECS = {
         x0_in_constraint=True,
         transform=_IDENTITY,
         cushion=0.1,
-        lipschitz=_sb_lipschitz,
+        # Distance costs are 1-Lipschitz and the subgradient weights s are 0 or 1.
+        lipschitz=lambda problem: (1.0, 1.0),
         noise=1.0,
         chi_scale=lambda L, L_bar: 6.0 * L * L,
     ),

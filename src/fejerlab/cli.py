@@ -178,7 +178,7 @@ _SET_FIELDS = {
 _PROBLEM_FIELDS = {
     "mean_min": ("space", "atoms", "cost", "region_bound"),
     "fixed_point": ("space", "operators", "v"),
-    "busemann": ("space", "atoms", "constraint", "lipschitz_cap", "region_bound"),
+    "busemann": ("space", "atoms", "constraint", "region_bound"),
 }
 _SCHEDULE_FIELDS = {
     "harmonic": ("a", "s"),
@@ -240,16 +240,21 @@ def _read_problem(v, path: str, space: str) -> Problem:
     if kind == "fixed_point":
         ops = _read_terms(doc, "operators", "set", lambda s, p: _read_set(s, p, space), path)
         sets, weights = tuple(s for s, _ in ops), tuple(w for _, w in ops)
-        const = _number(doc, "v", path, 1.0)
-        return _build(path, problems.build_fixed_point, space, sets, weights, const)
+        problem = _build(path, problems.build_fixed_point, space, sets, weights)
+        # v is derived from the sets; a stated v may only repeat it.
+        if "v" in doc and (stated := _number(doc, "v", path)) != problem.v:
+            raise ConfigError(
+                f"{path}.v: the operator sets give v = {problem.v!r}, not {stated!r}; "
+                f"v is derived, drop the key"
+            )
+        return problem
     atoms = _read_terms(doc, "atoms", "point", lambda a, p: _read_point(a, p, space), path)
     region_bound = _number(doc, "region_bound", path, 4.0)
     if kind == "mean_min":
         cost = _choice(_need(doc, "cost", path), _COSTS, f"{path}.cost")
         return _build(path, problems.build_mean_min, space, atoms, cost, region_bound)
     constraint = _read_set(_need(doc, "constraint", path), f"{path}.constraint", space)
-    cap = _number(doc, "lipschitz_cap", path, 1.0)
-    return _build(path, problems.build_busemann, space, atoms, constraint, cap, region_bound)
+    return _build(path, problems.build_busemann, space, atoms, constraint, region_bound)
 
 
 def _read_harmonic(doc: dict, path: str) -> moduli.Harmonic:
@@ -454,8 +459,10 @@ def _audit_details(r: AuditRecord) -> str:
 
 
 def cmd_validate(exp: Experiment) -> int:
-    """Run the geometry suites for the configured space; exit 0/2."""
-    summary = geometry_suite(exp.space, seed=exp.seed)
+    """Run the geometry suites for the configured space, R^d in the start
+    point's dimension d; exit 0/2."""
+    dim = len(exp.x0.coords) if exp.space == "euclidean" else 2
+    summary = geometry_suite(exp.space, seed=exp.seed, dim=dim)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if summary["pass"] else EXIT_GEOMETRY
 

@@ -131,14 +131,15 @@ class MeanMinProblem:
 
 @dataclass(frozen=True, eq=False)
 class FixedPointProblem:
-    """Find a common fixed point of the metric projections onto the sets."""
+    """Find a common fixed point of the metric projections onto the sets.
+    ``v`` is the derived linear-regularity constant: d^2(x, S) <= v F(x)."""
 
     space: str
     sets: tuple[ConvexSet, ...]
     weights: tuple[float, ...]
-    v: float
     solution_set: ConvexSet
     solution_anchor: Point
+    v: float
     region_bound: float = math.inf
     cum_weights: np.ndarray = field(init=False, repr=False)
 
@@ -146,8 +147,6 @@ class FixedPointProblem:
         _check_weights(self.weights)
         if len(self.sets) != len(self.weights):
             raise ValueError("need one weight per operator")
-        if not self.v >= 1.0:
-            raise ValueError(f"linear-regularity constant must be >= 1, got {self.v}")
         if space_of(self.solution_anchor) != self.space:
             raise ValueError("operator sets lie outside the declared space")
         if not contains(self.solution_set, self.solution_anchor):
@@ -168,7 +167,6 @@ class BusemannProblem:
     space: str
     atoms: tuple[tuple[Point, float], ...]
     constraint: ConvexSet
-    lipschitz_cap: float
     region_bound: float
     solution_set: ConvexSet
     solution_anchor: Point
@@ -179,8 +177,6 @@ class BusemannProblem:
     def __post_init__(self) -> None:
         if self.space not in ("euclidean", "tripod"):
             raise ValueError("Busemann instances support euclidean and tripod spaces")
-        if not self.lipschitz_cap >= 1.0:
-            raise ValueError("Lipschitz cap must be >= 1 (subgradients have s=1)")
         if not self.region_bound > 0.0:
             raise ValueError("region bound must be > 0")
         _check_weights(tuple(w for _, w in self.atoms))
@@ -297,22 +293,6 @@ def build_mean_min(
     return MeanMinProblem(space, tuple(atoms), cost_kind, region_bound, *derived)
 
 
-def _axis_normal_index(normal: tuple[float, ...]) -> tuple[int, float] | None:
-    """(axis, sign) when the unit normal is +-e_i within 1e-12, else None."""
-    idx = None
-    for i, c in enumerate(normal):
-        if abs(c) > 1e-12:
-            if idx is not None:
-                return None
-            idx = i
-    if idx is None:
-        return None
-    sign = 1.0 if normal[idx] > 0 else -1.0
-    if abs(abs(normal[idx]) - 1.0) > 1e-12:
-        return None
-    return idx, sign
-
-
 def _representative_point(cset: ConvexSet, space: str) -> Point:
     if isinstance(cset, Ball):
         return cset.center
@@ -333,11 +313,31 @@ def _representative_point(cset: ConvexSet, space: str) -> Point:
     return HalfPlane(0.0, 1.0)
 
 
-def _derive_intersection(space: str, sets: tuple[ConvexSet, ...]):
-    """Closed-form intersection for the supported operator families:
-    a single set, or Euclidean axis-aligned halfspaces and boxes."""
+def _axis_bounds(cset: ConvexSet, dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(lo, hi) of a box, or of a halfspace whose unit normal is +-e_i
+    within 1e-12: the set is the product of the intervals [lo_i, hi_i]."""
+    if isinstance(cset, Box):
+        return cset.lo, cset.hi
+    axes = [i for i, c in enumerate(cset.normal) if abs(c) > 1e-12]
+    if len(axes) != 1 or abs(abs(cset.normal[axes[0]]) - 1.0) > 1e-12:
+        raise ValueError(
+            "operator intersections are derived only for axis-aligned "
+            "halfspace normals"
+        )
+    sign = 1.0 if cset.normal[axes[0]] > 0 else -1.0
+    free = (-sign * math.inf,) * dim
+    side = tuple(sign * (cset.offset if i == axes[0] else math.inf) for i in range(dim))
+    return (free, side) if sign > 0 else (side, free)
+
+
+def _derive_intersection(space: str, sets: tuple[ConvexSet, ...], weights: tuple[float, ...]):
+    """(solution set, designated anchor, linear-regularity constant v) in
+    closed form for the supported operator families: a single set, or
+    Euclidean axis-aligned halfspaces and boxes.  v is the least constant
+    with d^2(x, S) <= v F(x) everywhere."""
     if len(sets) == 1:
-        return sets[0], _representative_point(sets[0], space)
+        # F(x) = d^2(x, S).
+        return sets[0], _representative_point(sets[0], space), 1.0
     if space != "euclidean":
         raise ValueError(
             "no closed-form intersection for several non-Euclidean operator sets"
@@ -351,39 +351,32 @@ def _derive_intersection(space: str, sets: tuple[ConvexSet, ...]):
     if len(dims) > 1:
         raise ValueError("operator sets have mismatched dimensions")
     dim = dims.pop()
-    lo = [-math.inf] * dim
-    hi = [math.inf] * dim
-    for cset in sets:
-        if isinstance(cset, Box):
-            for i in range(dim):
-                lo[i] = max(lo[i], cset.lo[i])
-                hi[i] = min(hi[i], cset.hi[i])
-        else:
-            axis = _axis_normal_index(cset.normal)
-            if axis is None:
-                raise ValueError(
-                    "operator intersections are derived only for axis-aligned "
-                    "halfspace normals"
-                )
-            i, sign = axis
-            if sign > 0:
-                hi[i] = min(hi[i], cset.offset)
-            else:
-                lo[i] = max(lo[i], -cset.offset)
+    bounds = [_axis_bounds(cset, dim) for cset in sets]
+    lo = tuple(max(b[0][i] for b in bounds) for i in range(dim))
+    hi = tuple(min(b[1][i] for b in bounds) for i in range(dim))
     if any(l > h for l, h in zip(lo, hi)):
         raise ValueError("operator sets have empty intersection")
-    box = Box(tuple(lo), tuple(hi))
-    return box, project_convex(box, Euclidean((0.0,) * dim))
+    # d^2(x, S) sums over the sides of S that x lies past, and on each the
+    # sets that attain S's bound, of total weight W, add W times the same
+    # square to F.  So v = max 1/W, attained just past the side of least W.
+    v = 1.0
+    for side, s_bounds in enumerate((lo, hi)):
+        for i, bound in enumerate(s_bounds):
+            if math.isfinite(bound):
+                W = math.fsum(w for b, w in zip(bounds, weights) if b[side][i] == bound)
+                v = max(v, 1.0 / W)
+    box = Box(lo, hi)
+    return box, project_convex(box, Euclidean((0.0,) * dim)), v
 
 
 def build_fixed_point(
     space: str,
     sets: tuple[ConvexSet, ...],
     weights: tuple[float, ...],
-    v: float,
 ) -> FixedPointProblem:
-    solution_set, anchor = _derive_intersection(space, tuple(sets))
-    return FixedPointProblem(space, tuple(sets), tuple(weights), v, solution_set, anchor)
+    _check_weights(tuple(weights))  # before v divides by their sums
+    derived = _derive_intersection(space, tuple(sets), tuple(weights))
+    return FixedPointProblem(space, tuple(sets), tuple(weights), *derived)
 
 
 def _derive_busemann_solution(space, atoms, constraint):
@@ -418,11 +411,10 @@ def build_busemann(
     space: str,
     atoms: tuple[tuple[Point, float], ...],
     constraint: ConvexSet,
-    lipschitz_cap: float,
     region_bound: float,
 ) -> BusemannProblem:
     derived = _derive_busemann_solution(space, tuple(atoms), constraint)
-    return BusemannProblem(space, tuple(atoms), constraint, lipschitz_cap, region_bound, *derived)
+    return BusemannProblem(space, tuple(atoms), constraint, region_bound, *derived)
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +631,12 @@ def halfplane_single_atom() -> MeanMinProblem:
     return build_mean_min("halfplane", ((HalfPlane(0.0, 1.0), 1.0),), HALF_SQUARED, 3.0)
 
 
-def two_halfspace(v: float = 2.0) -> FixedPointProblem:
+def two_halfspace() -> FixedPointProblem:
     """Common fixed points of the projections onto {x1 <= 0} and {x2 <= 0}
     in the plane (equal probabilities): the third quadrant, with exact
     linear-regularity constant v = 2."""
     sets = (Halfspace((1.0, 0.0), 0.0), Halfspace((0.0, 1.0), 0.0))
-    return build_fixed_point("euclidean", sets, (0.5, 0.5), v)
+    return build_fixed_point("euclidean", sets, (0.5, 0.5))
 
 
 def segment_argmin() -> BusemannProblem:
@@ -652,13 +644,13 @@ def segment_argmin() -> BusemannProblem:
     argmin is the whole segment between the foci (minimum value 1)."""
     atoms = ((Euclidean((-1.0, 0.0)), 0.5), (Euclidean((1.0, 0.0)), 0.5))
     box = Box((-2.0, -2.0), (2.0, 2.0))
-    return build_busemann("euclidean", atoms, box, 1.0, 4.0)
+    return build_busemann("euclidean", atoms, box, 4.0)
 
 
 def r1_single_atom_busemann() -> BusemannProblem:
     """|x - 1| over C = [-2, 2] on the line."""
     atoms = ((Euclidean((1.0,)), 1.0),)
-    return build_busemann("euclidean", atoms, Box((-2.0,), (2.0,)), 1.0, 3.0)
+    return build_busemann("euclidean", atoms, Box((-2.0,), (2.0,)), 3.0)
 
 
 def euclid_two_atom_busemann() -> BusemannProblem:
@@ -666,7 +658,7 @@ def euclid_two_atom_busemann() -> BusemannProblem:
     the heavier atom."""
     atoms = ((Euclidean((-1.0, 0.0)), 0.7), (Euclidean((1.0, 0.0)), 0.3))
     box = Box((-3.0, -3.0), (3.0, 3.0))
-    return build_busemann("euclidean", atoms, box, 1.0, 4.0)
+    return build_busemann("euclidean", atoms, box, 4.0)
 
 
 def tripod_median_busemann(region_bound: float = 2.0) -> BusemannProblem:
@@ -675,4 +667,4 @@ def tripod_median_busemann(region_bound: float = 2.0) -> BusemannProblem:
     w = 1.0 / 3.0
     atoms = ((Tripod(0, 1.0), w), (Tripod(1, 1.0), w), (Tripod(2, 1.0), w))
     cset = TripodSegment((2.0, 2.0, 2.0))
-    return build_busemann("tripod", atoms, cset, 1.0, region_bound)
+    return build_busemann("tripod", atoms, cset, region_bound)

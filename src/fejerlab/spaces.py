@@ -406,7 +406,9 @@ def _halfplane_distance(x: HalfPlane, y: HalfPlane) -> float:
     # arcosh(1 + |x - y|^2 / (2 y1 y2)) without its cancellation near x = y,
     # and with no square that overflows when the heights are far apart.
     h = math.hypot(x.x - y.x, x.y - y.y)
-    q = h / (2.0 * math.sqrt(x.y) * math.sqrt(y.y))
+    scale = 2.0 * math.sqrt(x.y) * math.sqrt(y.y)
+    # For heights near the float maximum the scale overflows; its half does not.
+    q = h / scale if scale < math.inf else 0.5 * h / (math.sqrt(x.y) * math.sqrt(y.y))
     if q == math.inf:  # d beyond ~1419: asinh q = log 2q, taken in logs
         if h == math.inf:  # x.x - y.x overflows; its half does not
             h = math.hypot(0.5 * x.x - 0.5 * y.x, 0.5 * x.y - 0.5 * y.y)

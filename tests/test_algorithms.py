@@ -82,9 +82,9 @@ def test_start_point_dimension_must_match_the_data():
         build_mean_min("euclidean", atoms, HALF_SQUARED, 4.0)
     boxes = (Box((0.0,), (1.0,)), Box((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError, match="dimension"):
-        build_fixed_point("euclidean", boxes, (0.5, 0.5), 1.0)
+        build_fixed_point("euclidean", boxes, (0.5, 0.5))
     # The whole space fixes no dimension (its anchor's two coordinates do not count).
-    whole = build_fixed_point("euclidean", (WholeSpace(),), (1.0,), 1.0)
+    whole = build_fixed_point("euclidean", (WholeSpace(),), (1.0,))
     traj = run_skm(whole, Constant(0.5), Euclidean((1.0, 2.0, 3.0)), 3, 0)
     assert traj.points[-1] == Euclidean((1.0, 2.0, 3.0))
 
@@ -418,7 +418,6 @@ _BOX_HALFSPACE = build_fixed_point(
     "euclidean",
     (Box((-math.inf, -1.0), (1.0, math.inf)), Halfspace((0.0, 1.0), 0.5)),
     (0.4, 0.6),
-    2.0,
 )
 BATCH_CASES = [
     # Distance costs: paths at an atom stay; then a step longer than every distance.

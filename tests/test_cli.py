@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from fejerlab.cli import main, parse_experiment
+from fejerlab.moduli import RootSchedule
 from fejerlab.problems import HALF_SQUARED
+from fejerlab.spaces import geometry_suite
 
 # ---------------------------------------------------------------------------
 # Config builders
@@ -47,7 +49,6 @@ def rate_config(paths=400, horizon=1500, seed=7, threads=1, epsilons=(1.0,), lam
                 {"set": {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0}, "weight": 0.5},
                 {"set": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0}, "weight": 0.5},
             ],
-            "v": 2.0,
         },
         "algorithm": "skm",
         "x0": _euclid(1.0, 1.0),
@@ -74,7 +75,6 @@ def sb_liminf_config(paths=128, horizon=400, seed=5):
                 {"point": _euclid(1.0, 0.0), "weight": 0.5},
             ],
             "constraint": {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
-            "lipschitz_cap": 1.0,
             "region_bound": 4.0,
         },
         "algorithm": "sb",
@@ -134,6 +134,22 @@ def test_validate_tripod_space(tmp_path, capsys):
     rc = run_cli("validate", "--config", cfg)
     summary = json.loads(capsys.readouterr().out)
     assert rc == 0 and summary["pass"] is True and summary["space"] == "tripod"
+
+
+def test_validate_checks_the_dimension_of_the_start_point(tmp_path, capsys):
+    """The flagship lifted to R^3 (a zero third coordinate on every normal
+    and on the start) validates R^3, not the plane."""
+    cfg = _shipped("flagship_skm.json")
+    for op in cfg["problem"]["operators"]:
+        op["set"]["normal"].append(0.0)
+    cfg["x0"]["coords"].append(0.0)
+    printed = {}
+    for dim, doc in ((3, cfg), (2, _shipped("flagship_skm.json"))):
+        assert run_cli("validate", "--config", write_config(tmp_path, doc)) == 0
+        printed[dim] = capsys.readouterr().out
+        suite = geometry_suite("euclidean", seed=doc["ensemble"]["seed"], dim=dim)
+        assert printed[dim] == json.dumps(suite, indent=2, sort_keys=True) + "\n"
+    assert printed[3] != printed[2]
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +625,28 @@ def test_shipped_and_benchmark_configs_parse():
         assert exp.space == doc["space"] and exp.paths == doc["ensemble"]["paths"]
 
 
+def test_shipped_configs_take_v_from_the_operator_sets(tmp_path, capsys):
+    """Without a stated v the flagship certifies with the derived v = 2 (the
+    indices of v = 1 are half as large), a stated v equal to it is accepted,
+    and the fast config runs the root schedule q = v c = 4."""
+    cfg = _shipped("flagship_skm.json")
+    assert "v" not in cfg["problem"]
+    cfg["ensemble"].update(paths=4, horizon=10)
+    printed = []
+    for v in (None, 2.0):
+        if v is not None:
+            cfg["problem"]["v"] = v
+        rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "f_"))
+        printed.append(capsys.readouterr().out)
+        assert rc == 0
+    assert printed[0] == printed[1]
+    assert "eps=0.3 index=5334 " in printed[0]
+    assert "indices: mean=5334, as_strict=53334, mean_relaxed=1334, as_relaxed=13334" in printed[0]
+    fast = _shipped("fast_skm.json")
+    assert "v" not in fast["problem"]
+    assert parse_experiment(fast).sched == RootSchedule(4.0, 16)
+
+
 def _set(doc, path, value):
     """Set doc[path[0]][path[1]]... = value, inserting the last key if new."""
     for key in path[:-1]:
@@ -628,6 +666,10 @@ _ATOM2 = ("problem", "atoms", 2)
 _REJECTED = [
     ("v-misspelled", FLAG, ("problem", "vv"), 2.0,
      "config.problem: unknown field(s) ['vv']"),
+    ("v-not-derived", FLAG, ("problem", "v"), 1.0,
+     "config.problem.v: the operator sets give v = 2.0, not 1.0; v is derived, drop the key"),
+    ("lipschitz-cap", SEGMENT, ("problem", "lipschitz_cap"), 1.0,
+     "config.problem: unknown field(s) ['lipschitz_cap']"),
     ("region-bound-misspelled", TRIPOD, ("problem", "region_bund"), 4.0,
      "config.problem: unknown field(s) ['region_bund']"),
     ("coords-string", FLAG, ("x0", "coords"), "11",

@@ -289,7 +289,7 @@ def test_ensemble_matches_scalar_trajectory_reference(paths, horizon):
 def _box_and_halfspace():
     # x1 >= -1, x2 <= 0.5 and x2 >= -0.5.
     box = Box((-1.0, -math.inf), (math.inf, 0.5))
-    return build_fixed_point("euclidean", (box, Halfspace((0.0, -1.0), 0.5)), (0.6, 0.4), 2.0)
+    return build_fixed_point("euclidean", (box, Halfspace((0.0, -1.0), 0.5)), (0.6, 0.4))
 
 
 # name -> (problem, algorithm, schedule, start) of the bit-for-bit grid.
@@ -299,12 +299,12 @@ _GRID_CASES = {
         _box_and_halfspace(), "skm", Constant(0.5), Euclidean((3.0, 2.0))
     ),
     "skm-ball": lambda: (
-        build_fixed_point("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,), 1.0),
+        build_fixed_point("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,)),
         "skm", Constant(0.7), Euclidean((2.0, 1.0)),
     ),
     "skm-segment": lambda: (
         build_fixed_point(
-            "euclidean", (Segment(Euclidean((-1.0, 0.0)), Euclidean((1.0, 1.0))),), (1.0,), 1.0
+            "euclidean", (Segment(Euclidean((-1.0, 0.0)), Euclidean((1.0, 1.0))),), (1.0,)
         ),
         "skm", Constant(1.0), Euclidean((0.0, 2.0)),
     ),
@@ -507,7 +507,7 @@ def test_fejer_margin_exact_sppa():
 
 def test_fejer_margin_on_the_whole_space_in_three_dimensions():
     # Every point is a solution, so z defaults to the state itself.
-    whole = build_fixed_point("euclidean", (WholeSpace(),), (1.0,), 1.0)
+    whole = build_fixed_point("euclidean", (WholeSpace(),), (1.0,))
     m = fejer_margin(whole, "skm", Euclidean((1.0, 2.0, 3.0)), 0.5)
     assert (m.lhs, m.rhs, m.slack) == (0.0, 0.0, 0.0)
 

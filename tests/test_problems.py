@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -86,18 +87,18 @@ def test_atoms_must_live_in_declared_space():
 def test_busemann_rejects_halfplane_and_outside_anchor():
     with pytest.raises(ValueError):
         build_busemann(
-            "halfplane", ((HalfPlane(0.0, 1.0), 1.0),), Ball(HalfPlane(0.0, 1.0), 1.0), 1.0, 1.0
+            "halfplane", ((HalfPlane(0.0, 1.0), 1.0),), Ball(HalfPlane(0.0, 1.0), 1.0), 1.0
         )
     with pytest.raises(ValueError):
         # single atom outside the constraint set
         build_busemann(
-            "euclidean", ((Euclidean((5.0,)), 1.0),), Box((-2.0,), (2.0,)), 1.0, 1.0
+            "euclidean", ((Euclidean((5.0,)), 1.0),), Box((-2.0,), (2.0,)), 1.0
         )
 
 
 def test_fixed_point_requires_weight_per_operator():
     with pytest.raises(ValueError):
-        build_fixed_point("euclidean", (Halfspace((1.0, 0.0), 0.0),), (0.5, 0.5), 2.0)
+        build_fixed_point("euclidean", (Halfspace((1.0, 0.0), 0.0),), (0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +214,9 @@ def _same_bits(a, b) -> bool:
         tripod_median(),
         tripod_frechet(),
         halfplane_single_atom(),
-        build_fixed_point("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,), 1.0),
-        build_fixed_point("tripod", (Ball(Tripod(1, 0.5), 0.7),), (1.0,), 1.0),
-        build_fixed_point("halfplane", (Ball(HalfPlane(0.3, 2.0), 0.6),), (1.0,), 1.0),
+        build_fixed_point("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,)),
+        build_fixed_point("tripod", (Ball(Tripod(1, 0.5), 0.7),), (1.0,)),
+        build_fixed_point("halfplane", (Ball(HalfPlane(0.3, 2.0), 0.6),), (1.0,)),
     ],
     ids=["r1-point", "tripod-median-point", "tripod-frechet-point", "halfplane-point",
          "euclidean-ball", "tripod-ball", "halfplane-ball"],
@@ -336,7 +337,7 @@ def test_subgradient_points_toward_the_atom_r1():
 
 def test_subgradient_tripod_atom_at_origin_extends_past_branch():
     atoms = ((Tripod(0, 0.0), 1.0),)
-    p = build_busemann("tripod", atoms, TripodSegment((2.0, 2.0, 2.0)), 1.0, 2.0)
+    p = build_busemann("tripod", atoms, TripodSegment((2.0, 2.0, 2.0)), 2.0)
     direction, s = busemann_subgradient(p, 0, Tripod(2, 1.5))
     assert (direction, s) == (TripodEnd(0), 1.0)
 
@@ -482,6 +483,56 @@ def test_linear_regularity_margin_two_halfspace():
             assert p.v * gap_F(p, x) - dist_to_solutions(p, x, 2) >= -1e-12
 
 
+def _axis_instance(rnd: random.Random):
+    """A random fixed-point instance of 1-4 axis-aligned boxes and +-
+    halfspaces in R^1-R^3, with random weights, and the (axis, sign, bound)
+    of every finite side of every set.  Every set contains [-0.5, 0.5]^d,
+    and the bounds lie on a grid of step 0.5, so several sets often attain
+    the same side of the intersection."""
+    dim, grid = rnd.randint(1, 3), (0.5, 1.0, 1.5, math.inf)
+    sets, sides = [], []
+    for _ in range(rnd.randint(1, 4)):
+        if rnd.random() < 0.5:
+            lo = tuple(-rnd.choice(grid) for _ in range(dim))
+            hi = tuple(rnd.choice(grid) for _ in range(dim))
+            sets.append(Box(lo, hi))
+            sides += [(i, -1.0, b) for i, b in enumerate(lo)] + [(i, 1.0, b) for i, b in enumerate(hi)]
+        else:
+            i, sign, offset = rnd.randrange(dim), rnd.choice((-1.0, 1.0)), rnd.choice(grid[:-1])
+            sets.append(Halfspace(tuple(sign if j == i else 0.0 for j in range(dim)), offset))
+            sides.append((i, sign, sign * offset))
+    raw = [rnd.uniform(0.05, 1.0) for _ in sets]
+    weights = tuple(w / math.fsum(raw) for w in raw)
+    problem = build_fixed_point("euclidean", tuple(sets), weights)
+    return problem, dim, [s for s in sides if math.isfinite(s[2])]
+
+
+def test_linear_regularity_constant_is_the_sampled_sup():
+    """The derived v bounds d^2(x, S) / F(x) from above, and the ratio
+    reaches it just past a side of S.  Besides points anywhere, the samples
+    lie in [-0.4, 0.4]^d but for one coordinate less than 0.5 past a side of
+    a set; past a side of S they violate only the sets that attain it."""
+    rnd = random.Random(20260814)
+    for _ in range(300):
+        p, dim, sides = _axis_instance(rnd)
+        points = [[rnd.uniform(-3.0, 3.0) for _ in range(dim)] for _ in range(20)]
+        for i, sign, bound in sides:
+            for _ in range(5):
+                x = [rnd.uniform(-0.4, 0.4) for _ in range(dim)]
+                x[i] = bound + sign * rnd.uniform(1e-3, 0.45)
+                points.append(x)
+        ratios = [
+            dist_to_solutions(p, x, 2) / F
+            for x in map(Euclidean, map(tuple, points))
+            if (F := gap_F(p, x)) > 0.0
+        ]
+        assert max(ratios, default=1.0) <= p.v * (1.0 + 1e-12), (p, max(ratios))
+        if sides:
+            assert max(ratios) >= p.v * (1.0 - 1e-6), (p, max(ratios))
+        else:
+            assert p.v == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Sampling and serialization
 # ---------------------------------------------------------------------------
@@ -561,7 +612,6 @@ def test_problem_spec_round_trip():
                     {"set": {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0}, "weight": 0.5},
                     {"set": {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0}, "weight": 0.5},
                 ],
-                "v": 2.0,
             },
             two_halfspace(),
         ),
@@ -583,7 +633,6 @@ def test_problem_spec_round_trip():
                 "space": "tripod",
                 "atoms": [{"point": tripod(j, 1.0), "weight": w3} for j in range(3)],
                 "constraint": {"kind": "tripod_segment", "max_coords": [2.0, 2.0, 2.0]},
-                "lipschitz_cap": 1.0,
                 "region_bound": 2.0,
             },
             tripod_median_busemann(),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -428,6 +429,32 @@ def test_halfplane_distance_when_the_abscissa_difference_overflows():
     assert distance(*pairs[0]) == pytest.approx(1420.84, abs=0.005)
     apex = geodesic_point(*pairs[0], 0.5)
     assert apex.x == 0.0 and apex.y == pytest.approx(1.7e308, rel=1e-12)
+
+
+def test_halfplane_distance_when_the_scale_overflows():
+    """Heights near the float maximum, where 2 sqrt(y1) sqrt(y2) overflows:
+    the distance, and the geodesic against the closed form with D = y1
+    sinh(td) + y2 sinh((1-t)d).  Its apex at t = 0.5 lies above the float
+    range."""
+    x, y = HalfPlane(0.0, 1.7e308), HalfPlane(1.7e308, 1.7e308)
+    assert 2.0 * math.sqrt(x.y) * math.sqrt(y.y) == math.inf
+    above = []
+    with mpmath.workdps(60):
+        zx, zy = _mp_z(x), _mp_z(y)
+        d = _mp_distance(zx, zy)
+        assert abs(distance(x, y) - d) <= 1e-15 * d and d == pytest.approx(0.9624, abs=1e-4)
+        for t in (0.1, 0.5, 0.9):
+            (x1, y1), (x2, y2) = (zx.real, zx.imag), (zy.real, zy.imag)
+            den = y1 * mpmath.sinh(t * d) + y2 * mpmath.sinh((1 - t) * d)
+            gx, gy = x1 + (x2 - x1) * y1 * mpmath.sinh(t * d) / den, y1 * y2 * mpmath.sinh(d) / den
+            if gy > sys.float_info.max:
+                above.append(t)
+                with pytest.raises(ValueError, match=f"geodesic point at t={t} .* out of float range"):
+                    geodesic_point(x, y, t)
+                continue
+            g = geodesic_point(x, y, t)
+            assert abs(g.x - gx) <= 1e-15 * gx and abs(g.y - gy) <= 1e-15 * gy, t
+    assert above == [0.5]
 
 
 def test_halfplane_extreme_heights_stay_finite():
