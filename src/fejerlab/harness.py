@@ -45,6 +45,7 @@ from .moduli import (
 )
 from .problems import (
     HALF_SQUARED,
+    FixedPointProblem,
     Problem,
     busemann_subgradient,
     dist_to_solutions,
@@ -208,6 +209,7 @@ def _kernel(
     else:
         batches = [[p, x0, rng.make_state(seed, p), None] for p in range(paths)]
     step = _SPECS[algorithm].step
+    fixed_point = isinstance(problem, FixedPointProblem)  # the only images
     n0, width = 0, _block_width(0, horizon + 1)
     dist, gap = np.empty((paths, width)), np.empty((paths, width))
 
@@ -219,7 +221,7 @@ def _kernel(
                 e, state = _draw(problem, state, n - 1)
                 # The images the gap took at x_{n-1} serve the step from it.
                 x = step(problem, e, lam, x, images)
-            images = operator_images(problem, x)
+            images = operator_images(problem, x) if fixed_point else None
             dist[rows, n - n0] = dist_to_solutions(problem, x)
             gap[rows, n - n0] = gap_F(problem, x, images)
             b[1:] = x, state, images

@@ -314,12 +314,13 @@ def _representative_point(cset: ConvexSet, space: str) -> Point:
 
 
 def _axis_bounds(cset: ConvexSet, dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(lo, hi) of a box, or of a halfspace whose unit normal is +-e_i
-    within 1e-12: the set is the product of the intervals [lo_i, hi_i]."""
+    """(lo, hi) of a box, or of a halfspace whose unit normal is exactly
+    +-e_i: the set is the product of the intervals [lo_i, hi_i].  A normal
+    off the axis by any amount tilts the set, however far out."""
     if isinstance(cset, Box):
         return cset.lo, cset.hi
-    axes = [i for i, c in enumerate(cset.normal) if abs(c) > 1e-12]
-    if len(axes) != 1 or abs(abs(cset.normal[axes[0]]) - 1.0) > 1e-12:
+    axes = [i for i, c in enumerate(cset.normal) if c != 0.0]
+    if len(axes) != 1 or abs(cset.normal[axes[0]]) != 1.0:
         raise ValueError(
             "operator intersections are derived only for axis-aligned "
             "halfspace normals"
@@ -447,11 +448,9 @@ def cost(problem, e: int, x: Point) -> float:
 def mean_cost_exact(problem, x: Point) -> float:
     """f_bar(x) = sum_i w_i f(i, x), an exact finite sum."""
     total = 0.0
+    half = problem.cost_kind == HALF_SQUARED
     for a, w in problem.atoms:
-        if problem.cost_kind == HALF_SQUARED:
-            total += w * (0.5 * sqdist(x, a))
-        else:
-            total += w * distance(x, a)
+        total += w * (0.5 * sqdist(x, a) if half else distance(x, a))
     return total
 
 
@@ -492,8 +491,11 @@ def prox_step(problem: MeanMinProblem, e: int, lam: float, x: Point) -> Point:
         return geodesic_point(x, a, lam / (1.0 + lam))
     # Move min(lam, d) toward the atom; at the atom (d = 0) t = 0 keeps x.
     d = distance(x, a)
-    t = _select(d < lam, d, lam) / _select(d == 0.0, 1.0, d)
-    return geodesic_point(x, a, t)
+    near = d < lam
+    if near is False:  # a point at least lam from the atom, without a select
+        return geodesic_point(x, a, lam / d, d)
+    t = _select(near, d, lam) / _select(d == 0.0, 1.0, d)
+    return geodesic_point(x, a, t, d)
 
 
 def operator_images(problem: Problem, x: Point) -> tuple[Point, ...] | None:

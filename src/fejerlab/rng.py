@@ -65,14 +65,10 @@ def stream_keys(seed: int, path_indices: np.ndarray) -> np.ndarray:
         return mix64_vec(base + (idx + np.uint64(1)) * _U_GAMMA)
 
 
-def raw64(key: int, counter: int) -> int:
-    """The counter-th raw 64-bit word of a stream."""
-    return mix64((key + ((counter + 1) * GAMMA & MASK64)) & MASK64)
-
-
 def uniform(key: int, counter: int) -> float:
-    """The counter-th uniform [0,1) variate of a stream."""
-    return (raw64(key, counter) >> 11) * _INV_2_53
+    """The counter-th uniform [0,1) variate of a stream: the top 53 bits of
+    its counter-th raw 64-bit word."""
+    return (mix64((key + ((counter + 1) * GAMMA & MASK64)) & MASK64) >> 11) * _INV_2_53
 
 
 def uniforms(keys: np.ndarray, counter: int) -> np.ndarray:

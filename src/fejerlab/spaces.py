@@ -21,13 +21,19 @@ projection (half-plane and tripod) takes the foot's distance from a out of
 d(x, a), d(x, b) and d(a, b), by hyperbolic Pythagoras or the Gromov
 product, and clamps it to the segment; the suite checks its angle condition
 (Bridson-Haefliger, *Metric Spaces of Non-Positive Curvature*, II.2.4).
+Tripod geometry reads y on the line through x's ray: y's coordinate is +c
+on that ray and -c on another, through the origin, so distances, geodesics
+and rays are the line's, and a point's ray is read off its sign.
 
-Euclidean geometry is written once, on coordinate columns.  A Euclidean
-point's coordinates are floats, or 1-D float64 arrays with one entry per
-path: such a point is a *batch*, and the point API runs on it unchanged,
-path by path in each array entry.  Every branch a batch can take per path
-goes through one select, so a batch equals its points bit for bit; the
-ensemble harness advances all its paths as one batch.
+The geometry of every space is written once, on coordinate columns.  A
+point's coordinates are floats, or 1-D arrays with one entry per path (a
+tripod's ray column is an int array): such a point is a *batch*, and the
+point API runs on it unchanged, path by path in each array entry.  Every
+branch a batch can take per path goes through one select, and each
+transcendental function of a batch goes through libm entry by entry, as for
+a point, so a batch equals its points bit for bit.  A branch a point rarely
+takes is guarded by ``c is not False and _any(c)``: a point pays one
+identity test, a batch computes the branch only if some path takes it.
 
 All geometric tolerances are the single constant :data:`GEOM_TOL`.
 """
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -65,6 +72,21 @@ def _all(cond) -> bool:
     return cond.all() if isinstance(cond, np.ndarray) else cond
 
 
+def _select(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: a bool picks one side whole (a
+    point keeps its identity), a boolean array picks per path, column by
+    column for coordinate tuples and Euclidean points."""
+    if cond is True:
+        return a
+    if cond is False or not isinstance(cond, np.ndarray):
+        return a if cond else b
+    if isinstance(a, Euclidean):
+        return Euclidean(_select(cond, a.coords, b.coords))
+    if isinstance(a, tuple):
+        return tuple(np.where(cond, ai, bi) for ai, bi in zip(a, b))
+    return np.where(cond, a, b)
+
+
 @dataclass(frozen=True)
 class Euclidean:
     """A point of R^d, d >= 1, or a batch of them (see the module notes)."""
@@ -77,9 +99,10 @@ class Euclidean:
         object.__setattr__(self, "coords", _float_cols(self.coords))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tripod:
-    """A point of the tripod R-tree: (ray index, nonnegative coordinate).
+    """A point of the tripod R-tree: (ray index, nonnegative coordinate), or
+    a batch of them (an int ray column and a float coordinate column).
 
     The origin (coordinate 0) is canonically stored on ray 0 so that point
     equality is unambiguous.
@@ -88,34 +111,51 @@ class Tripod:
     ray: int
     coord: float
 
-    def __post_init__(self) -> None:
-        if self.ray not in (0, 1, 2):
-            raise ValueError(f"tripod ray must be 0, 1 or 2, got {self.ray}")
-        c = float(self.coord)
-        if not c >= 0.0:
-            raise ValueError(f"tripod coordinate must be >= 0, got {c}")
-        if c == 0.0:
-            object.__setattr__(self, "ray", 0)
-            c = 0.0  # normalize -0.0
-        object.__setattr__(self, "coord", c)
+    def __init__(self, ray: int, coord: float) -> None:
+        if isinstance(ray, np.ndarray) or isinstance(coord, np.ndarray):
+            ray, coord = np.broadcast_arrays(ray, np.asarray(coord, np.float64))
+            ok = ((ray == 0) | (ray == 1) | (ray == 2)) & (coord >= 0.0)
+            if not ok.all():  # the first bad path raises the point's error
+                i = int(np.argmin(ok))
+                Tripod(ray[i].item(), coord[i].item())
+        else:
+            coord = float(coord)
+            if ray not in (0, 1, 2):
+                raise ValueError(f"tripod ray must be 0, 1 or 2, got {ray}")
+            if not coord >= 0.0:
+                raise ValueError(f"tripod coordinate must be >= 0, got {coord}")
+        zero = coord == 0.0
+        if zero is not False:  # the origin on ray 0, and -0.0 as 0.0
+            ray, coord = _select(zero, 0, ray), _select(zero, 0.0, coord)
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "coord", coord)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HalfPlane:
-    """A point of the hyperbolic upper half-plane (finite x, finite y > 0)."""
+    """A point of the hyperbolic upper half-plane (finite x, finite y > 0),
+    or a batch of them (x and y columns)."""
 
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not self.y > 0.0:
-            raise ValueError(f"half-plane point needs y > 0, got y={self.y}")
-        if self.y == math.inf:
-            raise ValueError("half-plane point needs a finite y, got y=inf")
-        if self.x - self.x != 0.0:  # nan for a NaN or infinite x
-            raise ValueError(f"half-plane point needs a finite x, got x={self.x}")
+    def __init__(self, x: float, y: float) -> None:
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            x, y = np.broadcast_arrays(np.asarray(x, np.float64), np.asarray(y, np.float64))
+            ok = (y > 0.0) & (y < math.inf) & (x - x == 0.0)
+            if not ok.all():  # the first bad path raises the point's error
+                i = int(np.argmin(ok))
+                HalfPlane(x[i].item(), y[i].item())
+        else:
+            x, y = float(x), float(y)
+            if not y > 0.0:
+                raise ValueError(f"half-plane point needs y > 0, got y={y}")
+            if y == math.inf:
+                raise ValueError("half-plane point needs a finite y, got y=inf")
+            if x - x != 0.0:  # nan for a NaN or infinite x
+                raise ValueError(f"half-plane point needs a finite x, got x={x}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 Point = Union[Euclidean, Tripod, HalfPlane]
@@ -248,19 +288,22 @@ class EuclideanDir:
 
 @dataclass(frozen=True)
 class TripodEnd:
-    """The ideal end of one tripod ray."""
+    """The ideal end of one tripod ray, or a batch of them (a ray column)."""
 
     ray: int
 
     def __post_init__(self) -> None:
-        if self.ray not in (0, 1, 2):
+        ok = (self.ray == 0) | (self.ray == 1) | (self.ray == 2)
+        if ok is not True and not _all(ok):
             raise ValueError(f"tripod ray must be 0, 1 or 2, got {self.ray}")
 
 
 @dataclass(frozen=True)
 class HalfPlaneIdealPoint:
     """Boundary point of the half-plane: finite abscissa or None for infinity
-    (the common endpoint of all upward vertical geodesics)."""
+    (the common endpoint of all upward vertical geodesics).  A batch's
+    column holds NaN where the point is infinity; a NaN abscissa reads as
+    infinity for a point too."""
 
     boundary_x: float | None
 
@@ -280,25 +323,39 @@ def euclid_dim(cset: ConvexSet) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# Transcendental functions of a batch
+# ---------------------------------------------------------------------------
+
+
+def _entrywise(f, nin: int = 1):
+    """The libm function ``f`` (from Python's math) entry by entry on an
+    array, as for a point: NumPy's own versions round some entries
+    differently."""
+    g = np.frompyfunc(f, nin, 1)
+    return lambda *args: np.asarray(g(*args), np.float64)
+
+
+# The math functions the geometry calls, for a batch (sqrt is correctly
+# rounded in both).  Each geometry function picks this or ``math`` once.
+_LIBM = SimpleNamespace(
+    sqrt=np.sqrt,
+    hypot=_entrywise(math.hypot, 2),
+    asinh=_entrywise(math.asinh),
+    log=_entrywise(math.log),
+    exp=_entrywise(math.exp),
+    expm1=_entrywise(math.expm1),
+    cosh=_entrywise(math.cosh),
+    pow=_entrywise(pow, 2),
+)
+
+
+# ---------------------------------------------------------------------------
 # Euclidean geometry on coordinate columns
 # ---------------------------------------------------------------------------
 # A point is a tuple of coordinate columns: floats for one point, 1-D float64
 # arrays with one entry per path for a batch (a column all paths share may
 # stay a float; NumPy broadcasts it).  Branches go through _select, so a
 # batch equals its points bit for bit.
-
-
-def _select(cond, a, b):
-    """``a`` where ``cond`` holds, else ``b``: a bool picks one side whole (a
-    point keeps its identity), a boolean array picks per path, column by
-    column for coordinate tuples and Euclidean points."""
-    if not isinstance(cond, np.ndarray):
-        return a if cond else b
-    if isinstance(a, Euclidean):
-        return Euclidean(_select(cond, a.coords, b.coords))
-    if isinstance(a, tuple):
-        return tuple(np.where(cond, ai, bi) for ai, bi in zip(a, b))
-    return np.where(cond, a, b)
 
 
 def _sqdist_cols(x, y):
@@ -395,26 +452,33 @@ def distance(x: Point, y: Point) -> float:
         return _dist_cols(x.coords, y.coords)
     if kind is not type(y):
         _require_same_space(x, y)  # raises: the points live in different spaces
-    if kind is Tripod:
-        if x.ray == y.ray or x.coord == 0.0 or y.coord == 0.0:
-            return abs(x.coord - y.coord)
-        return x.coord + y.coord
+    if kind is Tripod:  # on the line through x's ray (see the module notes)
+        return abs(x.coord - (2.0 * (x.ray == y.ray) - 1.0) * y.coord)
     return _halfplane_distance(x, y)
 
 
 def _halfplane_distance(x: HalfPlane, y: HalfPlane) -> float:
     # arcosh(1 + |x - y|^2 / (2 y1 y2)) without its cancellation near x = y,
     # and with no square that overflows when the heights are far apart.
-    h = math.hypot(x.x - y.x, x.y - y.y)
-    scale = 2.0 * math.sqrt(x.y) * math.sqrt(y.y)
-    # For heights near the float maximum the scale overflows; its half does not.
-    q = h / scale if scale < math.inf else 0.5 * h / (math.sqrt(x.y) * math.sqrt(y.y))
-    if q == math.inf:  # d beyond ~1419: asinh q = log 2q, taken in logs
-        if h == math.inf:  # x.x - y.x overflows; its half does not
-            h = math.hypot(0.5 * x.x - 0.5 * y.x, 0.5 * x.y - 0.5 * y.y)
-            return 2.0 * (math.log(2.0) + math.log(h) - 0.5 * math.log(x.y) - 0.5 * math.log(y.y))
-        return 2.0 * (math.log(h) - 0.5 * math.log(x.y) - 0.5 * math.log(y.y))
-    return 2.0 * math.asinh(q)
+    dx = x.x - y.x
+    m = math if dx.__class__ is float else _LIBM  # a point's columns are floats
+    h = m.hypot(dx, x.y - y.y)
+    rx, ry = m.sqrt(x.y), m.sqrt(y.y)
+    scale = 2.0 * rx * ry
+    q = h / scale
+    over = scale == math.inf
+    if over is not False and _any(over):
+        # For heights near the float maximum the scale overflows; its half does not.
+        q = _select(over, 0.5 * h / (rx * ry), q)
+    d = 2.0 * m.asinh(q)
+    far = q == math.inf
+    if far is not False and _any(far):  # d beyond ~1419: asinh q = log 2q, taken in logs
+        wide = h == math.inf  # x.x - y.x overflows; its half does not
+        h = _select(wide, m.hypot(0.5 * x.x - 0.5 * y.x, 0.5 * x.y - 0.5 * y.y), h)
+        lh = m.log(_select(far, h, 1.0))
+        lh = _select(wide, math.log(2.0) + lh, lh)
+        d = _select(far, 2.0 * (lh - 0.5 * m.log(x.y) - 0.5 * m.log(y.y)), d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -422,76 +486,92 @@ def _halfplane_distance(x: HalfPlane, y: HalfPlane) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t: float) -> HalfPlane:
-    """(1-t)x (+) t y, 0 < t < 1: with D = y1 sinh(td) + y2 sinh((1-t)d),
+def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t, d) -> HalfPlane:
+    """(1-t)x (+) t y: with D = y1 sinh(td) + y2 sinh((1-t)d),
     (x1 + (x2 - x1) y1 sinh(td) / D, y1 y2 sinh(d) / D).  Each term is
     scaled by -2 e^-d / sqrt(y1 y2), so for d below 1400 none overflows
     and D does not underflow.  Beyond, both terms are scaled by a further
     e^-s that takes the larger to 1, or sqrt(y1 y2) e^-s down to e^709 if
     that takes more, and sqrt(y1 y2) e^-s is taken in logs.  Where x2 - x1
     overflows, the abscissa is taken from halved abscissae and doubled.  A
-    point whose height leaves the float range raises ValueError."""
-    d = _halfplane_distance(x, y)
-    if d == 0.0:
+    point whose height leaves the float range raises ValueError.  d is
+    d(x, y).  A point has 0 < t < 1; a batch's paths at t = 0 or 1, or with
+    x = y, take x or y itself."""
+    same = d == 0.0
+    if same is True:
         return x
-    lh = 0.5 * (math.log(y.y) - math.log(x.y))  # log sqrt(y2 / y1)
     a, b = t * d, (1.0 - t) * d
+    m = _LIBM if isinstance(a, np.ndarray) else math
+    lh = 0.5 * (m.log(y.y) - m.log(x.y))  # log sqrt(y2 / y1)
     ea, eb = a - d - lh, b - d + lh
     try:
-        if d < 1400.0:
-            s, root = 0.0, math.sqrt(x.y) * math.sqrt(y.y)
-        else:
-            lr = 0.5 * (math.log(x.y) + math.log(y.y))
-            s = max(ea, eb, lr - 709.0)
-            root = math.exp(lr - s)
-        wx = math.exp(ea - s) * math.expm1(-2.0 * a)
-        wy = math.exp(eb - s) * math.expm1(-2.0 * b)
+        s, root = 0.0, m.sqrt(x.y) * m.sqrt(y.y)
+        far = d >= 1400.0
+        if far is not False and _any(far):
+            lr = 0.5 * (m.log(x.y) + m.log(y.y))
+            top = _select(eb > ea, eb, ea)  # max(ea, eb, lr - 709)
+            top = _select(lr - 709.0 > top, lr - 709.0, top)
+            s = _select(far, top, 0.0)
+            root = _select(far, m.exp(lr - top), root)
+        wx = m.exp(ea - s) * m.expm1(-2.0 * a)
+        wy = m.exp(eb - s) * m.expm1(-2.0 * b)
         den = wx + wy
-        if math.isinf(y.x - x.x):  # halved abscissae, from the nearer end (wx, wy <= 0)
+        dx = y.x - x.x
+        px = x.x + dx * (wx / den)
+        wide = abs(dx) == math.inf
+        if wide is not False and _any(wide):  # halved abscissae, from the nearer end (wx, wy <= 0)
             hx, hy = 0.5 * x.x, 0.5 * y.x
-            px = 2.0 * (hx + (hy - hx) * (wx / den) if wx >= wy else hy - (hy - hx) * (wy / den))
-        else:
-            px = x.x + (y.x - x.x) * (wx / den)
-        return HalfPlane(px, root * (math.expm1(-2.0 * d) / den))
+            near = _select(wx >= wy, hx + (hy - hx) * (wx / den), hy - (hy - hx) * (wy / den))
+            px = _select(wide, 2.0 * near, px)
+        p = (px, root * (m.expm1(-2.0 * d) / den))
+        at_x, at_y = same | (t == 0.0), t == 1.0
+        if at_x is not False or at_y is not False:
+            p = _select(at_x, (x.x, x.y), _select(at_y, (y.x, y.y), p))
+        return HalfPlane(*p)
     except (OverflowError, ZeroDivisionError, ValueError):
         raise ValueError(
             f"geodesic point at t={t!r} from {x} to {y} is out of float range"
         ) from None
 
 
-def geodesic_point(x: Point, y: Point, t: float) -> Point:
+def geodesic_point(x: Point, y: Point, t: float, d=None) -> Point:
     """The point (1-t)x (+) t y on the unique geodesic from x to y: x itself
-    at t = 0, y itself at t = 1.  For a Euclidean batch t may hold one
-    parameter per path."""
-    _require_same_space(x, y)
-    if isinstance(x, Euclidean):
-        if not _all((0.0 <= t) & (t <= 1.0)):
-            raise ValueError(f"geodesic parameter must be in [0,1], got {t}")
+    at t = 0, y itself at t = 1.  For a batch t may hold one parameter per
+    path.  A caller that has d(x, y) may pass it as ``d``; the half-plane
+    geodesic reads it."""
+    kind = type(x)
+    if kind is not type(y) or kind is Euclidean:
+        _require_same_space(x, y)
+    ok = (0.0 <= t) & (t <= 1.0)
+    if ok is not True and not _all(ok):
+        raise ValueError(f"geodesic parameter must be in [0,1], got {t}")
+    if kind is Euclidean:
         p = _geodesic_cols(x.coords, y.coords, t)
         return x if p is x.coords else y if p is y.coords else Euclidean(p)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"geodesic parameter must be in [0,1], got {t}")
-    if t == 0.0:
-        return x
-    if t == 1.0:
-        return y
-    if isinstance(x, Tripod):
-        if x.coord == 0.0:
-            return Tripod(y.ray, t * y.coord)
-        if y.coord == 0.0:
-            return Tripod(x.ray, (1.0 - t) * x.coord)
-        if x.ray == y.ray:
-            return Tripod(x.ray, x.coord + t * (y.coord - x.coord))
-        traveled = t * (x.coord + y.coord)
-        if traveled <= x.coord:
-            return Tripod(x.ray, x.coord - traveled)
-        return Tripod(y.ray, traveled - x.coord)
-    return _halfplane_geodesic(x, y, t)
+    if not isinstance(t, np.ndarray):
+        if t == 0.0:
+            return x
+        if t == 1.0:
+            return y
+    if kind is HalfPlane:
+        return _halfplane_geodesic(x, y, t, _halfplane_distance(x, y) if d is None else d)
+    # The tripod: on the line through x's ray (see the module notes); toward
+    # the origin, (1-t) x.  A batch's paths at t = 1 take y.
+    xc, yc = x.coord, y.coord
+    v = xc + t * ((2.0 * (x.ray == y.ray) - 1.0) * yc - xc)
+    at_origin = yc == 0.0
+    if at_origin is not False:
+        v = _select(at_origin, (1.0 - t) * xc, v)
+    p = (y.ray + (x.ray - y.ray) * (v >= 0.0), abs(v))  # x's ray where v >= 0
+    at_y = t == 1.0
+    if at_y is not False:
+        p = _select(at_y, (y.ray, yc), p)
+    return Tripod(*p)
 
 
 def ray_point(x: Point, direction: Direction, s: float) -> Point:
     """The point at arclength s >= 0 on the geodesic ray from x toward
-    the ideal direction (per path for a Euclidean batch)."""
+    the ideal direction (per path for a batch)."""
     if _any(s < 0.0):
         raise ValueError(f"ray arclength must be >= 0, got {s}")
     if isinstance(x, Euclidean):
@@ -504,30 +584,33 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
         if not isinstance(direction, TripodEnd):
             raise ValueError("tripod point needs a TripodEnd direction")
         j = direction.ray
-        if x.coord == 0.0 or x.ray == j:
-            base = x.coord if x.ray == j else 0.0
-            return Tripod(j, base + s)
-        # Descend ray x.ray to the origin, then climb ray j.
-        if s <= x.coord:
-            return Tripod(x.ray, x.coord - s)
-        return Tripod(j, s - x.coord)
+        # On the line through x's ray, end j lies up that ray or down it
+        # through the origin; ray j where the point passes below 0.
+        v = x.coord + (2.0 * (x.ray == j) - 1.0) * s
+        return Tripod(j + (x.ray - j) * (v >= 0.0), abs(v))
     if not isinstance(direction, HalfPlaneIdealPoint):
         raise ValueError("half-plane point needs a HalfPlaneIdealPoint direction")
     b = direction.boundary_x
+    up = b is None or b != b  # toward infinity (NaN in a batch's column)
+    if up is not False:  # the limit below takes a stand-in end on those paths
+        b = _select(up, x.x, b)
+    m = _LIBM if isinstance(x.x - b + s, np.ndarray) else math
     # exp may overflow, y leave the float range (then HalfPlane raises), or
     # rho overflow (then k = 0 divides).
     try:
-        if b is None:
-            return HalfPlane(x.x, x.y * math.exp(s))
         # The geodesic's limit as its end tends to b: with rho = |x - b| and
         # D = 2 y^2 sinh s + rho^2 e^-s, (x + 2 (b - x) y^2 sinh(s) / D,
-        # y rho^2 / D), scaled by 1 / (y rho e^s); k = y / rho.
-        rho = math.hypot(x.x - b, x.y)
+        # y rho^2 / D), scaled by 1 / (y rho e^s); k = y / rho.  Toward
+        # infinity, (x, y e^s).
+        rho = m.hypot(x.x - b, x.y)
         k = x.y / rho
-        w = -math.expm1(-2.0 * s)
-        e = math.exp(-s)
+        w = -m.expm1(-2.0 * s)
+        e = m.exp(-s)
         den = k * w + e * (e / k)
-        return HalfPlane(x.x + (b - x.x) * (k * w / den), rho * e / den)
+        p = (x.x + (b - x.x) * (k * w / den), rho * e / den)
+        if up is not False:
+            p = _select(up, (x.x, x.y * m.exp(_select(up, s, 0.0))), p)
+        return HalfPlane(*p)
     except (OverflowError, ValueError, ZeroDivisionError):
         raise ValueError(f"ray point at arclength {s!r} from {x} is out of float range") from None
 
@@ -549,11 +632,16 @@ def _project_segment(seg: Segment, x: Point) -> Point:
         tau = 0.5 * (da + L - db)  # the Gromov product (b|x)_a
     else:
         # Pythagoras: cosh d_b / cosh d_a = cosh(L - tau) / cosh tau, solved
-        # as e^(2 tau) = (1 - m) / (m - e^-2L), m = e^-L cosh d_b / cosh d_a.
-        m = math.exp(db - da - L) * (1.0 + math.exp(-2.0 * db)) / (1.0 + math.exp(-2.0 * da))
-        num, den = 1.0 - m, m - math.exp(-2.0 * L)
-        tau = -math.inf if num <= 0.0 else math.inf if den <= 0.0 else 0.5 * math.log(num / den)
-    return geodesic_point(a, b, min(max(tau / L, 0.0), 1.0))
+        # as e^(2 tau) = (1 - mu) / (mu - e^-2L), mu = e^-L cosh d_b / cosh d_a.
+        m = _LIBM if isinstance(da, np.ndarray) else math
+        mu = m.exp(db - da - L) * (1.0 + m.exp(-2.0 * db)) / (1.0 + m.exp(-2.0 * da))
+        num, den = 1.0 - mu, mu - m.exp(-2.0 * L)
+        lo, hi = num <= 0.0, den <= 0.0
+        tau = 0.5 * m.log(_select(lo | hi, 1.0, num / _select(hi, 1.0, den)))
+        tau = _select(lo, -math.inf, _select(hi, math.inf, tau))
+    v = tau / L
+    v = _select(0.0 > v, 0.0, v)  # min(max(v, 0.0), 1.0)
+    return geodesic_point(a, b, _select(1.0 < v, 1.0, v))
 
 
 def project_convex(cset: ConvexSet, x: Point) -> Point:
@@ -569,9 +657,12 @@ def project_convex(cset: ConvexSet, x: Point) -> Point:
     elif isinstance(cset, Ball):
         if not isinstance(x, Euclidean):
             d = distance(x, cset.center)
-            if d <= cset.radius:
+            inside = d <= cset.radius
+            if inside is True:
                 return x
-            return geodesic_point(cset.center, x, cset.radius / d)
+            # A batch's paths inside take t = 1, x itself (d may be 0 there).
+            t = cset.radius / _select(inside, 1.0, d)
+            return geodesic_point(cset.center, x, _select(inside, 1.0, t))
         _require_same_space(x, cset.center)
     elif isinstance(cset, Segment):
         _require_same_space(cset.a, x)
@@ -580,10 +671,14 @@ def project_convex(cset: ConvexSet, x: Point) -> Point:
     elif isinstance(cset, TripodSegment):
         if not isinstance(x, Tripod):
             raise ValueError("tripod-segment projection needs a tripod point")
-        m = cset.max_coords[x.ray]
-        if x.coord <= m:
+        if isinstance(x.ray, np.ndarray):
+            m = np.take(cset.max_coords, x.ray)
+        else:
+            m = cset.max_coords[x.ray]
+        inside = x.coord <= m
+        if inside is True:
             return x
-        return Tripod(x.ray, m)
+        return Tripod(x.ray, _select(inside, x.coord, m))
     else:
         raise TypeError(f"not a convex set: {cset!r}")
     p = _project_cols(cset, x.coords)
@@ -620,17 +715,12 @@ def quasi_triangle_residual(q: float, x: Point, y: Point, o: Point) -> float:
 
 
 def _quasi_triangle(q: float, dxy, dxo, dyo):
-    """The quasi-triangle defect from the three distances (arrays for a batch)."""
-    p = _pow if isinstance(dxy, np.ndarray) else pow
-    return p(dxy, q) - 2.0 ** (q - 1.0) * (p(dxo, q) + p(dyo, q))
-
-
-def _pow(d: np.ndarray, q: float) -> np.ndarray:
-    """d ** q entry by entry through the C library's pow, as for a point:
-    NumPy's power rounds some entries differently.  d ** 1.0 is d."""
-    if q == 1.0:
-        return d
-    return np.array([v ** q for v in d.tolist()])
+    """The quasi-triangle defect from the three distances (arrays for a
+    batch, whose powers go through libm entry by entry).  d ** 1.0 is d."""
+    if q != 1.0:
+        p = _LIBM.pow if isinstance(dxy, np.ndarray) else pow
+        dxy, dxo, dyo = p(dxy, q), p(dxo, q), p(dyo, q)
+    return dxy - 2.0 ** (q - 1.0) * (dxo + dyo)
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +728,10 @@ def _pow(d: np.ndarray, q: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Every section evaluates one residual helper: once per sample for the tripod
-# and the half-plane, once on a batch of all the samples for the Euclidean
-# space.  Both draw the same uniforms at the same counters, and a batch
-# equals its points bit for bit, so the two report the same residuals.
+# Every section evaluates one residual helper, once, on a batch of all its
+# samples.  The batch takes the uniforms at the counters one sample at a time
+# would take, and equals its points bit for bit, so the residuals are those
+# of the samples run one by one.
 
 _MAIN = (
     "symmetry", "identity", "triangle", "geodesic_parameter", "geodesic_parameter", "cn",
@@ -687,7 +777,9 @@ def _angle_residual(x: Point, p: Point, c: Point):
         return sum((xc - pc) * (cc - pc) for xc, pc, cc in zip(x.coords, p.coords, c.coords))
     if isinstance(x, Tripod):
         return distance(x, p) + distance(p, c) - distance(x, c)
-    return math.cosh(distance(x, p)) * math.cosh(distance(p, c)) / math.cosh(distance(x, c)) - 1.0
+    dxp = distance(x, p)
+    m = _LIBM if isinstance(dxp, np.ndarray) else math
+    return m.cosh(dxp) * m.cosh(distance(p, c)) / m.cosh(distance(x, c)) - 1.0
 
 
 def _ray_residuals(x: Point, direction: Direction, s1, s2) -> tuple:
@@ -752,51 +844,6 @@ def _set_samples(cset: ConvexSet) -> list[Point]:
     return []
 
 
-def _sample_point(space: str, state: rng.RngState):
-    """A tripod or half-plane sample point from two uniforms."""
-    u, state = rng.next_uniform(state)
-    v, state = rng.next_uniform(state)
-    if space == "tripod":
-        return Tripod(int(u * 3.0) % 3, 5.0 * v), state
-    return HalfPlane(6.0 * u - 3.0, 1e3 ** (2.0 * v - 1.0)), state
-
-
-def _sample_direction(space: str, state: rng.RngState):
-    """A tripod end, or a half-plane ideal point (infinity with chance 1/4)."""
-    u, state = rng.next_uniform(state)
-    if space == "tripod":
-        return TripodEnd(int(u * 3.0) % 3), state
-    if u < 0.25:
-        return HalfPlaneIdealPoint(None), state
-    v, state = rng.next_uniform(state)
-    return HalfPlaneIdealPoint(8.0 * v - 4.0), state
-
-
-def _pointwise_sections(space, state, samples, projection_samples, sets):
-    """The three sections' residual rows for the tripod or the half-plane,
-    one row per sample."""
-    main = []
-    for _ in range(samples):
-        x, state = _sample_point(space, state)
-        y, state = _sample_point(space, state)
-        o, state = _sample_point(space, state)
-        t, state = rng.next_uniform(state)
-        main.append(_main_residuals(x, y, o, t))
-    proj = []
-    for _ in range(projection_samples):
-        x, state = _sample_point(space, state)
-        y, state = _sample_point(space, state)
-        proj.append(_projection_residuals(sets, x, y))
-    ray = []
-    for _ in range(projection_samples):
-        x, state = _sample_point(space, state)
-        direction, state = _sample_direction(space, state)
-        u1, state = rng.next_uniform(state)
-        u2, state = rng.next_uniform(state)
-        ray.append(_ray_residuals(x, direction, 3.0 * u1, 3.0 * u2))
-    return main, proj, ray
-
-
 def _uniform_columns(state: rng.RngState, n: int, k: int):
     """The uniforms of n samples that draw k each, as k columns of n, and
     the state after them."""
@@ -804,9 +851,16 @@ def _uniform_columns(state: rng.RngState, n: int, k: int):
     return u.T, rng.RngState(state.key, state.counter + n * k)
 
 
-def _box_point(cols) -> Euclidean:
-    """The Euclidean sample point (batch) with coordinates 10u - 5 in [-5, 5)."""
-    return Euclidean(tuple(10.0 * u - 5.0 for u in cols))
+def _sample_points(space: str, cols):
+    """The batch of sample points from their uniforms (columns u, v, ...):
+    R^d's in [-5, 5)^d, the tripod's on ray int(3u) at coordinate 5v, the
+    half-plane's at x = 6u - 3 with height 1e3^(2v - 1)."""
+    if space == "euclidean":
+        return Euclidean(tuple(10.0 * u - 5.0 for u in cols))
+    u, v = cols
+    if space == "tripod":
+        return Tripod((u * 3.0).astype(np.int64) % 3, 5.0 * v)
+    return HalfPlane(6.0 * u - 3.0, _LIBM.pow(1e3, 2.0 * v - 1.0))
 
 
 def _unit_vector(us: list[float], dim: int) -> tuple[float, ...]:
@@ -825,27 +879,53 @@ def _unit_vector(us: list[float], dim: int) -> tuple[float, ...]:
     return tuple(c / nrm for c in v)
 
 
-def _euclidean_sections(state, samples, projection_samples, sets, dim):
-    """The three sections' residual rows for R^dim: one row of columns, each
-    section's samples drawn as one block of uniforms and run as one batch."""
-    u, state = _uniform_columns(state, samples, 3 * dim + 1)
-    x, y, o = (_box_point(u[k * dim : (k + 1) * dim]) for k in range(3))
-    main = [_main_residuals(x, y, o, u[3 * dim])]
-    u, state = _uniform_columns(state, projection_samples, 2 * dim)
-    proj = [_projection_residuals(sets, _box_point(u[:dim]), _box_point(u[dim:]))]
-    pairs = 2 * ((dim + 1) // 2)  # Box-Muller draws a pair per two dimensions
-    u, _ = _uniform_columns(state, projection_samples, dim + pairs + 2)
-    rows = u[dim : dim + pairs].T.tolist()
-    vectors = np.array([_unit_vector(us, dim) for us in rows]).reshape(len(rows), dim)
-    direction = EuclideanDir(tuple(vectors.T))
-    ray = [_ray_residuals(_box_point(u[:dim]), direction, 3.0 * u[-2], 3.0 * u[-1])]
-    return main, proj, ray
+def _ray_samples(space: str, state: rng.RngState, n: int, dim: int):
+    """The ray section's start points, directions and arclengths s1, s2 (in
+    [0, 3)), each a batch of n.  A direction is a unit vector of R^d, a
+    tripod end, or a half-plane ideal point: infinity with chance 1/4, else
+    a second uniform's abscissa in [-4, 4)."""
+    if space == "euclidean":
+        pairs = 2 * ((dim + 1) // 2)  # Box-Muller draws a pair per two dimensions
+        u, _ = _uniform_columns(state, n, dim + pairs + 2)
+        rows = u[dim : dim + pairs].T.tolist()
+        vectors = np.array([_unit_vector(us, dim) for us in rows]).reshape(len(rows), dim)
+        direction = EuclideanDir(tuple(vectors.T))
+    elif space == "tripod":
+        u, _ = _uniform_columns(state, n, 5)
+        direction = TripodEnd((u[2] * 3.0).astype(np.int64) % 3)
+    else:
+        # A sample draws 5 uniforms, or 6 when its direction takes an
+        # abscissa, so where each starts depends on the ones before it.
+        flat = rng.uniform_run(state.key, state.counter, 6 * n).tolist()
+        rows, pos = [], 0
+        for _ in range(n):
+            finite = flat[pos + 2] >= 0.25  # 0 or 1 more uniform
+            b = 8.0 * flat[pos + 3] - 4.0 if finite else math.nan
+            rows.append((flat[pos], flat[pos + 1], b, flat[pos + 3 + finite], flat[pos + 4 + finite]))
+            pos += 5 + finite
+        u = np.array(rows, np.float64).reshape(n, 5).T
+        direction = HalfPlaneIdealPoint(u[2])
+    k = dim if space == "euclidean" else 2
+    return _sample_points(space, u[:k]), direction, 3.0 * u[-2], 3.0 * u[-1]
 
 
-def _worst(names: tuple, rows: list, residuals: dict) -> None:
-    """Fold a section's residual rows into the largest residual per name.  A
-    NaN residual is kept (``max`` would drop it), so it fails the suite."""
-    for name, col in zip(names, zip(*rows)):
+def _sections(space: str, state, samples: int, projection_samples: int, sets, dim: int):
+    """The three sections' residuals, each section's samples drawn as one
+    block of uniforms and run as one batch."""
+    k = dim if space == "euclidean" else 2  # uniforms per sample point
+    u, state = _uniform_columns(state, samples, 3 * k + 1)
+    x, y, o = (_sample_points(space, u[i * k : (i + 1) * k]) for i in range(3))
+    main = _main_residuals(x, y, o, u[3 * k])
+    u, state = _uniform_columns(state, projection_samples, 2 * k)
+    proj = _projection_residuals(sets, _sample_points(space, u[:k]), _sample_points(space, u[k:]))
+    return main, proj, _ray_residuals(*_ray_samples(space, state, projection_samples, dim))
+
+
+def _worst(names: tuple, section: tuple, residuals: dict) -> None:
+    """Fold a section's residuals (a column, or one value, per name) into
+    the largest residual per name.  A NaN residual is kept (``max`` would
+    drop it), so it fails the suite."""
+    for name, col in zip(names, section):
         m = residuals[name]
         v = float(np.max(col, initial=m))  # NaN if any entry is
         residuals[name] = v if v > m or v != v else m
@@ -865,20 +945,15 @@ def geometry_suite(
     inequality for q in {1,2,3} (``samples`` draws), projection
     nonexpansiveness and the projection's angle condition at sample points
     of each set, and ray additivity (``projection_samples`` draws each).
-    The Euclidean space runs each section as one batch of all its samples;
-    the tripod and the half-plane run sample by sample.  Both draw the same
-    uniforms, and a batch equals its points bit for bit.  Returns a dict of
-    maximal residuals and a ``pass`` flag (every residual <= GEOM_TOL; a NaN
-    residual fails).
+    Each section runs as one batch of all its samples, and a batch equals
+    its points bit for bit.  Returns a dict of maximal residuals and a
+    ``pass`` flag (every residual <= GEOM_TOL; a NaN residual fails).
     """
     if space not in ("euclidean", "tripod", "halfplane"):
         raise ValueError(f"unknown space kind: {space!r}")
     state = rng.make_state(seed, 0)
     sets = [(cset, _set_samples(cset)) for cset in _suite_sets(space, dim)]
-    if space == "euclidean":
-        main, proj, ray = _euclidean_sections(state, samples, projection_samples, sets, dim)
-    else:
-        main, proj, ray = _pointwise_sections(space, state, samples, projection_samples, sets)
+    main, proj, ray = _sections(space, state, samples, projection_samples, sets, dim)
     proj_names = ()
     for _, points in sets:
         proj_names += ("projection_nonexpansive",) + ("projection_firm",) * len(points)

@@ -533,6 +533,17 @@ def test_linear_regularity_constant_is_the_sampled_sup():
             assert p.v == 1.0
 
 
+def test_intersection_needs_normals_exactly_on_an_axis():
+    """A normal 1e-13 off e_2 tilts its halfspace: at x = (-1e6, 5e-8) both
+    sets hold x (F = 0), yet the box read from the normals as if axis-aligned
+    puts x 5e-8 outside.  Such normals are refused, as any tilted one is."""
+    for normal in ((1e-13, 1.0), (0.0, 1.0 - 2.0**-52), (-1e-300, -1.0)):
+        with pytest.raises(ValueError, match="axis-aligned"):
+            build_fixed_point("euclidean", (Halfspace((1.0, 0.0), 0.0), Halfspace(normal, 0.0)), (0.5, 0.5))
+    p = build_fixed_point("euclidean", (Halfspace((1.0, 0.0), 0.0), Halfspace((-0.0, -1.0), 0.0)), (0.5, 0.5))
+    assert p.v == 2.0
+
+
 # ---------------------------------------------------------------------------
 # Sampling and serialization
 # ---------------------------------------------------------------------------

@@ -564,6 +564,28 @@ _SUITE_RESIDUALS = {
         "0x1.8000000000000p-45", "0x1.0000000000000p-49", "0x1.4000000000000p-51",
         "0x1.4000000000000p-50", "0x1.0000000000000p-49",
     ),
+    # Recorded while the tripod and the half-plane still ran sample by
+    # sample.  10275544119336676368 is the ensemble seed of the first
+    # benchmark run of halfplane-sppa-witness; 20260814 is the seed of the
+    # shipped tripod config.
+    ("halfplane", 2, 0): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.1800000000000p-45", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.c000000000000p-50", "0x1.a36bd5afcec22p-44",
+    ),
+    ("halfplane", 2, 10275544119336676368): (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.3a00000000000p-46", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.0000000000000p-49", "0x1.8dae58ee86f0ep-45",
+    ),
+    ("tripod", 2, 0): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.0000000000000p-49",
+        "0x1.0000000000000p-44", "0x1.0000000000000p-49", "0x1.4000000000000p-51",
+        "0x1.0000000000000p-50", "0x1.0000000000000p-49",
+    ),
+    ("tripod", 2, 20260814): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.0000000000000p-49",
+        "0x1.8000000000000p-45", "0x1.0000000000000p-49", "0x1.4000000000000p-51",
+        "0x1.4000000000000p-50", "0x1.0000000000000p-49",
+    ),
 }
 
 
@@ -614,7 +636,130 @@ def test_suite_residuals_of_a_batch_equal_its_points_entry_by_entry():
             assert [r[i].hex() for r in batch] == [r.hex() for r in point], (dim, i)
 
 
-def test_euclidean_suite_runs_as_one_batch(monkeypatch):
+# Per space, the rows of the entry-by-entry check below: (x, y, o, t,
+# direction, s1, s2).  Random samples as the suite draws them, then every
+# branch: t at 0 and 1, coincident points, the tripod's origin and points on
+# one ray, heights near the float maximum, abscissae at +-1.7e308, pairs
+# more than 1400 apart, the ideal point at infinity and finite ones, and
+# arclengths whose ray leaves the float range.
+_BIG = 1.7e308
+
+
+def _tripod_rows(g, n):
+    def pt():
+        return Tripod(int(g.integers(3)), float(g.uniform(0.0, 5.0)))
+
+    rows = [(pt(), pt(), pt(), float(g.uniform()), TripodEnd(int(g.integers(3))),
+             float(g.uniform(0.0, 3.0)), float(g.uniform(0.0, 3.0))) for _ in range(n)]
+    o, a, b, c = Tripod(0, 0.0), Tripod(1, 0.5), Tripod(1, 2.0), Tripod(2, 1.5e308)
+    rows += [
+        (a, b, o, 0.0, TripodEnd(1), 0.0, 0.0),
+        (a, b, c, 1.0, TripodEnd(2), 0.5, 0.5),
+        (a, a, a, 0.5, TripodEnd(0), 0.5, 1.0),
+        (o, b, a, 0.3, TripodEnd(2), 2.0, 0.0),
+        (b, o, c, 0.7, TripodEnd(0), 2.0, 3.0),
+        (o, o, o, 0.5, TripodEnd(1), 1.0, 1.0),
+        (c, Tripod(0, 1.5e308), b, 0.5, TripodEnd(1), _BIG, _BIG),
+        (b, c, o, 0.25, TripodEnd(1), 1e-300, 1.0),
+    ]
+    return rows
+
+
+def _halfplane_rows(g, n):
+    def pt():
+        return HalfPlane(float(g.uniform(-3.0, 3.0)), 1e3 ** float(g.uniform(-1.0, 1.0)))
+
+    def end():
+        return HalfPlaneIdealPoint(None if g.uniform() < 0.25 else float(g.uniform(-4.0, 4.0)))
+
+    rows = [(pt(), pt(), pt(), float(g.uniform()), end(),
+             float(g.uniform(0.0, 3.0)), float(g.uniform(0.0, 3.0))) for _ in range(n)]
+    a, b = HalfPlane(0.3, 2.0), HalfPlane(-1.0, 0.5)
+    top, corner = HalfPlane(0.0, _BIG), HalfPlane(_BIG, _BIG)
+    left, right = HalfPlane(-_BIG, 1.0), HalfPlane(_BIG, 1.0)
+    low, high = HalfPlane(0.0, 1e-305), HalfPlane(0.0, 1e305)
+    far1, far2 = HalfPlane(-1e300, 1e-300), HalfPlane(1e300, 1e-300)
+    none, half = HalfPlaneIdealPoint(None), HalfPlaneIdealPoint(0.5)
+    rows += [
+        (a, b, a, 0.0, none, 0.0, 0.0),
+        (a, b, b, 1.0, half, 0.5, 0.0),
+        (a, a, a, 0.5, none, 1.0, 2.0),
+        (top, corner, a, 0.1, none, 1.0, 1.0),
+        (top, corner, b, 0.9, half, 2.0, 0.5),
+        (top, corner, a, 0.5, half, 0.5, 0.5),
+        (left, right, a, 0.3, HalfPlaneIdealPoint(_BIG), 1.0, 2.0),
+        (right, left, b, 0.6, HalfPlaneIdealPoint(-_BIG), 1.0, 1.0),
+        (low, high, a, 0.5, none, 700.0, 5.0),
+        (far1, far2, b, 0.25, half, 700.0, 100.0),
+        (far2, far1, a, 0.75, none, 800.0, 1.0),
+        (b, low, high, 0.4, half, 800.0, 1.0),
+    ]
+    return rows
+
+
+def _batch_of(points):
+    """The batch of a list of tripod or half-plane points or directions."""
+    p = points[0]
+    if isinstance(p, Tripod):
+        return Tripod(np.array([q.ray for q in points]), np.array([q.coord for q in points]))
+    if isinstance(p, HalfPlane):
+        return HalfPlane(np.array([q.x for q in points]), np.array([q.y for q in points]))
+    if isinstance(p, TripodEnd):
+        return TripodEnd(np.array([q.ray for q in points]))
+    if isinstance(p, HalfPlaneIdealPoint):
+        ends = [math.nan if q.boundary_x is None else q.boundary_x for q in points]
+        return HalfPlaneIdealPoint(np.array(ends))
+    return np.array(points)
+
+
+def _helper_results(helper, rows):
+    """Each row's residuals as float.hex, or the type of what it raised."""
+    out = []
+    for row in rows:
+        try:
+            out.append([r.hex() for r in helper(*row)])
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            out.append(type(exc))
+    return out
+
+
+def _batch_results(helper, rows):
+    cols = [_batch_of(list(col)) for col in zip(*rows)]
+    batch = helper(*cols)
+    n = len(rows)
+    return [[np.broadcast_to(r, (n,))[i].hex() for r in batch] for i in range(n)]
+
+
+@pytest.mark.parametrize("space", ["tripod", "halfplane"])
+def test_suite_residuals_of_a_tripod_or_halfplane_batch_equal_its_points(space):
+    from fejerlab.spaces import (
+        _main_residuals, _projection_residuals, _ray_residuals, _set_samples, _suite_sets,
+    )
+
+    g = np.random.default_rng(11)
+    rows = (_tripod_rows if space == "tripod" else _halfplane_rows)(g, 300)
+    sets = [(c, _set_samples(c)) for c in _suite_sets(space, 2)]
+    helpers = (
+        (_main_residuals, [r[:4] for r in rows]),
+        (lambda x, y: _projection_residuals(sets, x, y), [r[:2] for r in rows]),
+        (_ray_residuals, [(r[0],) + r[4:] for r in rows]),
+    )
+    raised = 0
+    with np.errstate(all="ignore"):
+        for helper, args in helpers:
+            per_point = _helper_results(helper, args)
+            good = [a for a, r in zip(args, per_point) if isinstance(r, list)]
+            assert _batch_results(helper, good) == [r for r in per_point if isinstance(r, list)]
+            for a, r in zip(args, per_point):
+                if not isinstance(r, list):  # a batch holding a raising row raises too
+                    raised += 1
+                    with pytest.raises(r):
+                        helper(*(_batch_of([p, q]) for p, q in zip(good[0], a)))
+    assert raised >= (0 if space == "tripod" else 4)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "tripod", "halfplane"])
+def test_suite_runs_as_one_batch(monkeypatch, space):
     """The distance is called as often for 100 samples as for 10,000: the
     suite does not fall back to a call per sample."""
     import fejerlab.spaces as spaces
@@ -625,7 +770,7 @@ def test_euclidean_suite_runs_as_one_batch(monkeypatch):
     counts = []
     for samples in (100, 10_000):
         calls.clear()
-        summary = geometry_suite("euclidean", samples=samples)
+        summary = geometry_suite(space, samples=samples)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
     assert summary["pass"] is True
@@ -644,10 +789,10 @@ def test_nan_residual_fails_the_batch_suite(monkeypatch):
 
 
 @pytest.mark.parametrize("space", ["tripod", "halfplane"])
-def test_nan_residual_fails_the_pointwise_suite(monkeypatch, space):
+def test_nan_self_distance_fails_the_batch_suite(monkeypatch, space):
     import fejerlab.spaces as spaces
 
-    # A point's distance to itself reads NaN; every other distance is exact.
+    # A batch's distance to itself reads NaN; every other distance is exact.
     real = spaces.distance
     monkeypatch.setattr(spaces, "distance", lambda x, y: math.nan if x is y else real(x, y))
     summary = geometry_suite(space, 200, 1, 2, 50)
