@@ -25,6 +25,10 @@ in the file are kept, so before and after numbers can share one file:
 
     python3 scripts/bench.py --src /path/to/parent/src --label before --out BENCH_<n>.json
     python3 scripts/bench.py --label after --out BENCH_<n>.json
+
+Against each other label already in the file, the run prints every one of
+its five digests per config (curves, audit, re-audit, validate stdout and
+report stdout) that differs, then how many of them differ.
 """
 
 from __future__ import annotations
@@ -124,6 +128,30 @@ def run_cli(src: pathlib.Path, *args: str) -> dict:
     }
 
 
+# The digests of one config's result, by name.
+DIGESTS = {
+    "curves": lambda res: res.get("curves_sha256"),
+    "audit": lambda res: res.get("audit_sha256"),
+    "re-audit": lambda res: res.get("reaudit", {}).get("audit_sha256"),
+    "validate stdout": lambda res: res.get("validate", {}).get("stdout_sha256"),
+    "report stdout": lambda res: res.get("report", {}).get("stdout_sha256"),
+}
+
+
+def print_digest_diffs(results: dict, label: str, other: dict) -> None:
+    """Print each digest of ``results`` that differs from the run ``other``
+    (recorded under ``label``), then their count."""
+    diffs = [
+        f"{name}: {kind}"
+        for name, res in results.items()
+        for kind, digest in DIGESTS.items()
+        if digest(res) != digest(other.get(name, {}))
+    ]
+    for diff in diffs:
+        print(f"differs from {label!r}: {diff}")
+    print(f"{len(diffs)} of {len(results) * len(DIGESTS)} digests differ from {label!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -159,6 +187,9 @@ def main(argv=None) -> int:
 
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
+    for label, run in doc["runs"].items():
+        if label != args.label:
+            print_digest_diffs(results, label, run["configs"])
     doc["runs"][args.label] = {
         "src_sha256": _tree_digest(src),
         "src_lines": _src_lines(src),

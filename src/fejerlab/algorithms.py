@@ -39,6 +39,7 @@ from .moduli import (
     StepSchedule,
     _IDENTITY,
     _MEAN,
+    _check_divergent,
     _check_relaxations,
     _guarded_ceil,
     divergence_witness_theta,
@@ -347,11 +348,8 @@ def _budget_witness(sched: StepSchedule, transform: str) -> Callable[[int, float
     witness index.
     """
     if isinstance(sched, Constant):
+        _check_divergent(sched, transform)
         w = sched.c * (1.0 - sched.c) if transform == _MEAN else sched.c
-        if not w > 0.0:
-            raise ValueError(
-                "transformed step weights vanish; the step series does not diverge"
-            )
 
         def theta(k: int, budget: float) -> int:
             if k < 0:
@@ -502,7 +500,8 @@ def fast_certificate_skm(
 
     With lambda_n(1-lambda_n) = v c / (n+r) the one-step contraction becomes
     E[dist^2(x_{n+1})] <= (1 - c/(n+r)) E[dist^2(x_n)], so the recursion
-    bound yields E[dist^2(x_n)] <= u/(n+r) with u = r * dist^2(x_0).
+    bound yields E[dist^2(x_n)] <= u/(n+r) with u = r * dist^2(x_0).  The
+    run is checked (``validate_run``) on the derived schedule.
     """
     if not isinstance(problem, FixedPointProblem):
         raise TypeError("the fast certificate needs a fixed-point problem")
@@ -517,6 +516,7 @@ def fast_certificate_skm(
             f"equation is solvable, got v*c={q}, r={r}"
         )
     sched = RootSchedule(q, r)
+    validate_run(problem, "skm", sched, x0)
     L0 = dist_to_solutions(problem, x0, 2)
     u = recursion_bound_u(c, 0.0, r, L0)
     return FastCertificate(K=1.0, u=u, d=0.0, r=r), sched

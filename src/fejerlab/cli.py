@@ -309,7 +309,6 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
     problem = _read_problem(_need(top, "problem", "config"), "config.problem", space)
     algorithm = _choice(_need(top, "algorithm", "config"), _ALGORITHMS, "config.algorithm")
     x0 = _read_point(_need(top, "x0", "config"), "config.x0", space)
-    sched = _read_schedule(_need(top, "schedule", "config"), "config.schedule")
 
     path = "config.ensemble"
     ens = _fields(_need(top, "ensemble", "config"), ("paths", "horizon", "seed", "threads"), path)
@@ -356,11 +355,15 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
             )
         seed = seed_override
 
-    # Cross-field validity (algorithm/problem/schedule/start point).
-    _build("config", validate_run, problem, algorithm, sched, x0)
-
+    # Cross-field validity (algorithm/problem/schedule/start point); the
+    # fast certificate checks the run on the schedule it derives.
     thresholds = epsilons
-    if fast_params is not None:
+    if fast_params is None:
+        sched = _read_schedule(_need(top, "schedule", "config"), "config.schedule")
+        _build("config", validate_run, problem, algorithm, sched, x0)
+    elif "schedule" in top:
+        raise ConfigError("config.schedule: the fast audit derives the schedule; drop the key")
+    else:
         fast, sched = _build("config.audit.fast", fast_certificate_skm, problem, *fast_params, x0)
         thresholds = tuple(math.sqrt(e) for e in epsilons)
 

@@ -2,10 +2,15 @@
 
 This module represents moduli — the linear and power functions
 (0, inf) -> (0, inf) used for regularity (tau) and consistency (theta) —
-as symbolic values, so that certificates can be evaluated exactly.  On top of the moduli it provides the step-schedule witnesses
-(the tail-rate chi and the divergence witness theta), the metric-rate
-quadruple, the Nemirovski-type recursion constant, and the fast-rate
-mean/tail envelopes."""
+as symbolic values, so that certificates can be evaluated exactly.  On
+top of the moduli it provides the step-schedule witnesses (the tail-rate
+chi and the divergence witness theta), the metric-rate quadruple, the
+Nemirovski-type recursion constant, and the fast-rate mean/tail envelopes.
+
+chi, theta and the square-sum bound T read one exact partial sum of the
+schedule (``_partial_sums``) and find each minimal index by one bisection
+(``_least_index``); a theta index past 1,200 digits is replaced by the
+analytic upper index of the integral bound."""
 
 from __future__ import annotations
 
@@ -19,6 +24,10 @@ import mpmath
 #: computed indices, guarding against a 1-ulp float overshoot turning an
 #: exact integer into the next one.
 CEIL_GUARD = 5e-13
+
+#: Decimal digits of every exact schedule sum; the divergence witness adds
+#: the digits of its index.
+_DPS = 40
 
 #: Above this many requested decimal digits the exact minimal divergence
 #: witness is abandoned in favor of the sound analytic upper index.
@@ -167,19 +176,45 @@ def schedule_value(sched: StepSchedule, n: int) -> float:
 
 
 def schedule_square_sum_bound(sched: StepSchedule) -> float:
-    """A strict upper bound T > sum_n lambda_n^2, rounded up to 3 decimals.
+    """A strict upper bound T > sum_n lambda_n^2, rounded up to 3 decimals:
+    the smallest 3-decimal number strictly above the exact sum."""
+    with mpmath.workdps(_DPS):
+        total = _partial_sums(sched, 0, 0, 1)(math.inf)
+        t = int(mpmath.ceil(total * 1000)) / 1000.0
+    return t if t > total else t + 0.001
 
-    The sum is the leading values' squares plus the tail's trigamma value
-    a^2 * psi_1(m + s), m values in (exact up to float rounding); the
-    returned T is the smallest 3-decimal number strictly above it.
-    """
-    values, tail = _table(sched)
-    harm = tail.a * tail.a * float(mpmath.polygamma(1, len(values) + tail.s))
-    exact = math.fsum(v * v for v in values) + harm
-    t = math.ceil(exact * 1000.0) / 1000.0
-    if t <= exact:
-        t += 0.001
-    return t
+
+def _partial_sums(sched: StepSchedule, k: int, steps: int, squares: int):
+    """m -> sum_{n=k}^{m} (steps lambda_n + squares lambda_n^2), m = inf
+    included, of a harmonic or table schedule at the working precision.
+
+    The leading values and a enter as mpf, exact with their squares from 32
+    digits on.  The tail from j = max(k, len(values)) on is a (psi(m+s+1) -
+    psi(j+s)) in steps and a^2 (psi_1(j+s) - psi_1(m+s+1)) in squares, with
+    m an mpf, so no index is rounded.  The fixed end j is evaluated once: a
+    search over m pays one digamma or trigamma per step."""
+    values, h = _table(sched)
+    a = mpmath.mpf(h.a)
+    head = [mpmath.mpf(0)]
+    for v in map(mpmath.mpf, values[k:]):
+        head.append(head[-1] + steps * v + squares * v * v)
+    j = max(k, len(values))
+    js = mpmath.mpf(j) + h.s
+    psi_j = mpmath.digamma(js) if steps else 0
+    tri_j = mpmath.polygamma(1, js) if squares else 0
+
+    def partial(m: float) -> mpmath.mpf:
+        if m < j:
+            return head[max(m - k + 1, 0)]
+        hi = mpmath.mpf(m) + h.s + 1
+        val = head[-1]
+        if steps:
+            val += steps * a * (mpmath.digamma(hi) - psi_j)
+        if squares:
+            val += squares * a * a * (tri_j - mpmath.polygamma(1, hi))
+        return val
+
+    return partial
 
 
 def _least_index(holds: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -203,27 +238,13 @@ def _least_index(holds: Callable[[int], bool], lo: int, hi: int) -> int:
 
 
 def tail_rate_chi(sched: StepSchedule, eps: float) -> int:
-    """Smallest N with sum_{n>=N} lambda_n^2 < eps.
-
-    The sum is the squares of the leading values from N on plus the tail's
-    trigamma value a^2 * psi_1(max(N, m) + s), m values in; the minimal N
-    is located by monotone bisection against that closed form.  Constant
-    and root schedules have a divergent square series and are rejected.
-    """
+    """Smallest N with sum_{n>=N} lambda_n^2 < eps, located by monotone
+    bisection against the exact tail sums.  Constant and root schedules
+    have a divergent square series and are rejected."""
     if not eps > 0.0:
         raise ValueError(f"tail budget must be > 0, got {eps}")
-    values, h = _table(sched)
-    m = len(values)
-
-    def tail(n: int) -> float:
-        harm = h.a ** 2 * float(mpmath.polygamma(1, max(n, m) + h.s))
-        if n >= m:
-            return harm
-        return harm + math.fsum(v * v for v in values[n:m])
-
-    if tail(0) < eps:
-        return 0
-    return _least_index(lambda n: tail(n) < eps, 0, 1)
+    with mpmath.workdps(_DPS):
+        return _least_index(lambda n: _partial_sums(sched, n, 0, 1)(math.inf) < eps, -1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,44 +284,17 @@ def _check_divergent(sched: StepSchedule, transform: str) -> None:
         _check_relaxations(sched)
 
 
-def _harmonic_partial(a: float, s: float, k: int, m: int, mean: bool) -> float:
-    """sum_{n=k}^{m} of a/(n+s), optionally minus a^2/(n+s)^2 (the
-    lambda(1-lambda) transform), via digamma/trigamma closed forms."""
-    if m < k:
-        return 0.0
-    val = a * (float(mpmath.digamma(m + s + 1)) - float(mpmath.digamma(k + s)))
-    if mean:
-        val -= a * a * (float(mpmath.polygamma(1, k + s)) - float(mpmath.polygamma(1, m + s + 1)))
-    return val
-
-
-def _harmonic_partial_mp(a: float, s: float, k: int, m: int, mean: bool, at_k):
-    """_harmonic_partial at the working precision, given ``at_k`` =
-    (digamma(k+s), trigamma(k+s) or None) at that precision.  The indices
-    enter as mpf, so arguments beyond 2**53 are not rounded to a float
-    first."""
-    if m < k:
-        return mpmath.mpf(0)
-    psi_k, tri_k = at_k
-    hi = mpmath.mpf(m) + s + 1
-    val = a * (mpmath.digamma(hi) - psi_k)
-    if mean:
-        val -= a * a * (tri_k - mpmath.polygamma(1, hi))
-    return val
-
-
 def divergence_witness_theta(
     sched: StepSchedule, transform: str, k: int, b: float
 ) -> int:
     """Smallest m >= k with sum_{n=k}^{m} transformed(lambda_n) >= b.
 
-    Constant schedules use the closed form.  Otherwise the leading values
-    (none for a harmonic schedule) are summed in turn, then the harmonic
-    tail's minimal index is located by bisection against digamma partial
-    sums, switching to arbitrary-precision evaluation when the witness is
-    too large for float resolution.  For witnesses beyond ~10^520 the sound
-    analytic upper index ceil((k+s) e^{b/a} - s - 1) (from the integral
-    lower bound on the partial sum) is returned instead of the exact minimum.
+    Constant schedules use the closed form.  Otherwise the minimal index is
+    located by bisection against the exact partial sums, at enough digits
+    to resolve it.  For witnesses beyond ~10^1150 the sound analytic upper
+    index ceil((j+s) e^{need/a} - s - 1) (from the integral lower bound on
+    the tail's partial sum from j = max(k, len(values)) on, which must add
+    need) is returned instead of the exact minimum.
     """
     if k < 0:
         raise ValueError(f"start index must be >= 0, got {k}")
@@ -313,44 +307,27 @@ def divergence_witness_theta(
         w = sched.c * (1.0 - sched.c) if mean else sched.c
         return k + math.ceil(b / w) - 1
 
-    values, tail = _table(sched)
-    acc = 0.0
-    for m, lam in enumerate(values[k:], k):
-        acc += lam * (1.0 - lam) if mean else lam
-        if acc >= b:
-            return m
-    return _harmonic_theta(tail, mean, max(k, len(values)), b - acc)
-
-
-def _harmonic_theta(sched: Harmonic, mean: bool, k: int, b: float) -> int:
-    a, s = sched.a, sched.s
-    budget_id = b
-    if mean:
-        budget_id = b + a * a * float(mpmath.polygamma(1, k + s))
-    log_hi = budget_id / a + math.log(k + s)
-    # Both searches start from the integral bound and from partial(k-1) = 0 < b.
-    if log_hi < 27.0:  # witness below ~5e11: float digamma resolves it
-        hi = int(math.ceil((k + s) * math.exp(budget_id / a))) + 2
-        return _least_index(lambda m: _harmonic_partial(a, s, k, m, mean) >= b, k - 1, hi)
-    dps = 40 + int(0.44 * budget_id / a)
+    values, h = _table(sched)
+    a, s, j = h.a, h.s, max(k, len(values))
+    squares = -1 if mean else 0
+    with mpmath.workdps(60):
+        # The steps the harmonic tail must add: what the leading values leave
+        # of b, plus, for the mean transform, the squares of the whole tail.
+        need = b - _partial_sums(sched, k, 1, squares)(j - 1)
+        if mean:
+            need += _partial_sums(sched, j, 0, 1)(math.inf)
+    need = max(float(need), 0.0)
+    dps = _DPS + int(0.44 * need / a)
     if dps > _MAX_DPS:
-        # Integral bound: sum_{n=k}^{m} a/(n+s) >= a ln((m+s+1)/(k+s)), so
-        # any m >= (k+s) e^{budget/a} - s - 1 certifies the budget.
+        # Integral bound: sum_{n=j}^{m} a/(n+s) >= a ln((m+s+1)/(j+s)), so
+        # any m >= (j+s) e^{need/a} - s - 1 certifies the budget.
         with mpmath.workdps(60):
-            hi = int(
-                mpmath.ceil(
-                    (k + s) * mpmath.e ** (mpmath.mpf(budget_id) / a) - s - 1
-                )
-            )
-            return max(hi, k)
+            hi = int(mpmath.ceil((j + s) * mpmath.e ** (mpmath.mpf(need) / a) - s - 1))
+            return max(hi, j)
     with mpmath.workdps(dps):
-        # The fixed end of every partial sum, evaluated once.
-        ks = mpmath.mpf(k) + s
-        at_k = (mpmath.digamma(ks), mpmath.polygamma(1, ks) if mean else None)
-        hi = int(mpmath.ceil((k + s) * mpmath.e ** (mpmath.mpf(budget_id) / a))) + 2
-        return _least_index(
-            lambda m: _harmonic_partial_mp(a, s, k, m, mean, at_k) >= b, k - 1, hi
-        )
+        partial = _partial_sums(sched, k, 1, squares)
+        hi = int(mpmath.ceil((j + s) * mpmath.e ** (mpmath.mpf(need) / a))) + 2
+        return _least_index(lambda m: partial(m) >= b, k - 1, hi)
 
 
 # ---------------------------------------------------------------------------

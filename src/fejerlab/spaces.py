@@ -492,11 +492,11 @@ def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t, d) -> HalfPlane:
     scaled by -2 e^-d / sqrt(y1 y2), so for d below 1400 none overflows
     and D does not underflow.  Beyond, both terms are scaled by a further
     e^-s that takes the larger to 1, or sqrt(y1 y2) e^-s down to e^709 if
-    that takes more, and sqrt(y1 y2) e^-s is taken in logs.  Where x2 - x1
-    overflows, the abscissa is taken from halved abscissae and doubled.  A
-    point whose height leaves the float range raises ValueError.  d is
-    d(x, y).  A point has 0 < t < 1; a batch's paths at t = 0 or 1, or with
-    x = y, take x or y itself."""
+    that takes more, and sqrt(y1 y2) e^-s is taken in logs.  The abscissa is
+    taken from the nearer end, from halved abscissae where x2 - x1
+    overflows.  A point whose height leaves the float range raises
+    ValueError.  d is d(x, y).  A point has 0 < t < 1; a batch's paths at
+    t = 0 or 1, or with x = y, take x or y itself."""
     same = d == 0.0
     if same is True:
         return x
@@ -516,13 +516,11 @@ def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t, d) -> HalfPlane:
         wx = m.exp(ea - s) * m.expm1(-2.0 * a)
         wy = m.exp(eb - s) * m.expm1(-2.0 * b)
         den = wx + wy
-        dx = y.x - x.x
-        px = x.x + dx * (wx / den)
-        wide = abs(dx) == math.inf
-        if wide is not False and _any(wide):  # halved abscissae, from the nearer end (wx, wy <= 0)
-            hx, hy = 0.5 * x.x, 0.5 * y.x
-            near = _select(wx >= wy, hx + (hy - hx) * (wx / den), hy - (hy - hx) * (wy / den))
-            px = _select(wide, 2.0 * near, px)
+        # From the nearer end (wx, wy <= 0, and wx / den is y's weight), so
+        # x2 - x1 does not round a far smaller end away.
+        h = _select(abs(y.x - x.x) == math.inf, 0.5, 1.0)
+        hx, hy = h * x.x, h * y.x
+        px = _select(wx >= wy, hx + (hy - hx) * (wx / den), hy - (hy - hx) * (wy / den)) / h
         p = (px, root * (m.expm1(-2.0 * d) / den))
         at_x, at_y = same | (t == 0.0), t == 1.0
         if at_x is not False or at_y is not False:

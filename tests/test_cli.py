@@ -61,6 +61,7 @@ def rate_config(paths=400, horizon=1500, seed=7, threads=1, epsilons=(1.0,), lam
 def fast_config(paths=200, horizon=400, seed=11):
     cfg = rate_config(paths=paths, horizon=horizon, seed=seed)
     cfg["audit"] = {"epsilons": [1.0, 4.0], "fast": {"c": 2.0, "r": 16}}
+    del cfg["schedule"]  # the fast audit derives it
     return cfg
 
 
@@ -658,6 +659,7 @@ _OP1 = ("problem", "operators", 1)
 _ATOM2 = ("problem", "atoms", 2)
 
 FLAG, TRIPOD, SEGMENT = "flagship_skm.json", "tripod_sppa_liminf.json", "segment_sb_liminf.json"
+FAST = "fast_skm.json"
 _OP1 = ("problem", "operators", 1)
 _ATOM2 = ("problem", "atoms", 2)
 
@@ -709,6 +711,8 @@ _REJECTED = [
     ("schedule-tail-unknown-key", FLAG, ("schedule",),
      {"kind": "table", "values": [0.5], "tail": {"a": 1.0, "s": 2.0, "c": 0.5}},
      "config.schedule.tail: unknown field(s) ['c']"),
+    ("fast-schedule-stated", FAST, ("schedule",), {"kind": "constant", "c": 0.5},
+     "config.schedule: the fast audit derives the schedule; drop the key"),
 ]
 
 

@@ -325,11 +325,13 @@ _GRID_CASES = {
 # SHA-256 of every statistic of the grid's ensembles, recorded before the
 # harness had one kernel (a path-major scalar kernel and a step-major
 # Euclidean one); the half-plane cases were recorded before the scalar
-# path-step lost its per-draw NumPy call and its projection onto a point.
+# path-step lost its per-draw NumPy call and its projection onto a point,
+# and re-recorded when the half-plane geodesic took its abscissa from the
+# nearer end (last-bit moves; no tail count changed).
 _GRID_DIGESTS = {
-    "halfplane-sppa": "92432c93b8f73f1b64da18d9f095ad41b259995b4f9ffba222823630b0d72fc8",
+    "halfplane-sppa": "5f18424f2a3e35e905f65543d2689ae98be15fc9e5072ec2115b9ea53ee995b0",
     "halfplane-sppa-half-squared": (
-        "85ca5673e089d5f6fa534aad89e22c0200dce0ad0bbdd8ad5b0cf9a52705297d"
+        "45c23a86c32a416b5c8e43434b4fdd21087fea18a1f8fe392da703b79abbd0f7"
     ),
     "sb-segment-argmin": "c9d1141013e32c3abde3331b25599c9154bd3cc6e405d5a06fe48445e185e2db",
     "sb-two-atoms": "bd354f594b20f604c0a6c65d02df2288b435ca8194bca330282197b224682f9a",

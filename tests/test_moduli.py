@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -234,14 +235,19 @@ def _witness_reference(a: float, s: float, k: int, b: float, mean: bool) -> int:
 
 
 def test_divergence_witness_matches_unhoisted_bisection():
+    # Small budgets too: both shipped gap windows (5.745 and 7.84) lie
+    # there, and 1.0 and 1.5 are harmonic numbers, where the partial sum
+    # meets the budget exactly.
     sched = Harmonic(1.0, 1.0)
     for transform, mean in ((IDENTITY, False), (MEAN, True)):
-        for budget in (30.0, 60.0, 100.0, 200.0, 400.0):
-            expected = _witness_reference(1.0, 1.0, 0, budget, mean)
-            assert divergence_witness_theta(sched, transform, 0, budget) == expected, (
-                transform,
-                budget,
-            )
+        for k in (0, 7):
+            for budget in (0.05, 1.0, 1.5, 5.745, 7.84, 20.0, 30.0, 60.0, 100.0, 200.0, 400.0):
+                expected = _witness_reference(1.0, 1.0, k, budget, mean)
+                assert divergence_witness_theta(sched, transform, k, budget) == expected, (
+                    transform,
+                    k,
+                    budget,
+                )
 
 
 def test_divergence_witness_rejects_non_divergent():
@@ -392,6 +398,117 @@ def test_table_divergence_witness_matches_brute_force():
                     w = lams if transform == IDENTITY else [x * (1 - x) for x in lams]
                     assert mpmath.fsum(w) >= b, (transform, k, b)
                     assert mpmath.fsum(w[:-1]) < b, (transform, k, b)
+
+
+_PIN_EPSILONS = (5.0, 2.5, 1.5, 0.3, 0.01, 1e-5, 1e-9)
+_PIN_STARTS = (0, 1, 7, 100)
+# 5.744999999999999 and 7.84 are the budgets / epsilon of the shipped gap
+# windows (segment_sb_liminf.json and tripod_sppa_liminf.json), whose ends
+# are theta(H(1, 1), identity, 0, b) = 175 and 1425.
+_PIN_BUDGETS = (0.05, 1.0, 1.5, 5.744999999999999, 7.84, 20.0, 26.0)
+
+# (schedule, T, chi at _PIN_EPSILONS, theta at _PIN_STARTS x _PIN_BUDGETS),
+# recorded when theta below a witness of about 5e11, chi and T were still
+# summed with float digamma and trigamma values.
+_PINNED_WITNESSES = (
+    (Harmonic(1.0, 1.0), 1.645, (0, 0, 1, 3, 100, 100000, 1000000000), {
+        IDENTITY: (
+            (0, 0, 1, 175, 1425, 272400599, 109894245428),
+            (1, 3, 6, 476, 3876, 740461600, 298723530400),
+            (7, 19, 33, 2345, 19065, 3641427011, 1469056505929),
+            (105, 272, 449, 31418, 255291, 48759303281, 19670906894621),
+        ),
+        MEAN: (
+            (1, 6, 11, 907, 7387, 1411217157, 569325635609),
+            (1, 6, 11, 907, 7387, 1411217157, 569325635609),
+            (7, 21, 36, 2679, 21779, 4159989937, 1678259721934),
+            (105, 274, 453, 31731, 257843, 49246888227, 19867612701506),
+        ),
+    }),
+    (Harmonic(0.5, 2.0), 0.162, (0, 0, 0, 0, 24, 24999, 249999999), {
+        IDENTITY: (
+            (0, 9, 29, 149159, 9848051, 359246197441016282, 58469039932582905432685),
+            (1, 17, 49, 245924, 16236693, 592296847139141491, 96399149814264622801287),
+            (7, 61, 169, 831211, 54879007, 2001926173947100975, 325823076877004980676070),
+            (110, 748, 2037, 9919992, 654945668, 23891701210289480152, 3888488847125827873859516),
+        ),
+        MEAN: (
+            (0, 13, 40, 205919, 13595524, 495949929783350579, 80718227376158864235637),
+            (1, 20, 59, 299612, 19781372, 721602889915274883, 117444327835511011770679),
+            (7, 64, 179, 881513, 58200089, 2123075641053564652, 345540733126440952883087),
+            (110, 751, 2046, 9968978, 658179934, 24009683724122950556, 3907691066555884094212979),
+        ),
+    }),
+    (_SHIFTED, 2.258, (0, 0, 2, 13, 400, 400000, 4000000000), {
+        IDENTITY: (
+            (0, 1, 2, 26, 77, 33897, 680863),
+            (1, 2, 3, 34, 99, 43525, 874246),
+            (7, 11, 15, 132, 377, 165320, 3320551),
+            (102, 165, 212, 1776, 5064, 2213668, 44462728),
+        ),
+        MEAN: (
+            (0, 4, 7, 81, 237, 104818, 2105392),
+            (1, 6, 8, 92, 269, 118775, 2385722),
+            (7, 13, 18, 170, 491, 215756, 4333624),
+            (102, 166, 214, 1810, 5164, 2258160, 45356412),
+        ),
+    }),
+)
+
+
+@pytest.mark.parametrize("sched, t, chi, theta", _PINNED_WITNESSES)
+def test_schedule_witnesses_are_pinned(sched, t, chi, theta):
+    assert schedule_square_sum_bound(sched) == t
+    assert tuple(tail_rate_chi(sched, eps) for eps in _PIN_EPSILONS) == chi
+    for transform, rows in theta.items():
+        got = tuple(
+            tuple(divergence_witness_theta(sched, transform, k, b) for b in _PIN_BUDGETS)
+            for k in _PIN_STARTS
+        )
+        assert got == rows, transform
+
+
+def _exact_sum(sched, k, m, mean):
+    """sum_{n=k}^{m} of lambda_n or lambda_n(1-lambda_n) at the working
+    precision: the leading values as fractions, the tail by digamma and
+    trigamma evaluated afresh."""
+    values, a, s = sched.values, mpmath.mpf(sched.tail.a), sched.tail.s
+    head = sum((Fraction(v) - (Fraction(v) ** 2 if mean else 0) for v in values[k : m + 1]), Fraction(0))
+    out = mpmath.mpf(head.numerator) / head.denominator
+    j = max(k, len(values))
+    if m >= j:
+        lo, hi = mpmath.mpf(j) + s, mpmath.mpf(m) + s + 1
+        out += a * (mpmath.digamma(hi) - mpmath.digamma(lo))
+        if mean:
+            out -= a * a * (mpmath.polygamma(1, lo) - mpmath.polygamma(1, hi))
+    return out
+
+
+@pytest.mark.parametrize(
+    "sched, transform, k, b, expected",
+    [
+        # lambda_3 = 1/5 lies below the float 0.2.
+        (TableSchedule((), Harmonic(2.0, 7.0)), IDENTITY, 3, 0.2, 4),
+        # 0.9 + 0.25 + 3/4 + 3/5 lies above 2.5 by the float 0.9's excess.
+        (TableSchedule((0.5, 0.9, 0.25), Harmonic(3.0, 1.0)), IDENTITY, 1, 2.5, 4),
+        # The budget the tail must add, 6 - 0.3, is not a float.
+        (TableSchedule((0.3,), Harmonic(0.1, 1.0)), IDENTITY, 0, 6.0, 8677574926089305052621707),
+        # a^2 = 0.1^2 is not a float.
+        (TableSchedule((), Harmonic(0.1, 1.0)), MEAN, 0, 6.0, 75583311383864999856248701),
+    ],
+)
+def test_divergence_witness_is_the_exact_minimum_where_floats_round(sched, transform, k, b, expected):
+    assert divergence_witness_theta(sched, transform, k, b) == expected
+    with mpmath.workdps(60 + len(str(expected))):
+        assert _exact_sum(sched, k, expected, transform == MEAN) >= b
+        assert _exact_sum(sched, k, expected - 1, transform == MEAN) < b
+
+
+def test_tail_rate_chi_is_the_exact_minimum_where_floats_round():
+    # psi_1(1e9 + 1/2) lies 6.2e-26 below the float 1e-9, a relative 6e-17.
+    assert tail_rate_chi(Harmonic(1.0, 3.5), 1e-9) == 999999997
+    with mpmath.workdps(60):
+        assert mpmath.polygamma(1, 999999997 + 3.5) < 1e-9 <= mpmath.polygamma(1, 999999996 + 3.5)
 
 
 def test_relaxation_rule_checks_the_tail_where_it_starts():

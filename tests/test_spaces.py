@@ -457,6 +457,20 @@ def test_halfplane_distance_when_the_scale_overflows():
     assert above == [0.5]
 
 
+def test_halfplane_geodesic_takes_the_abscissa_from_the_nearer_end():
+    """y's abscissa 1e-20 is below the rounding unit of x's 1, so x1 +
+    (x2 - x1) w rounds it away (x = 0.0 past the midpoint, 32 hyperbolic
+    units off at t = 0.9); taken from y, the point stays on the geodesic."""
+    x, y = HalfPlane(1.0, 1.0), HalfPlane(1e-20, 1e-30)
+    with mpmath.workdps(60):
+        zx, zy = _mp_z(x), _mp_z(y)
+        d = _mp_distance(zx, zy)
+        for t in (0.5, 0.9, 1.0 - 1e-12):
+            g = _mp_z(geodesic_point(x, y, t))
+            geo = max(abs(_mp_distance(zx, g) - t * d), abs(_mp_distance(g, zy) - (1 - t) * d))
+            assert geo <= 1e-15 * d, (t, float(geo))
+
+
 def test_halfplane_extreme_heights_stay_finite():
     points = [HalfPlane(0.0, 1e-300), HalfPlane(2.5, 1e-300), HalfPlane(-3.0, 1e300), HalfPlane(1.0, 1.0)]
     for x in points:
@@ -572,9 +586,11 @@ _SUITE_RESIDUALS = {
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.1800000000000p-45", "0x0.0p+0", "0x0.0p+0",
         "0x0.0p+0", "0x1.c000000000000p-50", "0x1.a36bd5afcec22p-44",
     ),
+    # projection_firm re-recorded (was 0x1.0000000000000p-49) when the
+    # geodesic took its abscissa from the nearer end.
     ("halfplane", 2, 10275544119336676368): (
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.3a00000000000p-46", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x1.0000000000000p-49", "0x1.8dae58ee86f0ep-45",
+        "0x0.0p+0", "0x1.c000000000000p-50", "0x1.8dae58ee86f0ep-45",
     ),
     ("tripod", 2, 0): (
         "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-49", "0x1.0000000000000p-49",
