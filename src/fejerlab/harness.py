@@ -10,18 +10,18 @@ slice order.  ``CHUNK`` thus fixes the summation order, and the aggregate
 is bit-identical across runs.  Everything runs on the calling thread.
 
 One kernel runs every ensemble, step-major: each step advances every
-batch of paths by the algorithm's own step from ``algorithms._SPECS``, then
-takes ``dist_to_solutions`` and ``gap_F`` at the new points, so it runs the
-scalar runners' arithmetic and equals them bit for bit.  A Euclidean
-ensemble is one batch of all paths (a point whose coordinates are columns,
-one entry per path; see ``spaces``); the tree and half-plane spaces, and
-``kernel="scalar"``, take one batch per path.  Only the draws differ
-between the widths: the wide batch draws a column of indices per slice of
-streams, a batch of one draws its index from its own stream state (a
-bisection of the cumulative weights, with no NumPy call).  The
-kernel streams the distances and gaps into one reducer a block of steps at
-a time, so memory grows with paths plus the horizon, not with their
-product.
+path by the algorithm's own step from ``algorithms._SPECS``, then takes
+``dist_to_solutions`` and ``gap_F`` at the new points of all paths as one
+batch (a point whose coordinates are columns, one entry per path; see
+``spaces``), so it runs the scalar runners' arithmetic and equals them bit
+for bit.  A Euclidean ensemble also steps as that one batch.  The tree and
+half-plane spaces, and ``kernel="scalar"``, step path by path: each path
+draws its index from its own stream state (a bisection of the cumulative
+weights, with no NumPy call) and steps as a point, and the points are
+stacked into the batch.  The wide batch draws a column of indices per slice
+of streams.  The kernel streams the distances and gaps into one reducer a
+block of steps at a time, so memory grows with paths plus the horizon, not
+with their product.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .problems import (
     operator_images,
     sample_index,
 )
-from .spaces import Euclidean, Point, contains, distance, sqdist
+from .spaces import Euclidean, Point, contains, distance, sqdist, stack
 
 # Paths per reduction slice: fixes the summation order of every sum.
 CHUNK = 512
@@ -175,17 +175,6 @@ def _block_width(n0: int, total: int) -> int:
     return width + 1 if total - n0 - width == 1 else width
 
 
-def _draw(problem: Problem, state, counter: int):
-    """A batch's drawn indices and its next draw state.  A batch of one
-    draws from its stream state; the wide batch's state is its keys, and it
-    draws once per ``CHUNK`` slice of them (the call pattern the benchmark's
-    tracer counts; each draw is row-wise, so no bit depends on the slicing)."""
-    if isinstance(state, rng.RngState):
-        return sample_index(problem, state)
-    idx = [rng.categorical(problem.cum_weights, rng.uniforms(k, counter)) for k in state]
-    return np.concatenate(idx), state
-
-
 def _kernel(
     problem: Problem,
     algorithm: str,
@@ -196,35 +185,40 @@ def _kernel(
     red: _Reducer,
     wide: bool,
 ) -> None:
-    """Each step advances every batch, then records the distances and gaps
-    at its new points; a block of steps at a time goes to the reducer.  A
-    batch is [rows, point, draw state, operator images at the point]: all
-    rows and a Euclidean batch when wide, else one path's row and point."""
+    """Each step advances every path, then records the distances and gaps
+    at the new points as one batch of all paths; a block of steps at a time
+    goes to the reducer.  Wide, the paths draw and step as that Euclidean
+    batch; else each path draws and steps as a point, and they are stacked."""
     paths = red.paths
     if wide:
         starts = range(0, paths, CHUNK)
         keys = [rng.stream_keys(seed, np.arange(s, min(s + CHUNK, paths))) for s in starts]
         X = Euclidean(tuple(np.full(paths, c) for c in x0.coords))
-        batches = [[slice(None), X, keys, None]]
     else:
-        batches = [[p, x0, rng.make_state(seed, p), None] for p in range(paths)]
+        xs = [x0] * paths
+        states = [rng.make_state(seed, p) for p in range(paths)]
     step = _SPECS[algorithm].step
     fixed_point = isinstance(problem, FixedPointProblem)  # the only images
     n0, width = 0, _block_width(0, horizon + 1)
     dist, gap = np.empty((paths, width)), np.empty((paths, width))
 
     for n in range(horizon + 1):
-        lam = schedule_value(sched, n - 1) if n else None
-        for b in batches:
-            rows, x, state, images = b
-            if n:
-                e, state = _draw(problem, state, n - 1)
-                # The images the gap took at x_{n-1} serve the step from it.
-                x = step(problem, e, lam, x, images)
-            images = operator_images(problem, x) if fixed_point else None
-            dist[rows, n - n0] = dist_to_solutions(problem, x)
-            gap[rows, n - n0] = gap_F(problem, x, images)
-            b[1:] = x, state, images
+        if n:
+            lam = schedule_value(sched, n - 1)
+            if wide:
+                # One row-wise draw per CHUNK slice of keys (the tracer counts
+                # them); the images the gap took at x_{n-1} serve the step.
+                e = [rng.categorical(problem.cum_weights, rng.uniforms(k, n - 1)) for k in keys]
+                X = step(problem, np.concatenate(e), lam, X, images)
+            else:
+                for p, x in enumerate(xs):
+                    e, states[p] = sample_index(problem, states[p])
+                    xs[p] = step(problem, e, lam, x)
+        if not wide:
+            X = stack(xs)
+        images = operator_images(problem, X) if fixed_point else None
+        dist[:, n - n0] = dist_to_solutions(problem, X)
+        gap[:, n - n0] = gap_F(problem, X, images)
         if n - n0 == width - 1:
             red.add(n0, dist, gap)
             n0, width = n0 + width, _block_width(n0 + width, horizon + 1)
@@ -245,13 +239,14 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run `paths` independent trajectories and aggregate their statistics.
 
-    ``kernel`` selects the batches: "auto" runs a Euclidean ensemble as one
-    batch of all paths and other spaces as one batch per path, "scalar"
-    takes one batch per path in every space (each path-step then calls the
-    point API once, as the runners do, to cross-check that m batches of one
-    equal one batch of m), and "vector" demands the wide batch.  ``threads``
-    is validated (>= 1) and kept for compatibility; all work runs on the
-    calling thread.
+    ``kernel`` selects how the paths step: "auto" steps a Euclidean
+    ensemble as one batch of all paths and other spaces path by path,
+    "scalar" steps path by path in every space (each path-step then calls
+    the point API once, as the runners do, to cross-check that m steps of
+    one equal one step of m), and "vector" demands the wide batch.  Every
+    kernel takes the distances and gaps of all paths as one batch per step.
+    ``threads`` is validated (>= 1) and kept for compatibility; all work
+    runs on the calling thread.
     """
     validate_run(problem, algorithm, sched, x0)
     if paths < 1:

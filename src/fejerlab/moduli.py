@@ -9,8 +9,9 @@ Nemirovski-type recursion constant, and the fast-rate mean/tail envelopes.
 
 chi, theta and the square-sum bound T read one exact partial sum of the
 schedule (``_partial_sums``) and find each minimal index by one bisection
-(``_least_index``); a theta index past 1,200 digits is replaced by the
-analytic upper index of the integral bound."""
+(``_least_index``); theta first tries the index an inversion of the digamma
+gives, which the exact sums must confirm.  A theta index past 1,200 digits
+is replaced by the analytic upper index of the integral bound."""
 
 from __future__ import annotations
 
@@ -290,11 +291,12 @@ def divergence_witness_theta(
     """Smallest m >= k with sum_{n=k}^{m} transformed(lambda_n) >= b.
 
     Constant schedules use the closed form.  Otherwise the minimal index is
-    located by bisection against the exact partial sums, at enough digits
-    to resolve it.  For witnesses beyond ~10^1150 the sound analytic upper
-    index ceil((j+s) e^{need/a} - s - 1) (from the integral lower bound on
-    the tail's partial sum from j = max(k, len(values)) on, which must add
-    need) is returned instead of the exact minimum.
+    guessed by inverting the digamma and confirmed by the exact partial sums
+    at m - 1 and m, or else located by bisection against them, at enough
+    digits to resolve it.  For witnesses beyond ~10^1150 the sound analytic
+    upper index ceil((j+s) e^{need/a} - s - 1) (from the integral lower
+    bound on the tail's partial sum from j = max(k, len(values)) on, which
+    must add need) is returned instead of the exact minimum.
     """
     if k < 0:
         raise ValueError(f"start index must be >= 0, got {k}")
@@ -326,6 +328,15 @@ def divergence_witness_theta(
             return max(hi, j)
     with mpmath.workdps(dps):
         partial = _partial_sums(sched, k, 1, squares)
+        # Past j, need = a (G(X) - G(j+s)) at X = m + s + 1, with G = psi (+ a
+        # psi_1 for the mean) ~ log X + c/X, c = -1/2 (+ a): invert it to 20
+        # digits, then take one Newton step in log X on the exact sum.
+        with mpmath.workdps(20):
+            x = mpmath.exp(mpmath.digamma(j + s) + need / a) + 0.5 - (a if mean else 0.0)
+        m = int(x - s - 1)
+        m = int(mpmath.ceil((mpmath.mpf(m) + s + 1) * mpmath.exp((b - partial(m)) / a) - s - 1))
+        if m >= k and partial(m) >= b > partial(m - 1):
+            return m
         hi = int(mpmath.ceil((j + s) * mpmath.e ** (mpmath.mpf(need) / a))) + 2
         return _least_index(lambda m: partial(m) >= b, k - 1, hi)
 

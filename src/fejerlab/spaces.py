@@ -173,6 +173,16 @@ def space_of(p: Point) -> str:
     raise TypeError(f"not a point: {p!r}")
 
 
+def stack(points: list) -> Point:
+    """The batch of points of one space, one path per point in list order."""
+    p = points[0]
+    if isinstance(p, Euclidean):
+        return Euclidean(tuple(np.array(c) for c in zip(*(q.coords for q in points))))
+    if isinstance(p, Tripod):
+        return Tripod(np.array([q.ray for q in points]), np.array([q.coord for q in points]))
+    return HalfPlane(np.array([q.x for q in points]), np.array([q.y for q in points]))
+
+
 def _require_same_space(x: Point, y: Point) -> None:
     if type(x) is not type(y):
         raise ValueError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -371,6 +372,47 @@ def _grid_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(_GRID_CASES))
 def test_ensemble_grid_is_bit_for_bit_recorded(name):
     assert _grid_digest(name) == _GRID_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["halfplane-sppa", "halfplane-sppa-half-squared", "tripod-sppa", "tripod-sb"]
+)
+def test_batched_observables_match_the_point_api(name):
+    # The kernel takes each step's distances and gaps as one batch of all
+    # paths.  The point API's values at the runners' iterates, folded by the
+    # reducer, must give the ensemble's statistics bit for bit.
+    problem, algorithm, sched, x0 = _GRID_CASES[name]()
+    paths, horizon, seed, epsilons = 7, 30, 11, (0.5, 0.1)
+    run = {"sppa": run_sppa, "sb": run_sb}[algorithm]
+    trajs = [run(problem, sched, x0, horizon, seed, path_index=p) for p in range(paths)]
+    dist = np.array([[dist_to_solutions(problem, x) for x in t.points] for t in trajs])
+    gap = np.array([[gap_F(problem, x) for x in t.points] for t in trajs])
+    red = _Reducer(paths, horizon, epsilons)
+    n0 = 0
+    while n0 <= horizon:
+        width = _block_width(n0, horizon + 1)
+        red.add(n0, np.array(dist[:, n0 : n0 + width]), np.array(gap[:, n0 : n0 + width]))
+        n0 += width
+
+    def std(s1, s2):
+        return np.sqrt(np.maximum((s2 - s1 * s1 / paths) / (paths - 1), 0.0))
+
+    stats = run_ensemble(problem, algorithm, sched, x0, paths, horizon, seed, epsilons)
+    sd, sd2, sd4, sg, sg2 = red.sums
+    tail = red.tail_counts()
+    ref = dataclasses.replace(
+        stats,
+        mean_dist=sd / paths,
+        mean_sq_dist=sd2 / paths,
+        mean_gap=sg / paths,
+        std_dist=std(sd, sd2),
+        std_sq_dist=std(sd2, sd4),
+        std_gap=std(sg, sg2),
+        tail={e: tail[i] / paths for i, e in enumerate(epsilons)},
+        point_tail={e: red.point[i] / paths for i, e in enumerate(epsilons)},
+    )
+    assert_stats_equal(stats, ref)
+    assert np.any(stats.std_dist > 0.0) and np.any(stats.mean_gap > 0.0)
 
 
 def test_ensemble_memory_is_bounded_in_the_horizon():
