@@ -18,7 +18,10 @@ SHA-256 of the re-audit's ``audit.json``, and summarized by `fejerlab
 report`, recording its exit code, wall time and SHA-256 of standard output.
 
 Each run also records ``src_lines``, the line count of the tree's
-``fejerlab/*.py`` (what ``wc -l src/fejerlab/*.py`` totals).
+``fejerlab/*.py`` (what ``wc -l src/fejerlab/*.py`` totals), and
+``import_s``, the median wall time of 5 fresh interpreters that only run
+``import fejerlab.cli`` with the audits' ``PYTHONPATH`` and environment: the
+fixed cost every command pays before it starts.
 
 Results go under ``runs.<label>`` of the output JSON; other labels already
 in the file are kept, so before and after numbers can share one file:
@@ -39,6 +42,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -128,6 +132,17 @@ def run_cli(src: pathlib.Path, *args: str) -> dict:
     }
 
 
+def import_seconds(src: pathlib.Path, runs: int = 5) -> float:
+    """Median wall time of ``runs`` fresh interpreters importing fejerlab.cli."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import fejerlab.cli"], env=env, check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 # The digests of one config's result, by name.
 DIGESTS = {
     "curves": lambda res: res.get("curves_sha256"),
@@ -185,6 +200,8 @@ def main(argv=None) -> int:
                 f"exit codes (audit, validate, re-audit, report) {codes}"
             )
 
+    import_s = import_seconds(src)
+    print(f"import fejerlab.cli: {import_s:.3f} s (median of 5 fresh interpreters)")
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
     for label, run in doc["runs"].items():
@@ -193,6 +210,7 @@ def main(argv=None) -> int:
     doc["runs"][args.label] = {
         "src_sha256": _tree_digest(src),
         "src_lines": _src_lines(src),
+        "import_s": import_s,
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

@@ -188,15 +188,25 @@ _SCHEDULE_FIELDS = {
 }
 
 
+def _in_domain(x: float, path: str, lo: float = -spaces.DOMAIN) -> float:
+    if not lo <= x <= spaces.DOMAIN:
+        raise ConfigError(f"{path}: {x!r} is outside the domain [{lo!r}, {spaces.DOMAIN!r}]")
+    return x
+
+
 def _read_point(v, path: str, space: str) -> Point:
-    """A point, which must lie in ``space``."""
+    """A point, which must lie in ``space`` and in its coordinate domain."""
     doc, _ = _object(v, "space", {space: _POINT_FIELDS[space]}, path)
     if space == "euclidean":
-        return _build(path, spaces.Euclidean, _numbers(doc, "coords", path))
+        coords = _numbers(doc, "coords", path)
+        coords = tuple(_in_domain(c, f"{path}.coords[{i}]") for i, c in enumerate(coords))
+        return _build(path, spaces.Euclidean, coords)
     if space == "tripod":
         ray, coord = _integer(doc, "ray", path), _number(doc, "coord", path)
-        return _build(path, spaces.Tripod, ray, coord)
-    return _build(path, spaces.HalfPlane, _number(doc, "x", path), _number(doc, "y", path))
+        return _build(path, spaces.Tripod, ray, _in_domain(coord, f"{path}.coord"))
+    x = _in_domain(_number(doc, "x", path), f"{path}.x")
+    y = _in_domain(_number(doc, "y", path), f"{path}.y", 1 / spaces.DOMAIN)
+    return _build(path, spaces.HalfPlane, x, y)
 
 
 def _read_set(v, path: str, space: str) -> spaces.ConvexSet:

@@ -8,18 +8,17 @@ chi and the divergence witness theta), the metric-rate quadruple, the
 Nemirovski-type recursion constant, and the fast-rate mean/tail envelopes.
 
 chi, theta and the square-sum bound T read one exact partial sum of the
-schedule (``_partial_sums``) and find each minimal index by one bisection
-(``_least_index``); theta first tries the index an inversion of the digamma
-gives, which the exact sums must confirm.  A theta index past 1,200 digits
-is replaced by the analytic upper index of the integral bound."""
+schedule (``_partial_sums``, its fixed end shifted up by the recurrence) and
+find each minimal index by one bisection (``_least_index``); theta first
+tries the index an inversion of the digamma gives, which the exact sums must
+confirm, and past 1,200 digits takes the integral bound's upper index.  Only
+an exact sum imports mpmath, so a constant schedule never loads it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
-
-import mpmath
 
 #: Relative shave applied before taking integer ceilings of analytically
 #: computed indices, guarding against a 1-ulp float overshoot turning an
@@ -179,10 +178,23 @@ def schedule_value(sched: StepSchedule, n: int) -> float:
 def schedule_square_sum_bound(sched: StepSchedule) -> float:
     """A strict upper bound T > sum_n lambda_n^2, rounded up to 3 decimals:
     the smallest 3-decimal number strictly above the exact sum."""
+    import mpmath
     with mpmath.workdps(_DPS):
         total = _partial_sums(sched, 0, 0, 1)(math.inf)
         t = int(mpmath.ceil(total * 1000)) / 1000.0
     return t if t > total else t + 0.001
+
+
+def _polygamma_shifted(order: int, x):
+    """psi(x) (order 0) or psi_1(x) (order 1) at the working precision, from N = 2 dps
+    steps up: psi(x+N) - sum_{i<N} 1/(x+i) or psi_1(x+N) + sum_{i<N} 1/(x+i)^2.  So far
+    out mpmath's series needs few of the Bernoulli numbers it tabulates per precision."""
+    import mpmath
+    n = 2 * mpmath.mp.dps
+    with mpmath.extraprec(10):  # guard bits: psi(x+N) - terms cancels near x = 1.46
+        terms = mpmath.fsum((1 / (x + i) for i in range(n)), squared=order == 1)
+        value = mpmath.polygamma(order, x + n) + (terms if order else -terms)
+    return +value
 
 
 def _partial_sums(sched: StepSchedule, k: int, steps: int, squares: int):
@@ -192,17 +204,17 @@ def _partial_sums(sched: StepSchedule, k: int, steps: int, squares: int):
     The leading values and a enter as mpf, exact with their squares from 32
     digits on.  The tail from j = max(k, len(values)) on is a (psi(m+s+1) -
     psi(j+s)) in steps and a^2 (psi_1(j+s) - psi_1(m+s+1)) in squares, with
-    m an mpf, so no index is rounded.  The fixed end j is evaluated once: a
-    search over m pays one digamma or trigamma per step."""
+    m an mpf, so no index is rounded.  The fixed end j is evaluated once, by
+    ``_polygamma_shifted``; a search over m pays one digamma or trigamma per step."""
+    import mpmath
     values, h = _table(sched)
     a = mpmath.mpf(h.a)
     head = [mpmath.mpf(0)]
     for v in map(mpmath.mpf, values[k:]):
         head.append(head[-1] + steps * v + squares * v * v)
     j = max(k, len(values))
-    js = mpmath.mpf(j) + h.s
-    psi_j = mpmath.digamma(js) if steps else 0
-    tri_j = mpmath.polygamma(1, js) if squares else 0
+    psi_j = _polygamma_shifted(0, mpmath.mpf(j) + h.s) if steps else 0
+    tri_j = _polygamma_shifted(1, mpmath.mpf(j) + h.s) if squares else 0
 
     def partial(m: float) -> mpmath.mpf:
         if m < j:
@@ -244,6 +256,7 @@ def tail_rate_chi(sched: StepSchedule, eps: float) -> int:
     have a divergent square series and are rejected."""
     if not eps > 0.0:
         raise ValueError(f"tail budget must be > 0, got {eps}")
+    import mpmath
     with mpmath.workdps(_DPS):
         return _least_index(lambda n: _partial_sums(sched, n, 0, 1)(math.inf) < eps, -1, 1)
 
@@ -309,6 +322,7 @@ def divergence_witness_theta(
         w = sched.c * (1.0 - sched.c) if mean else sched.c
         return k + math.ceil(b / w) - 1
 
+    import mpmath
     values, h = _table(sched)
     a, s, j = h.a, h.s, max(k, len(values))
     squares = -1 if mean else 0
@@ -318,14 +332,13 @@ def divergence_witness_theta(
         need = b - _partial_sums(sched, k, 1, squares)(j - 1)
         if mean:
             need += _partial_sums(sched, j, 0, 1)(math.inf)
-    need = max(float(need), 0.0)
-    dps = _DPS + int(0.44 * need / a)
-    if dps > _MAX_DPS:
+        need = max(float(need), 0.0)
         # Integral bound: sum_{n=j}^{m} a/(n+s) >= a ln((m+s+1)/(j+s)), so
         # any m >= (j+s) e^{need/a} - s - 1 certifies the budget.
-        with mpmath.workdps(60):
-            hi = int(mpmath.ceil((j + s) * mpmath.e ** (mpmath.mpf(need) / a) - s - 1))
-            return max(hi, j)
+        upper = max(int(mpmath.ceil((j + s) * mpmath.e ** (mpmath.mpf(need) / a) - s - 1)), j)
+    dps = _DPS + int(0.44 * need / a)
+    if dps > _MAX_DPS:
+        return upper
     with mpmath.workdps(dps):
         partial = _partial_sums(sched, k, 1, squares)
         # Past j, need = a (G(X) - G(j+s)) at X = m + s + 1, with G = psi (+ a
@@ -337,8 +350,7 @@ def divergence_witness_theta(
         m = int(mpmath.ceil((mpmath.mpf(m) + s + 1) * mpmath.exp((b - partial(m)) / a) - s - 1))
         if m >= k and partial(m) >= b > partial(m - 1):
             return m
-        hi = int(mpmath.ceil((j + s) * mpmath.e ** (mpmath.mpf(need) / a))) + 2
-        return _least_index(lambda m: partial(m) >= b, k - 1, hi)
+        return _least_index(lambda m: partial(m) >= b, k - 1, upper + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ from . import rng
 #: Absolute tolerance for every geometric identity check in the package.
 GEOM_TOL = 1e-10
 
+#: Config points: |coordinate| <= DOMAIN, half-plane heights >= 1/DOMAIN; d, d^2 stay finite.
+DOMAIN = 1e100
+
 
 # ---------------------------------------------------------------------------
 # Points

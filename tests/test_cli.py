@@ -9,6 +9,8 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 from fejerlab.cli import main, parse_experiment
 from fejerlab.moduli import RootSchedule
 from fejerlab.problems import HALF_SQUARED
-from fejerlab.spaces import geometry_suite
+from fejerlab.spaces import Euclidean, HalfPlane, Tripod, geometry_suite
 
 # ---------------------------------------------------------------------------
 # Config builders
@@ -101,6 +103,24 @@ def tripod_liminf_config(paths=64, horizon=120, seed=3):
         "schedule": HARMONIC_11,
         "ensemble": {"paths": paths, "horizon": horizon, "seed": seed, "threads": 1},
         "audit": {"epsilons": [2.0], "liminf": {"epsilon": 2.0, "start": 0}},
+    }
+
+
+def halfplane_config(paths=64, horizon=120, seed=3):
+    return {
+        "space": "halfplane",
+        "problem": {
+            "kind": "mean_min",
+            "space": "halfplane",
+            "cost": "distance",
+            "atoms": [{"point": {"space": "halfplane", "x": 0.0, "y": 1.0}, "weight": 1.0}],
+            "region_bound": 4.0,
+        },
+        "algorithm": "sppa",
+        "x0": {"space": "halfplane", "x": 1.0, "y": 2.0},
+        "schedule": HARMONIC_11,
+        "ensemble": {"paths": paths, "horizon": horizon, "seed": seed, "threads": 1},
+        "audit": {"epsilons": [1.0], "liminf": {"epsilon": 1.0, "start": 0}},
     }
 
 
@@ -660,8 +680,12 @@ _ATOM2 = ("problem", "atoms", 2)
 
 FLAG, TRIPOD, SEGMENT = "flagship_skm.json", "tripod_sppa_liminf.json", "segment_sb_liminf.json"
 FAST = "fast_skm.json"
-_OP1 = ("problem", "operators", 1)
-_ATOM2 = ("problem", "atoms", 2)
+HALFPLANE = "halfplane"  # no shipped config is half-plane: halfplane_config()
+
+
+def _config(name):
+    return halfplane_config() if name == HALFPLANE else _shipped(name)
+
 
 # Row id, shipped config, the field to set, its new value, and how the
 # error must begin: with the path of the offending field.
@@ -713,6 +737,14 @@ _REJECTED = [
      "config.schedule.tail: unknown field(s) ['c']"),
     ("fast-schedule-stated", FAST, ("schedule",), {"kind": "constant", "c": 0.5},
      "config.schedule: the fast audit derives the schedule; drop the key"),
+    ("euclidean-far", FLAG, ("x0", "coords"), [1.0, 1e200],
+     "config.x0.coords[1]: 1e+200 is outside the domain [-1e+100, 1e+100]"),
+    ("tripod-far", TRIPOD, ("x0", "coord"), 1.5e308,
+     "config.x0.coord: 1.5e+308 is outside the domain [-1e+100, 1e+100]"),
+    ("halfplane-low", HALFPLANE, ("x0", "y"), 1e-300,
+     "config.x0.y: 1e-300 is outside the domain [1e-100, 1e+100]"),
+    ("halfplane-far-atom", HALFPLANE, ("problem", "atoms", 0, "point", "x"), 1e101,
+     "config.problem.atoms[0].point.x: 1e+101 is outside the domain [-1e+100, 1e+100]"),
 ]
 
 
@@ -722,13 +754,63 @@ _REJECTED = [
 def test_config_defects_are_input_errors_naming_the_field(
     tmp_path, capsys, name, field, value, message
 ):
-    cfg = _shipped(name)
+    cfg = _config(name)
     _set(cfg, field, value)
     rc = run_cli("validate", "--config", write_config(tmp_path, cfg))
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, field, value, x0",
+    [
+        (FLAG, ("x0", "coords"), [1e100, -1e100], Euclidean((1e100, -1e100))),
+        (TRIPOD, ("x0", "coord"), 1e100, Tripod(0, 1e100)),
+        (HALFPLANE, ("x0", "x"), -1e100, HalfPlane(-1e100, 2.0)),
+        (HALFPLANE, ("x0", "y"), 1e-100, HalfPlane(1.0, 1e-100)),
+        (HALFPLANE, ("x0", "y"), 1e100, HalfPlane(1.0, 1e100)),
+    ],
+    ids=["euclidean", "tripod", "halfplane-x", "halfplane-low-y", "halfplane-high-y"],
+)
+def test_coordinate_domain_includes_its_bounds(name, field, value, x0):
+    cfg = _config(name)
+    _set(cfg, field, value)
+    assert parse_experiment(cfg).x0 == x0
+
+
+_COLD_START = """
+import sys
+from fejerlab.cli import main
+config, out, *commands = sys.argv[1:]
+codes = [main([cmd, "--config", config, "--out", out]) for cmd in commands]
+print(codes, "mpmath" in sys.modules)
+"""
+
+
+def _cold_start(tmp_path, cfg, *commands):
+    """Run cli.main with each command on cfg in one fresh interpreter: the
+    exit codes, and whether mpmath was imported by then."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, write_config(tmp_path, cfg), str(tmp_path / "o_"),
+         *commands],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+def test_mpmath_loads_only_for_an_exact_sum(tmp_path):
+    # The flagship's constant schedule has closed forms: no command on it
+    # evaluates an exact sum, so none may pay for importing mpmath.
+    flagship = _shipped(FLAG)
+    flagship["ensemble"].update(paths=64, horizon=50)
+    assert _cold_start(tmp_path, flagship, "validate", "run", "audit") == "[0, 0, 0] False"
+    segment = _shipped(SEGMENT)
+    segment["ensemble"].update(paths=64, horizon=50)
+    assert _cold_start(tmp_path, segment, "audit") == "[0] True"
 
 
 # Row id, shipped config, the field to set, its new value, and the field

@@ -20,6 +20,7 @@ from fejerlab.moduli import (
     Power,
     RootSchedule,
     TableSchedule,
+    _polygamma_shifted,
     divergence_witness_theta,
     eval_modulus,
     fast_bounds,
@@ -203,17 +204,22 @@ def test_divergence_witness_large_budget_uses_exact_bisection():
 
 
 def _unhoisted_partial(a: float, s: float, k: int, mean: bool):
-    """m -> the harmonic witness's partial sum from k to m, evaluated from
-    scratch at the working precision, digamma(k+s) and trigamma(k+s)
-    included."""
+    """m -> the harmonic witness's partial sum from k to m at the working
+    precision, from mpmath's own digamma and trigamma at k+s (production
+    shifts them up by the recurrence), each taken once per precision."""
+    fixed = {}
 
     def partial(m):
         if m < k:
             return mpmath.mpf(0)
-        lo, hi = mpmath.mpf(k) + s, mpmath.mpf(m) + s + 1
-        val = a * (mpmath.digamma(hi) - mpmath.digamma(lo))
+        if mpmath.mp.prec not in fixed:
+            lo = mpmath.mpf(k) + s
+            fixed[mpmath.mp.prec] = mpmath.digamma(lo), mpmath.polygamma(1, lo) if mean else 0
+        psi_lo, tri_lo = fixed[mpmath.mp.prec]
+        hi = mpmath.mpf(m) + s + 1
+        val = a * (mpmath.digamma(hi) - psi_lo)
         if mean:
-            val -= a * a * (mpmath.polygamma(1, lo) - mpmath.polygamma(1, hi))
+            val -= a * a * (tri_lo - mpmath.polygamma(1, hi))
         return val
 
     return partial
@@ -261,6 +267,33 @@ def test_divergence_witness_matches_unhoisted_bisection():
                     assert m == _witness_reference(1.0, 1.0, k, budget, mean), (transform, k, budget)
                 with mpmath.workdps(_witness_dps(1.0, 1.0, k, budget, mean)):
                     assert m >= k and partial(m - 1) < budget <= partial(m), (transform, k, budget)
+
+
+def _classical_polygamma(order: int, x: float):
+    """psi(x) (order 0) or psi_1(x) (order 1) at an integer or half-integer
+    x >= 1, at the working precision, from psi(1) = -gamma, psi(1/2) =
+    -gamma - 2 ln 2, psi_1(1) = pi^2/6 and psi_1(1/2) = pi^2/2, and the exact
+    steps up from there (Abramowitz and Stegun 6.3.2-6.3.4, 6.4.2-6.4.4)."""
+    start = 0.5 if x % 1 else 1.0
+    steps = [1 / (mpmath.mpf(start) + i) for i in range(int(x - start))]
+    if order == 0:
+        return -mpmath.euler - (2 * mpmath.ln2 if x % 1 else 0) + mpmath.fsum(steps)
+    return mpmath.pi ** 2 / (2 if x % 1 else 6) - mpmath.fsum(steps, squared=True)
+
+
+@pytest.mark.parametrize("dps", (40, 60, 216, 392, 1200))
+def test_shifted_fixed_end_matches_the_reference(dps):
+    # The reference is mpmath's own digamma and trigamma at twice the
+    # working precision.  At 2,400 digits mpmath's digamma takes seconds a
+    # value, so there the classical values serve instead.
+    reference = _classical_polygamma if dps > 392 else mpmath.polygamma
+    for x in (1, 1.5, 2, 3.5, 7, 101, 5001):
+        for order in (0, 1):
+            with mpmath.workdps(dps):
+                value = _polygamma_shifted(order, mpmath.mpf(x))
+            with mpmath.workdps(2 * dps):
+                error = abs(value / reference(order, x) - 1)
+                assert error < 4 * mpmath.mpf(10) ** -dps, (x, order, error)
 
 
 def test_divergence_witness_rejects_non_divergent():
