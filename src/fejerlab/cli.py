@@ -9,6 +9,11 @@ audit request.  Four subcommands consume it:
   fejerlab audit    --config cfg.json --out p_   certificate audit + JSON
   fejerlab report   --config cfg.json --out p_   human-readable summary
 
+Each audit kind (rate certificate, fast rate, gap window) is one entry of
+``_AUDITS``: its field under ``config.audit``, the reader that resolves it
+when the config is read, the check `audit` builds before the ensemble runs,
+and how its records print.
+
 Exit codes are a stable contract: 0 pass, 1 input error, 2 geometry
 failure, 3 runtime failure, 4 audit failure, 5 no known regularity modulus
 for the instance shape.
@@ -21,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import algorithms, moduli, problems, spaces
 from .algorithms import fast_certificate_skm, gap_window, validate_run
@@ -39,7 +45,7 @@ from .harness import (
     stats_from_curves,
     write_audit,
 )
-from .moduli import FastCertificate, StepSchedule
+from .moduli import StepSchedule
 from .problems import NoModulusKnownError, Problem
 from .spaces import Point, geometry_suite
 
@@ -53,14 +59,6 @@ EXIT_NO_MODULUS = 5
 _SPACES = ("euclidean", "tripod", "halfplane")
 _ALGORITHMS = ("sppa", "skm", "sb")
 _COSTS = (problems.HALF_SQUARED, problems.DISTANCE)
-
-_CHECK_NAMES = {
-    "mean": "mean-rate certificate check",
-    "almost_sure": "almost-sure tail check",
-    "fast_mean_envelope": "fast-rate envelope check",
-    "fast_tail": "fast-rate tail check",
-    "gap_window": "gap-window (liminf) check",
-}
 
 
 class ConfigError(ValueError):
@@ -190,17 +188,21 @@ _SCHEDULE_FIELDS = {
 
 def _in_domain(x: float, path: str, lo: float = -spaces.DOMAIN) -> float:
     if not lo <= x <= spaces.DOMAIN:
-        raise ConfigError(f"{path}: {x!r} is outside the domain [{lo!r}, {spaces.DOMAIN!r}]")
+        raise ConfigError(f"{path}: {x!r} is outside the domain [{lo:g}, {spaces.DOMAIN:g}]")
     return x
+
+
+def _domain_numbers(doc: dict, key: str, path: str, null=None) -> tuple[float, ...]:
+    """``_numbers`` with each finite entry in the domain."""
+    nums = enumerate(_numbers(doc, key, path, null))
+    return tuple(v if math.isinf(v) else _in_domain(v, f"{path}.{key}[{i}]") for i, v in nums)
 
 
 def _read_point(v, path: str, space: str) -> Point:
     """A point, which must lie in ``space`` and in its coordinate domain."""
     doc, _ = _object(v, "space", {space: _POINT_FIELDS[space]}, path)
     if space == "euclidean":
-        coords = _numbers(doc, "coords", path)
-        coords = tuple(_in_domain(c, f"{path}.coords[{i}]") for i, c in enumerate(coords))
-        return _build(path, spaces.Euclidean, coords)
+        return _build(path, spaces.Euclidean, _domain_numbers(doc, "coords", path))
     if space == "tripod":
         ray, coord = _integer(doc, "ray", path), _number(doc, "coord", path)
         return _build(path, spaces.Tripod, ray, _in_domain(coord, f"{path}.coord"))
@@ -210,22 +212,24 @@ def _read_point(v, path: str, space: str) -> Point:
 
 
 def _read_set(v, path: str, space: str) -> spaces.ConvexSet:
-    """A convex set whose points lie in ``space``; a null box bound is
-    unbounded."""
+    """A convex set whose points lie in ``space`` and whose parameters lie in
+    the domain; a null box bound is unbounded."""
     doc, kind = _object(v, "kind", _SET_FIELDS, path)
     if kind == "whole_space":
         return spaces.WholeSpace()
     if kind == "ball":
         center = _read_point(_need(doc, "center", path), f"{path}.center", space)
-        return _build(path, spaces.Ball, center, _number(doc, "radius", path))
+        radius = _in_domain(_number(doc, "radius", path), f"{path}.radius")
+        return _build(path, spaces.Ball, center, radius)
     if kind == "halfspace":
         normal = _numbers(doc, "normal", path)
-        return _build(path, spaces.Halfspace, normal, _number(doc, "offset", path))
+        offset = _in_domain(_number(doc, "offset", path), f"{path}.offset")
+        return _build(path, spaces.Halfspace, normal, offset)
     if kind == "box":
-        lo, hi = _numbers(doc, "lo", path, -math.inf), _numbers(doc, "hi", path, math.inf)
-        return _build(path, spaces.Box, lo, hi)
+        lo = _domain_numbers(doc, "lo", path, -math.inf)
+        return _build(path, spaces.Box, lo, _domain_numbers(doc, "hi", path, math.inf))
     if kind == "tripod_segment":
-        return _build(path, spaces.TripodSegment, _numbers(doc, "max_coords", path))
+        return _build(path, spaces.TripodSegment, _domain_numbers(doc, "max_coords", path))
     a, b = (_read_point(_need(doc, k, path), f"{path}.{k}", space) for k in ("a", "b"))
     return _build(path, spaces.Segment, a, b)
 
@@ -284,12 +288,19 @@ def _read_schedule(v, path: str) -> StepSchedule:
     return _build(path, moduli.RootSchedule, _number(doc, "q", path), _integer(doc, "r", path))
 
 
+class Audit(NamedTuple):
+    """A resolved audit request: its kind (a key of ``_AUDITS``), what its
+    reader took from ``config.audit``, and the thresholds the ensemble tracks."""
+
+    kind: str
+    params: object
+    thresholds: tuple[float, ...]
+
+
 @dataclass
 class Experiment:
-    """A parsed config.  ``sched`` and ``thresholds`` are what the ensemble
-    runs and tracks: under ``audit.fast`` the certificate's root schedule
-    and sqrt(eps) per audited eps (the fast tail bound controls dist^2 >=
-    eps), otherwise the configured schedule and the audited epsilons."""
+    """A parsed config.  ``sched`` is the schedule the ensemble runs: the
+    configured one, or the one the audit derives."""
 
     space: str
     problem: Problem
@@ -301,10 +312,109 @@ class Experiment:
     seed: int
     threads: int
     epsilons: tuple[float, ...]
-    thresholds: tuple[float, ...]
-    lam: float | None
-    fast: FastCertificate | None
-    liminf: dict | None
+    audit: Audit
+
+
+# Audit kinds.  A reader runs when the config is read.  From its field's value
+# (None when absent) it returns the kind's parameters, the schedule the
+# ensemble runs and the thresholds it tracks.  A check is built by `audit`
+# alone, before the ensemble runs, so a missing modulus (exit 5) or an index
+# that cannot be computed (exit 1) fails first; it returns stats ->
+# AuditReport.  Both call harness and algorithms functions by their module
+# names at call time, so a wrapper bound to a name sees every call.
+
+
+def _configured_schedule(top: dict, problem: Problem, algorithm: str, x0: Point) -> StepSchedule:
+    sched = _read_schedule(_need(top, "schedule", "config"), "config.schedule")
+    _build("config", validate_run, problem, algorithm, sched, x0)
+    return sched
+
+
+def _read_rate(v, path, top, problem, algorithm, x0, epsilons):
+    lam = None if v is None else _as_float(v, path)  # only the audit requires it
+    if lam is not None and not 0.0 < lam < 1.0:
+        raise ConfigError(f"{path}: must lie in (0,1), got {lam}")
+    return lam, _configured_schedule(top, problem, algorithm, x0), epsilons
+
+
+def _read_fast(v, path, top, problem, algorithm, x0, epsilons):
+    """The certificate and its root schedule, so infeasible parameters fail
+    every subcommand; the fast tail bound controls dist^2 >= eps at sqrt(eps)."""
+    doc = _fields(v, ("c", "r"), path)
+    c, r = _number(doc, "c", path), _integer(doc, "r", path, lo=1)
+    if algorithm != "skm":
+        raise ConfigError(f"{path}: fast-rate audits are defined for algorithm 'skm'")
+    if "schedule" in top:
+        raise ConfigError("config.schedule: the fast audit derives the schedule; drop the key")
+    cert, sched = _build(path, fast_certificate_skm, problem, c, r, x0)
+    return cert, sched, tuple(math.sqrt(e) for e in epsilons)
+
+
+def _read_liminf(v, path, top, problem, algorithm, x0, epsilons):
+    doc = _fields(v, ("epsilon", "start"), path)
+    eps, start = _number(doc, "epsilon", path), _integer(doc, "start", path, lo=0)
+    if not eps > 0.0:
+        raise ConfigError(f"{path}.epsilon: must be > 0, got {eps}")
+    return (eps, start), _configured_schedule(top, problem, algorithm, x0), epsilons
+
+
+def _rate_check(exp: Experiment):
+    lam = exp.audit.params
+    if lam is None:
+        raise ConfigError("config.audit.lambda: required for certificate audits")
+    if not exp.epsilons:
+        raise ConfigError("config.audit.epsilons: at least one threshold required")
+    certificate = getattr(algorithms, f"certificate_{exp.algorithm}")
+    try:
+        cert = certificate(exp.problem, exp.sched, exp.x0)
+    except NoModulusKnownError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    rates = {
+        eps: _build(f"config.audit.epsilons[{i}]", cert.metric_rates, eps, lam)
+        for i, eps in enumerate(exp.epsilons)
+    }
+    return lambda stats: certificate_audit(stats, rates, lam)
+
+
+def _fast_check(exp: Experiment):
+    return lambda stats: fast_audit(stats, exp.audit.params, exp.epsilons)
+
+
+def _liminf_check(exp: Experiment):
+    eps, start = exp.audit.params
+    phi = gap_window(exp.problem, exp.algorithm, exp.sched, exp.x0)
+    # The end grows like e^(budget / (a eps)) for a harmonic schedule.
+    step = "config.schedule.a" if isinstance(exp.sched, moduli.Harmonic) else "config.schedule"
+    end = _build(f"{step} with config.audit.liminf.epsilon={eps!r}", phi, eps, start)
+    return lambda stats: liminf_audit(stats, end, eps, start)
+
+
+class _AuditKind(NamedTuple):
+    field: str  # beside epsilons, under config.audit
+    read: Callable
+    check: Callable
+    # AuditRecord.criterion -> the check's printed name and, for a record read
+    # off a curve, the curves.csv column `report` shows at the index, labelled.
+    criteria: dict[str, tuple[str, str | None, str | None]]
+
+
+# One entry per AuditReport.kind.  A config asks for a kind by its field; the
+# first kind, the rate certificate, needs none and is the default.
+_AUDITS = {
+    "rate": _AuditKind("lambda", _read_rate, _rate_check, {
+        "mean": ("mean-rate certificate check", "mean_dist", "curve value there"),
+        "almost_sure": ("almost-sure tail check", None, None),
+    }),
+    "fast": _AuditKind("fast", _read_fast, _fast_check, {
+        "fast_mean_envelope": ("fast-rate envelope check", "mean_sq_dist", "curve value there"),
+        "fast_tail": ("fast-rate tail check", None, None),
+    }),
+    "liminf": _AuditKind("liminf", _read_liminf, _liminf_check, {
+        "gap_window": ("gap-window (liminf) check", "mean_gap", "mean gap at window end"),
+    }),
+}
 
 
 def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
@@ -326,38 +436,6 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
     horizon = _integer(ens, "horizon", path, lo=0)
     seed = _integer(ens, "seed", path, lo=0, hi=2**64 - 1)
     threads = _integer(ens, "threads", path, lo=1, default=1)
-
-    epsilons: tuple[float, ...] = ()
-    lam = None
-    fast_params = fast = None
-    liminf = None
-    if "audit" in top:
-        aud = _fields(top["audit"], ("epsilons", "lambda", "fast", "liminf"), "config.audit")
-        epsilons = _numbers(aud, "epsilons", "config.audit")
-        if any(not e > 0.0 for e in epsilons):
-            raise ConfigError("config.audit.epsilons: thresholds must be > 0")
-        if len(set(epsilons)) != len(epsilons):
-            raise ConfigError("config.audit.epsilons: thresholds must be distinct")
-        if "lambda" in aud:
-            lam = _number(aud, "lambda", "config.audit")
-            if not 0.0 < lam < 1.0:
-                raise ConfigError(f"config.audit.lambda: must lie in (0,1), got {lam}")
-        if "fast" in aud:
-            path = "config.audit.fast"
-            fd = _fields(aud["fast"], ("c", "r"), path)
-            fast_params = (_number(fd, "c", path), _integer(fd, "r", path, lo=1))
-            if algorithm != "skm":
-                raise ConfigError(f"{path}: fast-rate audits are defined for algorithm 'skm'")
-        if "liminf" in aud:
-            path = "config.audit.liminf"
-            ld = _fields(aud["liminf"], ("epsilon", "start"), path)
-            eps_l, start = _number(ld, "epsilon", path), _integer(ld, "start", path, lo=0)
-            if not eps_l > 0.0:
-                raise ConfigError(f"{path}.epsilon: must be > 0, got {eps_l}")
-            liminf = {"epsilon": eps_l, "start": start}
-        if fast_params is not None and liminf is not None:
-            raise ConfigError("config.audit: choose at most one of 'fast' and 'liminf'")
-
     if seed_override is not None:
         if not 0 <= seed_override < 2**64:
             raise ConfigError(
@@ -365,33 +443,26 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
             )
         seed = seed_override
 
-    # Cross-field validity (algorithm/problem/schedule/start point); the
-    # fast certificate checks the run on the schedule it derives.
-    thresholds = epsilons
-    if fast_params is None:
-        sched = _read_schedule(_need(top, "schedule", "config"), "config.schedule")
-        _build("config", validate_run, problem, algorithm, sched, x0)
-    elif "schedule" in top:
-        raise ConfigError("config.schedule: the fast audit derives the schedule; drop the key")
-    else:
-        fast, sched = _build("config.audit.fast", fast_certificate_skm, problem, *fast_params, x0)
-        thresholds = tuple(math.sqrt(e) for e in epsilons)
-
+    # A config without an audit block asks for the default kind, with no thresholds.
+    path = "config.audit"
+    aud = _as_dict(top.get("audit", {"epsilons": []}), path)
+    asked = [k for k in list(_AUDITS)[1:] if _AUDITS[k].field in aud]
+    if len(asked) > 1:
+        fields = " and ".join(repr(_AUDITS[k].field) for k in asked)
+        raise ConfigError(f"{path}: choose at most one of {fields}")
+    kind = asked[0] if asked else next(iter(_AUDITS))
+    field = _AUDITS[kind].field
+    epsilons = _numbers(_fields(aud, ("epsilons", field), path), "epsilons", path)
+    if any(not e > 0.0 for e in epsilons):
+        raise ConfigError(f"{path}.epsilons: thresholds must be > 0")
+    if len(set(epsilons)) != len(epsilons):
+        raise ConfigError(f"{path}.epsilons: thresholds must be distinct")
+    params, sched, thresholds = _AUDITS[kind].read(
+        aud.get(field), f"{path}.{field}", top, problem, algorithm, x0, epsilons
+    )
     return Experiment(
-        space=space,
-        problem=problem,
-        algorithm=algorithm,
-        sched=sched,
-        x0=x0,
-        paths=paths,
-        horizon=horizon,
-        seed=seed,
-        threads=threads,
-        epsilons=epsilons,
-        thresholds=thresholds,
-        lam=lam,
-        fast=fast,
-        liminf=liminf,
+        space, problem, algorithm, sched, x0, paths, horizon, seed, threads, epsilons,
+        Audit(kind, params, thresholds),
     )
 
 
@@ -402,65 +473,29 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
 
 def _run_stats(exp: Experiment) -> EnsembleStats:
     return run_ensemble(
-        exp.problem,
-        exp.algorithm,
-        exp.sched,
-        exp.x0,
-        exp.paths,
-        exp.horizon,
-        exp.seed,
-        exp.thresholds,
-        threads=exp.threads,
+        exp.problem, exp.algorithm, exp.sched, exp.x0, exp.paths, exp.horizon, exp.seed,
+        exp.audit.thresholds, threads=exp.threads,
     )
 
 
-def _audit_check(exp: Experiment):
-    """The configured audit, as a function of the ensemble statistics.  It
-    builds the rate certificate and its indices, or the gap window and its
-    end, now, so a missing modulus (exit 5) or a threshold whose index
-    cannot be computed (exit 1) fails before any ensemble work."""
-    if exp.fast is not None:
-        return lambda stats: fast_audit(stats, exp.fast, exp.epsilons)
-    if exp.liminf is not None:
-        eps, start = exp.liminf["epsilon"], exp.liminf["start"]
-        phi = gap_window(exp.problem, exp.algorithm, exp.sched, exp.x0)
-        # The end grows like e^(budget / (a eps)) for a harmonic schedule.
-        step = "config.schedule.a" if isinstance(exp.sched, moduli.Harmonic) else "config.schedule"
-        end = _build(f"{step} with config.audit.liminf.epsilon={eps!r}", phi, eps, start)
-        return lambda stats: liminf_audit(stats, end, eps, start)
-    if exp.lam is None:
-        raise ConfigError("config.audit.lambda: required for certificate audits")
-    if not exp.epsilons:
-        raise ConfigError("config.audit.epsilons: at least one threshold required")
-    # Looked up by module attribute, so a wrapper bound to it sees the call.
-    certificate = getattr(algorithms, f"certificate_{exp.algorithm}")
-    try:
-        cert = certificate(exp.problem, exp.sched, exp.x0)
-    except NoModulusKnownError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    rates = {
-        eps: _build(f"config.audit.epsilons[{i}]", cert.metric_rates, eps, exp.lam)
-        for i, eps in enumerate(exp.epsilons)
-    }
-    return lambda stats: certificate_audit(stats, rates, exp.lam)
-
-
 def _print_records(report: AuditReport, details) -> dict[str, int]:
-    """One PASS/FAIL/UNCHECKED line per record, ``details(record)`` after
-    the threshold, then the record's note; returns the count per status."""
+    """One PASS/FAIL/UNCHECKED line per record, ``details(record, column,
+    label)`` after the threshold, then the record's note; returns the count
+    per status.  An unknown criterion prints by its name."""
     counts = {"PASS": 0, "FAIL": 0, "UNCHECKED": 0}
     for r in report.records:
         status = {True: "PASS", False: "FAIL", None: "UNCHECKED"}[r.bound_satisfied]
         counts[status] += 1
-        name = _CHECK_NAMES.get(r.criterion, r.criterion)
-        print(f"[{status}] {name}: eps={r.epsilon:g}{details(r)}")
+        name, *shown = next(
+            (k.criteria[r.criterion] for k in _AUDITS.values() if r.criterion in k.criteria),
+            (r.criterion, None, None),
+        )
+        print(f"[{status}] {name}: eps={r.epsilon:g}{details(r, *shown)}")
         print(f"    {r.note}")
     return counts
 
 
-def _audit_details(r: AuditRecord) -> str:
+def _audit_details(r: AuditRecord, *_) -> str:
     obs = "n/a" if r.observed_value_at_index is None else f"{r.observed_value_at_index:.6g}"
     margin = "n/a" if r.mc_margin is None else f"{r.mc_margin:.6g}"
     return f" index={_index_label(r.predicted_index)} observed={obs} margin={margin}"
@@ -488,16 +523,14 @@ def cmd_run(exp: Experiment, out_prefix: str) -> int:
 
 
 def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) -> int:
-    check = _audit_check(exp)
+    check = _AUDITS[exp.audit.kind].check(exp)
     if curves_path is not None:
         try:
             cols = load_curves(curves_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"--curves {curves_path}: {exc}") from exc
-        stats = stats_from_curves(
-            cols, exp.algorithm, exp.space, exp.paths, exp.seed
-        )
-        missing = [t for t in exp.thresholds if t not in stats.tail]
+        stats = stats_from_curves(cols, exp.algorithm, exp.space, exp.paths, exp.seed)
+        missing = [t for t in exp.audit.thresholds if t not in stats.tail]
         if missing:
             raise ConfigError(
                 f"--curves {curves_path}: missing tail thresholds {missing}; "
@@ -511,7 +544,6 @@ def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) 
         written = export_results(stats, report, out_prefix)
     else:
         written = [write_audit(report, out_prefix)]
-
     _print_records(report, _audit_details)
     for path in written:
         print(f"wrote {path}")
@@ -524,25 +556,18 @@ def cmd_report(out_prefix: str) -> int:
     cols = load_curves(f"{out_prefix}curves.csv")
     horizon = len(cols["n"]) - 1
 
-    header = (
+    lam = "" if report.lam is None else f" lambda={report.lam:g}"
+    print(
         f"fejerlab report: kind={report.kind} algorithm={report.algorithm} "
-        f"paths={report.paths} horizon={report.horizon}"
+        f"paths={report.paths} horizon={report.horizon}{lam}"
     )
-    if report.lam is not None:
-        header += f" lambda={report.lam:g}"
-    print(header)
     if not report.records:
         return EXIT_OK
 
-    def details(r: AuditRecord) -> str:
+    def details(r: AuditRecord, column: str | None, label: str | None) -> str:
         line = f" predicted index {_index_label(r.predicted_index)}"
-        if r.predicted_index <= horizon:
-            idx = r.predicted_index
-            if r.criterion in ("mean", "fast_mean_envelope"):
-                curve = cols["mean_dist" if r.criterion == "mean" else "mean_sq_dist"][idx]
-                line += f" | curve value there {curve:.6g}"
-            elif r.criterion == "gap_window":
-                line += f" | mean gap at window end {cols['mean_gap'][idx]:.6g}"
+        if r.predicted_index <= horizon and column is not None:
+            line += f" | {label} {cols[column][r.predicted_index]:.6g}"
         if r.observed_value_at_index is not None:
             line += f" | audited value {r.observed_value_at_index:.6g}"
         if r.mc_margin is not None:

@@ -429,6 +429,10 @@ class AuditReport:
         return AuditReport(lam=doc["lambda"], **fields)
 
 
+def _report(kind: str, stats: EnsembleStats, lam: float | None, records) -> AuditReport:
+    return AuditReport(kind, stats.algorithm, stats.paths, stats.horizon, lam, records)
+
+
 def liminf_witness_check(
     stats: EnsembleStats, eps: float, start: int, bound_index: int
 ) -> int | None:
@@ -525,14 +529,7 @@ def certificate_audit(
                     ),
                 )
             )
-    return AuditReport(
-        kind="rate",
-        algorithm=stats.algorithm,
-        paths=stats.paths,
-        horizon=stats.horizon,
-        lam=lam,
-        records=records,
-    )
+    return _report("rate", stats, lam, records)
 
 
 def _default_grid(horizon: int) -> list[int]:
@@ -552,27 +549,18 @@ def fast_audit(
     the tail bound P(sup_{m>=n} dist_m >= sqrt(eps)) <= K(u+2d)/(eps(n+r))
     on a grid of indices.  Tail thresholds sqrt(eps) must be among the
     ensemble's thresholds."""
-    records: list[AuditRecord] = []
     n_arr = np.arange(stats.horizon + 1)
     env = cert.u / (n_arr + cert.r)
     se = stats.stderr_sq_dist()
     slack = env + 3.0 * se - stats.mean_sq_dist
     worst = int(np.argmin(slack))
-    records.append(
-        AuditRecord(
-            0.0,
-            "fast_mean_envelope",
-            worst,
-            float(stats.mean_sq_dist[worst]),
-            bool(slack[worst] >= 0.0),
-            float(slack[worst]),
-            note=(
-                f"E[dist^2] vs u/(n+r) over all n in [0, {stats.horizon}]; "
-                f"tightest index {worst}, bound {env[worst]:.6g}, "
-                f"tolerance 3 stderr = {3.0 * float(se[worst]):.3g}"
-            ),
-        )
+    note = (
+        f"E[dist^2] vs u/(n+r) over all n in [0, {stats.horizon}]; "
+        f"tightest index {worst}, bound {env[worst]:.6g}, "
+        f"tolerance 3 stderr = {3.0 * float(se[worst]):.3g}"
     )
+    observed, margin = float(stats.mean_sq_dist[worst]), float(slack[worst])
+    records = [AuditRecord(0.0, "fast_mean_envelope", worst, observed, margin >= 0.0, margin, note)]
     grid = _default_grid(stats.horizon) if grid is None else sorted(set(grid))
     for eps in epsilons:
         eps = float(eps)
@@ -606,14 +594,7 @@ def fast_audit(
                     ),
                 )
             )
-    return AuditReport(
-        kind="fast",
-        algorithm=stats.algorithm,
-        paths=stats.paths,
-        horizon=stats.horizon,
-        lam=None,
-        records=records,
-    )
+    return _report("fast", stats, None, records)
 
 
 def _index_label(idx: int) -> str:
@@ -654,23 +635,10 @@ def liminf_audit(stats: EnsembleStats, bound_idx: int, eps: float, start: int) -
     else:
         observed, held = float(np.min(stats.mean_gap[start : bound_idx + 1])), False
         note = f"{window}: no iterate with mean gap below {eps:g} (minimum {observed:.6g})"
-    record = AuditRecord(
-        eps,
-        "gap_window",
-        bound_idx,
-        observed,
-        held,
-        None if observed is None else eps - observed,
-        note=f"{note}; {_GAP_CAVEAT}",
-    )
-    return AuditReport(
-        kind="liminf",
-        algorithm=stats.algorithm,
-        paths=stats.paths,
-        horizon=stats.horizon,
-        lam=None,
-        records=[record],
-    )
+    margin = None if observed is None else eps - observed
+    note += f"; {_GAP_CAVEAT}"
+    record = AuditRecord(eps, "gap_window", bound_idx, observed, held, margin, note)
+    return _report("liminf", stats, None, [record])
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,10 @@ from . import rng
 #: Absolute tolerance for every geometric identity check in the package.
 GEOM_TOL = 1e-10
 
-#: Config points: |coordinate| <= DOMAIN, half-plane heights >= 1/DOMAIN; d, d^2 stay finite.
-DOMAIN = 1e100
+#: Config coordinates and set parameters lie in +-DOMAIN, half-plane heights >= 1/DOMAIN.  So
+#: d <= 2 DOMAIN sqrt(dim), and the ensemble's sums of d^4 (and gap^2, gap <= d^2) over paths
+#: stay below (2 DOMAIN)^4 dim^2 paths = 1.6e201 dim^2 paths: finite while dim^2 paths < 1e107.
+DOMAIN = 1e50
 
 
 # ---------------------------------------------------------------------------

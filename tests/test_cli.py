@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from fejerlab.cli import main, parse_experiment
 from fejerlab.moduli import RootSchedule
 from fejerlab.problems import HALF_SQUARED
-from fejerlab.spaces import Euclidean, HalfPlane, Tripod, geometry_suite
+from fejerlab.spaces import DOMAIN, Euclidean, HalfPlane, Tripod, geometry_suite
 
 # ---------------------------------------------------------------------------
 # Config builders
@@ -400,24 +401,43 @@ def test_audit_fast_rejects_infeasible_parameters(tmp_path, capsys):
         assert "config.audit.fast" in capsys.readouterr().err, command
 
 
-def test_audit_and_reaudit_build_the_fast_certificate_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "make, builder, check",
+    [
+        (rate_config, ("algorithms", "certificate_skm"), "certificate_audit"),
+        (fast_config, ("cli", "fast_certificate_skm"), "fast_audit"),
+        (sb_liminf_config, ("algorithms", "liminf_bound_sb"), "liminf_audit"),
+    ],
+    ids=["rate", "fast", "liminf"],
+)
+def test_audit_and_reaudit_build_the_fast_certificate_once(
+    tmp_path, monkeypatch, make, builder, check
+):
+    """Each kind builds its certificate and its check once per audit, and
+    calls them at the module names a wrapper is bound to."""
+    import fejerlab.algorithms as algorithms
     import fejerlab.cli as cli
 
     calls = []
-    build = cli.fast_certificate_skm
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(cli, "fast_certificate_skm", counted)
-    cfg = write_config(tmp_path, fast_config(paths=16, horizon=40))
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted({"cli": cli, "algorithms": algorithms}[builder[0]], builder[1])
+    counted(cli, check)
+    cfg = write_config(tmp_path, make(paths=16, horizon=40))
     out = str(tmp_path / "f_")
     assert run_cli("audit", "--config", cfg, "--out", out) == 0
-    assert len(calls) == 1
+    assert sorted(calls) == sorted([builder[1], check])
     rc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "re_"), "--curves", out + "curves.csv")
     assert rc == 0
-    assert len(calls) == 2
+    assert sorted(calls) == sorted([builder[1], check] * 2)
 
 
 def test_audit_gap_window_passes_with_witness_and_caveat(tmp_path, capsys):
@@ -564,6 +584,69 @@ def test_report_counts_unchecked_records(tmp_path, capsys):
     assert "checks: 1 passed, 0 failed, 1 unchecked" in printed
 
 
+def _fast_one_eps():
+    cfg = fast_config(paths=16, horizon=40)
+    cfg["audit"]["epsilons"] = [4.0]
+    return cfg
+
+
+_TRUNC = "sup-tail truncated at the horizon (later exceedances unobserved)"
+_RATE_INDICES = "indices: mean=480, as_strict=4800, mean_relaxed=120, as_relaxed=1200"
+
+
+def _fast_tail(n, bound, observed, margin):
+    return [
+        f"[PASS] fast-rate tail check: eps=4 predicted index {n} | audited value {observed} "
+        f"| margin {margin}",
+        f"    P(sup dist >= sqrt(eps)=2) at n={n} vs bound {bound} (+3 binomial stderr); {_TRUNC}",
+    ]
+
+
+# Kind, a small config of it, and report's stdout on that config's audit.
+_REPORTS = [
+    ("rate", lambda: rate_config(paths=32, horizon=700), [
+        "fejerlab report: kind=rate algorithm=skm paths=32 horizon=700 lambda=0.1",
+        "[PASS] mean-rate certificate check: eps=1 predicted index 480 | curve value there "
+        "4.91194e-68 | audited value 4.91194e-68 | margin 1",
+        "    max mean distance over n >= 480, tolerance 3 stderr = 6.74e-68; " + _RATE_INDICES,
+        "[UNCHECKED] almost-sure tail check: eps=1 predicted index 1200",
+        f"    unchecked: index beyond horizon 700; {_TRUNC}; " + _RATE_INDICES,
+        "checks: 1 passed, 0 failed, 1 unchecked",
+    ]),
+    ("fast", _fast_one_eps, [
+        "fejerlab report: kind=fast algorithm=skm paths=16 horizon=40",
+        "[PASS] fast-rate envelope check: eps=0 predicted index 0 | curve value there 2 "
+        "| audited value 2 | margin 0",
+        "    E[dist^2] vs u/(n+r) over all n in [0, 40]; tightest index 0, bound 2, "
+        "tolerance 3 stderr = 0",
+        *_fast_tail(0, "0.5", 0, "0.875"),
+        *_fast_tail(1, "0.470588", 0, "0.844939"),
+        *_fast_tail(10, "0.307692", 0, "0.653846"),
+        *_fast_tail(40, "0.142857", 0, "0.405302"),
+        "checks: 5 passed, 0 failed, 0 unchecked",
+    ]),
+    ("liminf", lambda: sb_liminf_config(paths=16, horizon=200), [
+        "fejerlab report: kind=liminf algorithm=sb paths=16 horizon=200",
+        "[PASS] gap-window (liminf) check: eps=1 predicted index 175 | mean gap at window end "
+        "3.61543e-05 | audited value 0.528627 | margin 0.471373",
+        "    window [0, 175]: witness at n=1 with mean gap 0.528627 < 1; " + _GAP_CAVEAT,
+        "checks: 1 passed, 0 failed, 0 unchecked",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "make, expected", [r[1:] for r in _REPORTS], ids=[r[0] for r in _REPORTS]
+)
+def test_report_prints_each_kind_line_for_line(tmp_path, capsys, make, expected):
+    cfg = write_config(tmp_path, make())
+    out = str(tmp_path / "p_")
+    assert run_cli("audit", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--config", cfg, "--out", out) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_report_missing_outputs_is_an_input_error(tmp_path, capsys):
     cfg = write_config(tmp_path, rate_config(paths=2, horizon=2))
     rc = run_cli("report", "--config", cfg, "--out", str(tmp_path / "nope_"))
@@ -668,11 +751,18 @@ def test_shipped_configs_take_v_from_the_operator_sets(tmp_path, capsys):
     assert parse_experiment(fast).sched == RootSchedule(4.0, 16)
 
 
+_DELETE = object()
+
+
 def _set(doc, path, value):
-    """Set doc[path[0]][path[1]]... = value, inserting the last key if new."""
+    """Set doc[path[0]][path[1]]... = value, inserting the last key if new;
+    ``_DELETE`` removes the last key instead."""
     for key in path[:-1]:
         doc = doc[key]
-    doc[path[-1]] = value
+    if value is _DELETE:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
 
 
 _OP1 = ("problem", "operators", 1)
@@ -737,14 +827,26 @@ _REJECTED = [
      "config.schedule.tail: unknown field(s) ['c']"),
     ("fast-schedule-stated", FAST, ("schedule",), {"kind": "constant", "c": 0.5},
      "config.schedule: the fast audit derives the schedule; drop the key"),
+    ("fast-and-liminf", FAST, ("audit", "liminf"), {"epsilon": 1.0, "start": 0},
+     "config.audit: choose at most one of 'fast' and 'liminf'"),
+    ("fast-not-skm", SEGMENT, ("audit",), {"epsilons": [1.0], "fast": {"c": 2.0, "r": 16}},
+     "config.audit.fast: fast-rate audits are defined for algorithm 'skm'"),
+    ("lambda-under-fast", FAST, ("audit", "lambda"), 0.1,
+     "config.audit: unknown field(s) ['lambda']"),
+    ("lambda-under-liminf", SEGMENT, ("audit", "lambda"), 0.1,
+     "config.audit: unknown field(s) ['lambda']"),
     ("euclidean-far", FLAG, ("x0", "coords"), [1.0, 1e200],
-     "config.x0.coords[1]: 1e+200 is outside the domain [-1e+100, 1e+100]"),
+     "config.x0.coords[1]: 1e+200 is outside the domain [-1e+50, 1e+50]"),
     ("tripod-far", TRIPOD, ("x0", "coord"), 1.5e308,
-     "config.x0.coord: 1.5e+308 is outside the domain [-1e+100, 1e+100]"),
+     "config.x0.coord: 1.5e+308 is outside the domain [-1e+50, 1e+50]"),
     ("halfplane-low", HALFPLANE, ("x0", "y"), 1e-300,
-     "config.x0.y: 1e-300 is outside the domain [1e-100, 1e+100]"),
+     "config.x0.y: 1e-300 is outside the domain [1e-50, 1e+50]"),
     ("halfplane-far-atom", HALFPLANE, ("problem", "atoms", 0, "point", "x"), 1e101,
-     "config.problem.atoms[0].point.x: 1e+101 is outside the domain [-1e+100, 1e+100]"),
+     "config.problem.atoms[0].point.x: 1e+101 is outside the domain [-1e+50, 1e+50]"),
+    ("offset-far", FLAG, (*_OP1, "set", "offset"), 1e51,
+     "config.problem.operators[1].set.offset: 1e+51 is outside the domain [-1e+50, 1e+50]"),
+    ("box-bound-far", SEGMENT, ("problem", "constraint", "hi"), [2.0, 1e51],
+     "config.problem.constraint.hi[1]: 1e+51 is outside the domain [-1e+50, 1e+50]"),
 ]
 
 
@@ -766,11 +868,11 @@ def test_config_defects_are_input_errors_naming_the_field(
 @pytest.mark.parametrize(
     "name, field, value, x0",
     [
-        (FLAG, ("x0", "coords"), [1e100, -1e100], Euclidean((1e100, -1e100))),
-        (TRIPOD, ("x0", "coord"), 1e100, Tripod(0, 1e100)),
-        (HALFPLANE, ("x0", "x"), -1e100, HalfPlane(-1e100, 2.0)),
-        (HALFPLANE, ("x0", "y"), 1e-100, HalfPlane(1.0, 1e-100)),
-        (HALFPLANE, ("x0", "y"), 1e100, HalfPlane(1.0, 1e100)),
+        (FLAG, ("x0", "coords"), [1e50, -1e50], Euclidean((1e50, -1e50))),
+        (TRIPOD, ("x0", "coord"), 1e50, Tripod(0, 1e50)),
+        (HALFPLANE, ("x0", "x"), -1e50, HalfPlane(-1e50, 2.0)),
+        (HALFPLANE, ("x0", "y"), 1e-50, HalfPlane(1.0, 1e-50)),
+        (HALFPLANE, ("x0", "y"), 1e50, HalfPlane(1.0, 1e50)),
     ],
     ids=["euclidean", "tripod", "halfplane-x", "halfplane-low-y", "halfplane-high-y"],
 )
@@ -778,6 +880,27 @@ def test_coordinate_domain_includes_its_bounds(name, field, value, x0):
     cfg = _config(name)
     _set(cfg, field, value)
     assert parse_experiment(cfg).x0 == x0
+
+
+# The fast envelope at n = 0 compares the float mean of equal squares with
+# u/r = d^2(x0) and allows no rounding, so from this start it may fail by a
+# margin of about 1e-16 of the bound; the statistics must still be numbers.
+@pytest.mark.parametrize("name, codes", [(FLAG, (0,)), (FAST, (0, 4))], ids=["flagship", "fast"])
+def test_a_start_at_the_domain_bound_gives_finite_statistics(tmp_path, capsys, name, codes):
+    cfg = _shipped(name)
+    cfg["ensemble"].update(paths=64, horizon=50)
+    cfg["x0"]["coords"] = [DOMAIN, DOMAIN]
+    out = str(tmp_path / "b_")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # NumPy's overflow warning
+        rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", out)
+    assert rc in codes, capsys.readouterr().err
+    with open(out + "curves.csv") as fh:
+        cells = [float(c) for row in list(csv.reader(fh))[1:] for c in row]
+    assert all(math.isfinite(c) for c in cells)
+    with open(out + "audit.json") as fh:
+        margins = [r["mc_margin"] for r in json.load(fh)["records"]]
+    assert all(m is None or math.isfinite(m) for m in margins)
 
 
 _COLD_START = """
@@ -813,13 +936,20 @@ def test_mpmath_loads_only_for_an_exact_sum(tmp_path):
     assert _cold_start(tmp_path, segment, "audit") == "[0] True"
 
 
-# Row id, shipped config, the field to set, its new value, and the field
-# the error must name: thresholds the reader accepts but whose certified
-# index leaves the float or integer range.
+# Row id, shipped config, the field to set, its new value, and how the
+# error must begin: audit requests the reader accepts but whose audit cannot
+# be built, because a certified index leaves the float or integer range or
+# the rate audit lacks what it needs.  `validate` and `run` accept them.
 _NO_INDEX = [
     ("epsilon-huge", FLAG, ("audit", "epsilons"), [0.3, 1e308], "config.audit.epsilons[1]"),
     ("epsilon-subnormal", FLAG, ("audit", "epsilons"), [1e-320, 0.2], "config.audit.epsilons[0]"),
     ("harmonic-a-subnormal", TRIPOD, ("schedule", "a"), 1e-320, "config.schedule.a"),
+    ("lambda-missing", FLAG, ("audit", "lambda"), _DELETE,
+     "config.audit.lambda: required for certificate audits"),
+    ("audit-missing", FLAG, ("audit",), _DELETE,
+     "config.audit.lambda: required for certificate audits"),
+    ("epsilons-empty", FLAG, ("audit", "epsilons"), [],
+     "config.audit.epsilons: at least one threshold required"),
     ("audit-unedited", FLAG, ("audit", "lambda"), 0.1, None),
 ]
 
@@ -832,12 +962,16 @@ def test_audit_index_out_of_range_fails_before_the_ensemble(
 ):
     import fejerlab.cli as cli
 
-    ran = []
-    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: ran.append(a) or 1 / 0)
     cfg = _shipped(name)
     cfg["ensemble"].update(paths=3, horizon=5)
     _set(cfg, field, value)
-    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x_"))
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert run_cli(command, "--config", path, "--out", str(tmp_path / "x_")) == 0, command
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: ran.append(a) or 1 / 0)
+    rc = run_cli("audit", "--config", path, "--out", str(tmp_path / "x_"))
     err = capsys.readouterr().err
     if message is None:  # the control: the stand-in is what the audit calls
         assert rc == 3 and len(ran) == 1, err
