@@ -55,6 +55,7 @@ from .problems import (
     FixedPointProblem,
     MeanMinProblem,
     Problem,
+    _pick,
     busemann_subgradient,
     dist_to_solutions,
     operator_apply,
@@ -98,16 +99,16 @@ def _sppa_lipschitz(problem: MeanMinProblem) -> tuple[float, float]:
 # one of those names sees every call.
 
 
-def _sppa_step(problem: MeanMinProblem, e: int, lam: float, x: Point, images=None) -> Point:
-    return prox_step(problem, e, lam, x)
+def _sppa_step(problem: MeanMinProblem, e: int, lam: float, x: Point, data=None) -> Point:
+    return prox_step(problem, e, lam, x, None if data is None else _pick(data, e))
 
 
-def _skm_step(problem: FixedPointProblem, k: int, lam: float, x: Point, images=None) -> Point:
-    return geodesic_point(x, operator_apply(problem, k, x, images), lam)
+def _skm_step(problem: FixedPointProblem, k: int, lam: float, x: Point, data=None) -> Point:
+    return geodesic_point(x, operator_apply(problem, k, x, data), lam)
 
 
-def _sb_step(problem: BusemannProblem, e: int, t: float, x: Point, images=None) -> Point:
-    xi, s = busemann_subgradient(problem, e, x)
+def _sb_step(problem: BusemannProblem, e: int, t: float, x: Point, data=None) -> Point:
+    xi, s = busemann_subgradient(problem, e, x, None if data is None else _pick(data, e))
     # A zero subgradient (x at the drawn atom) leaves x in place.
     y = x if xi is None else _select(s == 0.0, x, ray_point(x, xi, s * t))
     return project_convex(problem.constraint, y)
@@ -118,11 +119,13 @@ class _Spec:
     """What distinguishes one algorithm from another: its step, validation,
     the rate certificate and the gap window.
 
-    ``step(problem, e, lam, x, images=None)`` is the next iterate from x
+    ``step(problem, e, lam, x, data=None)`` is the next iterate from x
     with drawn index e and step lam; e and x may be an index array and a
-    Euclidean batch.  ``images`` = ``operator_images(problem, x)`` spares
-    the Krasnoselskii-Mann step its projections when the caller took them
-    for the gap at x; the other steps ignore it.  ``lipschitz`` gives (L,
+    Euclidean batch.  ``data`` = ``sample_data(problem, x)``, the per-sample
+    data of every problem, spares the step what the caller took for the gap
+    and the solution distance at x: the Krasnoselskii-Mann step reads its
+    projection T_e x, the proximal and subgradient steps of a distance cost
+    read d(x, a_e).  ``lipschitz`` gives (L,
     Lbar) of the instance, or is None when the analysis has no noise term
     (then L = Lbar = T = 0); ``noise`` is the f of budget_scale = b + f L^2
     T; ``chi_scale`` maps (L, Lbar) to the divisor of eps in the tail

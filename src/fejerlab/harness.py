@@ -11,17 +11,22 @@ is bit-identical across runs.  Everything runs on the calling thread.
 
 One kernel runs every ensemble, step-major: each step advances every
 path by the algorithm's own step from ``algorithms._SPECS``, then takes
+the problem's per-sample data (``sample_data``: the operator images of a
+fixed-point problem, the atom distances of a distance cost),
 ``dist_to_solutions`` and ``gap_F`` at the new points of all paths as one
 batch (a point whose coordinates are columns, one entry per path; see
 ``spaces``), so it runs the scalar runners' arithmetic and equals them bit
-for bit.  A Euclidean ensemble also steps as that one batch.  The tree and
-half-plane spaces, and ``kernel="scalar"``, step path by path: each path
-draws its index from its own stream state (a bisection of the cumulative
-weights, with no NumPy call) and steps as a point, and the points are
-stacked into the batch.  The wide batch draws a column of indices per slice
-of streams.  The kernel streams the distances and gaps into one reducer a
-block of steps at a time, so memory grows with paths plus the horizon, not
-with their product.
+for bit.  The distance and the gap read the per-sample data, and so does
+the next step, so each atom distance is taken once per path-step.  A
+Euclidean ensemble also steps as that one batch.  The tree and half-plane
+spaces, and ``kernel="scalar"``, step path by path: each path draws its
+index from its own stream state (a bisection of the cumulative weights,
+with no NumPy call) and steps as a point with its own atom distances (a
+fixed-point path takes its one projection itself), and the points are
+stacked into the batch.  The wide batch draws a column of indices per
+slice of streams.  The kernel streams the distances and gaps into one
+reducer a block of steps at a time, so memory grows with paths plus the
+horizon, not with their product.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .problems import (
     dist_to_solutions,
     gap_F,
     mean_cost_exact,
-    operator_images,
+    sample_data,
     sample_index,
 )
 from .spaces import Euclidean, Point, contains, distance, sqdist, stack
@@ -175,6 +180,15 @@ def _block_width(n0: int, total: int) -> int:
     return width + 1 if total - n0 - width == 1 else width
 
 
+def _shares(problem: Problem, data, paths: int) -> list:
+    """Each path's atom distances as floats, in path order.  A fixed-point
+    path gets None and takes its one projection itself: its share of the
+    images would be points to rebuild from the batch's columns."""
+    if data is None or isinstance(problem, FixedPointProblem):
+        return [None] * paths
+    return list(zip(*(v.tolist() for v in data)))
+
+
 def _kernel(
     problem: Problem,
     algorithm: str,
@@ -188,17 +202,19 @@ def _kernel(
     """Each step advances every path, then records the distances and gaps
     at the new points as one batch of all paths; a block of steps at a time
     goes to the reducer.  Wide, the paths draw and step as that Euclidean
-    batch; else each path draws and steps as a point, and they are stacked."""
+    batch; else each path draws and steps as a point, and they are stacked.
+    Every step reads the per-sample data the distance and the gap took at
+    its start points."""
     paths = red.paths
     if wide:
         starts = range(0, paths, CHUNK)
         keys = [rng.stream_keys(seed, np.arange(s, min(s + CHUNK, paths))) for s in starts]
+        cum = np.asarray(problem.cum_weights)  # converted once, not per draw
         X = Euclidean(tuple(np.full(paths, c) for c in x0.coords))
     else:
         xs = [x0] * paths
         states = [rng.make_state(seed, p) for p in range(paths)]
     step = _SPECS[algorithm].step
-    fixed_point = isinstance(problem, FixedPointProblem)  # the only images
     n0, width = 0, _block_width(0, horizon + 1)
     dist, gap = np.empty((paths, width)), np.empty((paths, width))
 
@@ -206,19 +222,19 @@ def _kernel(
         if n:
             lam = schedule_value(sched, n - 1)
             if wide:
-                # One row-wise draw per CHUNK slice of keys (the tracer counts
-                # them); the images the gap took at x_{n-1} serve the step.
-                e = [rng.categorical(problem.cum_weights, rng.uniforms(k, n - 1)) for k in keys]
-                X = step(problem, np.concatenate(e), lam, X, images)
+                # One row-wise draw per CHUNK slice of keys (the tracer counts them).
+                e = [rng.categorical(cum, rng.uniforms(k, n - 1)) for k in keys]
+                X = step(problem, np.concatenate(e), lam, X, data)
             else:
-                for p, x in enumerate(xs):
-                    e, states[p] = sample_index(problem, states[p])
-                    xs[p] = step(problem, e, lam, x)
+                drawn = [sample_index(problem, state) for state in states]
+                states = [state for _, state in drawn]
+                shares = _shares(problem, data, paths)
+                xs = [step(problem, e, lam, x, sh) for (e, _), x, sh in zip(drawn, xs, shares)]
         if not wide:
             X = stack(xs)
-        images = operator_images(problem, X) if fixed_point else None
-        dist[:, n - n0] = dist_to_solutions(problem, X)
-        gap[:, n - n0] = gap_F(problem, X, images)
+        data = sample_data(problem, X)
+        dist[:, n - n0] = dist_to_solutions(problem, X, 1, data)
+        gap[:, n - n0] = gap_F(problem, X, data)
         if n - n0 == width - 1:
             red.add(n0, dist, gap)
             n0, width = n0 + width, _block_width(n0 + width, horizon + 1)
@@ -346,10 +362,10 @@ def fejer_margin(
         raise ValueError("relaxation must lie in (0, 1]")
     if algorithm == "sb" and not contains(problem.constraint, x):
         raise ValueError("state x must lie in the constraint set")
-    images = operator_images(problem, x)
-    vals = [sqdist(spec.step(problem, e, step, x, images), z) for e in range(len(weights))]
+    data = sample_data(problem, x)
+    vals = [sqdist(spec.step(problem, e, step, x, data), z) for e in range(len(weights))]
     if algorithm == "skm":
-        rhs = d2 - step * (1.0 - step) * gap_F(problem, x, images)
+        rhs = d2 - step * (1.0 - step) * gap_F(problem, x, data)
     else:
         if algorithm == "sb":
             # The subgradient weights s: 1, or 0 at the atom.
@@ -548,19 +564,25 @@ def fast_audit(
     """Check the fast-rate envelope E[dist^2(x_n)] <= u/(n+r) at every n and
     the tail bound P(sup_{m>=n} dist_m >= sqrt(eps)) <= K(u+2d)/(eps(n+r))
     on a grid of indices.  Tail thresholds sqrt(eps) must be among the
-    ensemble's thresholds."""
+    ensemble's thresholds.
+
+    The envelope holds at n when its slack is at least -(rounding bound)
+    (see ``_envelope_rounding``).  The record shows the least slack, of
+    the indices where the envelope fails if there are any."""
     n_arr = np.arange(stats.horizon + 1)
     env = cert.u / (n_arr + cert.r)
     se = stats.stderr_sq_dist()
     slack = env + 3.0 * se - stats.mean_sq_dist
-    worst = int(np.argmin(slack))
+    ok = slack >= -_envelope_rounding(stats.paths, env, 3.0 * se, stats.mean_sq_dist)
+    held = bool(ok.all())  # a nan slack fails
+    worst = int(np.argmin(slack if held else np.where(ok, np.inf, slack)))
     note = (
         f"E[dist^2] vs u/(n+r) over all n in [0, {stats.horizon}]; "
         f"tightest index {worst}, bound {env[worst]:.6g}, "
         f"tolerance 3 stderr = {3.0 * float(se[worst]):.3g}"
     )
     observed, margin = float(stats.mean_sq_dist[worst]), float(slack[worst])
-    records = [AuditRecord(0.0, "fast_mean_envelope", worst, observed, margin >= 0.0, margin, note)]
+    records = [AuditRecord(0.0, "fast_mean_envelope", worst, observed, held, margin, note)]
     grid = _default_grid(stats.horizon) if grid is None else sorted(set(grid))
     for eps in epsilons:
         eps = float(eps)
@@ -595,6 +617,26 @@ def fast_audit(
                 )
             )
     return _report("fast", stats, None, records)
+
+
+def _envelope_rounding(paths: int, env, tol, mean_sq):
+    """How far below 0 the computed slack env + tol - mean_sq may fall when
+    the exact mean of the squared distances M is at most u/(n+r) + tol.
+
+    Each term of the mean passes through at most paths + 1 roundings (its
+    square, the additions of any summation order, the division), so the
+    mean is M(1 + theta) with |theta| <= gamma_(paths+1), where gamma_k =
+    k e / (1 - k e) and e = 2^-53 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Lemma 3.1 and section 4.2).  env is one
+    rounding of u/(n+r), and the slack rounds twice more.  Carried through,
+    the slack is at least -(1 + e)(gamma_2 (u/(n+r) + tol) + gamma_(paths+1)
+    M), which gamma_(paths+3) (env + tol + mean_sq) bounds for every path
+    count below 10^8.  The bound holds for finite terms only: where one is
+    infinite or nan, the allowance is 0."""
+    k = paths + 3
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    allowance = gamma * (env + tol + mean_sq)
+    return np.where(np.isfinite(allowance), allowance, 0.0)
 
 
 def _index_label(idx: int) -> str:

@@ -23,7 +23,9 @@ The per-sample maps, ``gap_F`` and ``dist_to_solutions`` also take a
 Euclidean batch (see :mod:`fejerlab.spaces`), with an index array of each
 path's drawn atom or operator.  Their branches (x at the drawn atom, the
 drawn set, max(0, .)) go through ``spaces._select``, so a batch equals its
-points bit for bit.
+points bit for bit.  ``sample_data`` takes what they share at x once: the
+operator images of a fixed-point problem, the atom distances of a distance
+cost.
 """
 
 from __future__ import annotations
@@ -89,8 +91,17 @@ def _check_weights(weights: tuple[float, ...]) -> None:
         raise ValueError(f"weights must sum to 1, got {total}")
 
 
-def _cum_weights(weights: tuple[float, ...]) -> np.ndarray:
-    return np.cumsum(np.asarray(weights, dtype=np.float64))
+def _cum_weights(weights: tuple[float, ...]) -> tuple[float, ...]:
+    """The cumulative weights as floats: a draw bisects them (see
+    ``rng.categorical``)."""
+    return tuple(np.cumsum(np.asarray(weights, dtype=np.float64)).tolist())
+
+
+def _solution_atom(atoms, solution_set: ConvexSet) -> int | None:
+    """The index of the atom a point solution set sits at, or None."""
+    if isinstance(solution_set, Ball) and solution_set.radius == 0.0:
+        return next((i for i, (a, _) in enumerate(atoms) if a == solution_set.center), None)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +121,8 @@ class MeanMinProblem:
     solution_anchor: Point
     growth: Growth
     min_value: float = field(init=False)
-    cum_weights: np.ndarray = field(init=False, repr=False)
+    cum_weights: tuple[float, ...] = field(init=False, repr=False)
+    solution_atom: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cost_kind not in (HALF_SQUARED, DISTANCE):
@@ -122,6 +134,7 @@ class MeanMinProblem:
             if space_of(a) != self.space:
                 raise ValueError("atom lies outside the declared space")
         object.__setattr__(self, "cum_weights", _cum_weights(tuple(w for _, w in self.atoms)))
+        object.__setattr__(self, "solution_atom", _solution_atom(self.atoms, self.solution_set))
         object.__setattr__(self, "min_value", mean_cost_exact(self, self.solution_anchor))
 
     @property
@@ -141,7 +154,7 @@ class FixedPointProblem:
     solution_anchor: Point
     v: float
     region_bound: float = math.inf
-    cum_weights: np.ndarray = field(init=False, repr=False)
+    cum_weights: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_weights(self.weights)
@@ -172,7 +185,8 @@ class BusemannProblem:
     solution_anchor: Point
     growth: Growth
     min_value: float = field(init=False)
-    cum_weights: np.ndarray = field(init=False, repr=False)
+    cum_weights: tuple[float, ...] = field(init=False, repr=False)
+    solution_atom: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.space not in ("euclidean", "tripod"):
@@ -186,6 +200,7 @@ class BusemannProblem:
         if not contains(self.constraint, self.solution_anchor):
             raise ValueError("solution anchor does not lie in the constraint set")
         object.__setattr__(self, "cum_weights", _cum_weights(tuple(w for _, w in self.atoms)))
+        object.__setattr__(self, "solution_atom", _solution_atom(self.atoms, self.solution_set))
         object.__setattr__(self, "min_value", mean_cost_exact(self, self.solution_anchor))
 
     @property
@@ -437,6 +452,29 @@ def _atom(problem, e) -> Point:
     return Euclidean(tuple(table[e, i] for i in range(table.shape[1])))
 
 
+def _pick(values, e):
+    """values[e]; for an index array, each path's entry of its own e."""
+    if not isinstance(e, np.ndarray):
+        return values[e]
+    y, *rest = values
+    for j, v in enumerate(rest, 1):
+        y = _select(e == j, v, y)
+    return y
+
+
+def sample_data(problem: Problem, x: Point) -> tuple | None:
+    """What the gap, the solution distance and the step from x share, per
+    atom or operator in order: the images T_i x of a fixed-point problem,
+    the distances d(x, a_i) of a distance cost; None for a half-squared
+    cost, whose Euclidean gap sums squares that distances do not give bit
+    for bit.  Each is what the point API takes at x, bit for bit."""
+    if isinstance(problem, FixedPointProblem):
+        return tuple(project_convex(cset, x) for cset in problem.sets)
+    if problem.cost_kind == HALF_SQUARED:
+        return None
+    return tuple(distance(x, a) for a, _ in problem.atoms)
+
+
 def cost(problem, e: int, x: Point) -> float:
     """Per-sample cost f(e, x)."""
     a = problem.atoms[e][0]
@@ -445,52 +483,62 @@ def cost(problem, e: int, x: Point) -> float:
     return distance(x, a)
 
 
-def mean_cost_exact(problem, x: Point) -> float:
-    """f_bar(x) = sum_i w_i f(i, x), an exact finite sum."""
+def mean_cost_exact(problem, x: Point, data=None) -> float:
+    """f_bar(x) = sum_i w_i f(i, x), an exact finite sum.  ``data`` may
+    pass ``sample_data(problem, x)``, a distance cost's atom distances."""
+    if problem.cost_kind == HALF_SQUARED:
+        costs = [0.5 * sqdist(x, a) for a, _ in problem.atoms]
+    else:
+        costs = [distance(x, a) for a, _ in problem.atoms] if data is None else data
     total = 0.0
-    half = problem.cost_kind == HALF_SQUARED
-    for a, w in problem.atoms:
-        total += w * (0.5 * sqdist(x, a) if half else distance(x, a))
+    for (_, w), c in zip(problem.atoms, costs):
+        total += w * c
     return total
 
 
-def gap_F(problem: Problem, x: Point, images=None) -> float:
+def gap_F(problem: Problem, x: Point, data=None) -> float:
     """The optimality gap F(x): f_bar(x) - min f_bar for minimization
     instances, the mean squared displacement sum_i p_i d^2(T_i x, x) for
     fixed-point instances.  Zero exactly on the solution set.
 
-    ``images`` may pass ``operator_images(problem, x)`` when the caller
-    already has them (the ensemble shares them with the step from x)."""
+    ``data`` may pass ``sample_data(problem, x)`` when the caller already
+    has it (the ensemble shares it with the step from x)."""
     if isinstance(problem, FixedPointProblem):
-        images = operator_images(problem, x) if images is None else images
+        images = sample_data(problem, x) if data is None else data
         total = 0.0
         for y, p in zip(images, problem.weights):
             total += p * sqdist(y, x)
         return total
-    gap = mean_cost_exact(problem, x) - problem.min_value
+    gap = mean_cost_exact(problem, x, data) - problem.min_value
     return _select(gap > 0.0, gap, 0.0)  # max(0.0, gap)
 
 
-def dist_to_solutions(problem: Problem, x: Point, q: int = 1) -> float:
+def dist_to_solutions(problem: Problem, x: Point, q: int = 1, data=None) -> float:
     """d(x, solution set)^q for q in {1, 2}.  On a point solution set (a
-    ball of radius 0) d is d(x, center), the projection's own distance."""
+    ball of radius 0) d is d(x, center), the projection's own distance; at
+    an atom, ``data`` = ``sample_data(problem, x)`` holds it already."""
     if q not in (1, 2):
         raise ValueError(f"distance power must be 1 or 2, got {q}")
     sol = problem.solution_set
-    point = isinstance(sol, Ball) and sol.radius == 0.0
-    d = distance(x, sol.center if point else project_convex(sol, x))
+    atom = None if data is None or isinstance(problem, FixedPointProblem) else problem.solution_atom
+    if atom is not None:
+        d = data[atom]
+    else:
+        point = isinstance(sol, Ball) and sol.radius == 0.0
+        d = distance(x, sol.center if point else project_convex(sol, x))
     return d if q == 1 else d * d
 
 
-def prox_step(problem: MeanMinProblem, e: int, lam: float, x: Point) -> Point:
-    """Closed-form proximal point of f(e, .) with step lam at x."""
+def prox_step(problem: MeanMinProblem, e: int, lam: float, x: Point, d=None) -> Point:
+    """Closed-form proximal point of f(e, .) with step lam at x.  A caller
+    that has d(x, a_e) may pass it as ``d``."""
     if not lam > 0.0:
         raise ValueError(f"prox step must be > 0, got {lam}")
     a = _atom(problem, e)
     if problem.cost_kind == HALF_SQUARED:
-        return geodesic_point(x, a, lam / (1.0 + lam))
+        return geodesic_point(x, a, lam / (1.0 + lam), d)
     # Move min(lam, d) toward the atom; at the atom (d = 0) t = 0 keeps x.
-    d = distance(x, a)
+    d = distance(x, a) if d is None else d
     near = d < lam
     if near is False:  # a point at least lam from the atom, without a select
         return geodesic_point(x, a, lam / d, d)
@@ -498,24 +546,13 @@ def prox_step(problem: MeanMinProblem, e: int, lam: float, x: Point) -> Point:
     return geodesic_point(x, a, t, d)
 
 
-def operator_images(problem: Problem, x: Point) -> tuple[Point, ...] | None:
-    """(T_1 x, ..., T_m x): x projected onto every operator set of a
-    fixed-point problem, in set order; None for the other problems."""
-    if not isinstance(problem, FixedPointProblem):
-        return None
-    return tuple(project_convex(cset, x) for cset in problem.sets)
-
-
 def operator_apply(problem: FixedPointProblem, k: int, x: Point, images=None) -> Point:
     """T_k x, the metric projection onto the k-th set.  For a batch, k holds
     each path's index and T_k x is picked from ``images`` =
-    ``operator_images(problem, x)`` (computed here when not passed)."""
+    ``sample_data(problem, x)`` (computed here when not passed)."""
     if images is None and not isinstance(k, np.ndarray):
         return project_convex(problem.sets[k], x)
-    y, *rest = operator_images(problem, x) if images is None else images
-    for j, image in enumerate(rest, 1):
-        y = _select(k == j, image, y)
-    return y
+    return _pick(sample_data(problem, x) if images is None else images, k)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +561,7 @@ def operator_apply(problem: FixedPointProblem, k: int, x: Point, images=None) ->
 
 
 def busemann_subgradient(
-    problem: BusemannProblem, e: int, x: Point
+    problem: BusemannProblem, e: int, x: Point, d=None
 ) -> tuple[Direction | None, float]:
     """Busemann subgradient of f(e, .) = d(., a_e) at x.
 
@@ -533,10 +570,11 @@ def busemann_subgradient(
     direction of the distance cost), with weight s = 1; at x = a_e the zero
     element (s = 0) is returned.  A batch gets a batch of directions and
     one s per path; a path at its atom has s = 0 and the placeholder
-    direction e_1, which its zero step ignores.
+    direction e_1, which its zero step ignores.  A caller that has d(x,
+    a_e) may pass it as ``d``.
     """
     a = _atom(problem, e)
-    d = distance(x, a)
+    d = distance(x, a) if d is None else d
     if not isinstance(d, np.ndarray) and d == 0.0:
         return None, 0.0
     if isinstance(x, Euclidean):

@@ -99,12 +99,17 @@ def make_state(seed: int, path_index: int = 0) -> RngState:
     return RngState(stream_key(seed, path_index), 0)
 
 
+# Builds a state without the NamedTuple's Python-level __new__.
+_new_state = tuple.__new__
+
+
 def next_uniform(state: RngState) -> tuple[float, RngState]:
     """Draw one uniform [0,1) and return it with the advanced state."""
-    return uniform(state.key, state.counter), RngState(state.key, state.counter + 1)
+    key, counter = state
+    return uniform(key, counter), _new_state(RngState, (key, counter + 1))
 
 
-def categorical(cum_weights: np.ndarray, u) -> "int | np.ndarray":
+def categorical(cum_weights, u) -> "int | np.ndarray":
     """Index of the category whose cumulative-weight cell contains u: the
     first i with u < cum_weights[i], clamped to the last category (the
     cumulative sum may end a rounding below 1).
@@ -112,7 +117,9 @@ def categorical(cum_weights: np.ndarray, u) -> "int | np.ndarray":
     Works for a scalar u (returns int) or an array of u's (returns an int
     array).  A float u takes ``bisect_right``, which makes the same float64
     comparisons as the array's ``searchsorted(side="right")`` without a
-    NumPy call per draw, so scalar and vectorized sampling agree bitwise.
+    NumPy call per draw, so scalar and vectorized sampling agree bitwise;
+    it is fastest on a tuple of floats (a problem's ``cum_weights``), where
+    no probe boxes a NumPy scalar.
     """
     if isinstance(u, float):
         return min(bisect.bisect_right(cum_weights, u), len(cum_weights) - 1)

@@ -44,8 +44,8 @@ from fejerlab.problems import (
     euclid_two_atom_busemann,
     gap_F,
     operator_apply,
-    operator_images,
     r1_single_atom_busemann,
+    sample_data,
     segment_argmin,
     tripod_median,
     two_halfspace,
@@ -457,16 +457,16 @@ def test_batch_step_gap_and_distance_match_the_points(algorithm, problem, lam):
         idx = (np.arange(len(points)) + shift) % terms
         moved = [step(problem, int(e), lam, x) for e, x in zip(idx, points)]
         _assert_batch_is_its_points(step(problem, idx, lam, batch), moved)
-        # The skm step reads the images the gap took, with the same bits.
-        shared = step(problem, idx, lam, batch, operator_images(problem, batch))
+        # The step reads the per-sample data the gap took, with the same bits.
+        shared = step(problem, idx, lam, batch, sample_data(problem, batch))
         _assert_batch_is_its_points(shared, moved)
-    _assert_batch_is_its_points(gap_F(problem, batch), [gap_F(problem, x) for x in points])
-    _assert_batch_is_its_points(
-        gap_F(problem, batch, operator_images(problem, batch)), [gap_F(problem, x) for x in points]
-    )
-    _assert_batch_is_its_points(
-        dist_to_solutions(problem, batch), [dist_to_solutions(problem, x) for x in points]
-    )
+    data = sample_data(problem, batch)
+    gaps = [gap_F(problem, x) for x in points]
+    dists = [dist_to_solutions(problem, x) for x in points]
+    _assert_batch_is_its_points(gap_F(problem, batch), gaps)
+    _assert_batch_is_its_points(gap_F(problem, batch, data), gaps)
+    _assert_batch_is_its_points(dist_to_solutions(problem, batch), dists)
+    _assert_batch_is_its_points(dist_to_solutions(problem, batch, 1, data), dists)
 
 
 def test_one_point_steps_keep_their_shortcuts():

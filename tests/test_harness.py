@@ -24,6 +24,7 @@ from fejerlab.harness import (
     AuditReport,
     EnsembleStats,
     _block_width,
+    _envelope_rounding,
     _Reducer,
     certificate_audit,
     curves_csv_text,
@@ -36,7 +37,7 @@ from fejerlab.harness import (
     stats_from_curves,
     tail_probability,
 )
-from fejerlab.moduli import Constant, Harmonic
+from fejerlab.moduli import Constant, FastCertificate, Harmonic
 from fejerlab.problems import (
     DISTANCE,
     build_fixed_point,
@@ -61,6 +62,7 @@ from fejerlab.spaces import (
     Segment,
     Tripod,
     WholeSpace,
+    distance,
 )
 
 H11 = Harmonic(1.0, 1.0)
@@ -413,6 +415,80 @@ def test_batched_observables_match_the_point_api(name):
     )
     assert_stats_equal(stats, ref)
     assert np.any(stats.std_dist > 0.0) and np.any(stats.mean_gap > 0.0)
+
+
+# name -> (problem, algorithm, schedule, start) of one long path that takes
+# a step from its drawn atom (d = 0) and steps nearer than lambda (d < lambda).
+_LONG_PATH_CASES = {
+    "halfplane-sppa": lambda: (
+        halfplane_majority(), "sppa", H11, HalfPlane(0.0, math.exp(1.15))
+    ),
+    "tripod-sppa": lambda: (tripod_median(), "sppa", Harmonic(50.0, 1.0), Tripod(0, 1.5)),
+    "tripod-sb": lambda: (tripod_median_busemann(), "sb", Harmonic(10.0, 1.0), Tripod(1, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_PATH_CASES))
+def test_shared_distances_match_the_point_api_on_one_long_path(name):
+    # The kernel takes each atom's distance once per step, and the solution
+    # distance, the gap and the next step all read it.  On one path the
+    # ensemble's means are that path's own values: they must equal the point
+    # API's at the runner's iterates (the runner shares nothing) bit for bit.
+    problem, algorithm, sched, x0 = _LONG_PATH_CASES[name]()
+    horizon, seed = 240, 13
+    run = {"sppa": run_sppa, "sb": run_sb}[algorithm]
+    traj = run(problem, sched, x0, horizon, seed)
+    stats = run_ensemble(problem, algorithm, sched, x0, 1, horizon, seed, ())
+    dist = np.array([dist_to_solutions(problem, x) for x in traj.points])
+    gap = np.array([gap_F(problem, x) for x in traj.points])
+    assert np.array_equal(stats.mean_dist.view(np.uint64), dist.view(np.uint64))
+    assert np.array_equal(stats.mean_gap.view(np.uint64), gap.view(np.uint64))
+    # Both branches of a step toward the drawn atom were taken, twice each.
+    d = [distance(x, problem.atoms[e][0]) for x, e in zip(traj.points, traj.indices)]
+    assert sum(di == 0.0 for di in d) >= 2
+    assert sum(0.0 < di < lam for di, lam in zip(d, traj.steps)) >= 2
+
+
+def _envelope_record(cert, mean_sq, paths=64):
+    """fast_audit's envelope record on a hand-built ensemble of `paths`
+    paths with these means of squares at n = 0, 1, ... and no spread."""
+    zeros = np.zeros(len(mean_sq))
+    stats = EnsembleStats(
+        "skm", "euclidean", paths, len(mean_sq) - 1, 1, (), zeros, np.array(mean_sq), zeros,
+        zeros, zeros, zeros,
+    )
+    (record,) = fast_audit(stats, cert, ()).records
+    return record
+
+
+def test_fast_envelope_allows_the_rounding_of_its_mean_and_no_more():
+    # Every path sits at d^2 = 2e100 = u/r: the exact mean of squares meets
+    # the envelope at n = 0, and only rounding can put it above.
+    cert = FastCertificate(K=1.0, u=16 * 2e100, d=0.0, r=16)
+    env = cert.u / 16
+    allowance = _envelope_rounding(64, env, 0.0, env)
+    assert 0.0 < allowance < 1e-13 * env
+    for mean_sq, held in (
+        (env, True),
+        (env + 0.5 * allowance, True),
+        (env + 2.0 * allowance, False),
+        (env * (1.0 + 1e-12), False),
+    ):
+        record = _envelope_record(cert, [mean_sq])
+        assert record.bound_satisfied is held, mean_sq
+        assert record.mc_margin == env - mean_sq  # the printed margin is the raw slack
+    # A nan or infinite statistic fails, as it did before the allowance.
+    record = _envelope_record(cert, [math.nan])
+    assert record.bound_satisfied is False and math.isnan(record.mc_margin)
+    record = _envelope_record(cert, [math.inf])
+    assert record.bound_satisfied is False and record.mc_margin == -math.inf
+    # With r = 1 the bound halves from n = 0 to n = 1, and so does the
+    # allowance: a smaller excess fails at n = 1, while n = 0's larger one
+    # is rounding.  The record names the failing index.
+    a0 = _envelope_rounding(64, 2e100, 0.0, 2e100)
+    cert1 = FastCertificate(K=1.0, u=2e100, d=0.0, r=1)
+    record = _envelope_record(cert1, [2e100 + 0.9 * a0, 1e100 + 0.7 * a0])
+    assert (record.bound_satisfied, record.predicted_index) == (False, 1)
 
 
 def test_ensemble_memory_is_bounded_in_the_horizon():

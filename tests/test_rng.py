@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fejerlab import rng
+from fejerlab.problems import _cum_weights
 
 
 def test_uniform_range_and_determinism():
@@ -75,6 +76,36 @@ def test_scalar_categorical_matches_the_array_branch_bit_for_bit(weights):
         for scalar in (u, np.float64(u)):
             j = rng.categorical(cum, scalar)
             assert type(j) is int and j == i, (weights, u)
+
+
+@pytest.mark.parametrize(
+    "weights", [(1.0,), (0.6, 0.2, 0.2), (0.25, 0.5, 0.25), (0.2, 0.3, 0.5), (0.1,) * 10]
+)
+def test_categorical_on_a_tuple_matches_searchsorted(weights):
+    """A problem keeps its cumulative weights as a tuple of floats, which a
+    float u bisects; NumPy's searchsorted on the array, clamped, is the
+    reference at 0, on and beside each cumulative weight, and at the largest
+    uniform (past the last weight when they sum below 1)."""
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    table = _cum_weights(weights)
+    assert type(table) is tuple and table == tuple(cum.tolist())
+    us = [0.0, _TOP_UNIFORM]
+    for c in cum:
+        us += [float(c), float(np.nextafter(c, 0.0)), float(np.nextafter(c, 1.0))]
+    us = [u for u in us if u <= _TOP_UNIFORM]
+    expected = np.minimum(np.searchsorted(cum, us, side="right"), len(cum) - 1).tolist()
+    for u, i in zip(us, expected):
+        j = rng.categorical(table, u)
+        assert type(j) is int and j == i, (weights, u)
+    assert rng.categorical(table, np.array(us)).tolist() == expected
+
+
+def test_next_uniform_returns_a_state():
+    state = rng.make_state(5, 3)
+    u, after = rng.next_uniform(state)
+    assert type(after) is rng.RngState and after == rng.RngState(state.key, 1)
+    assert (after.key, after.counter) == (state.key, 1)
+    assert u == rng.uniform(state.key, 0)
 
 
 def test_categorical_clamps_when_the_weights_sum_below_one():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 
 import mpmath
@@ -85,6 +86,65 @@ def test_points_reject_nan_coordinates():
     ):
         with pytest.raises(ValueError, match=f"half-plane point needs .*{coord}"):
             HalfPlane(x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        (math.nan, 1.0, "half-plane point needs a finite x, got x=nan"),
+        (math.inf, 1.0, "half-plane point needs a finite x, got x=inf"),
+        (-math.inf, 2, "half-plane point needs a finite x, got x=-inf"),
+        (0.0, math.nan, "half-plane point needs y > 0, got y=nan"),
+        (0.0, 0.0, "half-plane point needs y > 0, got y=0.0"),
+        (1, -0.0, "half-plane point needs y > 0, got y=-0.0"),
+        (0.0, -1, "half-plane point needs y > 0, got y=-1.0"),
+        (0.0, -math.inf, "half-plane point needs y > 0, got y=-inf"),
+        (0.0, math.inf, "half-plane point needs a finite y, got y=inf"),
+    ],
+)
+def test_halfplane_point_rejects_with_its_message_whatever_the_number_type(x, y, message):
+    # Python floats, ints and NumPy floats are refused with the same words.
+    for cast in (lambda v: v, np.float64):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HalfPlane(cast(x), cast(y))
+
+
+@pytest.mark.parametrize(
+    "x, y", [(0.0, 1.0), (-0.0, 5e-324), (3, 2), (np.float64(-2.5), np.float64(1e308)),
+             (np.float32(0.1), 7)]
+)
+def test_halfplane_point_stores_python_floats(x, y):
+    p = HalfPlane(x, y)
+    assert type(p.x) is float and type(p.y) is float
+    assert (math.copysign(1.0, p.x), p.x, p.y) == (math.copysign(1.0, float(x)), float(x), float(y))
+
+
+@pytest.mark.parametrize(
+    "ray, coord, message",
+    [
+        (1, math.nan, "tripod coordinate must be >= 0, got nan"),
+        (0, -1.0, "tripod coordinate must be >= 0, got -1.0"),
+        (2, -math.inf, "tripod coordinate must be >= 0, got -inf"),
+        (3, 1.0, "tripod ray must be 0, 1 or 2, got 3"),
+        (-1, 2, "tripod ray must be 0, 1 or 2, got -1"),
+    ],
+)
+def test_tripod_point_rejects_with_its_message_whatever_the_number_type(ray, coord, message):
+    for cast in (lambda v: v, np.float64):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Tripod(ray, cast(coord))
+
+
+def test_tripod_point_stores_python_floats_and_one_origin():
+    for ray, coord in ((2, 1), (1, np.float64(0.5)), (0, math.inf), (1, 5e-324)):
+        p = Tripod(ray, coord)
+        assert (p.ray, type(p.coord), p.coord) == (ray, float, float(coord))
+    # Every zero, on every ray and of every sign and type, is the origin on ray 0.
+    for ray in (0, 1, 2):
+        for zero in (0.0, -0.0, 0, np.float64(-0.0)):
+            p = Tripod(ray, zero)
+            assert p == TRIPOD_ORIGIN and p.ray == 0
+            assert type(p.coord) is float and math.copysign(1.0, p.coord) == 1.0
 
 
 def test_halfplane_geodesic_out_of_float_range_names_the_geodesic():
