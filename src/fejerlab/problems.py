@@ -52,7 +52,6 @@ from .spaces import (
     Tripod,
     TripodEnd,
     TripodSegment,
-    _direction_cols,
     _select,
     contains,
     distance,
@@ -579,7 +578,8 @@ def busemann_subgradient(
         return None, 0.0
     if isinstance(x, Euclidean):
         at_atom = d == 0.0
-        u = _direction_cols(x.coords, a.coords, _select(at_atom, 1.0, d))
+        safe = _select(at_atom, 1.0, d)
+        u = tuple((ai - xi) / safe for xi, ai in zip(x.coords, a.coords))  # (a - x) / d
         e1 = (1.0,) + (0.0,) * (len(u) - 1)
         return EuclideanDir(_select(at_atom, e1, u)), _select(at_atom, 0.0, 1.0)
     # Tripod: classify how the geodesic from x arrives at a and extend it.

@@ -25,10 +25,13 @@ Tripod geometry reads y on the line through x's ray: y's coordinate is +c
 on that ray and -c on another, through the origin, so distances, geodesics
 and rays are the line's, and a point's ray is read off its sign.
 
-The geometry of every space is written once, on coordinate columns.  A
-point's coordinates are floats, or 1-D arrays with one entry per path (a
-tripod's ray column is an int array): such a point is a *batch*, and the
-point API runs on it unchanged, path by path in each array entry.  Every
+The point API is the one layer of every space's geometry; no space keeps
+a second copy under it.  A point's coordinates are floats, or 1-D arrays
+with one entry per path (a tripod's ray column is an int array, and a
+Euclidean point's coordinates are its columns): such a point is a *batch*,
+and the point API runs on it unchanged, path by path in each array entry.
+The metric ball's projection is one formula for every space, the point at
+distance r from the centre on the geodesic toward x.  Every
 branch a batch can take per path goes through one select, and each
 transcendental function of a batch goes through libm entry by entry, as for
 a point, so a batch equals its points bit for bit.  A branch a point rarely
@@ -106,7 +109,7 @@ class Euclidean:
 
 @dataclass(frozen=True, init=False)
 class Tripod:
-    """A point of the tripod R-tree: (ray index, nonnegative coordinate), or
+    """A point of the tripod R-tree: (ray index, finite coordinate >= 0), or
     a batch of them (an int ray column and a float coordinate column).
 
     The origin (coordinate 0) is canonically stored on ray 0 so that point
@@ -119,7 +122,7 @@ class Tripod:
     def __init__(self, ray: int, coord: float) -> None:
         if isinstance(ray, np.ndarray) or isinstance(coord, np.ndarray):
             ray, coord = np.broadcast_arrays(ray, np.asarray(coord, np.float64))
-            ok = ((ray == 0) | (ray == 1) | (ray == 2)) & (coord >= 0.0)
+            ok = ((ray == 0) | (ray == 1) | (ray == 2)) & (coord >= 0.0) & (coord < math.inf)
             if not ok.all():  # the first bad path raises the point's error
                 i = int(np.argmin(ok))
                 Tripod(ray[i].item(), coord[i].item())
@@ -129,6 +132,8 @@ class Tripod:
                 raise ValueError(f"tripod ray must be 0, 1 or 2, got {ray}")
             if not coord >= 0.0:
                 raise ValueError(f"tripod coordinate must be >= 0, got {coord}")
+            if coord == math.inf:
+                raise ValueError("tripod coordinate must be finite, got inf")
         zero = coord == 0.0
         if zero is not False:  # the origin on ray 0, and -0.0 as 0.0
             ray, coord = _select(zero, 0, ray), _select(zero, 0.0, coord)
@@ -365,86 +370,6 @@ _LIBM = SimpleNamespace(
 
 
 # ---------------------------------------------------------------------------
-# Euclidean geometry on coordinate columns
-# ---------------------------------------------------------------------------
-# A point is a tuple of coordinate columns: floats for one point, 1-D float64
-# arrays with one entry per path for a batch (a column all paths share may
-# stay a float; NumPy broadcasts it).  Branches go through _select, so a
-# batch equals its points bit for bit.
-
-
-def _sqdist_cols(x, y):
-    """Squared distance, summed coordinate by coordinate."""
-    acc = 0.0
-    for xi, yi in zip(x, y):
-        d = xi - yi
-        acc += d * d
-    return acc
-
-
-def _dist_cols(x, y):
-    acc = _sqdist_cols(x, y)
-    return np.sqrt(acc) if isinstance(acc, np.ndarray) else math.sqrt(acc)
-
-
-def _lerp_cols(x, y, t):
-    """x + t (y - x)."""
-    return tuple(xi + t * (yi - xi) for xi, yi in zip(x, y))
-
-
-def _geodesic_cols(x, y, t):
-    """(1-t)x (+) t y; x itself where t = 0 and y itself where t = 1."""
-    return _select(t == 0.0, x, _select(t == 1.0, y, _lerp_cols(x, y, t)))
-
-
-def _ray_cols(x, u, s):
-    """The point at arclength s from x along the unit direction u."""
-    return tuple(xi + s * ui for xi, ui in zip(x, u))
-
-
-def _direction_cols(x, y, d):
-    """(y - x) / d: the unit direction from x toward y, d = d(x, y)."""
-    return tuple((yi - xi) / d for xi, yi in zip(x, y))
-
-
-def _project_cols(cset, x):
-    """Metric projection onto a convex set of Euclidean points of the same
-    dimension (the point API checks both)."""
-    if isinstance(cset, WholeSpace):
-        return x
-    if isinstance(cset, Ball):
-        c = cset.center.coords
-        d = _dist_cols(x, c)
-        inside = d <= cset.radius
-        # Inside, d may be 0: the divisor is guarded and the result is x.
-        t = cset.radius / _select(inside, 1.0, d)
-        return _select(inside, x, _geodesic_cols(c, x, t))
-    if isinstance(cset, Halfspace):
-        v = 0.0
-        for ni, xi in zip(cset.normal, x):
-            v += ni * xi
-        v = v - cset.offset
-        return _select(v <= 0.0, x, tuple(xi - v * ni for ni, xi in zip(cset.normal, x)))
-    if isinstance(cset, Box):
-        # min(max(x, lo), hi) with Python's tie rules, as selects.
-        m = (_select(xi < lo, lo, xi) for xi, lo in zip(x, cset.lo))
-        return tuple(_select(hi < mi, hi, mi) for mi, hi in zip(m, cset.hi))
-    if isinstance(cset, Segment):
-        a, b = cset.a.coords, cset.b.coords
-        num = 0.0
-        den = 0.0
-        for ai, bi, xi in zip(a, b, x):
-            ab = bi - ai
-            num += (xi - ai) * ab
-            den += ab * ab
-        if den == 0.0:
-            return a
-        t = num / den
-        return _lerp_cols(a, b, _select(t < 0.0, 0.0, _select(t > 1.0, 1.0, t)))
-    raise TypeError(f"not a Euclidean convex set: {cset!r}")
-
-
-# ---------------------------------------------------------------------------
 # Distance
 # ---------------------------------------------------------------------------
 
@@ -454,7 +379,11 @@ def sqdist(x: Point, y: Point) -> float:
     root (exact sum of squared coordinate differences)."""
     _require_same_space(x, y)
     if isinstance(x, Euclidean):
-        return _sqdist_cols(x.coords, y.coords)
+        acc = 0.0
+        for xi, yi in zip(x.coords, y.coords):
+            d = xi - yi
+            acc += d * d
+        return acc
     d = distance(x, y)
     return d * d
 
@@ -463,8 +392,8 @@ def distance(x: Point, y: Point) -> float:
     """The metric of the space both points live in."""
     kind = type(x)
     if kind is Euclidean:
-        _require_same_space(x, y)
-        return _dist_cols(x.coords, y.coords)
+        acc = sqdist(x, y)
+        return np.sqrt(acc) if isinstance(acc, np.ndarray) else math.sqrt(acc)
     if kind is not type(y):
         _require_same_space(x, y)  # raises: the points live in different spaces
     if kind is Tripod:  # on the line through x's ray (see the module notes)
@@ -558,14 +487,14 @@ def geodesic_point(x: Point, y: Point, t: float, d=None) -> Point:
     ok = (0.0 <= t) & (t <= 1.0)
     if ok is not True and not _all(ok):
         raise ValueError(f"geodesic parameter must be in [0,1], got {t}")
-    if kind is Euclidean:
-        p = _geodesic_cols(x.coords, y.coords, t)
-        return x if p is x.coords else y if p is y.coords else Euclidean(p)
     if not isinstance(t, np.ndarray):
         if t == 0.0:
             return x
         if t == 1.0:
             return y
+    if kind is Euclidean:  # x + t (y - x); a batch's paths at t = 0 or 1 take x or y
+        p = tuple(xi + t * (yi - xi) for xi, yi in zip(x.coords, y.coords))
+        return Euclidean(_select(t == 0.0, x.coords, _select(t == 1.0, y.coords, p)))
     if kind is HalfPlane:
         return _halfplane_geodesic(x, y, t, _halfplane_distance(x, y) if d is None else d)
     # The tripod: on the line through x's ray (see the module notes); toward
@@ -592,7 +521,7 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
             raise ValueError("Euclidean point needs a EuclideanDir direction")
         if len(direction.vector) != len(x.coords):
             raise ValueError("direction dimension mismatch")
-        return Euclidean(_ray_cols(x.coords, direction.vector, s))
+        return Euclidean(tuple(xi + s * ui for xi, ui in zip(x.coords, direction.vector)))
     if isinstance(x, Tripod):
         if not isinstance(direction, TripodEnd):
             raise ValueError("tripod point needs a TripodEnd direction")
@@ -634,9 +563,24 @@ def ray_point(x: Point, direction: Direction, s: float) -> Point:
 
 
 def _project_segment(seg: Segment, x: Point) -> Point:
-    """Projection onto a tripod or half-plane segment [a, b]: the distance
-    tau from a to the foot of x, clamped to [0, L], L = d(a, b)."""
+    """Projection onto a segment [a, b]: in R^d the foot's parameter, in the
+    tripod and the half-plane the distance tau from a to the foot of x,
+    clamped to [0, L], L = d(a, b)."""
     a, b = seg.a, seg.b
+    if isinstance(x, Euclidean):
+        num = 0.0
+        den = 0.0
+        for ai, bi, xi in zip(a.coords, b.coords, x.coords):
+            ab = bi - ai
+            num += (xi - ai) * ab
+            den += ab * ab
+        if den == 0.0:
+            return a
+        t = num / den
+        t = _select(t < 0.0, 0.0, _select(t > 1.0, 1.0, t))
+        # The segment's own a + t (b - a), also at a clamped t = 0 or 1, where
+        # geodesic_point would take a or b itself: its bits are the projection's.
+        return Euclidean(tuple(ai + t * (bi - ai) for ai, bi in zip(a.coords, b.coords)))
     L = distance(a, b)
     if L == 0.0:
         return a
@@ -661,27 +605,20 @@ def project_convex(cset: ConvexSet, x: Point) -> Point:
     """Metric projection onto a closed convex set (unique in CAT(0))."""
     if isinstance(cset, WholeSpace):
         return x
-    if isinstance(cset, (Halfspace, Box)):
-        kind = "halfspace" if isinstance(cset, Halfspace) else "box"
-        if not isinstance(x, Euclidean):
-            raise ValueError(f"{kind} projection is Euclidean-only")
-        if euclid_dim(cset) != len(x.coords):
-            raise ValueError(f"{kind} dimension mismatch")
-    elif isinstance(cset, Ball):
-        if not isinstance(x, Euclidean):
-            d = distance(x, cset.center)
-            inside = d <= cset.radius
-            if inside is True:
-                return x
-            # A batch's paths inside take t = 1, x itself (d may be 0 there).
-            t = cset.radius / _select(inside, 1.0, d)
-            return geodesic_point(cset.center, x, _select(inside, 1.0, t))
-        _require_same_space(x, cset.center)
-    elif isinstance(cset, Segment):
+    if isinstance(cset, Ball):
+        # In every space, the point at distance r from the centre toward x.
+        # A NaN distance reads as inside, and a batch's paths inside take
+        # t = 1, x itself (d may be 0 there).
+        d = distance(x, cset.center)
+        outside = d > cset.radius
+        if outside is False:
+            return x
+        t = cset.radius / _select(outside, d, 1.0)
+        return geodesic_point(cset.center, x, _select(outside, t, 1.0))
+    if isinstance(cset, Segment):
         _require_same_space(cset.a, x)
-        if not isinstance(x, Euclidean):
-            return _project_segment(cset, x)
-    elif isinstance(cset, TripodSegment):
+        return _project_segment(cset, x)
+    if isinstance(cset, TripodSegment):
         if not isinstance(x, Tripod):
             raise ValueError("tripod-segment projection needs a tripod point")
         if isinstance(x.ray, np.ndarray):
@@ -692,10 +629,25 @@ def project_convex(cset: ConvexSet, x: Point) -> Point:
         if inside is True:
             return x
         return Tripod(x.ray, _select(inside, x.coord, m))
-    else:
+    if not isinstance(cset, (Halfspace, Box)):
         raise TypeError(f"not a convex set: {cset!r}")
-    p = _project_cols(cset, x.coords)
-    return x if p is x.coords else Euclidean(p)
+    kind = "halfspace" if isinstance(cset, Halfspace) else "box"
+    if not isinstance(x, Euclidean):
+        raise ValueError(f"{kind} projection is Euclidean-only")
+    if euclid_dim(cset) != len(x.coords):
+        raise ValueError(f"{kind} dimension mismatch")
+    if kind == "box":  # min(max(x, lo), hi) with Python's tie rules, as selects
+        m = (_select(xi < lo, lo, xi) for xi, lo in zip(x.coords, cset.lo))
+        return Euclidean(tuple(_select(hi < mi, hi, mi) for mi, hi in zip(m, cset.hi)))
+    v = 0.0
+    for ni, xi in zip(cset.normal, x.coords):
+        v += ni * xi
+    v = v - cset.offset
+    inside = v <= 0.0
+    if inside is True:
+        return x
+    p = tuple(xi - v * ni for ni, xi in zip(cset.normal, x.coords))
+    return Euclidean(_select(inside, x.coords, p))
 
 
 def contains(cset: ConvexSet, x: Point, tol: float = GEOM_TOL) -> bool:

@@ -1035,8 +1035,8 @@ def test_validate_exits_2_on_a_nan_residual(tmp_path, capsys, monkeypatch):
     # config reader measures distances too.
     def nan_suite(*args, **kwargs):
         with monkeypatch.context() as m:
-            real = spaces._sqdist_cols
-            m.setattr(spaces, "_dist_cols", lambda x, y: real(x, y) * math.nan)
+            real = spaces.distance
+            m.setattr(spaces, "distance", lambda x, y: real(x, y) * math.nan)
             return spaces.geometry_suite(*args, **kwargs)
 
     monkeypatch.setattr(cli, "geometry_suite", nan_suite)

@@ -167,12 +167,12 @@ def test_vector_scalar_parity_ragged_last_chunk(paths):
 def test_vector_skm_projects_once_per_set_and_step(monkeypatch):
     # Per step: one projection onto each of the two half-spaces, shared by
     # the gap and the step, and one onto the solution set for the distance.
-    from fejerlab import spaces
+    from fejerlab import problems
 
     problem, x0, horizon = two_halfspace(), Euclidean((1.0, 1.0)), 9
     calls = []
-    project = spaces._project_cols
-    monkeypatch.setattr(spaces, "_project_cols", lambda cset, x: calls.append(cset) or project(cset, x))
+    project = problems.project_convex
+    monkeypatch.setattr(problems, "project_convex", lambda cset, x: calls.append(cset) or project(cset, x))
     run_ensemble(problem, "skm", Constant(0.5), x0, 7, horizon, 1, EPS, kernel="vector")
     assert len(calls) == 3 * (horizon + 1)
 

@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fejerlab.cli import ConfigError, _read_point, _read_set
+from fejerlab.problems import build_busemann, busemann_subgradient
 from fejerlab.spaces import (
     GEOM_TOL,
     TRIPOD_ORIGIN,
@@ -29,12 +30,6 @@ from fejerlab.spaces import (
     TripodEnd,
     TripodSegment,
     WholeSpace,
-    _direction_cols,
-    _dist_cols,
-    _geodesic_cols,
-    _project_cols,
-    _ray_cols,
-    _sqdist_cols,
     cn_residual,
     contains,
     distance,
@@ -125,6 +120,7 @@ def test_halfplane_point_stores_python_floats(x, y):
         (1, math.nan, "tripod coordinate must be >= 0, got nan"),
         (0, -1.0, "tripod coordinate must be >= 0, got -1.0"),
         (2, -math.inf, "tripod coordinate must be >= 0, got -inf"),
+        (0, math.inf, "tripod coordinate must be finite, got inf"),
         (3, 1.0, "tripod ray must be 0, 1 or 2, got 3"),
         (-1, 2, "tripod ray must be 0, 1 or 2, got -1"),
     ],
@@ -133,10 +129,13 @@ def test_tripod_point_rejects_with_its_message_whatever_the_number_type(ray, coo
     for cast in (lambda v: v, np.float64):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Tripod(ray, cast(coord))
+    # A batch raises its first bad path's point error.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Tripod(np.array([1, ray, 2]), np.array([0.5, coord, -1.0]))
 
 
 def test_tripod_point_stores_python_floats_and_one_origin():
-    for ray, coord in ((2, 1), (1, np.float64(0.5)), (0, math.inf), (1, 5e-324)):
+    for ray, coord in ((2, 1), (1, np.float64(0.5)), (1, 5e-324), (0, 1.7976931348623157e308)):
         p = Tripod(ray, coord)
         assert (p.ray, type(p.coord), p.coord) == (ray, float, float(coord))
     # Every zero, on every ray and of every sign and type, is the origin on ray 0.
@@ -855,8 +854,8 @@ def test_suite_runs_as_one_batch(monkeypatch, space):
 def test_nan_residual_fails_the_batch_suite(monkeypatch):
     import fejerlab.spaces as spaces
 
-    real = spaces._sqdist_cols
-    monkeypatch.setattr(spaces, "_dist_cols", lambda x, y: real(x, y) * math.nan)
+    real = spaces.distance
+    monkeypatch.setattr(spaces, "distance", lambda x, y: real(x, y) * math.nan)
     summary = geometry_suite("euclidean", 200, 1, 2, 50)
     assert summary["pass"] is False
     res = summary["residuals"]
@@ -982,11 +981,12 @@ EDGE_SETS = [
 ]
 
 
-def _columns(points):
-    return tuple(np.array(col) for col in zip(*points))
+def _batch(points):
+    """The Euclidean batch of the points, one path per point."""
+    return Euclidean(tuple(np.array(col) for col in zip(*points)))
 
 
-def _bits(value, rows=len(EDGE_POINTS)):
+def _bits(value, rows):
     """IEEE bits per path; a column shared by every path is broadcast."""
     return np.broadcast_to(np.asarray(value, dtype=np.float64), (rows,)).view(np.uint64)
 
@@ -994,40 +994,90 @@ def _bits(value, rows=len(EDGE_POINTS)):
 def _assert_rows_equal(batch, per_point):
     """A batch result (a column or a tuple of columns) against the float
     results of its points, compared as bits (so -0.0 != 0.0)."""
+    rows = len(per_point)
     if isinstance(batch, tuple):
         for i, col in enumerate(batch):
-            assert np.array_equal(_bits(col), _bits([p[i] for p in per_point])), i
+            assert np.array_equal(_bits(col, rows), _bits([p[i] for p in per_point], rows)), i
     else:
-        assert np.array_equal(_bits(batch), _bits(per_point))
+        assert np.array_equal(_bits(batch, rows), _bits(per_point, rows))
 
 
 def test_batch_geometry_matches_float_geometry():
-    X = _columns(EDGE_POINTS)
-    Y = _columns(EDGE_POINTS[::-1])
-    pairs = list(zip(EDGE_POINTS, EDGE_POINTS[::-1]))
-    _assert_rows_equal(_sqdist_cols(X, Y), [_sqdist_cols(x, y) for x, y in pairs])
-    _assert_rows_equal(_dist_cols(X, Y), [_dist_cols(x, y) for x, y in pairs])
-    d = _dist_cols(X, Y)
-    safe = np.where(d == 0.0, 1.0, d)
-    _assert_rows_equal(
-        _direction_cols(X, Y, safe),
-        [_direction_cols(x, y, s) for (x, y), s in zip(pairs, safe.tolist())],
-    )
-    u = (0.6, -0.8)
-    _assert_rows_equal(_ray_cols(X, u, 2.5), [_ray_cols(x, u, 2.5) for x in EDGE_POINTS])
+    X, Y = _batch(EDGE_POINTS), _batch(EDGE_POINTS[::-1])
+    pairs = [(Euclidean(x), Euclidean(y)) for x, y in zip(EDGE_POINTS, EDGE_POINTS[::-1])]
+    _assert_rows_equal(sqdist(X, Y), [sqdist(x, y) for x, y in pairs])
+    _assert_rows_equal(distance(X, Y), [distance(x, y) for x, y in pairs])
+    # Each path's subgradient direction toward its own atom; path 7 sits at
+    # its atom, where the batch takes s = 0 and the placeholder e_1.
+    atoms = ((Euclidean((1.0, 1.0)), 0.5), (Euclidean((-3.0, 3.0)), 0.5))
+    problem = build_busemann("euclidean", atoms, WholeSpace(), 1.0)
+    e = np.arange(len(EDGE_POINTS)) % 2
+    direction, s = busemann_subgradient(problem, e, X)
+    per_point = [busemann_subgradient(problem, ei, x) for ei, (x, _) in zip(e.tolist(), pairs)]
+    assert [si for _, si in per_point].count(0.0) == 1
+    _assert_rows_equal(direction.vector, [(1.0, 0.0) if u is None else u.vector for u, _ in per_point])
+    _assert_rows_equal(s, [si for _, si in per_point])
+    u = EuclideanDir((0.6, -0.8))
+    _assert_rows_equal(ray_point(X, u, 2.5).coords, [ray_point(x, u, 2.5).coords for x, _ in pairs])
     # Per-path parameters including both shortcuts, and float parameters.
     t = np.array([0.0, 1.0, 0.5, 0.25, 1.0, 0.0, 0.1, 0.9, 1e-17, 1.0 - 1e-16])
-    per_point = [_geodesic_cols(x, y, ti) for (x, y), ti in zip(pairs, t.tolist())]
-    _assert_rows_equal(_geodesic_cols(X, Y, t), per_point)
+    per_point = [geodesic_point(x, y, ti).coords for (x, y), ti in zip(pairs, t.tolist())]
+    _assert_rows_equal(geodesic_point(X, Y, t).coords, per_point)
     for ti in (0.0, 1.0, 0.3):
-        _assert_rows_equal(_geodesic_cols(X, Y, ti), [_geodesic_cols(x, y, ti) for x, y in pairs])
+        per_point = [geodesic_point(x, y, ti).coords for x, y in pairs]
+        _assert_rows_equal(geodesic_point(X, Y, ti).coords, per_point)
 
 
 @pytest.mark.parametrize("cset", EDGE_SETS, ids=lambda c: type(c).__name__)
 def test_batch_projection_matches_point_projection(cset):
-    batch = _project_cols(cset, _columns(EDGE_POINTS))
-    _assert_rows_equal(batch, [project_convex(cset, Euclidean(p)).coords for p in EDGE_POINTS])
-    _assert_rows_equal(batch, [_project_cols(cset, p) for p in EDGE_POINTS])
+    batch = project_convex(cset, _batch(EDGE_POINTS))
+    _assert_rows_equal(batch.coords, [project_convex(cset, Euclidean(p)).coords for p in EDGE_POINTS])
+
+
+# Euclidean projections, bit for bit, as fejerlab has always computed them.
+# The segment's clamped ends are its own a + t (b - a), not a or b itself: at
+# t = 0 the -0.0 of a reads 0.0, and at t = 1 b's 0.9 reads 0.8999999999999999.
+_PIN_POINTS = [
+    (-3.0, -1.0), (5.0, 3.0), (0.3, 0.6), (3.0, 4.0), (6.0, 8.0), (-0.0, 0.2), (_NEAR, 0.0),
+    (0.0, 0.0),
+]
+_B = 0.8999999999999999
+_PINNED_PROJECTIONS = {
+    "segment": (
+        Segment(Euclidean((-0.0, 0.2)), Euclidean((1.0, 0.9))),
+        [(0.0, 0.2), (1.0, _B), (0.38926174496644295, 0.47248322147651006), (1.0, _B), (1.0, _B),
+         (0.0, 0.2), (1.0, _B), (0.0, 0.2)],
+    ),
+    "degenerate-segment": (
+        Segment(Euclidean((-0.0, 0.2)), Euclidean((-0.0, 0.2))), [(-0.0, 0.2)] * 8,
+    ),
+    "ball-radius-0": (Ball(Euclidean((0.5, -0.0)), 0.0), [(0.5, -0.0)] * 8),
+    # Inside, on the boundary (3, 4), outside at d = 10 and just outside at _NEAR.
+    "ball": (
+        Ball(Euclidean((0.0, 0.0)), 5.0),
+        [(-3.0, -1.0), (4.28746462856272, 2.5724787771376323), (0.3, 0.6), (3.0, 4.0),
+         (3.0, 4.0), (-0.0, 0.2), (5.0, 0.0), (0.0, 0.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_PROJECTIONS))
+def test_euclidean_projection_bits_are_pinned(name):
+    cset, expected = _PINNED_PROJECTIONS[name]
+    for p, q in zip(_PIN_POINTS, expected, strict=True):
+        assert np.array_equal(_bits(project_convex(cset, Euclidean(p)).coords, 2), _bits(q, 2)), p
+    _assert_rows_equal(project_convex(cset, _batch(_PIN_POINTS)).coords, expected)
+
+
+def test_nan_distance_reads_as_inside_the_ball():
+    # A NaN distance leaves x where it is: a point is returned itself, and a
+    # batch's NaN path keeps its coordinates.
+    ball = Ball(Euclidean((0.0, 0.0)), 1.0)
+    x = Euclidean((math.nan, 0.0))
+    assert project_convex(ball, x) is x
+    points = [(math.nan, 0.0), (3.0, 4.0), (0.5, 0.5)]
+    expected = [x.coords] + [project_convex(ball, Euclidean(p)).coords for p in points[1:]]
+    _assert_rows_equal(project_convex(ball, _batch(points)).coords, expected)
 
 
 def test_float_geometry_keeps_the_point_api_shortcuts():
