@@ -18,7 +18,8 @@ SHA-256 of the re-audit's ``audit.json``, and summarized by `fejerlab
 report`, recording its exit code, wall time and SHA-256 of standard output.
 
 Each run also records ``src_lines``, the line count of the tree's
-``fejerlab/*.py`` (what ``wc -l src/fejerlab/*.py`` totals), and
+``fejerlab/*.py`` (what ``wc -l src/fejerlab/*.py`` totals), with
+``src_lines_by_module`` (file name -> lines) beside it, and
 ``import_s``, the median wall time of 5 fresh interpreters that only run
 ``import fejerlab.cli`` with the audits' ``PYTHONPATH`` and environment: the
 fixed cost every command pays before it starts.
@@ -31,7 +32,9 @@ in the file are kept, so before and after numbers can share one file:
 
 Against each other label already in the file, the run prints every one of
 its five digests per config (curves, audit, re-audit, validate stdout and
-report stdout) that differs, then how many of them differ.
+report stdout) that differs, then how many of them differ, then each
+module's line count beside that label's and the difference (when that
+label's run recorded them).
 """
 
 from __future__ import annotations
@@ -71,9 +74,10 @@ def _tree_digest(src: pathlib.Path) -> str:
     return h.hexdigest()
 
 
-def _src_lines(src: pathlib.Path) -> int:
-    """Newlines in the package's modules, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (src / "fejerlab").glob("*.py"))
+def _src_lines_by_module(src: pathlib.Path) -> dict[str, int]:
+    """Newlines in each of the package's modules, as ``wc -l`` counts them."""
+    modules = sorted((src / "fejerlab").glob("*.py"))
+    return {path.name: path.read_bytes().count(b"\n") for path in modules}
 
 
 def _thread_sampler(pid: int, peak: list[int], done: threading.Event) -> None:
@@ -167,6 +171,14 @@ def print_digest_diffs(results: dict, label: str, other: dict) -> None:
     print(f"{len(diffs)} of {len(results) * len(DIGESTS)} digests differ from {label!r}")
 
 
+def print_line_deltas(lines: dict[str, int], label: str, other: dict[str, int]) -> None:
+    """Print each module's line count beside the one recorded under
+    ``label`` (``other``; a module missing there counts 0), and the change."""
+    for name in sorted(lines.keys() | other.keys()):
+        before, after = other.get(name, 0), lines.get(name, 0)
+        print(f"{name}: {before} lines in {label!r}, {after} now ({after - before:+d})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -204,12 +216,16 @@ def main(argv=None) -> int:
     print(f"import fejerlab.cli: {import_s:.3f} s (median of 5 fresh interpreters)")
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
+    lines = _src_lines_by_module(src)
     for label, run in doc["runs"].items():
         if label != args.label:
             print_digest_diffs(results, label, run["configs"])
+            if "src_lines_by_module" in run:  # runs recorded before it was kept lack it
+                print_line_deltas(lines, label, run["src_lines_by_module"])
     doc["runs"][args.label] = {
         "src_sha256": _tree_digest(src),
-        "src_lines": _src_lines(src),
+        "src_lines": sum(lines.values()),
+        "src_lines_by_module": lines,
         "import_s": import_s,
         "machine": {
             "cpus": os.cpu_count(),

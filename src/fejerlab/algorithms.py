@@ -347,8 +347,9 @@ def _budget_witness(sched: StepSchedule, transform: str) -> Callable[[int, float
 
     Constant schedules use the closed count form k + ceil(budget/w) (with
     the guarded ceiling, so budgets that are exact integer multiples of w
-    are not bumped by float noise); other schedules return the minimal
-    witness index.
+    are not bumped by float noise): the minimal witness index plus one, for
+    every budget.  Other schedules (harmonic ones included) return the
+    minimal witness index.
     """
     if isinstance(sched, Constant):
         _check_divergent(sched, transform)

@@ -57,7 +57,7 @@ EXIT_AUDIT = 4
 EXIT_NO_MODULUS = 5
 
 _SPACES = ("euclidean", "tripod", "halfplane")
-_ALGORITHMS = ("sppa", "skm", "sb")
+_ALGORITHMS = tuple(algorithms._SPECS)
 _COSTS = (problems.HALF_SQUARED, problems.DISTANCE)
 
 
@@ -254,7 +254,7 @@ def _read_problem(v, path: str, space: str) -> Problem:
     if kind == "fixed_point":
         ops = _read_terms(doc, "operators", "set", lambda s, p: _read_set(s, p, space), path)
         sets, weights = tuple(s for s, _ in ops), tuple(w for _, w in ops)
-        problem = _build(path, problems.build_fixed_point, space, sets, weights)
+        problem = _build(path, problems.FixedPointProblem, space, sets, weights)
         # v is derived from the sets; a stated v may only repeat it.
         if "v" in doc and (stated := _number(doc, "v", path)) != problem.v:
             raise ConfigError(
@@ -266,9 +266,9 @@ def _read_problem(v, path: str, space: str) -> Problem:
     region_bound = _number(doc, "region_bound", path, 4.0)
     if kind == "mean_min":
         cost = _choice(_need(doc, "cost", path), _COSTS, f"{path}.cost")
-        return _build(path, problems.build_mean_min, space, atoms, cost, region_bound)
+        return _build(path, problems.MeanMinProblem, space, atoms, cost, region_bound)
     constraint = _read_set(_need(doc, "constraint", path), f"{path}.constraint", space)
-    return _build(path, problems.build_busemann, space, atoms, constraint, region_bound)
+    return _build(path, problems.BusemannProblem, space, atoms, constraint, region_bound)
 
 
 def _read_harmonic(doc: dict, path: str) -> moduli.Harmonic:

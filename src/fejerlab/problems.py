@@ -13,11 +13,13 @@ modulus is read off it):
 * :class:`BusemannProblem` — minimize a mean of distance costs over a
   constraint set by moving along geodesic rays toward ideal points.
 
-All integrals are exact finite sums, so regularity validation carries no
-Monte-Carlo error.  Solution sets are derived in closed form at
-construction; instance shapes without a known closed form are rejected
-rather than approximated.  A point solution set (a ball of radius 0) is
-measured by the distance to its center, with no projection.
+A problem is built from its data alone (space, weighted atoms or sets,
+cost kind or constraint set, region bound).  Its solution set, anchor and
+growth of F (``v`` for a fixed-point problem) are derived in closed form at
+construction, never passed in; shapes without a closed form are rejected
+rather than approximated.  All integrals are exact finite sums, so
+regularity validation carries no Monte-Carlo error.  A point solution set
+(a ball of radius 0) is measured by the distance to its center.
 
 The per-sample maps, ``gap_F`` and ``dist_to_solutions`` also take a
 Euclidean batch (see :mod:`fejerlab.spaces`), with an index array of each
@@ -108,62 +110,84 @@ def _solution_atom(atoms, solution_set: ConvexSet) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MeanMinProblem:
-    """Minimize f_bar(x) = sum_i w_i f(i, x) over the whole space."""
+def _set(problem, **derived) -> None:
+    """Set a frozen problem's derived fields."""
+    for name, value in derived.items():
+        object.__setattr__(problem, name, value)
 
-    space: str
-    atoms: tuple[tuple[Point, float], ...]
-    cost_kind: str
-    region_bound: float
-    solution_set: ConvexSet
-    solution_anchor: Point
-    growth: Growth
-    min_value: float = field(init=False)
-    cum_weights: tuple[float, ...] = field(init=False, repr=False)
-    solution_atom: int | None = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.cost_kind not in (HALF_SQUARED, DISTANCE):
-            raise ValueError(f"unknown cost kind: {self.cost_kind!r}")
-        if not self.region_bound > 0.0:
-            raise ValueError("region bound must be > 0")
-        _check_weights(tuple(w for _, w in self.atoms))
-        for a, _ in self.atoms:
-            if space_of(a) != self.space:
-                raise ValueError("atom lies outside the declared space")
-        object.__setattr__(self, "cum_weights", _cum_weights(tuple(w for _, w in self.atoms)))
-        object.__setattr__(self, "solution_atom", _solution_atom(self.atoms, self.solution_set))
-        object.__setattr__(self, "min_value", mean_cost_exact(self, self.solution_anchor))
+class _MeanCost:
+    """What the two mean-cost problems share: their weights, and the checks
+    and derived fields of their atoms."""
 
     @property
     def weights(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.atoms)
 
+    def _settle(self, solution_set: ConvexSet, anchor: Point, growth: Growth) -> None:
+        """Check the region bound, the weights and the atoms' space, then set
+        the derivation's solution set, anchor and growth, and what follows."""
+        if not self.region_bound > 0.0:
+            raise ValueError("region bound must be > 0")
+        _check_weights(self.weights)
+        if any(space_of(a) != self.space for a, _ in self.atoms):
+            raise ValueError("atom lies outside the declared space")
+        atom = _solution_atom(self.atoms, solution_set)
+        _set(self, solution_set=solution_set, solution_anchor=anchor, growth=growth)
+        _set(self, cum_weights=_cum_weights(self.weights), solution_atom=atom)
+        _set(self, min_value=mean_cost_exact(self, anchor))
+
+
+@dataclass(frozen=True, eq=False)
+class MeanMinProblem(_MeanCost):
+    """Minimize f_bar(x) = sum_i w_i f(i, x) over the whole space.  Data:
+    space, (point, weight) atoms, cost kind, region bound B.  Derived: the
+    solution set, its anchor, the growth of F and min f_bar."""
+
+    space: str
+    atoms: tuple[tuple[Point, float], ...]
+    cost_kind: str
+    region_bound: float
+    solution_set: ConvexSet = field(init=False)
+    solution_anchor: Point = field(init=False)
+    growth: Growth = field(init=False)
+    min_value: float = field(init=False)
+    cum_weights: tuple[float, ...] = field(init=False, repr=False)
+    solution_atom: int | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        derived = _derive_mean_min_solution(self.space, self.atoms, self.cost_kind)
+        if self.cost_kind not in (HALF_SQUARED, DISTANCE):
+            raise ValueError(f"unknown cost kind: {self.cost_kind!r}")
+        self._settle(*derived)
+
 
 @dataclass(frozen=True, eq=False)
 class FixedPointProblem:
     """Find a common fixed point of the metric projections onto the sets.
-    ``v`` is the derived linear-regularity constant: d^2(x, S) <= v F(x)."""
+    Data: space, sets, weights.  Derived: their intersection S, its anchor
+    and ``v``, the least constant with d^2(x, S) <= v F(x) (everywhere)."""
 
     space: str
     sets: tuple[ConvexSet, ...]
     weights: tuple[float, ...]
-    solution_set: ConvexSet
-    solution_anchor: Point
-    v: float
-    region_bound: float = math.inf
+    solution_set: ConvexSet = field(init=False)
+    solution_anchor: Point = field(init=False)
+    v: float = field(init=False)
+    region_bound: float = field(default=math.inf, init=False)
     cum_weights: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_weights(self.weights)
+        _check_weights(self.weights)  # before v divides by their sums
         if len(self.sets) != len(self.weights):
             raise ValueError("need one weight per operator")
-        if space_of(self.solution_anchor) != self.space:
+        solution_set, anchor, v = _derive_intersection(self.space, self.sets, self.weights)
+        if space_of(anchor) != self.space:
             raise ValueError("operator sets lie outside the declared space")
-        if not contains(self.solution_set, self.solution_anchor):
+        if not contains(solution_set, anchor):
             raise ValueError("anchor does not lie in the solution set")
-        object.__setattr__(self, "cum_weights", _cum_weights(self.weights))
+        _set(self, solution_set=solution_set, solution_anchor=anchor, v=v)
+        _set(self, cum_weights=_cum_weights(self.weights))
 
     @property
     def growth(self) -> Growth:
@@ -172,43 +196,34 @@ class FixedPointProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class BusemannProblem:
+class BusemannProblem(_MeanCost):
     """Minimize a mean of distance costs over a constraint set C by
-    Busemann-subgradient steps (distance costs only)."""
+    Busemann-subgradient steps.  Data: space, (point, weight) atoms, C,
+    region bound B.  Derived: the constrained argmin, its anchor, the
+    growth of F and min f_bar."""
 
     space: str
     atoms: tuple[tuple[Point, float], ...]
     constraint: ConvexSet
     region_bound: float
-    solution_set: ConvexSet
-    solution_anchor: Point
-    growth: Growth
+    solution_set: ConvexSet = field(init=False)
+    solution_anchor: Point = field(init=False)
+    growth: Growth = field(init=False)
     min_value: float = field(init=False)
     cum_weights: tuple[float, ...] = field(init=False, repr=False)
     solution_atom: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        derived = _derive_busemann_solution(self.space, self.atoms, self.constraint)
         if self.space not in ("euclidean", "tripod"):
             raise ValueError("Busemann instances support euclidean and tripod spaces")
-        if not self.region_bound > 0.0:
-            raise ValueError("region bound must be > 0")
-        _check_weights(tuple(w for _, w in self.atoms))
-        for a, _ in self.atoms:
-            if space_of(a) != self.space:
-                raise ValueError("atom lies outside the declared space")
+        self._settle(*derived)
         if not contains(self.constraint, self.solution_anchor):
             raise ValueError("solution anchor does not lie in the constraint set")
-        object.__setattr__(self, "cum_weights", _cum_weights(tuple(w for _, w in self.atoms)))
-        object.__setattr__(self, "solution_atom", _solution_atom(self.atoms, self.solution_set))
-        object.__setattr__(self, "min_value", mean_cost_exact(self, self.solution_anchor))
 
     @property
     def cost_kind(self) -> str:
         return DISTANCE
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.atoms)
 
 
 Problem = MeanMinProblem | FixedPointProblem | BusemannProblem
@@ -297,16 +312,6 @@ def _derive_mean_min_solution(space, atoms, cost_kind):
     )
 
 
-def build_mean_min(
-    space: str,
-    atoms: tuple[tuple[Point, float], ...],
-    cost_kind: str,
-    region_bound: float,
-) -> MeanMinProblem:
-    derived = _derive_mean_min_solution(space, tuple(atoms), cost_kind)
-    return MeanMinProblem(space, tuple(atoms), cost_kind, region_bound, *derived)
-
-
 def _representative_point(cset: ConvexSet, space: str) -> Point:
     if isinstance(cset, Ball):
         return cset.center
@@ -384,16 +389,6 @@ def _derive_intersection(space: str, sets: tuple[ConvexSet, ...], weights: tuple
     return box, project_convex(box, Euclidean((0.0,) * dim)), v
 
 
-def build_fixed_point(
-    space: str,
-    sets: tuple[ConvexSet, ...],
-    weights: tuple[float, ...],
-) -> FixedPointProblem:
-    _check_weights(tuple(weights))  # before v divides by their sums
-    derived = _derive_intersection(space, tuple(sets), tuple(weights))
-    return FixedPointProblem(space, tuple(sets), tuple(weights), *derived)
-
-
 def _derive_busemann_solution(space, atoms, constraint):
     """(constrained argmin, designated anchor, growth of F) in closed form
     for the supported Busemann shapes."""
@@ -420,16 +415,6 @@ def _derive_busemann_solution(space, atoms, constraint):
             raise ValueError("median argmin requires the origin inside C")
         return Ball(TRIPOD_ORIGIN, 0.0), TRIPOD_ORIGIN, growth
     raise ValueError("no closed-form constrained argmin for this atom layout")
-
-
-def build_busemann(
-    space: str,
-    atoms: tuple[tuple[Point, float], ...],
-    constraint: ConvexSet,
-    region_bound: float,
-) -> BusemannProblem:
-    derived = _derive_busemann_solution(space, tuple(atoms), constraint)
-    return BusemannProblem(space, tuple(atoms), constraint, region_bound, *derived)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +632,7 @@ def frechet_r1() -> MeanMinProblem:
     """Frechet mean of the two points +-1 on the line (half squared costs):
     minimizer 0, minimum value 1/2, F(t) = t^2 / 2."""
     atoms = ((Euclidean((-1.0,)), 0.5), (Euclidean((1.0,)), 0.5))
-    return build_mean_min("euclidean", atoms, HALF_SQUARED, 4.0)
+    return MeanMinProblem("euclidean", atoms, HALF_SQUARED, 4.0)
 
 
 def tripod_median(region_bound: float = 2.0) -> MeanMinProblem:
@@ -655,20 +640,20 @@ def tripod_median(region_bound: float = 2.0) -> MeanMinProblem:
     minimizer at the branch point, minimum value 1."""
     w = 1.0 / 3.0
     atoms = ((Tripod(0, 1.0), w), (Tripod(1, 1.0), w), (Tripod(2, 1.0), w))
-    return build_mean_min("tripod", atoms, DISTANCE, region_bound)
+    return MeanMinProblem("tripod", atoms, DISTANCE, region_bound)
 
 
 def tripod_frechet() -> MeanMinProblem:
     """Frechet mean (half squared costs) of three tripod atoms with unequal
     weights; the minimizer sits strictly inside the heaviest ray."""
     atoms = ((Tripod(0, 2.0), 0.5), (Tripod(1, 1.0), 0.3), (Tripod(2, 1.0), 0.2))
-    return build_mean_min("tripod", atoms, HALF_SQUARED, 4.0)
+    return MeanMinProblem("tripod", atoms, HALF_SQUARED, 4.0)
 
 
 def halfplane_single_atom() -> MeanMinProblem:
     """Half squared distance to one hyperbolic atom (prox flows along the
     geodesic toward it)."""
-    return build_mean_min("halfplane", ((HalfPlane(0.0, 1.0), 1.0),), HALF_SQUARED, 3.0)
+    return MeanMinProblem("halfplane", ((HalfPlane(0.0, 1.0), 1.0),), HALF_SQUARED, 3.0)
 
 
 def two_halfspace() -> FixedPointProblem:
@@ -676,7 +661,7 @@ def two_halfspace() -> FixedPointProblem:
     in the plane (equal probabilities): the third quadrant, with exact
     linear-regularity constant v = 2."""
     sets = (Halfspace((1.0, 0.0), 0.0), Halfspace((0.0, 1.0), 0.0))
-    return build_fixed_point("euclidean", sets, (0.5, 0.5))
+    return FixedPointProblem("euclidean", sets, (0.5, 0.5))
 
 
 def segment_argmin() -> BusemannProblem:
@@ -684,13 +669,13 @@ def segment_argmin() -> BusemannProblem:
     argmin is the whole segment between the foci (minimum value 1)."""
     atoms = ((Euclidean((-1.0, 0.0)), 0.5), (Euclidean((1.0, 0.0)), 0.5))
     box = Box((-2.0, -2.0), (2.0, 2.0))
-    return build_busemann("euclidean", atoms, box, 4.0)
+    return BusemannProblem("euclidean", atoms, box, 4.0)
 
 
 def r1_single_atom_busemann() -> BusemannProblem:
     """|x - 1| over C = [-2, 2] on the line."""
     atoms = ((Euclidean((1.0,)), 1.0),)
-    return build_busemann("euclidean", atoms, Box((-2.0,), (2.0,)), 3.0)
+    return BusemannProblem("euclidean", atoms, Box((-2.0,), (2.0,)), 3.0)
 
 
 def euclid_two_atom_busemann() -> BusemannProblem:
@@ -698,7 +683,7 @@ def euclid_two_atom_busemann() -> BusemannProblem:
     the heavier atom."""
     atoms = ((Euclidean((-1.0, 0.0)), 0.7), (Euclidean((1.0, 0.0)), 0.3))
     box = Box((-3.0, -3.0), (3.0, 3.0))
-    return build_busemann("euclidean", atoms, box, 4.0)
+    return BusemannProblem("euclidean", atoms, box, 4.0)
 
 
 def tripod_median_busemann(region_bound: float = 2.0) -> BusemannProblem:
@@ -707,4 +692,4 @@ def tripod_median_busemann(region_bound: float = 2.0) -> BusemannProblem:
     w = 1.0 / 3.0
     atoms = ((Tripod(0, 1.0), w), (Tripod(1, 1.0), w), (Tripod(2, 1.0), w))
     cset = TripodSegment((2.0, 2.0, 2.0))
-    return build_busemann("tripod", atoms, cset, region_bound)
+    return BusemannProblem("tripod", atoms, cset, region_bound)

@@ -37,9 +37,9 @@ from fejerlab.moduli import (
 from fejerlab.problems import (
     DISTANCE,
     HALF_SQUARED,
+    FixedPointProblem,
+    MeanMinProblem,
     NoModulusKnownError,
-    build_fixed_point,
-    build_mean_min,
     dist_to_solutions,
     euclid_two_atom_busemann,
     gap_F,
@@ -50,7 +50,7 @@ from fejerlab.problems import (
     tripod_median,
     two_halfspace,
 )
-from fejerlab.spaces import Box, Euclidean, Halfspace, Tripod, WholeSpace, distance
+from fejerlab.spaces import Box, Euclidean, HalfPlane, Halfspace, Tripod, WholeSpace, distance
 
 H11 = Harmonic(1.0, 1.0)
 
@@ -62,7 +62,7 @@ H11 = Harmonic(1.0, 1.0)
 
 def test_sppa_rejects_constant_schedule_and_wrong_problem():
     with pytest.raises(ValueError):
-        run_sppa(frechet := build_mean_min(
+        run_sppa(frechet := MeanMinProblem(
             "euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0
         ), Constant(0.5), Euclidean((0.0,)), 5, 0)
     with pytest.raises(TypeError):
@@ -79,18 +79,18 @@ def test_start_point_dimension_must_match_the_data():
             run_skm(two_halfspace(), Constant(0.5), x0, 5, 0)
     atoms = ((Euclidean((-1.0, 0.0)), 0.5), (Euclidean((1.0,)), 0.5))
     with pytest.raises(ValueError, match="dimension"):
-        build_mean_min("euclidean", atoms, HALF_SQUARED, 4.0)
+        MeanMinProblem("euclidean", atoms, HALF_SQUARED, 4.0)
     boxes = (Box((0.0,), (1.0,)), Box((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError, match="dimension"):
-        build_fixed_point("euclidean", boxes, (0.5, 0.5))
+        FixedPointProblem("euclidean", boxes, (0.5, 0.5))
     # The whole space fixes no dimension (its anchor's two coordinates do not count).
-    whole = build_fixed_point("euclidean", (WholeSpace(),), (1.0,))
+    whole = FixedPointProblem("euclidean", (WholeSpace(),), (1.0,))
     traj = run_skm(whole, Constant(0.5), Euclidean((1.0, 2.0, 3.0)), 3, 0)
     assert traj.points[-1] == Euclidean((1.0, 2.0, 3.0))
 
 
 def test_sppa_single_atom_contracts_each_step():
-    p = build_mean_min("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0)
+    p = MeanMinProblem("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0)
     a = Euclidean((1.0,))
     traj = run_sppa(p, H11, Euclidean((5.0,)), 20, 3)
     assert len(traj.points) == 21
@@ -104,7 +104,7 @@ def test_sppa_single_atom_contracts_each_step():
 
 
 def test_sppa_constant_on_solution_set():
-    p = build_mean_min("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0)
+    p = MeanMinProblem("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0)
     traj = run_sppa(p, H11, Euclidean((1.0,)), 10, 5)
     assert all(pt == Euclidean((1.0,)) for pt in traj.points)
 
@@ -256,12 +256,14 @@ def test_certificate_skm_metric_rates():
 
 
 def test_certificate_divergence_uses_count_form():
-    # the certificate witness counts ceil(b/w) terms from k, which is one
-    # more than the minimal witness index when the budget is an exact
-    # multiple of the step weight
+    # the certificate witness is k + ceil(b/w): the sum over n = k..m of w
+    # reaches b first at m = k + ceil(b/w) - 1, so a constant schedule's
+    # witness is one more than the minimal witness index for every budget
     cert = certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)))
-    assert cert.divergence(0, 1.0) == 4
-    assert divergence_witness_theta(Constant(0.5), "mean_lambda_one_minus_lambda", 0, 1.0) == 3
+    mean = "mean_lambda_one_minus_lambda"
+    for budget, count, minimal in ((1.0, 4, 3), (2.5, 10, 9), (0.3, 2, 1)):
+        assert cert.divergence(0, budget) == count
+        assert divergence_witness_theta(Constant(0.5), mean, 0, budget) == minimal
 
 
 def test_certificate_sppa_tripod_constants():
@@ -287,7 +289,7 @@ def test_certificate_sppa_rho_assembles_printed_formula():
 
 
 def test_certificate_sppa_lipschitz_from_half_squared_data():
-    p = build_mean_min("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0)
+    p = MeanMinProblem("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0)
     cert = certificate_sppa(p, H11, Euclidean((0.5,)))
     # |grad| of d^2/2 on the ball of radius B around the anchor: B + d(a, anchor)
     assert cert.L == pytest.approx(4.0, abs=1e-12)
@@ -324,6 +326,15 @@ def test_certificate_sb_rejects_start_outside_constraint():
 def test_certificate_sb_equal_weights_has_no_modulus():
     with pytest.raises(NoModulusKnownError):
         certificate_sb(segment_argmin(), H11, Euclidean((0.0, 2.0)))
+
+
+def test_certificate_sppa_halfplane_majority_has_no_modulus():
+    # no growth is derived for a majority atom, and a problem takes none
+    atoms = ((HalfPlane(0.0, 1.0), 0.6), (HalfPlane(1.5, 0.5), 0.2), (HalfPlane(-1.0, 2.0), 0.2))
+    p = MeanMinProblem("halfplane", atoms, DISTANCE, 4.0)
+    assert p.growth is None
+    with pytest.raises(NoModulusKnownError):
+        certificate_sppa(p, H11, HalfPlane(0.0, 2.0))
 
 
 def test_certificate_rejects_bad_reference_point():
@@ -405,16 +416,16 @@ BATCH_POINTS = [
     (-2.0, 0.25), (2.0, 1e-9), (-1.0, 1.0), (0.0, 0.0), (-1.0, 1e-12), (2.5, 2.5),
     (-1.0, -0.0), (2.0, -0.0),
 ]
-_MEDIAN = build_mean_min(
+_MEDIAN = MeanMinProblem(
     "euclidean", ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3)), DISTANCE, 4.0
 )
-_FRECHET_2D = build_mean_min(
+_FRECHET_2D = MeanMinProblem(
     "euclidean",
     ((Euclidean((0.0, 1.0)), 0.3), (Euclidean((2.0, -1.0)), 0.5), (Euclidean((-1.0, -0.5)), 0.2)),
     HALF_SQUARED,
     4.0,
 )
-_BOX_HALFSPACE = build_fixed_point(
+_BOX_HALFSPACE = FixedPointProblem(
     "euclidean",
     (Box((-math.inf, -1.0), (1.0, math.inf)), Halfspace((0.0, 1.0), 0.5)),
     (0.4, 0.6),

@@ -40,8 +40,8 @@ from fejerlab.harness import (
 from fejerlab.moduli import Constant, FastCertificate, Harmonic
 from fejerlab.problems import (
     DISTANCE,
-    build_fixed_point,
-    build_mean_min,
+    FixedPointProblem,
+    MeanMinProblem,
     dist_to_solutions,
     euclid_two_atom_busemann,
     frechet_r1,
@@ -80,13 +80,13 @@ def halfplane_majority():
     """Mean distance to three hyperbolic atoms, the heaviest (weight 0.6)
     its median."""
     atoms = ((HalfPlane(0.0, 1.0), 0.6), (HalfPlane(1.5, 0.5), 0.2), (HalfPlane(-1.0, 2.0), 0.2))
-    return build_mean_min("halfplane", atoms, DISTANCE, 4.0)
+    return MeanMinProblem("halfplane", atoms, DISTANCE, 4.0)
 
 
 def euclid_median():
     """Mean distance to two unequally weighted atoms of the plane."""
     atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
-    return build_mean_min("euclidean", atoms, DISTANCE, 4.0)
+    return MeanMinProblem("euclidean", atoms, DISTANCE, 4.0)
 
 
 def assert_stats_equal(a: EnsembleStats, b: EnsembleStats):
@@ -292,7 +292,7 @@ def test_ensemble_matches_scalar_trajectory_reference(paths, horizon):
 def _box_and_halfspace():
     # x1 >= -1, x2 <= 0.5 and x2 >= -0.5.
     box = Box((-1.0, -math.inf), (math.inf, 0.5))
-    return build_fixed_point("euclidean", (box, Halfspace((0.0, -1.0), 0.5)), (0.6, 0.4))
+    return FixedPointProblem("euclidean", (box, Halfspace((0.0, -1.0), 0.5)), (0.6, 0.4))
 
 
 # name -> (problem, algorithm, schedule, start) of the bit-for-bit grid.
@@ -302,11 +302,11 @@ _GRID_CASES = {
         _box_and_halfspace(), "skm", Constant(0.5), Euclidean((3.0, 2.0))
     ),
     "skm-ball": lambda: (
-        build_fixed_point("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,)),
+        FixedPointProblem("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,)),
         "skm", Constant(0.7), Euclidean((2.0, 1.0)),
     ),
     "skm-segment": lambda: (
-        build_fixed_point(
+        FixedPointProblem(
             "euclidean", (Segment(Euclidean((-1.0, 0.0)), Euclidean((1.0, 1.0))),), (1.0,)
         ),
         "skm", Constant(1.0), Euclidean((0.0, 2.0)),
@@ -627,7 +627,7 @@ def test_fejer_margin_exact_sppa():
 
 def test_fejer_margin_on_the_whole_space_in_three_dimensions():
     # Every point is a solution, so z defaults to the state itself.
-    whole = build_fixed_point("euclidean", (WholeSpace(),), (1.0,))
+    whole = FixedPointProblem("euclidean", (WholeSpace(),), (1.0,))
     m = fejer_margin(whole, "skm", Euclidean((1.0, 2.0, 3.0)), 0.5)
     assert (m.lhs, m.rhs, m.slack) == (0.0, 0.0, 0.0)
 

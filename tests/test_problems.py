@@ -15,11 +15,10 @@ from fejerlab.problems import (
     DISTANCE,
     HALF_SQUARED,
     BusemannProblem,
+    FixedPointProblem,
+    MeanMinProblem,
     NoModulusKnownError,
     TaggedModulus,
-    build_busemann,
-    build_fixed_point,
-    build_mean_min,
     busemann_subgradient,
     cost,
     dist_to_solutions,
@@ -61,8 +60,8 @@ from fejerlab.spaces import (
 from conftest import ball_point, random_weights
 
 
-def single_atom_r1(a: float, kind: str) -> "build_mean_min":
-    return build_mean_min("euclidean", ((Euclidean((a,)), 1.0),), kind, 8.0)
+def single_atom_r1(a: float, kind: str) -> "MeanMinProblem":
+    return MeanMinProblem("euclidean", ((Euclidean((a,)), 1.0),), kind, 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,32 +72,72 @@ def single_atom_r1(a: float, kind: str) -> "build_mean_min":
 def test_weights_must_form_a_distribution():
     atoms_bad_sum = ((Euclidean((0.0,)), 0.5), (Euclidean((1.0,)), 0.4))
     with pytest.raises(ValueError):
-        build_mean_min("euclidean", atoms_bad_sum, HALF_SQUARED, 1.0)
+        MeanMinProblem("euclidean", atoms_bad_sum, HALF_SQUARED, 1.0)
     atoms_negative = ((Euclidean((0.0,)), 1.5), (Euclidean((1.0,)), -0.5))
     with pytest.raises(ValueError):
-        build_mean_min("euclidean", atoms_negative, HALF_SQUARED, 1.0)
+        MeanMinProblem("euclidean", atoms_negative, HALF_SQUARED, 1.0)
 
 
 def test_atoms_must_live_in_declared_space():
     with pytest.raises(ValueError):
-        build_mean_min("tripod", ((Euclidean((0.0,)), 1.0),), HALF_SQUARED, 1.0)
+        MeanMinProblem("tripod", ((Euclidean((0.0,)), 1.0),), HALF_SQUARED, 1.0)
 
 
 def test_busemann_rejects_halfplane_and_outside_anchor():
     with pytest.raises(ValueError):
-        build_busemann(
+        BusemannProblem(
             "halfplane", ((HalfPlane(0.0, 1.0), 1.0),), Ball(HalfPlane(0.0, 1.0), 1.0), 1.0
         )
     with pytest.raises(ValueError):
         # single atom outside the constraint set
-        build_busemann(
+        BusemannProblem(
             "euclidean", ((Euclidean((5.0,)), 1.0),), Box((-2.0,), (2.0,)), 1.0
         )
 
 
 def test_fixed_point_requires_weight_per_operator():
-    with pytest.raises(ValueError):
-        build_fixed_point("euclidean", (Halfspace((1.0, 0.0), 0.0),), (0.5, 0.5))
+    # Counted before the derivation, which would pair the third of three
+    # sets with no weight and divide by that side's total weight, 0.
+    one = (Halfspace((1.0, 0.0), 0.0),)
+    three = one + (Halfspace((0.0, 1.0), 0.0), Halfspace((-1.0, 0.0), 1.0))
+    for sets in (one, three):
+        with pytest.raises(ValueError, match="need one weight per operator"):
+            FixedPointProblem("euclidean", sets, (0.5, 0.5))
+
+
+_DATA_AND_DERIVED = [
+    (
+        MeanMinProblem,
+        ("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0),
+        ("space", "atoms", "cost_kind", "region_bound"),
+        ("solution_set", "solution_anchor", "growth"),
+    ),
+    (
+        FixedPointProblem,
+        ("euclidean", (Halfspace((1.0, 0.0), 0.0),), (1.0,)),
+        ("space", "sets", "weights"),
+        ("solution_set", "solution_anchor", "v", "region_bound"),
+    ),
+    (
+        BusemannProblem,
+        ("euclidean", ((Euclidean((1.0,)), 1.0),), Box((-2.0,), (2.0,)), 3.0),
+        ("space", "atoms", "constraint", "region_bound"),
+        ("solution_set", "solution_anchor", "growth"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, data, init, derived", _DATA_AND_DERIVED, ids=["mean_min", "fixed_point", "busemann"]
+)
+def test_a_problem_takes_its_data_and_derives_the_rest(make, data, init, derived):
+    assert [f.name for f in dataclasses.fields(make) if f.init] == list(init)
+    problem = make(*data)
+    for name in derived:
+        with pytest.raises(TypeError):
+            make(*data, **{name: getattr(problem, name)})
+    with pytest.raises(TypeError):
+        make(*data, *(getattr(problem, name) for name in derived))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +165,7 @@ def test_tripod_frechet_solution_inside_heaviest_ray():
 
 def test_majority_weight_median_sits_at_heavy_atom():
     atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
-    p = build_mean_min("euclidean", atoms, DISTANCE, 4.0)
+    p = MeanMinProblem("euclidean", atoms, DISTANCE, 4.0)
     assert p.solution_anchor == Euclidean((2.0, 0.0))
     assert p.solution_set == Ball(Euclidean((2.0, 0.0)), 0.0)
 
@@ -134,7 +173,7 @@ def test_majority_weight_median_sits_at_heavy_atom():
 def test_equal_weight_euclidean_median_has_no_closed_form():
     atoms = ((Euclidean((-1.0,)), 0.5), (Euclidean((1.0,)), 0.5))
     with pytest.raises(ValueError):
-        build_mean_min("euclidean", atoms, DISTANCE, 4.0)
+        MeanMinProblem("euclidean", atoms, DISTANCE, 4.0)
 
 
 def test_two_halfspace_solution_is_third_quadrant():
@@ -214,9 +253,9 @@ def _same_bits(a, b) -> bool:
         tripod_median(),
         tripod_frechet(),
         halfplane_single_atom(),
-        build_fixed_point("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,)),
-        build_fixed_point("tripod", (Ball(Tripod(1, 0.5), 0.7),), (1.0,)),
-        build_fixed_point("halfplane", (Ball(HalfPlane(0.3, 2.0), 0.6),), (1.0,)),
+        FixedPointProblem("euclidean", (Ball(Euclidean((0.5, -0.5)), 0.75),), (1.0,)),
+        FixedPointProblem("tripod", (Ball(Tripod(1, 0.5), 0.7),), (1.0,)),
+        FixedPointProblem("halfplane", (Ball(HalfPlane(0.3, 2.0), 0.6),), (1.0,)),
     ],
     ids=["r1-point", "tripod-median-point", "tripod-frechet-point", "halfplane-point",
          "euclidean-ball", "tripod-ball", "halfplane-ball"],
@@ -337,7 +376,7 @@ def test_subgradient_points_toward_the_atom_r1():
 
 def test_subgradient_tripod_atom_at_origin_extends_past_branch():
     atoms = ((Tripod(0, 0.0), 1.0),)
-    p = build_busemann("tripod", atoms, TripodSegment((2.0, 2.0, 2.0)), 2.0)
+    p = BusemannProblem("tripod", atoms, TripodSegment((2.0, 2.0, 2.0)), 2.0)
     direction, s = busemann_subgradient(p, 0, Tripod(2, 1.5))
     assert (direction, s) == (TripodEnd(0), 1.0)
 
@@ -419,13 +458,13 @@ def test_no_modulus_for_equal_weight_busemann():
 
 def test_no_modulus_for_euclidean_majority_median():
     atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
-    p = build_mean_min("euclidean", atoms, DISTANCE, 4.0)
+    p = MeanMinProblem("euclidean", atoms, DISTANCE, 4.0)
     with pytest.raises(NoModulusKnownError):
         regularity_modulus_for(p, 2)
 
 
 def test_the_solution_set_derivation_records_the_growth():
-    majority = build_mean_min(
+    majority = MeanMinProblem(
         "euclidean", ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3)), DISTANCE, 4.0
     )
     for problem, expected in (
@@ -503,7 +542,7 @@ def _axis_instance(rnd: random.Random):
             sides.append((i, sign, sign * offset))
     raw = [rnd.uniform(0.05, 1.0) for _ in sets]
     weights = tuple(w / math.fsum(raw) for w in raw)
-    problem = build_fixed_point("euclidean", tuple(sets), weights)
+    problem = FixedPointProblem("euclidean", tuple(sets), weights)
     return problem, dim, [s for s in sides if math.isfinite(s[2])]
 
 
@@ -539,8 +578,8 @@ def test_intersection_needs_normals_exactly_on_an_axis():
     puts x 5e-8 outside.  Such normals are refused, as any tilted one is."""
     for normal in ((1e-13, 1.0), (0.0, 1.0 - 2.0**-52), (-1e-300, -1.0)):
         with pytest.raises(ValueError, match="axis-aligned"):
-            build_fixed_point("euclidean", (Halfspace((1.0, 0.0), 0.0), Halfspace(normal, 0.0)), (0.5, 0.5))
-    p = build_fixed_point("euclidean", (Halfspace((1.0, 0.0), 0.0), Halfspace((-0.0, -1.0), 0.0)), (0.5, 0.5))
+            FixedPointProblem("euclidean", (Halfspace((1.0, 0.0), 0.0), Halfspace(normal, 0.0)), (0.5, 0.5))
+    p = FixedPointProblem("euclidean", (Halfspace((1.0, 0.0), 0.0), Halfspace((-0.0, -1.0), 0.0)), (0.5, 0.5))
     assert p.v == 2.0
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fejerlab.cli import ConfigError, _read_point, _read_set
-from fejerlab.problems import build_busemann, busemann_subgradient
+from fejerlab.problems import BusemannProblem, busemann_subgradient
 from fejerlab.spaces import (
     GEOM_TOL,
     TRIPOD_ORIGIN,
@@ -1010,7 +1010,7 @@ def test_batch_geometry_matches_float_geometry():
     # Each path's subgradient direction toward its own atom; path 7 sits at
     # its atom, where the batch takes s = 0 and the placeholder e_1.
     atoms = ((Euclidean((1.0, 1.0)), 0.5), (Euclidean((-3.0, 3.0)), 0.5))
-    problem = build_busemann("euclidean", atoms, WholeSpace(), 1.0)
+    problem = BusemannProblem("euclidean", atoms, WholeSpace(), 1.0)
     e = np.arange(len(EDGE_POINTS)) % 2
     direction, s = busemann_subgradient(problem, e, X)
     per_point = [busemann_subgradient(problem, ei, x) for ei, (x, _) in zip(e.tolist(), pairs)]
