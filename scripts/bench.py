@@ -22,7 +22,11 @@ Each run also records ``src_lines``, the line count of the tree's
 ``src_lines_by_module`` (file name -> lines) beside it, and
 ``import_s``, the median wall time of 5 fresh interpreters that only run
 ``import fejerlab.cli`` with the audits' ``PYTHONPATH`` and environment: the
-fixed cost every command pays before it starts.
+fixed cost every command pays before it starts.  Each run also records
+``tier1_s``, the wall time of one run of the Tier-1 suite (``python -m
+pytest -q --continue-on-collection-errors`` in the tree's root, with the
+tree's ``src`` first on ``PYTHONPATH``), and ``tier1_counts``, the outcome
+counts as its summary line names them (passed, failed, error, ...).
 
 Results go under ``runs.<label>`` of the output JSON; other labels already
 in the file are kept, so before and after numbers can share one file:
@@ -147,6 +151,23 @@ def import_seconds(src: pathlib.Path, runs: int = 5) -> float:
     return statistics.median(times)
 
 
+def run_tier1(src: pathlib.Path) -> tuple[float, dict[str, int]]:
+    """Wall time and outcome counts (e.g. {"passed": 476}) of one run of the
+    Tier-1 suite in the tree's root."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        cmd, cwd=src.parent, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True
+    )
+    wall = time.perf_counter() - t0
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    # "3 failed, 473 passed, 1 error in 71.91s (0:01:11)": count, outcome pairs.
+    words = summary.strip("= ").split(" in ")[0].replace(",", "").split()
+    counts = {words[i + 1]: int(words[i]) for i in range(0, len(words) - 1, 2) if words[i].isdigit()}
+    return wall, counts
+
+
 # The digests of one config's result, by name.
 DIGESTS = {
     "curves": lambda res: res.get("curves_sha256"),
@@ -214,6 +235,8 @@ def main(argv=None) -> int:
 
     import_s = import_seconds(src)
     print(f"import fejerlab.cli: {import_s:.3f} s (median of 5 fresh interpreters)")
+    tier1_s, tier1_counts = run_tier1(src)
+    print(f"tier-1 suite: {tier1_s:.1f} s, {tier1_counts}")
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
     lines = _src_lines_by_module(src)
@@ -227,6 +250,8 @@ def main(argv=None) -> int:
         "src_lines": sum(lines.values()),
         "src_lines_by_module": lines,
         "import_s": import_s,
+        "tier1_s": tier1_s,
+        "tier1_counts": tier1_counts,
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

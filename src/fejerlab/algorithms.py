@@ -10,16 +10,16 @@ step (the runners take it on one point, the ensemble harness on a batch of
 all paths, the one-step audit once per index), run validation, the rate
 certificates and the gap windows.  The printed rate functions are
 
-* proximal (sppa):    rho(eps) = theta(chi(eps / 24 Lbar), (b + 4 L^2 T) / tau(eps/6))
-* Krasnoselskii-Mann (skm):  rho(eps) = theta(0, b / tau(eps/6))
-* Busemann subgradient (sb): rho(eps) = theta(chi(eps / 6 L^2), (b + L^2 T) / tau(eps/6))
+* proximal (sppa):    rho(eps) = theta(chi(eps / 24 Lbar), (b + 4 L^2 T) / (tau eps/6))
+* Krasnoselskii-Mann (skm):  rho(eps) = theta(0, b / (tau eps/6))
+* Busemann subgradient (sb): rho(eps) = theta(chi(eps / 6 L^2), (b + L^2 T) / (tau eps/6))
 
 with theta the divergence witness of the step schedule (under the step
 transform the analysis uses), chi the squared-step tail witness, tau the
-instance's mean regularity modulus for squared distances, b a strict upper
-bound on max{d(x0,z), d^2(x0,z)}, and T a strict upper bound on the squared
-step sum.  The tau-free liminf windows theta(N, budget/eps) are exposed
-separately so gap-window audits work even when no modulus is known.
+slope of the instance's linear regularity modulus for d^2, b a strict
+upper bound on max{d(x0,z), d^2(x0,z)}, and T a strict upper bound on the
+squared step sum.  The tau-free liminf windows theta(N, budget/eps) are
+exposed separately so gap-window audits work even when no modulus is known.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .moduli import (
     Constant,
     FastCertificate,
     Harmonic,
-    Power,
     RateCertificate,
     RootSchedule,
     StepSchedule,
@@ -43,7 +42,6 @@ from .moduli import (
     _check_relaxations,
     _guarded_ceil,
     divergence_witness_theta,
-    eval_modulus,
     recursion_bound_u,
     schedule_square_sum_bound,
     schedule_value,
@@ -434,13 +432,13 @@ def _certificate(
     z = _reference(problem, x0) if z is None else z
     if not contains(problem.solution_set, z):
         raise ValueError("reference point z must lie in the solution set")
-    tagged = regularity_modulus_for(problem, 2)
+    tagged = regularity_modulus_for(problem)
     if (d0 := distance(x0, _reference(problem, x0))) > tagged.region:
         raise ValueError(
             f"start point lies {d0} from the solution anchor, outside the radius "
             f"{tagged.region} on which the regularity modulus holds"
         )
-    tau = tagged.modulus
+    tau = tagged.slope
     b, L, L_bar, T = _ingredients(spec, problem, sched, x0, z)
     budget_scale = _budget_scale(spec, b, L, T)
     theta = _budget_witness(sched, spec.transform)
@@ -457,16 +455,17 @@ def _certificate(
     def rho(eps: float) -> int:
         if not eps > 0.0:
             raise ValueError(f"rate argument must be > 0, got {eps}")
+        tau_eps = tau * (eps / 6.0)
+        if not (tau_eps > 0.0 and math.isfinite(budget := budget_scale / tau_eps)):
+            raise ValueError(f"the rate index exceeds the float range (gap tolerance {eps})")
         start = 0 if chi_div is None else chi(eps / chi_div)
-        return theta(start, budget_scale / eval_modulus(tau, eps / 6.0))
+        return theta(start, budget)
 
     return RateCertificate(
         algorithm=algorithm,
         tau=tau,
-        consistency=Power(1.0, 2.0),
         chi=chi,
         divergence=theta,
-        K=1.0,
         b=b,
         L=L,
         L_bar=L_bar,

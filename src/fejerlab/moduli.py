@@ -1,11 +1,12 @@
-"""The modulus calculus behind the convergence-rate certificates.
+"""The schedule arithmetic behind the convergence-rate certificates.
 
-This module represents moduli — the linear and power functions
-(0, inf) -> (0, inf) used for regularity (tau) and consistency (theta) —
-as symbolic values, so that certificates can be evaluated exactly.  On
-top of the moduli it provides the step-schedule witnesses (the tail-rate
-chi and the divergence witness theta), the metric-rate quadruple, the
-Nemirovski-type recursion constant, and the fast-rate mean/tail envelopes.
+A certificate's moduli are numbers: the regularity modulus tau for d^2 is
+linear, tau(t) = tau * t with tau its slope (see
+``problems.regularity_modulus_for``), and the consistency modulus theta of
+the distance is the square, theta(eps) = eps^2.  This module provides the
+step-schedule witnesses (the tail-rate chi and the divergence witness
+theta), the metric-rate quadruple, the Nemirovski-type recursion constant,
+and the fast-rate mean/tail envelopes.
 
 chi, theta and the square-sum bound T read one exact partial sum of the
 schedule (``_partial_sums``, its fixed end shifted up by the recurrence) and
@@ -37,50 +38,6 @@ _MAX_DPS = 1200
 def _guarded_ceil(x: float) -> int:
     """Ceiling with a tiny relative shave (see CEIL_GUARD)."""
     return math.ceil(x * (1.0 - CEIL_GUARD))
-
-
-# ---------------------------------------------------------------------------
-# Moduli
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Linear:
-    """eps -> c * eps."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ValueError(f"linear modulus needs c > 0, got {self.c}")
-
-
-@dataclass(frozen=True)
-class Power:
-    """eps -> c * eps**p with p >= 1."""
-
-    c: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ValueError(f"power modulus needs c > 0, got {self.c}")
-        if not self.p >= 1.0:
-            raise ValueError(f"power modulus needs p >= 1, got {self.p}")
-
-
-Modulus = Union[Linear, Power]
-
-
-def eval_modulus(m: Modulus, eps: float) -> float:
-    """Evaluate the represented function at eps > 0."""
-    if not eps > 0.0:
-        raise ValueError(f"modulus argument must be > 0, got {eps}")
-    if isinstance(m, Linear):
-        return m.c * eps
-    if isinstance(m, Power):
-        return m.c * eps ** m.p
-    raise TypeError(f"not a modulus: {m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +316,12 @@ def divergence_witness_theta(
 
 
 def metric_rates(
-    rho: Callable[[float], int],
-    consistency: Modulus,
-    eps: float,
-    lam: float,
+    rho: Callable[[float], int], eps: float, lam: float
 ) -> tuple[int, int, int, int]:
     """The four metric iteration indices derived from a certificate rho and
-    a consistency modulus theta: (rho(theta(eps/2)), rho(lam*theta(eps/2)),
-    rho(theta(eps)), rho(lam*theta(eps))).
+    the consistency modulus theta(eps) = eps^2 of the distance:
+    (rho(theta(eps/2)), rho(lam*theta(eps/2)), rho(theta(eps)),
+    rho(lam*theta(eps))).
 
     The first pair serves the mean/almost-sure statements about the distance
     to the limit; the second pair the corresponding statements about the
@@ -376,8 +331,8 @@ def metric_rates(
         raise ValueError(f"metric tolerance must be > 0, got {eps}")
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"confidence level must be in (0,1], got {lam}")
-    th_half = eval_modulus(consistency, eps / 2.0)
-    th_full = eval_modulus(consistency, eps)
+    th_half = (eps / 2.0) ** 2.0
+    th_full = eps ** 2.0
     return (
         rho(th_half),
         rho(lam * th_half),
@@ -439,15 +394,14 @@ class RateCertificate:
     """The ingredient tuple of an explicit convergence-rate certificate,
     plus the assembled index functions.
 
+    ``tau`` is the slope of the linear regularity modulus for d^2, and
     ``rho`` maps a gap tolerance to an iteration index.
     """
 
     algorithm: str
-    tau: Modulus
-    consistency: Modulus
+    tau: float
     chi: Callable[[float], int]
     divergence: Callable[[int, float], int]
-    K: float
     b: float
     L: float
     L_bar: float
@@ -455,4 +409,4 @@ class RateCertificate:
     rho: Callable[[float], int]
 
     def metric_rates(self, eps: float, lam: float) -> tuple[int, int, int, int]:
-        return metric_rates(self.rho, self.consistency, eps, lam)
+        return metric_rates(self.rho, eps, lam)

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .moduli import Linear, Modulus, Power
 from .spaces import (
     Ball,
     Box,
@@ -85,7 +84,7 @@ class NoModulusKnownError(ValueError):
 def _check_weights(weights: tuple[float, ...]) -> None:
     if not weights:
         raise ValueError("need at least one atom/operator")
-    if any(w <= 0.0 for w in weights):
+    if not all(w > 0.0 for w in weights):  # NaN is not positive either
         raise ValueError("weights must be positive")
     total = math.fsum(weights)
     if abs(total - 1.0) > 1e-9:
@@ -124,14 +123,16 @@ class _MeanCost:
     def weights(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.atoms)
 
-    def _settle(self, solution_set: ConvexSet, anchor: Point, growth: Growth) -> None:
+    def _settle(self, derive, given) -> None:
         """Check the region bound, the weights and the atoms' space, then set
-        the derivation's solution set, anchor and growth, and what follows."""
+        the solution set, anchor and growth that derive(space, atoms, given)
+        proves from the checked data, and what follows."""
         if not self.region_bound > 0.0:
             raise ValueError("region bound must be > 0")
         _check_weights(self.weights)
         if any(space_of(a) != self.space for a, _ in self.atoms):
             raise ValueError("atom lies outside the declared space")
+        solution_set, anchor, growth = derive(self.space, self.atoms, given)
         atom = _solution_atom(self.atoms, solution_set)
         _set(self, solution_set=solution_set, solution_anchor=anchor, growth=growth)
         _set(self, cum_weights=_cum_weights(self.weights), solution_atom=atom)
@@ -156,10 +157,9 @@ class MeanMinProblem(_MeanCost):
     solution_atom: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        derived = _derive_mean_min_solution(self.space, self.atoms, self.cost_kind)
         if self.cost_kind not in (HALF_SQUARED, DISTANCE):
             raise ValueError(f"unknown cost kind: {self.cost_kind!r}")
-        self._settle(*derived)
+        self._settle(_derive_mean_min_solution, self.cost_kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +214,9 @@ class BusemannProblem(_MeanCost):
     solution_atom: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        derived = _derive_busemann_solution(self.space, self.atoms, self.constraint)
         if self.space not in ("euclidean", "tripod"):
             raise ValueError("Busemann instances support euclidean and tripod spaces")
-        self._settle(*derived)
+        self._settle(_derive_busemann_solution, self.constraint)
         if not contains(self.constraint, self.solution_anchor):
             raise ValueError("solution anchor does not lie in the constraint set")
 
@@ -587,40 +586,35 @@ def busemann_subgradient(
 
 @dataclass(frozen=True)
 class TaggedModulus:
-    """A regularity modulus together with the radius of the ball around the
-    solution anchor on which it is valid (inf when global)."""
+    """The linear regularity modulus tau(t) = slope * t for d^2, together
+    with the radius of the ball around the solution anchor on which it is
+    valid (inf when global)."""
 
-    modulus: Modulus
+    slope: float
     region: float
 
 
-def regularity_modulus_for(problem: Problem, q: int) -> TaggedModulus:
-    """The exact regularity modulus tau of the instance for dist^q, q in
-    {1,2}: a convex nondecreasing function with tau(dist^q(x)) <= F(x) on
-    the tagged region.  It is also a modulus in mean, by the Jensen lifting:
-    tau(E dist^q) <= E tau(dist^q) <= E F for convex tau, and linear and
-    power (p >= 1) moduli are convex.
+def regularity_modulus_for(problem: Problem) -> TaggedModulus:
+    """The exact regularity modulus tau of the instance for d^2: tau(d^2(x,
+    S)) <= F(x) on the tagged region.  Being linear, it is also a modulus in
+    mean: tau(E d^2) = E tau(d^2) <= E F.
 
     It is read off the growth the solution-set derivation recorded: F >= c
-    d^2 gives c d^2 everywhere, F >= c d gives c d everywhere and, for q = 2,
-    (c / B) d^2 on the ball of radius B = region_bound.  An instance without
-    a known growth raises NoModulusKnownError rather than guessing.
+    d^2 gives slope c everywhere, and F >= c d gives slope c / B on the ball
+    of radius B = region_bound, where d <= B.  An instance without a known
+    growth raises NoModulusKnownError rather than guessing.
     """
-    if q not in (1, 2):
-        raise ValueError(f"distance power must be 1 or 2, got {q}")
     if problem.growth is None:
         raise NoModulusKnownError(
             f"no regularity modulus is known for this instance shape "
             f"({type(problem).__name__}, space={problem.space!r}, "
-            f"{len(getattr(problem, 'atoms', getattr(problem, 'sets', ())))} terms, q={q})"
+            f"{len(getattr(problem, 'atoms', getattr(problem, 'sets', ())))} terms, q=2)"
         )
     shape, c = problem.growth
     if shape == "quadratic":
-        return TaggedModulus(Linear(c) if q == 2 else Power(c, 2.0), math.inf)
-    if q == 1:
-        return TaggedModulus(Linear(c), math.inf)
+        return TaggedModulus(c, math.inf)
     B = problem.region_bound
-    return TaggedModulus(Linear(c / B), B)
+    return TaggedModulus(c / B, B)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test helpers: hypothesis profile and in-ball point samplers.
+"""Shared test helpers: hypothesis profile, in-ball point samplers and the
+regularity modulus for d^q.
 
 The samplers place points at a chosen geodesic distance from a center by
 walking along a random ray (`ray_point`), which keeps the sampled radius
@@ -12,6 +13,7 @@ import math
 from hypothesis import HealthCheck, settings
 
 from fejerlab import rng
+from fejerlab.problems import regularity_modulus_for
 from fejerlab.spaces import (
     EuclideanDir,
     HalfPlaneIdealPoint,
@@ -79,3 +81,16 @@ def random_weights(k: int, state: rng.RngState):
         raw.append(0.05 + u)
     total = math.fsum(raw)
     return [w / total for w in raw], state
+
+
+def modulus_for_power(problem, q: int):
+    """(tau, radius): a regularity modulus for d^q, tau(d^q(x, S)) <= F(x)
+    within the radius of the solution anchor.  For q = 2 it is the
+    certificate's, slope * t; for q = 1 it is c t^p from the growth F >= c
+    d^p (p = 2 for quadratic growth, 1 for sharp), which holds everywhere."""
+    if q == 2:
+        tagged = regularity_modulus_for(problem)
+        return (lambda t: tagged.slope * t), tagged.region
+    shape, c = problem.growth
+    p = 2.0 if shape == "quadratic" else 1.0
+    return (lambda t: c * t ** p), math.inf

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import ball_point, random_weights
+from conftest import ball_point, modulus_for_power, random_weights
 
 from fejerlab.algorithms import (
     certificate_skm,
@@ -35,7 +35,6 @@ from fejerlab.harness import (
 from fejerlab.moduli import (
     Constant,
     Harmonic,
-    eval_modulus,
     fast_bounds,
     recursion_bound_u,
     schedule_square_sum_bound,
@@ -47,7 +46,6 @@ from fejerlab.problems import (
     gap_F,
     halfplane_single_atom,
     r1_single_atom_busemann,
-    regularity_modulus_for,
     segment_argmin,
     tripod_frechet,
     tripod_median,
@@ -305,8 +303,8 @@ def test_criterion_7_regularity_modulus_soundness_in_mean():
     state = make_state(77, 0)
     for problem, cap in instances:
         for q in (1, 2):
-            tagged = regularity_modulus_for(problem, q)
-            radius = min(tagged.region, problem.region_bound, cap)
+            tau, region = modulus_for_power(problem, q)
+            radius = min(region, problem.region_bound, cap)
             for _ in range(1000):
                 u, state = next_uniform(state)
                 k = 2 + int(3.0 * u)  # 2..4 support points
@@ -324,10 +322,10 @@ def test_criterion_7_regularity_modulus_soundness_in_mean():
                 )
                 if mean_dist <= 0.0:
                     continue
-                tau = eval_modulus(tagged.modulus, mean_dist)
-                assert tau <= mean_gap + 1e-9, (
+                bound = tau(mean_dist)
+                assert bound <= mean_gap + 1e-9, (
                     f"{type(problem).__name__} q={q}: tau({mean_dist:.6g}) = "
-                    f"{tau:.6g} > mean gap {mean_gap:.6g}"
+                    f"{bound:.6g} > mean gap {mean_gap:.6g}"
                 )
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"modulus soundness took {elapsed:.2f}s"

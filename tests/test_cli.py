@@ -950,6 +950,8 @@ def test_mpmath_loads_only_for_an_exact_sum(tmp_path):
     assert _cold_start(tmp_path, segment, "audit") == "[0] True"
 
 
+_NO_FLOAT_INDEX = "config.audit.epsilons[0]: the rate index exceeds the float range"
+
 # Row id, shipped config, the field to set, its new value, and how the
 # error must begin: audit requests the reader accepts but whose audit cannot
 # be built, because a certified index leaves the float or integer range or
@@ -957,6 +959,12 @@ def test_mpmath_loads_only_for_an_exact_sum(tmp_path):
 _NO_INDEX = [
     ("epsilon-huge", FLAG, ("audit", "epsilons"), [0.3, 1e308], "config.audit.epsilons[1]"),
     ("epsilon-subnormal", FLAG, ("audit", "epsilons"), [1e-320, 0.2], "config.audit.epsilons[0]"),
+    # tau (eps'/6) underflows to 0 at eps' = lam (eps/2)^2, or the budget
+    # over it overflows to inf.
+    ("epsilon-tiny", FLAG, ("audit", "epsilons"), [1e-161, 0.2], _NO_FLOAT_INDEX),
+    ("epsilon-tiny-budget-inf", FLAG, ("audit", "epsilons"), [1.3e-161], _NO_FLOAT_INDEX),
+    ("epsilon-tiny-sppa", TRIPOD, ("audit",), {"epsilons": [1e-161], "lambda": 0.1},
+     _NO_FLOAT_INDEX),
     ("harmonic-a-subnormal", TRIPOD, ("schedule", "a"), 1e-320, "config.schedule.a"),
     ("lambda-missing", FLAG, ("audit", "lambda"), _DELETE,
      "config.audit.lambda: required for certificate audits"),

@@ -7,8 +7,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.special import polygamma
 
 from fejerlab.cli import ConfigError, _read_schedule
@@ -16,13 +14,10 @@ from fejerlab.moduli import (
     Constant,
     FastCertificate,
     Harmonic,
-    Linear,
-    Power,
     RootSchedule,
     TableSchedule,
     _polygamma_shifted,
     divergence_witness_theta,
-    eval_modulus,
     fast_bounds,
     metric_rates,
     recursion_bound_u,
@@ -33,34 +28,6 @@ from fejerlab.moduli import (
 
 IDENTITY = "identity"
 MEAN = "mean_lambda_one_minus_lambda"
-
-
-# ---------------------------------------------------------------------------
-# Modulus evaluation
-# ---------------------------------------------------------------------------
-
-
-def test_eval_linear():
-    assert eval_modulus(Linear(0.5), 2.0) == 1.0
-
-
-def test_eval_power_strong_convexity_shape():
-    assert eval_modulus(Power(1.0 / 8.0, 2.0), 4.0) == 2.0
-
-
-def test_eval_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        eval_modulus(Linear(1.0), 0.0)
-
-
-@given(
-    st.sampled_from([Linear(0.5), Power(0.125, 2.0), Power(3.0, 1.5)]),
-    st.floats(min_value=1e-3, max_value=50.0),
-    st.floats(min_value=1e-3, max_value=50.0),
-)
-def test_eval_monotone_in_eps(m, e1, e2):
-    lo, hi = min(e1, e2), max(e1, e2)
-    assert eval_modulus(m, lo) <= eval_modulus(m, hi) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +275,12 @@ def test_divergence_witness_rejects_non_divergent():
 
 def test_metric_rates_orders_and_collapse():
     rho = lambda e: round(1.0 / e)
-    rates = metric_rates(rho, Power(1.0, 2.0), 0.2, 0.5)
+    rates = metric_rates(rho, 0.2, 0.5)
     assert rates[0] == rho(0.01)
     assert rates[2] == rho(0.04)
     assert rates[1] == rho(0.005) and rates[3] == rho(0.02)
-    lam_one = metric_rates(rho, Power(1.0, 2.0), 0.2, 1.0)
+    lam_one = metric_rates(rho, 0.2, 1.0)
     assert lam_one[0] == lam_one[1] and lam_one[2] == lam_one[3]
-    linear = metric_rates(rho, Linear(1.0), 0.2, 1.0)
-    assert linear[0] == rho(0.1)
 
 
 # ---------------------------------------------------------------------------

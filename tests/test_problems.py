@@ -38,7 +38,6 @@ from fejerlab.problems import (
     tripod_median_busemann,
     two_halfspace,
 )
-from fejerlab.moduli import Linear, Power, eval_modulus
 from fejerlab.spaces import (
     Ball,
     Box,
@@ -49,6 +48,7 @@ from fejerlab.spaces import (
     Tripod,
     TripodEnd,
     TripodSegment,
+    WholeSpace,
     contains,
     distance,
     geodesic_point,
@@ -57,7 +57,7 @@ from fejerlab.spaces import (
     sqdist,
 )
 
-from conftest import ball_point, random_weights
+from conftest import ball_point, modulus_for_power, random_weights
 
 
 def single_atom_r1(a: float, kind: str) -> "MeanMinProblem":
@@ -103,6 +103,45 @@ def test_fixed_point_requires_weight_per_operator():
     for sets in (one, three):
         with pytest.raises(ValueError, match="need one weight per operator"):
             FixedPointProblem("euclidean", sets, (0.5, 0.5))
+
+
+_HALFSPACES = (Halfspace((1.0, 0.0), 0.0), Halfspace((0.0, 1.0), 0.0))
+_R1_PAIR = ((Euclidean((-1.0,)), 0.5), (Euclidean((1.0,)), 0.5))
+_TRIPOD_PAIR = ((Tripod(0, 1.0), 0.5), (Tripod(1, 1.0), 0.5))
+_HALFPLANE_ATOMS = ((HalfPlane(0.0, 1.0), 0.6), (HalfPlane(1.5, 0.5), 0.4))
+_BOX = Box((-2.0, -2.0), (2.0, 2.0))
+
+# Row id, class, data, and the message of its one fault.  The derivation
+# reads the data only after these checks: it would fail on them with a bare
+# error (or a message about its closed forms), or accept a NaN weight.
+_MALFORMED = [
+    ("atoms-of-another-space", MeanMinProblem, ("euclidean", _TRIPOD_PAIR, HALF_SQUARED, 4.0),
+     "atom lies outside the declared space"),
+    ("no-atoms-half-squared", MeanMinProblem, ("euclidean", (), HALF_SQUARED, 4.0),
+     "need at least one atom/operator"),
+    ("no-atoms-distance", MeanMinProblem, ("tripod", (), DISTANCE, 4.0),
+     "need at least one atom/operator"),
+    ("no-atoms-busemann", BusemannProblem, ("euclidean", (), _BOX, 4.0),
+     "need at least one atom/operator"),
+    ("nan-weight-mean-min", MeanMinProblem,
+     ("euclidean", ((Euclidean((-1.0,)), math.nan), (Euclidean((1.0,)), 0.5)), HALF_SQUARED, 4.0),
+     "weights must be positive"),
+    ("nan-weight-fixed-point", FixedPointProblem, ("euclidean", _HALFSPACES, (math.nan, 0.5)),
+     "weights must be positive"),
+    ("unknown-cost-kind", MeanMinProblem, ("euclidean", _R1_PAIR, "l1", 4.0),
+     "unknown cost kind: 'l1'"),
+    ("halfplane-busemann", BusemannProblem, ("halfplane", _HALFPLANE_ATOMS, WholeSpace(), 4.0),
+     "Busemann instances support euclidean and tripod spaces"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, data, message", [r[1:] for r in _MALFORMED], ids=[r[0] for r in _MALFORMED]
+)
+def test_the_data_is_checked_before_the_derivation(make, data, message):
+    with pytest.raises(ValueError) as info:
+        make(*data)
+    assert str(info.value) == message
 
 
 _DATA_AND_DERIVED = [
@@ -412,55 +451,51 @@ def test_subgradient_ray_descends_the_cost_at_unit_rate():
 
 
 def test_modulus_frechet_r1():
-    tagged = regularity_modulus_for(frechet_r1(), 2)
-    assert tagged.modulus == Linear(0.5)
-    assert tagged.region == math.inf
+    assert regularity_modulus_for(frechet_r1()) == TaggedModulus(0.5, math.inf)
 
 
 def test_modulus_tripod_median():
-    m1 = regularity_modulus_for(tripod_median(), 1).modulus
-    assert isinstance(m1, Linear) and m1.c == pytest.approx(1.0 / 3.0, rel=1e-14)
-    tagged = regularity_modulus_for(tripod_median(2.0), 2)
-    assert isinstance(tagged.modulus, Linear)
-    assert tagged.modulus.c == pytest.approx(1.0 / 6.0, rel=1e-14)
+    shape, c = tripod_median().growth
+    assert shape == "sharp" and c == pytest.approx(1.0 / 3.0, rel=1e-14)
+    tagged = regularity_modulus_for(tripod_median(2.0))
+    assert tagged.slope == pytest.approx(1.0 / 6.0, rel=1e-14)
     assert tagged.region == 2.0
 
 
 def test_modulus_fixed_point_linear_regularity():
-    assert regularity_modulus_for(two_halfspace(), 2).modulus == Linear(0.5)
-    assert regularity_modulus_for(two_halfspace(), 1).modulus == Power(0.5, 2.0)
+    assert two_halfspace().growth == ("quadratic", 0.5)
+    assert regularity_modulus_for(two_halfspace()) == TaggedModulus(0.5, math.inf)
 
 
 def test_modulus_single_atom_distance():
     p = r1_single_atom_busemann()
-    assert regularity_modulus_for(p, 1).modulus == Linear(1.0)
-    tagged = regularity_modulus_for(p, 2)
-    assert tagged.modulus == Linear(1.0 / 3.0)
-    assert tagged.region == 3.0
+    assert p.growth == ("sharp", 1.0)
+    assert regularity_modulus_for(p) == TaggedModulus(1.0 / 3.0, 3.0)
 
 
 def test_modulus_unequal_two_atom_busemann():
     p = euclid_two_atom_busemann()
-    tagged = regularity_modulus_for(p, 1)
-    assert isinstance(tagged.modulus, Linear)
-    assert tagged.modulus.c == pytest.approx(0.4, rel=1e-14)
+    shape, c = p.growth
+    assert shape == "sharp" and c == pytest.approx(0.4, rel=1e-14)
+    tagged = regularity_modulus_for(p)
+    assert tagged.slope == pytest.approx(0.1, rel=1e-14) and tagged.region == 4.0
 
 
 def test_modulus_strong_convexity_tripod_frechet():
-    assert regularity_modulus_for(tripod_frechet(), 2).modulus == Linear(0.125)
-    assert regularity_modulus_for(halfplane_single_atom(), 2).modulus == Linear(0.5)
+    assert regularity_modulus_for(tripod_frechet()).slope == 0.125
+    assert regularity_modulus_for(halfplane_single_atom()).slope == 0.5
 
 
 def test_no_modulus_for_equal_weight_busemann():
     with pytest.raises(NoModulusKnownError):
-        regularity_modulus_for(segment_argmin(), 2)
+        regularity_modulus_for(segment_argmin())
 
 
 def test_no_modulus_for_euclidean_majority_median():
     atoms = ((Euclidean((2.0, 0.0)), 0.7), (Euclidean((-1.0, 1.0)), 0.3))
     p = MeanMinProblem("euclidean", atoms, DISTANCE, 4.0)
     with pytest.raises(NoModulusKnownError):
-        regularity_modulus_for(p, 2)
+        regularity_modulus_for(p)
 
 
 def test_the_solution_set_derivation_records_the_growth():
@@ -484,11 +519,11 @@ def test_the_solution_set_derivation_records_the_growth():
             continue
         shape, c = problem.growth
         assert shape == expected[0] and c == pytest.approx(expected[1], rel=1e-14)
-        tagged = regularity_modulus_for(problem, 2)
+        tagged = regularity_modulus_for(problem)
         if shape == "sharp":  # F >= c d >= (c / B) d^2 on the ball of radius B
-            assert tagged == TaggedModulus(Linear(c / problem.region_bound), problem.region_bound)
+            assert tagged == TaggedModulus(c / problem.region_bound, problem.region_bound)
         else:
-            assert tagged == TaggedModulus(Linear(c), math.inf)
+            assert tagged == TaggedModulus(c, math.inf)
 
 
 def test_modulus_soundness_on_random_in_region_points():
@@ -503,14 +538,14 @@ def test_modulus_soundness_on_random_in_region_points():
     ]
     state = rng.make_state(23, 0)
     for problem, q in instances:
-        tagged = regularity_modulus_for(problem, q)
-        radius = min(tagged.region, problem.region_bound, 4.0)
+        tau, region = modulus_for_power(problem, q)
+        radius = min(region, problem.region_bound, 4.0)
         for _ in range(100):
             x, state = ball_point(problem.solution_anchor, radius, state)
             d = dist_to_solutions(problem, x, q)
             if d == 0.0:
                 continue
-            assert eval_modulus(tagged.modulus, d) <= gap_F(problem, x) + 1e-9
+            assert tau(d) <= gap_F(problem, x) + 1e-9
 
 
 def test_linear_regularity_margin_two_halfspace():
