@@ -20,6 +20,7 @@ slope of the instance's linear regularity modulus for d^2, b a strict
 upper bound on max{d(x0,z), d^2(x0,z)}, and T a strict upper bound on the
 squared step sum.  The tau-free liminf windows theta(N, budget/eps) are
 exposed separately so gap-window audits work even when no modulus is known.
+An index past ``moduli.INDEX_CAP`` is None: no run can reach it.
 """
 
 from __future__ import annotations
@@ -338,10 +339,10 @@ def _ingredients(
     return b, L, L_bar, schedule_square_sum_bound(sched)
 
 
-def _budget_witness(sched: StepSchedule, transform: str) -> Callable[[int, float], int]:
+def _budget_witness(sched: StepSchedule, transform: str) -> Callable[[int, float], int | None]:
     """theta(k, budget): an index m >= k with sum_{n=k}^{m} w_n >= budget,
     where w_n is the schedule value (identity transform) or
-    lambda_n(1-lambda_n) (mean transform).
+    lambda_n(1-lambda_n) (mean transform), or None past INDEX_CAP.
 
     Constant schedules use the closed count form k + ceil(budget/w) (with
     the guarded ceiling, so budgets that are exact integer multiples of w
@@ -353,16 +354,16 @@ def _budget_witness(sched: StepSchedule, transform: str) -> Callable[[int, float
         _check_divergent(sched, transform)
         w = sched.c * (1.0 - sched.c) if transform == _MEAN else sched.c
 
-        def theta(k: int, budget: float) -> int:
+        def theta(k: int, budget: float) -> int | None:
             if k < 0:
                 raise ValueError(f"start index must be >= 0, got {k}")
             if not budget > 0.0:
                 raise ValueError(f"divergence budget must be > 0, got {budget}")
-            return k + _guarded_ceil(budget / w)
+            return _guarded_ceil(budget / w, k)
 
         return theta
 
-    def theta(k: int, budget: float) -> int:
+    def theta(k: int, budget: float) -> int | None:
         return divergence_witness_theta(sched, transform, k, budget)
 
     return theta
@@ -379,7 +380,7 @@ def _liminf_bound(algorithm: str, sched: StepSchedule, b: float, L: float, T: fl
     theta = _budget_witness(sched, spec.transform)
     budget_scale = _budget_scale(spec, b, L, T)
 
-    def phi(eps: float, N: int) -> int:
+    def phi(eps: float, N: int) -> int | None:
         if not eps > 0.0:
             raise ValueError(f"gap tolerance must be > 0, got {eps}")
         return theta(N, budget_scale / eps)
@@ -445,21 +446,21 @@ def _certificate(
 
     chi_div = None if spec.chi_scale is None else spec.chi_scale(L, L_bar)
 
-    def chi(eps: float) -> int:
+    def chi(eps: float) -> int | None:
         if chi_div is not None:
             return tail_rate_chi(sched, eps)
         if not eps > 0.0:
             raise ValueError(f"tail budget must be > 0, got {eps}")
         return 0
 
-    def rho(eps: float) -> int:
+    def rho(eps: float) -> int | None:
         if not eps > 0.0:
             raise ValueError(f"rate argument must be > 0, got {eps}")
         tau_eps = tau * (eps / 6.0)
         if not (tau_eps > 0.0 and math.isfinite(budget := budget_scale / tau_eps)):
             raise ValueError(f"the rate index exceeds the float range (gap tolerance {eps})")
         start = 0 if chi_div is None else chi(eps / chi_div)
-        return theta(start, budget)
+        return None if start is None else theta(start, budget)
 
     return RateCertificate(
         algorithm=algorithm,

@@ -385,9 +385,7 @@ def _fast_check(exp: Experiment):
 def _liminf_check(exp: Experiment):
     eps, start = exp.audit.params
     phi = gap_window(exp.problem, exp.algorithm, exp.sched, exp.x0)
-    # The end grows like e^(budget / (a eps)) for a harmonic schedule.
-    step = "config.schedule.a" if isinstance(exp.sched, moduli.Harmonic) else "config.schedule"
-    end = _build(f"{step} with config.audit.liminf.epsilon={eps!r}", phi, eps, start)
+    end = _build(f"config.schedule with config.audit.liminf.epsilon={eps!r}", phi, eps, start)
     return lambda stats: liminf_audit(stats, end, eps, start)
 
 
@@ -433,7 +431,7 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
     path = "config.ensemble"
     ens = _fields(_need(top, "ensemble", "config"), ("paths", "horizon", "seed", "threads"), path)
     paths = _integer(ens, "paths", path, lo=1)
-    horizon = _integer(ens, "horizon", path, lo=0)
+    horizon = _integer(ens, "horizon", path, lo=0, hi=moduli.INDEX_CAP)
     seed = _integer(ens, "seed", path, lo=0, hi=2**64 - 1)
     threads = _integer(ens, "threads", path, lo=1, default=1)
     if seed_override is not None:
@@ -565,9 +563,10 @@ def cmd_report(out_prefix: str) -> int:
         return EXIT_OK
 
     def details(r: AuditRecord, column: str | None, label: str | None) -> str:
-        line = f" predicted index {_index_label(r.predicted_index)}"
-        if r.predicted_index <= horizon and column is not None:
-            line += f" | {label} {cols[column][r.predicted_index]:.6g}"
+        idx = r.predicted_index
+        line = f" predicted index {_index_label(idx)}"
+        if idx is not None and idx <= horizon and column is not None:
+            line += f" | {label} {cols[column][idx]:.6g}"
         if r.observed_value_at_index is not None:
             line += f" | audited value {r.observed_value_at_index:.6g}"
         if r.mc_margin is not None:

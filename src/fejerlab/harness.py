@@ -31,11 +31,9 @@ horizon, not with their product.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -406,7 +404,7 @@ _TRUNCATED = "sup-tail truncated at the horizon (later exceedances unobserved)"
 class AuditRecord:
     epsilon: float
     criterion: str
-    predicted_index: int
+    predicted_index: int | None  # None: past moduli.INDEX_CAP
     observed_value_at_index: float | None
     bound_satisfied: bool | None
     mc_margin: float | None
@@ -450,13 +448,14 @@ def _report(kind: str, stats: EnsembleStats, lam: float | None, records) -> Audi
 
 
 def liminf_witness_check(
-    stats: EnsembleStats, eps: float, start: int, bound_index: int
+    stats: EnsembleStats, eps: float, start: int, bound_index: int | None
 ) -> int | None:
     """First index n in [start, min(bound_index, horizon)] with mean gap
-    below eps, or None if the window contains no such iterate."""
+    below eps, or None if the window contains no such iterate.  A
+    bound_index of None lies past the horizon."""
     if start < 0:
         raise ValueError(f"window start must be >= 0, got {start}")
-    end = min(bound_index, stats.horizon)
+    end = stats.horizon if bound_index is None else min(bound_index, stats.horizon)
     if start > end:
         return None
     window = stats.mean_gap[start : end + 1]
@@ -465,7 +464,7 @@ def liminf_witness_check(
 
 
 def certificate_audit(
-    stats: EnsembleStats, rates: dict[float, tuple[int, int, int, int]], lam: float
+    stats: EnsembleStats, rates: dict[float, tuple[int | None, ...]], lam: float
 ) -> AuditReport:
     """Check a rate certificate's mean and almost-sure indices against the
     ensemble.  ``rates`` maps each audited epsilon to its four indices,
@@ -476,7 +475,8 @@ def certificate_audit(
     be below eps up to 3 standard errors) and the almost-sure check at the
     relaxed index rho(lam * theta(eps)) (running-sup exceedance fraction
     must be below lam up to 3 binomial standard errors).  Indices beyond
-    the horizon yield "unchecked" records, which never count as failures.
+    the horizon (None ones included) yield "unchecked" records, which never
+    count as failures.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"confidence level must lie in (0,1), got {lam}")
@@ -490,7 +490,7 @@ def certificate_audit(
             f"as_relaxed={_index_label(as_relaxed)}"
         )
 
-        if idx > stats.horizon:
+        if idx is None or idx > stats.horizon:
             records.append(
                 AuditRecord(
                     eps, "mean", idx, None, None, None,
@@ -516,7 +516,7 @@ def certificate_audit(
 
         idx = as_relaxed
         se = math.sqrt(lam * (1.0 - lam) / stats.paths)
-        if idx > stats.horizon:
+        if idx is None or idx > stats.horizon:
             records.append(
                 AuditRecord(
                     eps, "almost_sure", idx, None, None, None,
@@ -639,14 +639,9 @@ def _envelope_rounding(paths: int, env, tol, mean_sq):
     return np.where(np.isfinite(allowance), allowance, 0.0)
 
 
-def _index_label(idx: int) -> str:
-    """Astronomically large witness indices are printed as magnitudes,
-    found without the decimal string of the index."""
-    if idx >= 10**12:
-        e = int(math.log10(idx))  # off by at most one; corrected exactly
-        e += (10 ** (e + 1) <= idx) - (10**e > idx)
-        return f"~1e{e}"
-    return str(idx)
+def _index_label(idx: int | None) -> str:
+    """An index as printed: None, past moduli.INDEX_CAP, is ">1e12"."""
+    return ">1e12" if idx is None else str(idx)
 
 
 _GAP_CAVEAT = (
@@ -657,18 +652,20 @@ _GAP_CAVEAT = (
 )
 
 
-def liminf_audit(stats: EnsembleStats, bound_idx: int, eps: float, start: int) -> AuditReport:
+def liminf_audit(
+    stats: EnsembleStats, bound_idx: int | None, eps: float, start: int
+) -> AuditReport:
     """Gap-window audit: the certified window [start, bound_idx], with
     bound_idx = phi(eps, start) of ``algorithms.gap_window`` computed before
-    the run, must contain an iterate whose mean optimality gap is below
-    eps.  A window past the horizon with no witness before it is
-    unchecked."""
+    the run (None past moduli.INDEX_CAP), must contain an iterate whose mean
+    optimality gap is below eps.  A window past the horizon with no witness
+    before it is unchecked."""
     witness = liminf_witness_check(stats, eps, start, bound_idx)
     window = f"window [{start}, {_index_label(bound_idx)}]"
     if witness is not None:
         observed, held = float(stats.mean_gap[witness]), True
         note = f"{window}: witness at n={witness} with mean gap {observed:.6g} < {eps:g}"
-    elif bound_idx > stats.horizon:
+    elif bound_idx is None or bound_idx > stats.horizon:
         observed = held = None
         note = (
             f"unchecked: {window} extends beyond horizon {stats.horizon} "
@@ -731,27 +728,11 @@ def export_results(
     return written
 
 
-@contextlib.contextmanager
-def _exact_ints():
-    """Lift CPython's limit on int/str conversion (4,300 digits by default,
-    from 3.10.7 on) while an audit file is written or read: a certified
-    window end can have thousands of digits."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def write_audit(report: AuditReport, path_prefix: str) -> str:
     """Write {prefix}audit.json; returns its path."""
     audit_path = f"{path_prefix}audit.json"
     try:
-        with open(audit_path, "w") as fh, _exact_ints():
+        with open(audit_path, "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
@@ -761,7 +742,7 @@ def write_audit(report: AuditReport, path_prefix: str) -> str:
 
 def read_audit(path_prefix: str) -> AuditReport:
     """Read {prefix}audit.json back."""
-    with open(f"{path_prefix}audit.json") as fh, _exact_ints():
+    with open(f"{path_prefix}audit.json") as fh:
         return AuditReport.from_json_dict(json.load(fh))
 
 

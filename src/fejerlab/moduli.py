@@ -9,11 +9,11 @@ theta), the metric-rate quadruple, the Nemirovski-type recursion constant,
 and the fast-rate mean/tail envelopes.
 
 chi, theta and the square-sum bound T read one exact partial sum of the
-schedule (``_partial_sums``, its fixed end shifted up by the recurrence) and
-find each minimal index by one bisection (``_least_index``); theta first
-tries the index an inversion of the digamma gives, which the exact sums must
-confirm, and past 1,200 digits takes the integral bound's upper index.  Only
-an exact sum imports mpmath, so a constant schedule never loads it."""
+schedule (``_partial_sums``, its fixed end shifted up by the recurrence) at
+40 digits, and chi and theta find each minimal index by one bisection up to
+``INDEX_CAP`` (``_least_index``).  An index past the cap is None: no run
+reaches it, so it is reported as beyond, not computed.  Only an exact sum
+imports mpmath, so a constant schedule never loads it."""
 
 from __future__ import annotations
 
@@ -26,18 +26,22 @@ from typing import Callable, Union
 #: exact integer into the next one.
 CEIL_GUARD = 5e-13
 
-#: Decimal digits of every exact schedule sum; the divergence witness adds
-#: the digits of its index.
+#: Decimal digits of every exact schedule sum.
 _DPS = 40
 
-#: Above this many requested decimal digits the exact minimal divergence
-#: witness is abandoned in favor of the sound analytic upper index.
-_MAX_DPS = 1200
+#: The largest index a witness returns; past it a witness is None.
+INDEX_CAP = 10**12
 
 
-def _guarded_ceil(x: float) -> int:
-    """Ceiling with a tiny relative shave (see CEIL_GUARD)."""
-    return math.ceil(x * (1.0 - CEIL_GUARD))
+def _capped_ceil(x: float, k: int) -> int | None:
+    """k + ceil(x), or None when that exceeds INDEX_CAP (x = inf included);
+    decided by one exact comparison of x with INDEX_CAP - k."""
+    return k + math.ceil(x) if x <= INDEX_CAP - k else None
+
+
+def _guarded_ceil(x: float, k: int) -> int | None:
+    """``_capped_ceil`` of x with a tiny relative shave (see CEIL_GUARD)."""
+    return _capped_ceil(x * (1.0 - CEIL_GUARD), k)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +191,13 @@ def _partial_sums(sched: StepSchedule, k: int, steps: int, squares: int):
     return partial
 
 
-def _least_index(holds: Callable[[int], bool], lo: int, hi: int) -> int:
-    """The least n > lo with holds(n), for a predicate that is false at lo
-    and monotone (false, then true) above it: double hi until it holds,
-    then bisect."""
-    while not holds(hi):
-        lo, hi = hi, 2 * hi
+def _least_index(holds: Callable[[int], bool], lo: int) -> int | None:
+    """The least n in (lo, INDEX_CAP] with holds(n), or None when there is
+    none, for a predicate that is false at lo and monotone (false, then
+    true) above it: one bisection."""
+    hi = INDEX_CAP
+    if not holds(hi):
+        return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(mid):
@@ -207,15 +212,15 @@ def _least_index(holds: Callable[[int], bool], lo: int, hi: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def tail_rate_chi(sched: StepSchedule, eps: float) -> int:
+def tail_rate_chi(sched: StepSchedule, eps: float) -> int | None:
     """Smallest N with sum_{n>=N} lambda_n^2 < eps, located by monotone
-    bisection against the exact tail sums.  Constant and root schedules
-    have a divergent square series and are rejected."""
+    bisection against the exact tail sums; None past INDEX_CAP.  Constant
+    and root schedules have a divergent square series and are rejected."""
     if not eps > 0.0:
         raise ValueError(f"tail budget must be > 0, got {eps}")
     import mpmath
     with mpmath.workdps(_DPS):
-        return _least_index(lambda n: _partial_sums(sched, n, 0, 1)(math.inf) < eps, -1, 1)
+        return _least_index(lambda n: _partial_sums(sched, n, 0, 1)(math.inf) < eps, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +262,12 @@ def _check_divergent(sched: StepSchedule, transform: str) -> None:
 
 def divergence_witness_theta(
     sched: StepSchedule, transform: str, k: int, b: float
-) -> int:
-    """Smallest m >= k with sum_{n=k}^{m} transformed(lambda_n) >= b.
+) -> int | None:
+    """Smallest m >= k with sum_{n=k}^{m} transformed(lambda_n) >= b, or
+    None when it exceeds INDEX_CAP.
 
-    Constant schedules use the closed form.  Otherwise the minimal index is
-    guessed by inverting the digamma and confirmed by the exact partial sums
-    at m - 1 and m, or else located by bisection against them, at enough
-    digits to resolve it.  For witnesses beyond ~10^1150 the sound analytic
-    upper index ceil((j+s) e^{need/a} - s - 1) (from the integral lower
-    bound on the tail's partial sum from j = max(k, len(values)) on, which
-    must add need) is returned instead of the exact minimum.
+    Constant schedules use the closed form.  Otherwise the index is located
+    by bisection against the exact partial sums.
     """
     if k < 0:
         raise ValueError(f"start index must be >= 0, got {k}")
@@ -277,37 +278,12 @@ def divergence_witness_theta(
 
     if isinstance(sched, Constant):
         w = sched.c * (1.0 - sched.c) if mean else sched.c
-        return k + math.ceil(b / w) - 1
+        return _capped_ceil(b / w, k - 1)
 
     import mpmath
-    values, h = _table(sched)
-    a, s, j = h.a, h.s, max(k, len(values))
-    squares = -1 if mean else 0
-    with mpmath.workdps(60):
-        # The steps the harmonic tail must add: what the leading values leave
-        # of b, plus, for the mean transform, the squares of the whole tail.
-        need = b - _partial_sums(sched, k, 1, squares)(j - 1)
-        if mean:
-            need += _partial_sums(sched, j, 0, 1)(math.inf)
-        need = max(float(need), 0.0)
-        # Integral bound: sum_{n=j}^{m} a/(n+s) >= a ln((m+s+1)/(j+s)), so
-        # any m >= (j+s) e^{need/a} - s - 1 certifies the budget.
-        upper = max(int(mpmath.ceil((j + s) * mpmath.e ** (mpmath.mpf(need) / a) - s - 1)), j)
-    dps = _DPS + int(0.44 * need / a)
-    if dps > _MAX_DPS:
-        return upper
-    with mpmath.workdps(dps):
-        partial = _partial_sums(sched, k, 1, squares)
-        # Past j, need = a (G(X) - G(j+s)) at X = m + s + 1, with G = psi (+ a
-        # psi_1 for the mean) ~ log X + c/X, c = -1/2 (+ a): invert it to 20
-        # digits, then take one Newton step in log X on the exact sum.
-        with mpmath.workdps(20):
-            x = mpmath.exp(mpmath.digamma(j + s) + need / a) + 0.5 - (a if mean else 0.0)
-        m = int(x - s - 1)
-        m = int(mpmath.ceil((mpmath.mpf(m) + s + 1) * mpmath.exp((b - partial(m)) / a) - s - 1))
-        if m >= k and partial(m) >= b > partial(m - 1):
-            return m
-        return _least_index(lambda m: partial(m) >= b, k - 1, upper + 1)
+    with mpmath.workdps(_DPS):
+        partial = _partial_sums(sched, k, 1, -1 if mean else 0)
+        return _least_index(lambda m: partial(m) >= b, k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +292,12 @@ def divergence_witness_theta(
 
 
 def metric_rates(
-    rho: Callable[[float], int], eps: float, lam: float
-) -> tuple[int, int, int, int]:
+    rho: Callable[[float], int | None], eps: float, lam: float
+) -> tuple[int | None, ...]:
     """The four metric iteration indices derived from a certificate rho and
     the consistency modulus theta(eps) = eps^2 of the distance:
     (rho(theta(eps/2)), rho(lam*theta(eps/2)), rho(theta(eps)),
-    rho(lam*theta(eps))).
+    rho(lam*theta(eps))), each None past INDEX_CAP.
 
     The first pair serves the mean/almost-sure statements about the distance
     to the limit; the second pair the corresponding statements about the
@@ -395,18 +371,19 @@ class RateCertificate:
     plus the assembled index functions.
 
     ``tau`` is the slope of the linear regularity modulus for d^2, and
-    ``rho`` maps a gap tolerance to an iteration index.
+    ``rho`` maps a gap tolerance to an iteration index (an ``int | None``:
+    None when chi or theta passes INDEX_CAP).
     """
 
     algorithm: str
     tau: float
-    chi: Callable[[float], int]
-    divergence: Callable[[int, float], int]
+    chi: Callable[[float], int | None]
+    divergence: Callable[[int, float], int | None]
     b: float
     L: float
     L_bar: float
     T: float
-    rho: Callable[[float], int]
+    rho: Callable[[float], int | None]
 
-    def metric_rates(self, eps: float, lam: float) -> tuple[int, int, int, int]:
+    def metric_rates(self, eps: float, lam: float) -> tuple[int | None, ...]:
         return metric_rates(self.rho, eps, lam)

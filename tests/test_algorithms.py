@@ -346,9 +346,13 @@ def test_certificate_refuses_a_start_outside_the_modulus_region():
         certificate_sppa(problem, H11, Tripod(0, 10.0))
     with pytest.raises(ValueError, match="outside the radius"):
         certificate_sppa(problem, H11, Tripod(1, 2.0 + 1e-9))
-    for x0 in (Tripod(0, 2.0), Tripod(2, 0.5), Tripod(0, 0.0)):  # on or inside the ball
-        assert certificate_sppa(problem, H11, x0).rho(1.0) > 0
-    assert certificate_sppa(tripod_median(10.0), H11, Tripod(0, 10.0)).rho(30.0) > 0
+    # On or inside the ball the certificate is built; its index at eps = 1
+    # (at 30 on the ball of radius 10) lies past INDEX_CAP.
+    for x0 in (Tripod(0, 2.0), Tripod(2, 0.5), Tripod(0, 0.0)):
+        cert = certificate_sppa(problem, H11, x0)
+        assert cert.rho(1.0) is None and cert.rho(30.0) > 0
+    cert = certificate_sppa(tripod_median(10.0), H11, Tripod(0, 10.0))
+    assert cert.rho(30.0) is None and cert.rho(1000.0) > 0
 
 
 def test_shifted_tail_table_is_a_valid_relaxation_schedule():
@@ -358,7 +362,8 @@ def test_shifted_tail_table_is_a_valid_relaxation_schedule():
     trajectory = run_skm(two_halfspace(), sched, x0, 10, seed=3)
     assert max(trajectory.steps) == 0.5
     cert = certificate_skm(two_halfspace(), sched, x0)
-    assert cert.metric_rates(0.3, 0.1)[0] > 0
+    assert cert.metric_rates(0.3, 0.1) == (None,) * 4  # past INDEX_CAP
+    assert cert.metric_rates(3.0, 0.1)[0] > 0
     assert gap_window(two_halfspace(), "skm", sched, x0)(1.0, 0) > 0
     with pytest.raises(ValueError, match=r"relaxations must lie in \(0, 1\]"):
         run_skm(two_halfspace(), TableSchedule((0.5,) * 3, Harmonic(4.5, 1.0)), x0, 1, seed=3)

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -529,26 +530,38 @@ def test_audit_gap_window_past_the_horizon_without_a_witness_is_unchecked(tmp_pa
     }
 
 
-def test_audit_gap_window_end_of_thousands_of_digits(tmp_path, capsys):
-    # At eps = 3e-4 the certified window end has more than 8,000 digits, past
-    # CPython's default limit on int/str conversion.
+def test_audit_gap_window_end_past_the_cap(tmp_path, capsys):
+    # At eps = 3e-4 the certified window end lies past INDEX_CAP: it prints
+    # as >1e12 and audit.json writes it as null.
     cfg = sb_liminf_config(paths=64, horizon=100)
     cfg["audit"]["liminf"]["epsilon"] = 3e-4
     path = write_config(tmp_path, cfg)
     out = str(tmp_path / "g_")
-    limit = sys.get_int_max_str_digits()
     rc = run_cli("audit", "--config", path, "--out", out)
     printed = capsys.readouterr().out
     assert rc == 0, printed
     assert "[PASS] gap-window (liminf) check" in printed
-    assert "window [0, ~1e8" in printed
-    assert '"bound_satisfied": true' in (tmp_path / "g_audit.json").read_text()
+    assert "window [0, >1e12]" in printed
+    with open(out + "audit.json") as fh:
+        (record,) = json.load(fh)["records"]
+    assert record["predicted_index"] is None and record["bound_satisfied"] is True
     assert run_cli("report", "--config", path, "--out", out) == 0
-    assert "predicted index ~1e8" in capsys.readouterr().out
+    assert "predicted index >1e12" in capsys.readouterr().out
     re_out = str(tmp_path / "re_")
     assert run_cli("audit", "--config", path, "--out", re_out, "--curves", out + "curves.csv") == 0
     assert (tmp_path / "re_audit.json").read_bytes() == (tmp_path / "g_audit.json").read_bytes()
-    assert sys.get_int_max_str_digits() == limit  # lifted only around the audit file
+
+
+def test_audit_gap_window_of_a_subnormal_step_is_past_the_cap(tmp_path, capsys):
+    # Under a = 1e-320 the steps up to INDEX_CAP sum to less than the budget:
+    # the window end is beyond, and the audit runs.
+    cfg = _shipped(TRIPOD)
+    cfg["ensemble"].update(paths=3, horizon=5)
+    cfg["schedule"]["a"] = 1e-320
+    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "s_"))
+    printed = capsys.readouterr().out
+    assert rc == 0, printed
+    assert "check: eps=2 index=>1e12 " in printed and "window [0, >1e12]" in printed
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +860,8 @@ _REJECTED = [
      "config.problem.operators[1].set.offset: 1e+51 is outside the domain [-1e+50, 1e+50]"),
     ("box-bound-far", SEGMENT, ("problem", "constraint", "hi"), [2.0, 1e51],
      "config.problem.constraint.hi[1]: 1e+51 is outside the domain [-1e+50, 1e+50]"),
+    ("horizon-past-the-index-cap", FLAG, ("ensemble", "horizon"), 10**12 + 1,
+     "config.ensemble.horizon: must be <= 1000000000000, got 1000000000001"),
 ]
 
 
@@ -954,8 +969,8 @@ _NO_FLOAT_INDEX = "config.audit.epsilons[0]: the rate index exceeds the float ra
 
 # Row id, shipped config, the field to set, its new value, and how the
 # error must begin: audit requests the reader accepts but whose audit cannot
-# be built, because a certified index leaves the float or integer range or
-# the rate audit lacks what it needs.  `validate` and `run` accept them.
+# be built, because a certified index leaves the float range or the rate
+# audit lacks what it needs.  `validate` and `run` accept them.
 _NO_INDEX = [
     ("epsilon-huge", FLAG, ("audit", "epsilons"), [0.3, 1e308], "config.audit.epsilons[1]"),
     ("epsilon-subnormal", FLAG, ("audit", "epsilons"), [1e-320, 0.2], "config.audit.epsilons[0]"),
@@ -965,7 +980,6 @@ _NO_INDEX = [
     ("epsilon-tiny-budget-inf", FLAG, ("audit", "epsilons"), [1.3e-161], _NO_FLOAT_INDEX),
     ("epsilon-tiny-sppa", TRIPOD, ("audit",), {"epsilons": [1e-161], "lambda": 0.1},
      _NO_FLOAT_INDEX),
-    ("harmonic-a-subnormal", TRIPOD, ("schedule", "a"), 1e-320, "config.schedule.a"),
     ("lambda-missing", FLAG, ("audit", "lambda"), _DELETE,
      "config.audit.lambda: required for certificate audits"),
     ("audit-missing", FLAG, ("audit",), _DELETE,
@@ -1004,7 +1018,7 @@ def test_audit_index_out_of_range_fails_before_the_ensemble(
 
 def test_audit_accepts_a_table_whose_tail_starts_below_one(tmp_path, capsys):
     # Every step is at most 1/2: the tail 2 / (n + 1) starts at index 3.  At
-    # eps = 0.2 the almost-sure index has about 6,500 digits.
+    # eps = 0.2 the almost-sure index lies past INDEX_CAP.
     cfg = _shipped(FLAG)
     cfg["ensemble"].update(paths=8, horizon=20)
     cfg["schedule"] = {"kind": "table", "values": [0.5, 0.5, 0.5], "tail": {"a": 2.0, "s": 1.0}}
@@ -1013,9 +1027,10 @@ def test_audit_accepts_a_table_whose_tail_starts_below_one(tmp_path, capsys):
         assert rc == 0, capsys.readouterr().err
 
 
-def test_audit_prints_indices_of_thousands_of_digits_as_magnitudes(tmp_path, capsys):
-    # Under the harmonic schedule a = 0.5, s = 1 the almost-sure index at
-    # eps = 0.2 has about 6,500 digits; audit.json keeps it exact.
+def test_audit_prints_indices_past_the_cap_as_beyond(tmp_path, capsys):
+    # Under the harmonic schedule a = 0.5, s = 1 every index of the flagship's
+    # epsilons lies past INDEX_CAP (at eps = 0.2 the almost-sure one has about
+    # 6,500 digits): each prints as >1e12 and audit.json writes null.
     cfg = _shipped(FLAG)
     cfg["ensemble"].update(paths=8, horizon=20)
     cfg["schedule"] = {"kind": "harmonic", "a": 0.5, "s": 1.0}
@@ -1024,15 +1039,49 @@ def test_audit_prints_indices_of_thousands_of_digits_as_magnitudes(tmp_path, cap
     out = capsys.readouterr().out
     assert rc == 0
     assert max(len(line) for line in out.splitlines()) <= 1_000
-    assert "as_strict=~1e26058, mean_relaxed=~1e651, as_relaxed=~1e6514" in out
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        with open(f"{prefix}audit.json") as fh:
-            indices = [r["predicted_index"] for r in json.load(fh)["records"]]
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert max(indices) > 10**6000
+    assert "as_strict=>1e12, mean_relaxed=>1e12, as_relaxed=>1e12" in out
+    with open(f"{prefix}audit.json") as fh:
+        indices = [r["predicted_index"] for r in json.load(fh)["records"]]
+    assert indices == [None] * 4
+
+
+def test_audit_json_holds_exact_indices_and_null_past_the_cap(tmp_path, capsys):
+    cfg = _shipped(FLAG)
+    cfg["ensemble"].update(paths=8, horizon=20)
+    cfg["audit"]["epsilons"] = [0.3, 1e-7]
+    prefix = tmp_path / "m_"
+    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(prefix))
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "indices: mean=5334, as_strict=53334, mean_relaxed=1334, as_relaxed=13334" in out
+    assert "indices: mean=>1e12, as_strict=>1e12, mean_relaxed=>1e12, as_relaxed=>1e12" in out
+    with open(f"{prefix}audit.json") as fh:
+        indices = [r["predicted_index"] for r in json.load(fh)["records"]]
+    assert indices == [5334, 13334, None, None]
+
+
+_LABELS = re.compile(r"\b(?:index|mean|as_strict|mean_relaxed|as_relaxed)=([^\s,;]+)")
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.01, 1e-20])
+def test_tripod_rate_audit_past_the_cap_is_unchecked(tmp_path, capsys, eps):
+    # Every index of these epsilons lies past INDEX_CAP (at 0.1 the largest
+    # has about 490,000 digits): each record is unchecked, each index prints
+    # in at most 13 characters, and audit.json is small and plain JSON.
+    cfg = _shipped(TRIPOD)
+    cfg["ensemble"].update(paths=3, horizon=5)
+    cfg["audit"] = {"epsilons": [eps], "lambda": 0.1}
+    prefix = tmp_path / "t_"
+    rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(prefix))
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    statuses = [line.split("]")[0] for line in out.splitlines() if line.startswith("[")]
+    assert statuses == ["[UNCHECKED"] * 2
+    labels = _LABELS.findall(out)
+    assert len(labels) == 10 and max(map(len, labels)) <= 13, labels
+    assert (tmp_path / "t_audit.json").stat().st_size < 1024
+    with open(f"{prefix}audit.json") as fh:
+        assert [r["predicted_index"] for r in json.load(fh)["records"]] == [None, None]
 
 
 def test_validate_exits_2_on_a_nan_residual(tmp_path, capsys, monkeypatch):

@@ -9,8 +9,10 @@ import mpmath
 import pytest
 from scipy.special import polygamma
 
+from fejerlab.algorithms import _budget_witness
 from fejerlab.cli import ConfigError, _read_schedule
 from fejerlab.moduli import (
+    INDEX_CAP,
     Constant,
     FastCertificate,
     Harmonic,
@@ -158,16 +160,18 @@ def test_divergence_witness_mean_transform_minimality():
 
 
 def test_divergence_witness_large_budget_uses_exact_bisection():
-    # From budget 60 on the witness passes 2**53, where a float index
-    # argument would round.
-    for budget in (30.0, 60.0, 100.0, 200.0):
+    # At budget 28 the witness is about 8e11, where consecutive partial sums
+    # differ in the fourteenth digit; from 30 on it lies past INDEX_CAP.
+    def harmonic(n):  # the partial sum H_{n+1} = psi(n+2) - psi(1), exact integer args
+        return mpmath.digamma(n + 2) - mpmath.digamma(1)
+
+    for budget in (20.0, 26.0, 28.0, 30.0, 60.0, 100.0, 200.0):
         m = divergence_witness_theta(Harmonic(1.0, 1.0), IDENTITY, 0, budget)
-        with mpmath.workdps(80 + int(0.45 * budget)):
-            # harmonic partial sum H_{m+1} = psi(m+2) - psi(1), exact integer args
-            at_m = mpmath.digamma(m + 2) - mpmath.digamma(1)
-            at_prev = mpmath.digamma(m + 1) - mpmath.digamma(1)
-            assert at_m >= budget, budget
-            assert at_prev < budget, budget
+        with mpmath.workdps(80):
+            if m is None:  # past the cap: even the sum up to it falls short
+                assert budget >= 30.0 and harmonic(INDEX_CAP) < budget, budget
+            else:
+                assert harmonic(m) >= budget > harmonic(m - 1), budget
 
 
 def _unhoisted_partial(a: float, s: float, k: int, mean: bool):
@@ -221,8 +225,8 @@ def test_divergence_witness_matches_unhoisted_bisection():
     # there, and 1.0 and 1.5 are harmonic numbers, where the partial sum
     # meets the budget exactly.  The partial sums increase strictly, so m
     # is the bisection's answer exactly when partial(m - 1) < b <=
-    # partial(m); past budget 400, and for the other starts, the test checks
-    # that instead (bisecting from scratch there takes seconds a case).
+    # partial(m); for the other starts the test checks that instead.  A
+    # witness past INDEX_CAP is None exactly when partial(INDEX_CAP) < b.
     sched = Harmonic(1.0, 1.0)
     for transform, mean in ((IDENTITY, False), (MEAN, True)):
         for k in (0, 1, 7, 100, 5000):
@@ -230,10 +234,13 @@ def test_divergence_witness_matches_unhoisted_bisection():
             for budget in (0.05, 1.0, 1.5, 5.745, 7.84, 20.0, 30.0, 60.0, 100.0, 200.0, 400.0,
                            600.0, 800.0):
                 m = divergence_witness_theta(sched, transform, k, budget)
-                if k in (0, 7) and budget <= 400.0:
-                    assert m == _witness_reference(1.0, 1.0, k, budget, mean), (transform, k, budget)
                 with mpmath.workdps(_witness_dps(1.0, 1.0, k, budget, mean)):
+                    if m is None:
+                        assert partial(INDEX_CAP) < budget, (transform, k, budget)
+                        continue
                     assert m >= k and partial(m - 1) < budget <= partial(m), (transform, k, budget)
+                if k in (0, 7):
+                    assert m == _witness_reference(1.0, 1.0, k, budget, mean), (transform, k, budget)
 
 
 def _classical_polygamma(order: int, x: float):
@@ -420,34 +427,35 @@ _PIN_BUDGETS = (0.05, 1.0, 1.5, 5.744999999999999, 7.84, 20.0, 26.0)
 
 # (schedule, T, chi at _PIN_EPSILONS, theta at _PIN_STARTS x _PIN_BUDGETS),
 # recorded when theta below a witness of about 5e11, chi and T were still
-# summed with float digamma and trigamma values.
+# summed with float digamma and trigamma values.  A witness past INDEX_CAP
+# is None.
 _PINNED_WITNESSES = (
     (Harmonic(1.0, 1.0), 1.645, (0, 0, 1, 3, 100, 100000, 1000000000), {
         IDENTITY: (
             (0, 0, 1, 175, 1425, 272400599, 109894245428),
             (1, 3, 6, 476, 3876, 740461600, 298723530400),
-            (7, 19, 33, 2345, 19065, 3641427011, 1469056505929),
-            (105, 272, 449, 31418, 255291, 48759303281, 19670906894621),
+            (7, 19, 33, 2345, 19065, 3641427011, None),
+            (105, 272, 449, 31418, 255291, 48759303281, None),
         ),
         MEAN: (
             (1, 6, 11, 907, 7387, 1411217157, 569325635609),
             (1, 6, 11, 907, 7387, 1411217157, 569325635609),
-            (7, 21, 36, 2679, 21779, 4159989937, 1678259721934),
-            (105, 274, 453, 31731, 257843, 49246888227, 19867612701506),
+            (7, 21, 36, 2679, 21779, 4159989937, None),
+            (105, 274, 453, 31731, 257843, 49246888227, None),
         ),
     }),
     (Harmonic(0.5, 2.0), 0.162, (0, 0, 0, 0, 24, 24999, 249999999), {
         IDENTITY: (
-            (0, 9, 29, 149159, 9848051, 359246197441016282, 58469039932582905432685),
-            (1, 17, 49, 245924, 16236693, 592296847139141491, 96399149814264622801287),
-            (7, 61, 169, 831211, 54879007, 2001926173947100975, 325823076877004980676070),
-            (110, 748, 2037, 9919992, 654945668, 23891701210289480152, 3888488847125827873859516),
+            (0, 9, 29, 149159, 9848051, None, None),
+            (1, 17, 49, 245924, 16236693, None, None),
+            (7, 61, 169, 831211, 54879007, None, None),
+            (110, 748, 2037, 9919992, 654945668, None, None),
         ),
         MEAN: (
-            (0, 13, 40, 205919, 13595524, 495949929783350579, 80718227376158864235637),
-            (1, 20, 59, 299612, 19781372, 721602889915274883, 117444327835511011770679),
-            (7, 64, 179, 881513, 58200089, 2123075641053564652, 345540733126440952883087),
-            (110, 751, 2046, 9968978, 658179934, 24009683724122950556, 3907691066555884094212979),
+            (0, 13, 40, 205919, 13595524, None, None),
+            (1, 20, 59, 299612, 19781372, None, None),
+            (7, 64, 179, 881513, 58200089, None, None),
+            (110, 751, 2046, 9968978, 658179934, None, None),
         ),
     }),
     (_SHIFTED, 2.258, (0, 0, 2, 13, 400, 400000, 4000000000), {
@@ -502,17 +510,73 @@ def _exact_sum(sched, k, m, mean):
         (TableSchedule((), Harmonic(2.0, 7.0)), IDENTITY, 3, 0.2, 4),
         # 0.9 + 0.25 + 3/4 + 3/5 lies above 2.5 by the float 0.9's excess.
         (TableSchedule((0.5, 0.9, 0.25), Harmonic(3.0, 1.0)), IDENTITY, 1, 2.5, 4),
-        # The budget the tail must add, 6 - 0.3, is not a float.
-        (TableSchedule((0.3,), Harmonic(0.1, 1.0)), IDENTITY, 0, 6.0, 8677574926089305052621707),
-        # a^2 = 0.1^2 is not a float.
-        (TableSchedule((), Harmonic(0.1, 1.0)), MEAN, 0, 6.0, 75583311383864999856248701),
+        # The budget the tail must add, 6 - 0.3, is not a float; the witness,
+        # 8677574926089305052621707, lies past the cap.
+        (TableSchedule((0.3,), Harmonic(0.1, 1.0)), IDENTITY, 0, 6.0, None),
+        # a^2 = 0.1^2 is not a float; the witness, 75583311383864999856248701,
+        # lies past the cap.
+        (TableSchedule((), Harmonic(0.1, 1.0)), MEAN, 0, 6.0, None),
     ],
 )
 def test_divergence_witness_is_the_exact_minimum_where_floats_round(sched, transform, k, b, expected):
     assert divergence_witness_theta(sched, transform, k, b) == expected
-    with mpmath.workdps(60 + len(str(expected))):
-        assert _exact_sum(sched, k, expected, transform == MEAN) >= b
-        assert _exact_sum(sched, k, expected - 1, transform == MEAN) < b
+    mean = transform == MEAN
+    with mpmath.workdps(80):
+        if expected is None:  # past the cap: even the sum up to it falls short
+            assert _exact_sum(sched, k, INDEX_CAP, mean) < b
+        else:
+            assert _exact_sum(sched, k, expected, mean) >= b
+            assert _exact_sum(sched, k, expected - 1, mean) < b
+
+
+def _floats_around(x):
+    """(the largest float <= x, the least float > x) of an mpf x."""
+    f = float(x)
+    below = f if f <= x else math.nextafter(f, -math.inf)
+    return below, math.nextafter(below, math.inf)
+
+
+def _at_the_cap(case):
+    """(witness, a budget whose witness is INDEX_CAP, the least budget past it)."""
+    if case in ("harmonic", "table"):
+        sched, k = (Harmonic(1.0, 1.0), 0) if case == "harmonic" else (_SHIFTED_3, 1)
+        ref = TableSchedule((), sched) if case == "harmonic" else sched
+        with mpmath.workdps(60):
+            at_cap = _exact_sum(ref, k, INDEX_CAP, False)
+            inside, past = _floats_around(at_cap)
+            assert _exact_sum(ref, k, INDEX_CAP - 1, False) < inside <= at_cap < past
+        return lambda b: divergence_witness_theta(sched, IDENTITY, k, b), inside, past
+    if case == "chi":
+        with mpmath.workdps(60):
+            # sum_{n >= N} 1/(n+1)^2 = psi_1(N + 1)
+            tail = mpmath.polygamma(1, INDEX_CAP + 1)
+            past, inside = _floats_around(tail)
+            assert past <= tail < inside <= mpmath.polygamma(1, INDEX_CAP)
+        return lambda eps: tail_rate_chi(Harmonic(1.0, 1.0), eps), inside, past
+    if case == "constant":  # k - 1 + ceil(b / c)
+        witness = lambda b: divergence_witness_theta(Constant(0.5), IDENTITY, 0, b)
+        return witness, 0.5 * (INDEX_CAP + 1), 0.5 * (INDEX_CAP + 1.5)
+    # The certificate's count form k + ceil(b / c), guarded against float noise.
+    witness = _budget_witness(Constant(0.5), IDENTITY)
+    return lambda b: witness(0, b), 0.5 * INDEX_CAP, 0.5 * (INDEX_CAP + 1)
+
+
+_SHIFTED_3 = TableSchedule((0.5, 0.9, 0.25), Harmonic(3.0, 1.0))
+
+
+@pytest.mark.parametrize("case", ["harmonic", "table", "chi", "constant", "constant-count"])
+def test_a_witness_at_the_cap_is_returned_and_one_past_it_is_none(case):
+    witness, inside, past = _at_the_cap(case)
+    assert witness(inside) == INDEX_CAP
+    assert witness(past) is None
+
+
+def test_a_witness_from_a_start_past_the_cap_is_none():
+    for sched in (Harmonic(1.0, 1.0), _SHIFTED_3, Constant(0.5)):
+        for k in (INDEX_CAP + 1, 10**30):
+            assert divergence_witness_theta(sched, IDENTITY, k, 0.05) is None, (sched, k)
+    # From the cap itself one constant step of 0.5 meets the budget.
+    assert divergence_witness_theta(Constant(0.5), IDENTITY, INDEX_CAP, 0.05) == INDEX_CAP
 
 
 def test_tail_rate_chi_is_the_exact_minimum_where_floats_round():
