@@ -26,7 +26,8 @@ fixed cost every command pays before it starts.  Each run also records
 ``tier1_s``, the wall time of one run of the Tier-1 suite (``python -m
 pytest -q --continue-on-collection-errors`` in the tree's root, with the
 tree's ``src`` first on ``PYTHONPATH``), and ``tier1_counts``, the outcome
-counts as its summary line names them (passed, failed, error, ...).
+counts as its summary line names them (passed, failed, error, ...).  The
+script exits 1 when any command or the Tier-1 suite exits nonzero.
 
 Results go under ``runs.<label>`` of the output JSON; other labels already
 in the file are kept, so before and after numbers can share one file:
@@ -151,9 +152,9 @@ def import_seconds(src: pathlib.Path, runs: int = 5) -> float:
     return statistics.median(times)
 
 
-def run_tier1(src: pathlib.Path) -> tuple[float, dict[str, int]]:
-    """Wall time and outcome counts (e.g. {"passed": 476}) of one run of the
-    Tier-1 suite in the tree's root."""
+def run_tier1(src: pathlib.Path) -> tuple[float, dict[str, int], int]:
+    """Wall time, outcome counts (e.g. {"passed": 476}) and exit code of one
+    run of the Tier-1 suite in the tree's root."""
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     t0 = time.perf_counter()
@@ -165,7 +166,7 @@ def run_tier1(src: pathlib.Path) -> tuple[float, dict[str, int]]:
     # "3 failed, 473 passed, 1 error in 71.91s (0:01:11)": count, outcome pairs.
     words = summary.strip("= ").split(" in ")[0].replace(",", "").split()
     counts = {words[i + 1]: int(words[i]) for i in range(0, len(words) - 1, 2) if words[i].isdigit()}
-    return wall, counts
+    return wall, counts, proc.returncode
 
 
 # The digests of one config's result, by name.
@@ -235,8 +236,9 @@ def main(argv=None) -> int:
 
     import_s = import_seconds(src)
     print(f"import fejerlab.cli: {import_s:.3f} s (median of 5 fresh interpreters)")
-    tier1_s, tier1_counts = run_tier1(src)
-    print(f"tier-1 suite: {tier1_s:.1f} s, {tier1_counts}")
+    tier1_s, tier1_counts, tier1_code = run_tier1(src)
+    failed |= tier1_code != 0
+    print(f"tier-1 suite: {tier1_s:.1f} s, {tier1_counts}, exit code {tier1_code}")
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
     lines = _src_lines_by_module(src)

@@ -1,14 +1,18 @@
 """The three stochastic iterations and their explicit rate certificates.
 
-Runners are deterministic given (problem, schedule, x0, horizon, seed,
-path_index): each step consumes exactly one uniform draw from the path's
-counter-based stream to select an atom/operator index, so trajectories are
-bit-reproducible and independent paths never share randomness.
+A path (``run_path``) is deterministic given (problem, algorithm, schedule,
+x0, horizon, seed, path_index): each step consumes exactly one uniform draw
+from the path's counter-based stream to select an atom/operator index, so
+trajectories are bit-reproducible and independent paths never share
+randomness.
 
 Every algorithm is described once, by its entry in ``_SPECS``: its one
-step (the runners take it on one point, the ensemble harness on a batch of
-all paths, the one-step audit once per index), run validation, the rate
-certificates and the gap windows.  The printed rate functions are
+step (``run_path`` takes it on one point, the ensemble harness on a batch
+of all paths, the one-step audit ``harness.fejer_margin`` once per index),
+run validation, the rate certificates and the gap windows.  The schedules a
+run admits follow from the noise term: with none (L = T = 0) any
+relaxations in (0, 1], with one a harmonic schedule, whose squared sum T
+is finite.  The printed rate functions are
 
 * proximal (sppa):    rho(eps) = theta(chi(eps / 24 Lbar), (b + 4 L^2 T) / (tau eps/6))
 * Krasnoselskii-Mann (skm):  rho(eps) = theta(0, b / (tau eps/6))
@@ -17,9 +21,10 @@ certificates and the gap windows.  The printed rate functions are
 with theta the divergence witness of the step schedule (under the step
 transform the analysis uses), chi the squared-step tail witness, tau the
 slope of the instance's linear regularity modulus for d^2, b a strict
-upper bound on max{d(x0,z), d^2(x0,z)}, and T a strict upper bound on the
-squared step sum.  The tau-free liminf windows theta(N, budget/eps) are
-exposed separately so gap-window audits work even when no modulus is known.
+upper bound on max{d(x0,z), d^2(x0,z)} with z the reference solution
+(``_reference``), and T a strict upper bound on the squared step sum.  The
+tau-free liminf windows theta(N, budget/eps) are exposed separately so
+gap-window audits work even when no modulus is known.
 An index past ``moduli.INDEX_CAP`` is None: no run can reach it.
 """
 
@@ -99,14 +104,19 @@ def _sppa_lipschitz(problem: MeanMinProblem) -> tuple[float, float]:
 
 
 def _sppa_step(problem: MeanMinProblem, e: int, lam: float, x: Point, data=None) -> Point:
+    """Stochastic proximal point: the prox of the drawn cost at x."""
     return prox_step(problem, e, lam, x, None if data is None else _pick(data, e))
 
 
 def _skm_step(problem: FixedPointProblem, k: int, lam: float, x: Point, data=None) -> Point:
+    """Randomized Krasnoselskii-Mann: the fraction lam along the geodesic from
+    x to T x for the drawn projection T."""
     return geodesic_point(x, operator_apply(problem, k, x, data), lam)
 
 
 def _sb_step(problem: BusemannProblem, e: int, t: float, x: Point, data=None) -> Point:
+    """Projected Busemann subgradient: s t along the subgradient ray of the
+    drawn cost, then back onto the constraint set."""
     xi, s = busemann_subgradient(problem, e, x, None if data is None else _pick(data, e))
     # A zero subgradient (x at the drawn atom) leaves x in place.
     y = x if xi is None else _select(s == 0.0, x, ray_point(x, xi, s * t))
@@ -124,18 +134,18 @@ class _Spec:
     data of every problem, spares the step what the caller took for the gap
     and the solution distance at x: the Krasnoselskii-Mann step reads its
     projection T_e x, the proximal and subgradient steps of a distance cost
-    read d(x, a_e).  ``lipschitz`` gives (L,
-    Lbar) of the instance, or is None when the analysis has no noise term
-    (then L = Lbar = T = 0); ``noise`` is the f of budget_scale = b + f L^2
-    T; ``chi_scale`` maps (L, Lbar) to the divisor of eps in the tail
-    witness, or is None when chi is identically zero.
+    read d(x, a_e).  ``lipschitz`` gives (L, Lbar) of the instance, or is
+    None when the analysis has no noise term (then L = Lbar = T = 0, and the
+    schedule is any relaxations in (0, 1]); a noise term f L^2 T needs T
+    finite, so a harmonic schedule.  ``noise`` is the f of budget_scale =
+    b + f L^2 T; ``chi_scale`` maps (L, Lbar) to the divisor of eps in the
+    tail witness, or is None when chi is identically zero.
     """
 
     iteration: str
     step: Callable[..., Point]
     problem_type: type
     problem_kind: str
-    harmonic_only: bool
     x0_in_constraint: bool
     transform: str
     cushion: float
@@ -150,7 +160,6 @@ _SPECS = {
         step=_sppa_step,
         problem_type=MeanMinProblem,
         problem_kind="a mean-minimization problem",
-        harmonic_only=True,
         x0_in_constraint=False,
         transform=_IDENTITY,
         cushion=0.1,
@@ -163,7 +172,6 @@ _SPECS = {
         step=_skm_step,
         problem_type=FixedPointProblem,
         problem_kind="a fixed-point problem",
-        harmonic_only=False,
         x0_in_constraint=False,
         transform=_MEAN,
         cushion=0.5,
@@ -176,7 +184,6 @@ _SPECS = {
         step=_sb_step,
         problem_type=BusemannProblem,
         problem_kind="a Busemann problem",
-        harmonic_only=True,
         x0_in_constraint=True,
         transform=_IDENTITY,
         cushion=0.1,
@@ -208,7 +215,7 @@ def validate_run(problem: Problem, algorithm: str, sched: StepSchedule, x0: Poin
     dim = euclid_dim(problem.solution_set)
     if isinstance(x0, Euclidean) and dim not in (None, len(x0.coords)):
         raise ValueError(f"start point has dimension {len(x0.coords)}, the problem {dim}")
-    if not spec.harmonic_only:
+    if spec.lipschitz is None:
         _check_relaxations(sched)
     elif not isinstance(sched, Harmonic):
         raise ValueError(
@@ -220,7 +227,7 @@ def validate_run(problem: Problem, algorithm: str, sched: StepSchedule, x0: Poin
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Paths
 # ---------------------------------------------------------------------------
 
 
@@ -236,17 +243,17 @@ class Trajectory:
     path_index: int = 0
 
 
-def _run(
-    algorithm: str,
+def run_path(
     problem: Problem,
+    algorithm: str,
     sched: StepSchedule,
     x0: Point,
     horizon: int,
     seed: int,
-    path_index: int,
+    path_index: int = 0,
 ) -> Trajectory:
-    """x_{n+1} = step(problem, e_n, lambda_n, x_n) with the algorithm's step
-    and e_n drawn from the path's stream."""
+    """One path of the algorithm: x_{n+1} = step(problem, e_n, lambda_n,
+    x_n) with its spec's step and e_n drawn from the path's stream."""
     validate_run(problem, algorithm, sched, x0)
     step = _SPECS[algorithm].step
     if horizon < 0:
@@ -264,49 +271,6 @@ def _run(
     return Trajectory(points, indices, steps, seed, path_index)
 
 
-def run_sppa(
-    problem: MeanMinProblem,
-    sched: StepSchedule,
-    x0: Point,
-    horizon: int,
-    seed: int,
-    path_index: int = 0,
-) -> Trajectory:
-    """Stochastic proximal point: x_{n+1} = prox of the drawn cost at x_n.
-
-    The schedule must be divergent with summable squares; only harmonic
-    schedules are accepted (a constant schedule in particular is rejected).
-    """
-    return _run("sppa", problem, sched, x0, horizon, seed, path_index)
-
-
-def run_skm(
-    problem: FixedPointProblem,
-    sched: StepSchedule,
-    x0: Point,
-    horizon: int,
-    seed: int,
-    path_index: int = 0,
-) -> Trajectory:
-    """Randomized Krasnoselskii-Mann: move the fraction lambda_n along the
-    geodesic from x_n to T x_n for a randomly drawn projection T."""
-    return _run("skm", problem, sched, x0, horizon, seed, path_index)
-
-
-def run_sb(
-    problem: BusemannProblem,
-    sched: StepSchedule,
-    x0: Point,
-    horizon: int,
-    seed: int,
-    path_index: int = 0,
-) -> Trajectory:
-    """Projected Busemann subgradient: move s_n * t_n along the subgradient
-    ray of the drawn cost, then project back onto the constraint set.  A
-    zero subgradient (x at the drawn atom) leaves the point in place."""
-    return _run("sb", problem, sched, x0, horizon, seed, path_index)
-
-
 # ---------------------------------------------------------------------------
 # Certificate ingredients
 # ---------------------------------------------------------------------------
@@ -322,17 +286,18 @@ def fejer_budget(x0: Point, z: Point, cushion: float) -> float:
 
 
 def _reference(problem: Problem, x: Point) -> Point:
-    """The default reference solution z for a start or state x: the solution
+    """The reference solution z for a start or state x: the solution
     anchor, or x itself when every point is a solution (then d(x, z) = 0 in
     any dimension, while the whole space's anchor is a point of the plane)."""
     return x if isinstance(problem.solution_set, WholeSpace) else problem.solution_anchor
 
 
 def _ingredients(
-    spec: _Spec, problem: Problem, sched: StepSchedule, x0: Point, z: Point
+    spec: _Spec, problem: Problem, sched: StepSchedule, x0: Point
 ) -> tuple[float, float, float, float]:
-    """(b, L, Lbar, T) of the instance under the algorithm's spec."""
-    b = fejer_budget(x0, z, spec.cushion)
+    """(b, L, Lbar, T) of the instance under the algorithm's spec, with b
+    measured to the reference solution."""
+    b = fejer_budget(x0, _reference(problem, x0), spec.cushion)
     if spec.lipschitz is None:
         return b, 0.0, 0.0, 0.0
     L, L_bar = spec.lipschitz(problem)
@@ -412,7 +377,7 @@ def gap_window(problem: Problem, algorithm: str, sched: StepSchedule, x0: Point)
     spec."""
     validate_run(problem, algorithm, sched, x0)
     spec = _SPECS[algorithm]
-    b, L, _, T = _ingredients(spec, problem, sched, x0, _reference(problem, x0))
+    b, L, _, T = _ingredients(spec, problem, sched, x0)
     args = (b,) if spec.lipschitz is None else (b, L, T)
     # Looked up by name, so a wrapper bound to the module attribute sees it.
     return globals()[f"liminf_bound_{algorithm}"](sched, *args)
@@ -424,15 +389,12 @@ def gap_window(problem: Problem, algorithm: str, sched: StepSchedule, x0: Point)
 
 
 def _certificate(
-    algorithm: str, problem: Problem, sched: StepSchedule, x0: Point, z: Point | None
+    algorithm: str, problem: Problem, sched: StepSchedule, x0: Point
 ) -> RateCertificate:
     """The rate certificate (see the module docstring); a ValueError when x0
     lies outside the region on which the regularity modulus tau holds."""
     validate_run(problem, algorithm, sched, x0)
     spec = _SPECS[algorithm]
-    z = _reference(problem, x0) if z is None else z
-    if not contains(problem.solution_set, z):
-        raise ValueError("reference point z must lie in the solution set")
     tagged = regularity_modulus_for(problem)
     if (d0 := distance(x0, _reference(problem, x0))) > tagged.region:
         raise ValueError(
@@ -440,7 +402,7 @@ def _certificate(
             f"{tagged.region} on which the regularity modulus holds"
         )
     tau = tagged.slope
-    b, L, L_bar, T = _ingredients(spec, problem, sched, x0, z)
+    b, L, L_bar, T = _ingredients(spec, problem, sched, x0)
     budget_scale = _budget_scale(spec, b, L, T)
     theta = _budget_witness(sched, spec.transform)
 
@@ -476,24 +438,24 @@ def _certificate(
 
 
 def certificate_sppa(
-    problem: MeanMinProblem, sched: StepSchedule, x0: Point, z: Point | None = None
+    problem: MeanMinProblem, sched: StepSchedule, x0: Point
 ) -> RateCertificate:
     """Rate certificate for the proximal iteration on this instance."""
-    return _certificate("sppa", problem, sched, x0, z)
+    return _certificate("sppa", problem, sched, x0)
 
 
 def certificate_skm(
-    problem: FixedPointProblem, sched: StepSchedule, x0: Point, z: Point | None = None
+    problem: FixedPointProblem, sched: StepSchedule, x0: Point
 ) -> RateCertificate:
     """Rate certificate for the Krasnoselskii-Mann iteration."""
-    return _certificate("skm", problem, sched, x0, z)
+    return _certificate("skm", problem, sched, x0)
 
 
 def certificate_sb(
-    problem: BusemannProblem, sched: StepSchedule, x0: Point, z: Point | None = None
+    problem: BusemannProblem, sched: StepSchedule, x0: Point
 ) -> RateCertificate:
     """Rate certificate for the Busemann subgradient iteration."""
-    return _certificate("sb", problem, sched, x0, z)
+    return _certificate("sb", problem, sched, x0)
 
 
 def fast_certificate_skm(
@@ -523,4 +485,4 @@ def fast_certificate_skm(
     validate_run(problem, "skm", sched, x0)
     L0 = dist_to_solutions(problem, x0, 2)
     u = recursion_bound_u(c, 0.0, r, L0)
-    return FastCertificate(K=1.0, u=u, d=0.0, r=r), sched
+    return FastCertificate(u=u, r=r), sched

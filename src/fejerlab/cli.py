@@ -302,7 +302,6 @@ class Experiment:
     """A parsed config.  ``sched`` is the schedule the ensemble runs: the
     configured one, or the one the audit derives."""
 
-    space: str
     problem: Problem
     algorithm: str
     sched: StepSchedule
@@ -459,7 +458,7 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
         aud.get(field), f"{path}.{field}", top, problem, algorithm, x0, epsilons
     )
     return Experiment(
-        space, problem, algorithm, sched, x0, paths, horizon, seed, threads, epsilons,
+        problem, algorithm, sched, x0, paths, horizon, seed, threads, epsilons,
         Audit(kind, params, thresholds),
     )
 
@@ -507,8 +506,9 @@ def _audit_details(r: AuditRecord, *_) -> str:
 def cmd_validate(exp: Experiment) -> int:
     """Run the geometry suites for the configured space, R^d in the start
     point's dimension d; exit 0/2."""
-    dim = len(exp.x0.coords) if exp.space == "euclidean" else 2
-    summary = geometry_suite(exp.space, seed=exp.seed, dim=dim)
+    space = exp.problem.space
+    dim = len(exp.x0.coords) if space == "euclidean" else 2
+    summary = geometry_suite(space, seed=exp.seed, dim=dim)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if summary["pass"] else EXIT_GEOMETRY
 
@@ -527,7 +527,7 @@ def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) 
             cols = load_curves(curves_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"--curves {curves_path}: {exc}") from exc
-        stats = stats_from_curves(cols, exp.algorithm, exp.space, exp.paths, exp.seed)
+        stats = stats_from_curves(cols, exp.algorithm, exp.problem.space, exp.paths, exp.seed)
         missing = [t for t in exp.audit.thresholds if t not in stats.tail]
         if missing:
             raise ConfigError(

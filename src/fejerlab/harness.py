@@ -48,6 +48,7 @@ from .moduli import (
 )
 from .problems import (
     HALF_SQUARED,
+    BusemannProblem,
     FixedPointProblem,
     Problem,
     busemann_subgradient,
@@ -333,11 +334,19 @@ def fejer_margin(
     algorithm: str,
     x: Point,
     step: float,
-    z: Point | None = None,
     mc_samples: int | None = None,
     seed: int = 0,
 ) -> FejerMargin:
-    """Audit the one-step Fejér inequality of the algorithm at state x.
+    """Audit the one-step Fejér inequality of the algorithm at state x, with
+    z the reference solution (``algorithms._reference``).
+
+    The inequality is read off the algorithm's spec: with no noise term the
+    step is a relaxation in (0, 1] and rhs = d^2(x, z) - lam(1-lam) F(x);
+    otherwise rhs = d^2(x, z) - 2 t (f(x) - f(z)) + c t^2 sum_e w_e l_e^2,
+    with f the mean cost, c the spec's noise factor and l_e the Lipschitz
+    constant of cost e along the step (the subgradient weight s of a
+    Busemann cost).  A spec that starts in the constraint set audits states
+    in it only.
 
     With ``mc_samples`` unset the expectation over the drawn index is the
     exact finite sum; otherwise it is a Monte-Carlo estimate (the returned
@@ -345,9 +354,7 @@ def fejer_margin(
     """
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
-    z = _reference(problem, x) if z is None else z
-    if not contains(problem.solution_set, z):
-        raise ValueError("reference point z must lie in the solution set")
+    z = _reference(problem, x)
     d2 = sqdist(x, z)
 
     spec = _SPECS.get(algorithm)
@@ -356,16 +363,16 @@ def fejer_margin(
     if not isinstance(problem, spec.problem_type):
         raise TypeError(f"one-step audit: {algorithm} needs {spec.problem_kind}")
     weights = problem.weights
-    if algorithm == "skm" and step > 1.0:
+    if spec.lipschitz is None and step > 1.0:
         raise ValueError("relaxation must lie in (0, 1]")
-    if algorithm == "sb" and not contains(problem.constraint, x):
+    if spec.x0_in_constraint and not contains(problem.constraint, x):
         raise ValueError("state x must lie in the constraint set")
     data = sample_data(problem, x)
     vals = [sqdist(spec.step(problem, e, step, x, data), z) for e in range(len(weights))]
-    if algorithm == "skm":
+    if spec.lipschitz is None:
         rhs = d2 - step * (1.0 - step) * gap_F(problem, x, data)
     else:
-        if algorithm == "sb":
+        if isinstance(problem, BusemannProblem):
             # The subgradient weights s: 1, or 0 at the atom.
             lips = [busemann_subgradient(problem, e, x)[1] for e in range(len(weights))]
         elif problem.cost_kind == HALF_SQUARED:
@@ -562,7 +569,7 @@ def fast_audit(
     stats: EnsembleStats, cert: FastCertificate, epsilons, grid=None
 ) -> AuditReport:
     """Check the fast-rate envelope E[dist^2(x_n)] <= u/(n+r) at every n and
-    the tail bound P(sup_{m>=n} dist_m >= sqrt(eps)) <= K(u+2d)/(eps(n+r))
+    the tail bound P(sup_{m>=n} dist_m >= sqrt(eps)) <= u/(eps(n+r))
     on a grid of indices.  Tail thresholds sqrt(eps) must be among the
     ensemble's thresholds.
 

@@ -83,7 +83,7 @@ class TableSchedule:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
-        if any(v <= 0.0 for v in vals):
+        if not all(v > 0.0 for v in vals):
             raise ValueError("table schedule values must be positive")
         object.__setattr__(self, "values", vals)
 
@@ -334,30 +334,24 @@ def recursion_bound_u(c: float, d: float, r: int, x0: float) -> float:
 @dataclass(frozen=True)
 class FastCertificate:
     """Fast-rate parameters: E[dist_sq] <= u/(n+r) and the tail envelope
-    K(u+2d)/(eps (n+r))."""
+    u/(eps (n+r))."""
 
-    K: float
     u: float
-    d: float
     r: int
 
     def __post_init__(self) -> None:
-        if not self.K >= 1.0:
-            raise ValueError(f"fast certificate needs K >= 1, got {self.K}")
-        if self.u < 0.0 or self.d < 0.0 or self.r < 1:
-            raise ValueError("fast certificate needs u, d >= 0 and r >= 1")
+        if not (self.u >= 0.0 and self.r >= 1):
+            raise ValueError(f"fast certificate needs u >= 0 and r >= 1, got u={self.u}, r={self.r}")
 
 
 def fast_bounds(cert: FastCertificate, n: int, eps: float) -> tuple[float, float]:
-    """(mean bound u/(n+r), tail bound min(1, K(u+2d)/(eps(n+r))))."""
+    """(mean bound u/(n+r), tail bound min(1, u/(eps(n+r))))."""
     if not eps > 0.0:
         raise ValueError(f"tail threshold must be > 0, got {eps}")
     if n < 0:
         raise ValueError(f"iteration index must be >= 0, got {n}")
     denom = n + cert.r
-    mean = cert.u / denom
-    tail = min(1.0, cert.K * (cert.u + 2.0 * cert.d) / (eps * denom))
-    return mean, tail
+    return cert.u / denom, min(1.0, cert.u / (eps * denom))
 
 
 # ---------------------------------------------------------------------------

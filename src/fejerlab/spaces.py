@@ -97,14 +97,20 @@ def _select(cond, a, b):
 
 @dataclass(frozen=True)
 class Euclidean:
-    """A point of R^d, d >= 1, or a batch of them (see the module notes)."""
+    """A point of R^d, d >= 1, with finite coordinates, or a batch of them
+    (see the module notes)."""
 
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
             raise ValueError("Euclidean point needs dimension >= 1")
-        object.__setattr__(self, "coords", _float_cols(self.coords))
+        coords = _float_cols(self.coords)
+        for i, c in enumerate(coords):
+            # A batch's columns are left unchecked: they are the vector kernel's.
+            if isinstance(c, float) and not math.isfinite(c):
+                raise ValueError(f"Euclidean point needs finite coordinates, got coords[{i}]={c}")
+        object.__setattr__(self, "coords", coords)
 
 
 @dataclass(frozen=True, init=False)
@@ -222,8 +228,8 @@ class Ball:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0.0:
-            raise ValueError("ball radius must be >= 0")
+        if not self.radius >= 0.0:
+            raise ValueError(f"ball radius must be >= 0, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -236,8 +242,10 @@ class Halfspace:
     def __post_init__(self) -> None:
         n = tuple(float(c) for c in self.normal)
         nrm = math.sqrt(sum(c * c for c in n))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"halfspace normal must be a unit vector, |n|={nrm}")
+        if math.isnan(self.offset):
+            raise ValueError("halfspace offset must not be NaN")
         object.__setattr__(self, "normal", n)
 
 
@@ -253,8 +261,8 @@ class Box:
         hi = tuple(float(c) for c in self.hi)
         if len(lo) != len(hi):
             raise ValueError("box bounds must have equal dimension")
-        if any(l > h for l, h in zip(lo, hi)):
-            raise ValueError("box has empty side (lo > hi)")
+        if not all(l <= h for l, h in zip(lo, hi)):
+            raise ValueError(f"box needs lo <= hi on every side, got {lo} and {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -267,7 +275,7 @@ class TripodSegment:
 
     def __post_init__(self) -> None:
         m = tuple(float(c) for c in self.max_coords)
-        if len(m) != 3 or any(c < 0.0 for c in m):
+        if len(m) != 3 or not all(c >= 0.0 for c in m):
             raise ValueError("tripod segment needs three nonnegative maxima")
         object.__setattr__(self, "max_coords", m)
 
@@ -301,7 +309,7 @@ class EuclideanDir:
     def __post_init__(self) -> None:
         v = _float_cols(self.vector)
         nrm = sum(c * c for c in v) ** 0.5
-        if _any(abs(nrm - 1.0) > 1e-12):
+        if not _all(abs(nrm - 1.0) <= 1e-12):
             raise ValueError(f"direction must be a unit vector, |v|={nrm}")
         object.__setattr__(self, "vector", v)
 
@@ -650,9 +658,9 @@ def project_convex(cset: ConvexSet, x: Point) -> Point:
     return Euclidean(_select(inside, x.coords, p))
 
 
-def contains(cset: ConvexSet, x: Point, tol: float = GEOM_TOL) -> bool:
+def contains(cset: ConvexSet, x: Point) -> bool:
     """Whether x lies in the set, up to the geometric tolerance."""
-    return distance(x, project_convex(cset, x)) <= tol
+    return distance(x, project_convex(cset, x)) <= GEOM_TOL
 
 
 # ---------------------------------------------------------------------------

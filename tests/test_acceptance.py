@@ -203,7 +203,7 @@ def test_criterion_5_fast_rate_audit():
     x0 = Euclidean((1.0, 1.0))
     cert, root = fast_certificate_skm(problem, 2.0, 16, x0)
     assert cert.u == pytest.approx(32.0, rel=1e-12)
-    assert cert.K == 1.0 and cert.d == 0.0 and cert.r == 16
+    assert cert.r == 16
     assert root.q == pytest.approx(4.0) and root.r == 16
 
     stats = run_ensemble(

@@ -18,10 +18,10 @@ from fejerlab.algorithms import (
     liminf_bound_sb,
     liminf_bound_skm,
     liminf_bound_sppa,
-    run_sb,
-    run_skm,
-    run_sppa,
+    run_path,
+    validate_run,
 )
+from fejerlab.harness import curves_csv_text, fejer_margin, run_ensemble
 from fejerlab.moduli import (
     Constant,
     Harmonic,
@@ -59,21 +59,21 @@ H11 = Harmonic(1.0, 1.0)
 
 def test_sppa_rejects_constant_schedule_and_wrong_problem():
     with pytest.raises(ValueError):
-        run_sppa(frechet := MeanMinProblem(
+        run_path(frechet := MeanMinProblem(
             "euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0
-        ), Constant(0.5), Euclidean((0.0,)), 5, 0)
+        ), "sppa", Constant(0.5), Euclidean((0.0,)), 5, 0)
     with pytest.raises(TypeError):
-        run_sppa(two_halfspace(), H11, Euclidean((1.0, 1.0)), 5, 0)
+        run_path(two_halfspace(), "sppa", H11, Euclidean((1.0, 1.0)), 5, 0)
     with pytest.raises(ValueError):  # space mismatch
-        run_sppa(frechet, H11, Tripod(0, 1.0), 5, 0)
+        run_path(frechet, "sppa", H11, Tripod(0, 1.0), 5, 0)
     with pytest.raises(ValueError):  # negative horizon
-        run_sppa(frechet, H11, Euclidean((0.0,)), -1, 0)
+        run_path(frechet, "sppa", H11, Euclidean((0.0,)), -1, 0)
 
 
 def test_start_point_dimension_must_match_the_data():
     for x0 in (Euclidean((1.0,)), Euclidean((1.0, 1.0, 1.0))):
         with pytest.raises(ValueError, match="dimension"):
-            run_skm(two_halfspace(), Constant(0.5), x0, 5, 0)
+            run_path(two_halfspace(), "skm", Constant(0.5), x0, 5, 0)
     atoms = ((Euclidean((-1.0, 0.0)), 0.5), (Euclidean((1.0,)), 0.5))
     with pytest.raises(ValueError, match="dimension"):
         MeanMinProblem("euclidean", atoms, HALF_SQUARED, 4.0)
@@ -82,14 +82,14 @@ def test_start_point_dimension_must_match_the_data():
         FixedPointProblem("euclidean", boxes, (0.5, 0.5))
     # The whole space fixes no dimension (its anchor's two coordinates do not count).
     whole = FixedPointProblem("euclidean", (WholeSpace(),), (1.0,))
-    traj = run_skm(whole, Constant(0.5), Euclidean((1.0, 2.0, 3.0)), 3, 0)
+    traj = run_path(whole, "skm", Constant(0.5), Euclidean((1.0, 2.0, 3.0)), 3, 0)
     assert traj.points[-1] == Euclidean((1.0, 2.0, 3.0))
 
 
 def test_sppa_single_atom_contracts_each_step():
     p = MeanMinProblem("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0)
     a = Euclidean((1.0,))
-    traj = run_sppa(p, H11, Euclidean((5.0,)), 20, 3)
+    traj = run_path(p, "sppa", H11, Euclidean((5.0,)), 20, 3)
     assert len(traj.points) == 21
     assert len(traj.indices) == len(traj.steps) == 20
     assert traj.points[0] == Euclidean((5.0,))
@@ -102,18 +102,18 @@ def test_sppa_single_atom_contracts_each_step():
 
 def test_sppa_constant_on_solution_set():
     p = MeanMinProblem("euclidean", ((Euclidean((1.0,)), 1.0),), HALF_SQUARED, 4.0)
-    traj = run_sppa(p, H11, Euclidean((1.0,)), 10, 5)
+    traj = run_path(p, "sppa", H11, Euclidean((1.0,)), 10, 5)
     assert all(pt == Euclidean((1.0,)) for pt in traj.points)
 
 
 def test_skm_rejects_steps_above_one():
     with pytest.raises(ValueError):
-        run_skm(two_halfspace(), Harmonic(2.0, 1.0), Euclidean((1.0, 1.0)), 5, 0)
+        run_path(two_halfspace(), "skm", Harmonic(2.0, 1.0), Euclidean((1.0, 1.0)), 5, 0)
 
 
 def test_skm_unit_step_is_picard():
     p = two_halfspace()
-    traj = run_skm(p, Constant(1.0), Euclidean((1.0, 1.0)), 3, 7)
+    traj = run_path(p, "skm", Constant(1.0), Euclidean((1.0, 1.0)), 3, 7)
     x = Euclidean((1.0, 1.0))
     for n in range(3):
         x = operator_apply(p, traj.indices[n], x)
@@ -124,52 +124,96 @@ def test_skm_half_step_one_step_enumeration():
     p = two_halfspace()
     seen = set()
     for seed in range(24):
-        traj = run_skm(p, Constant(0.5), Euclidean((1.0, 1.0)), 1, seed)
+        traj = run_path(p, "skm", Constant(0.5), Euclidean((1.0, 1.0)), 1, seed)
         seen.add(traj.points[1].coords)
     assert seen == {(0.5, 1.0), (1.0, 0.5)}
 
 
 def test_skm_constant_on_fixed_points():
-    traj = run_skm(two_halfspace(), Constant(0.5), Euclidean((-1.0, -1.0)), 10, 0)
+    traj = run_path(two_halfspace(), "skm", Constant(0.5), Euclidean((-1.0, -1.0)), 10, 0)
     assert all(pt == Euclidean((-1.0, -1.0)) for pt in traj.points)
 
 
 def test_sb_first_step_moves_toward_atom():
     p = r1_single_atom_busemann()  # atom 1, C = [-2, 2]
-    traj = run_sb(p, Harmonic(1.0, 2.0), Euclidean((0.0,)), 1, 0)
+    traj = run_path(p, "sb", Harmonic(1.0, 2.0), Euclidean((0.0,)), 1, 0)
     assert traj.steps[0] == 0.5
     assert traj.points[1] == Euclidean((0.5,))
 
 
 def test_sb_constant_at_atom():
     p = r1_single_atom_busemann()
-    traj = run_sb(p, H11, Euclidean((1.0,)), 10, 4)
+    traj = run_path(p, "sb", H11, Euclidean((1.0,)), 10, 4)
     assert all(pt == Euclidean((1.0,)) for pt in traj.points)
 
 
 def test_sb_rejects_start_outside_constraint_and_constant_schedule():
     p = r1_single_atom_busemann()
     with pytest.raises(ValueError):
-        run_sb(p, H11, Euclidean((3.0,)), 5, 0)
+        run_path(p, "sb", H11, Euclidean((3.0,)), 5, 0)
     with pytest.raises(ValueError):
-        run_sb(p, Constant(0.5), Euclidean((0.0,)), 5, 0)
+        run_path(p, "sb", Constant(0.5), Euclidean((0.0,)), 5, 0)
 
 
 def test_sb_iterates_stay_in_constraint():
     p = segment_argmin()
-    traj = run_sb(p, H11, Euclidean((2.0, 2.0)), 50, 11)
+    traj = run_path(p, "sb", H11, Euclidean((2.0, 2.0)), 50, 11)
     from fejerlab.spaces import contains
 
-    assert all(contains(p.constraint, pt, tol=1e-9) for pt in traj.points)
+    assert all(contains(p.constraint, pt) for pt in traj.points)
 
 
 def test_runs_are_seed_deterministic_and_path_dependent():
     p = segment_argmin()
-    a = run_sb(p, H11, Euclidean((2.0, 2.0)), 30, 123, path_index=0)
-    b = run_sb(p, H11, Euclidean((2.0, 2.0)), 30, 123, path_index=0)
+    a = run_path(p, "sb", H11, Euclidean((2.0, 2.0)), 30, 123, path_index=0)
+    b = run_path(p, "sb", H11, Euclidean((2.0, 2.0)), 30, 123, path_index=0)
     assert a.points == b.points and a.indices == b.indices
-    c = run_sb(p, H11, Euclidean((2.0, 2.0)), 30, 123, path_index=1)
+    c = run_path(p, "sb", H11, Euclidean((2.0, 2.0)), 30, 123, path_index=1)
     assert c.points != a.points
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# name -> (problem, schedule, start, a schedule it refuses, and a step and
+# state the one-step audit refuses: a relaxation above 1, a state outside C).
+_ALIASED = {
+    "skm": (two_halfspace(), Constant(0.5), Euclidean((1.0, 2.0)), Harmonic(2.0, 1.0),
+            (1.5, Euclidean((1.0, 2.0)))),
+    "sb": (segment_argmin(), H11, Euclidean((1.5, 1.5)), Constant(0.5),
+           (0.3, Euclidean((3.0, 0.0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALIASED))
+def test_a_spec_under_another_name_runs_the_same(monkeypatch, name):
+    # Validation, a path, an ensemble and the one-step audit read the spec,
+    # not its name.  (Certificates and gap windows are looked up by name.)
+    alias = f"{name}-copy"
+    monkeypatch.setitem(_SPECS, alias, _SPECS[name])
+    problem, sched, x0, refused, (step, state) = _ALIASED[name]
+
+    def outcomes(algorithm):
+        stats = run_ensemble(problem, algorithm, sched, x0, 5, 12, 3, (0.5,))
+        traj = run_path(problem, algorithm, sched, x0, 12, 3)
+        return [
+            _outcome(validate_run, problem, algorithm, sched, x0),
+            _outcome(validate_run, problem, algorithm, refused, x0),
+            _outcome(validate_run, problem, algorithm, sched, state),
+            (traj.points, traj.indices, traj.steps),
+            curves_csv_text(stats),
+            _outcome(fejer_margin, problem, algorithm, x0, 0.5),
+            _outcome(fejer_margin, problem, algorithm, state, step),
+        ]
+
+    real, copy = outcomes(name), outcomes(alias)
+    assert copy == real
+    assert real[1][0] is ValueError and real[-1][0] is ValueError
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +307,7 @@ def test_certificate_divergence_uses_count_form():
 
 
 def test_certificate_sppa_tripod_constants():
-    cert = certificate_sppa(tripod_median(2.0), H11, Tripod(0, 1.0), Tripod(0, 0.0))
+    cert = certificate_sppa(tripod_median(2.0), H11, Tripod(0, 1.0))
     assert cert.algorithm == "sppa"
     assert cert.L == 1.0 and cert.L_bar == 1.0
     assert cert.T == 1.645
@@ -331,10 +375,8 @@ def test_certificate_sppa_halfplane_majority_has_no_modulus():
         certificate_sppa(p, H11, HalfPlane(0.0, 2.0))
 
 
-def test_certificate_rejects_bad_reference_point():
-    with pytest.raises(ValueError):
-        certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)), Euclidean((1.0, 1.0)))
-    with pytest.raises(ValueError):
+def test_certificate_is_validated_like_a_run():
+    with pytest.raises(ValueError, match="harmonic"):
         certificate_sppa(tripod_median(), Constant(0.5), Tripod(0, 1.0))
 
 
@@ -359,14 +401,14 @@ def test_shifted_tail_table_is_a_valid_relaxation_schedule():
     # lambda_n <= 1/2 throughout: the tail 2 / (n + 1) starts at index 3.
     sched = TableSchedule((0.5, 0.5, 0.5), Harmonic(2.0, 1.0))
     x0 = Euclidean((1.0, 1.0))
-    trajectory = run_skm(two_halfspace(), sched, x0, 10, seed=3)
+    trajectory = run_path(two_halfspace(), "skm", sched, x0, 10, seed=3)
     assert max(trajectory.steps) == 0.5
     cert = certificate_skm(two_halfspace(), sched, x0)
     assert cert.metric_rates(0.3, 0.1) == (None,) * 4  # past INDEX_CAP
     assert cert.metric_rates(3.0, 0.1)[0] > 0
     assert gap_window(two_halfspace(), "skm", sched, x0)(1.0, 0) > 0
     with pytest.raises(ValueError, match=r"relaxations must lie in \(0, 1\]"):
-        run_skm(two_halfspace(), TableSchedule((0.5,) * 3, Harmonic(4.5, 1.0)), x0, 1, seed=3)
+        run_path(two_halfspace(), "skm", TableSchedule((0.5,) * 3, Harmonic(4.5, 1.0)), x0, 1, seed=3)
 
 
 def test_certificate_rho_rejects_nonpositive_eps():
@@ -382,7 +424,7 @@ def test_certificate_rho_rejects_nonpositive_eps():
 
 def test_fast_certificate_flagship():
     cert, sched = fast_certificate_skm(two_halfspace(), 2.0, 16, Euclidean((1.0, 1.0)))
-    assert cert.K == 1.0 and cert.d == 0.0 and cert.r == 16
+    assert cert.r == 16
     assert cert.u == pytest.approx(32.0, rel=1e-12)
     assert sched == RootSchedule(4.0, 16)
     assert schedule_value(sched, 0) == 0.5

@@ -739,7 +739,7 @@ def test_shipped_and_benchmark_configs_parse():
     assert len(docs) == 6
     for doc in docs:
         exp = parse_experiment(doc)
-        assert exp.space == doc["space"] and exp.paths == doc["ensemble"]["paths"]
+        assert exp.problem.space == doc["space"] and exp.paths == doc["ensemble"]["paths"]
 
 
 def test_shipped_configs_take_v_from_the_operator_sets(tmp_path, capsys):

@@ -15,9 +15,7 @@ from fejerlab.algorithms import (
     certificate_skm,
     certificate_sppa,
     fast_certificate_skm,
-    run_sb,
-    run_skm,
-    run_sppa,
+    run_path,
 )
 from fejerlab.harness import (
     CHUNK,
@@ -203,8 +201,7 @@ def _full_matrix_reference(dist: np.ndarray, gap: np.ndarray, epsilons) -> dict:
 
 
 def _reference_ensemble(problem, algorithm, sched, x0, paths, horizon, seed, epsilons):
-    run = {"sppa": run_sppa, "skm": run_skm, "sb": run_sb}[algorithm]
-    trajs = [run(problem, sched, x0, horizon, seed, path_index=p) for p in range(paths)]
+    trajs = [run_path(problem, algorithm, sched, x0, horizon, seed, p) for p in range(paths)]
     dist = np.array([[dist_to_solutions(problem, pt, 1) for pt in t.points] for t in trajs])
     gap = np.array([[gap_F(problem, pt) for pt in t.points] for t in trajs])
     return _full_matrix_reference(dist, gap, epsilons)
@@ -385,8 +382,7 @@ def test_batched_observables_match_the_point_api(name):
     # reducer, must give the ensemble's statistics bit for bit.
     problem, algorithm, sched, x0 = _GRID_CASES[name]()
     paths, horizon, seed, epsilons = 7, 30, 11, (0.5, 0.1)
-    run = {"sppa": run_sppa, "sb": run_sb}[algorithm]
-    trajs = [run(problem, sched, x0, horizon, seed, path_index=p) for p in range(paths)]
+    trajs = [run_path(problem, algorithm, sched, x0, horizon, seed, p) for p in range(paths)]
     dist = np.array([[dist_to_solutions(problem, x) for x in t.points] for t in trajs])
     gap = np.array([[gap_F(problem, x) for x in t.points] for t in trajs])
     red = _Reducer(paths, horizon, epsilons)
@@ -436,8 +432,7 @@ def test_shared_distances_match_the_point_api_on_one_long_path(name):
     # API's at the runner's iterates (the runner shares nothing) bit for bit.
     problem, algorithm, sched, x0 = _LONG_PATH_CASES[name]()
     horizon, seed = 240, 13
-    run = {"sppa": run_sppa, "sb": run_sb}[algorithm]
-    traj = run(problem, sched, x0, horizon, seed)
+    traj = run_path(problem, algorithm, sched, x0, horizon, seed)
     stats = run_ensemble(problem, algorithm, sched, x0, 1, horizon, seed, ())
     dist = np.array([dist_to_solutions(problem, x) for x in traj.points])
     gap = np.array([gap_F(problem, x) for x in traj.points])
@@ -464,7 +459,7 @@ def _envelope_record(cert, mean_sq, paths=64):
 def test_fast_envelope_allows_the_rounding_of_its_mean_and_no_more():
     # Every path sits at d^2 = 2e100 = u/r: the exact mean of squares meets
     # the envelope at n = 0, and only rounding can put it above.
-    cert = FastCertificate(K=1.0, u=16 * 2e100, d=0.0, r=16)
+    cert = FastCertificate(u=16 * 2e100, r=16)
     env = cert.u / 16
     allowance = _envelope_rounding(64, env, 0.0, env)
     assert 0.0 < allowance < 1e-13 * env
@@ -486,7 +481,7 @@ def test_fast_envelope_allows_the_rounding_of_its_mean_and_no_more():
     # allowance: a smaller excess fails at n = 1, while n = 0's larger one
     # is rounding.  The record names the failing index.
     a0 = _envelope_rounding(64, 2e100, 0.0, 2e100)
-    cert1 = FastCertificate(K=1.0, u=2e100, d=0.0, r=1)
+    cert1 = FastCertificate(u=2e100, r=1)
     record = _envelope_record(cert1, [2e100 + 0.9 * a0, 1e100 + 0.7 * a0])
     assert (record.bound_satisfied, record.predicted_index) == (False, 1)
 
@@ -543,7 +538,7 @@ def test_single_path_matches_trajectory():
     p = segment_argmin()
     x0 = Euclidean((2.0, 2.0))
     stats = run_ensemble(p, "sb", H11, x0, 1, 25, 77, (0.5,), kernel="scalar")
-    traj = run_sb(p, H11, x0, 25, 77, path_index=0)
+    traj = run_path(p, "sb", H11, x0, 25, 77, path_index=0)
     for n, pt in enumerate(traj.points):
         assert stats.mean_dist[n] == dist_to_solutions(p, pt, 1)
         assert stats.mean_gap[n] == gap_F(p, pt)
@@ -596,7 +591,7 @@ def test_supermartingale_envelope_flagship():
 def test_square_threshold_equivalence_on_samples():
     # the events {d >= eps} and {d^2 >= eps^2} coincide sample by sample
     p = segment_argmin()
-    traj = run_sb(p, H11, Euclidean((2.0, 2.0)), 60, 13)
+    traj = run_path(p, "sb", H11, Euclidean((2.0, 2.0)), 60, 13)
     dists = [dist_to_solutions(p, pt, 1) for pt in traj.points]
     for eps in (0.3, 0.7, 1.1):
         for d in dists:

@@ -313,14 +313,14 @@ def test_recursion_bound_u_dominates_equality_recursion():
 
 
 def test_fast_bounds_values():
-    cert = FastCertificate(K=1.0, u=2.0, d=1.0, r=2)
-    assert fast_bounds(cert, 14, 0.5) == (0.125, 0.5)
-    flagship = FastCertificate(K=1.0, u=32.0, d=0.0, r=16)
+    cert = FastCertificate(u=2.0, r=2)
+    assert fast_bounds(cert, 14, 0.5) == (0.125, 0.25)
+    flagship = FastCertificate(u=32.0, r=16)
     assert fast_bounds(flagship, 0, 4.0) == (2.0, 0.5)
 
 
 def test_fast_bounds_clamped_and_monotone():
-    cert = FastCertificate(K=2.0, u=5.0, d=1.0, r=1)
+    cert = FastCertificate(u=5.0, r=1)
     prev_mean, prev_tail = math.inf, math.inf
     for n in range(0, 2000, 7):
         mean, tail = fast_bounds(cert, n, 0.1)

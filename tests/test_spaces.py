@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fejerlab.cli import ConfigError, _read_point, _read_set
+from fejerlab.moduli import FastCertificate, Harmonic, TableSchedule
 from fejerlab.problems import BusemannProblem, busemann_subgradient
 from fejerlab.spaces import (
     GEOM_TOL,
@@ -102,6 +103,24 @@ def test_halfplane_point_rejects_with_its_message_whatever_the_number_type(x, y,
     for cast in (lambda v: v, np.float64):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HalfPlane(cast(x), cast(y))
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ((math.inf, 0.0), "coords[0]=inf"),
+        ((math.nan, 0.0), "coords[0]=nan"),
+        ((1.0, -math.inf), "coords[1]=-inf"),
+        ((0.0, 2.0, math.nan), "coords[2]=nan"),
+    ],
+)
+def test_euclidean_point_rejects_a_non_finite_coordinate_by_name(coords, message):
+    for cast in (lambda v: v, np.float64):
+        with pytest.raises(ValueError, match=f"^Euclidean point needs finite coordinates, got {re.escape(message)}$"):
+            Euclidean(tuple(cast(c) for c in coords))
+    # A batch is left unchecked: its columns are the hot path's.
+    batch = Euclidean(tuple(np.array([c, 1.0]) for c in coords))
+    assert np.array_equal([c[0] for c in batch.coords], coords, equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -1070,14 +1089,36 @@ def test_euclidean_projection_bits_are_pinned(name):
 
 
 def test_nan_distance_reads_as_inside_the_ball():
-    # A NaN distance leaves x where it is: a point is returned itself, and a
-    # batch's NaN path keeps its coordinates.
+    # A float point cannot hold a NaN; a batch's NaN path (its columns are
+    # unchecked) has a NaN distance, which leaves its coordinates where they are.
     ball = Ball(Euclidean((0.0, 0.0)), 1.0)
-    x = Euclidean((math.nan, 0.0))
-    assert project_convex(ball, x) is x
+    with pytest.raises(ValueError, match=r"coords\[0\]=nan"):
+        Euclidean((math.nan, 0.0))
     points = [(math.nan, 0.0), (3.0, 4.0), (0.5, 0.5)]
-    expected = [x.coords] + [project_convex(ball, Euclidean(p)).coords for p in points[1:]]
+    expected = [points[0]] + [project_convex(ball, Euclidean(p)).coords for p in points[1:]]
     _assert_rows_equal(project_convex(ball, _batch(points)).coords, expected)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: Ball(Euclidean((0.0, 0.0)), math.nan), id="ball-radius"),
+        pytest.param(lambda: Halfspace((math.nan, 0.0), 0.0), id="halfspace-normal"),
+        pytest.param(lambda: Halfspace((1.0, 0.0), math.nan), id="halfspace-offset"),
+        pytest.param(lambda: Box((math.nan,), (1.0,)), id="box-lo"),
+        pytest.param(lambda: TripodSegment((1.0, math.nan, 1.0)), id="tripod-segment"),
+        pytest.param(lambda: EuclideanDir((math.nan, 0.0)), id="euclidean-dir"),
+        pytest.param(lambda: EuclideanDir((np.array([1.0, math.nan]), np.array([0.0, 0.0]))),
+                     id="euclidean-dir-batch"),
+        pytest.param(lambda: TableSchedule((math.nan,), Harmonic(1.0, 1.0)), id="table-schedule"),
+        pytest.param(lambda: FastCertificate(u=math.nan, r=16), id="fast-certificate"),
+    ],
+)
+def test_a_nan_parameter_fails_its_constructor_check(make):
+    # Each check is written so that NaN fails it, as a negative radius or an
+    # empty box side does.
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_float_geometry_keeps_the_point_api_shortcuts():
