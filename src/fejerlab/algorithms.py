@@ -130,7 +130,7 @@ class _Spec:
 
     ``step(problem, e, lam, x, data=None)`` is the next iterate from x
     with drawn index e and step lam; e and x may be an index array and a
-    Euclidean batch.  ``data`` = ``sample_data(problem, x)``, the per-sample
+    batch of any space.  ``data`` = ``sample_data(problem, x)``, the per-sample
     data of every problem, spares the step what the caller took for the gap
     and the solution distance at x: the Krasnoselskii-Mann step reads its
     projection T_e x, the proximal and subgradient steps of a distance cost

@@ -15,18 +15,18 @@ the problem's per-sample data (``sample_data``: the operator images of a
 fixed-point problem, the atom distances of a distance cost),
 ``dist_to_solutions`` and ``gap_F`` at the new points of all paths as one
 batch (a point whose coordinates are columns, one entry per path; see
-``spaces``), so it runs the scalar runners' arithmetic and equals them bit
-for bit.  The distance and the gap read the per-sample data, and so does
-the next step, so each atom distance is taken once per path-step.  A
-Euclidean ensemble also steps as that one batch.  The tree and half-plane
-spaces, and ``kernel="scalar"``, step path by path: each path draws its
+``spaces``), so it runs ``run_path``'s arithmetic and equals it bit for
+bit.  The distance and the gap read the per-sample data, and so does the
+next step, so each atom distance is taken once per path-step.  In every
+space the paths also draw and step as that one batch: a step draws a
+column of indices per slice of streams and makes one call of the step on
+all paths.  ``kernel="scalar"`` is the cross-check: each path draws its
 index from its own stream state (a bisection of the cumulative weights,
 with no NumPy call) and steps as a point with its own atom distances (a
 fixed-point path takes its one projection itself), and the points are
-stacked into the batch.  The wide batch draws a column of indices per
-slice of streams.  The kernel streams the distances and gaps into one
-reducer a block of steps at a time, so memory grows with paths plus the
-horizon, not with their product.
+stacked into the batch.  The kernel streams the distances and gaps into
+one reducer a block of steps at a time, so memory grows with paths plus
+the horizon, not with their product.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .problems import (
     sample_data,
     sample_index,
 )
-from .spaces import Euclidean, Point, contains, distance, sqdist, stack
+from .spaces import Point, contains, distance, sqdist, stack
 
 # Paths per reduction slice: fixes the summation order of every sum.
 CHUNK = 512
@@ -200,16 +200,16 @@ def _kernel(
 ) -> None:
     """Each step advances every path, then records the distances and gaps
     at the new points as one batch of all paths; a block of steps at a time
-    goes to the reducer.  Wide, the paths draw and step as that Euclidean
-    batch; else each path draws and steps as a point, and they are stacked.
-    Every step reads the per-sample data the distance and the gap took at
-    its start points."""
+    goes to the reducer.  Wide, the paths draw and step as that batch; else
+    each path draws and steps as a point, and they are stacked.  Every step
+    reads the per-sample data the distance and the gap took at its start
+    points."""
     paths = red.paths
+    X = stack([x0] * paths)
     if wide:
         starts = range(0, paths, CHUNK)
         keys = [rng.stream_keys(seed, np.arange(s, min(s + CHUNK, paths))) for s in starts]
         cum = np.asarray(problem.cum_weights)  # converted once, not per draw
-        X = Euclidean(tuple(np.full(paths, c) for c in x0.coords))
     else:
         xs = [x0] * paths
         states = [rng.make_state(seed, p) for p in range(paths)]
@@ -229,8 +229,7 @@ def _kernel(
                 states = [state for _, state in drawn]
                 shares = _shares(problem, data, paths)
                 xs = [step(problem, e, lam, x, sh) for (e, _), x, sh in zip(drawn, xs, shares)]
-        if not wide:
-            X = stack(xs)
+                X = stack(xs)
         data = sample_data(problem, X)
         dist[:, n - n0] = dist_to_solutions(problem, X, 1, data)
         gap[:, n - n0] = gap_F(problem, X, data)
@@ -254,12 +253,12 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run `paths` independent trajectories and aggregate their statistics.
 
-    ``kernel`` selects how the paths step: "auto" steps a Euclidean
-    ensemble as one batch of all paths and other spaces path by path,
-    "scalar" steps path by path in every space (each path-step then calls
-    the point API once, as the runners do, to cross-check that m steps of
-    one equal one step of m), and "vector" demands the wide batch.  Every
-    kernel takes the distances and gaps of all paths as one batch per step.
+    ``kernel`` selects how the paths step: "auto" (and "vector", the
+    same) draws and steps every space's ensemble as one batch of all
+    paths, and "scalar" steps path by path (each path-step then calls the
+    point API once, as ``run_path`` does, to cross-check that m steps of
+    one equal one step of m).  Every kernel takes the distances and gaps of
+    all paths as one batch per step.
     ``threads`` is validated (>= 1) and kept for compatibility; all work
     runs on the calling thread.
     """
@@ -278,12 +277,9 @@ def run_ensemble(
 
     if kernel not in ("auto", "vector", "scalar"):
         raise ValueError(f"unknown kernel: {kernel!r}")
-    if kernel == "vector" and problem.space != "euclidean":
-        raise ValueError("vectorized kernel is only available in Euclidean spaces")
 
     red = _Reducer(paths, horizon, epsilons)
-    wide = kernel != "scalar" and problem.space == "euclidean"
-    _kernel(problem, algorithm, sched, x0, horizon, seed, red, wide)
+    _kernel(problem, algorithm, sched, x0, horizon, seed, red, kernel != "scalar")
     sd, sd2, sd4, sg, sg2 = red.sums
     tail = red.tail_counts()
 

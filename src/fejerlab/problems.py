@@ -22,10 +22,10 @@ regularity validation carries no Monte-Carlo error.  A point solution set
 (a ball of radius 0) is measured by the distance to its center.
 
 The per-sample maps, ``gap_F`` and ``dist_to_solutions`` also take a
-Euclidean batch (see :mod:`fejerlab.spaces`), with an index array of each
-path's drawn atom or operator.  Their branches (x at the drawn atom, the
-drawn set, max(0, .)) go through ``spaces._select``, so a batch equals its
-points bit for bit.  ``sample_data`` takes what they share at x once: the
+batch of any space (see :mod:`fejerlab.spaces`), with an index array of
+each path's drawn atom or operator.  Their branches (x at the drawn atom,
+the drawn set, max(0, .)) go through ``spaces._select``, so a batch equals
+its points bit for bit.  ``sample_data`` takes what they share at x once: the
 operator images of a fixed-point problem, the atom distances of a distance
 cost.
 """
@@ -428,15 +428,14 @@ def sample_index(problem: Problem, state: rng.RngState) -> tuple[int, rng.RngSta
 
 
 def _atom(problem, e) -> Point:
-    """The e-th atom; for an index array, the batch of each path's atom."""
-    if not isinstance(e, np.ndarray):
-        return problem.atoms[e][0]
-    table = np.array([a.coords for a, _ in problem.atoms])
-    return Euclidean(tuple(table[e, i] for i in range(table.shape[1])))
+    """The e-th atom; for an index array, the batch of each path's atom
+    (a single atom stays a point, which every path shares)."""
+    return _pick([a for a, _ in problem.atoms], e)
 
 
 def _pick(values, e):
-    """values[e]; for an index array, each path's entry of its own e."""
+    """values[e]; for an index array, each path's entry of its own e
+    (values may be columns or points of one space)."""
     if not isinstance(e, np.ndarray):
         return values[e]
     y, *rest = values
@@ -552,31 +551,30 @@ def busemann_subgradient(
     starts at x, passes through a_e, and continues to infinity (the descent
     direction of the distance cost), with weight s = 1; at x = a_e the zero
     element (s = 0) is returned.  A batch gets a batch of directions and
-    one s per path; a path at its atom has s = 0 and the placeholder
-    direction e_1, which its zero step ignores.  A caller that has d(x,
-    a_e) may pass it as ``d``.
+    one s per path; a path at its atom has s = 0 and a placeholder
+    direction (e_1 in R^d, on the tripod the end its classification
+    gives), which its zero step ignores.  A caller that has d(x, a_e) may
+    pass it as ``d``.
     """
     a = _atom(problem, e)
     d = distance(x, a) if d is None else d
     if not isinstance(d, np.ndarray) and d == 0.0:
         return None, 0.0
+    at_atom = d == 0.0
+    s = _select(at_atom, 0.0, 1.0)
     if isinstance(x, Euclidean):
-        at_atom = d == 0.0
         safe = _select(at_atom, 1.0, d)
         u = tuple((ai - xi) / safe for xi, ai in zip(x.coords, a.coords))  # (a - x) / d
         e1 = (1.0,) + (0.0,) * (len(u) - 1)
-        return EuclideanDir(_select(at_atom, e1, u)), _select(at_atom, 0.0, 1.0)
+        return EuclideanDir(_select(at_atom, e1, u)), s
     # Tripod: classify how the geodesic from x arrives at a and extend it.
-    if a.coord == 0.0:
-        # The ray descends x's ray through the origin; continue along the
-        # lowest-index ray different from the arrival ray.
-        return TripodEnd(min(j for j in range(3) if j != x.ray)), 1.0
-    if x.coord == 0.0 or x.ray != a.ray or x.coord < a.coord:
-        # Arrives climbing a's ray; the extension keeps climbing it.
-        return TripodEnd(a.ray), 1.0
-    # Same ray, from above: arrives descending, passes a, reaches the
-    # origin and continues along the lowest-index other ray.
-    return TripodEnd(min(j for j in range(3) if j != x.ray)), 1.0
+    # It arrives climbing a's ray, and the extension keeps climbing it,
+    # unless a is the origin (the geodesic descends x's ray through it) or
+    # a lies below x on x's ray (it arrives descending, passes a and
+    # reaches the origin): then it continues along the lowest-index ray
+    # other than x's.
+    climbs = (a.coord != 0.0) & ((x.coord == 0.0) | (x.ray != a.ray) | (x.coord < a.coord))
+    return TripodEnd(_select(climbs, a.ray, 1 * (x.ray == 0))), s
 
 
 # ---------------------------------------------------------------------------

@@ -83,13 +83,17 @@ def _all(cond) -> bool:
 def _select(cond, a, b):
     """``a`` where ``cond`` holds, else ``b``: a bool picks one side whole (a
     point keeps its identity), a boolean array picks per path, column by
-    column for coordinate tuples and Euclidean points."""
+    column for coordinate tuples and for two points of one space."""
     if cond is True:
         return a
     if cond is False or not isinstance(cond, np.ndarray):
         return a if cond else b
     if isinstance(a, Euclidean):
         return Euclidean(_select(cond, a.coords, b.coords))
+    if isinstance(a, Tripod):
+        return Tripod(*_select(cond, (a.ray, a.coord), (b.ray, b.coord)))
+    if isinstance(a, HalfPlane):
+        return HalfPlane(*_select(cond, (a.x, a.y), (b.x, b.y)))
     if isinstance(a, tuple):
         return tuple(np.where(cond, ai, bi) for ai, bi in zip(a, b))
     return np.where(cond, a, b)
@@ -467,7 +471,7 @@ def _halfplane_geodesic(x: HalfPlane, y: HalfPlane, t, d) -> HalfPlane:
             root = _select(far, m.exp(lr - top), root)
         wx = m.exp(ea - s) * m.expm1(-2.0 * a)
         wy = m.exp(eb - s) * m.expm1(-2.0 * b)
-        den = wx + wy
+        den = _select(same, 1.0, wx + wy)  # 0 where x = y, whose paths take x
         # From the nearer end (wx, wy <= 0, and wx / den is y's weight), so
         # x2 - x1 does not round a far smaller end away.
         h = _select(abs(y.x - x.x) == math.inf, 0.5, 1.0)

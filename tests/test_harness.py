@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,7 @@ from fejerlab.spaces import (
     Halfspace,
     Segment,
     Tripod,
+    TripodSegment,
     WholeSpace,
     distance,
 )
@@ -373,6 +375,45 @@ def test_ensemble_grid_is_bit_for_bit_recorded(name):
     assert _grid_digest(name) == _GRID_DIGESTS[name]
 
 
+# The grid's tree and half-plane cases, and Krasnoselskii-Mann on one tree
+# or half-plane set, which the wide kernel also steps as one batch.
+_CURVED_CASES = {
+    **{
+        name: case for name, case in _GRID_CASES.items()
+        if name.startswith(("tripod", "halfplane"))
+    },
+    "tripod-skm-segment": lambda: (
+        FixedPointProblem("tripod", (TripodSegment((1.0, 0.5, 2.0)),), (1.0,)),
+        "skm", Constant(0.7), Tripod(1, 2.0),
+    ),
+    "halfplane-skm-ball": lambda: (
+        FixedPointProblem("halfplane", (Ball(HalfPlane(0.0, 1.0), 0.5),), (1.0,)),
+        "skm", Constant(0.7), HalfPlane(1.0, 3.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURVED_CASES))
+@pytest.mark.parametrize("paths", [7, 513])
+def test_wide_kernel_matches_scalar_in_curved_spaces(name, paths):
+    # 513 paths draw from two CHUNK slices of streams.
+    problem, algorithm, sched, x0 = _CURVED_CASES[name]()
+    args = (problem, algorithm, sched, x0, paths, 65, 11, (0.5, 0.1))
+    wide = run_ensemble(*args, kernel="auto")
+    assert_stats_equal(wide, run_ensemble(*args, kernel="scalar"))
+    assert np.any(wide.mean_dist[1:] != wide.mean_dist[0])  # the paths moved
+
+
+@pytest.mark.parametrize("name", sorted(_CURVED_CASES))
+def test_wide_kernel_warns_nowhere_in_curved_spaces(name):
+    # Steps from a drawn atom (d = 0) and projections of points inside the
+    # set divide by nothing that is zero: no RuntimeWarning.
+    problem, algorithm, sched, x0 = _CURVED_CASES[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_ensemble(problem, algorithm, sched, x0, 7, 65, 11, (0.5, 0.1))
+
+
 @pytest.mark.parametrize(
     "name", ["halfplane-sppa", "halfplane-sppa-half-squared", "tripod-sppa", "tripod-sb"]
 )
@@ -498,11 +539,12 @@ def test_ensemble_memory_is_bounded_in_the_horizon():
     assert peak < 16 * 2**20, peak
 
 
-def test_vector_kernel_requires_euclidean_space():
-    with pytest.raises(ValueError):
-        run_ensemble(
-            tripod_median(), "sppa", H11, Tripod(0, 1.0), 10, 5, 0, (0.5,), kernel="vector"
-        )
+def test_vector_kernel_equals_scalar_on_the_tripod():
+    # "vector" is "auto": every space draws and steps as one batch.
+    args = (tripod_median(), "sppa", H11, Tripod(0, 1.0), 10, 5, 0, (0.5,))
+    assert_stats_equal(
+        run_ensemble(*args, kernel="vector"), run_ensemble(*args, kernel="scalar")
+    )
 
 
 def test_run_ensemble_validation():

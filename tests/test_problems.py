@@ -19,6 +19,7 @@ from fejerlab.problems import (
     MeanMinProblem,
     NoModulusKnownError,
     TaggedModulus,
+    _atom,
     busemann_subgradient,
     cost,
     dist_to_solutions,
@@ -55,6 +56,7 @@ from fejerlab.spaces import (
     project_convex,
     ray_point,
     sqdist,
+    stack,
 )
 
 from conftest import ball_point, modulus_for_power, random_weights
@@ -429,6 +431,38 @@ def test_subgradient_tripod_cases():
     # same ray from above: descend through the atom toward the origin
     direction, s = busemann_subgradient(p, 0, Tripod(0, 1.5))
     assert s == 1.0 and direction == TripodEnd(1)
+
+
+def test_subgradient_of_a_tripod_batch_classifies_each_path():
+    # Every case above as one batch, with paths at their atom (s = 0, any
+    # end) and a path at the origin; then an atom at the origin.
+    p = tripod_median_busemann()
+    cases = [
+        (1, Tripod(0, 1.0)), (0, Tripod(0, 0.5)), (0, Tripod(0, 1.5)), (0, Tripod(0, 1.0)),
+        (2, Tripod(0, 0.0)), (1, Tripod(1, 2.0)), (2, Tripod(2, 3.0)), (2, Tripod(2, 1.0)),
+    ]
+    origin = BusemannProblem("tripod", ((Tripod(0, 0.0), 1.0),), TripodSegment((2.0,) * 3), 2.0)
+    at_origin = [(0, Tripod(2, 1.5)), (0, Tripod(0, 1.0)), (0, Tripod(0, 0.0))]
+    for problem, pairs in ((p, cases), (origin, at_origin)):
+        e = np.array([ei for ei, _ in pairs])
+        direction, s = busemann_subgradient(problem, e, stack([x for _, x in pairs]))
+        for i, (ei, x) in enumerate(pairs):
+            end, si = busemann_subgradient(problem, ei, x)
+            assert s[i] == si
+            if end is not None:
+                assert direction.ray[i] == end.ray
+        assert 0.0 in s and 1.0 in s
+
+
+def test_atom_of_an_index_array_is_the_batch_of_each_paths_atom():
+    halfplane = MeanMinProblem("halfplane", _HALFPLANE_ATOMS, DISTANCE, 4.0)
+    for problem in (tripod_median(), tripod_frechet(), halfplane):
+        e = np.array([2, 0, 1, 1]) % len(problem.atoms)
+        points = [problem.atoms[ei][0] for ei in e.tolist()]
+        batch = _atom(problem, e)
+        assert type(batch) is type(points[0])
+        for name in ("ray", "coord") if isinstance(batch, Tripod) else ("x", "y"):
+            assert getattr(batch, name).tolist() == [getattr(q, name) for q in points]
 
 
 def test_subgradient_ray_descends_the_cost_at_unit_rate():

@@ -31,6 +31,7 @@ from fejerlab.spaces import (
     TripodEnd,
     TripodSegment,
     WholeSpace,
+    _select,
     cn_residual,
     contains,
     distance,
@@ -41,6 +42,7 @@ from fejerlab.spaces import (
     ray_point,
     space_of,
     sqdist,
+    stack,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -1045,6 +1047,35 @@ def test_batch_geometry_matches_float_geometry():
     for ti in (0.0, 1.0, 0.3):
         per_point = [geodesic_point(x, y, ti).coords for x, y in pairs]
         _assert_rows_equal(geodesic_point(X, Y, ti).coords, per_point)
+
+
+def _points_of(batch) -> list:
+    """The points of a batch, in path order."""
+    if isinstance(batch, Euclidean):
+        return [Euclidean(c) for c in zip(*(col.tolist() for col in batch.coords))]
+    if isinstance(batch, Tripod):
+        return [Tripod(r, c) for r, c in zip(batch.ray.tolist(), batch.coord.tolist())]
+    return [HalfPlane(x, y) for x, y in zip(batch.x.tolist(), batch.y.tolist())]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [Euclidean((1.0, -2.0)), Euclidean((0.0, 3.0)), Euclidean((-4.0, 0.5))],
+        [Tripod(0, 1.0), Tripod(2, 0.5), TRIPOD_ORIGIN],
+        [HalfPlane(0.0, 1.0), HalfPlane(-1.5, 0.25), HalfPlane(2.0, 3.0)],
+    ],
+    ids=["euclidean", "tripod", "halfplane"],
+)
+def test_select_picks_each_path_of_two_batches(points):
+    p, q, r = points
+    a, b = stack([p, q, r]), stack([q, r, p])
+    picked = _select(np.array([True, False, True]), a, b)
+    assert type(picked) is type(a)
+    assert _points_of(picked) == [p, r, r]
+    assert _points_of(_select(np.array([False, True, False]), a, b)) == [q, q, p]
+    if isinstance(picked, Tripod):
+        assert picked.ray.dtype.kind == "i"
 
 
 @pytest.mark.parametrize("cset", EDGE_SETS, ids=lambda c: type(c).__name__)
