@@ -27,7 +27,10 @@ fixed cost every command pays before it starts.  Each run also records
 pytest -q --continue-on-collection-errors`` in the tree's root, with the
 tree's ``src`` first on ``PYTHONPATH``), and ``tier1_counts``, the outcome
 counts as its summary line names them (passed, failed, error, ...).  The
-script exits 1 when any command or the Tier-1 suite exits nonzero.
+benchmark's own self-tests (``python -m pytest perfbench/test_perfbench.py``,
+run the same way) record their outcome counts as
+``perfbench_selftest_counts``.  The script exits 1 when any command or the
+Tier-1 suite exits nonzero; the self-tests' outcome does not change it.
 
 Results go under ``runs.<label>`` of the output JSON; other labels already
 in the file are kept, so before and after numbers can share one file:
@@ -152,11 +155,11 @@ def import_seconds(src: pathlib.Path, runs: int = 5) -> float:
     return statistics.median(times)
 
 
-def run_tier1(src: pathlib.Path) -> tuple[float, dict[str, int], int]:
+def run_pytest(src: pathlib.Path, *args: str) -> tuple[float, dict[str, int], int]:
     """Wall time, outcome counts (e.g. {"passed": 476}) and exit code of one
-    run of the Tier-1 suite in the tree's root."""
+    pytest run in the tree's root (the Tier-1 suite without ``args``)."""
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", *args]
     t0 = time.perf_counter()
     proc = subprocess.run(
         cmd, cwd=src.parent, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True
@@ -236,9 +239,11 @@ def main(argv=None) -> int:
 
     import_s = import_seconds(src)
     print(f"import fejerlab.cli: {import_s:.3f} s (median of 5 fresh interpreters)")
-    tier1_s, tier1_counts, tier1_code = run_tier1(src)
+    tier1_s, tier1_counts, tier1_code = run_pytest(src)
     failed |= tier1_code != 0
     print(f"tier-1 suite: {tier1_s:.1f} s, {tier1_counts}, exit code {tier1_code}")
+    _, selftest_counts, selftest_code = run_pytest(src, "perfbench/test_perfbench.py")
+    print(f"perfbench self-tests: {selftest_counts}, exit code {selftest_code}")
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
     lines = _src_lines_by_module(src)
@@ -254,6 +259,7 @@ def main(argv=None) -> int:
         "import_s": import_s,
         "tier1_s": tier1_s,
         "tier1_counts": tier1_counts,
+        "perfbench_selftest_counts": selftest_counts,
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

@@ -1,18 +1,20 @@
 """The three stochastic iterations and their explicit rate certificates.
 
-A path (``run_path``) is deterministic given (problem, algorithm, schedule,
-x0, horizon, seed, path_index): each step consumes exactly one uniform draw
-from the path's counter-based stream to select an atom/operator index, so
-trajectories are bit-reproducible and independent paths never share
-randomness.
+A path's iteration is written once, in ``path_iterates``; ``run_path``
+keeps its first `horizon` points, and the ensemble harness's scalar kernel
+runs one per path.  A path is deterministic given (problem, algorithm,
+schedule, x0, seed, path_index): each step consumes exactly one uniform
+draw from the path's counter-based stream to select an atom/operator
+index, so trajectories are bit-reproducible and independent paths never
+share randomness.
 
 Every algorithm is described once, by its entry in ``_SPECS``: its one
-step (``run_path`` takes it on one point, the ensemble harness on a batch
-of all paths, the one-step audit ``harness.fejer_margin`` once per index),
-run validation, the rate certificates and the gap windows.  The schedules a
-run admits follow from the noise term: with none (L = T = 0) any
-relaxations in (0, 1], with one a harmonic schedule, whose squared sum T
-is finite.  The printed rate functions are
+step (a path takes it on one point, the ensemble harness's wide kernel on
+a batch of all paths, the one-step audit ``harness.fejer_margin`` once per
+index), run validation, the rate certificates and the gap windows.  The
+schedules a run admits follow from the noise term: with none (L = T = 0)
+any relaxations in (0, 1], with one a harmonic schedule, whose squared sum
+T is finite.  The printed rate functions are
 
 * proximal (sppa):    rho(eps) = theta(chi(eps / 24 Lbar), (b + 4 L^2 T) / (tau eps/6))
 * Krasnoselskii-Mann (skm):  rho(eps) = theta(0, b / (tau eps/6))
@@ -30,9 +32,10 @@ An index past ``moduli.INDEX_CAP`` is None: no run can reach it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import rng
 from .moduli import (
@@ -243,6 +246,27 @@ class Trajectory:
     path_index: int = 0
 
 
+def path_iterates(
+    problem: Problem,
+    algorithm: str,
+    sched: StepSchedule,
+    x0: Point,
+    seed: int,
+    path_index: int = 0,
+) -> Iterator[tuple[Point, int, float]]:
+    """(x_{n+1}, e_n, lambda_n) for n = 0, 1, ... of one path: x_{n+1} =
+    step(problem, e_n, lambda_n, x_n) with its spec's step (taking no shared
+    data) and e_n drawn from the path's stream."""
+    step = _SPECS[algorithm].step
+    state = rng.make_state(seed, path_index)
+    x = x0
+    for n in itertools.count():
+        e, state = sample_index(problem, state)
+        lam = schedule_value(sched, n)
+        x = step(problem, e, lam, x)
+        yield x, e, lam
+
+
 def run_path(
     problem: Problem,
     algorithm: str,
@@ -252,19 +276,14 @@ def run_path(
     seed: int,
     path_index: int = 0,
 ) -> Trajectory:
-    """One path of the algorithm: x_{n+1} = step(problem, e_n, lambda_n,
-    x_n) with its spec's step and e_n drawn from the path's stream."""
+    """The first `horizon` steps of one path (``path_iterates``), after
+    ``validate_run``."""
     validate_run(problem, algorithm, sched, x0)
-    step = _SPECS[algorithm].step
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    state = rng.make_state(seed, path_index)
-    x = x0
     points, indices, steps = [x0], [], []
-    for n in range(horizon):
-        e, state = sample_index(problem, state)
-        lam = schedule_value(sched, n)
-        x = step(problem, e, lam, x)
+    walk = path_iterates(problem, algorithm, sched, x0, seed, path_index)
+    for x, e, lam in itertools.islice(walk, horizon):
         points.append(x)
         indices.append(e)
         steps.append(lam)

@@ -524,10 +524,9 @@ def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) 
     check = _AUDITS[exp.audit.kind].check(exp)
     if curves_path is not None:
         try:
-            cols = load_curves(curves_path)
+            stats = stats_from_curves(load_curves(curves_path), exp.algorithm, exp.paths)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"--curves {curves_path}: {exc}") from exc
-        stats = stats_from_curves(cols, exp.algorithm, exp.problem.space, exp.paths, exp.seed)
         missing = [t for t in exp.audit.thresholds if t not in stats.tail]
         if missing:
             raise ConfigError(

@@ -20,13 +20,12 @@ bit.  The distance and the gap read the per-sample data, and so does the
 next step, so each atom distance is taken once per path-step.  In every
 space the paths also draw and step as that one batch: a step draws a
 column of indices per slice of streams and makes one call of the step on
-all paths.  ``kernel="scalar"`` is the cross-check: each path draws its
-index from its own stream state (a bisection of the cumulative weights,
-with no NumPy call) and steps as a point with its own atom distances (a
-fixed-point path takes its one projection itself), and the points are
-stacked into the batch.  The kernel streams the distances and gaps into
-one reducer a block of steps at a time, so memory grows with paths plus
-the horizon, not with their product.
+all paths.  ``kernel="scalar"`` is the cross-check: each path runs
+``algorithms.path_iterates``, the iteration ``run_path`` runs, which
+reads no shared data, and one point of each path is stacked into the batch
+per step.  The kernel streams the distances and gaps into one reducer a
+block of steps at a time, so memory grows with paths plus the horizon, not
+with their product.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algorithms import _SPECS, _reference, validate_run
+from .algorithms import _SPECS, _reference, path_iterates, validate_run
 from .moduli import (
     FastCertificate,
     StepSchedule,
@@ -49,14 +48,12 @@ from .moduli import (
 from .problems import (
     HALF_SQUARED,
     BusemannProblem,
-    FixedPointProblem,
     Problem,
     busemann_subgradient,
     dist_to_solutions,
     gap_F,
     mean_cost_exact,
     sample_data,
-    sample_index,
 )
 from .spaces import Point, contains, distance, sqdist, stack
 
@@ -81,10 +78,8 @@ class EnsembleStats:
     """
 
     algorithm: str
-    space: str
     paths: int
     horizon: int
-    seed: int
     epsilons: tuple[float, ...]
     mean_dist: np.ndarray
     mean_sq_dist: np.ndarray
@@ -179,15 +174,6 @@ def _block_width(n0: int, total: int) -> int:
     return width + 1 if total - n0 - width == 1 else width
 
 
-def _shares(problem: Problem, data, paths: int) -> list:
-    """Each path's atom distances as floats, in path order.  A fixed-point
-    path gets None and takes its one projection itself: its share of the
-    images would be points to rebuild from the batch's columns."""
-    if data is None or isinstance(problem, FixedPointProblem):
-        return [None] * paths
-    return list(zip(*(v.tolist() for v in data)))
-
-
 def _kernel(
     problem: Problem,
     algorithm: str,
@@ -196,40 +182,34 @@ def _kernel(
     horizon: int,
     seed: int,
     red: _Reducer,
-    wide: bool,
+    walks: list | None,
 ) -> None:
     """Each step advances every path, then records the distances and gaps
     at the new points as one batch of all paths; a block of steps at a time
-    goes to the reducer.  Wide, the paths draw and step as that batch; else
-    each path draws and steps as a point, and they are stacked.  Every step
-    reads the per-sample data the distance and the gap took at its start
-    points."""
+    goes to the reducer.  Without ``walks`` the paths draw and step as that
+    batch, and every step reads the per-sample data the distance and the
+    gap took at its start points; else each path is its walk (a
+    ``path_iterates`` generator), which reads no shared data, and one point
+    of each is stacked per step."""
     paths = red.paths
     X = stack([x0] * paths)
-    if wide:
+    if walks is None:
         starts = range(0, paths, CHUNK)
         keys = [rng.stream_keys(seed, np.arange(s, min(s + CHUNK, paths))) for s in starts]
         cum = np.asarray(problem.cum_weights)  # converted once, not per draw
-    else:
-        xs = [x0] * paths
-        states = [rng.make_state(seed, p) for p in range(paths)]
-    step = _SPECS[algorithm].step
+        step = _SPECS[algorithm].step
     n0, width = 0, _block_width(0, horizon + 1)
     dist, gap = np.empty((paths, width)), np.empty((paths, width))
 
     for n in range(horizon + 1):
         if n:
-            lam = schedule_value(sched, n - 1)
-            if wide:
+            if walks is None:
+                lam = schedule_value(sched, n - 1)
                 # One row-wise draw per CHUNK slice of keys (the tracer counts them).
                 e = [rng.categorical(cum, rng.uniforms(k, n - 1)) for k in keys]
                 X = step(problem, np.concatenate(e), lam, X, data)
             else:
-                drawn = [sample_index(problem, state) for state in states]
-                states = [state for _, state in drawn]
-                shares = _shares(problem, data, paths)
-                xs = [step(problem, e, lam, x, sh) for (e, _), x, sh in zip(drawn, xs, shares)]
-                X = stack(xs)
+                X = stack([next(walk)[0] for walk in walks])
         data = sample_data(problem, X)
         dist[:, n - n0] = dist_to_solutions(problem, X, 1, data)
         gap[:, n - n0] = gap_F(problem, X, data)
@@ -249,16 +229,16 @@ def run_ensemble(
     seed: int,
     epsilons,
     threads: int = 1,
-    kernel: str = "auto",
+    kernel: str = "vector",
 ) -> EnsembleStats:
     """Run `paths` independent trajectories and aggregate their statistics.
 
-    ``kernel`` selects how the paths step: "auto" (and "vector", the
-    same) draws and steps every space's ensemble as one batch of all
-    paths, and "scalar" steps path by path (each path-step then calls the
-    point API once, as ``run_path`` does, to cross-check that m steps of
-    one equal one step of m).  Every kernel takes the distances and gaps of
-    all paths as one batch per step.
+    ``kernel`` selects how the paths step: "vector" draws and steps every
+    space's ensemble as one batch of all paths, and "scalar" runs
+    ``run_path``'s iteration (``algorithms.path_iterates``) on each path
+    and stacks one point of each per step, reading no shared data, to
+    cross-check that m steps of one equal one step of m.  Every kernel
+    takes the distances and gaps of all paths as one batch per step.
     ``threads`` is validated (>= 1) and kept for compatibility; all work
     runs on the calling thread.
     """
@@ -275,11 +255,14 @@ def run_ensemble(
     if len(set(epsilons)) != len(epsilons):
         raise ValueError("tail thresholds must be distinct")
 
-    if kernel not in ("auto", "vector", "scalar"):
+    if kernel not in ("vector", "scalar"):
         raise ValueError(f"unknown kernel: {kernel!r}")
 
     red = _Reducer(paths, horizon, epsilons)
-    _kernel(problem, algorithm, sched, x0, horizon, seed, red, kernel != "scalar")
+    walks = None
+    if kernel == "scalar":
+        walks = [path_iterates(problem, algorithm, sched, x0, seed, p) for p in range(paths)]
+    _kernel(problem, algorithm, sched, x0, horizon, seed, red, walks)
     sd, sd2, sd4, sg, sg2 = red.sums
     tail = red.tail_counts()
 
@@ -291,10 +274,8 @@ def run_ensemble(
 
     return EnsembleStats(
         algorithm=algorithm,
-        space=problem.space,
         paths=paths,
         horizon=horizon,
-        seed=seed,
         epsilons=epsilons,
         mean_dist=sd / paths,
         mean_sq_dist=sd2 / paths,
@@ -776,9 +757,7 @@ def load_curves(path: str) -> dict[str, np.ndarray]:
     return cols
 
 
-def stats_from_curves(
-    cols: dict[str, np.ndarray], algorithm: str, space: str, paths: int, seed: int
-) -> EnsembleStats:
+def stats_from_curves(cols: dict[str, np.ndarray], algorithm: str, paths: int) -> EnsembleStats:
     """Rebuild ensemble statistics from parsed curves (for re-audit)."""
     if paths < 1:
         raise ValueError(f"need the original path count >= 1, got {paths}")
@@ -792,10 +771,8 @@ def stats_from_curves(
             point_tail[float(name[len("point_tail_eps_"):])] = arr
     return EnsembleStats(
         algorithm=algorithm,
-        space=space,
         paths=paths,
         horizon=horizon,
-        seed=seed,
         epsilons=tuple(sorted(tail)),
         mean_dist=cols["mean_dist"],
         mean_sq_dist=cols["mean_sq_dist"],

@@ -329,6 +329,22 @@ def test_audit_header_only_curves_file_is_an_input_error(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["tail_eps_1.0", "point_tail_eps_1.0"])
+def test_audit_curves_with_a_bad_threshold_header_is_an_input_error(tmp_path, capsys, column):
+    cfg = write_config(tmp_path, rate_config(paths=4, horizon=10))
+    out = str(tmp_path / "r_")
+    assert run_cli("audit", "--config", cfg, "--out", out) in (0, 4)
+    capsys.readouterr()
+    text = Path(out + "curves.csv").read_text()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text.replace(f",{column},", f",{column.replace('1.0', 'x1.0')},", 1))
+    rc = run_cli(
+        "audit", "--config", cfg, "--out", str(tmp_path / "x_"), "--curves", str(bad)
+    )
+    assert rc == 1
+    assert f"config error: --curves {bad}: " in capsys.readouterr().err
+
+
 def test_audit_curves_missing_tail_threshold_is_an_input_error(tmp_path, capsys):
     cfg_run = write_config(tmp_path, rate_config(epsilons=(1.0,)), name="run.json")
     out = str(tmp_path / "r_")

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fejerlab import harness
 from fejerlab.algorithms import (
     certificate_skm,
     certificate_sppa,
@@ -47,6 +48,7 @@ from fejerlab.problems import (
     gap_F,
     halfplane_single_atom,
     r1_single_atom_busemann,
+    sample_data,
     segment_argmin,
     tripod_median,
     tripod_median_busemann,
@@ -69,7 +71,7 @@ H11 = Harmonic(1.0, 1.0)
 EPS = (0.5, 1.0)
 
 
-def small_flagship(paths=300, horizon=60, seed=7, threads=1, kernel="auto", eps=EPS):
+def small_flagship(paths=300, horizon=60, seed=7, threads=1, kernel="vector", eps=EPS):
     return run_ensemble(
         two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0)),
         paths, horizon, seed, eps, threads=threads, kernel=kernel,
@@ -351,13 +353,13 @@ _GRID_DIGESTS = {
 def _grid_digest(name: str) -> str:
     """SHA-256 over the dtype and bytes of every statistic, for paths {1, 7,
     513} x horizons {0, 1, 2, 65}; Euclidean cases run the default kernel
-    and, at 7 paths or fewer, also kernel="scalar"."""
+    ("vector") and, at 7 paths or fewer, also kernel="scalar"."""
     problem, algorithm, sched, x0 = _GRID_CASES[name]()
     h = hashlib.sha256()
     for paths in (1, 7, 513):
         for horizon in (0, 1, 2, 65):
             scalar = paths <= 7 and problem.space == "euclidean"
-            for kernel in ("auto", "scalar") if scalar else ("auto",):
+            for kernel in ("vector", "scalar") if scalar else ("vector",):
                 stats = run_ensemble(
                     problem, algorithm, sched, x0, paths, horizon, 11, (0.5, 0.1), kernel=kernel
                 )
@@ -399,9 +401,24 @@ def test_wide_kernel_matches_scalar_in_curved_spaces(name, paths):
     # 513 paths draw from two CHUNK slices of streams.
     problem, algorithm, sched, x0 = _CURVED_CASES[name]()
     args = (problem, algorithm, sched, x0, paths, 65, 11, (0.5, 0.1))
-    wide = run_ensemble(*args, kernel="auto")
+    wide = run_ensemble(*args, kernel="vector")
     assert_stats_equal(wide, run_ensemble(*args, kernel="scalar"))
     assert np.any(wide.mean_dist[1:] != wide.mean_dist[0])  # the paths moved
+
+
+@pytest.mark.parametrize("name", ["halfplane-sppa", "tripod-sppa"])
+def test_scalar_kernel_reads_no_shared_atom_distances(name, monkeypatch):
+    # The wide step reads the atom distances the kernel shares; a scalar
+    # path takes its own.  Scaling the shared ones by 1 + 1e-9 must move the
+    # wide kernel's iterates, and so its statistics, off the scalar ones.
+    def scaled(problem, x):
+        return tuple(d * (1.0 + 1e-9) for d in sample_data(problem, x))
+
+    monkeypatch.setattr(harness, "sample_data", scaled)
+    problem, algorithm, sched, x0 = _CURVED_CASES[name]()
+    args = (problem, algorithm, sched, x0, 7, 65, 11, (0.5, 0.1))
+    wide, scalar = run_ensemble(*args, kernel="vector"), run_ensemble(*args, kernel="scalar")
+    assert not np.array_equal(wide.mean_dist, scalar.mean_dist)
 
 
 @pytest.mark.parametrize("name", sorted(_CURVED_CASES))
@@ -490,8 +507,7 @@ def _envelope_record(cert, mean_sq, paths=64):
     paths with these means of squares at n = 0, 1, ... and no spread."""
     zeros = np.zeros(len(mean_sq))
     stats = EnsembleStats(
-        "skm", "euclidean", paths, len(mean_sq) - 1, 1, (), zeros, np.array(mean_sq), zeros,
-        zeros, zeros, zeros,
+        "skm", paths, len(mean_sq) - 1, (), zeros, np.array(mean_sq), zeros, zeros, zeros, zeros,
     )
     (record,) = fast_audit(stats, cert, ()).records
     return record
@@ -540,7 +556,7 @@ def test_ensemble_memory_is_bounded_in_the_horizon():
 
 
 def test_vector_kernel_equals_scalar_on_the_tripod():
-    # "vector" is "auto": every space draws and steps as one batch.
+    # Every space draws and steps as one batch, the tree's too.
     args = (tripod_median(), "sppa", H11, Tripod(0, 1.0), 10, 5, 0, (0.5,))
     assert_stats_equal(
         run_ensemble(*args, kernel="vector"), run_ensemble(*args, kernel="scalar")
@@ -558,6 +574,8 @@ def test_run_ensemble_validation():
         run_ensemble(p, "skm", Constant(0.5), x0, 10, 5, 0, (0.0,))
     with pytest.raises(TypeError):  # algorithm/problem mismatch
         run_ensemble(frechet_r1(), "skm", Constant(0.5), Euclidean((1.0,)), 10, 5, 0, ())
+    with pytest.raises(ValueError, match="unknown kernel"):  # "vector" or "scalar" only
+        run_ensemble(p, "skm", Constant(0.5), x0, 10, 5, 0, (), kernel="auto")
     with pytest.raises(ValueError):  # sb start outside constraint
         run_ensemble(segment_argmin(), "sb", H11, Euclidean((3.0, 0.0)), 10, 5, 0, ())
 
@@ -780,7 +798,7 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
     path = tmp_path / "curves.csv"
     path.write_text(text)
     cols = load_curves(str(path))
-    rebuilt = stats_from_curves(cols, stats.algorithm, stats.space, stats.paths, stats.seed)
+    rebuilt = stats_from_curves(cols, stats.algorithm, stats.paths)
     assert curves_csv_text(rebuilt) == text
 
 
