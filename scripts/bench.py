@@ -41,8 +41,9 @@ in the file are kept, so before and after numbers can share one file:
 Against each other label already in the file, the run prints every one of
 its five digests per config (curves, audit, re-audit, validate stdout and
 report stdout) that differs, then how many of them differ, then each
-module's line count beside that label's and the difference (when that
-label's run recorded them).
+config's audit wall time and ``tier1_s`` beside that label's with their
+ratio (this run's over that label's), then each module's line count beside
+that label's and the difference (when that label's run recorded them).
 """
 
 from __future__ import annotations
@@ -196,6 +197,19 @@ def print_digest_diffs(results: dict, label: str, other: dict) -> None:
     print(f"{len(diffs)} of {len(results) * len(DIGESTS)} digests differ from {label!r}")
 
 
+def print_time_ratios(results: dict, tier1_s: float, label: str, other: dict) -> None:
+    """Print each config's audit wall time and the Tier-1 time beside the
+    ones recorded under ``label`` (the run ``other``), with their ratio."""
+    times = [
+        (f"{name} audit", res["wall_s"], other["configs"].get(name, {}).get("wall_s"))
+        for name, res in results.items()
+    ]
+    times.append(("tier-1 suite", tier1_s, other.get("tier1_s")))
+    for what, now, before in times:
+        if before:
+            print(f"{what}: {before:.2f} s in {label!r}, {now:.2f} s now (ratio {now / before:.3f})")
+
+
 def print_line_deltas(lines: dict[str, int], label: str, other: dict[str, int]) -> None:
     """Print each module's line count beside the one recorded under
     ``label`` (``other``; a module missing there counts 0), and the change."""
@@ -250,6 +264,7 @@ def main(argv=None) -> int:
     for label, run in doc["runs"].items():
         if label != args.label:
             print_digest_diffs(results, label, run["configs"])
+            print_time_ratios(results, tier1_s, label, run)
             if "src_lines_by_module" in run:  # runs recorded before it was kept lack it
                 print_line_deltas(lines, label, run["src_lines_by_module"])
     doc["runs"][args.label] = {

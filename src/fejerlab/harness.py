@@ -23,9 +23,17 @@ column of indices per slice of streams and makes one call of the step on
 all paths.  ``kernel="scalar"`` is the cross-check: each path runs
 ``algorithms.path_iterates``, the iteration ``run_path`` runs, which
 reads no shared data, and one point of each path is stacked into the batch
-per step.  The kernel streams the distances and gaps into one reducer a
-block of steps at a time, so memory grows with paths plus the horizon, not
-with their product.
+per step.  The kernel writes each step's distances and gaps as one row of
+step-major buffers and streams them into one reducer a block of steps at a
+time, so memory grows with paths plus the horizon, not with their product.
+
+Under a constant schedule the wide kernel stops stepping once no path can
+move: at a block's end it takes the step at every index k on the batch,
+and if no path changes bit for bit (-0.0 and 0.0 differ) under any k, the
+batch is every later iterate, whatever is drawn.  The remaining blocks then
+repeat the last row, and no draw is made for them; the draws are
+counter-based, so that shifts no other.  The output is bit-identical to
+stepping on, which ``kernel="scalar"`` still does.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 from . import rng
 from .algorithms import _SPECS, _reference, path_iterates, validate_run
 from .moduli import (
+    Constant,
     FastCertificate,
     StepSchedule,
     fast_bounds,
@@ -55,7 +64,7 @@ from .problems import (
     mean_cost_exact,
     sample_data,
 )
-from .spaces import Point, contains, distance, sqdist, stack
+from .spaces import Euclidean, Point, Tripod, contains, distance, sqdist, stack
 
 # Paths per reduction slice: fixes the summation order of every sum.
 CHUNK = 512
@@ -133,26 +142,45 @@ class _Reducer:
         self.sums = np.zeros((5, horizon + 1))
         self.point = np.zeros((len(epsilons), horizon + 1), dtype=np.int64)
         self.last = np.full((len(epsilons), paths), -1, dtype=np.int64)
+        # Two (paths, steps) buffers for add, allocated once: the first
+        # paths * steps entries of a row, so C-contiguous at every width.
+        self.work = np.empty((2, paths * min(BLOCK + 1, horizon + 1)))
 
     def add(self, n0: int, dist: np.ndarray, gap: np.ndarray) -> None:
-        """Take dist and gap, both (paths, steps), of every path at the steps
-        n0, n0+1, ....  A block of one step is summed pairwise down its
-        column, a wider one row after row (see ``_block_width``)."""
-        cols = slice(n0, n0 + dist.shape[1])
-        sq = dist * dist
-        moments = (dist, sq, sq * sq, gap, gap * gap)
-        for lo in range(0, self.paths, CHUNK):
-            s = np.stack([m[lo : lo + CHUNK].sum(axis=0) for m in moments])
-            if lo == 0:
-                self.sums[:, cols] = s
-            else:
-                self.sums[:, cols] += s
+        """Take dist and gap, both step-major (steps, paths), of every path
+        at the steps n0, n0+1, ....  The float sums run on a (paths, steps)
+        copy of each, so a block of one step is summed pairwise down its
+        column, a wider one row after row (see ``_block_width``); the
+        threshold counts are exact integers, taken from the step rows."""
+        steps = len(dist)
+        cols = slice(n0, n0 + steps)
+        a, b = (w[: self.paths * steps].reshape(self.paths, steps) for w in self.work)
+        np.copyto(a, dist.T)
+        self._fold(0, cols, a)
+        np.multiply(a, a, out=b)
+        self._fold(1, cols, b)
+        b *= b
+        self._fold(2, cols, b)
+        np.copyto(a, gap.T)
+        self._fold(3, cols, a)
+        np.multiply(a, a, out=b)
+        self._fold(4, cols, b)
         for i, e in enumerate(self.epsilons):
             hit = dist >= e
-            self.point[i, cols] = hit.sum(axis=0)
-            seen = hit.any(axis=1)
-            last = n0 + hit.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)
+            self.point[i, cols] = hit.sum(axis=1)
+            seen = hit.any(axis=0)
+            last = n0 + len(hit) - 1 - np.argmax(hit[::-1], axis=0)
             self.last[i][seen] = last[seen]
+
+    def _fold(self, row: int, cols: slice, m: np.ndarray) -> None:
+        """Set sums[row, cols] to m's column sums, taken per CHUNK-row slice
+        and added in ascending slice order."""
+        for lo in range(0, self.paths, CHUNK):
+            s = m[lo : lo + CHUNK].sum(axis=0)
+            if lo == 0:
+                self.sums[row, cols] = s
+            else:
+                self.sums[row, cols] += s
 
     def tail_counts(self) -> np.ndarray:
         """Per threshold and n, the number of paths with sup_{m >= n}
@@ -169,9 +197,35 @@ def _block_width(n0: int, total: int) -> int:
     """Steps in the kernel's block starting at n0: ``BLOCK``, or one more
     rather than leave a one-step block behind.  NumPy sums the rows of a
     wider block one after another but a single column pairwise, so only a
-    one-step ensemble has a one-step block."""
+    one-step ensemble has a one-step block.  The widths depend on n0 and
+    total alone, so a stationary ensemble's repeated rows (see ``_kernel``)
+    are summed in the blocks its steps would have filled."""
     width = min(BLOCK, total - n0)
     return width + 1 if total - n0 - width == 1 else width
+
+
+def _words(x: Point) -> list[np.ndarray]:
+    """A batch's columns as 64-bit words, so that equal words are equal
+    bits (-0.0 and 0.0 differ)."""
+    if isinstance(x, Euclidean):
+        cols = x.coords
+    else:
+        cols = (x.ray, x.coord) if isinstance(x, Tripod) else (x.x, x.y)
+    return [np.asarray(c).view(np.int64) for c in cols]
+
+
+def _unmoved(problem: Problem, step, lam: float, X: Point, data) -> bool:
+    """Whether the step with relaxation lam leaves every path of the batch X
+    bit for bit where it is under every index k (``data`` =
+    ``sample_data(problem, X)``).  A step moves each path by its own index
+    alone, so then no draw moves any path, and under a constant schedule
+    X is every later iterate."""
+    words = _words(X)
+    for k in range(len(problem.cum_weights)):
+        moved = _words(step(problem, np.full(len(words[0]), k), lam, X, data))
+        if not all(np.array_equal(a, b) for a, b in zip(words, moved)):
+            return False
+    return True
 
 
 def _kernel(
@@ -184,13 +238,19 @@ def _kernel(
     red: _Reducer,
     walks: list | None,
 ) -> None:
-    """Each step advances every path, then records the distances and gaps
-    at the new points as one batch of all paths; a block of steps at a time
-    goes to the reducer.  Without ``walks`` the paths draw and step as that
-    batch, and every step reads the per-sample data the distance and the
-    gap took at its start points; else each path is its walk (a
-    ``path_iterates`` generator), which reads no shared data, and one point
-    of each is stacked per step."""
+    """Each step advances every path, then writes the distances and gaps at
+    the new points as one row of step-major (steps, paths) buffers, taken
+    once and reused; a block of rows at a time goes to the reducer.
+    Without ``walks`` the paths draw and step as that batch, and every step
+    reads the per-sample data the distance and the gap took at its start
+    points; else each path is its walk (a ``path_iterates`` generator),
+    which reads no shared data, and one point of each is stacked per step.
+
+    Under a ``Constant`` schedule the batch is tested at each block's end
+    (``_unmoved``).  Once no index moves any path, the remaining blocks
+    repeat the last row, and no further draw or step is made: the draws are
+    counter-based, so skipping them shifts no other.  The walks never skip,
+    so ``kernel="scalar"`` cross-checks the skip."""
     paths = red.paths
     X = stack([x0] * paths)
     if walks is None:
@@ -199,7 +259,8 @@ def _kernel(
         cum = np.asarray(problem.cum_weights)  # converted once, not per draw
         step = _SPECS[algorithm].step
     n0, width = 0, _block_width(0, horizon + 1)
-    dist, gap = np.empty((paths, width)), np.empty((paths, width))
+    dist = np.empty((min(BLOCK + 1, horizon + 1), paths))
+    gap = np.empty_like(dist)
 
     for n in range(horizon + 1):
         if n:
@@ -211,12 +272,25 @@ def _kernel(
             else:
                 X = stack([next(walk)[0] for walk in walks])
         data = sample_data(problem, X)
-        dist[:, n - n0] = dist_to_solutions(problem, X, 1, data)
-        gap[:, n - n0] = gap_F(problem, X, data)
-        if n - n0 == width - 1:
-            red.add(n0, dist, gap)
-            n0, width = n0 + width, _block_width(n0 + width, horizon + 1)
-            dist, gap = np.empty((paths, width)), np.empty((paths, width))
+        dist[n - n0] = dist_to_solutions(problem, X, 1, data)
+        gap[n - n0] = gap_F(problem, X, data)
+        if n - n0 < width - 1:
+            continue
+        red.add(n0, dist[:width], gap[:width])
+        n0 = n + 1
+        if (
+            n < horizon
+            and walks is None
+            and isinstance(sched, Constant)
+            and _unmoved(problem, step, sched.c, X, data)
+        ):
+            dist[:], gap[:] = dist[width - 1], gap[width - 1]
+            while n0 <= horizon:
+                width = _block_width(n0, horizon + 1)
+                red.add(n0, dist[:width], gap[:width])
+                n0 += width
+            return
+        width = _block_width(n0, horizon + 1)
 
 
 def run_ensemble(
@@ -669,28 +743,23 @@ def liminf_audit(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def curves_csv_text(stats: EnsembleStats) -> str:
-    """The per-iteration curves as CSV text (deterministic byte for byte)."""
+    """The per-iteration curves as CSV text (deterministic byte for byte):
+    each value in ``%.17g``, which formats as ``format(x, ".17g")`` does."""
     cols = ["n", "mean_dist", "mean_sq_dist", "mean_gap"]
     cols += [f"tail_eps_{e!r}" for e in stats.epsilons]
     cols += [f"point_tail_eps_{e!r}" for e in stats.epsilons]
     cols += ["std_dist", "std_sq_dist", "std_gap"]
+    values = [stats.mean_dist, stats.mean_sq_dist, stats.mean_gap]
+    values += [stats.tail[e] for e in stats.epsilons]
+    values += [stats.point_tail[e] for e in stats.epsilons]
+    values += [stats.std_dist, stats.std_sq_dist, stats.std_gap]
+    row = "%d" + ",%.17g" * len(values)
     lines = [",".join(cols)]
-    for n in range(stats.horizon + 1):
-        row = [
-            str(n),
-            _fmt(stats.mean_dist[n]),
-            _fmt(stats.mean_sq_dist[n]),
-            _fmt(stats.mean_gap[n]),
-        ]
-        row += [_fmt(stats.tail[e][n]) for e in stats.epsilons]
-        row += [_fmt(stats.point_tail[e][n]) for e in stats.epsilons]
-        row += [_fmt(stats.std_dist[n]), _fmt(stats.std_sq_dist[n]), _fmt(stats.std_gap[n])]
-        lines.append(",".join(row))
+    # BLOCK rows at a time, so that only a block's values are Python floats.
+    for lo in range(0, stats.horizon + 1, BLOCK):
+        hi = min(lo + BLOCK, stats.horizon + 1)
+        lines += [row % r for r in zip(range(lo, hi), *(v[lo:hi].tolist() for v in values))]
     return "\n".join(lines) + "\n"
 
 

@@ -45,11 +45,16 @@ def mix64(z: int) -> int:
 
 
 def mix64_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` on a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U30)) * _U_MIX1
-        z = (z ^ (z >> _U27)) * _U_MIX2
-        return z ^ (z >> _U31)
+    """Vectorized :func:`mix64` on a uint64 array, in place: ``z`` is
+    overwritten with its mix and returned.  Arrays of uint64 wrap silently;
+    a caller that may pass a NumPy scalar (a 0-d input), whose wrap warns,
+    ignores overflow itself."""
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
 
 
 def stream_key(seed: int, path_index: int) -> int:
@@ -72,20 +77,27 @@ def uniform(key: int, counter: int) -> float:
 
 
 def uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
-    """One uniform [0,1) variate per stream (vectorized over keys)."""
-    offset = np.uint64((counter + 1) * GAMMA & MASK64)
-    with np.errstate(over="ignore"):
-        raw = mix64_vec(keys + offset)
-    return (raw >> _U11).astype(np.float64) * _INV_2_53
+    """One uniform [0,1) variate per stream (vectorized over a 1-D array of
+    keys): :func:`uniform` at each key, by the same operations, worked in
+    place on one temporary word array."""
+    return _unit(mix64_vec(keys + np.uint64((counter + 1) * GAMMA & MASK64)))
 
 
 def uniform_run(key: int, counter: int, n: int) -> np.ndarray:
     """The uniforms of one stream at counters counter, ..., counter + n - 1:
     :func:`uniform` at each counter, by the same operations."""
     counters = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        raw = mix64_vec(np.uint64(key) + counters * _U_GAMMA)
-    return (raw >> _U11).astype(np.float64) * _INV_2_53
+    counters *= _U_GAMMA
+    return _unit(mix64_vec(np.uint64(key) + counters))
+
+
+def _unit(raw: np.ndarray) -> np.ndarray:
+    """The uniforms [0,1) of raw 64-bit words, their top 53 bits times
+    2^-53 (``raw`` is overwritten)."""
+    raw >>= _U11
+    out = raw.astype(np.float64)
+    out *= _INV_2_53
+    return out
 
 
 class RngState(NamedTuple):

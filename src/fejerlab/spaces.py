@@ -359,25 +359,32 @@ def euclid_dim(cset: ConvexSet) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _entrywise(f, nin: int = 1):
-    """The libm function ``f`` (from Python's math) entry by entry on an
-    array, as for a point: NumPy's own versions round some entries
-    differently."""
-    g = np.frompyfunc(f, nin, 1)
-    return lambda *args: np.asarray(g(*args), np.float64)
+def _entrywise(f):
+    """The libm function ``f`` (from Python's math) entry by entry on
+    arrays, as for a point: NumPy's own versions round some entries
+    differently.  The arguments broadcast as NumPy's do, and each entry is
+    one call of ``f`` on Python floats; the result is a float64 array of the
+    broadcast shape (0-d for scalars)."""
+
+    def g(*args):
+        cols = np.broadcast_arrays(*args)
+        values = map(f, *(c.ravel().tolist() for c in cols))
+        return np.fromiter(values, np.float64, cols[0].size).reshape(cols[0].shape)
+
+    return g
 
 
 # The math functions the geometry calls, for a batch (sqrt is correctly
 # rounded in both).  Each geometry function picks this or ``math`` once.
 _LIBM = SimpleNamespace(
     sqrt=np.sqrt,
-    hypot=_entrywise(math.hypot, 2),
+    hypot=_entrywise(math.hypot),
     asinh=_entrywise(math.asinh),
     log=_entrywise(math.log),
     exp=_entrywise(math.exp),
     expm1=_entrywise(math.expm1),
     cosh=_entrywise(math.cosh),
-    pow=_entrywise(pow, 2),
+    pow=_entrywise(pow),
 )
 
 

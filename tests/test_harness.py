@@ -12,20 +12,23 @@ import warnings
 import numpy as np
 import pytest
 
-from fejerlab import harness
+from fejerlab import harness, rng
 from fejerlab.algorithms import (
+    _SPECS,
     certificate_skm,
     certificate_sppa,
     fast_certificate_skm,
     run_path,
 )
 from fejerlab.harness import (
+    BLOCK,
     CHUNK,
     AuditReport,
     EnsembleStats,
     _block_width,
     _envelope_rounding,
     _Reducer,
+    _unmoved,
     certificate_audit,
     curves_csv_text,
     export_results,
@@ -105,10 +108,21 @@ def assert_stats_equal(a: EnsembleStats, b: EnsembleStats):
 # ---------------------------------------------------------------------------
 
 
-def test_vector_scalar_parity_skm():
+def test_vector_scalar_parity_skm(monkeypatch):
     v = small_flagship(paths=600, kernel="vector")
     s = small_flagship(paths=600, kernel="scalar")
     assert_stats_equal(v, s)
+    # Past the step at which no path can move (about n = 140): the vector
+    # kernel stops drawing and stepping there, the scalar one steps on.
+    args = (_offset_halfspaces(), "skm", Constant(0.5), Euclidean((3.0, 3.0)), 200, 400, 11)
+    s = run_ensemble(*args, (0.5, 1e-15), kernel="scalar")
+    draws = []
+    uniforms = rng.uniforms
+    monkeypatch.setattr(rng, "uniforms", lambda keys, n: draws.append(n) or uniforms(keys, n))
+    v = run_ensemble(*args, (0.5, 1e-15), kernel="vector")
+    assert_stats_equal(v, s)
+    assert 100 < len(draws) < 300  # one slice of keys: one draw per step taken
+    assert v.point_tail[1e-15][100] > 0.0 and v.mean_dist[-1] == 0.0  # moved, then still
 
 
 def test_vector_scalar_parity_sppa_half_squared():
@@ -250,7 +264,7 @@ def test_reducer_matches_full_matrix_reference(paths, horizon):
     n0 = 0
     while n0 <= horizon:
         width = _block_width(n0, horizon + 1)
-        red.add(n0, np.array(dist[:, n0 : n0 + width]), np.array(gap[:, n0 : n0 + width]))
+        red.add(n0, dist[:, n0 : n0 + width].T, gap[:, n0 : n0 + width].T)
         n0 += width
 
     for got, want in zip(red.sums, ref["sums"]):
@@ -350,14 +364,14 @@ _GRID_DIGESTS = {
 }
 
 
-def _grid_digest(name: str) -> str:
-    """SHA-256 over the dtype and bytes of every statistic, for paths {1, 7,
-    513} x horizons {0, 1, 2, 65}; Euclidean cases run the default kernel
+def _grid_digest(case, path_counts=(1, 7, 513), horizons=(0, 1, 2, 65)) -> str:
+    """SHA-256 over the dtype and bytes of every statistic of the case's
+    ensembles, for paths x horizons; Euclidean cases run the default kernel
     ("vector") and, at 7 paths or fewer, also kernel="scalar"."""
-    problem, algorithm, sched, x0 = _GRID_CASES[name]()
+    problem, algorithm, sched, x0 = case()
     h = hashlib.sha256()
-    for paths in (1, 7, 513):
-        for horizon in (0, 1, 2, 65):
+    for paths in path_counts:
+        for horizon in horizons:
             scalar = paths <= 7 and problem.space == "euclidean"
             for kernel in ("vector", "scalar") if scalar else ("vector",):
                 stats = run_ensemble(
@@ -374,7 +388,38 @@ def _grid_digest(name: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(_GRID_CASES))
 def test_ensemble_grid_is_bit_for_bit_recorded(name):
-    assert _grid_digest(name) == _GRID_DIGESTS[name]
+    assert _grid_digest(_GRID_CASES[name]) == _GRID_DIGESTS[name]
+
+
+def _offset_halfspaces():
+    # x1 <= 1 and x2 <= 1: from (3, 3) the distance stays nonzero until a
+    # coordinate rounds onto 1, so the curves move until no path can.
+    sets = (Halfspace((1.0, 0.0), 1.0), Halfspace((0.0, 1.0), 1.0))
+    return FixedPointProblem("euclidean", sets, (0.5, 0.5))
+
+
+# Constant-schedule ensembles run on past the block at which no path can move
+# any more: every path of the flagship instance is still from about n = 2300
+# (its curves are 0 from about n = 1200, where d^2 underflows), of the offset
+# half-spaces from about n = 150, with curves that move until then.
+_STATIONARY_CASES = {
+    "flagship": lambda: (two_halfspace(), "skm", Constant(0.5), Euclidean((1.0, 1.0))),
+    "offset-halfspaces": lambda: (
+        _offset_halfspaces(), "skm", Constant(0.5), Euclidean((3.0, 3.0))
+    ),
+}
+
+# Recorded before the kernel stopped stepping a stationary ensemble.
+_STATIONARY_DIGESTS = {
+    "flagship": "0d1373293dbae9783791ad93393dabaec1066ee2f4843bb34a3b1157d65a92ee",
+    "offset-halfspaces": "b3ee25d1c309f573496b12bfa19832e36546a67e15e0c72d46c7017bdef27520",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATIONARY_CASES))
+def test_ensemble_past_stationarity_is_bit_for_bit_recorded(name):
+    digest = _grid_digest(_STATIONARY_CASES[name], (7, 513), (3500,))
+    assert digest == _STATIONARY_DIGESTS[name]
 
 
 # The grid's tree and half-plane cases, and Krasnoselskii-Mann on one tree
@@ -447,7 +492,7 @@ def test_batched_observables_match_the_point_api(name):
     n0 = 0
     while n0 <= horizon:
         width = _block_width(n0, horizon + 1)
-        red.add(n0, np.array(dist[:, n0 : n0 + width]), np.array(gap[:, n0 : n0 + width]))
+        red.add(n0, dist[:, n0 : n0 + width].T, gap[:, n0 : n0 + width].T)
         n0 += width
 
     def std(s1, s2):
@@ -541,6 +586,43 @@ def test_fast_envelope_allows_the_rounding_of_its_mean_and_no_more():
     cert1 = FastCertificate(u=2e100, r=1)
     record = _envelope_record(cert1, [2e100 + 0.9 * a0, 1e100 + 0.7 * a0])
     assert (record.bound_satisfied, record.predicted_index) == (False, 1)
+
+
+def test_unmoved_compares_bits_so_a_signed_zero_moves():
+    # From x1 = -0.0 (in both half-spaces) either projection returns x, and
+    # x + (x - x) / 2 has x1 = +0.0: equal as floats, not as bits.
+    problem, step = two_halfspace(), _SPECS["skm"].step
+
+    def unmoved(x1, x2):
+        X = Euclidean((np.array([0.0, 0.0, x1]), np.array([-1.0, -2.0, x2])))
+        return _unmoved(problem, step, 0.5, X, sample_data(problem, X))
+
+    assert unmoved(0.0, -3.0)
+    assert not unmoved(-0.0, -3.0)
+    assert not unmoved(0.0, 1e-300)  # moved by the second index only
+    # Half the least subnormal rounds to 0: no index moves 5e-324.
+    assert unmoved(0.0, 5e-324)
+
+
+def test_stationary_ensemble_repeats_its_last_row_in_every_block(monkeypatch):
+    # x0 lies a rounding outside the half-space, so its distance is positive,
+    # but the relaxed projection rounds back onto x0: the paths never move.
+    # The first check (n = BLOCK - 1) finds it, and every later block gets
+    # that row, with no further draw.
+    problem = FixedPointProblem("euclidean", (Halfspace((0.6, 0.8), 0.0),), (1.0,))
+    x0 = Euclidean((5.084446067378646, -3.813334550533983))
+    uniforms = rng.uniforms
+    for horizon in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 5 * BLOCK - 2):
+        args = (problem, "skm", Constant(0.5), x0, 9, horizon, 4, (1e-16, 1.0))
+        s = run_ensemble(*args, kernel="scalar")
+        draws = []
+        monkeypatch.setattr(rng, "uniforms", lambda keys, n: draws.append(n) or uniforms(keys, n))
+        v = run_ensemble(*args)
+        monkeypatch.setattr(rng, "uniforms", uniforms)
+        assert_stats_equal(v, s)
+        assert v.mean_dist[0] > 0.0 and np.all(v.mean_dist == v.mean_dist[0])
+        assert np.all(v.tail[1e-16] == 1.0) and np.all(v.point_tail[1e-16] == 1.0)
+        assert len(draws) == (BLOCK - 1 if horizon > BLOCK else horizon)
 
 
 def test_ensemble_memory_is_bounded_in_the_horizon():
@@ -800,6 +882,24 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
     cols = load_curves(str(path))
     rebuilt = stats_from_curves(cols, stats.algorithm, stats.paths)
     assert curves_csv_text(rebuilt) == text
+
+
+def test_csv_rows_equal_per_cell_formatting():
+    # One format string per row must give the bytes of formatting each cell
+    # on its own, on every kind of float a curve may hold.
+    odd = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3.0]
+    odd += [1.0 / 3.0, -2.5e-300, 1e22, 123456789.0, 0.1]
+    r = np.random.default_rng(5)
+    odd *= 13  # rows past two BLOCK boundaries
+    cols = [np.array(odd)[r.permutation(len(odd))] for _ in range(10)]
+    stats = EnsembleStats("skm", 7, len(odd) - 1, (0.5, 2.0), *cols[:6])
+    stats.tail = {0.5: cols[6], 2.0: cols[7]}
+    stats.point_tail = {0.5: cols[8], 2.0: cols[9]}
+    lines = curves_csv_text(stats).splitlines()
+    order = [0, 1, 2, 6, 7, 8, 9, 3, 4, 5]
+    for n, line in enumerate(lines[1:]):
+        assert line == ",".join([str(n), *(f"{cols[i][n]:.17g}" for i in order)])
+    assert len(lines) == len(odd) + 1 and lines[0].count(",") == 10
 
 
 def test_csv_without_thresholds_has_no_tail_columns():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,21 @@ def test_uniform_run_equals_repeated_next_uniform(key):
     run = rng.uniform_run(key, 1_000_003, 257)
     assert run.dtype == np.float64 and run.tolist() == expected
     assert rng.uniform_run(key, 5, 0).shape == (0,)
+
+
+def test_vector_draws_wrap_two_to_the_64_silently_and_bit_for_bit():
+    # Keys near 2^64 - 1 and counters from 2^63 on wrap every add and
+    # multiply of the draw; arrays of uint64 wrap without a warning.
+    keys = np.array([2**64 - 1 - i for i in range(4)] + [0, 1, 2**63], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for counter in (0, 2**63, 2**64 - 2):
+            vec = rng.uniforms(keys, counter)
+            scal = np.array([rng.uniform(int(k), counter) for k in keys])
+            assert np.array_equal(vec.view(np.uint64), scal.view(np.uint64))
+        run = rng.uniform_run(2**64 - 1, 2**63, 5)
+        scal = np.array([rng.uniform(2**64 - 1, 2**63 + i) for i in range(5)])
+        assert np.array_equal(run.view(np.uint64), scal.view(np.uint64))
+        # A 0-d index takes NumPy's scalar arithmetic, whose wrap would warn.
+        for index in (3, np.uint64(2**64 - 2)):
+            assert int(rng.stream_keys(7, index)) == rng.stream_key(7, int(index))

@@ -31,6 +31,7 @@ from fejerlab.spaces import (
     TripodEnd,
     TripodSegment,
     WholeSpace,
+    _LIBM,
     _select,
     cn_residual,
     contains,
@@ -1162,3 +1163,48 @@ def test_float_geometry_keeps_the_point_api_shortcuts():
     c = Euclidean((0.5, -1.0))
     assert project_convex(Ball(c, 0.0), x) == c
     assert project_convex(Segment(x, x), Euclidean((9.0, 9.0))) == x
+
+
+# Entries of every kind a batch may hold: signed zeros, subnormals, normal
+# values and infinities, each in a function's domain.
+_SUBNORMAL = 2.2250738585072014e-308 / 3.0
+_LIBM_ARGS = {
+    "hypot": ([0.0, -0.0, 5e-324, _SUBNORMAL, -1.5, 3e300, math.inf, -math.inf],
+              [-0.0, 2.5, _SUBNORMAL, 5e-324, 4e300, -0.0, 1.0, 2.0]),
+    "asinh": ([0.0, -0.0, 5e-324, -_SUBNORMAL, 1.5, -2e300, math.inf, -math.inf],),
+    "log": ([5e-324, _SUBNORMAL, 0.75, 1.0, 1.5, 2e300, math.inf],),
+    "exp": ([0.0, -0.0, 5e-324, -_SUBNORMAL, 1.5, -800.0, 700.0, math.inf, -math.inf],),
+    "expm1": ([0.0, -0.0, 5e-324, -_SUBNORMAL, 1e-300, -1.5, 700.0, math.inf, -math.inf],),
+    "cosh": ([0.0, -0.0, 5e-324, _SUBNORMAL, -1.5, 700.0, math.inf, -math.inf],),
+    "pow": ([1e3, 5e-324, _SUBNORMAL, 0.5, 2.0, 0.0, math.inf],
+            [-0.0, 2.0, 0.5, -3.0, 0.3, 5.0, 0.5]),
+}
+
+
+def _bits_equal(got, want) -> bool:
+    return (
+        got.dtype == want.dtype == np.float64
+        and got.shape == want.shape
+        and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_LIBM_ARGS))
+def test_batch_libm_equals_math_bit_for_bit(name):
+    f = pow if name == "pow" else getattr(math, name)
+    batch = getattr(_LIBM, name)
+    args = [np.array(a) for a in _LIBM_ARGS[name]]
+    want = np.array([f(*entry) for entry in zip(*_LIBM_ARGS[name])])
+    assert _bits_equal(batch(*args), want)
+    # A (rows, columns) batch, and 0-d inputs, keep their shapes.
+    grid = [np.array([a, a[::-1]]) for a in args]
+    want_grid = np.array([want, [f(*e) for e in zip(*(a[::-1] for a in args))]])
+    assert _bits_equal(batch(*grid), want_grid)
+    for entry in zip(*args):
+        assert _bits_equal(batch(*entry), np.array(f(*(float(v) for v in entry))))
+    if len(args) == 2:  # a scalar broadcast against an array, either way round
+        x, y = _LIBM_ARGS[name]
+        want_x = np.array([f(x[0], v) for v in y])
+        want_y = np.array([f(v, y[0]) for v in x])
+        assert _bits_equal(batch(x[0], args[1]), want_x)
+        assert _bits_equal(batch(args[0], y[0]), want_y)
