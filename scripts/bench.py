@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """End-to-end timing of `fejerlab audit` on the four shipped configs.
 
-Each config runs through `fejerlab audit` in a fresh child interpreter with
-``PYTHONPATH`` set to the chosen source tree.  The configs come from the
-``scripts/`` directory beside that tree, so a parent checkout runs with its
-own configs.  Per config the script records the wall time, the child's peak
-RSS (from the rusage the kernel keeps for the waited-for child, as
+Each config runs through `fejerlab audit` ``AUDIT_RUNS`` (3) times, each in
+a fresh child interpreter with ``PYTHONPATH`` set to the chosen source
+tree.  The configs come from the ``scripts/`` directory beside that tree,
+so a parent checkout runs with its own configs.  Per config the script
+records the median wall time as ``wall_s`` and every run's as
+``wall_s_runs``, and from the first run the child's peak RSS (from the
+rusage the kernel keeps for the waited-for child, as
 ``resource.getrusage(RUSAGE_CHILDREN)`` reports it, but for that child
 alone), the highest number of threads the child ran at once (sampled from
 /proc every 20 ms), the exit code and the SHA-256 of the written
-``curves.csv`` and ``audit.json``.  Each config also runs once through
-`fejerlab validate`, whose exit code, wall time and SHA-256 of standard
-output (the geometry suite's residuals) are recorded, so a geometry change
-that moves a residual shows up.  The written curves are then re-audited
+``curves.csv`` and ``audit.json``.  Runs of one config whose curves or
+audit digests differ make the script exit 1.  Each config also runs once
+through `fejerlab validate`, whose exit code, wall time and SHA-256 of
+standard output (the geometry suite's residuals) are recorded, so a
+geometry change that moves a residual shows up.  The written curves are then re-audited
 (`fejerlab audit --curves`), recording the exit code, wall time and the
 SHA-256 of the re-audit's ``audit.json``, and summarized by `fejerlab
 report`, recording its exit code, wall time and SHA-256 of standard output.
@@ -30,7 +33,8 @@ counts as its summary line names them (passed, failed, error, ...).  The
 benchmark's own self-tests (``python -m pytest perfbench/test_perfbench.py``,
 run the same way) record their outcome counts as
 ``perfbench_selftest_counts``.  The script exits 1 when any command or the
-Tier-1 suite exits nonzero; the self-tests' outcome does not change it.
+Tier-1 suite exits nonzero, or when a config's audits disagree; the
+self-tests' outcome does not change it.
 
 Results go under ``runs.<label>`` of the output JSON; other labels already
 in the file are kept, so before and after numbers can share one file:
@@ -42,8 +46,11 @@ Against each other label already in the file, the run prints every one of
 its five digests per config (curves, audit, re-audit, validate stdout and
 report stdout) that differs, then how many of them differ, then each
 config's audit wall time and ``tier1_s`` beside that label's with their
-ratio (this run's over that label's), then each module's line count beside
-that label's and the difference (when that label's run recorded them).
+ratio (this run's over that label's), marked "within noise" when the two
+runs' ranges of audit wall times (least to largest of ``wall_s_runs``, or
+the one ``wall_s`` of a run that predates it) overlap, then each module's
+line count beside that label's and the difference (when that label's run
+recorded them).
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ import threading
 import time
 
 HERE = pathlib.Path(__file__).resolve().parent
+AUDIT_RUNS = 3
 CONFIGS = (
     "flagship_skm.json",
     "fast_skm.json",
@@ -197,17 +205,27 @@ def print_digest_diffs(results: dict, label: str, other: dict) -> None:
     print(f"{len(diffs)} of {len(results) * len(DIGESTS)} digests differ from {label!r}")
 
 
+def _wall_range(res: dict) -> tuple[float, float]:
+    """The least and largest audit wall time of a config's runs."""
+    times = res.get("wall_s_runs") or [res["wall_s"]]
+    return min(times), max(times)
+
+
 def print_time_ratios(results: dict, tier1_s: float, label: str, other: dict) -> None:
     """Print each config's audit wall time and the Tier-1 time beside the
-    ones recorded under ``label`` (the run ``other``), with their ratio."""
-    times = [
-        (f"{name} audit", res["wall_s"], other["configs"].get(name, {}).get("wall_s"))
-        for name, res in results.items()
-    ]
-    times.append(("tier-1 suite", tier1_s, other.get("tier1_s")))
-    for what, now, before in times:
-        if before:
-            print(f"{what}: {before:.2f} s in {label!r}, {now:.2f} s now (ratio {now / before:.3f})")
+    ones recorded under ``label`` (the run ``other``), with their ratio; an
+    audit's ratio is "within noise" when the two ranges of its runs overlap."""
+    times = []
+    for name, res in results.items():
+        before = other["configs"].get(name, {})
+        if before.get("wall_s"):
+            (lo, hi), (lo_b, hi_b) = _wall_range(res), _wall_range(before)
+            noise = ", within noise" if lo <= hi_b and lo_b <= hi else ""
+            times.append((f"{name} audit", res["wall_s"], before["wall_s"], noise))
+    if other.get("tier1_s"):
+        times.append(("tier-1 suite", tier1_s, other["tier1_s"], ""))
+    for what, now, before, noise in times:
+        print(f"{what}: {before:.2f} s in {label!r}, {now:.2f} s now (ratio {now / before:.3f}{noise})")
 
 
 def print_line_deltas(lines: dict[str, int], label: str, other: dict[str, int]) -> None:
@@ -233,7 +251,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in CONFIGS:
             config = src.parent / "scripts" / name
-            res = results[name] = run_audit(src, config, pathlib.Path(tmp))
+            runs = [run_audit(src, config, pathlib.Path(tmp)) for _ in range(AUDIT_RUNS)]
+            res = results[name] = runs[0]
+            res["wall_s_runs"] = [r["wall_s"] for r in runs]
+            res["wall_s"] = statistics.median(res["wall_s_runs"])
+            failed |= any(r["exit_code"] for r in runs)
+            if len({(r["curves_sha256"], r["audit_sha256"]) for r in runs}) > 1:
+                print(f"{name}: the {AUDIT_RUNS} audits wrote different curves or audit files")
+                failed = True
             res["validate"] = run_cli(src, "validate", "--config", str(config))
             prefix = f"{pathlib.Path(tmp) / config.stem}_"
             reaudit = res["reaudit"] = run_cli(
@@ -247,7 +272,7 @@ def main(argv=None) -> int:
             codes = [res["exit_code"]] + [res[k]["exit_code"] for k in ("validate", "reaudit", "report")]
             failed |= any(codes)
             print(
-                f"{name}: wall {res['wall_s']:.2f} s, peak RSS {res['peak_rss_mb']:.0f} MB, "
+                f"{name}: wall {res['wall_s']:.2f} s (median of {AUDIT_RUNS}), peak RSS {res['peak_rss_mb']:.0f} MB, "
                 f"exit codes (audit, validate, re-audit, report) {codes}"
             )
 

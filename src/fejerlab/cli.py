@@ -25,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import algorithms, moduli, problems, spaces
@@ -56,7 +56,7 @@ EXIT_RUNTIME = 3
 EXIT_AUDIT = 4
 EXIT_NO_MODULUS = 5
 
-_SPACES = ("euclidean", "tripod", "halfplane")
+_SPACES = tuple(spaces.SPACES)
 _ALGORITHMS = tuple(algorithms._SPECS)
 _COSTS = (problems.HALF_SQUARED, problems.DISTANCE)
 
@@ -164,7 +164,8 @@ def _build(path: str, make, *args):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_POINT_FIELDS = {"euclidean": ("coords",), "tripod": ("ray", "coord"), "halfplane": ("x", "y")}
+# A point in a config names its space and the fields of its point class.
+_POINT_FIELDS = {name: tuple(f.name for f in fields(kind)) for name, kind in spaces.SPACES.items()}
 _SET_FIELDS = {
     "whole_space": (),
     "ball": ("center", "radius"),

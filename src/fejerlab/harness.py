@@ -34,6 +34,9 @@ batch is every later iterate, whatever is drawn.  The remaining blocks then
 repeat the last row, and no draw is made for them; the draws are
 counter-based, so that shifts no other.  The output is bit-identical to
 stepping on, which ``kernel="scalar"`` still does.
+
+The curves file's columns are declared once (``_CURVES``), and a re-audit
+reads its thresholds in the file's order, so they write back byte for byte.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .problems import (
     mean_cost_exact,
     sample_data,
 )
-from .spaces import Euclidean, Point, Tripod, contains, distance, sqdist, stack
+from .spaces import Point, columns, contains, distance, sqdist, stack
 
 # Paths per reduction slice: fixes the summation order of every sum.
 CHUNK = 512
@@ -205,13 +208,8 @@ def _block_width(n0: int, total: int) -> int:
 
 
 def _words(x: Point) -> list[np.ndarray]:
-    """A batch's columns as 64-bit words, so that equal words are equal
-    bits (-0.0 and 0.0 differ)."""
-    if isinstance(x, Euclidean):
-        cols = x.coords
-    else:
-        cols = (x.ray, x.coord) if isinstance(x, Tripod) else (x.x, x.y)
-    return [np.asarray(c).view(np.int64) for c in cols]
+    """A batch's columns as 64-bit words: equal words are equal bits (-0.0 and 0.0 differ)."""
+    return [np.asarray(c).view(np.int64) for c in columns(x)]
 
 
 def _unmoved(problem: Problem, step, lam: float, X: Point, data) -> bool:
@@ -347,15 +345,9 @@ def run_ensemble(
         return np.sqrt(np.maximum(var, 0.0))
 
     return EnsembleStats(
-        algorithm=algorithm,
-        paths=paths,
-        horizon=horizon,
-        epsilons=epsilons,
-        mean_dist=sd / paths,
-        mean_sq_dist=sd2 / paths,
-        mean_gap=sg / paths,
-        std_dist=finalize_std(sd, sd2),
-        std_sq_dist=finalize_std(sd2, sd4),
+        algorithm, paths, horizon, epsilons,
+        mean_dist=sd / paths, mean_sq_dist=sd2 / paths, mean_gap=sg / paths,
+        std_dist=finalize_std(sd, sd2), std_sq_dist=finalize_std(sd2, sd4),
         std_gap=finalize_std(sg, sg2),
         tail={e: tail[i] / paths for i, e in enumerate(epsilons)},
         point_tail={e: red.point[i] / paths for i, e in enumerate(epsilons)},
@@ -743,23 +735,28 @@ def liminf_audit(
 # ---------------------------------------------------------------------------
 
 
+#: The curves file's columns after ``n``, in order: per EnsembleStats field, one column of
+#: its name or, with a prefix, one per threshold (prefix + repr, in ``epsilons`` order).
+_CURVES = {
+    "mean_dist": None, "mean_sq_dist": None, "mean_gap": None,
+    "tail": "tail_eps_", "point_tail": "point_tail_eps_",
+    "std_dist": None, "std_sq_dist": None, "std_gap": None,
+}
+
+
 def curves_csv_text(stats: EnsembleStats) -> str:
     """The per-iteration curves as CSV text (deterministic byte for byte):
     each value in ``%.17g``, which formats as ``format(x, ".17g")`` does."""
-    cols = ["n", "mean_dist", "mean_sq_dist", "mean_gap"]
-    cols += [f"tail_eps_{e!r}" for e in stats.epsilons]
-    cols += [f"point_tail_eps_{e!r}" for e in stats.epsilons]
-    cols += ["std_dist", "std_sq_dist", "std_gap"]
-    values = [stats.mean_dist, stats.mean_sq_dist, stats.mean_gap]
-    values += [stats.tail[e] for e in stats.epsilons]
-    values += [stats.point_tail[e] for e in stats.epsilons]
-    values += [stats.std_dist, stats.std_sq_dist, stats.std_gap]
-    row = "%d" + ",%.17g" * len(values)
-    lines = [",".join(cols)]
+    cols = {}
+    for name, prefix in _CURVES.items():
+        v = getattr(stats, name)
+        cols |= {name: v} if prefix is None else {f"{prefix}{e!r}": v[e] for e in stats.epsilons}
+    row = "%d" + ",%.17g" * len(cols)
+    lines = [",".join(["n", *cols])]
     # BLOCK rows at a time, so that only a block's values are Python floats.
     for lo in range(0, stats.horizon + 1, BLOCK):
         hi = min(lo + BLOCK, stats.horizon + 1)
-        lines += [row % r for r in zip(range(lo, hi), *(v[lo:hi].tolist() for v in values))]
+        lines += [row % r for r in zip(range(lo, hi), *(v[lo:hi].tolist() for v in cols.values()))]
     return "\n".join(lines) + "\n"
 
 
@@ -806,8 +803,7 @@ def load_curves(path: str) -> dict[str, np.ndarray]:
     if not lines:
         raise ValueError(f"empty curves file: {path}")
     header = lines[0].split(",")
-    expected = {"n", "mean_dist", "mean_sq_dist", "mean_gap", "std_dist", "std_sq_dist", "std_gap"}
-    missing = expected - set(header)
+    missing = {"n", *(name for name, prefix in _CURVES.items() if prefix is None)} - set(header)
     if missing:
         raise ValueError(f"curves file {path} lacks columns: {sorted(missing)}")
     rows = []
@@ -827,28 +823,15 @@ def load_curves(path: str) -> dict[str, np.ndarray]:
 
 
 def stats_from_curves(cols: dict[str, np.ndarray], algorithm: str, paths: int) -> EnsembleStats:
-    """Rebuild ensemble statistics from parsed curves (for re-audit)."""
+    """Rebuild ensemble statistics from parsed curves (for re-audit), the
+    thresholds in the file's column order, so that they write back the same."""
     if paths < 1:
         raise ValueError(f"need the original path count >= 1, got {paths}")
-    horizon = len(cols["n"]) - 1
-    tail = {}
-    point_tail = {}
-    for name, arr in cols.items():
-        if name.startswith("tail_eps_"):
-            tail[float(name[len("tail_eps_"):])] = arr
-        elif name.startswith("point_tail_eps_"):
-            point_tail[float(name[len("point_tail_eps_"):])] = arr
-    return EnsembleStats(
-        algorithm=algorithm,
-        paths=paths,
-        horizon=horizon,
-        epsilons=tuple(sorted(tail)),
-        mean_dist=cols["mean_dist"],
-        mean_sq_dist=cols["mean_sq_dist"],
-        mean_gap=cols["mean_gap"],
-        std_dist=cols["std_dist"],
-        std_sq_dist=cols["std_sq_dist"],
-        std_gap=cols["std_gap"],
-        tail=tail,
-        point_tail=point_tail,
-    )
+    curves = {}
+    for name, prefix in _CURVES.items():
+        if prefix is None:
+            curves[name] = cols[name]
+        else:
+            k = len(prefix)
+            curves[name] = {float(c[k:]): v for c, v in cols.items() if c[:k] == prefix}
+    return EnsembleStats(algorithm, paths, len(cols["n"]) - 1, tuple(curves["tail"]), **curves)

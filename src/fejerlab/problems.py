@@ -14,8 +14,9 @@ modulus is read off it):
   constraint set by moving along geodesic rays toward ideal points.
 
 A problem is built from its data alone (space, weighted atoms or sets,
-cost kind or constraint set, region bound).  Its solution set, anchor and
-growth of F (``v`` for a fixed-point problem) are derived in closed form at
+cost kind or constraint set, region bound; ``_MeanCost`` declares what the
+two mean-cost problems share).  Its solution set, anchor and growth of F
+(``v`` for a fixed-point problem) are derived in closed form at
 construction, never passed in; shapes without a closed form are rejected
 rather than approximated.  All integrals are exact finite sums, so
 regularity validation carries no Monte-Carlo error.  A point solution set
@@ -115,9 +116,20 @@ def _set(problem, **derived) -> None:
         object.__setattr__(problem, name, value)
 
 
+@dataclass(frozen=True, eq=False)
 class _MeanCost:
-    """What the two mean-cost problems share: their weights, and the checks
-    and derived fields of their atoms."""
+    """What the two mean-cost problems share: their space, (point, weight)
+    atoms, the fields derived from them and their checks.  A subclass adds
+    its cost kind or constraint set and the region bound B."""
+
+    space: str
+    atoms: tuple[tuple[Point, float], ...]
+    solution_set: ConvexSet = field(init=False)
+    solution_anchor: Point = field(init=False)
+    growth: Growth = field(init=False)
+    min_value: float = field(init=False)
+    cum_weights: tuple[float, ...] = field(init=False, repr=False)
+    solution_atom: int | None = field(init=False, repr=False)
 
     @property
     def weights(self) -> tuple[float, ...]:
@@ -142,19 +154,10 @@ class _MeanCost:
 @dataclass(frozen=True, eq=False)
 class MeanMinProblem(_MeanCost):
     """Minimize f_bar(x) = sum_i w_i f(i, x) over the whole space.  Data:
-    space, (point, weight) atoms, cost kind, region bound B.  Derived: the
-    solution set, its anchor, the growth of F and min f_bar."""
+    space, atoms, cost kind, region bound B."""
 
-    space: str
-    atoms: tuple[tuple[Point, float], ...]
     cost_kind: str
     region_bound: float
-    solution_set: ConvexSet = field(init=False)
-    solution_anchor: Point = field(init=False)
-    growth: Growth = field(init=False)
-    min_value: float = field(init=False)
-    cum_weights: tuple[float, ...] = field(init=False, repr=False)
-    solution_atom: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cost_kind not in (HALF_SQUARED, DISTANCE):
@@ -198,20 +201,11 @@ class FixedPointProblem:
 @dataclass(frozen=True, eq=False)
 class BusemannProblem(_MeanCost):
     """Minimize a mean of distance costs over a constraint set C by
-    Busemann-subgradient steps.  Data: space, (point, weight) atoms, C,
-    region bound B.  Derived: the constrained argmin, its anchor, the
-    growth of F and min f_bar."""
+    Busemann-subgradient steps.  Data: space, atoms, C, region bound B;
+    the solution set is the constrained argmin."""
 
-    space: str
-    atoms: tuple[tuple[Point, float], ...]
     constraint: ConvexSet
     region_bound: float
-    solution_set: ConvexSet = field(init=False)
-    solution_anchor: Point = field(init=False)
-    growth: Growth = field(init=False)
-    min_value: float = field(init=False)
-    cum_weights: tuple[float, ...] = field(init=False, repr=False)
-    solution_atom: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.space not in ("euclidean", "tripod"):

@@ -26,9 +26,10 @@ on that ray and -c on another, through the origin, so distances, geodesics
 and rays are the line's, and a point's ray is read off its sign.
 
 The point API is the one layer of every space's geometry; no space keeps
-a second copy under it.  A point's coordinates are floats, or 1-D arrays
-with one entry per path (a tripod's ray column is an int array, and a
-Euclidean point's coordinates are its columns): such a point is a *batch*,
+a second copy under it.  ``SPACES`` names each space's point class.  A
+point's coordinates are its fields (R^d's one field is its coordinate tuple;
+``columns``, and ``point`` back): floats, or 1-D arrays with one entry per
+path (a tripod's ray column is an int array).  Such a point is a *batch*,
 and the point API runs on it unchanged, path by path in each array entry.
 The metric ball's projection is one formula for every space, the point at
 distance r from the centre on the geodesic toward x.  Every
@@ -44,7 +45,8 @@ All geometric tolerances are the single constant :data:`GEOM_TOL`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Union
 
@@ -88,12 +90,9 @@ def _select(cond, a, b):
         return a
     if cond is False or not isinstance(cond, np.ndarray):
         return a if cond else b
-    if isinstance(a, Euclidean):
-        return Euclidean(_select(cond, a.coords, b.coords))
-    if isinstance(a, Tripod):
-        return Tripod(*_select(cond, (a.ray, a.coord), (b.ray, b.coord)))
-    if isinstance(a, HalfPlane):
-        return HalfPlane(*_select(cond, (a.x, a.y), (b.x, b.y)))
+    cols = _COLUMNS.get(type(a))
+    if cols is not None:
+        return point(type(a), _select(cond, cols(a), cols(b)))
     if isinstance(a, tuple):
         return tuple(np.where(cond, ai, bi) for ai, bi in zip(a, b))
     return np.where(cond, a, b)
@@ -183,24 +182,32 @@ Point = Union[Euclidean, Tripod, HalfPlane]
 TRIPOD_ORIGIN = Tripod(0, 0.0)
 
 
+#: The spaces by name, each with its point class.
+SPACES = {"euclidean": Euclidean, "tripod": Tripod, "halfplane": HalfPlane}
+_NAMES = {kind: name for name, kind in SPACES.items()}
+# A point's columns are its fields in order (R^d's one field is its coordinate tuple).
+_COLUMNS = {kind: attrgetter(*(f.name for f in fields(kind))) for kind in _NAMES}
+
+
 def space_of(p: Point) -> str:
-    if isinstance(p, Euclidean):
-        return "euclidean"
-    if isinstance(p, Tripod):
-        return "tripod"
-    if isinstance(p, HalfPlane):
-        return "halfplane"
-    raise TypeError(f"not a point: {p!r}")
+    if type(p) not in _NAMES:
+        raise TypeError(f"not a point: {p!r}")
+    return _NAMES[type(p)]
+
+
+def columns(p: Point) -> tuple:
+    """A point's coordinates in order, or a batch's columns (``_COLUMNS``)."""
+    return _COLUMNS[type(p)](p)
+
+
+def point(kind: type, cols) -> Point:
+    """The point of the class ``kind`` whose coordinates (columns) are ``cols``."""
+    return kind(tuple(cols)) if kind is Euclidean else kind(*cols)
 
 
 def stack(points: list) -> Point:
     """The batch of points of one space, one path per point in list order."""
-    p = points[0]
-    if isinstance(p, Euclidean):
-        return Euclidean(tuple(np.array(c) for c in zip(*(q.coords for q in points))))
-    if isinstance(p, Tripod):
-        return Tripod(np.array([q.ray for q in points]), np.array([q.coord for q in points]))
-    return HalfPlane(np.array([q.x for q in points]), np.array([q.y for q in points]))
+    return point(type(points[0]), (np.array(c) for c in zip(*map(columns, points))))
 
 
 def _require_same_space(x: Point, y: Point) -> None:
@@ -933,7 +940,7 @@ def geometry_suite(
     its points bit for bit.  Returns a dict of maximal residuals and a
     ``pass`` flag (every residual <= GEOM_TOL; a NaN residual fails).
     """
-    if space not in ("euclidean", "tripod", "halfplane"):
+    if space not in SPACES:
         raise ValueError(f"unknown space kind: {space!r}")
     state = rng.make_state(seed, 0)
     sets = [(cset, _set_samples(cset)) for cset in _suite_sets(space, dim)]

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from fejerlab.cli import main, parse_experiment
+from fejerlab.harness import curves_csv_text, load_curves, stats_from_curves
 from fejerlab.moduli import RootSchedule
 from fejerlab.problems import HALF_SQUARED
 from fejerlab.spaces import DOMAIN, Euclidean, HalfPlane, Tripod, geometry_suite
@@ -778,6 +779,23 @@ def test_shipped_configs_take_v_from_the_operator_sets(tmp_path, capsys):
     fast = _shipped("fast_skm.json")
     assert "v" not in fast["problem"]
     assert parse_experiment(fast).sched == RootSchedule(4.0, 16)
+
+
+@pytest.mark.parametrize(
+    "name", ["flagship_skm.json", "fast_skm.json", "tripod_sppa_liminf.json", "segment_sb_liminf.json"]
+)
+def test_a_shipped_curves_file_reads_back_to_its_own_bytes(tmp_path, name):
+    """A re-audit's reading of a curves file keeps its thresholds in the
+    file's column order, the config's (the flagship's 0.3 before 0.2), so
+    the statistics it rebuilds write back to the file byte for byte."""
+    cfg = _shipped(name)
+    cfg["ensemble"].update(paths=24, horizon=70)
+    out = str(tmp_path / "c_")
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), "--out", out) == 0
+    exp = parse_experiment(cfg)
+    stats = stats_from_curves(load_curves(out + "curves.csv"), exp.algorithm, exp.paths)
+    assert stats.epsilons == exp.audit.thresholds
+    assert curves_csv_text(stats).encode() == Path(out + "curves.csv").read_bytes()
 
 
 _DELETE = object()

@@ -19,6 +19,7 @@ from fejerlab.problems import (
     MeanMinProblem,
     NoModulusKnownError,
     TaggedModulus,
+    _MeanCost,
     _atom,
     busemann_subgradient,
     cost,
@@ -179,6 +180,18 @@ def test_a_problem_takes_its_data_and_derives_the_rest(make, data, init, derived
             make(*data, **{name: getattr(problem, name)})
     with pytest.raises(TypeError):
         make(*data, *(getattr(problem, name) for name in derived))
+
+
+def test_the_mean_cost_problems_declare_only_the_fields_they_do_not_share():
+    shared = ["space", "atoms", "solution_set", "solution_anchor", "growth", "min_value"]
+    shared += ["cum_weights", "solution_atom"]
+    assert [f.name for f in dataclasses.fields(_MeanCost)] == shared
+    for make, own in (
+        (MeanMinProblem, ["cost_kind", "region_bound"]),
+        (BusemannProblem, ["constraint", "region_bound"]),
+    ):
+        assert list(vars(make)["__annotations__"]) == own
+        assert [f.name for f in dataclasses.fields(make)] == shared + own
 
 
 # ---------------------------------------------------------------------------

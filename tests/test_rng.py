@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +167,50 @@ def test_vector_draws_wrap_two_to_the_64_silently_and_bit_for_bit():
         # A 0-d index takes NumPy's scalar arithmetic, whose wrap would warn.
         for index in (3, np.uint64(2**64 - 2)):
             assert int(rng.stream_keys(7, index)) == rng.stream_key(7, int(index))
+
+
+# Every stream is a window of one Weyl sequence: with o = key / gamma mod 2^64
+# (gamma = rng.GAMMA, odd, so invertible), the counter-n word of a stream is
+# mix64(gamma (o + n + 1)) (cf. Steele, Lea and Flood, "Fast splittable
+# pseudorandom number generators", OOPSLA 2014).  Two paths draw the same
+# numbers only where their windows overlap.
+
+_M64 = 2**64
+_GAMMA_INV = pow(rng.GAMMA, -1, _M64)
+_SHIPPED = ["flagship_skm.json", "fast_skm.json", "tripod_sppa_liminf.json", "segment_sb_liminf.json"]
+
+
+def _offset(key: int) -> int:
+    """Where a stream's window starts in the sequence gamma * m mod 2^64."""
+    return key * _GAMMA_INV % _M64
+
+
+def _least_gap(keys) -> int:
+    """The least distance between two streams' offsets, around Z / 2^64."""
+    o = sorted(_offset(k) for k in keys)
+    return min((b - a) % _M64 for a, b in zip(o, o[1:] + o[:1]))
+
+
+def test_a_stream_is_a_window_of_one_weyl_sequence():
+    for key in (0, 1, 2**64 - 1, rng.stream_key(20260814, 511)):
+        o = _offset(key)
+        assert o * rng.GAMMA % _M64 == key
+        for n in (0, 1, 19_999, 2**63, 2**64 - 2):
+            assert rng.uniform(key, n) == (rng.mix64(rng.GAMMA * (o + n + 1)) >> 11) * 2.0**-53
+    # The gap sees offsets h apart, also across the wrap of 2^64.
+    key = rng.stream_key(3, 0)
+    for h in (1, 20_001):
+        for start in (key, (-(h // 2) * rng.GAMMA) % _M64):
+            assert _least_gap([start, (start + h * rng.GAMMA) % _M64]) == h
+
+
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_no_two_paths_of_a_shipped_config_draw_overlapping_windows(name):
+    """Each path draws counters 0 to horizon - 1 of its stream, so its
+    window has horizon + 1 words at most.  The least gap between two
+    offsets is about 1.1e13 (2.3e13 on the 512-path tripod), against
+    horizons of at most 20,000."""
+    ens = json.loads((Path(__file__).resolve().parents[1] / "scripts" / name).read_text())["ensemble"]
+    keys = rng.stream_keys(ens["seed"], np.arange(ens["paths"])).tolist()
+    assert len(keys) == ens["paths"]
+    assert _least_gap(keys) >= ens["horizon"] + 1

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fejerlab import cli, harness
 from fejerlab.cli import ConfigError, _read_point, _read_set
 from fejerlab.moduli import FastCertificate, Harmonic, TableSchedule
 from fejerlab.problems import BusemannProblem, busemann_subgradient
 from fejerlab.spaces import (
     GEOM_TOL,
+    SPACES,
     TRIPOD_ORIGIN,
     Ball,
     Box,
@@ -34,10 +36,12 @@ from fejerlab.spaces import (
     _LIBM,
     _select,
     cn_residual,
+    columns,
     contains,
     distance,
     geodesic_point,
     geometry_suite,
+    point,
     project_convex,
     quasi_triangle_residual,
     ray_point,
@@ -1077,6 +1081,59 @@ def test_select_picks_each_path_of_two_batches(points):
     assert _points_of(_select(np.array([False, True, False]), a, b)) == [q, q, p]
     if isinstance(picked, Tripod):
         assert picked.ray.dtype.kind == "i"
+
+
+def _own_columns(p) -> tuple:
+    """A point's coordinates as its class names them."""
+    if isinstance(p, Euclidean):
+        return p.coords
+    return (p.ray, p.coord) if isinstance(p, Tripod) else (p.x, p.y)
+
+
+def _int_words(col) -> list:
+    return np.asarray(col).view(np.int64).tolist()
+
+
+_TABLE_POINTS = {
+    "euclidean": [Euclidean((-0.0, 5e-324)), Euclidean((1e300, -2.0)), Euclidean((0.1, 0.0))],
+    "tripod": [Tripod(2, 5e-324), TRIPOD_ORIGIN, Tripod(1, 1e300)],
+    "halfplane": [HalfPlane(-0.0, 1e-300), HalfPlane(0.0, 2.5), HalfPlane(-7.0, 1e300)],
+}
+
+
+def test_the_space_table_is_the_one_list_of_spaces():
+    assert list(SPACES) == list(_TABLE_POINTS)
+    assert cli._SPACES == tuple(SPACES)
+    assert cli._POINT_FIELDS.keys() == SPACES.keys()
+    for name, points in _TABLE_POINTS.items():
+        assert [space_of(p) for p in points] == [name] * 3
+        assert all(type(p) is SPACES[name] for p in points)
+    with pytest.raises(TypeError, match="not a point"):
+        space_of((0.0, 1.0))
+    with pytest.raises(ValueError, match="unknown space kind"):
+        geometry_suite("sphere")
+
+
+@pytest.mark.parametrize("name", list(_TABLE_POINTS))
+def test_stack_select_and_words_read_a_points_own_columns(name):
+    """stack, _select (on a mixed mask) and the kernel's words agree bit for
+    bit with each point's own columns, and a point rebuilds from its
+    columns."""
+    points = _TABLE_POINTS[name]
+    others = points[1:] + points[:1]
+    own = [_own_columns(p) for p in points]
+    for p, cols in zip(points, own):
+        assert columns(p) == cols and point(SPACES[name], cols) == p
+    batch = stack(points)
+    assert type(batch) is SPACES[name]
+    expected = [_int_words(np.array(col)) for col in zip(*own)]
+    assert [_int_words(c) for c in columns(batch)] == expected
+    assert [w.tolist() for w in harness._words(batch)] == expected
+    mask = np.array([True, False, True])
+    picked = _select(mask, batch, stack(others))
+    assert type(picked) is SPACES[name]
+    mixed = [a if m else _own_columns(b) for a, m, b in zip(own, mask.tolist(), others)]
+    assert [_int_words(c) for c in columns(picked)] == [_int_words(np.array(col)) for col in zip(*mixed)]
 
 
 @pytest.mark.parametrize("cset", EDGE_SETS, ids=lambda c: type(c).__name__)
