@@ -24,8 +24,9 @@ Each run also records ``src_lines``, the line count of the tree's
 ``fejerlab/*.py`` (what ``wc -l src/fejerlab/*.py`` totals), with
 ``src_lines_by_module`` (file name -> lines) beside it, and
 ``import_s``, the median wall time of 5 fresh interpreters that only run
-``import fejerlab.cli`` with the audits' ``PYTHONPATH`` and environment: the
-fixed cost every command pays before it starts.  Each run also records
+``import fejerlab.cli`` with the audits' ``PYTHONPATH`` and environment (the
+fixed cost every command pays before it starts), with all 5 as
+``import_s_runs``.  Each run also records
 ``tier1_s``, the wall time of one run of the Tier-1 suite (``python -m
 pytest -q --continue-on-collection-errors`` in the tree's root, with the
 tree's ``src`` first on ``PYTHONPATH``), and ``tier1_counts``, the outcome
@@ -45,10 +46,11 @@ in the file are kept, so before and after numbers can share one file:
 Against each other label already in the file, the run prints every one of
 its five digests per config (curves, audit, re-audit, validate stdout and
 report stdout) that differs, then how many of them differ, then each
-config's audit wall time and ``tier1_s`` beside that label's with their
-ratio (this run's over that label's), marked "within noise" when the two
-runs' ranges of audit wall times (least to largest of ``wall_s_runs``, or
-the one ``wall_s`` of a run that predates it) overlap, then each module's
+config's audit wall time, ``import_s`` and ``tier1_s`` beside that label's
+with their ratio (this run's over that label's), an audit or import ratio
+marked "within noise" when the two runs' ranges of those timings (least to
+largest of ``wall_s_runs`` or ``import_s_runs``, or the one ``wall_s`` or
+``import_s`` of a run that predates them) overlap, then each module's
 line count beside that label's and the difference (when that label's run
 recorded them).
 """
@@ -153,15 +155,15 @@ def run_cli(src: pathlib.Path, *args: str) -> dict:
     }
 
 
-def import_seconds(src: pathlib.Path, runs: int = 5) -> float:
-    """Median wall time of ``runs`` fresh interpreters importing fejerlab.cli."""
+def import_seconds(src: pathlib.Path, runs: int = 5) -> list[float]:
+    """Wall times of ``runs`` fresh interpreters importing fejerlab.cli."""
     env = dict(os.environ, PYTHONPATH=str(src))
     times = []
     for _ in range(runs):
         t0 = time.perf_counter()
         subprocess.run([sys.executable, "-c", "import fejerlab.cli"], env=env, check=True)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return times
 
 
 def run_pytest(src: pathlib.Path, *args: str) -> tuple[float, dict[str, int], int]:
@@ -205,27 +207,35 @@ def print_digest_diffs(results: dict, label: str, other: dict) -> None:
     print(f"{len(diffs)} of {len(results) * len(DIGESTS)} digests differ from {label!r}")
 
 
-def _wall_range(res: dict) -> tuple[float, float]:
-    """The least and largest audit wall time of a config's runs."""
-    times = res.get("wall_s_runs") or [res["wall_s"]]
+def _range(run: dict, key: str) -> tuple[float, float]:
+    """The least and largest of a run's timings of ``key``: its
+    ``<key>_runs``, or the one ``key`` of a run that predates them."""
+    times = run.get(f"{key}_runs") or [run[key]]
     return min(times), max(times)
 
 
-def print_time_ratios(results: dict, tier1_s: float, label: str, other: dict) -> None:
-    """Print each config's audit wall time and the Tier-1 time beside the
-    ones recorded under ``label`` (the run ``other``), with their ratio; an
-    audit's ratio is "within noise" when the two ranges of its runs overlap."""
+def _noise(now: dict, before: dict, key: str) -> str:
+    """", within noise" when the two runs' ranges of ``key`` overlap."""
+    (lo, hi), (lo_b, hi_b) = _range(now, key), _range(before, key)
+    return ", within noise" if lo <= hi_b and lo_b <= hi else ""
+
+
+def print_time_ratios(run: dict, label: str, other: dict) -> None:
+    """Print each config's audit wall time, the import time and the Tier-1
+    time of ``run`` beside the ones recorded under ``label`` (the run
+    ``other``), with their ratio; an audit's or the import's ratio is
+    "within noise" when the two ranges of its timings overlap."""
     times = []
-    for name, res in results.items():
+    for name, res in run["configs"].items():
         before = other["configs"].get(name, {})
         if before.get("wall_s"):
-            (lo, hi), (lo_b, hi_b) = _wall_range(res), _wall_range(before)
-            noise = ", within noise" if lo <= hi_b and lo_b <= hi else ""
-            times.append((f"{name} audit", res["wall_s"], before["wall_s"], noise))
+            times.append((f"{name} audit", res["wall_s"], before["wall_s"], _noise(res, before, "wall_s")))
+    if other.get("import_s"):
+        times.append(("import fejerlab.cli", run["import_s"], other["import_s"], _noise(run, other, "import_s")))
     if other.get("tier1_s"):
-        times.append(("tier-1 suite", tier1_s, other["tier1_s"], ""))
+        times.append(("tier-1 suite", run["tier1_s"], other["tier1_s"], ""))
     for what, now, before, noise in times:
-        print(f"{what}: {before:.2f} s in {label!r}, {now:.2f} s now (ratio {now / before:.3f}{noise})")
+        print(f"{what}: {before:.3f} s in {label!r}, {now:.3f} s now (ratio {now / before:.3f}{noise})")
 
 
 def print_line_deltas(lines: dict[str, int], label: str, other: dict[str, int]) -> None:
@@ -276,7 +286,8 @@ def main(argv=None) -> int:
                 f"exit codes (audit, validate, re-audit, report) {codes}"
             )
 
-    import_s = import_seconds(src)
+    import_s_runs = import_seconds(src)
+    import_s = statistics.median(import_s_runs)
     print(f"import fejerlab.cli: {import_s:.3f} s (median of 5 fresh interpreters)")
     tier1_s, tier1_counts, tier1_code = run_pytest(src)
     failed |= tier1_code != 0
@@ -286,17 +297,12 @@ def main(argv=None) -> int:
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"schema": "fejerlab-bench-v1", "runs": {}}
     lines = _src_lines_by_module(src)
-    for label, run in doc["runs"].items():
-        if label != args.label:
-            print_digest_diffs(results, label, run["configs"])
-            print_time_ratios(results, tier1_s, label, run)
-            if "src_lines_by_module" in run:  # runs recorded before it was kept lack it
-                print_line_deltas(lines, label, run["src_lines_by_module"])
-    doc["runs"][args.label] = {
+    this = {
         "src_sha256": _tree_digest(src),
         "src_lines": sum(lines.values()),
         "src_lines_by_module": lines,
         "import_s": import_s,
+        "import_s_runs": import_s_runs,
         "tier1_s": tier1_s,
         "tier1_counts": tier1_counts,
         "perfbench_selftest_counts": selftest_counts,
@@ -307,6 +313,13 @@ def main(argv=None) -> int:
         },
         "configs": results,
     }
+    for label, run in doc["runs"].items():
+        if label != args.label:
+            print_digest_diffs(results, label, run["configs"])
+            print_time_ratios(this, label, run)
+            if "src_lines_by_module" in run:  # runs recorded before it was kept lack it
+                print_line_deltas(lines, label, run["src_lines_by_module"])
+    doc["runs"][args.label] = this
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 1 if failed else 0
 

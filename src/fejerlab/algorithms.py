@@ -20,14 +20,17 @@ T is finite.  The printed rate functions are
 * Krasnoselskii-Mann (skm):  rho(eps) = theta(0, b / (tau eps/6))
 * Busemann subgradient (sb): rho(eps) = theta(chi(eps / 6 L^2), (b + L^2 T) / (tau eps/6))
 
-with theta the divergence witness of the step schedule (under the step
-transform the analysis uses), chi the squared-step tail witness, tau the
-slope of the instance's linear regularity modulus for d^2, b a strict
-upper bound on max{d(x0,z), d^2(x0,z)} with z the reference solution
-(``_reference``), and T a strict upper bound on the squared step sum.  The
-tau-free liminf windows theta(N, budget/eps) are exposed separately so
-gap-window audits work even when no modulus is known.
-An index past ``moduli.INDEX_CAP`` is None: no run can reach it.
+with theta the divergence witness of the step schedule under the step
+transform the analysis uses (``moduli.divergence_witness_theta``: for a
+constant schedule the count form, one past the least index), chi the
+squared-step tail witness, tau the slope of the instance's linear
+regularity modulus for d^2, b a strict upper bound on max{d(x0,z),
+d^2(x0,z)} with z the reference solution (``_reference``), and T a strict
+upper bound on the squared step sum.  The tau-free liminf windows
+theta(N, budget/eps) are exposed separately so gap-window audits work even
+when no modulus is known.  A certificate is the ``moduli.RateCertificate``
+of these ingredients; a schedule theta rejects raises when an index is
+taken.  An index past ``moduli.INDEX_CAP`` is None: no run can reach it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from typing import Callable, Iterator
 
 from . import rng
 from .moduli import (
-    Constant,
     FastCertificate,
     Harmonic,
     RateCertificate,
@@ -47,14 +49,11 @@ from .moduli import (
     StepSchedule,
     _IDENTITY,
     _MEAN,
-    _check_divergent,
     _check_relaxations,
-    _guarded_ceil,
     divergence_witness_theta,
     recursion_bound_u,
     schedule_square_sum_bound,
     schedule_value,
-    tail_rate_chi,
 )
 from .problems import (
     HALF_SQUARED,
@@ -323,36 +322,6 @@ def _ingredients(
     return b, L, L_bar, schedule_square_sum_bound(sched)
 
 
-def _budget_witness(sched: StepSchedule, transform: str) -> Callable[[int, float], int | None]:
-    """theta(k, budget): an index m >= k with sum_{n=k}^{m} w_n >= budget,
-    where w_n is the schedule value (identity transform) or
-    lambda_n(1-lambda_n) (mean transform), or None past INDEX_CAP.
-
-    Constant schedules use the closed count form k + ceil(budget/w) (with
-    the guarded ceiling, so budgets that are exact integer multiples of w
-    are not bumped by float noise): the minimal witness index plus one, for
-    every budget.  Other schedules (harmonic ones included) return the
-    minimal witness index.
-    """
-    if isinstance(sched, Constant):
-        _check_divergent(sched, transform)
-        w = sched.c * (1.0 - sched.c) if transform == _MEAN else sched.c
-
-        def theta(k: int, budget: float) -> int | None:
-            if k < 0:
-                raise ValueError(f"start index must be >= 0, got {k}")
-            if not budget > 0.0:
-                raise ValueError(f"divergence budget must be > 0, got {budget}")
-            return _guarded_ceil(budget / w, k)
-
-        return theta
-
-    def theta(k: int, budget: float) -> int | None:
-        return divergence_witness_theta(sched, transform, k, budget)
-
-    return theta
-
-
 def _budget_scale(spec: _Spec, b: float, L: float, T: float) -> float:
     return b + spec.noise * L * L * T
 
@@ -361,13 +330,12 @@ def _liminf_bound(algorithm: str, sched: StepSchedule, b: float, L: float, T: fl
     """phi(eps, N) = theta(N, budget_scale / eps): the right end of a window
     starting at N that must contain an iterate with mean gap below eps."""
     spec = _SPECS[algorithm]
-    theta = _budget_witness(sched, spec.transform)
     budget_scale = _budget_scale(spec, b, L, T)
 
     def phi(eps: float, N: int) -> int | None:
         if not eps > 0.0:
             raise ValueError(f"gap tolerance must be > 0, got {eps}")
-        return theta(N, budget_scale / eps)
+        return divergence_witness_theta(sched, spec.transform, N, budget_scale / eps)
 
     return phi
 
@@ -420,39 +388,11 @@ def _certificate(
             f"start point lies {d0} from the solution anchor, outside the radius "
             f"{tagged.region} on which the regularity modulus holds"
         )
-    tau = tagged.slope
     b, L, L_bar, T = _ingredients(spec, problem, sched, x0)
-    budget_scale = _budget_scale(spec, b, L, T)
-    theta = _budget_witness(sched, spec.transform)
-
-    chi_div = None if spec.chi_scale is None else spec.chi_scale(L, L_bar)
-
-    def chi(eps: float) -> int | None:
-        if chi_div is not None:
-            return tail_rate_chi(sched, eps)
-        if not eps > 0.0:
-            raise ValueError(f"tail budget must be > 0, got {eps}")
-        return 0
-
-    def rho(eps: float) -> int | None:
-        if not eps > 0.0:
-            raise ValueError(f"rate argument must be > 0, got {eps}")
-        tau_eps = tau * (eps / 6.0)
-        if not (tau_eps > 0.0 and math.isfinite(budget := budget_scale / tau_eps)):
-            raise ValueError(f"the rate index exceeds the float range (gap tolerance {eps})")
-        start = 0 if chi_div is None else chi(eps / chi_div)
-        return None if start is None else theta(start, budget)
-
     return RateCertificate(
-        algorithm=algorithm,
-        tau=tau,
-        chi=chi,
-        divergence=theta,
-        b=b,
-        L=L,
-        L_bar=L_bar,
-        T=T,
-        rho=rho,
+        algorithm, sched, spec.transform, tagged.slope, b, L, L_bar, T,
+        budget=_budget_scale(spec, b, L, T),
+        chi_div=None if spec.chi_scale is None else spec.chi_scale(L, L_bar),
     )
 
 

@@ -797,12 +797,15 @@ def read_audit(path_prefix: str) -> AuditReport:
 
 
 def load_curves(path: str) -> dict[str, np.ndarray]:
-    """Parse a curves CSV back into named columns."""
+    """Parse a curves CSV back into named columns; a repeated header raises."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if not lines:
         raise ValueError(f"empty curves file: {path}")
     header = lines[0].split(",")
+    if len(set(header)) < len(header):
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        raise ValueError(f"curves file {path} repeats columns: {repeated}")
     missing = {"n", *(name for name, prefix in _CURVES.items() if prefix is None)} - set(header)
     if missing:
         raise ValueError(f"curves file {path} lacks columns: {sorted(missing)}")
@@ -824,7 +827,8 @@ def load_curves(path: str) -> dict[str, np.ndarray]:
 
 def stats_from_curves(cols: dict[str, np.ndarray], algorithm: str, paths: int) -> EnsembleStats:
     """Rebuild ensemble statistics from parsed curves (for re-audit), the
-    thresholds in the file's column order, so that they write back the same."""
+    thresholds in the file's column order, so that they write back the same.
+    Two columns of one family that parse to one threshold raise."""
     if paths < 1:
         raise ValueError(f"need the original path count >= 1, got {paths}")
     curves = {}
@@ -832,6 +836,9 @@ def stats_from_curves(cols: dict[str, np.ndarray], algorithm: str, paths: int) -
         if prefix is None:
             curves[name] = cols[name]
         else:
-            k = len(prefix)
-            curves[name] = {float(c[k:]): v for c, v in cols.items() if c[:k] == prefix}
+            k, curves[name] = len(prefix), {}
+            for c in (c for c in cols if c[:k] == prefix):
+                if (eps := float(c[k:])) in curves[name]:
+                    raise ValueError(f"curves column {c} repeats the threshold {eps}")
+                curves[name][eps] = cols[c]
     return EnsembleStats(algorithm, paths, len(cols["n"]) - 1, tuple(curves["tail"]), **curves)

@@ -11,7 +11,8 @@ and the fast-rate mean/tail envelopes.
 chi, theta and the square-sum bound T read one exact partial sum of the
 schedule (``_partial_sums``, its fixed end shifted up by the recurrence) at
 40 digits, and chi and theta find each minimal index by one bisection up to
-``INDEX_CAP`` (``_least_index``).  An index past the cap is None: no run
+``INDEX_CAP`` (``_least_index``); a constant schedule's theta is the count
+form k + ceil(b/w), one past the least index.  An index past the cap is None: no run
 reaches it, so it is reported as beyond, not computed.  Only an exact sum
 imports mpmath, so a constant schedule never loads it."""
 
@@ -33,15 +34,12 @@ _DPS = 40
 INDEX_CAP = 10**12
 
 
-def _capped_ceil(x: float, k: int) -> int | None:
-    """k + ceil(x), or None when that exceeds INDEX_CAP (x = inf included);
-    decided by one exact comparison of x with INDEX_CAP - k."""
-    return k + math.ceil(x) if x <= INDEX_CAP - k else None
-
-
 def _guarded_ceil(x: float, k: int) -> int | None:
-    """``_capped_ceil`` of x with a tiny relative shave (see CEIL_GUARD)."""
-    return _capped_ceil(x * (1.0 - CEIL_GUARD), k)
+    """k + ceil(x) after a tiny relative shave of x (see CEIL_GUARD), or
+    None when that exceeds INDEX_CAP (x = inf included); decided by one
+    exact comparison of the shaved x with INDEX_CAP - k."""
+    x *= 1.0 - CEIL_GUARD
+    return k + math.ceil(x) if x <= INDEX_CAP - k else None
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +242,25 @@ def _check_relaxations(sched: StepSchedule) -> None:
         raise ValueError(f"harmonic tail is {lam} > 1 at index {m}; relaxations must lie in (0, 1]")
 
 
-def _check_divergent(sched: StepSchedule, transform: str) -> None:
-    """Raise unless the transformed step series is certified divergent; the
-    mean transform needs relaxations other than the constant 1."""
+def divergence_witness_theta(
+    sched: StepSchedule, transform: str, k: int, b: float
+) -> int | None:
+    """theta(k, b): an index m >= k with sum_{n=k}^{m} w_n >= b, or None past
+    INDEX_CAP, with w_n = lambda_n (identity) or lambda_n(1-lambda_n) (mean).
+    A constant schedule takes the count form k + ceil(b/w), one past the
+    least such index (the guarded ceiling keeps float noise from bumping a
+    budget that is a multiple of w); any other the least index, by bisection
+    on the exact partial sums.  A series not certified divergent raises."""
+    if k < 0:
+        raise ValueError(f"start index must be >= 0, got {k}")
+    if not b > 0.0:
+        raise ValueError(f"divergence budget must be > 0, got {b}")
     if transform not in (_IDENTITY, _MEAN):
         raise ValueError(f"unknown divergence transform: {transform!r}")
     if isinstance(sched, RootSchedule):
         raise ValueError("divergence witnesses are not provided for root schedules")
-    if transform == _MEAN:
+    mean = transform == _MEAN
+    if mean:
         if isinstance(sched, Constant) and sched.c == 1.0:
             raise ValueError(
                 "lambda(1-lambda) vanishes for the constant-1 schedule; "
@@ -259,26 +268,9 @@ def _check_divergent(sched: StepSchedule, transform: str) -> None:
             )
         _check_relaxations(sched)
 
-
-def divergence_witness_theta(
-    sched: StepSchedule, transform: str, k: int, b: float
-) -> int | None:
-    """Smallest m >= k with sum_{n=k}^{m} transformed(lambda_n) >= b, or
-    None when it exceeds INDEX_CAP.
-
-    Constant schedules use the closed form.  Otherwise the index is located
-    by bisection against the exact partial sums.
-    """
-    if k < 0:
-        raise ValueError(f"start index must be >= 0, got {k}")
-    if not b > 0.0:
-        raise ValueError(f"divergence budget must be > 0, got {b}")
-    _check_divergent(sched, transform)
-    mean = transform == _MEAN
-
     if isinstance(sched, Constant):
         w = sched.c * (1.0 - sched.c) if mean else sched.c
-        return _capped_ceil(b / w, k - 1)
+        return _guarded_ceil(b / w, k)
 
     import mpmath
     with mpmath.workdps(_DPS):
@@ -359,25 +351,46 @@ def fast_bounds(cert: FastCertificate, n: int, eps: float) -> tuple[float, float
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RateCertificate:
-    """The ingredient tuple of an explicit convergence-rate certificate,
-    plus the assembled index functions.
-
-    ``tau`` is the slope of the linear regularity modulus for d^2, and
-    ``rho`` maps a gap tolerance to an iteration index (an ``int | None``:
-    None when chi or theta passes INDEX_CAP).
-    """
+    """An explicit convergence-rate certificate, held as its ingredients:
+    ``sched`` and ``transform`` fix theta (``divergence_witness_theta``),
+    ``tau`` is the slope of the linear regularity modulus for d^2, (b, L,
+    L_bar, T) are the instance's constants, ``budget`` = b + f L^2 T is the
+    budget scale, and ``chi_div`` is the divisor of eps in the tail witness,
+    or None when chi is identically zero.  ``rho`` maps a gap tolerance to
+    an iteration index, None when chi or theta passes INDEX_CAP."""
 
     algorithm: str
+    sched: StepSchedule
+    transform: str
     tau: float
-    chi: Callable[[float], int | None]
-    divergence: Callable[[int, float], int | None]
     b: float
     L: float
     L_bar: float
     T: float
-    rho: Callable[[float], int | None]
+    budget: float
+    chi_div: float | None
+
+    def divergence(self, k: int, budget: float) -> int | None:
+        return divergence_witness_theta(self.sched, self.transform, k, budget)
+
+    def chi(self, eps: float) -> int | None:
+        if self.chi_div is not None:
+            return tail_rate_chi(self.sched, eps)
+        if not eps > 0.0:
+            raise ValueError(f"tail budget must be > 0, got {eps}")
+        return 0
+
+    def rho(self, eps: float) -> int | None:
+        """theta(chi(eps / chi_div), budget / (tau eps/6))."""
+        if not eps > 0.0:
+            raise ValueError(f"rate argument must be > 0, got {eps}")
+        tau_eps = self.tau * (eps / 6.0)
+        if not (tau_eps > 0.0 and math.isfinite(budget := self.budget / tau_eps)):
+            raise ValueError(f"the rate index exceeds the float range (gap tolerance {eps})")
+        start = 0 if self.chi_div is None else self.chi(eps / self.chi_div)
+        return None if start is None else self.divergence(start, budget)
 
     def metric_rates(self, eps: float, lam: float) -> tuple[int | None, ...]:
         return metric_rates(self.rho, eps, lam)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,10 +301,50 @@ def test_certificate_divergence_uses_count_form():
     # reaches b first at m = k + ceil(b/w) - 1, so a constant schedule's
     # witness is one more than the minimal witness index for every budget
     cert = certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)))
-    mean = "mean_lambda_one_minus_lambda"
-    for budget, count, minimal in ((1.0, 4, 3), (2.5, 10, 9), (0.3, 2, 1)):
-        assert cert.divergence(0, budget) == count
-        assert divergence_witness_theta(Constant(0.5), mean, 0, budget) == minimal
+    for k, budget, count in ((0, 1.0, 4), (0, 2.5, 10), (0, 0.3, 2), (5, 1.0, 9)):
+        assert cert.divergence(k, budget) == count
+
+
+def _one_theta_case(case):
+    """(certificate, gap window or None) of a schedule kind under a transform."""
+    kind, transform = case.split("-")
+    sched = {
+        "constant": Constant(0.5),
+        "harmonic": Harmonic(1.0, 2.0),
+        "table": TableSchedule((0.5, 0.9, 0.25), Harmonic(2.0, 1.0)),
+    }[kind]
+    if transform == "mean":
+        problem, x0 = two_halfspace(), Euclidean((1.0, 1.0))
+        return certificate_skm(problem, sched, x0), gap_window(problem, "skm", sched, x0)
+    problem, x0 = tripod_median(2.0), Tripod(0, 1.0)
+    if kind == "harmonic":
+        return certificate_sppa(problem, sched, x0), gap_window(problem, "sppa", sched, x0)
+    # The proximal run takes harmonic schedules only; its certificate holds any.
+    return dataclasses.replace(certificate_sppa(problem, H11, x0), sched=sched), None
+
+
+@pytest.mark.parametrize("case", [
+    "constant-mean", "constant-identity", "harmonic-mean", "harmonic-identity",
+    "table-mean", "table-identity",
+])
+def test_the_certificate_and_the_gap_window_take_the_one_theta(case):
+    cert, phi = _one_theta_case(case)
+    theta = lambda k, budget: divergence_witness_theta(cert.sched, cert.transform, k, budget)
+    for k in (0, 1, 7, 100):
+        for budget in (0.3, 1.0, 2.5, 9.5):
+            assert cert.divergence(k, budget) == theta(k, budget), (k, budget)
+    for eps in (0.5, 1.0, 2.0) if phi else ():
+        for start in (0, 7):
+            assert phi(eps, start) == theta(start, cert.budget / eps), (eps, start)
+    if case == "constant-mean":
+        # The count form k + ceil(b/w), not the least index k - 1 + ceil(b/w).
+        assert cert.divergence(0, 1.0) == 4 and phi(1.0, 0) == 10
+        # euclid-skm's eps = 1: b/w is 480.0000000000001, and the guard
+        # keeps the index at 480.
+        budget = cert.budget / (cert.tau * (0.25 / 6.0))
+        assert budget / 0.25 > 480.0
+        assert cert.divergence(0, budget) == theta(0, budget) == 480
+        assert cert.metric_rates(1.0, 0.1)[0] == 480
 
 
 def test_certificate_sppa_tripod_constants():

@@ -346,6 +346,36 @@ def test_audit_curves_with_a_bad_threshold_header_is_an_input_error(tmp_path, ca
     assert f"config error: --curves {bad}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, message", [
+    ("tail_eps_1.00", "curves column tail_eps_1.00 repeats the threshold 1.0"),
+    ("point_tail_eps_1", "curves column point_tail_eps_1 repeats the threshold 1.0"),
+    ("tail_eps_1.0", "repeats columns: ['tail_eps_1.0']"),
+])
+def test_audit_curves_with_two_columns_for_one_threshold_is_an_input_error(
+    tmp_path, capsys, column, message
+):
+    # An all-ones column appended under a second header for the threshold
+    # 1.0.  Read as the later column, an all-ones tail would fail the
+    # almost-sure check at index 1200.
+    cfg = write_config(tmp_path, rate_config(paths=16, horizon=1300))
+    out = str(tmp_path / "r_")
+    assert run_cli("audit", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    lines = Path(out + "curves.csv").read_text().splitlines()
+    doubled = [lines[0] + f",{column}"] + [ln + ",1" for ln in lines[1:]]
+    Path(out + "curves.csv").write_text("\n".join(doubled) + "\n")
+    rc = run_cli("audit", "--config", cfg, "--out", str(tmp_path / "x_"), "--curves", out + "curves.csv")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --curves {out}curves.csv: ") and message in err, err
+    rc = run_cli("report", "--config", cfg, "--out", out)
+    err = capsys.readouterr().err
+    if column == "tail_eps_1.0":  # `report` reads the columns by name
+        assert rc == 1 and err.startswith("report input error: ") and message in err, err
+    else:
+        assert rc == 0, err
+
+
 def test_audit_curves_missing_tail_threshold_is_an_input_error(tmp_path, capsys):
     cfg_run = write_config(tmp_path, rate_config(epsilons=(1.0,)), name="run.json")
     out = str(tmp_path / "r_")
@@ -1048,6 +1078,36 @@ def test_audit_index_out_of_range_fails_before_the_ensemble(
         return
     assert rc == 1 and not ran, err
     assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("audit, path", [
+    ({"epsilons": [0.3], "liminf": {"epsilon": 0.3, "start": 0}},
+     "config.schedule with config.audit.liminf.epsilon=0.3"),
+    ({"epsilons": [0.3], "lambda": 0.1}, "config.audit.epsilons[0]"),
+], ids=["liminf", "rate"])
+def test_a_constant_one_relaxation_is_an_input_error_of_the_audit(
+    tmp_path, capsys, monkeypatch, audit, path
+):
+    # lambda(1 - lambda) vanishes at lambda = 1, so the Krasnoselskii-Mann
+    # witness has no index.  The steps are relaxations in (0, 1], so
+    # `validate` and `run` accept the config; `audit` exits 1 before the
+    # ensemble, with the error at the field that asked for the index.
+    import fejerlab.cli as cli
+
+    cfg = _shipped(FLAG)
+    cfg["ensemble"].update(paths=3, horizon=5)
+    cfg["schedule"] = {"kind": "constant", "c": 1.0}
+    cfg["audit"] = audit
+    config = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert run_cli(command, "--config", config, "--out", str(tmp_path / "x_")) == 0, command
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: ran.append(a) or 1 / 0)
+    rc = run_cli("audit", "--config", config, "--out", str(tmp_path / "x_"))
+    err = capsys.readouterr().err
+    assert rc == 1 and not ran, err
+    assert err.startswith(f"config error: {path}: lambda(1-lambda) vanishes"), err
 
 
 def test_audit_accepts_a_table_whose_tail_starts_below_one(tmp_path, capsys):

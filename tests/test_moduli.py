@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from scipy.special import polygamma
 
-from fejerlab.algorithms import _budget_witness
+from fejerlab.algorithms import certificate_skm
 from fejerlab.cli import ConfigError, _read_schedule
 from fejerlab.moduli import (
     INDEX_CAP,
@@ -27,6 +27,8 @@ from fejerlab.moduli import (
     schedule_value,
     tail_rate_chi,
 )
+from fejerlab.problems import two_halfspace
+from fejerlab.spaces import Euclidean
 
 IDENTITY = "identity"
 MEAN = "mean_lambda_one_minus_lambda"
@@ -137,7 +139,9 @@ def test_divergence_witness_harmonic_identity():
 
 
 def test_divergence_witness_constant_mean():
-    assert divergence_witness_theta(Constant(0.5), MEAN, 0, 1.0) == 3
+    # The count form k + ceil(b/w): w = 1/4 first sums to 1 at n = 3, and
+    # the witness is one past that.
+    assert divergence_witness_theta(Constant(0.5), MEAN, 0, 1.0) == 4
 
 
 def test_divergence_witness_minimality():
@@ -553,12 +557,13 @@ def _at_the_cap(case):
             past, inside = _floats_around(tail)
             assert past <= tail < inside <= mpmath.polygamma(1, INDEX_CAP)
         return lambda eps: tail_rate_chi(Harmonic(1.0, 1.0), eps), inside, past
-    if case == "constant":  # k - 1 + ceil(b / c)
+    if case == "constant":  # the count form k + ceil(b / c), guarded against float noise
         witness = lambda b: divergence_witness_theta(Constant(0.5), IDENTITY, 0, b)
-        return witness, 0.5 * (INDEX_CAP + 1), 0.5 * (INDEX_CAP + 1.5)
-    # The certificate's count form k + ceil(b / c), guarded against float noise.
-    witness = _budget_witness(Constant(0.5), IDENTITY)
-    return lambda b: witness(0, b), 0.5 * INDEX_CAP, 0.5 * (INDEX_CAP + 1)
+        return witness, 0.5 * INDEX_CAP, 0.5 * (INDEX_CAP + 1)
+    # The certificate's witness is the same function, here under the mean
+    # transform: w = 0.5 (1 - 0.5).
+    cert = certificate_skm(two_halfspace(), Constant(0.5), Euclidean((1.0, 1.0)))
+    return lambda b: cert.divergence(0, b), 0.25 * INDEX_CAP, 0.25 * (INDEX_CAP + 1)
 
 
 _SHIFTED_3 = TableSchedule((0.5, 0.9, 0.25), Harmonic(3.0, 1.0))
@@ -575,8 +580,10 @@ def test_a_witness_from_a_start_past_the_cap_is_none():
     for sched in (Harmonic(1.0, 1.0), _SHIFTED_3, Constant(0.5)):
         for k in (INDEX_CAP + 1, 10**30):
             assert divergence_witness_theta(sched, IDENTITY, k, 0.05) is None, (sched, k)
-    # From the cap itself one constant step of 0.5 meets the budget.
-    assert divergence_witness_theta(Constant(0.5), IDENTITY, INDEX_CAP, 0.05) == INDEX_CAP
+    # One constant step of 0.5 meets the budget, so the count form is k + 1:
+    # the cap from one before it, and None from the cap itself.
+    assert divergence_witness_theta(Constant(0.5), IDENTITY, INDEX_CAP - 1, 0.05) == INDEX_CAP
+    assert divergence_witness_theta(Constant(0.5), IDENTITY, INDEX_CAP, 0.05) is None
 
 
 def test_tail_rate_chi_is_the_exact_minimum_where_floats_round():
