@@ -14,9 +14,11 @@ Each audit kind (rate certificate, fast rate, gap window) is one entry of
 when the config is read, the check `audit` builds before the ensemble runs,
 and how its records print.
 
-Exit codes are a stable contract: 0 pass, 1 input error, 2 geometry
-failure, 3 runtime failure, 4 audit failure, 5 no known regularity modulus
-for the instance shape.
+Exit codes are a stable contract, and ``main`` alone maps errors to them: 0
+pass, 1 input error (a ``ConfigError``; ``_build`` makes one of what a library
+call rejects), 2 geometry failure, 3 runtime failure (any other error), 4
+audit failure, 5 no known regularity modulus for the instance shape
+(``NoModulusKnownError``).
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ _COSTS = (problems.HALF_SQUARED, problems.DISTANCE)
 
 class ConfigError(ValueError):
     """Input error traced to a config field; message names the field path."""
+
+    label = "config error"
+
+
+class ReportInputError(ConfigError):
+    """An audit or curves file `report` cannot read, or whose values it cannot print."""
+
+    label = "report input error"
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +166,11 @@ def _numbers(doc: dict, key: str, path: str, null=None) -> tuple[float, ...]:
 
 
 def _build(path: str, make, *args):
-    """make(*args); its ValueError, TypeError or OverflowError is an input
-    error at ``path``."""
+    """make(*args); its OSError, ValueError, TypeError or OverflowError is an
+    input error at ``path``."""
     try:
         return make(*args)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -365,12 +375,7 @@ def _rate_check(exp: Experiment):
     if not exp.epsilons:
         raise ConfigError("config.audit.epsilons: at least one threshold required")
     certificate = getattr(algorithms, f"certificate_{exp.algorithm}")
-    try:
-        cert = certificate(exp.problem, exp.sched, exp.x0)
-    except NoModulusKnownError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    cert = _build("config", certificate, exp.problem, exp.sched, exp.x0)
     rates = {
         eps: _build(f"config.audit.epsilons[{i}]", cert.metric_rates, eps, lam)
         for i, eps in enumerate(exp.epsilons)
@@ -384,8 +389,9 @@ def _fast_check(exp: Experiment):
 
 def _liminf_check(exp: Experiment):
     eps, start = exp.audit.params
-    phi = gap_window(exp.problem, exp.algorithm, exp.sched, exp.x0)
-    end = _build(f"config.schedule with config.audit.liminf.epsilon={eps!r}", phi, eps, start)
+    path = f"config.schedule with config.audit.liminf.epsilon={eps!r}"
+    phi = _build(path, gap_window, exp.problem, exp.algorithm, exp.sched, exp.x0)
+    end = _build(path, phi, eps, start)
     return lambda stats: liminf_audit(stats, end, eps, start)
 
 
@@ -453,11 +459,11 @@ def parse_experiment(doc, seed_override: int | None = None) -> Experiment:
     epsilons = _numbers(_fields(aud, ("epsilons", field), path), "epsilons", path)
     if any(not e > 0.0 for e in epsilons):
         raise ConfigError(f"{path}.epsilons: thresholds must be > 0")
-    if len(set(epsilons)) != len(epsilons):
-        raise ConfigError(f"{path}.epsilons: thresholds must be distinct")
     params, sched, thresholds = _AUDITS[kind].read(
         aud.get(field), f"{path}.{field}", top, problem, algorithm, x0, epsilons
     )
+    if len(set(thresholds)) != len(thresholds):
+        raise ConfigError(f"{path}.epsilons: tracked thresholds {thresholds} must be distinct")
     return Experiment(
         problem, algorithm, sched, x0, paths, horizon, seed, threads, epsilons,
         Audit(kind, params, thresholds),
@@ -500,11 +506,11 @@ def _audit_details(r: AuditRecord, *_) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each takes the parsed config and the command-line arguments.
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(exp: Experiment) -> int:
+def cmd_validate(exp: Experiment, args: argparse.Namespace) -> int:
     """Run the geometry suites for the configured space, R^d in the start
     point's dimension d; exit 0/2."""
     space = exp.problem.space
@@ -514,25 +520,24 @@ def cmd_validate(exp: Experiment) -> int:
     return EXIT_OK if summary["pass"] else EXIT_GEOMETRY
 
 
-def cmd_run(exp: Experiment, out_prefix: str) -> int:
+def cmd_run(exp: Experiment, args: argparse.Namespace) -> int:
     stats = _run_stats(exp)
-    for path in export_results(stats, None, out_prefix):
+    for path in export_results(stats, None, args.out):
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) -> int:
+def cmd_audit(exp: Experiment, args: argparse.Namespace) -> int:
     check = _AUDITS[exp.audit.kind].check(exp)
+    out_prefix, curves_path = args.out, args.curves
     if curves_path is not None:
-        try:
-            stats = stats_from_curves(load_curves(curves_path), exp.algorithm, exp.paths)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"--curves {curves_path}: {exc}") from exc
+        path = f"--curves {curves_path}"
+        cols = _build(path, load_curves, curves_path)
+        stats = _build(path, stats_from_curves, cols, exp.algorithm, exp.paths)
         missing = [t for t in exp.audit.thresholds if t not in stats.tail]
         if missing:
             raise ConfigError(
-                f"--curves {curves_path}: missing tail thresholds {missing}; "
-                f"file tracks {sorted(stats.tail)}"
+                f"{path}: missing tail thresholds {missing}; file tracks {sorted(stats.tail)}"
             )
     else:
         stats = _run_stats(exp)
@@ -548,8 +553,16 @@ def cmd_audit(exp: Experiment, out_prefix: str, curves_path: str | None = None) 
     return EXIT_OK if report.all_pass else EXIT_AUDIT
 
 
-def cmd_report(out_prefix: str) -> int:
+def cmd_report(exp: Experiment, args: argparse.Namespace) -> int:
     """Juxtapose the audit's predicted indices with the observed curves."""
+    try:
+        _print_report(args.out)
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ReportInputError(str(exc)) from exc
+    return EXIT_OK
+
+
+def _print_report(out_prefix: str) -> None:
     report = read_audit(out_prefix)
     cols = load_curves(f"{out_prefix}curves.csv")
     horizon = len(cols["n"]) - 1
@@ -560,7 +573,7 @@ def cmd_report(out_prefix: str) -> int:
         f"paths={report.paths} horizon={report.horizon}{lam}"
     )
     if not report.records:
-        return EXIT_OK
+        return
 
     def details(r: AuditRecord, column: str | None, label: str | None) -> str:
         idx = r.predicted_index
@@ -578,7 +591,6 @@ def cmd_report(out_prefix: str) -> int:
         f"checks: {counts['PASS']} passed, {counts['FAIL']} failed, "
         f"{counts['UNCHECKED']} unchecked"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +605,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "run ensembles and audit convergence-rate certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("validate", "run the geometry suites for the configured space"),
-        ("run", "run the ensemble and write the curves CSV"),
-        ("audit", "build the certificate and audit it against an ensemble"),
-        ("report", "summarize audit.json next to curves.csv"),
+    for name, command, doc in (
+        ("validate", cmd_validate, "run the geometry suites for the configured space"),
+        ("run", cmd_run, "run the ensemble and write the curves CSV"),
+        ("audit", cmd_audit, "build the certificate and audit it against an ensemble"),
+        ("report", cmd_report, "summarize audit.json next to curves.csv"),
     ):
         p = sub.add_parser(name, help=doc)
+        p.set_defaults(handler=command)
         p.add_argument("--config", required=True, help="experiment JSON config")
         p.add_argument("--out", default="", help="output path prefix")
         p.add_argument(
@@ -614,58 +627,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str):
+    """The JSON document in the file at ``path``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        at = f"line {exc.lineno}, column {exc.colno}"
+        raise ConfigError(f"{path} is not valid JSON ({at}): {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer beyond int's digit limit
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-
     try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(
-            f"config error: {args.config} is not valid JSON "
-            f"(line {exc.lineno}, column {exc.colno}): {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    except ValueError as exc:  # e.g. an integer beyond int's digit limit
-        print(f"config error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        exp = parse_experiment(doc, seed_override=args.seed_override)
+        exp = parse_experiment(_read_json(args.config), seed_override=args.seed_override)
+        return args.handler(exp, args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-    if args.command == "validate":
-        return cmd_validate(exp)
-    if args.command == "run":
-        try:
-            return cmd_run(exp, args.out)
-        except Exception as exc:  # noqa: BLE001 - contract: runtime failure -> 3
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-    if args.command == "audit":
-        try:
-            return cmd_audit(exp, args.out, curves_path=args.curves)
-        except NoModulusKnownError as exc:
-            print(f"no modulus known: {exc}", file=sys.stderr)
-            return EXIT_NO_MODULUS
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        except Exception as exc:  # noqa: BLE001
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-    # report
-    try:
-        return cmd_report(args.out)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"report input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except NoModulusKnownError as exc:
+        print(f"no modulus known: {exc}", file=sys.stderr)
+        return EXIT_NO_MODULUS
+    except Exception as exc:  # noqa: BLE001 - contract: runtime failure -> 3
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

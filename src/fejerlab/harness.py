@@ -486,6 +486,8 @@ class AuditReport:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "AuditReport":
+        if not isinstance(doc, dict):
+            raise ValueError(f"an audit file holds a JSON object, not {type(doc).__name__}")
         if doc.get("schema") != _SCHEMA:
             raise ValueError(f"unknown audit schema: {doc.get('schema')!r}")
         fields = {k: v for k, v in doc.items() if k not in ("schema", "lambda")}

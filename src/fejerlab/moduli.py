@@ -19,6 +19,7 @@ imports mpmath, so a constant schedule never loads it."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -135,11 +136,13 @@ def schedule_value(sched: StepSchedule, n: int) -> float:
 
 
 def schedule_square_sum_bound(sched: StepSchedule) -> float:
-    """A strict upper bound T > sum_n lambda_n^2, rounded up to 3 decimals:
-    the smallest 3-decimal number strictly above the exact sum."""
+    """A strict upper bound T > sum_n lambda_n^2: the smallest 3-decimal
+    number strictly above the exact sum, which must lie in the float range."""
     import mpmath
     with mpmath.workdps(_DPS):
         total = _partial_sums(sched, 0, 0, 1)(math.inf)
+        if total * 1000 > sys.float_info.max:
+            raise ValueError(f"squared-step sum {mpmath.nstr(total, 3)} exceeds the float range")
         t = int(mpmath.ceil(total * 1000)) / 1000.0
     return t if t > total else t + 0.001
 

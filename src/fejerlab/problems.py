@@ -74,11 +74,11 @@ DISTANCE = "distance"
 Growth = tuple[str, float] | None
 
 
-class NoModulusKnownError(ValueError):
+class NoModulusKnownError(Exception):
     """Raised when no regularity modulus is known for an instance shape.
 
     A guessed modulus would silently invalidate every certificate built on
-    top of it, so unsupported shapes fail loudly instead.
+    it, so an unsupported shape fails loudly, and not as a ValueError.
     """
 
 

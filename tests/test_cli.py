@@ -5,6 +5,7 @@ temp directory, then checks the exit code, the printed output, and the files
 written under the --out prefix.
 """
 
+import copy
 import csv
 import importlib.util
 import json
@@ -18,10 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from fejerlab.cli import main, parse_experiment
+from fejerlab.cli import _AUDITS, ConfigError, main, parse_experiment
 from fejerlab.harness import curves_csv_text, load_curves, stats_from_curves
 from fejerlab.moduli import RootSchedule
-from fejerlab.problems import HALF_SQUARED
+from fejerlab.problems import HALF_SQUARED, NoModulusKnownError
 from fejerlab.spaces import DOMAIN, Euclidean, HalfPlane, Tripod, geometry_suite
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,14 @@ def test_run_to_unwritable_prefix_is_a_runtime_error(tmp_path, capsys):
     rc = run_cli("run", "--config", cfg, "--out", str(tmp_path / "missing" / "dir_"))
     assert rc == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_a_geometry_suite_that_raises_is_a_runtime_error_of_validate(tmp_path, capsys, monkeypatch):
+    import fejerlab.cli as cli
+
+    monkeypatch.setattr(cli, "geometry_suite", lambda *a, **k: 1 / 0)
+    rc = run_cli("validate", "--config", write_config(tmp_path, rate_config(paths=2, horizon=2)))
+    assert (rc, capsys.readouterr().err) == (3, "runtime error: division by zero\n")
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +751,24 @@ def test_report_rejects_unknown_audit_schema(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "an audit file holds a JSON object, not list"),
+    # read as given, then refused when the header line formats it
+    (lambda doc: {**doc, "lambda": "x"}, "Unknown format code 'g'"),
+], ids=["array", "lambda-string"])
+def test_report_of_a_malformed_audit_file_is_an_input_error(tmp_path, capsys, edit, message):
+    cfg = write_config(tmp_path, rate_config(paths=2, horizon=2))
+    out = str(tmp_path / "r_")
+    assert run_cli("audit", "--config", cfg, "--out", out) == 0
+    doc = json.loads(Path(out + "audit.json").read_text())
+    Path(out + "audit.json").write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    rc = run_cli("report", "--config", cfg, "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("report input error: ") and message in err, err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -1110,6 +1137,37 @@ def test_a_constant_one_relaxation_is_an_input_error_of_the_audit(
     assert err.startswith(f"config error: {path}: lambda(1-lambda) vanishes"), err
 
 
+@pytest.mark.parametrize("name, audit, path", [
+    (TRIPOD, None, "config.schedule with config.audit.liminf.epsilon=2.0"),
+    (SEGMENT, None, "config.schedule with config.audit.liminf.epsilon=1.0"),
+    (TRIPOD, {"epsilons": [0.3], "lambda": 0.1}, "config"),
+], ids=["tripod-liminf", "segment-liminf", "tripod-rate"])
+def test_a_squared_step_sum_past_the_float_range_is_an_input_error_of_the_audit(
+    tmp_path, capsys, monkeypatch, name, audit, path
+):
+    # At a = 1e300 the squared steps sum to about 1.64e600, which no float
+    # holds, so neither the gap window nor the rate certificate has its T.
+    # The proximal and subgradient steps need not be relaxations, so
+    # `validate` and `run` accept the config.
+    import fejerlab.cli as cli
+
+    cfg = _shipped(name)
+    cfg["ensemble"].update(paths=3, horizon=5)
+    cfg["schedule"]["a"] = 1e300
+    if audit is not None:
+        cfg["audit"] = audit
+    config = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert run_cli(command, "--config", config, "--out", str(tmp_path / "x_")) == 0, command
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: ran.append(a) or 1 / 0)
+    rc = run_cli("audit", "--config", config, "--out", str(tmp_path / "x_"))
+    err = capsys.readouterr().err
+    assert rc == 1 and not ran, err
+    assert err == f"config error: {path}: squared-step sum 1.64e+600 exceeds the float range\n"
+
+
 def test_audit_accepts_a_table_whose_tail_starts_below_one(tmp_path, capsys):
     # Every step is at most 1/2: the tail 2 / (n + 1) starts at index 3.  At
     # eps = 0.2 the almost-sure index lies past INDEX_CAP.
@@ -1344,3 +1402,65 @@ def test_whole_space_audit_from_a_three_dimensional_start(tmp_path, capsys, audi
     rc = run_cli("audit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "w_"))
     assert rc == 0, capsys.readouterr().err
     assert "FAIL" not in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract over single-field edits
+# ---------------------------------------------------------------------------
+
+_ODD_VALUES = (None, "x", [], {}, -1, 0, 0.5, 1e300, 10**400, True, _DELETE)
+
+
+def _field_paths(doc, at=()):
+    """The path of every key and list index in doc, a parent before its children."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from _field_paths(value, at + (key,))
+
+
+def test_every_single_field_edit_of_a_shipped_config_keeps_the_exit_code_contract():
+    """Each edit parses or raises ConfigError (exit 1), and each parsed
+    edit's audit check builds or raises ConfigError or NoModulusKnownError
+    (exit 5): no edit fails as a runtime error (exit 3) before an ensemble
+    runs."""
+    edits, failures = 0, []
+    for name in (FLAG, FAST, TRIPOD, SEGMENT):
+        base = _shipped(name)
+        base["ensemble"].update(paths=2, horizon=2)
+        for field in _field_paths(base):
+            for value in _ODD_VALUES:
+                doc = copy.deepcopy(base)
+                _set(doc, field, value if value is _DELETE else copy.deepcopy(value))
+                edits += 1
+                try:
+                    exp = parse_experiment(doc)
+                except ConfigError:
+                    continue
+                except Exception as exc:  # noqa: BLE001 - collected and reported below
+                    failures.append((name, field, value, "parse", exc))
+                    continue
+                try:
+                    _AUDITS[exp.audit.kind].check(exp)
+                except (ConfigError, NoModulusKnownError):
+                    pass
+                except Exception as exc:  # noqa: BLE001
+                    failures.append((name, field, value, "check", exc))
+    assert edits == 1859
+    assert not failures, failures
+
+
+def test_epsilons_whose_square_roots_coincide_are_an_input_error(tmp_path, capsys):
+    # The fast audit tracks sqrt(eps), and sqrt(1.0000000000000002) rounds to
+    # 1.0: the two thresholds would be one column twice.
+    cfg = _shipped(FAST)
+    cfg["ensemble"].update(paths=2, horizon=2)
+    cfg["audit"]["epsilons"] = [1.0, 1.0000000000000002]
+    message = "config.audit.epsilons: tracked thresholds (1.0, 1.0) must be distinct"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_experiment(cfg)
+    config = write_config(tmp_path, cfg)
+    for command in ("validate", "run", "audit"):
+        rc = run_cli(command, "--config", config, "--out", str(tmp_path / "x_"))
+        err = capsys.readouterr().err
+        assert rc == 1 and err == f"config error: {message}\n", (command, err)

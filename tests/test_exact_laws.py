@@ -20,17 +20,32 @@ then fails a correct run with probability at most 2 Phi(-5) + RARE = 1.6e-6,
 so over the fewer than 600 points each test checks (about 180) its
 Bonferroni level is below 1e-3.  Past those points the curves are carried by paths too rare to
 be drawn, and a sample of this size says nothing about them.
+
+The fast config runs the flagship instance from (1, 1) under its derived
+root schedule, whose relaxations lam_k vary with k.  A step multiplies the
+drawn coordinate by (1 - lam_k), so with y = x_1^2 and P_n = prod_{k<n}
+(1 - lam_k)^2 the distance is d^2(x_n, S) = y + P_n / y, and E x_1^(2a)
+x_2^(2b) = prod_k ((1 - lam_k)^(2a) + (1 - lam_k)^(2b)) / 2.  So E d^2 =
+2 prod_k ((1 - lam_k)^2 + 1) / 2 and E d^4 = 2 prod_k ((1 - lam_k)^4 + 1)
+/ 2 + 2 P_n, in fractions, each lam_k read as the exact value of its float.
+Its mean_sq_dist curve is checked by the same pass rule.  Here the
+one-path chance is bounded by the range of d^2: y lies in [P_n, 1], so d^2
+lies in [2 sqrt(P_n), 1 + P_n], and where that range lies within Z_MAX
+sqrt(Var paths) of the mean no single path can move z past 5, so the
+chance is 0.  Elsewhere it is not bounded and the point is not checked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from fejerlab.algorithms import fast_certificate_skm
 from fejerlab.harness import run_ensemble
-from fejerlab.moduli import Constant
+from fejerlab.moduli import Constant, RootSchedule, schedule_value
 from fejerlab.problems import FixedPointProblem, two_halfspace
 from fejerlab.spaces import Euclidean, Halfspace
 
@@ -174,3 +189,50 @@ def test_an_ensemble_follows_the_exact_law(name):
     # Every curve is checked well past its start.
     assert all(count >= 10 for count in checked.values()), checked
     assert len(checked) == 2 + 2 * len(epsilons), checked
+
+
+def _fast_schedule():
+    """fast_skm.json's schedule: the root schedule of its c = 2 and r = 16."""
+    _, sched = fast_certificate_skm(two_halfspace(), 2.0, 16, Euclidean((1.0, 1.0)))
+    assert sched == RootSchedule(4.0, 16)
+    return sched
+
+
+def _fast_moments(sched, horizon: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(E d^2, E d^4, P_n) of the fast config at n = 0, ..., horizon."""
+    e2 = e4 = p2 = Fraction(1)
+    out = []
+    for n in range(horizon + 1):
+        out.append((2 * e2, 2 * e4 + 2 * p2, p2))
+        keep = 1 - Fraction(schedule_value(sched, n))
+        e2, e4, p2 = e2 * (keep**2 + 1) / 2, e4 * (keep**4 + 1) / 2, p2 * keep**2
+    return out
+
+
+def test_the_fast_moments_are_the_means_over_every_draw_sequence():
+    sched = _fast_schedule()
+    for n, (m2, m4, _) in enumerate(_fast_moments(sched, 8)):
+        keep = [1 - Fraction(schedule_value(sched, k)) for k in range(n)]
+        d2 = [
+            sum(math.prod(c**2 for c, i in zip(keep, draws) if i == coord) for coord in (0, 1))
+            for draws in itertools.product((0, 1), repeat=n)
+        ]
+        assert (sum(d2) / 2**n, sum(v * v for v in d2) / 2**n) == (m2, m4), n
+
+
+def test_the_fast_config_follows_its_exact_law():
+    sched, x0 = _fast_schedule(), Euclidean((1.0, 1.0))
+    stats = run_ensemble(two_halfspace(), "skm", sched, x0, PATHS, HORIZON, SEED, (1.0, 2.0))
+    checked = 0
+    for n, (m2, m4, p2) in enumerate(_fast_moments(sched, HORIZON)):
+        exact, var, observed = float(m2), float(m4 - m2 * m2), stats.mean_sq_dist[n]
+        if var == 0.0:
+            assert observed == pytest.approx(exact, rel=1e-12), n
+        elif max(exact - 2.0 * math.sqrt(p2), 1.0 + p2 - exact) <= Z_MAX * math.sqrt(var * PATHS):
+            z = (observed - exact) / math.sqrt(var / PATHS)
+            assert abs(z) <= Z_MAX, (n, observed, exact, z)
+        else:
+            continue
+        checked += 1
+    assert checked * NORMAL_LEVEL < 1e-3, checked
+    assert checked >= 30, checked

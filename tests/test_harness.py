@@ -53,6 +53,7 @@ from fejerlab.problems import (
     r1_single_atom_busemann,
     sample_data,
     segment_argmin,
+    tripod_frechet,
     tripod_median,
     tripod_median_busemann,
     two_halfspace,
@@ -760,6 +761,23 @@ def test_fejer_margin_exact_sb():
 def test_fejer_margin_exact_sppa():
     m = fejer_margin(tripod_median(), "sppa", Tripod(1, 1.5), 0.7)
     assert m.stderr == 0.0 and m.slack >= -1e-10
+
+
+@pytest.mark.parametrize("problem, states", [
+    (frechet_r1(), [Euclidean((t,)) for t in (-3.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.5)]),
+    (tripod_frechet(), [Tripod(r, c) for r in range(3) for c in (0.0, 0.4, 1.0, 2.5)]),
+    (halfplane_single_atom(), [HalfPlane(x, y) for x in (-2.0, 0.0, 0.5, 1.5) for y in (0.3, 1.0, 2.0)]),
+], ids=["frechet_r1", "tripod_frechet", "halfplane_single_atom"])
+def test_fejer_margin_exact_sppa_on_half_squared_costs(problem, states):
+    # A half-squared cost's Lipschitz constant along the prox segment is the
+    # atom's distance from x; the inequality holds exactly, steps above 1 too.
+    for x in states:
+        for step in (0.01, 0.1, 0.5, 1.0, 2.0):
+            m = fejer_margin(problem, "sppa", x, step)
+            assert m.stderr == 0.0 and m.slack >= 0.0, (x, step, m)
+    # At x = 2 on the line, d^2 = 4, f(x) - f(0) = 2 and the constants are
+    # (3, 1): rhs = 4 - 2 (0.5) 2 + 4 (0.5^2) (9/2 + 1/2) = 7.
+    assert fejer_margin(frechet_r1(), "sppa", Euclidean((2.0,)), 0.5).rhs == 7.0
 
 
 def test_fejer_margin_on_the_whole_space_in_three_dimensions():

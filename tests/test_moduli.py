@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -79,6 +80,16 @@ def test_schedule_square_sum_bound_table():
 def test_schedule_square_sum_bound_rejects_divergent():
     with pytest.raises(ValueError):
         schedule_square_sum_bound(Constant(0.5))
+
+
+def test_a_squared_step_sum_past_the_float_range_is_a_value_error():
+    # The sum is a^2 pi^2 / 6: its 3-decimal bound is a float at a = 1e152
+    # and past the float range at a = 1e153 and a = 1e300.
+    assert schedule_square_sum_bound(Harmonic(1e152, 1.0)) == pytest.approx(1e304 * math.pi**2 / 6)
+    for a, total in ((1e153, "1.64e+306"), (1e300, "1.64e+600")):
+        message = re.escape(f"squared-step sum {total} exceeds the float range")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            schedule_square_sum_bound(Harmonic(a, 1.0))
 
 
 def test_schedule_spec_round_trip():
