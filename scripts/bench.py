@@ -6,13 +6,14 @@ a fresh child interpreter with ``PYTHONPATH`` set to the chosen source
 tree.  The configs come from the ``scripts/`` directory beside that tree,
 so a parent checkout runs with its own configs.  Per config the script
 records the median wall time as ``wall_s`` and every run's as
-``wall_s_runs``, and from the first run the child's peak RSS (from the
-rusage the kernel keeps for the waited-for child, as
-``resource.getrusage(RUSAGE_CHILDREN)`` reports it, but for that child
-alone), the highest number of threads the child ran at once (sampled from
-/proc every 20 ms), the exit code and the SHA-256 of the written
-``curves.csv`` and ``audit.json``.  Runs of one config whose curves or
-audit digests differ make the script exit 1.  Each config also runs once
+``wall_s_runs``, the median peak RSS of the child as ``peak_rss_mb`` and
+every run's as ``peak_rss_mb_runs`` (from the rusage the kernel keeps for
+the waited-for child, as ``resource.getrusage(RUSAGE_CHILDREN)`` reports
+it, but for that child alone), and from the first run the highest number
+of threads the child ran at once (sampled from /proc every 20 ms), the exit
+code and the SHA-256 of the written ``curves.csv`` and ``audit.json``.
+Runs of one config whose curves or audit digests differ make the script
+exit 1.  Each config also runs once
 through `fejerlab validate`, whose exit code, wall time and SHA-256 of
 standard output (the geometry suite's residuals) are recorded, so a
 geometry change that moves a residual shows up.  The written curves are then re-audited
@@ -46,13 +47,13 @@ in the file are kept, so before and after numbers can share one file:
 Against each other label already in the file, the run prints every one of
 its five digests per config (curves, audit, re-audit, validate stdout and
 report stdout) that differs, then how many of them differ, then each
-config's audit wall time, ``import_s`` and ``tier1_s`` beside that label's
-with their ratio (this run's over that label's), an audit or import ratio
-marked "within noise" when the two runs' ranges of those timings (least to
-largest of ``wall_s_runs`` or ``import_s_runs``, or the one ``wall_s`` or
-``import_s`` of a run that predates them) overlap, then each module's
-line count beside that label's and the difference (when that label's run
-recorded them).
+config's audit wall time and peak RSS, ``import_s`` and ``tier1_s`` beside
+that label's with their ratio (this run's over that label's), an audit,
+peak-RSS or import ratio marked "within noise" when the two runs' ranges of
+those figures (least to largest of ``wall_s_runs``, ``peak_rss_mb_runs`` or
+``import_s_runs``, or the one figure of a run that predates them) overlap,
+then each module's line count beside that label's and the difference (when
+that label's run recorded them).
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def print_digest_diffs(results: dict, label: str, other: dict) -> None:
 
 
 def _range(run: dict, key: str) -> tuple[float, float]:
-    """The least and largest of a run's timings of ``key``: its
+    """The least and largest of a run's figures of ``key``: its
     ``<key>_runs``, or the one ``key`` of a run that predates them."""
     times = run.get(f"{key}_runs") or [run[key]]
     return min(times), max(times)
@@ -220,22 +221,24 @@ def _noise(now: dict, before: dict, key: str) -> str:
     return ", within noise" if lo <= hi_b and lo_b <= hi else ""
 
 
-def print_time_ratios(run: dict, label: str, other: dict) -> None:
-    """Print each config's audit wall time, the import time and the Tier-1
-    time of ``run`` beside the ones recorded under ``label`` (the run
-    ``other``), with their ratio; an audit's or the import's ratio is
-    "within noise" when the two ranges of its timings overlap."""
-    times = []
+def print_ratios(run: dict, label: str, other: dict) -> None:
+    """Print each config's audit wall time and peak RSS, the import time
+    and the Tier-1 time of ``run`` beside the ones recorded under ``label``
+    (the run ``other``), with their ratio; an audit's, a peak RSS's or the
+    import's ratio is "within noise" when the two ranges of its figures
+    overlap."""
+    rows = []
     for name, res in run["configs"].items():
         before = other["configs"].get(name, {})
-        if before.get("wall_s"):
-            times.append((f"{name} audit", res["wall_s"], before["wall_s"], _noise(res, before, "wall_s")))
+        for key, what, unit in (("wall_s", "audit", "s"), ("peak_rss_mb", "audit peak RSS", "MB")):
+            if before.get(key):
+                rows.append((f"{name} {what}", unit, res[key], before[key], _noise(res, before, key)))
     if other.get("import_s"):
-        times.append(("import fejerlab.cli", run["import_s"], other["import_s"], _noise(run, other, "import_s")))
+        rows.append(("import fejerlab.cli", "s", run["import_s"], other["import_s"], _noise(run, other, "import_s")))
     if other.get("tier1_s"):
-        times.append(("tier-1 suite", run["tier1_s"], other["tier1_s"], ""))
-    for what, now, before, noise in times:
-        print(f"{what}: {before:.3f} s in {label!r}, {now:.3f} s now (ratio {now / before:.3f}{noise})")
+        rows.append(("tier-1 suite", "s", run["tier1_s"], other["tier1_s"], ""))
+    for what, unit, now, before, noise in rows:
+        print(f"{what}: {before:.3f} {unit} in {label!r}, {now:.3f} {unit} now (ratio {now / before:.3f}{noise})")
 
 
 def print_line_deltas(lines: dict[str, int], label: str, other: dict[str, int]) -> None:
@@ -263,8 +266,9 @@ def main(argv=None) -> int:
             config = src.parent / "scripts" / name
             runs = [run_audit(src, config, pathlib.Path(tmp)) for _ in range(AUDIT_RUNS)]
             res = results[name] = runs[0]
-            res["wall_s_runs"] = [r["wall_s"] for r in runs]
-            res["wall_s"] = statistics.median(res["wall_s_runs"])
+            for key in ("wall_s", "peak_rss_mb"):
+                res[f"{key}_runs"] = [r[key] for r in runs]
+                res[key] = statistics.median(res[f"{key}_runs"])
             failed |= any(r["exit_code"] for r in runs)
             if len({(r["curves_sha256"], r["audit_sha256"]) for r in runs}) > 1:
                 print(f"{name}: the {AUDIT_RUNS} audits wrote different curves or audit files")
@@ -282,7 +286,7 @@ def main(argv=None) -> int:
             codes = [res["exit_code"]] + [res[k]["exit_code"] for k in ("validate", "reaudit", "report")]
             failed |= any(codes)
             print(
-                f"{name}: wall {res['wall_s']:.2f} s (median of {AUDIT_RUNS}), peak RSS {res['peak_rss_mb']:.0f} MB, "
+                f"{name}: wall {res['wall_s']:.2f} s (median of {AUDIT_RUNS}), peak RSS {res['peak_rss_mb']:.1f} MB (median), "
                 f"exit codes (audit, validate, re-audit, report) {codes}"
             )
 
@@ -316,7 +320,7 @@ def main(argv=None) -> int:
     for label, run in doc["runs"].items():
         if label != args.label:
             print_digest_diffs(results, label, run["configs"])
-            print_time_ratios(this, label, run)
+            print_ratios(this, label, run)
             if "src_lines_by_module" in run:  # runs recorded before it was kept lack it
                 print_line_deltas(lines, label, run["src_lines_by_module"])
     doc["runs"][args.label] = this

@@ -9,12 +9,14 @@ theta), the metric-rate quadruple, the Nemirovski-type recursion constant,
 and the fast-rate mean/tail envelopes.
 
 chi, theta and the square-sum bound T read one exact partial sum of the
-schedule (``_partial_sums``, its fixed end shifted up by the recurrence) at
-40 digits, and chi and theta find each minimal index by one bisection up to
-``INDEX_CAP`` (``_least_index``); a constant schedule's theta is the count
-form k + ceil(b/w), one past the least index.  An index past the cap is None: no run
-reaches it, so it is reported as beyond, not computed.  Only an exact sum
-imports mpmath, so a constant schedule never loads it."""
+schedule (``_partial_sums``) at 40 decimal digits, on the standard
+library's ``decimal``, with psi and psi_1 from their asymptotic series
+(``_polygamma``), and chi and theta find each minimal index by one
+bisection up to ``INDEX_CAP`` (``_least_index``); a constant schedule's
+theta is the count form k + ceil(b/w), one past the least index.  An index
+past the cap is None: no run reaches it, so it is reported as beyond, not
+computed.  Only an exact sum imports ``decimal``, so a constant schedule
+never loads it."""
 
 from __future__ import annotations
 
@@ -28,8 +30,17 @@ from typing import Callable, Union
 #: exact integer into the next one.
 CEIL_GUARD = 5e-13
 
-#: Decimal digits of every exact schedule sum.
+#: Decimal digits of every exact schedule sum, and the guard digits that
+#: ``_polygamma`` carries past them.
 _DPS = 40
+_GUARD = 10
+
+#: The Bernoulli numbers B_2, B_4, ..., B_32 as (numerator, denominator).
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+    (-23749461029, 870), (8615841276005, 14322), (-7709321041217, 510),
+)
 
 #: The largest index a witness returns; past it a witness is None.
 INDEX_CAP = 10**12
@@ -135,58 +146,82 @@ def schedule_value(sched: StepSchedule, n: int) -> float:
     return tail.a / (n + tail.s)
 
 
+def _exact():
+    """The context of every exact sum: _DPS digits.  decimal is imported
+    here, where an exact sum runs, so a constant schedule never loads it."""
+    from decimal import Context, localcontext
+    return localcontext(Context(prec=_DPS))
+
+
 def schedule_square_sum_bound(sched: StepSchedule) -> float:
     """A strict upper bound T > sum_n lambda_n^2: the smallest 3-decimal
     number strictly above the exact sum, which must lie in the float range."""
-    import mpmath
-    with mpmath.workdps(_DPS):
+    from decimal import ROUND_CEILING
+    with _exact():
         total = _partial_sums(sched, 0, 0, 1)(math.inf)
         if total * 1000 > sys.float_info.max:
-            raise ValueError(f"squared-step sum {mpmath.nstr(total, 3)} exceeds the float range")
-        t = int(mpmath.ceil(total * 1000)) / 1000.0
+            raise ValueError(f"squared-step sum {total:.3g} exceeds the float range")
+        t = int((total * 1000).to_integral_value(ROUND_CEILING)) / 1000.0
     return t if t > total else t + 0.001
 
 
-def _polygamma_shifted(order: int, x):
-    """psi(x) (order 0) or psi_1(x) (order 1) at the working precision, from N = 2 dps
-    steps up: psi(x+N) - sum_{i<N} 1/(x+i) or psi_1(x+N) + sum_{i<N} 1/(x+i)^2.  So far
-    out mpmath's series needs few of the Bernoulli numbers it tabulates per precision."""
-    import mpmath
-    n = 2 * mpmath.mp.dps
-    with mpmath.extraprec(10):  # guard bits: psi(x+N) - terms cancels near x = 1.46
-        terms = mpmath.fsum((1 / (x + i) for i in range(n)), squared=order == 1)
-        value = mpmath.polygamma(order, x + n) + (terms if order else -terms)
-    return +value
+def _polygamma(order: int, n: float, s: float):
+    """psi(x) (order 0) or psi_1(x) (order 1) at x = n + s >= 1 (n = inf
+    included), to _DPS + _GUARD digits, left unrounded.  From x = N = 2 _DPS
+    on it is the asymptotic series (DLMF 5.11.2, 5.15.8) through B_32,
+    psi(x) = ln x - 1/(2x) - sum_k B_2k / (2k x^2k) and psi_1(x) = 1/x +
+    1/(2x^2) + sum_k B_2k / x^(2k+1), whose remainder for real x > 0 is
+    below the first omitted term, under 1e-54 at x = N.  Below N it steps up
+    by the recurrence: psi(x+N) - sum_{i<N} 1/(x+i) or psi_1(x+N) + sum_{i<N}
+    1/(x+i)^2, where the guard digits absorb the cancellation near x = 1.46."""
+    from decimal import Context, Decimal, localcontext
+    with localcontext(Context(prec=_DPS + _GUARD)):
+        x = Decimal(n) + Decimal(s)
+        shift = 2 * _DPS if x < 2 * _DPS else 0
+        terms = sum(1 / (x + i) ** (order + 1) for i in range(shift))
+        x += shift
+        x2 = x * x
+        if order == 0:
+            value, power = x.ln() - 1 / (2 * x), x2
+        else:
+            value, power = (1 + 1 / (2 * x)) / x, x2 * x
+        last = value.adjusted() - _DPS - _GUARD
+        for k, (num, den) in enumerate(_BERNOULLI, 1):
+            term = num / (den * power) if order else -num / (2 * k * den * power)
+            if term.adjusted() < last:  # the terms fall, and this one is past the last digit
+                break
+            value += term
+            power *= x2
+        return value + terms if order else value - terms
 
 
 def _partial_sums(sched: StepSchedule, k: int, steps: int, squares: int):
     """m -> sum_{n=k}^{m} (steps lambda_n + squares lambda_n^2), m = inf
-    included, of a harmonic or table schedule at the working precision.
+    included, of a harmonic or table schedule in the ``_exact`` context.
 
-    The leading values and a enter as mpf, exact with their squares from 32
-    digits on.  The tail from j = max(k, len(values)) on is a (psi(m+s+1) -
-    psi(j+s)) in steps and a^2 (psi_1(j+s) - psi_1(m+s+1)) in squares, with
-    m an mpf, so no index is rounded.  The fixed end j is evaluated once, by
-    ``_polygamma_shifted``; a search over m pays one digamma or trigamma per step."""
-    import mpmath
+    The leading values and a enter as exact Decimals.  The tail from j =
+    max(k, len(values)) on is a (psi(m+s+1) - psi(j+s)) in steps and a^2
+    (psi_1(j+s) - psi_1(m+s+1)) in squares, with m exact, so no index is
+    rounded.  The fixed end j is evaluated once; a search over m pays one
+    digamma or trigamma per step (``_polygamma`` both)."""
+    from decimal import Decimal
     values, h = _table(sched)
-    a = mpmath.mpf(h.a)
-    head = [mpmath.mpf(0)]
-    for v in map(mpmath.mpf, values[k:]):
+    a = Decimal(h.a)
+    head = [Decimal(0)]
+    for v in map(Decimal, values[k:]):
         head.append(head[-1] + steps * v + squares * v * v)
     j = max(k, len(values))
-    psi_j = _polygamma_shifted(0, mpmath.mpf(j) + h.s) if steps else 0
-    tri_j = _polygamma_shifted(1, mpmath.mpf(j) + h.s) if squares else 0
+    psi_j = _polygamma(0, j, h.s) if steps else 0
+    tri_j = _polygamma(1, j, h.s) if squares else 0
 
-    def partial(m: float) -> mpmath.mpf:
+    def partial(m: float) -> Decimal:
         if m < j:
             return head[max(m - k + 1, 0)]
-        hi = mpmath.mpf(m) + h.s + 1
         val = head[-1]
         if steps:
-            val += steps * a * (mpmath.digamma(hi) - psi_j)
+            val += steps * a * (_polygamma(0, m + 1, h.s) - psi_j)
         if squares:
-            val += squares * a * a * (tri_j - mpmath.polygamma(1, hi))
+            val += squares * a * a * (tri_j - _polygamma(1, m + 1, h.s))
         return val
 
     return partial
@@ -219,8 +254,7 @@ def tail_rate_chi(sched: StepSchedule, eps: float) -> int | None:
     and root schedules have a divergent square series and are rejected."""
     if not eps > 0.0:
         raise ValueError(f"tail budget must be > 0, got {eps}")
-    import mpmath
-    with mpmath.workdps(_DPS):
+    with _exact():
         return _least_index(lambda n: _partial_sums(sched, n, 0, 1)(math.inf) < eps, -1)
 
 
@@ -275,8 +309,7 @@ def divergence_witness_theta(
         w = sched.c * (1.0 - sched.c) if mean else sched.c
         return _guarded_ceil(b / w, k)
 
-    import mpmath
-    with mpmath.workdps(_DPS):
+    with _exact():
         partial = _partial_sums(sched, k, 1, -1 if mean else 0)
         return _least_index(lambda m: partial(m) >= b, k - 1)
 

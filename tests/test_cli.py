@@ -1026,34 +1026,40 @@ def test_fast_envelope_passes_a_start_whose_squares_round(tmp_path, capsys, path
 _COLD_START = """
 import sys
 from fejerlab.cli import main
-config, out, *commands = sys.argv[1:]
-codes = [main([cmd, "--config", config, "--out", out]) for cmd in commands]
-print(codes, "mpmath" in sys.modules)
+lines = []
+for config in sys.argv[1:]:
+    prefix = config.removesuffix(".json") + "_"
+    commands = (["validate"], ["run"], ["audit"], ["audit", "--curves", prefix + "curves.csv"],
+                ["report"])
+    codes = [main([*cmd, "--config", config, "--out", prefix]) for cmd in commands]
+    lines.append(f"{codes} {'mpmath' in sys.modules} {'decimal' in sys.modules}")
+print(*lines, sep="\\n")
 """
 
 
-def _cold_start(tmp_path, cfg, *commands):
-    """Run cli.main with each command on cfg in one fresh interpreter: the
-    exit codes, and whether mpmath was imported by then."""
+def test_only_an_exact_sum_loads_decimal_and_none_loads_mpmath(tmp_path):
+    # In one fresh interpreter, every command on each shipped config at 64 x
+    # 50.  The constant (flagship) and root (fast) schedules have closed
+    # forms: no command on them takes an exact sum, so none may pay for
+    # importing decimal; the harmonic gap windows (tripod, segment) take one
+    # on decimal.  mpmath is a test-only reference: no command loads it.
+    configs = []
+    for name in (FLAG, FAST, TRIPOD, SEGMENT):
+        cfg = _shipped(name)
+        cfg["ensemble"].update(paths=64, horizon=50)
+        configs.append(write_config(tmp_path, cfg, name))
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, write_config(tmp_path, cfg), str(tmp_path / "o_"),
-         *commands],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
+        [sys.executable, "-c", _COLD_START, *configs],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+        timeout=120,
     )
-    return proc.stdout.splitlines()[-1]
-
-
-def test_mpmath_loads_only_for_an_exact_sum(tmp_path):
-    # The flagship's constant schedule has closed forms: no command on it
-    # evaluates an exact sum, so none may pay for importing mpmath.
-    flagship = _shipped(FLAG)
-    flagship["ensemble"].update(paths=64, horizon=50)
-    assert _cold_start(tmp_path, flagship, "validate", "run", "audit") == "[0, 0, 0] False"
-    segment = _shipped(SEGMENT)
-    segment["ensemble"].update(paths=64, horizon=50)
-    assert _cold_start(tmp_path, segment, "audit") == "[0] True"
+    assert proc.stdout.splitlines()[-4:] == [
+        "[0, 0, 0, 0, 0] False False",
+        "[0, 0, 0, 0, 0] False False",
+        "[0, 0, 0, 0, 0] False True",
+        "[0, 0, 0, 0, 0] False True",
+    ], proc.stdout
 
 
 _NO_FLOAT_INDEX = "config.audit.epsilons[0]: the rate index exceeds the float range"

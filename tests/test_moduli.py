@@ -14,12 +14,13 @@ from fejerlab.algorithms import certificate_skm
 from fejerlab.cli import ConfigError, _read_schedule
 from fejerlab.moduli import (
     INDEX_CAP,
+    _BERNOULLI,
     Constant,
     FastCertificate,
     Harmonic,
     RootSchedule,
     TableSchedule,
-    _polygamma_shifted,
+    _polygamma,
     divergence_witness_theta,
     fast_bounds,
     metric_rates,
@@ -258,31 +259,22 @@ def test_divergence_witness_matches_unhoisted_bisection():
                     assert m == _witness_reference(1.0, 1.0, k, budget, mean), (transform, k, budget)
 
 
-def _classical_polygamma(order: int, x: float):
-    """psi(x) (order 0) or psi_1(x) (order 1) at an integer or half-integer
-    x >= 1, at the working precision, from psi(1) = -gamma, psi(1/2) =
-    -gamma - 2 ln 2, psi_1(1) = pi^2/6 and psi_1(1/2) = pi^2/2, and the exact
-    steps up from there (Abramowitz and Stegun 6.3.2-6.3.4, 6.4.2-6.4.4)."""
-    start = 0.5 if x % 1 else 1.0
-    steps = [1 / (mpmath.mpf(start) + i) for i in range(int(x - start))]
-    if order == 0:
-        return -mpmath.euler - (2 * mpmath.ln2 if x % 1 else 0) + mpmath.fsum(steps)
-    return mpmath.pi ** 2 / (2 if x % 1 else 6) - mpmath.fsum(steps, squared=True)
-
-
-@pytest.mark.parametrize("dps", (40, 60, 216, 392, 1200))
-def test_shifted_fixed_end_matches_the_reference(dps):
-    # The reference is mpmath's own digamma and trigamma at twice the
-    # working precision.  At 2,400 digits mpmath's digamma takes seconds a
-    # value, so there the classical values serve instead.
-    reference = _classical_polygamma if dps > 392 else mpmath.polygamma
-    for x in (1, 1.5, 2, 3.5, 7, 101, 5001):
+def test_polygamma_matches_the_reference():
+    # The reference is mpmath's own digamma and trigamma at 80 digits.  The
+    # points cover the recurrence's shift (x < 80), both sides of where it
+    # stops (79.5, 80), and the series alone out to past INDEX_CAP.
+    for x in (1, 1.5, 2, 3.5, 7, 79.5, 80, 101, 5001, 10**6 + 0.25, 2**40 + 0.5, 10**12 + 2):
         for order in (0, 1):
-            with mpmath.workdps(dps):
-                value = _polygamma_shifted(order, mpmath.mpf(x))
-            with mpmath.workdps(2 * dps):
-                error = abs(value / reference(order, x) - 1)
-                assert error < 4 * mpmath.mpf(10) ** -dps, (x, order, error)
+            value = _polygamma(order, 0, float(x))
+            with mpmath.workdps(80):
+                error = abs(mpmath.mpf(str(value)) / mpmath.polygamma(order, x) - 1)
+                assert error < 4 * mpmath.mpf(10) ** -40, (x, order, error)
+
+
+def test_bernoulli_numbers_are_exact():
+    assert [Fraction(*b) for b in _BERNOULLI] == [
+        Fraction(*mpmath.bernfrac(2 * k)) for k in range(1, 17)
+    ]
 
 
 def test_divergence_witness_rejects_non_divergent():
